@@ -170,8 +170,7 @@ type Session struct {
 	typed map[term.Indicator][]ArgType
 
 	// per-query transient state.
-	queryProcs   []dict.ID // procs to drop at query end
-	loadedCache  map[string]*loadedEntry
+	queryProcs   []dict.ID              // procs to drop at query end
 	interpLoaded []term.Indicator       // baseline-mode asserted predicates
 	factCaches   []map[uint32]term.Term // baseline per-query tuple caches
 
@@ -179,18 +178,17 @@ type Session struct {
 	// fact resolver, so late-created procedures can be wired lazily.
 	resolvers map[term.Indicator]bool
 
-	// synced is the KB invalidation version this session last
-	// reconciled against (see syncWithKB).
-	synced uint64
+	// resident is the code this session has linked from the EDB, by
+	// stored procedure, and nresident the variants and materialised
+	// results it holds (see resident.go). synced is the KB invalidation
+	// version the table was last reconciled against.
+	resident  map[term.Indicator]*residentProc
+	nresident int
+	synced    uint64
 
 	// txn is the open transaction's snapshot set (nil: none). While set,
 	// this session owns the KB write lock (see txn.go).
 	txn *sessionTxn
-
-	// strategyDirty defers a mid-query educe_strategy/1 switch to the
-	// next query start, when materialized set-at-a-time results can be
-	// dropped safely (their blocks may be executing right now).
-	strategyDirty bool
 
 	// defTimeout, when positive, re-arms a fresh deadline at every query
 	// start (the WithTimeout option); SetTimeout's one-shot deadline is
@@ -233,18 +231,6 @@ type Session struct {
 	qGoal     string
 	qStart    time.Time
 	qSolCount int
-}
-
-// loadedEntry is one session-resident dynamically loaded procedure, with
-// the KB invalidation version of its stored source at link time. setops,
-// when non-nil, marks a materialized set-at-a-time result and carries
-// the dependency snapshot revalidateSetops checks at query start.
-type loadedEntry struct {
-	proc   *wam.Proc
-	name   string
-	arity  int
-	ver    uint64
-	setops *setopsInfo
 }
 
 type dynPred struct {
@@ -298,18 +284,18 @@ func (kb *KnowledgeBase) NewSessionWithOptions(opts Options) (*Session, error) {
 		m.SetGC(false)
 	}
 	s := &Session{
-		kb:          kb,
-		opts:        opts,
-		m:           m,
-		comp:        compiler.New(compiler.Options{Transparent: transparentFor(m)}),
-		ops:         parser.NewOpTable(),
-		in:          interp.New(),
-		dyn:         map[term.Indicator]*dynPred{},
-		loadedCache: map[string]*loadedEntry{},
-		resolvers:   map[term.Indicator]bool{},
-		tally:       &store.Tally{},
-		synced:      kb.version.Load(),
-		id:          kb.nextSessionID(),
+		kb:        kb,
+		opts:      opts,
+		m:         m,
+		comp:      compiler.New(compiler.Options{Transparent: transparentFor(m)}),
+		ops:       parser.NewOpTable(),
+		in:        interp.New(),
+		dyn:       map[term.Indicator]*dynPred{},
+		resident:  map[term.Indicator]*residentProc{},
+		resolvers: map[term.Indicator]bool{},
+		tally:     &store.Tally{},
+		synced:    kb.version.Load(),
+		id:        kb.nextSessionID(),
 	}
 	// The machine charges GC pauses to the current query's phase vector;
 	// &s.q.Phases is stable for the session's lifetime.
@@ -356,12 +342,7 @@ func (s *Session) Close() error {
 	s.autoRollback()
 	s.drainProfile()
 	s.endQuery()
-	for _, le := range s.loadedCache {
-		if le.proc != nil && le.proc.Block != nil {
-			s.m.RemoveBlock(le.proc.Block)
-		}
-	}
-	s.loadedCache = map[string]*loadedEntry{}
+	s.evictAll()
 	return nil
 }
 
@@ -399,7 +380,7 @@ func (s *Session) SetRuleStorage(rs RuleStorage) error {
 		return store.ErrTxnOpen
 	}
 	s.endQuery()
-	s.evictLoadedCode()
+	s.evictAll()
 	s.opts.RuleStorage = rs
 	return nil
 }
@@ -667,32 +648,6 @@ func (s *Session) wlock() func() {
 	}
 }
 
-// syncWithKB reconciles the session's resident loaded code with the KB's
-// invalidation state: any procedure whose stored clauses changed since
-// this session linked them is dropped, restoring the trap stub so the
-// next call reloads from the EDB. Called at query start, giving each
-// query a fresh view of the shared KB.
-func (s *Session) syncWithKB() {
-	v := s.kb.version.Load()
-	if v == s.synced {
-		return
-	}
-	for key, le := range s.loadedCache {
-		if s.kb.procVersion(le.name, le.arity) == le.ver {
-			continue
-		}
-		if le.proc != nil && le.proc.Block != nil {
-			s.m.RemoveBlock(le.proc.Block)
-		}
-		delete(s.loadedCache, key)
-		fn := s.m.Dict.Intern(le.name, le.arity)
-		if p := s.m.Proc(fn); p != nil && p.Transient {
-			s.m.DefineProc(&wam.Proc{Fn: fn, Arity: le.arity, External: true})
-		}
-	}
-	s.synced = v
-}
-
 // --- consulting -------------------------------------------------------------
 
 // Consult compiles src into main memory (rules resident, like a
@@ -884,7 +839,7 @@ func (s *Session) storeOneCompiled(cc compiler.ClauseCode, keys []edb.ArgKey, is
 	if _, err := db.StoreClause(p, keys, loader.EncodeClause(cc)); err != nil {
 		return err
 	}
-	s.invalidateStored(cc.Pred.Name, cc.Pred.Arity)
+	s.invalidateStored(cc.Pred)
 	s.markExternal(cc.Pred)
 	return nil
 }
@@ -921,7 +876,7 @@ func (s *Session) storeSourceClauses(terms []term.Term) error {
 		if _, err := db.StoreClause(p, keys, []byte(tm.String()+".")); err != nil {
 			return err
 		}
-		s.invalidateStored(pi.Name, pi.Arity)
+		s.invalidateStored(pi)
 		s.markExternal(pi)
 	}
 	for p := range touched {
@@ -930,15 +885,6 @@ func (s *Session) storeSourceClauses(terms []term.Term) error {
 		}
 	}
 	return nil
-}
-
-// invalidateStored records that a stored procedure changed: the session's
-// own resident copy is dropped immediately and the shared cache entry is
-// invalidated so other sessions reload at their next query.
-func (s *Session) invalidateStored(name string, arity int) {
-	s.invalidateLocal(name, arity)
-	s.kb.invalidateProc(name, arity)
-	s.syncWithKB()
 }
 
 func (s *Session) markExternal(pi term.Indicator) {
@@ -1074,7 +1020,7 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 				if err := db.DeleteClause(p, sc); err != nil {
 					return false, err
 				}
-				s.invalidateStored(pi.Name, pi.Arity)
+				s.invalidateStored(pi)
 				return true, nil
 			}
 		}
@@ -1092,7 +1038,7 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 				if err := db.DeleteClause(p, sc); err != nil {
 					return false, err
 				}
-				s.invalidateStored(pi.Name, pi.Arity)
+				s.invalidateStored(pi)
 				return true, nil
 			}
 			env.Undo(mark)
@@ -1142,7 +1088,7 @@ func (s *Session) DropExternal(name string, arity int) error {
 	if err := db.DropProc(p); err != nil {
 		return err
 	}
-	s.invalidateStored(name, arity)
+	s.invalidateStored(term.Indicator{Name: name, Arity: arity})
 	s.m.RemoveProc(s.m.Dict.Intern(name, arity))
 	return nil
 }

@@ -45,22 +45,18 @@ type KnowledgeBase struct {
 	db  *edb.DB
 	cat *rel.Catalog
 
-	// Shared loaded-code cache (paper §3.3.2's main-memory code, hoisted
-	// out of the session): pre-unified candidate clause sets in
-	// relocatable form. Entries are machine-independent; each session
-	// links them against its own dictionary. cacheMu guards racing
-	// loaders; kb.mu (held at least shared by every reader, exclusively
-	// by every writer) orders cache fills against invalidation.
+	// Shared loaded-code table (paper §3.3.2's main-memory code, hoisted
+	// out of the session; see resident.go): per stored procedure, its
+	// invalidation version and its pre-unified candidate clause sets in
+	// relocatable form. Variants are machine-independent; each session
+	// links them against its own dictionary. cacheMu guards the table and
+	// nvariants (the variants it holds); kb.mu (held at least shared by
+	// every reader, exclusively by every writer) orders fills against
+	// invalidation.
 	cacheMu   sync.Mutex
-	codeCache map[string][]compiler.ClauseCode
-	procVers  map[string]uint64 // name/arity -> invalidation version
-	version   atomic.Uint64     // bumped on every invalidation
-
-	// txnTouched, while a transaction is open, records every procedure
-	// invalidated inside it so a rollback can invalidate them again:
-	// cache entries and session-resident code loaded during the
-	// transaction reflect rolled-back clauses. Guarded by cacheMu.
-	txnTouched map[string]term.Indicator // verKey -> procedure
+	shared    map[term.Indicator]*sharedProc
+	nvariants int
+	version   atomic.Uint64 // bumped on every invalidation
 
 	// Compiled bootstrap library, shared so sessions only pay linking.
 	bootMu    sync.Mutex
@@ -102,11 +98,6 @@ type KnowledgeBase struct {
 	profile *obs.ProfileTable
 }
 
-// sharedCacheLimit caps the number of shared loaded-code variants before
-// an epoch clear (the code garbage collection of §3.3.2 applied to the
-// KB-level cache).
-const sharedCacheLimit = 4096
-
 // OpenKB opens (or creates) a knowledge base. opts.StorePath and
 // opts.PoolPages configure the store; the remaining options become the
 // defaults for sessions created with NewSession.
@@ -142,8 +133,7 @@ func OpenKBFS(fsys store.FS, opts Options) (*KnowledgeBase, error) {
 		st:                st,
 		db:                db,
 		cat:               cat,
-		codeCache:         map[string][]compiler.ClauseCode{},
-		procVers:          map[string]uint64{},
+		shared:            map[term.Indicator]*sharedProc{},
 		reg:               reg,
 		cacheHits:         reg.Counter("core.codecache.hits"),
 		cacheMisses:       reg.Counter("core.codecache.misses"),
@@ -289,7 +279,7 @@ func (kb *KnowledgeBase) Repair() (int, error) {
 	n, err := kb.db.Repair()
 	if n > 0 {
 		for _, p := range kb.db.Procs() {
-			kb.invalidateProc(p.Name, p.Arity)
+			kb.invalidateProc(term.Indicator{Name: p.Name, Arity: p.Arity})
 		}
 		if ferr := kb.st.Flush(); err == nil {
 			err = ferr
@@ -319,118 +309,6 @@ func (kb *KnowledgeBase) InsertTuples(name string, ts []rel.Tuple) error {
 		return fmt.Errorf("core: no relation %s", name)
 	}
 	return r.InsertAll(ts)
-}
-
-// --- shared loaded-code cache -----------------------------------------------
-
-// procVersion returns the invalidation version of name/arity. Sessions
-// record it when they link code so they can later tell whether their
-// resident copy is stale.
-func (kb *KnowledgeBase) procVersion(name string, arity int) uint64 {
-	kb.cacheMu.Lock()
-	defer kb.cacheMu.Unlock()
-	return kb.procVers[verKey(name, arity)]
-}
-
-func verKey(name string, arity int) string { return fmt.Sprintf("%s/%d", name, arity) }
-
-// procVersionByKey is procVersion over an already-formatted verKey.
-func (kb *KnowledgeBase) procVersionByKey(vk string) uint64 {
-	kb.cacheMu.Lock()
-	defer kb.cacheMu.Unlock()
-	return kb.procVers[vk]
-}
-
-// lookupShared returns the cached candidate set for a cache key, if any.
-// Callers must hold kb.mu (shared or exclusive) so the entry cannot be
-// invalidated between lookup and use.
-func (kb *KnowledgeBase) lookupShared(key string) ([]compiler.ClauseCode, bool) {
-	kb.cacheMu.Lock()
-	ccs, ok := kb.codeCache[key]
-	kb.cacheMu.Unlock()
-	if ok {
-		kb.cacheHits.Inc()
-	} else {
-		kb.cacheMisses.Inc()
-	}
-	return ccs, ok
-}
-
-// storeShared publishes a decoded candidate set. Callers must hold kb.mu
-// (shared or exclusive): invalidation takes kb.mu exclusively, so an
-// entry stored under the lock reflects the current stored clauses. Racing
-// loaders of the same key are harmless — both decode the same stored
-// clauses and the second store is a no-op.
-func (kb *KnowledgeBase) storeShared(key string, ccs []compiler.ClauseCode) {
-	kb.cacheMu.Lock()
-	defer kb.cacheMu.Unlock()
-	if len(kb.codeCache) >= sharedCacheLimit {
-		kb.codeCache = map[string][]compiler.ClauseCode{}
-	}
-	if _, ok := kb.codeCache[key]; !ok {
-		kb.codeCache[key] = ccs
-	}
-	kb.cacheEntries.Set(int64(len(kb.codeCache)))
-}
-
-// invalidateProc drops every shared cache entry for name/arity and bumps
-// its version so sessions discard their resident copies. Callers must
-// hold the KB write lock (or be the only user of the KB).
-func (kb *KnowledgeBase) invalidateProc(name string, arity int) {
-	kb.cacheMu.Lock()
-	defer kb.cacheMu.Unlock()
-	exact := verKey(name, arity)
-	prefix := exact + "|"
-	for k := range kb.codeCache {
-		if k == exact || (len(k) > len(prefix) && k[:len(prefix)] == prefix) {
-			delete(kb.codeCache, k)
-		}
-	}
-	kb.procVers[exact]++
-	kb.version.Add(1)
-	kb.cacheInvals.Inc()
-	kb.cacheEntries.Set(int64(len(kb.codeCache)))
-	if kb.txnTouched != nil {
-		kb.txnTouched[exact] = term.Indicator{Name: name, Arity: arity}
-	}
-}
-
-// beginTouched starts recording procedures invalidated inside the open
-// transaction (callers hold the KB write lock).
-func (kb *KnowledgeBase) beginTouched() {
-	kb.cacheMu.Lock()
-	kb.txnTouched = map[string]term.Indicator{}
-	kb.cacheMu.Unlock()
-}
-
-// endTouched stops recording (commit path).
-func (kb *KnowledgeBase) endTouched() {
-	kb.cacheMu.Lock()
-	kb.txnTouched = nil
-	kb.cacheMu.Unlock()
-}
-
-// reinvalidateTouched invalidates every procedure the rolled-back
-// transaction touched, once more: shared cache entries filled and
-// session copies linked *during* the transaction reflect clauses that
-// no longer exist, and the second version bump makes every session
-// (including the transaction's owner) reload from the restored EDB.
-func (kb *KnowledgeBase) reinvalidateTouched() {
-	kb.cacheMu.Lock()
-	touched := kb.txnTouched
-	kb.txnTouched = nil
-	kb.cacheMu.Unlock()
-	for _, pi := range touched {
-		kb.invalidateProc(pi.Name, pi.Arity)
-	}
-}
-
-// InvalidateLoaded drops shared cached code for one external procedure;
-// every session reloads it from the EDB on next use.
-func (kb *KnowledgeBase) InvalidateLoaded(name string, arity int) {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	kb.invalidateProc(name, arity)
 }
 
 // bootstrapUnits compiles the bootstrap library once per KB and hands the

@@ -56,8 +56,7 @@ func (s *Session) Query(q string) (sol *Solutions, err error) {
 		}
 	}()
 	s.endQuery()
-	s.syncWithKB()
-	s.revalidateSetops()
+	s.reconcile()
 	s.beginQuery(q)
 	// An interrupt aimed at the previous query must not kill this one.
 	s.m.ClearInterrupt()

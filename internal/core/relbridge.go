@@ -95,44 +95,24 @@ func (s *Session) BindRelation(name string) error {
 				filter = append(filter, ba)
 			}
 		}
-		redo := func(m *wam.Machine) (bool, error) {
+		return s.tupleCursor(m, arity, func() (rel.Tuple, error) {
+		scan:
 			for {
 				unlock := s.rlock()
 				t, err := it.Next()
 				unlock()
-				if err != nil {
+				if err != nil || t == nil {
 					it.Close()
-					return false, err
+					return nil, err
 				}
-				if t == nil {
-					it.Close()
-					return false, nil
-				}
-				match := true
 				for _, ba := range filter {
 					if t[ba.pos].Compare(ba.val) != 0 {
-						match = false
-						break
+						continue scan
 					}
 				}
-				if !match {
-					continue
-				}
-				ok := m.TryUnify(func() bool {
-					for i := 0; i < arity; i++ {
-						if !m.Unify(m.Reg(i), s.relValueToCell(t[i])) {
-							return false
-						}
-					}
-					return true
-				})
-				if ok {
-					return true, nil
-				}
+				return t, nil
 			}
-		}
-		m.PushRedo(redo)
-		return redo(m)
+		})
 	}
 
 	idx := s.m.RegisterBuiltin(wam.Builtin{Name: "$rel_" + name, Arity: arity, Fn: cursor})
@@ -147,6 +127,34 @@ func (s *Session) BindRelation(name string) error {
 	fn := s.m.Dict.Intern(name, arity)
 	s.m.DefineProc(&wam.Proc{Fn: fn, Arity: arity, Block: blk})
 	return nil
+}
+
+// tupleCursor is the body of a nondeterministic builtin over a tuple
+// stream: next yields tuples until nil, each is unified with the call's
+// arity argument registers, and the first that unifies is the solution,
+// with a choice point left behind for the rest.
+func (s *Session) tupleCursor(m *wam.Machine, arity int, next func() (rel.Tuple, error)) (bool, error) {
+	redo := func(m *wam.Machine) (bool, error) {
+		for {
+			t, err := next()
+			if err != nil || t == nil {
+				return false, err
+			}
+			ok := m.TryUnify(func() bool {
+				for i := 0; i < arity; i++ {
+					if !m.Unify(m.Reg(i), s.relValueToCell(t[i])) {
+						return false
+					}
+				}
+				return true
+			})
+			if ok {
+				return true, nil
+			}
+		}
+	}
+	m.PushRedo(redo)
+	return redo(m)
 }
 
 // cellToRelValue converts a bound cell to a relational value of the

@@ -1,0 +1,270 @@
+package core
+
+import (
+	"repro/internal/compiler"
+	"repro/internal/edb"
+	"repro/internal/term"
+	"repro/internal/wam"
+)
+
+// Code residency (paper §3.2.1, §3.3.2): the dynamic loader freezes a
+// loaded definition in main memory until the code garbage collector
+// reclaims it; the EDB copy needs no collection. Both sides keep one table
+// keyed by procedure. The knowledge base holds the decoded, still
+// relocatable clause sets every session links from, and the version that
+// every write to the stored procedure bumps. A session holds what it
+// linked, tagged with the version it saw. Resident code leaves a session
+// through evict and nowhere else, and reconcile decides when it is stale.
+
+// filterKey names one variant of a stored procedure: the pre-unification
+// key of each indexed head argument (a procedure uses its first K).
+type filterKey [edb.MaxIndexedArgs]edb.ArgKey
+
+func filterKeyOf(keys []edb.ArgKey) (fk filterKey) {
+	copy(fk[:], keys)
+	return fk
+}
+
+// sharedProc is the knowledge base's record of one stored procedure.
+type sharedProc struct {
+	ver      uint64 // bumped by every invalidation
+	variants map[filterKey][]compiler.ClauseCode
+}
+
+// residentProc is one session's linked code for one stored procedure:
+// tuple-at-a-time variants by filter (the all-wild one is also installed
+// in the machine's procedure table) or a materialised set-at-a-time
+// fixpoint, installed likewise.
+type residentProc struct {
+	ver      uint64 // stored-procedure version at link time
+	variants map[filterKey]*wam.Proc
+	setops   *setopsInfo
+}
+
+// sharedCacheLimit caps the number of shared decoded variants before an
+// epoch clear (the code garbage collection of §3.3.2 applied to the
+// KB-level table).
+const sharedCacheLimit = 4096
+
+// loadedCacheLimit caps a session's resident variants and materialised
+// results; past it the whole table is evicted at query end (paper §3.3.2:
+// main-memory code is garbage collected, the EDB copy needs none).
+const loadedCacheLimit = 1024
+
+// --- knowledge-base side ----------------------------------------------------
+
+// sharedFor returns pi's record, creating it. Caller holds cacheMu.
+func (kb *KnowledgeBase) sharedFor(pi term.Indicator) *sharedProc {
+	sp := kb.shared[pi]
+	if sp == nil {
+		sp = &sharedProc{}
+		kb.shared[pi] = sp
+	}
+	return sp
+}
+
+// storedVersion returns pi's invalidation version. Sessions record it when
+// they link code so they can later tell whether their copy is stale. It
+// is stable while the caller holds kb.mu: writers hold the write lock
+// across store and invalidate.
+func (kb *KnowledgeBase) storedVersion(pi term.Indicator) uint64 {
+	kb.cacheMu.Lock()
+	defer kb.cacheMu.Unlock()
+	if sp := kb.shared[pi]; sp != nil {
+		return sp.ver
+	}
+	return 0
+}
+
+// lookupShared returns the decoded candidate set of one variant, if
+// cached. Callers must hold kb.mu (shared or exclusive) so the entry
+// cannot be invalidated between lookup and use.
+func (kb *KnowledgeBase) lookupShared(pi term.Indicator, fk filterKey) ([]compiler.ClauseCode, bool) {
+	kb.cacheMu.Lock()
+	var ccs []compiler.ClauseCode
+	ok := false
+	if sp := kb.shared[pi]; sp != nil {
+		ccs, ok = sp.variants[fk]
+	}
+	kb.cacheMu.Unlock()
+	if ok {
+		kb.cacheHits.Inc()
+	} else {
+		kb.cacheMisses.Inc()
+	}
+	return ccs, ok
+}
+
+// storeShared publishes a decoded candidate set. Callers must hold kb.mu
+// (shared or exclusive): invalidation takes kb.mu exclusively, so an
+// entry stored under the lock reflects the current stored clauses. Racing
+// loaders of the same variant are harmless — both decode the same stored
+// clauses and the second store is a no-op.
+func (kb *KnowledgeBase) storeShared(pi term.Indicator, fk filterKey, ccs []compiler.ClauseCode) {
+	kb.cacheMu.Lock()
+	defer kb.cacheMu.Unlock()
+	if kb.nvariants >= sharedCacheLimit {
+		for _, sp := range kb.shared {
+			sp.variants = nil
+		}
+		kb.nvariants = 0
+	}
+	sp := kb.sharedFor(pi)
+	if _, ok := sp.variants[fk]; !ok {
+		if sp.variants == nil {
+			sp.variants = map[filterKey][]compiler.ClauseCode{}
+		}
+		sp.variants[fk] = ccs
+		kb.nvariants++
+	}
+	kb.cacheEntries.Set(int64(kb.nvariants))
+}
+
+// invalidateProc drops every shared variant of pi and bumps its version
+// so sessions discard their resident copies. Callers must hold the KB
+// write lock (or be the only user of the KB).
+func (kb *KnowledgeBase) invalidateProc(pi term.Indicator) {
+	kb.cacheMu.Lock()
+	defer kb.cacheMu.Unlock()
+	sp := kb.sharedFor(pi)
+	kb.nvariants -= len(sp.variants)
+	sp.variants = nil
+	sp.ver++
+	kb.version.Add(1)
+	kb.cacheInvals.Inc()
+	kb.cacheEntries.Set(int64(kb.nvariants))
+}
+
+// InvalidateLoaded drops shared cached code for one external procedure;
+// every session reloads it from the EDB on next use.
+func (kb *KnowledgeBase) InvalidateLoaded(name string, arity int) {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	kb.invalidateProc(term.Indicator{Name: name, Arity: arity})
+}
+
+// --- session side -----------------------------------------------------------
+
+// residentFor returns the session's record for pi at stored version ver,
+// first evicting a record linked against another version.
+func (s *Session) residentFor(pi term.Indicator, ver uint64) *residentProc {
+	rp := s.resident[pi]
+	if rp != nil && rp.ver != ver {
+		s.evict(pi, rp)
+		rp = nil
+	}
+	if rp == nil {
+		rp = &residentProc{ver: ver}
+		s.resident[pi] = rp
+	}
+	return rp
+}
+
+// evict drops a procedure's resident code and restores the trap stub, so
+// the next call reloads from the EDB. It is safe at any time, mid-query
+// included: the machine only retires the blocks, so a running iteration
+// finishes over the clauses it started with (the logical update view) and
+// the slots are reclaimed once no frame addresses them.
+func (s *Session) evict(pi term.Indicator, rp *residentProc) {
+	for _, proc := range rp.variants {
+		s.m.RemoveBlock(proc.Block)
+	}
+	s.nresident -= len(rp.variants)
+	if so := rp.setops; so != nil {
+		s.m.RemoveBlock(so.proc.Block)
+		so.tuples = nil // the cursor builtin outlives the result
+		s.nresident--
+	}
+	delete(s.resident, pi)
+	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
+	if p := s.m.Proc(fn); p != nil && p.Transient {
+		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: pi.Arity, External: true})
+	}
+}
+
+// evictAll empties the resident table: the epoch clear of the code
+// garbage collector, a rule-storage switch, Close.
+func (s *Session) evictAll() {
+	for pi, rp := range s.resident {
+		s.evict(pi, rp)
+	}
+}
+
+// reconcile is the one pass that brings resident code up to date with the
+// knowledge base: a procedure whose stored clauses changed since this
+// session linked them, and a materialised fixpoint any of whose
+// dependencies changed, is evicted. It runs at query start, giving each
+// query a fresh view, and after a rollback, so the rest of the running
+// query sees the restored state. The caller must not hold the KB lock
+// outside a transaction.
+func (s *Session) reconcile() {
+	v := s.kb.version.Load()
+	for pi, rp := range s.resident {
+		if (v != s.synced && s.kb.storedVersion(pi) != rp.ver) || s.depsStale(rp.setops, v) || s.relsStale(rp.setops) {
+			s.evict(pi, rp)
+		}
+	}
+	s.synced = v
+}
+
+// depsStale reports whether a stored procedure that so was computed from
+// has changed, v being the knowledge base's invalidation version.
+func (s *Session) depsStale(so *setopsInfo, v uint64) bool {
+	if so == nil || so.builtAt == v {
+		return false
+	}
+	for dep, ver := range so.deps {
+		if s.kb.storedVersion(dep) != ver {
+			return true
+		}
+	}
+	so.builtAt = v
+	return false
+}
+
+// relsStale reports whether a catalog relation that so read has changed.
+// Relation inserts do not bump the KB invalidation version, so the
+// cardinalities are compared every time, under the KB read lock.
+func (s *Session) relsStale(so *setopsInfo) bool {
+	if so == nil || len(so.relDeps) == 0 {
+		return false
+	}
+	unlock := s.rlock()
+	defer unlock()
+	for rn, cnt := range so.relDeps {
+		if r := s.kb.cat.Get(rn); r == nil || r.Count() != cnt {
+			return true
+		}
+	}
+	return false
+}
+
+// invalidateStored records that this session changed a stored procedure:
+// the shared record is invalidated so other sessions reload at their next
+// query, and this session's own copy and the fixpoints computed from it
+// go now (a stored-clause write leaves the catalog relations alone). An
+// open transaction notes the procedure for its rollback. Caller holds the
+// KB write lock.
+func (s *Session) invalidateStored(pi term.Indicator) {
+	s.kb.invalidateProc(pi)
+	if s.txn != nil {
+		s.txn.touched[pi] = true
+	}
+	v := s.kb.version.Load()
+	for p, rp := range s.resident {
+		if p == pi || s.depsStale(rp.setops, v) {
+			s.evict(p, rp)
+		}
+	}
+}
+
+// InvalidateLoaded drops cached (and installed) code for one external
+// procedure — in this session and in the shared knowledge-base table —
+// restoring the trap stub so the next call reloads from the EDB. Other
+// sessions reload at their next query. The engine calls it automatically
+// when stored clauses change.
+func (s *Session) InvalidateLoaded(name string, arity int) {
+	unlock := s.wlock()
+	defer unlock()
+	s.invalidateStored(term.Indicator{Name: name, Arity: arity})
+}

@@ -58,100 +58,32 @@ func ParseStrategy(s string) (Strategy, error) {
 // Strategy reports the session's evaluation strategy.
 func (s *Session) Strategy() Strategy { return s.opts.Strategy }
 
-// SetStrategy switches the evaluation strategy between queries. Cached
-// set-at-a-time results are dropped so the next query re-plans under the
-// new strategy. (Thin wrapper over the WithStrategy option.)
+// SetStrategy switches the evaluation strategy. Materialized
+// set-at-a-time results are evicted, so the next call of each re-plans
+// under the new strategy. (Thin wrapper over the WithStrategy option, and
+// what educe_strategy/1 calls mid-query.)
 func (s *Session) SetStrategy(st Strategy) {
 	if s.opts.Strategy == st {
 		return
 	}
 	s.opts.Strategy = st
-	s.dropSetops()
+	for pi, rp := range s.resident {
+		if rp.setops != nil {
+			s.evict(pi, rp)
+		}
+	}
 }
 
-// setopsInfo records what a materialized set-at-a-time result depends
+// setopsInfo is a materialized set-at-a-time result with what it depends
 // on: the invalidation version of every stored procedure involved
 // (target, recursive companions, EDB fact leaves) and the cardinality of
-// every relational-catalog leaf. revalidateSetops compares these at
-// query start and drops stale results.
+// every relational-catalog leaf, which reconcile compares.
 type setopsInfo struct {
-	builtAt uint64            // kb invalidation version at build time
-	deps    map[string]uint64 // verKey -> procedure version
-	relDeps map[string]int    // relation name -> tuple count
-}
-
-func setopsCacheKey(name string, arity int) string {
-	return fmt.Sprintf("%s/%d|setops", name, arity)
-}
-
-// dropSetops removes every materialized set-at-a-time result, restoring
-// trap stubs. Must run between queries (blocks are removed).
-func (s *Session) dropSetops() {
-	for key, le := range s.loadedCache {
-		if le.setops != nil {
-			s.dropSetopsEntry(key, le)
-		}
-	}
-}
-
-func (s *Session) dropSetopsEntry(key string, le *loadedEntry) {
-	if le.proc != nil && le.proc.Block != nil {
-		s.m.RemoveBlock(le.proc.Block)
-	}
-	delete(s.loadedCache, key)
-	fn := s.m.Dict.Intern(le.name, le.arity)
-	if p := s.m.Proc(fn); p == le.proc {
-		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: le.arity, External: true})
-	}
-}
-
-// revalidateSetops runs at query start: it applies a pending strategy
-// change (made mid-query via educe_strategy/1, when blocks could not be
-// removed) and drops any materialized result whose dependencies — not
-// just its own predicate, which syncWithKB already covers — have
-// changed. A dropped result re-traps and is rebuilt from the EDB on next
-// use.
-func (s *Session) revalidateSetops() {
-	if s.strategyDirty {
-		s.strategyDirty = false
-		s.dropSetops()
-		return
-	}
-	kbVer := s.kb.version.Load()
-	for key, le := range s.loadedCache {
-		info := le.setops
-		if info == nil {
-			continue
-		}
-		stale := false
-		if info.builtAt != kbVer {
-			for vk, ver := range info.deps {
-				if s.kb.procVersionByKey(vk) != ver {
-					stale = true
-					break
-				}
-			}
-			if !stale {
-				info.builtAt = kbVer
-			}
-		}
-		if !stale && len(info.relDeps) > 0 {
-			// Relation inserts do not bump the KB invalidation version,
-			// so catalog leaves are checked by cardinality every query.
-			unlock := s.rlock()
-			for rn, cnt := range info.relDeps {
-				r := s.kb.cat.Get(rn)
-				if r == nil || r.Count() != cnt {
-					stale = true
-					break
-				}
-			}
-			unlock()
-		}
-		if stale {
-			s.dropSetopsEntry(key, le)
-		}
-	}
+	proc    *wam.Proc
+	tuples  []rel.Tuple               // the fixpoint, in derivation order
+	builtAt uint64                    // kb invalidation version at build time
+	deps    map[term.Indicator]uint64 // procedure -> version
+	relDeps map[string]int            // relation name -> tuple count
 }
 
 // trySetops attempts set-at-a-time evaluation for an external rule
@@ -161,13 +93,12 @@ func (s *Session) revalidateSetops() {
 // runs the semi-naive fixpoint, and installs the result as a frozen
 // binding-stream procedure. A nil, nil return means ineligible — the
 // caller falls back to tuple-at-a-time loading.
-func (s *Session) trySetops(fn dict.ID, name string, arity int) (*wam.Proc, error) {
-	key := setopsCacheKey(name, arity)
-	if le, ok := s.loadedCache[key]; ok {
-		return le.proc, nil
+func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error) {
+	if rp := s.resident[target]; rp != nil && rp.setops != nil {
+		return rp.setops.proc, nil
 	}
 	pages0 := s.q.PagesTouched
-	target := term.Indicator{Name: name, Arity: arity}
+	name, arity := target.Name, target.Arity
 
 	prog, info, leaves, err := s.buildSetopsRules(target)
 	if err != nil {
@@ -211,30 +142,19 @@ func (s *Session) trySetops(fn dict.ID, name string, arity int) (*wam.Proc, erro
 	// Feed the materialized result back into the WAM as a deterministic
 	// collect-all binding stream (the mixed-strategy boundary of §4):
 	// a nondeterministic builtin enumerating the tuples in derivation
-	// order, installed and frozen like any loaded definition.
-	tuples := totals[target].Tuples()
+	// order, installed and frozen like any loaded definition. Each call
+	// enumerates the tuples the result held when the call started.
+	info.tuples = totals[target].Tuples()
 	cursor := func(m *wam.Machine, args []wam.Cell) (bool, error) {
-		pos := 0
-		redo := func(m *wam.Machine) (bool, error) {
-			for pos < len(tuples) {
-				t := tuples[pos]
-				pos++
-				ok := m.TryUnify(func() bool {
-					for i := 0; i < arity; i++ {
-						if !m.Unify(m.Reg(i), s.relValueToCell(t[i])) {
-							return false
-						}
-					}
-					return true
-				})
-				if ok {
-					return true, nil
-				}
+		tuples := info.tuples
+		return s.tupleCursor(m, arity, func() (rel.Tuple, error) {
+			if len(tuples) == 0 {
+				return nil, nil
 			}
-			return false, nil
-		}
-		m.PushRedo(redo)
-		return redo(m)
+			t := tuples[0]
+			tuples = tuples[1:]
+			return t, nil
+		})
 	}
 	idx := s.m.RegisterBuiltin(wam.Builtin{
 		Name:  fmt.Sprintf("$setops_%s_%d", name, arity),
@@ -248,16 +168,11 @@ func (s *Session) trySetops(fn dict.ID, name string, arity int) (*wam.Proc, erro
 			{Op: wam.OpProceed},
 		},
 	})
-	proc := &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
-	s.m.DefineProc(proc) // freeze: later calls skip the trap entirely
-	s.loadedCache[key] = &loadedEntry{
-		proc:   proc,
-		name:   name,
-		arity:  arity,
-		ver:    info.deps[verKey(name, arity)],
-		setops: info,
-	}
-	return proc, nil
+	info.proc = &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
+	s.residentFor(target, info.deps[target]).setops = info
+	s.nresident++
+	s.m.DefineProc(info.proc) // freeze: later calls skip the trap entirely
+	return info.proc, nil
 }
 
 // buildSetopsRules walks the dependency closure of the target predicate,
@@ -270,7 +185,7 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 	prog := setops.NewProgram()
 	info := &setopsInfo{
 		builtAt: s.kb.version.Load(),
-		deps:    map[string]uint64{},
+		deps:    map[term.Indicator]uint64{},
 		relDeps: map[string]int{},
 	}
 	var leaves []term.Indicator
@@ -299,7 +214,7 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 			unlock()
 			return nil, nil, nil, nil // source form: baseline territory
 		}
-		info.deps[verKey(pi.Name, pi.Arity)] = s.kb.procVersion(pi.Name, pi.Arity)
+		info.deps[pi] = s.kb.storedVersion(pi)
 		if p.FactsOnly {
 			unlock()
 			leaves = append(leaves, pi)
@@ -328,30 +243,14 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 	return prog, info, leaves, nil
 }
 
-// fetchAllClauses retrieves a stored procedure's full clause set (the
-// all-wild variant) through the shared decoded-code cache. Caller holds
-// the KB read lock.
+// fetchAllClauses is fetchClauses for the full clause set (the all-wild
+// variant). Caller holds the KB read lock.
 func (s *Session) fetchAllClauses(p *edb.ProcInfo) ([]compiler.ClauseCode, error) {
 	keys := make([]edb.ArgKey, p.K)
 	for i := range keys {
 		keys[i] = edb.WildKey()
 	}
-	cacheKey := cacheKeyFor(p.Name, p.Arity, keys)
-	if clauses, ok := s.kb.lookupShared(cacheKey); ok {
-		s.q.CacheHits++
-		return clauses, nil
-	}
-	s.q.CacheMisses++
-	scs, err := s.kb.db.RetrieveObs(p, keys, &s.q)
-	if err != nil {
-		return nil, err
-	}
-	clauses, err := decodeClauses(scs)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s/%d: %w", p.Name, p.Arity, err)
-	}
-	s.kb.storeShared(cacheKey, clauses)
-	return clauses, nil
+	return s.fetchClauses(p, keys)
 }
 
 // materializeLeaves reads every leaf relation into memory: EDB
@@ -413,9 +312,8 @@ func (s *Session) materializeLeaves(prog *setops.Program, info *setopsInfo, leav
 }
 
 // biStrategy implements educe_strategy/1: with an atom argument (auto,
-// tuple, set) it switches the session's evaluation strategy — applied
-// from the next query on, since materialized results cannot be unloaded
-// mid-execution; with an unbound argument it reports the current one.
+// tuple, set) it switches the session's evaluation strategy, from the
+// next call on; with an unbound argument it reports the current one.
 func (s *Session) biStrategy(m *wam.Machine, args []wam.Cell) (bool, error) {
 	c := m.Deref(m.Reg(0))
 	if c.Tag() == wam.TagCon {
@@ -425,10 +323,7 @@ func (s *Session) biStrategy(m *wam.Machine, args []wam.Cell) (bool, error) {
 				term.Comp("domain_error", term.Atom("strategy"), term.Atom(m.Dict.Name(c.AtomID()))),
 				term.Atom("educe_strategy/1"))}
 		}
-		if st != s.opts.Strategy {
-			s.opts.Strategy = st
-			s.strategyDirty = true
-		}
+		s.SetStrategy(st)
 		return true, nil
 	}
 	return m.Unify(m.Reg(0), wam.MakeCon(m.Dict.Intern(s.opts.Strategy.String(), 0))), nil

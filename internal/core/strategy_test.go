@@ -101,6 +101,9 @@ func TestStrategyDifferentialTC(t *testing.T) {
 	}
 	diffStrategies(t, kb, []string{
 		"path(X, Y)", "path(a, X)", "path(X, d)", "path(b, c)", "path(a, zzz)",
+		// The second call reaches the already materialized result with
+		// both arguments bound.
+		"path(X, Y), path(Y, e)",
 	})
 }
 

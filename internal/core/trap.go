@@ -32,6 +32,7 @@ func floatBits(f float64) uint64 { return math.Float64bits(f) }
 func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	name := m.Dict.Name(fn)
 	arity := m.Dict.Arity(fn)
+	pi := term.Indicator{Name: name, Arity: arity}
 
 	unlock := s.rlock()
 	p := s.kb.db.Proc(name, arity)
@@ -48,7 +49,7 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	// tuple-at-a-time loader path.
 	if s.opts.Strategy != StrategyTuple && p.Form == edb.FormCode && !p.FactsOnly {
 		unlock()
-		proc, err := s.trySetops(fn, name, arity)
+		proc, err := s.trySetops(fn, pi)
 		if err != nil || proc != nil {
 			return proc, err
 		}
@@ -77,81 +78,44 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 		}
 	}
 
-	cacheKey := cacheKeyFor(name, arity, keys)
-	if le, ok := s.loadedCache[cacheKey]; ok {
-		unlock()
-		return le.proc, nil
+	fk := filterKeyOf(keys)
+	if rp := s.resident[pi]; rp != nil {
+		if proc := rp.variants[fk]; proc != nil {
+			unlock()
+			return proc, nil
+		}
 	}
 	// The proc version is stable while we hold the read lock (writers
 	// hold the write lock across store + invalidate), so code fetched
 	// below is consistently tagged.
-	ver := s.kb.procVersion(name, arity)
+	ver := s.kb.storedVersion(pi)
 	form := p.Form
 
 	var clauses []compiler.ClauseCode // FormCode path
-	var blobs [][]byte                // FormSource path
-	var clauseIDs []uint32
-	switch form {
-	case edb.FormCode:
-		var ok bool
-		clauses, ok = s.kb.lookupShared(cacheKey)
-		if ok {
-			s.q.CacheHits++
-		} else {
-			s.q.CacheMisses++
-			retr0, pages0 := s.q.Retrievals, s.q.PagesTouched
-			scs, err := s.kb.db.RetrieveObs(p, keys, &s.q)
-			if err != nil {
-				unlock()
-				return nil, err
-			}
-			s.m.Profiler().AttributeIO(fn, s.q.Retrievals-retr0, s.q.PagesTouched-pages0)
-			clauses, err = decodeClauses(scs)
-			if err != nil {
-				unlock()
-				return nil, fmt.Errorf("core: %s/%d: %w", name, arity, err)
-			}
-			s.kb.storeShared(cacheKey, clauses)
-		}
-	case edb.FormSource:
-		retr0, pages0 := s.q.Retrievals, s.q.PagesTouched
-		scs, err := s.kb.db.RetrieveObs(p, keys, &s.q)
-		if err != nil {
-			unlock()
-			return nil, err
-		}
-		s.m.Profiler().AttributeIO(fn, s.q.Retrievals-retr0, s.q.PagesTouched-pages0)
-		for _, sc := range scs {
-			blobs = append(blobs, sc.Blob)
-			clauseIDs = append(clauseIDs, sc.ClauseID)
-		}
+	var scs []edb.StoredClause        // FormSource path
+	var err error
+	retr0, pages0 := s.q.Retrievals, s.q.PagesTouched
+	if form == edb.FormCode {
+		clauses, err = s.fetchClauses(p, keys)
+	} else {
+		scs, err = s.kb.db.RetrieveObs(p, keys, &s.q)
 	}
 	unlock()
+	if err != nil {
+		return nil, err
+	}
+	s.m.Profiler().AttributeIO(fn, s.q.Retrievals-retr0, s.q.PagesTouched-pages0)
 
-	var proc *wam.Proc
-	switch form {
-	case edb.FormCode:
-		t1 := time.Now()
-		blk, err := loader.BuildBlock(m, name, arity, clauses, loader.Options{
-			Index:     !s.opts.DisableIndexing,
-			Transient: true,
-		})
-		s.q.Phases.Add(obs.PhaseLink, time.Since(t1))
-		if err != nil {
-			return nil, err
-		}
-		m.AddBlock(blk)
-		proc = &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
-	case edb.FormSource:
+	if form == edb.FormSource {
 		// A source-form procedure reached from compiled execution:
 		// parse and compile on the fly (the hybrid path). Stays
 		// per-session: auxiliary predicate naming is per-compiler.
 		var terms []term.Term
 		t1 := time.Now()
-		for i, blob := range blobs {
-			tm, _, err := parser.ParseTermWithOps(strings.TrimSuffix(string(blob), "."), s.ops)
+		for _, sc := range scs {
+			tm, _, err := parser.ParseTermWithOps(strings.TrimSuffix(string(sc.Blob), "."), s.ops)
 			if err != nil {
-				return nil, fmt.Errorf("core: %s/%d clause %d: %w", name, arity, clauseIDs[i], err)
+				return nil, fmt.Errorf("core: %s/%d clause %d: %w", name, arity, sc.ClauseID, err)
 			}
 			terms = append(terms, tm)
 		}
@@ -160,17 +124,7 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 		if err != nil {
 			return nil, err
 		}
-		pi := term.Indicator{Name: name, Arity: arity}
-		t2 := time.Now()
-		blk, err := loader.BuildBlock(m, name, arity, units[pi], loader.Options{
-			Index:     !s.opts.DisableIndexing,
-			Transient: true,
-		})
-		s.q.Phases.Add(obs.PhaseLink, time.Since(t2))
-		if err != nil {
-			return nil, err
-		}
-		m.AddBlock(blk)
+		clauses = units[pi]
 		// Auxiliary predicates (from control constructs) are installed
 		// for the query's duration.
 		for api, accs := range units {
@@ -182,33 +136,61 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 			}
 			s.queryProcs = append(s.queryProcs, m.Dict.Intern(api.Name, api.Arity))
 		}
-		proc = &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
 	}
+	t1 := time.Now()
+	blk, err := loader.BuildBlock(m, name, arity, clauses, loader.Options{
+		Index:     !s.opts.DisableIndexing,
+		Transient: true,
+	})
+	s.q.Phases.Add(obs.PhaseLink, time.Since(t1))
+	if err != nil {
+		return nil, err
+	}
+	m.AddBlock(blk)
+	proc := &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
 
-	s.loadedCache[cacheKey] = &loadedEntry{proc: proc, name: name, arity: arity, ver: ver}
+	rp := s.residentFor(pi, ver)
+	if rp.variants == nil {
+		rp.variants = map[filterKey]*wam.Proc{}
+	}
+	rp.variants[fk] = proc
+	s.nresident++
 	if allWild {
 		// The whole definition was loaded: install it so every later
 		// call — in this query and the following ones — skips the trap
 		// entirely. This is the paper's "freezing" of the procedure
 		// definition; the in-memory switch instructions now dispatch
-		// between its clauses. The stub returns when the stored
-		// procedure is updated (invalidation) or the code garbage
-		// collector evicts the cache.
+		// between its clauses. The stub returns when the definition
+		// is evicted.
 		m.DefineProc(proc)
 	}
 	return proc, nil
 }
 
-func decodeClauses(scs []edb.StoredClause) ([]compiler.ClauseCode, error) {
-	out := make([]compiler.ClauseCode, 0, len(scs))
+// fetchClauses returns the decoded clauses of one variant of a
+// compiled-form stored procedure, through the shared table. Caller holds
+// the KB read lock.
+func (s *Session) fetchClauses(p *edb.ProcInfo, keys []edb.ArgKey) ([]compiler.ClauseCode, error) {
+	pi, fk := term.Indicator{Name: p.Name, Arity: p.Arity}, filterKeyOf(keys)
+	if clauses, ok := s.kb.lookupShared(pi, fk); ok {
+		s.q.CacheHits++
+		return clauses, nil
+	}
+	s.q.CacheMisses++
+	scs, err := s.kb.db.RetrieveObs(p, keys, &s.q)
+	if err != nil {
+		return nil, err
+	}
+	clauses := make([]compiler.ClauseCode, 0, len(scs))
 	for _, sc := range scs {
 		cc, err := loader.DecodeClause(sc.Blob)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: %s: %w", pi, err)
 		}
-		out = append(out, cc)
+		clauses = append(clauses, cc)
 	}
-	return out, nil
+	s.kb.storeShared(pi, fk, clauses)
+	return clauses, nil
 }
 
 // cellArgKey derives a pre-unification key from an argument cell.
@@ -231,19 +213,6 @@ func (s *Session) cellArgKey(c wam.Cell) edb.ArgKey {
 	}
 }
 
-func cacheKeyFor(name string, arity int, keys []edb.ArgKey) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%d", name, arity)
-	for _, k := range keys {
-		if k.Wild {
-			b.WriteString("|*")
-		} else {
-			fmt.Fprintf(&b, "|%x", k.Hash)
-		}
-	}
-	return b.String()
-}
-
 // endQuery tears down per-query transient state: procedures loaded from
 // the EDB, query-local auxiliary predicates and, in baseline mode, rules
 // asserted into the interpreter (the paper's "erased to make room").
@@ -252,7 +221,7 @@ func (s *Session) endQuery() {
 		if p := s.m.Proc(fn); p != nil {
 			if p.External {
 				// Restore the trap stub; the loaded block stays alive
-				// because the session code cache owns it.
+				// because the resident table owns it.
 				s.m.DefineProc(&wam.Proc{Fn: fn, Arity: p.Arity, External: true})
 			} else {
 				if p.Block != nil {
@@ -263,11 +232,11 @@ func (s *Session) endQuery() {
 		}
 	}
 	s.queryProcs = s.queryProcs[:0]
-	// The loaded-code cache survives across queries: the paper keeps
-	// dynamically loaded procedures in main memory until the code
-	// garbage collector reclaims them. A simple epoch clear bounds it.
-	if len(s.loadedCache) > loadedCacheLimit {
-		s.evictLoadedCode()
+	// Resident code survives across queries: the paper keeps dynamically
+	// loaded procedures in main memory until the code garbage collector
+	// reclaims them. A simple epoch clear bounds it.
+	if s.nresident > loadedCacheLimit {
+		s.evictAll()
 	}
 	for _, pi := range s.interpLoaded {
 		s.in.RetractAll(pi)
@@ -381,56 +350,4 @@ func goalTermArgs(goal term.Term) []term.Term {
 		return c.Args
 	}
 	return nil
-}
-
-// loadedCacheLimit caps the number of resident dynamically loaded
-// procedure variants before the code garbage collector clears them
-// (paper §3.3.2: main-memory code is garbage collected, the EDB copy
-// needs none).
-const loadedCacheLimit = 1024
-
-// evictLoadedCode drops every cached loaded procedure, restoring trap
-// stubs for the installed ones.
-func (s *Session) evictLoadedCode() {
-	for k, le := range s.loadedCache {
-		if le.proc != nil && le.proc.Block != nil {
-			s.m.RemoveBlock(le.proc.Block)
-		}
-		if le.proc != nil {
-			if cur := s.m.Proc(le.proc.Fn); cur == le.proc {
-				s.m.DefineProc(&wam.Proc{Fn: le.proc.Fn, Arity: le.proc.Arity, External: true})
-			}
-		}
-		delete(s.loadedCache, k)
-	}
-}
-
-// InvalidateLoaded drops cached (and installed) code for one external
-// procedure — in this session and in the shared knowledge-base cache —
-// restoring the trap stub so the next call reloads from the EDB. Other
-// sessions reload at their next query. The engine calls it automatically
-// when stored clauses change.
-func (s *Session) InvalidateLoaded(name string, arity int) {
-	s.kb.InvalidateLoaded(name, arity)
-	s.invalidateLocal(name, arity)
-	s.syncWithKB()
-}
-
-// invalidateLocal drops this session's cached (and installed) code for
-// one procedure, restoring the trap stub.
-func (s *Session) invalidateLocal(name string, arity int) {
-	prefix := fmt.Sprintf("%s/%d|", name, arity)
-	exact := fmt.Sprintf("%s/%d", name, arity)
-	for k, le := range s.loadedCache {
-		if k == exact || strings.HasPrefix(k, prefix) {
-			if le.proc != nil && le.proc.Block != nil {
-				s.m.RemoveBlock(le.proc.Block)
-			}
-			delete(s.loadedCache, k)
-		}
-	}
-	fn := s.m.Dict.Intern(name, arity)
-	if p := s.m.Proc(fn); p != nil && p.Transient {
-		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: arity, External: true})
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/edb"
 	"repro/internal/rel"
 	"repro/internal/store"
+	"repro/internal/term"
 	"repro/internal/wam"
 )
 
@@ -38,6 +39,10 @@ import (
 type sessionTxn struct {
 	edbSnap *edb.Snapshot
 	catSnap *rel.CatSnapshot
+	// touched is every stored procedure invalidated inside the
+	// transaction. The owner holds the KB write lock throughout, so it
+	// is the only session that can invalidate one.
+	touched map[term.Indicator]bool
 }
 
 // Begin opens a transaction on the session's knowledge base. It fails
@@ -54,10 +59,10 @@ func (s *Session) Begin() error {
 		s.kb.mu.Unlock()
 		return err
 	}
-	s.kb.beginTouched()
 	s.txn = &sessionTxn{
 		edbSnap: s.kb.db.Snapshot(),
 		catSnap: s.kb.cat.Snapshot(),
+		touched: map[term.Indicator]bool{},
 	}
 	s.kb.db.Ext().BeginJournal()
 	return nil
@@ -74,12 +79,9 @@ func (s *Session) Commit() error {
 	s.txn = nil
 	if err := s.kb.st.Commit(); err != nil {
 		s.restoreLogical(txn)
-		s.kb.txnRollbacks.Inc()
-		s.kb.mu.Unlock()
 		return err
 	}
 	s.kb.db.Ext().EndJournal()
-	s.kb.endTouched()
 	s.kb.txnCommits.Inc()
 	s.kb.mu.Unlock()
 	return nil
@@ -95,24 +97,30 @@ func (s *Session) Rollback() error {
 	s.txn = nil
 	err := s.kb.st.Rollback()
 	s.restoreLogical(txn)
-	s.kb.txnRollbacks.Inc()
-	s.kb.mu.Unlock()
 	return err
 }
 
 // InTxn reports whether this session has a transaction open.
 func (s *Session) InTxn() bool { return s.txn != nil }
 
-// restoreLogical rolls the in-memory layers back over the restored
-// pages. It must not touch the session's WAM machine: a rollback may
-// fire mid-query (auto-rollback on error) with live choice points, so
-// resident code is only version-invalidated here and dropped at the
-// next query start by syncWithKB.
+// restoreLogical rolls the in-memory layers back over the restored pages
+// and releases the KB write lock. Every procedure the transaction touched
+// is invalidated once more: shared variants filled and session copies
+// linked during the transaction reflect clauses that no longer exist, and
+// the second version bump makes every session, the owner included, reload
+// from the restored EDB. The owner does so at once: a rollback may fire
+// mid-query (auto-rollback on error, rollback/0), and the rest of the
+// query runs on the restored state.
 func (s *Session) restoreLogical(txn *sessionTxn) {
 	s.kb.db.Restore(txn.edbSnap)
 	s.kb.db.Ext().RollbackJournal()
 	s.kb.cat.Restore(txn.catSnap)
-	s.kb.reinvalidateTouched()
+	for pi := range txn.touched {
+		s.kb.invalidateProc(pi)
+	}
+	s.kb.txnRollbacks.Inc()
+	s.kb.mu.Unlock()
+	s.reconcile()
 }
 
 // autoRollback aborts the open transaction, if any, after a query died

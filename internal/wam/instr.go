@@ -213,6 +213,8 @@ type CodeBlock struct {
 	// The profiler uses it to attribute port events.
 	Owner    dict.ID
 	HasOwner bool
+	// retired is set by Machine.RemoveBlock; reclaim frees the slot.
+	retired bool
 }
 
 // Proc is an entry in the machine's procedures table (paper §4 item 1).

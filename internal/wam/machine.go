@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -35,6 +36,11 @@ type Stats struct {
 	// OpClasses counts executed instructions per opcode class (indexed
 	// by OpClass).
 	OpClasses [NumOpClasses]uint64
+	// Blocks and Builtins are the sizes of the code-block and builtin
+	// tables: state, not traffic, so Stats fills them in and ResetStats
+	// has nothing to zero. Both are bounded by live code.
+	Blocks   int
+	Builtins int
 }
 
 // ErrUnknownProc reports a call to a procedure with no definition.
@@ -109,10 +115,18 @@ type Machine struct {
 	mode    byte // 'r' or 'w'
 	numArgs int
 
+	// blocks is indexed by CodeBlock.ID, the form in which choice points
+	// and environments hold code addresses. retired lists the removed
+	// blocks whose slots are still filled because a frame may address
+	// them; reclaim moves unaddressed ones to freeIDs for AddBlock to
+	// reuse, and runs once retired reaches sweepAt entries.
 	blocks   []*CodeBlock
+	retired  []*CodeBlock
+	freeIDs  []int
+	sweepAt  int
 	procs    map[dict.ID]*Proc
 	builtins []Builtin
-	binIndex map[string]int // name/arity -> builtin index
+	binIndex map[term.Indicator]int // builtin index by name/arity
 
 	extras      []extra
 	pendingJump *codePtr
@@ -183,7 +197,7 @@ func NewMachine(d *dict.Table) *Machine {
 		b:           -1,
 		b0:          -1,
 		procs:       map[dict.ID]*Proc{},
-		binIndex:    map[string]int{},
+		binIndex:    map[term.Indicator]int{},
 		gcEnabled:   true,
 		gcThreshold: 256 * 1024,
 		Out:         os.Stdout,
@@ -203,6 +217,7 @@ func (m *Machine) Stats() Stats {
 	if len(m.heap) > st.HeapPeak {
 		st.HeapPeak = len(m.heap)
 	}
+	st.Blocks, st.Builtins = len(m.blocks), len(m.builtins)
 	return st
 }
 
@@ -389,18 +404,68 @@ func (m *Machine) SetGCThreshold(cells int) {
 	m.gcThreshold = cells
 }
 
-// AddBlock registers a code block and returns it with its ID assigned.
+// AddBlock registers a code block and returns it with its ID assigned,
+// reusing a reclaimed slot when there is one.
 func (m *Machine) AddBlock(b *CodeBlock) *CodeBlock {
+	if n := len(m.freeIDs); n > 0 {
+		b.ID = m.freeIDs[n-1]
+		m.freeIDs = m.freeIDs[:n-1]
+		m.blocks[b.ID] = b
+		return b
+	}
 	b.ID = len(m.blocks)
 	m.blocks = append(m.blocks, b)
 	return b
 }
 
-// RemoveBlock drops a code block; its ID is not reused.
+// RemoveBlock retires a code block. It is safe at any time, including
+// while the block is executing: choice points and environments that
+// address the block keep working, and the slot and ID are reclaimed once
+// no frame addresses them — at the next Reset at the latest.
 func (m *Machine) RemoveBlock(b *CodeBlock) {
-	if b.ID >= 0 && b.ID < len(m.blocks) && m.blocks[b.ID] == b {
-		m.blocks[b.ID] = nil
+	if b.ID >= 0 && b.ID < len(m.blocks) && m.blocks[b.ID] == b && !b.retired {
+		b.retired = true
+		m.retired = append(m.retired, b)
+		// With no frame on the stack the sweep has nothing to walk.
+		if len(m.retired) >= m.sweepAt || (m.e < 0 && m.b < 0) {
+			m.reclaim()
+		}
 	}
+}
+
+// minSweep is the number of retired blocks that triggers the first sweep.
+const minSweep = 8
+
+// reclaim frees the slots of the retired blocks that no code address can
+// reach: not the program and continuation registers, a pending tail call,
+// the resume point of a redo closure, nor the saved CP or BP of a live
+// frame. The next sweep waits until the survivors have doubled, so a deep
+// stack is not walked once per RemoveBlock.
+func (m *Machine) reclaim() {
+	live := map[*CodeBlock]bool{m.p.blk: true, m.cp.blk: true}
+	if m.pendingJump != nil {
+		live[m.pendingJump.blk] = true
+	}
+	for _, x := range m.extras {
+		live[x.resume.blk] = true
+	}
+	envs, cps := m.liveFrames()
+	for _, e := range envs {
+		live[m.cellCode(m.stack[e+1]).blk] = true
+	}
+	for _, b := range cps {
+		n := m.cpNArgs(b)
+		live[m.cellCode(m.stack[b+n+2]).blk] = true
+		live[m.cellCode(m.stack[b+n+4]).blk] = true
+	}
+	m.retired = slices.DeleteFunc(m.retired, func(b *CodeBlock) bool {
+		if !live[b] {
+			m.blocks[b.ID] = nil
+			m.freeIDs = append(m.freeIDs, b.ID)
+		}
+		return !live[b]
+	})
+	m.sweepAt = max(minSweep, 2*len(m.retired))
 }
 
 // DefineProc installs (or replaces) a procedure. The procedure's code
@@ -437,11 +502,18 @@ func (m *Machine) RemoveProc(fn dict.ID) {
 
 // RegisterBuiltin adds a builtin predicate and returns its index. A wrapper
 // procedure is also installed so the builtin can be the target of ordinary
-// calls (in particular from call/N).
+// calls (in particular from call/N). Registering a name/arity again
+// replaces the function in the same slot, which the existing wrapper
+// already dispatches to; redo closures of the old function run on.
 func (m *Machine) RegisterBuiltin(b Builtin) int {
+	key := term.Indicator{Name: b.Name, Arity: b.Arity}
+	if idx, ok := m.binIndex[key]; ok {
+		m.builtins[idx] = b
+		return idx
+	}
 	idx := len(m.builtins)
 	m.builtins = append(m.builtins, b)
-	m.binIndex[fmt.Sprintf("%s/%d", b.Name, b.Arity)] = idx
+	m.binIndex[key] = idx
 	fn := m.Dict.Intern(b.Name, b.Arity)
 	blk := m.AddBlock(&CodeBlock{
 		Name: fmt.Sprintf("$builtin %s/%d", b.Name, b.Arity),
@@ -475,7 +547,7 @@ func (m *Machine) TailCall(fn dict.ID, args []Cell) (bool, error) {
 
 // BuiltinIndex returns the index of a registered builtin, or -1.
 func (m *Machine) BuiltinIndex(name string, arity int) int {
-	if i, ok := m.binIndex[fmt.Sprintf("%s/%d", name, arity)]; ok {
+	if i, ok := m.binIndex[term.Indicator{Name: name, Arity: arity}]; ok {
 		return i
 	}
 	return -1
@@ -783,7 +855,9 @@ func (m *Machine) PushRedo(fn RedoFn) {
 }
 
 // Reset clears all transient state (heap, stacks, trail, registers) while
-// keeping the dictionary, code blocks, procedures and builtins.
+// keeping the dictionary, code blocks, procedures and builtins. With the
+// stacks empty no code address survives, so this is the safe point at
+// which every retired block gives up its slot.
 func (m *Machine) Reset() {
 	m.heap = m.heap[:0]
 	m.floats = m.floats[:0]
@@ -797,6 +871,7 @@ func (m *Machine) Reset() {
 	m.numArgs = 0
 	m.p, m.cp = nilCode, nilCode
 	m.gcLastHeap = 0
+	m.reclaim()
 }
 
 // lookupProc resolves a call target, invoking the OnUndefined trap for

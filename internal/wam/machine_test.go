@@ -417,3 +417,64 @@ func TestFunCellPacking(t *testing.T) {
 func termParse(src string) (term.Term, map[string]*term.Var, error) {
 	return parser.ParseTerm(src)
 }
+
+// TestRemoveBlockReclaimsWhenUnaddressed pins the machine's safe point: a
+// retired block that a live frame still addresses keeps its slot through
+// every sweep, and AddBlock reuses the ID only after Reset has emptied the
+// stacks; retired blocks nothing addresses are reclaimed by the sweeps,
+// with no Reset. Re-registering a builtin reuses its slot at once.
+func TestRemoveBlockReclaimsWhenUnaddressed(t *testing.T) {
+	m := NewMachine(nil)
+	old := m.AddBlock(&CodeBlock{Name: "old", Instrs: []Instr{{Op: OpProceed}}})
+	m.pushChoicePoint(0, codePtr{blk: old})
+	m.RemoveBlock(old)
+	m.RemoveBlock(old) // retiring twice must not free the slot twice
+	size := m.Stats().Blocks
+	for i := 0; i < 1000; i++ {
+		b := m.AddBlock(&CodeBlock{Name: "churn"})
+		if b.ID == old.ID {
+			t.Fatalf("round %d: ID %d reused while a choice point addresses it", i, old.ID)
+		}
+		m.RemoveBlock(b)
+	}
+	if got := m.cellCode(m.stack[m.b+4]).blk; got != old {
+		t.Fatalf("retired block no longer addressable from its choice point: %v", got)
+	}
+	if got := m.Stats().Blocks; got > size+2*minSweep {
+		t.Fatalf("1000 unaddressed retirements grew the block table %d -> %d", size, got)
+	}
+	if len(m.retired) > minSweep {
+		t.Fatalf("%d blocks still retired, want at most %d", len(m.retired), minSweep)
+	}
+	m.Reset()
+	if len(m.retired) != 0 {
+		t.Fatalf("%d blocks still retired after Reset", len(m.retired))
+	}
+	reused := false
+	for range m.freeIDs {
+		if m.AddBlock(&CodeBlock{Name: "late"}).ID == old.ID {
+			reused = true
+		}
+	}
+	if !reused {
+		t.Fatalf("ID %d not reused after Reset", old.ID)
+	}
+	size = m.Stats().Blocks
+	if b := m.AddBlock(&CodeBlock{Name: "next"}); b.ID != size {
+		t.Fatalf("with no free slot AddBlock gave ID %d, want %d", b.ID, size)
+	}
+
+	fn := func(*Machine, []Cell) (bool, error) { return true, nil }
+	idx := m.RegisterBuiltin(Builtin{Name: "$cursor", Arity: 2, Fn: fn})
+	st := m.Stats()
+	if again := m.RegisterBuiltin(Builtin{Name: "$cursor", Arity: 2, Fn: fn}); again != idx {
+		t.Fatalf("re-registered builtin moved from slot %d to %d", idx, again)
+	}
+	if now := m.Stats(); now.Builtins != st.Builtins || now.Blocks != st.Blocks {
+		t.Fatalf("re-registering grew the tables: builtins %d -> %d, blocks %d -> %d",
+			st.Builtins, now.Builtins, st.Blocks, now.Blocks)
+	}
+	if m.BuiltinIndex("$cursor", 2) != idx || m.BuiltinIndex("$cursor", 3) != -1 {
+		t.Fatal("BuiltinIndex disagrees with RegisterBuiltin")
+	}
+}
