@@ -208,6 +208,7 @@ func main() {
 	if *profile {
 		eng.EnableProfiling(true)
 	}
+	eng.SetTimeout(*timeout)
 	if *slowQuery > 0 {
 		if tracer == nil {
 			// Slow-query records need a tracer; default to stderr.
@@ -281,7 +282,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "educe:", err)
 				os.Exit(1)
 			}
-		} else if err := runBatch(eng, g, *timeout); err != nil {
+		} else if err := runBatch(eng, g); err != nil {
 			fmt.Fprintln(os.Stderr, "educe:", err)
 			os.Exit(1)
 		}
@@ -307,15 +308,14 @@ func main() {
 		if goal == "halt" {
 			return
 		}
-		runGoal(eng, in, goal, *timeout)
+		runGoal(eng, in, goal)
 		if *stats {
 			printStats(eng.Stats())
 		}
 	}
 }
 
-func runGoal(eng *educe.Engine, in *bufio.Scanner, goal string, timeout time.Duration) {
-	eng.SetTimeout(timeout)
+func runGoal(eng *educe.Engine, in *bufio.Scanner, goal string) {
 	sols, err := eng.Query(goal)
 	if err != nil {
 		fmt.Println("error:", err)
@@ -536,8 +536,7 @@ func runCheck(eng *educe.Engine, repair bool) int {
 }
 
 // runBatch prints every solution of one goal.
-func runBatch(eng *educe.Engine, goal string, timeout time.Duration) error {
-	eng.SetTimeout(timeout)
+func runBatch(eng *educe.Engine, goal string) error {
 	sols, err := eng.Query(goal)
 	if err != nil {
 		return err

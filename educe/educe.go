@@ -29,6 +29,16 @@
 // storage engine and links only the candidate clauses. SetRuleStorage
 // switches to the Educe baseline (source text + interpreter) used by the
 // paper's comparisons.
+//
+// Bounding a query: whichever evaluator answers it, a query runs inside
+// one envelope owned by its session. WithTimeout and Session.SetTimeout
+// give every query a fresh wall-clock budget from its start;
+// Session.QueryCtx binds a context for the whole iteration (Next is the
+// only step function) and reports the context's error when the context
+// ended the query; Session.Interrupt aborts the running query from any
+// goroutine; Quota.PagesTouched caps EDB page accesses. The heap, trail
+// and solutions caps of Quota are properties of the WAM and bound
+// compiled-mode queries only.
 package educe
 
 import (
@@ -72,6 +82,8 @@ type Solutions = core.Solutions
 // live heap cells, trail entries, EDB pages touched and solutions
 // delivered. An exhausted query dies with a catchable
 // error(resource_error(Kind), educe) ball; its session stays reusable.
+// Pages are capped in both rule-storage modes, the other three in
+// compiled mode only.
 type Quota = core.Quota
 
 // Stats aggregates engine counters.
@@ -165,7 +177,7 @@ var (
 	WithRuleStorage = core.WithRuleStorage
 	// WithStrategy selects tuple- vs set-at-a-time evaluation.
 	WithStrategy = core.WithStrategy
-	// WithTimeout arms a per-query wall-clock budget, re-armed each query.
+	// WithTimeout gives every query a fresh wall-clock budget.
 	WithTimeout = core.WithTimeout
 	// WithQuota installs per-query resource caps.
 	WithQuota = core.WithQuota

@@ -90,6 +90,13 @@ func (s *Session) biStatistics(m *wam.Machine, args []wam.Cell) (bool, error) {
 		stats[p.String()+"_ns"] = st.Cost.Phases[p]
 	}
 	stats["store_ns"] = st.Cost.Phases[obs.PhaseStore]
+	return keyValue(m, args, stats)
+}
+
+// keyValue is the body of a Key-Value statistics builtin over stats: a
+// bound key looks its value up, an unbound one enumerates the pairs in key
+// order on backtracking.
+func keyValue(m *wam.Machine, args []wam.Cell, stats map[string]int64) (bool, error) {
 	key := m.Deref(args[0])
 	if key.Tag() == wam.TagCon {
 		v, ok := stats[m.Dict.Name(key.AtomID())]
@@ -147,36 +154,7 @@ func (s *Session) biProfile(m *wam.Machine, args []wam.Cell) (bool, error) {
 	}
 	totals := s.kb.profile.Totals()
 	add("total", &totals)
-	key := m.Deref(args[0])
-	if key.Tag() == wam.TagCon {
-		v, ok := stats[m.Dict.Name(key.AtomID())]
-		if !ok {
-			return false, nil
-		}
-		return m.Unify(args[1], wam.MakeInt(v)), nil
-	}
-	names := make([]string, 0, len(stats))
-	for k := range stats {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	i := 0
-	redo := func(m *wam.Machine) (bool, error) {
-		for i < len(names) {
-			k := names[i]
-			i++
-			ok := m.TryUnify(func() bool {
-				return m.Unify(m.Reg(0), wam.MakeCon(m.Dict.Intern(k, 0))) &&
-					m.Unify(m.Reg(1), wam.MakeInt(stats[k]))
-			})
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	m.PushRedo(redo)
-	return redo(m)
+	return keyValue(m, args, stats)
 }
 
 func (s *Session) biAssert(front bool) wam.BuiltinFn {

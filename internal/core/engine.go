@@ -28,9 +28,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compiler"
@@ -179,29 +181,30 @@ type Session struct {
 	resolvers map[term.Indicator]bool
 
 	// resident is the code this session has linked from the EDB, by
-	// stored procedure, and nresident the variants and materialised
-	// results it holds (see resident.go). synced is the KB invalidation
-	// version the table was last reconciled against.
+	// stored procedure, nresident the variants and materialised results
+	// it holds and nsetops the materialised results alone (see
+	// resident.go). synced is the KB invalidation version the table was
+	// last reconciled against.
 	resident  map[term.Indicator]*residentProc
 	nresident int
+	nsetops   int
 	synced    uint64
 
 	// txn is the open transaction's snapshot set (nil: none). While set,
 	// this session owns the KB write lock (see txn.go).
 	txn *sessionTxn
 
-	// defTimeout, when positive, re-arms a fresh deadline at every query
-	// start (the WithTimeout option); SetTimeout's one-shot deadline is
-	// unaffected. defArmed remembers the deadline value armed from
-	// defTimeout, so beginQuery can tell its own stale deadline (replace)
-	// from a manually set one (keep if earlier).
-	defTimeout time.Duration
-	defArmed   time.Time
-
-	// quota caps each query's resource consumption (see SetQuota); the
-	// machine enforces the heap/trail/solution limits and calls back
-	// into quotaHook for the EDB pages-touched limit.
-	quota Quota
+	// The per-query resource envelope (see envelope.go). budget is the
+	// wall-clock allowance in nanoseconds every query starts with (0:
+	// none; SetTimeout, WithTimeout). qctx is the context the running
+	// query was started under (QueryCtx) and unbindCtx what detaches its
+	// cancellation from the session. quota caps each query's consumption
+	// (SetQuota): check enforces the pages limit for every evaluator, the
+	// machine the heap, trail and solution limits.
+	budget    atomic.Int64
+	qctx      context.Context
+	unbindCtx func()
+	quota     Quota
 
 	// tally attributes buffer-pool traffic to this session while it is
 	// inside a storage access.
@@ -300,7 +303,8 @@ func (kb *KnowledgeBase) NewSessionWithOptions(opts Options) (*Session, error) {
 	// The machine charges GC pauses to the current query's phase vector;
 	// &s.q.Phases is stable for the session's lifetime.
 	m.SetPhaseSink(&s.q.Phases)
-	m.SetCheckHook(s.quotaHook)
+	m.SetCheckHook(s.check)
+	s.in.Check = s.check
 	m.OnUndefined = s.onUndefined
 	s.registerEngineBuiltins()
 	if err := s.loadBootstrap(); err != nil {
@@ -409,80 +413,6 @@ func (s *Session) Cost() obs.QueryStats {
 
 // ID returns the session's KB-unique identifier (stamped on trace events).
 func (s *Session) ID() uint64 { return s.id }
-
-// SetDeadline bounds compiled-mode query execution by wall-clock time:
-// once t passes, the running (or any later) query on this session
-// aborts with a catchable error(timeout, educe) ball. The zero time
-// removes the bound. The deadline is polled amortized in the WAM
-// dispatch loop; baseline (source-mode) queries are not covered.
-func (s *Session) SetDeadline(t time.Time) { s.m.SetDeadline(t) }
-
-// SetTimeout arms a one-shot deadline d from now; d <= 0 removes any
-// deadline (legacy wrapper; prefer WithTimeout at NewSession time, which
-// re-arms a fresh budget at every query start instead of bounding all
-// queries by one wall-clock instant).
-func (s *Session) SetTimeout(d time.Duration) {
-	if d <= 0 {
-		s.m.SetDeadline(time.Time{})
-		return
-	}
-	s.m.SetDeadline(time.Now().Add(d))
-}
-
-// Interrupt asynchronously aborts this session's running compiled-mode
-// query with a catchable error(interrupted, educe) ball. Safe to call
-// from any goroutine; a pending interrupt is discarded when the next
-// query starts.
-func (s *Session) Interrupt() { s.m.Interrupt() }
-
-// Quota caps the resources one query may consume. Zero fields are
-// unlimited. Every cap surfaces inside the query as a catchable
-// error(resource_error(Kind), educe) ball with Kind one of heap, trail,
-// pages or solutions, alongside the timeout/interrupt machinery; an
-// exhausted query dies but its session stays reusable. Enforcement is
-// amortized in the WAM dispatch loop, so a query may overshoot a cap
-// slightly before it is killed. Compiled-mode queries only (like
-// SetDeadline, the baseline interpreter is not covered).
-type Quota struct {
-	// HeapCells bounds the WAM heap in cells, measured after garbage
-	// collection: only live data counts against the cap.
-	HeapCells int
-	// TrailEntries bounds the WAM trail length.
-	TrailEntries int
-	// PagesTouched bounds the buffer-pool accesses one query's EDB
-	// retrievals may make (the paper's unit of I/O cost).
-	PagesTouched int
-	// Solutions bounds the number of solutions a query may deliver.
-	Solutions int
-}
-
-// SetQuota installs per-query resource caps on this session (the
-// imperative form of WithQuota). Unlike
-// SetTimeout and Interrupt, SetQuota must be called from the session's
-// own goroutine between queries — it is not safe to change a quota while
-// a query is in flight. The quota persists until changed; the zero Quota
-// removes all caps.
-func (s *Session) SetQuota(q Quota) {
-	s.quota = q
-	s.m.SetQuota(wam.Quota{
-		HeapCells:    q.HeapCells,
-		TrailEntries: q.TrailEntries,
-		Solutions:    q.Solutions,
-	})
-}
-
-// Quota returns the session's installed per-query resource caps.
-func (s *Session) Quota() Quota { return s.quota }
-
-// quotaHook enforces the caps the machine cannot see itself. It is
-// polled from the WAM dispatch loop (same cadence as deadlines), reading
-// only session-local state.
-func (s *Session) quotaHook() error {
-	if p := s.quota.PagesTouched; p > 0 && s.q.PagesTouched > uint64(p) {
-		return wam.ResourceBall("pages")
-	}
-	return nil
-}
 
 // SetTracer directs the session's per-query trace events to t (nil
 // disables tracing; the imperative form of WithTracer). One tracer may be
@@ -657,16 +587,7 @@ func (s *Session) Consult(src string) error {
 	if err != nil {
 		return err
 	}
-	units, order, err := s.compileProgram(terms)
-	if err != nil {
-		return err
-	}
-	for _, pi := range order {
-		if err := s.link(pi, units[pi], false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.ConsultTerms(terms)
 }
 
 // ConsultExternal compiles src and stores every clause in the EDB in the

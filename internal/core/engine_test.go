@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/rel"
 	"repro/internal/term"
@@ -710,5 +711,74 @@ func TestStatisticsBuiltin(t *testing.T) {
 	// Unknown key fails.
 	if n, _ := e.QueryCount("educe_statistics(bogus, _)"); n != 0 {
 		t.Fatal("bogus key should fail")
+	}
+}
+
+// TestSessionPageAccounting pins what a lone session is charged: its
+// SessionIO grows by exactly the pool's own growth over the same queries,
+// its PagesTouched is the sum of its retrievals' access deltas, a storage
+// window re-entered from inside itself counts once, and a KB-wide
+// ResetStats in the middle of a window does not underflow the tally.
+func TestSessionPageAccounting(t *testing.T) {
+	e := newEngine(t, Options{PoolPages: 16})
+	var facts string
+	for i := 0; i < 3000; i++ {
+		facts += fmt.Sprintf("f(%d, v%d).\n", i, i%7)
+	}
+	if err := e.ConsultExternal(facts); err != nil {
+		t.Fatal(err)
+	}
+	pagesPerRetrieval := func() uint64 {
+		return e.KB().Obs().Snapshot()["edb.pages_per_retrieval"].(obs.HistogramSnapshot).SumNS
+	}
+
+	st0, sum0 := e.Stats(), pagesPerRetrieval()
+	for i := 0; i < 200; i++ {
+		if n, err := e.QueryCount(fmt.Sprintf("f(%d, V)", i*13)); err != nil || n != 1 {
+			t.Fatalf("f(%d, V): n=%d err=%v", i*13, n, err)
+		}
+	}
+	st1 := e.Stats()
+	pool := st1.IO.Accesses - st0.IO.Accesses
+	if pool == 0 {
+		t.Fatal("the queries touched no page")
+	}
+	if got := st1.SessionIO.Accesses - st0.SessionIO.Accesses; got != pool {
+		t.Errorf("session_io_accesses grew %d, store.pool.accesses grew %d", got, pool)
+	}
+	if got := st1.SessionIO.Reads - st0.SessionIO.Reads; got != st1.IO.Reads-st0.IO.Reads {
+		t.Errorf("session_io_reads grew %d, store.pool.reads grew %d", got, st1.IO.Reads-st0.IO.Reads)
+	}
+	touched := st1.Cost.PagesTouched - st0.Cost.PagesTouched
+	if got := pagesPerRetrieval() - sum0; touched != got || touched != pool {
+		t.Errorf("pages_touched grew %d, retrievals' deltas sum to %d, pool grew %d", touched, got, pool)
+	}
+
+	// Re-entry: an rlock inside an rlock is one window.
+	s := e.Session
+	p := s.kb.db.Proc("f", 2)
+	before, pool0 := s.tally.Stats().Accesses, s.kb.st.Stats().Accesses
+	outer := s.rlock()
+	inner := s.rlock()
+	if _, err := s.kb.db.Retrieve(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	inner()
+	outer()
+	if got, want := s.tally.Stats().Accesses-before, s.kb.st.Stats().Accesses-pool0; got != want || got == 0 {
+		t.Errorf("nested window charged %d accesses, the pool made %d", got, want)
+	}
+
+	// A reset of the shared counters inside a window charges nothing
+	// rather than wrapping around.
+	before = s.tally.Stats().Accesses
+	unlock := s.rlock()
+	if _, err := s.kb.db.Retrieve(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.KB().ResetStats()
+	unlock()
+	if got := s.tally.Stats().Accesses - before; got != 0 {
+		t.Errorf("window across KnowledgeBase.ResetStats charged %d accesses", got)
 	}
 }

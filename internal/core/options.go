@@ -26,7 +26,7 @@ type Option func(*sessionConfig)
 // knowledge base's defaults.
 type sessionConfig struct {
 	opts        Options
-	defTimeout  time.Duration
+	timeout     time.Duration
 	quota       *Quota
 	tracer      *obs.Tracer
 	traceWriter io.Writer
@@ -54,12 +54,11 @@ func WithStrategy(st Strategy) Option {
 	return func(c *sessionConfig) { c.opts.Strategy = st }
 }
 
-// WithTimeout arms a default per-query deadline: every query starts with
-// a fresh wall-clock budget of d. Unlike SetTimeout — a one-shot bound
-// measured from the moment of the call — the budget re-arms at each
-// query start. d <= 0 leaves queries unbounded.
+// WithTimeout gives every query a fresh wall-clock budget of d, counted
+// from the query's start (see SetTimeout). d <= 0 leaves queries
+// unbounded.
 func WithTimeout(d time.Duration) Option {
-	return func(c *sessionConfig) { c.defTimeout = d }
+	return func(c *sessionConfig) { c.timeout = d }
 }
 
 // WithQuota installs per-query resource caps (see SetQuota).
@@ -100,7 +99,7 @@ func (kb *KnowledgeBase) NewSession(opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.defTimeout = cfg.defTimeout
+	s.SetTimeout(cfg.timeout)
 	if cfg.quota != nil {
 		s.SetQuota(*cfg.quota)
 	}

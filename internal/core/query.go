@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -35,31 +37,31 @@ type Solutions struct {
 
 	// baseline (interpreter) execution
 	gen *interpGen
-
-	// QueryCtx deadline bookkeeping (see ctx.go): ctxDeadline is the
-	// machine deadline armed from the context, prevDeadline the value it
-	// displaced, restored when the iteration finishes.
-	ctxDeadline  time.Time
-	prevDeadline time.Time
 }
 
 // Query parses and runs a goal, returning a Solutions iterator. The query
 // executes on the WAM in compiled mode, or on the resolution interpreter
 // in baseline (source) mode. Each query starts from a fresh view of the
 // shared knowledge base: code another session invalidated since the last
-// query is dropped and reloaded on use.
-func (s *Session) Query(q string) (sol *Solutions, err error) {
+// query is dropped and reloaded on use. The query runs inside the session's
+// resource envelope (see envelope.go).
+func (s *Session) Query(q string) (*Solutions, error) { return s.query(nil, q) }
+
+// query is Query under ctx (nil: none).
+func (s *Session) query(ctx context.Context, q string) (sol *Solutions, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sol, err = nil, s.containPanic(r)
 			s.autoRollback()
 		}
+		if sol == nil {
+			s.disarm()
+		}
 	}()
 	s.endQuery()
 	s.reconcile()
 	s.beginQuery(q)
-	// An interrupt aimed at the previous query must not kill this one.
-	s.m.ClearInterrupt()
+	s.arm(ctx)
 	t0 := time.Now()
 	body, vars, err := parser.ParseTermWithOps(q, s.ops)
 	s.q.Phases.Add(obs.PhaseParse, time.Since(t0))
@@ -133,10 +135,7 @@ func (s *Session) Query(q string) (sol *Solutions, err error) {
 func (s *Solutions) Next() (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.err = s.e.containPanic(r)
-			s.e.autoRollback()
-			s.finish()
-			ok = false
+			ok = s.fail(s.e.containPanic(r))
 		}
 	}()
 	if s.done {
@@ -147,10 +146,7 @@ func (s *Solutions) Next() (ok bool) {
 		ok, err := s.run.Next()
 		s.e.q.Phases.Add(obs.PhaseExec, time.Since(t0))
 		if err != nil {
-			s.err = err
-			s.e.autoRollback()
-			s.finish()
-			return false
+			return s.fail(err)
 		}
 		if !ok {
 			s.finish()
@@ -167,10 +163,7 @@ func (s *Solutions) Next() (ok bool) {
 	sol, ok, err := s.gen.next()
 	s.e.q.Phases.Add(obs.PhaseExec, time.Since(t0))
 	if err != nil {
-		s.err = err
-		s.e.autoRollback()
-		s.finish()
-		return false
+		return s.fail(err)
 	}
 	if !ok {
 		s.finish()
@@ -179,6 +172,15 @@ func (s *Solutions) Next() (ok bool) {
 	s.e.qSolCount++
 	s.cur = sol
 	return true
+}
+
+// fail ends the iteration on err: the open transaction, if any, is rolled
+// back and per-query state released. It returns false for Next to return.
+func (s *Solutions) fail(err error) bool {
+	s.err = s.e.cause(err) // before finish closes the envelope
+	s.e.autoRollback()
+	s.finish()
+	return false
 }
 
 // Binding returns the current solution's value for the named variable.
@@ -217,16 +219,6 @@ func (s *Session) containPanic(r any) error {
 // abandoned query are drained (attributed to that query) before the
 // per-query profile resets.
 func (s *Session) beginQuery(goal string) {
-	if s.defTimeout > 0 {
-		// Re-arm the per-query budget (WithTimeout). A manually set
-		// earlier deadline (SetTimeout/SetDeadline) is kept; our own
-		// previous arming is stale and replaced.
-		d := time.Now().Add(s.defTimeout)
-		if cur := s.m.Deadline(); cur.IsZero() || cur.Equal(s.defArmed) || d.Before(cur) {
-			s.m.SetDeadline(d)
-			s.defArmed = d
-		}
-	}
 	s.drainProfile()
 	s.qProf = nil
 	s.cum.AddQuery(&s.q)
@@ -285,7 +277,7 @@ func (s *Solutions) finish() {
 		return
 	}
 	s.released = true
-	s.restoreCtxDeadline()
+	s.e.disarm()
 	if s.gen != nil {
 		s.gen.stop()
 	}
@@ -336,8 +328,11 @@ func (s *Session) QueryOnce(q string) (map[string]term.Term, bool, error) {
 }
 
 // interpGen adapts the interpreter's push-style enumeration to the
-// pull-style Solutions iterator with a worker goroutine.
+// pull-style Solutions iterator with a worker goroutine, started by the
+// first next. The worker runs only while the session's goroutine waits in
+// next or stop, so the two never touch the session at the same time.
 type interpGen struct {
+	solve   func() // the worker's body
 	sols    chan map[string]term.Term
 	resume  chan bool
 	errCh   chan error
@@ -351,9 +346,8 @@ func newInterpGen(in *interp.Interp, goal term.Term, vars map[string]*term.Var) 
 		resume: make(chan bool),
 		errCh:  make(chan error, 1),
 	}
-	go func() {
-		env := interp.NewEnv()
-		err := in.Solve(goal, env, func(e *interp.Env) bool {
+	g.solve = func() {
+		err := in.Solve(goal, interp.NewEnv(), func(e *interp.Env) bool {
 			sol := map[string]term.Term{}
 			for n, v := range vars {
 				sol[n] = e.ResolveDeep(v)
@@ -361,9 +355,12 @@ func newInterpGen(in *interp.Interp, goal term.Term, vars map[string]*term.Var) 
 			g.sols <- sol
 			return <-g.resume
 		})
+		if errors.Is(err, interp.ErrDepth) {
+			err = wam.ResourceBall("depth")
+		}
 		g.errCh <- err
 		close(g.sols)
-	}()
+	}
 	return g
 }
 
@@ -373,8 +370,10 @@ func (g *interpGen) next() (map[string]term.Term, bool, error) {
 	}
 	if g.started {
 		g.resume <- true
+	} else {
+		g.started = true
+		go g.solve()
 	}
-	g.started = true
 	sol, ok := <-g.sols
 	if !ok {
 		g.stopped = true
@@ -383,22 +382,14 @@ func (g *interpGen) next() (map[string]term.Term, bool, error) {
 	return sol, true, nil
 }
 
-// stop cancels the enumeration, unblocking the worker goroutine whether it
-// is waiting to deliver a solution or waiting for a resume signal.
+// stop cancels the enumeration and waits for the worker, parked on a
+// delivered solution, to unwind: the session's next query runs on the same
+// interpreter.
 func (g *interpGen) stop() {
-	if g.stopped {
-		return
+	if g.started && !g.stopped {
+		g.resume <- false
+		for range g.sols {
+		}
 	}
 	g.stopped = true
-	go func() {
-		for {
-			select {
-			case _, ok := <-g.sols:
-				if !ok {
-					return
-				}
-			case g.resume <- false:
-			}
-		}
-	}()
 }

@@ -174,6 +174,7 @@ func (s *Session) evict(pi term.Indicator, rp *residentProc) {
 		s.m.RemoveBlock(so.proc.Block)
 		so.tuples = nil // the cursor builtin outlives the result
 		s.nresident--
+		s.nsetops--
 	}
 	delete(s.resident, pi)
 	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
@@ -199,6 +200,11 @@ func (s *Session) evictAll() {
 // outside a transaction.
 func (s *Session) reconcile() {
 	v := s.kb.version.Load()
+	if v == s.synced && s.nsetops == 0 {
+		// No stored procedure changed, and only a materialised result can
+		// go stale otherwise (through a catalog relation).
+		return
+	}
 	for pi, rp := range s.resident {
 		if (v != s.synced && s.kb.storedVersion(pi) != rp.ver) || s.depsStale(rp.setops, v) || s.relsStale(rp.setops) {
 			s.evict(pi, rp)

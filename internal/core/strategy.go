@@ -124,13 +124,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 	}
 
 	var st setops.Stats
-	check := func() error {
-		if err := s.m.CheckCancel(); err != nil {
-			return err
-		}
-		return s.quotaHook()
-	}
-	totals, err := prog.Eval(&st, check)
+	totals, err := prog.Eval(&st, s.check)
 	if err != nil {
 		return nil, err
 	}
@@ -171,6 +165,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 	info.proc = &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
 	s.residentFor(target, info.deps[target]).setops = info
 	s.nresident++
+	s.nsetops++
 	s.m.DefineProc(info.proc) // freeze: later calls skip the trap entirely
 	return info.proc, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/wam"
 )
 
 // solutionSet runs q on s and returns the sorted set of distinct
@@ -297,11 +298,11 @@ func TestQueryCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sols.NextCtx(ctx) {
+	if sols.Next() {
 		t.Fatal("divergent goal produced a solution")
 	}
 	if err := sols.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled NextCtx err = %v, want context.Canceled", err)
+		t.Fatalf("cancelled Next err = %v, want context.Canceled", err)
 	}
 
 	// The session survives and later queries are unaffected.
@@ -324,11 +325,11 @@ func TestQueryCtxDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sols.NextCtx(ctx) {
+	if sols.Next() {
 		t.Fatal("divergent goal produced a solution")
 	}
 	if err := sols.Err(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("deadline NextCtx err = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("deadline Next err = %v, want context.DeadlineExceeded", err)
 	}
 	// The expired context deadline must not bound the next query.
 	if err := e.Consult("ok(yes)."); err != nil {
@@ -339,39 +340,52 @@ func TestQueryCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestWithTimeoutRearms checks the WithTimeout option: each query gets a
-// fresh budget (unlike the one-shot SetTimeout), so a slow query dies
-// while later cheap queries on the same session run unbounded by the
-// first query's wall-clock instant.
+// TestWithTimeoutRearms checks the per-query budget, however it is set
+// (the WithTimeout option or SetTimeout): each query gets a fresh one, so
+// a slow query dies while later cheap queries on the same session are not
+// bounded by the first query's wall-clock instant.
 func TestWithTimeoutRearms(t *testing.T) {
 	kb, err := OpenKB(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kb.Close()
-	s, err := kb.NewSession(WithTimeout(60 * time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Consult("loop :- loop. ok(yes)."); err != nil {
-		t.Fatal(err)
-	}
-	sols, err := s.Query("loop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sols.Next() {
-		t.Fatal("divergent goal produced a solution")
-	}
-	if sols.Err() == nil {
-		t.Fatal("timed-out query reported no error")
-	}
-	// Sleep past the first query's deadline instant; the next query must
-	// still succeed because its budget re-arms at query start.
-	time.Sleep(80 * time.Millisecond)
-	if got := sessionValues(t, s, "ok(X)", "X"); !reflect.DeepEqual(got, []string{"yes"}) {
-		t.Fatalf("re-armed query = %v", got)
+	for name, open := range map[string]func() (*Session, error){
+		"WithTimeout": func() (*Session, error) { return kb.NewSession(WithTimeout(60 * time.Millisecond)) },
+		"SetTimeout": func() (*Session, error) {
+			s, err := kb.NewSession()
+			if err == nil {
+				s.SetTimeout(60 * time.Millisecond)
+			}
+			return s, err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Consult("loop :- loop. ok(yes)."); err != nil {
+				t.Fatal(err)
+			}
+			sols, err := s.Query("loop")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sols.Next() {
+				t.Fatal("divergent goal produced a solution")
+			}
+			if sols.Err() != wam.ErrTimeout {
+				t.Fatalf("timed-out query err = %v, want the timeout ball", sols.Err())
+			}
+			// Sleep past the first query's deadline instant; the next query
+			// must still succeed because its budget starts at query start.
+			time.Sleep(80 * time.Millisecond)
+			if got := sessionValues(t, s, "ok(X)", "X"); !reflect.DeepEqual(got, []string{"yes"}) {
+				t.Fatalf("query after a timed-out one = %v", got)
+			}
+		})
 	}
 }
 

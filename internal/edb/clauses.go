@@ -197,15 +197,18 @@ func (db *DB) Retrieve(p *ProcInfo, query []ArgKey) ([]StoredClause, error) {
 // counts to qs. KB-wide totals go to the metrics registry either way.
 func (db *DB) RetrieveObs(p *ProcInfo, query []ArgKey, qs *obs.QueryStats) ([]StoredClause, error) {
 	db.retrievals.Add(1)
-	var tally *store.Tally
 	var t0 time.Time
 	if qs != nil {
 		qs.Retrievals++
-		tally = &store.Tally{}
-		db.st.Pool().Attach(tally)
+		pool := db.st.Pool()
+		acc0 := pool.Accesses()
 		defer func() {
-			pages := tally.Stats().Accesses
-			db.st.Pool().Detach(tally)
+			// The retrieval's page cost is the pool's access growth across
+			// it; a ResetStats in between leaves nothing to charge.
+			pages := uint64(0)
+			if now := pool.Accesses(); now > acc0 {
+				pages = now - acc0
+			}
 			qs.PagesTouched += pages
 			db.pagesPerRt.ObserveN(pages)
 		}()

@@ -86,7 +86,7 @@ type DB struct {
 	clauses  *store.Heap // shared clause-blob relation
 	procHeap *store.Heap // procedure descriptors
 	ext      *ExtDict
-	procs    map[string]*ProcInfo
+	procs    map[procKey]*ProcInfo
 	nextProc uint32
 
 	// Counters live in the store's obs.Registry (one per knowledge
@@ -145,7 +145,7 @@ func Open(st *store.Store) (*DB, error) {
 	reg := st.Obs()
 	db := &DB{
 		st:         st,
-		procs:      map[string]*ProcInfo{},
+		procs:      map[procKey]*ProcInfo{},
 		retrievals: reg.Counter("edb.retrievals"),
 		scanned:    reg.Counter("edb.clauses_scanned"),
 		candidates: reg.Counter("edb.clauses_passed"),
@@ -228,7 +228,11 @@ func (db *DB) ResetStats() {
 	db.pagesPerRt.Reset()
 }
 
-func procKey(name string, arity int) string { return fmt.Sprintf("%s/%d", name, arity) }
+// procKey names a procedure in the procedures table.
+type procKey struct {
+	name  string
+	arity int
+}
 
 func (db *DB) loadProcs() error {
 	return db.procHeap.Scan(func(rid store.RID, data []byte) (bool, error) {
@@ -240,7 +244,7 @@ func (db *DB) loadProcs() error {
 		if p.ProcID >= db.nextProc {
 			db.nextProc = p.ProcID + 1
 		}
-		db.procs[procKey(p.Name, p.Arity)] = p
+		db.procs[procKey{p.Name, p.Arity}] = p
 		db.stored.Add(int64(p.ClauseCount))
 		return true, nil
 	})
@@ -312,7 +316,7 @@ func decodeProc(data []byte) (*ProcInfo, error) {
 
 // Proc looks up the procedures table.
 func (db *DB) Proc(name string, arity int) *ProcInfo {
-	return db.procs[procKey(name, arity)]
+	return db.procs[procKey{name, arity}]
 }
 
 // Procs returns all procedure descriptors sorted by indicator.
@@ -381,7 +385,7 @@ func (db *DB) CreateProc(name string, arity int, form Form) (*ProcInfo, error) {
 		return nil, err
 	}
 	p.rid = rid
-	db.procs[procKey(name, arity)] = p
+	db.procs[procKey{name, arity}] = p
 	return p, nil
 }
 
@@ -407,7 +411,7 @@ func (db *DB) DropProc(p *ProcInfo) error {
 	if err := db.procHeap.Delete(p.rid); err != nil {
 		return err
 	}
-	delete(db.procs, procKey(p.Name, p.Arity))
+	delete(db.procs, procKey{p.Name, p.Arity})
 	return nil
 }
 

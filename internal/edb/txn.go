@@ -31,7 +31,7 @@ type procSnap struct {
 
 // Snapshot is the EDB state captured at transaction begin.
 type Snapshot struct {
-	procs    map[string]*ProcInfo
+	procs    map[procKey]*ProcInfo
 	vals     map[*ProcInfo]procSnap
 	nextProc uint32
 	stored   int64
@@ -43,7 +43,7 @@ type Snapshot struct {
 // via Ext().BeginJournal.
 func (db *DB) Snapshot() *Snapshot {
 	s := &Snapshot{
-		procs:    make(map[string]*ProcInfo, len(db.procs)),
+		procs:    make(map[procKey]*ProcInfo, len(db.procs)),
 		vals:     make(map[*ProcInfo]procSnap, len(db.procs)),
 		nextProc: db.nextProc,
 		stored:   db.stored.Value(),
@@ -69,7 +69,7 @@ func (db *DB) Snapshot() *Snapshot {
 // after store.Rollback has restored the pages; it discards every cached
 // handle so subsequent access reopens against the restored pages.
 func (db *DB) Restore(s *Snapshot) {
-	procs := make(map[string]*ProcInfo, len(s.procs))
+	procs := make(map[procKey]*ProcInfo, len(s.procs))
 	for k, p := range s.procs {
 		v := s.vals[p]
 		p.Form = v.form

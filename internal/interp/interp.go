@@ -7,6 +7,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -36,10 +37,30 @@ type Interp struct {
 	// (the baseline's tuple-at-a-time interface to the record manager).
 	externals map[term.Indicator]ExternalFn
 
+	// Check, if set, is polled every 256 inferences — the cadence of the
+	// WAM's dispatch loop — and at the start of every Solve; a non-nil
+	// error ends the resolution with it. The engine installs its
+	// per-query cancellation and quota check here.
+	Check func() error
+
+	// depth is the current nesting of solve. The solver is written in
+	// continuation-passing style, so it deepens with every inference of
+	// a derivation, deterministic ones included.
+	depth int
+
 	// Stats counters.
 	inferences uint64
 	asserts    uint64
 }
+
+// maxDepth caps the nesting of solve. Go ends the whole process when a
+// goroutine outgrows its maximum stack (1 GB), which a plain counting loop
+// of three million steps does; at about 400 bytes of stack per level the
+// cap keeps a resolution under a quarter of that.
+const maxDepth = 600_000
+
+// ErrDepth ends a resolution nested deeper than the solver's stack allows.
+var ErrDepth = errors.New("interp: resolution depth limit exceeded")
 
 // New returns an interpreter with the builtin set registered.
 func New() *Interp {
@@ -144,6 +165,11 @@ func (in *Interp) Solve(goal term.Term, env *Env, fn func(*Env) bool) error {
 	if env == nil {
 		env = NewEnv()
 	}
+	if in.Check != nil {
+		if err := in.Check(); err != nil {
+			return err
+		}
+	}
 	r := in.solve(goal, env, func() result {
 		if fn(env) {
 			return proceed
@@ -163,8 +189,25 @@ func (in *Interp) SolveOnce(goal term.Term, env *Env) (bool, error) {
 	return found, err
 }
 
+// solve resolves one goal under the resource envelope: the inference
+// count, the amortized Check poll and the depth cap.
 func (in *Interp) solve(goal term.Term, env *Env, k cont) result {
 	in.inferences++
+	if in.inferences&0xff == 0 && in.Check != nil {
+		if err := in.Check(); err != nil {
+			return result{err: err}
+		}
+	}
+	if in.depth >= maxDepth {
+		return result{err: ErrDepth}
+	}
+	in.depth++
+	r := in.step(goal, env, k)
+	in.depth--
+	return r
+}
+
+func (in *Interp) step(goal term.Term, env *Env, k cont) result {
 	goal = env.Resolve(goal)
 	switch g := goal.(type) {
 	case *term.Var:

@@ -50,7 +50,8 @@ type Config struct {
 	WriteTimeout time.Duration
 
 	// QueryTimeout bounds each query's wall-clock execution (0 = no
-	// bound). Delivered inside the query as a catchable timeout ball.
+	// bound): every pool session gets it as its per-query budget.
+	// Delivered inside the query as a catchable timeout ball.
 	QueryTimeout time.Duration
 	// Quota caps each query's resource consumption (heap, trail, EDB
 	// pages, solutions); see core.Quota. The zero quota is unlimited.
@@ -193,6 +194,7 @@ func New(kb *core.KnowledgeBase, cfg Config) (*Server, error) {
 			if cfg.Profile {
 				sess.EnableProfiling(true)
 			}
+			sess.SetTimeout(cfg.QueryTimeout)
 			sess.SetSlowThreshold(cfg.SlowThreshold)
 			if cfg.Tracer != nil {
 				sess.SetTracer(cfg.Tracer)
@@ -608,18 +610,12 @@ func (s *Server) runQuery(c net.Conn, goal string, pinned **core.Session) bool {
 		quota = core.Quota{Solutions: -1}
 	}
 	sess.SetQuota(quota)
-	ctx := context.Background()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
 
 	n := 0
 	wok := true
-	sols, err := sess.QueryCtx(ctx, goal)
+	sols, err := sess.Query(goal)
 	if err == nil {
-		for sols.NextCtx(ctx) {
+		for sols.Next() {
 			n++
 			if wok = s.writeLine(c, "sol "+renderSolution(sols)); !wok {
 				break

@@ -123,25 +123,27 @@ func (f *Frame) MarkDirty() {
 }
 
 // Tally accumulates the share of pool traffic attributed to one client —
-// typically one session — while it is attached to the pool. Counts are
-// exact when the tally is the only one attached during its accesses;
-// when several sessions overlap in time, each access is charged to every
-// tally attached at that moment (an honest over-approximation: the pool
-// has no way to tell whose retrieval faulted a page both were about to
-// touch). Attribution is best-effort at the edges too: Pin snapshots the
-// attached set once at entry and charges it for everything the pin
-// causes (including eviction write-backs), so a pin in flight when
-// Detach returns may still add to the detached tally. A Tally may be
-// read and reset concurrently with pool traffic.
+// typically one session — over its Attach/Detach windows. A window
+// records the pool's own totals when it opens and adds their growth when
+// it closes, so counts are exact when the client is the only one using
+// the pool during its windows; when several sessions overlap in time,
+// every access made while a window is open is charged to it (an honest
+// over-approximation: the pool has no way to tell whose retrieval faulted
+// a page both were about to touch). Windows of one tally nest and count
+// once. Attach and Detach belong to the tally's owner, one goroutine at a
+// time; Stats and Reset may run concurrently with them.
 type Tally struct {
 	accesses  atomic.Uint64
 	hits      atomic.Uint64
 	reads     atomic.Uint64
 	writes    atomic.Uint64
 	evictions atomic.Uint64
+
+	depth int     // open windows
+	base  IOStats // pool totals when the outermost window opened
 }
 
-// Stats returns a snapshot of the attributed counters.
+// Stats returns a snapshot of the attributed counters (closed windows).
 func (t *Tally) Stats() IOStats {
 	return IOStats{
 		Accesses:  t.accesses.Load(),
@@ -161,50 +163,13 @@ func (t *Tally) Reset() {
 	t.evictions.Store(0)
 }
 
-// tallySet is the pool's set of attached tallies. Attach/Detach are rare
-// (once per session storage window), reads happen on every pin, so the
-// set keeps a copy-on-write snapshot read lock-free on the hot path.
-type tallySet struct {
-	mu   sync.Mutex
-	refs map[*Tally]int
-	snap atomic.Pointer[[]*Tally]
-}
-
-func (ts *tallySet) attach(t *Tally) {
-	ts.mu.Lock()
-	if ts.refs == nil {
-		ts.refs = map[*Tally]int{}
+// grown is now-base, or zero when a ResetStats inside the window took the
+// pool's total below where the window started.
+func grown(now, base uint64) uint64 {
+	if now < base {
+		return 0
 	}
-	ts.refs[t]++
-	ts.rebuild()
-	ts.mu.Unlock()
-}
-
-func (ts *tallySet) detach(t *Tally) {
-	ts.mu.Lock()
-	if ts.refs[t] > 1 {
-		ts.refs[t]--
-	} else {
-		delete(ts.refs, t)
-	}
-	ts.rebuild()
-	ts.mu.Unlock()
-}
-
-func (ts *tallySet) rebuild() {
-	snap := make([]*Tally, 0, len(ts.refs))
-	for t := range ts.refs {
-		snap = append(snap, t)
-	}
-	ts.snap.Store(&snap)
-}
-
-func (ts *tallySet) list() []*Tally {
-	p := ts.snap.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
+	return now - base
 }
 
 // poolShard is one independently locked slice of the pool: its own page
@@ -233,7 +198,6 @@ type Pool struct {
 	shards     []*poolShard
 	shardShift uint // top log2(len(shards)) bits of the hashed page ID
 	met        poolMetrics
-	tallies    tallySet
 }
 
 // minShardPages is the smallest per-shard capacity worth having: below
@@ -309,23 +273,33 @@ func (p *Pool) shardOf(id PageID) *poolShard {
 // Shards returns the number of shards (diagnostics).
 func (p *Pool) Shards() int { return len(p.shards) }
 
-// Attach starts charging pool traffic to t until the matching Detach.
-// Attach/Detach pairs nest.
+// Attach opens a window on t: pool traffic from now until the matching
+// Detach is charged to it. Attach/Detach pairs nest.
 func (p *Pool) Attach(t *Tally) {
 	if t == nil {
 		return
 	}
-	p.tallies.attach(t)
+	if t.depth == 0 {
+		t.base = p.traffic()
+	}
+	t.depth++
 }
 
-// Detach stops charging pool traffic to t (one nesting level). Pins
-// already in flight when Detach returns may still be charged to t — see
-// the Tally doc on best-effort attribution.
+// Detach closes one nesting level of t's window; the outermost one adds
+// the pool's growth since Attach to t.
 func (p *Pool) Detach(t *Tally) {
 	if t == nil {
 		return
 	}
-	p.tallies.detach(t)
+	if t.depth--; t.depth > 0 {
+		return
+	}
+	now := p.traffic()
+	t.accesses.Add(grown(now.Accesses, t.base.Accesses))
+	t.hits.Add(grown(now.Hits, t.base.Hits))
+	t.reads.Add(grown(now.Reads, t.base.Reads))
+	t.writes.Add(grown(now.Writes, t.base.Writes))
+	t.evictions.Add(grown(now.Evictions, t.base.Evictions))
 }
 
 // Pager exposes the underlying pager.
@@ -334,16 +308,27 @@ func (p *Pool) Pager() Pager { return p.pager }
 // Stats returns a snapshot of the I/O counters — a view over the
 // registry-backed metrics, which are the single source of truth.
 func (p *Pool) Stats() IOStats {
+	st := p.traffic()
+	st.LatchWaits = p.met.latchWaits.Value()
+	st.LatchWaitNS = p.met.latchWaitNS.Snapshot().SumNS
+	return st
+}
+
+// traffic reads the five page-traffic totals a Tally window is the
+// difference of.
+func (p *Pool) traffic() IOStats {
 	return IOStats{
-		Accesses:    p.met.accesses.Value(),
-		Hits:        p.met.hits.Value(),
-		Reads:       p.met.reads.Value(),
-		Writes:      p.met.writes.Value(),
-		Evictions:   p.met.evictions.Value(),
-		LatchWaits:  p.met.latchWaits.Value(),
-		LatchWaitNS: p.met.latchWaitNS.Snapshot().SumNS,
+		Accesses:  p.met.accesses.Value(),
+		Hits:      p.met.hits.Value(),
+		Reads:     p.met.reads.Value(),
+		Writes:    p.met.writes.Value(),
+		Evictions: p.met.evictions.Value(),
 	}
 }
+
+// Accesses returns the pool's running buffer-access total; the growth
+// across a retrieval is its page cost.
+func (p *Pool) Accesses() uint64 { return p.met.accesses.Value() }
 
 // ResetStats zeroes the pool's registry counters. This resets shared
 // state visible to every session of the knowledge base; sessions wanting
@@ -395,19 +380,12 @@ func (p *Pool) latchFrame(f *Frame, mode LatchMode) {
 // waiting for a writer to finish with one page.
 func (p *Pool) Pin(id PageID, mode LatchMode) (*Frame, error) {
 	sh := p.shardOf(id)
-	tallies := p.tallies.list()
 	sh.mu.Lock()
 	p.met.accesses.Inc()
 	sh.accesses.Inc()
-	for _, t := range tallies {
-		t.accesses.Add(1)
-	}
 	if f, ok := sh.frames[id]; ok {
 		p.met.hits.Inc()
 		sh.hits.Inc()
-		for _, t := range tallies {
-			t.hits.Add(1)
-		}
 		if f.elem != nil {
 			sh.lru.Remove(f.elem)
 			f.elem = nil
@@ -420,15 +398,12 @@ func (p *Pool) Pin(id PageID, mode LatchMode) (*Frame, error) {
 	// Miss: make room, then read the page before publishing the frame so
 	// no other pin can observe a partially loaded page. Misses serialize
 	// per shard — unrelated shards keep streaming hits meanwhile.
-	if err := p.makeRoom(sh, tallies); err != nil {
+	if err := p.makeRoom(sh); err != nil {
 		sh.mu.Unlock()
 		return nil, err
 	}
 	f := &Frame{id: id, Data: make([]byte, PageSize)}
 	p.met.reads.Inc()
-	for _, t := range tallies {
-		t.reads.Add(1)
-	}
 	t0 := time.Now()
 	if err := p.pager.ReadPage(id, f.Data); err != nil {
 		sh.mu.Unlock()
@@ -457,14 +432,10 @@ func (p *Pool) Alloc() (*Frame, error) {
 		return nil, err
 	}
 	sh := p.shardOf(id)
-	tallies := p.tallies.list()
 	sh.mu.Lock()
 	p.met.accesses.Inc()
 	sh.accesses.Inc()
-	for _, t := range tallies {
-		t.accesses.Add(1)
-	}
-	if err := p.makeRoom(sh, tallies); err != nil {
+	if err := p.makeRoom(sh); err != nil {
 		sh.mu.Unlock()
 		return nil, err
 	}
@@ -485,7 +456,7 @@ func (p *Pool) Alloc() (*Frame, error) {
 // deadlock — the latch holder needs no locks to finish. Taking the
 // exclusive latch keeps the WAL/checksum invariant: pages reach the
 // pager only through an exclusively latched frame with stable bytes.
-func (p *Pool) makeRoom(sh *poolShard, tallies []*Tally) error {
+func (p *Pool) makeRoom(sh *poolShard) error {
 	for len(sh.frames) >= sh.capacity {
 		back := sh.lru.Back()
 		if back == nil {
@@ -498,9 +469,6 @@ func (p *Pool) makeRoom(sh *poolShard, tallies []*Tally) error {
 		victim.latch.Lock()
 		if victim.dirty.Load() {
 			p.met.writes.Inc()
-			for _, t := range tallies {
-				t.writes.Add(1)
-			}
 			tw := time.Now()
 			if err := p.pager.WritePage(victim.id, victim.Data); err != nil {
 				// Put the victim back on the LRU still dirty: the pool stays
@@ -518,9 +486,6 @@ func (p *Pool) makeRoom(sh *poolShard, tallies []*Tally) error {
 		p.met.evictions.Inc()
 		sh.evictions.Inc()
 		p.met.evictNS.Observe(time.Since(t0))
-		for _, t := range tallies {
-			t.evictions.Add(1)
-		}
 	}
 	return nil
 }
@@ -611,7 +576,6 @@ func (p *Pool) Free(id PageID) error {
 // a frame latch, so it cannot deadlock against writers that hold a latch
 // while allocating (heap overflow chains do exactly that).
 func (p *Pool) FlushAll() error {
-	tallies := p.tallies.list()
 	var firstErr error
 	for _, sh := range p.shards {
 		sh.mu.Lock()
@@ -634,9 +598,6 @@ func (p *Pool) FlushAll() error {
 				f.latch.RLock()
 				if f.dirty.Load() {
 					p.met.writes.Inc()
-					for _, t := range tallies {
-						t.writes.Add(1)
-					}
 					tw := time.Now()
 					if err := p.pager.WritePage(f.id, f.Data); err != nil {
 						firstErr = err

@@ -282,3 +282,53 @@ func TestConcurrentReadersSamePage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTallyWindows pins the window-delta accounting: a tally is charged
+// the pool's own growth between Attach and Detach and nothing outside,
+// nested windows of one tally count once, a ResetStats inside a window
+// does not underflow, and a window costs no allocation.
+func TestTallyWindows(t *testing.T) {
+	pool := NewPool(NewMemPager(), 8)
+	f, err := pool.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID()
+	pool.Unpin(f, true)
+	touch := func(n int) {
+		for i := 0; i < n; i++ {
+			f, err := pool.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.Unpin(f, false)
+		}
+	}
+
+	var tally Tally
+	touch(3)
+	pool.Attach(&tally)
+	touch(2)
+	pool.Attach(&tally) // the fact resolver re-entering its session's window
+	touch(5)
+	pool.Detach(&tally)
+	touch(1)
+	pool.Detach(&tally)
+	touch(4)
+	if got := tally.Stats(); got.Accesses != 8 || got.Hits != 8 || got.Reads != 0 {
+		t.Fatalf("nested window charged %+v, want 8 accesses, 8 hits", got)
+	}
+
+	pool.Attach(&tally)
+	touch(2)
+	pool.ResetStats()
+	touch(1)
+	pool.Detach(&tally)
+	if got := tally.Stats().Accesses; got != 8 {
+		t.Fatalf("window across ResetStats left %d accesses, want the 8 from before", got)
+	}
+
+	if n := testing.AllocsPerRun(100, func() { pool.Attach(&tally); pool.Detach(&tally) }); n != 0 {
+		t.Fatalf("Attach/Detach pair allocates %v times", n)
+	}
+}

@@ -164,10 +164,10 @@ type Machine struct {
 	// set by the goroutine that runs the query, between queries.
 	quota     Quota
 	solutions int
-	// checkHook, when set, is consulted at every cancellation poll; a
+	// checkHook, when set, stands in for CheckCancel at every poll; a
 	// non-nil error (normally an *ErrBall) aborts the query catchably.
-	// The owning session uses it to enforce quotas the machine cannot
-	// see itself, such as EDB pages touched.
+	// The owning session's check goes here: CheckCancel plus the quotas
+	// the machine cannot see itself, such as EDB pages touched.
 	checkHook func() error
 
 	stats Stats
@@ -250,16 +250,6 @@ func (m *Machine) SetDeadline(t time.Time) {
 	m.deadline.Store(t.UnixNano())
 }
 
-// Deadline reports the currently armed wall-clock bound (zero when
-// disarmed). Safe to call from any goroutine.
-func (m *Machine) Deadline() time.Time {
-	d := m.deadline.Load()
-	if d == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, d)
-}
-
 // Interrupt asynchronously aborts the running query with a catchable
 // error(interrupted, educe) ball at the next dispatch-loop poll. One
 // interrupt aborts one query; the flag clears when delivered. Safe to
@@ -270,19 +260,28 @@ func (m *Machine) Interrupt() { m.interrupted.Store(true) }
 // should not die for its predecessor's abort).
 func (m *Machine) ClearInterrupt() { m.interrupted.Store(false) }
 
+// ErrInterrupted and ErrTimeout are the catchable balls an Interrupt and
+// an expired deadline surface as: error(interrupted, educe) and
+// error(timeout, educe). Uncaught, a query's error is the very value, so
+// callers may compare against them.
+var (
+	ErrInterrupted = &ErrBall{Term: term.Comp("error", term.Atom("interrupted"), term.Atom("educe"))}
+	ErrTimeout     = &ErrBall{Term: term.Comp("error", term.Atom("timeout"), term.Atom("educe"))}
+)
+
 // CheckCancel reports a pending interrupt or an expired deadline as the
-// same catchable error ball the dispatch loop would raise. It serves
-// evaluation loops running outside the dispatch loop (the set-at-a-time
-// fixpoint driver), which poll it between rounds. Quota caps are not
-// checked here — they reference dispatch state; callers enforce their
-// own resource hooks.
+// catchable error ball it surfaces as. The dispatch loop polls it, and so
+// do evaluators running outside the loop on the machine's behalf (the
+// set-at-a-time fixpoint driver, the baseline interpreter) through their
+// session's check. Quota caps are not checked here — they reference
+// dispatch state.
 func (m *Machine) CheckCancel() error {
 	if m.interrupted.Load() {
 		m.interrupted.Store(false)
-		return &ErrBall{Term: term.Comp("error", term.Atom("interrupted"), term.Atom("educe"))}
+		return ErrInterrupted
 	}
 	if d := m.deadline.Load(); d != 0 && time.Now().UnixNano() > d {
-		return &ErrBall{Term: term.Comp("error", term.Atom("timeout"), term.Atom("educe"))}
+		return ErrTimeout
 	}
 	return nil
 }
@@ -317,8 +316,10 @@ func (m *Machine) SetQuota(q Quota) { m.quota = q }
 // GetQuota returns the installed quota.
 func (m *Machine) GetQuota() Quota { return m.quota }
 
-// SetCheckHook installs an extra per-poll check (session-level quotas).
-// Same concurrency contract as SetQuota.
+// SetCheckHook makes f the machine's per-poll cancellation check in place
+// of CheckCancel: the owning session installs the one check all its
+// evaluators share, which is CheckCancel plus the caps the machine cannot
+// see. Same concurrency contract as SetQuota.
 func (m *Machine) SetCheckHook(f func() error) { m.checkHook = f }
 
 // ResourceBall is the catchable exhaustion error for one resource kind
@@ -361,15 +362,18 @@ func ResourceKind(err error) string {
 	return string(kind)
 }
 
-// checkCancel reports a pending interrupt, an expired deadline or an
-// exhausted resource quota as an error ball, or nil to continue.
+// checkCancel is the dispatch loop's poll: the cancellation check (the
+// owner's, when one is installed) and then the machine's own resource
+// quotas, as an error ball, or nil to continue.
 func (m *Machine) checkCancel() error {
-	if m.interrupted.Load() {
-		m.interrupted.Store(false)
-		return &ErrBall{Term: term.Comp("error", term.Atom("interrupted"), term.Atom("educe"))}
+	var err error
+	if m.checkHook != nil {
+		err = m.checkHook()
+	} else {
+		err = m.CheckCancel()
 	}
-	if d := m.deadline.Load(); d != 0 && time.Now().UnixNano() > d {
-		return &ErrBall{Term: term.Comp("error", term.Atom("timeout"), term.Atom("educe"))}
+	if err != nil {
+		return err
 	}
 	if q := &m.quota; q.HeapCells != 0 || q.TrailEntries != 0 || q.Solutions != 0 {
 		// Heap: with GC enabled, kill only when the collector could not
@@ -386,11 +390,6 @@ func (m *Machine) checkCancel() error {
 		}
 		if q.Solutions != 0 && m.solutions >= q.Solutions {
 			return ResourceBall("solutions")
-		}
-	}
-	if m.checkHook != nil {
-		if err := m.checkHook(); err != nil {
-			return err
 		}
 	}
 	return nil
