@@ -24,7 +24,7 @@ import (
 var (
 	mvvOnce sync.Once
 	mvvData *mvv.Data
-	mvvEng  map[bench.System]*core.Engine
+	mvvEng  map[bench.System]*core.Session
 	mvvErr  error
 
 	wiscOnce sync.Once
@@ -32,7 +32,7 @@ var (
 	wiscErr  error
 
 	icOnce sync.Once
-	icEng  map[bench.System]*core.Engine
+	icEng  map[bench.System]*core.Session
 	icErr  error
 
 	mvvKBOnce sync.Once
@@ -45,11 +45,11 @@ var (
 	wiscKBErr  error
 )
 
-func mvvSetup(b *testing.B) (map[bench.System]*core.Engine, *mvv.Data) {
+func mvvSetup(b *testing.B) (map[bench.System]*core.Session, *mvv.Data) {
 	b.Helper()
 	mvvOnce.Do(func() {
 		mvvData = mvv.Generate()
-		mvvEng = map[bench.System]*core.Engine{}
+		mvvEng = map[bench.System]*core.Session{}
 		for _, sys := range []bench.System{bench.EduceStar, bench.Educe} {
 			e, err := bench.SetupMVV(sys, mvvData)
 			if err != nil {
@@ -74,10 +74,10 @@ func wiscSetup(b *testing.B) *bench.WisconsinEnv {
 	return wiscEnv
 }
 
-func icSetup(b *testing.B) map[bench.System]*core.Engine {
+func icSetup(b *testing.B) map[bench.System]*core.Session {
 	b.Helper()
 	icOnce.Do(func() {
-		icEng = map[bench.System]*core.Engine{}
+		icEng = map[bench.System]*core.Session{}
 		for _, sys := range []bench.System{bench.GoodCompiler, bench.EduceStar} {
 			e, err := bench.SetupIC(sys)
 			if err != nil {
@@ -91,6 +91,23 @@ func icSetup(b *testing.B) map[bench.System]*core.Engine {
 		b.Fatal(icErr)
 	}
 	return icEng
+}
+
+// newSession opens a private knowledge base with opts and one session over
+// it; both are closed when the benchmark ends.
+func newSession(tb testing.TB, opts core.Options) *core.Session {
+	tb.Helper()
+	kb, err := core.OpenKB(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { kb.Close() })
+	s, err := kb.NewSession()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	return s
 }
 
 // --- E1: Table 1 — MVV times -------------------------------------------------
@@ -130,7 +147,7 @@ func BenchmarkMVVClass1Profiled(b *testing.B) {
 	s.EnableProfiling(true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.RunMVVClassSession(s, data.Class1); err != nil {
+		if _, _, err := bench.RunMVVClass(s, data.Class1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,6 +162,7 @@ func benchMVVFile(b *testing.B, class int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer e.KB().Close()
 	defer e.Close()
 	queries := data.Class1
 	if class == 2 {
@@ -207,7 +225,7 @@ func BenchmarkMVVParallel(b *testing.B) {
 
 func benchWisc(b *testing.B, f func(*bench.WisconsinEnv) (int, error)) {
 	env := wiscSetup(b)
-	st := env.Engine.DB().Store()
+	st := env.Session.KB().Store()
 	st.ResetStats()
 	b.ResetTimer()
 	rows := 0
@@ -253,7 +271,7 @@ func BenchmarkWisconsinTermSelOne(b *testing.B) {
 	q := wisconsin.TermQueries("wisc_a", "wisc_b", "wisc_c", env.N)["selone"]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Engine.QueryCount(q); err != nil {
+		if _, err := env.Session.QueryCount(q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,7 +316,7 @@ func BenchmarkWisconsinTermSel1Pct(b *testing.B) {
 	q := wisconsin.TermQueries("wisc_a", "wisc_b", "wisc_c", env.N)["sel1pct"]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Engine.QueryCount(q); err != nil {
+		if _, err := env.Session.QueryCount(q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -326,11 +344,7 @@ func BenchmarkIntegrityPreprocessEduceStar(b *testing.B) { benchIC(b, bench.Educ
 // --- E6: compile-phase split ---------------------------------------------------
 
 func BenchmarkCompilePhases(b *testing.B) {
-	e, err := core.New(core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(b, core.Options{})
 	src := mvv.Rules + icheck.Program
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -355,11 +369,7 @@ func benchRuleUse(b *testing.B, sys bench.System) {
 	if sys == bench.Educe {
 		opts.RuleStorage = core.RuleStorageSource
 	}
-	e, err := core.New(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(b, opts)
 	src := "f(0, 1).\nf(N, V) :- N > 0, N1 is N - 1, f(N1, V1), V is V1 + N.\nwork :- f(60, _), f(61, _), f(62, _), f(63, _), f(64, _).\n"
 	if err := e.ConsultExternal(src); err != nil {
 		b.Fatal(err)
@@ -383,11 +393,7 @@ func benchPreUnification(b *testing.B, disable bool) {
 	// is invalidated between iterations so every query pays a fresh
 	// load; without invalidation the session code cache would hide the
 	// retrieval entirely (the frozen-definition fast path).
-	e, err := core.New(core.Options{DisablePreUnification: disable})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(b, core.Options{DisablePreUnification: disable})
 	var src string
 	for i := 0; i < 2000; i++ {
 		src += fmt.Sprintf("fact(k%d, %d).\n", i, i)
@@ -414,11 +420,7 @@ func BenchmarkPreUnificationOff(b *testing.B) { benchPreUnification(b, true) }
 // --- A2/A4: first-argument indexing & choice-point elision -----------------------
 
 func benchIndexing(b *testing.B, disable bool) {
-	e, err := core.New(core.Options{DisableIndexing: disable})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(b, core.Options{DisableIndexing: disable})
 	var src string
 	for i := 0; i < 500; i++ {
 		src += fmt.Sprintf("big(c%d, %d).\n", i, i)
@@ -481,11 +483,8 @@ func BenchmarkDictUnifyStrings(b *testing.B) {
 // --- A5: GC overhead ---------------------------------------------------------------
 
 func benchGC(b *testing.B, disable bool) {
-	e, err := core.New(core.Options{DisableGC: disable})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(b, core.Options{})
+	e.Machine().SetGC(!disable)
 	e.Machine().SetGCThreshold(64 * 1024)
 	e.Consult(`
 		build(0, []) :- !.
@@ -526,11 +525,7 @@ func BenchmarkDictGrowth(b *testing.B) {
 // inferences per run on a 30-element list); ns/op / 496 gives the
 // emulator's LIPS figure, contextualising the paper-scale results.
 func BenchmarkNrev30(b *testing.B) {
-	e, err := core.New(core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(b, core.Options{})
 	e.Consult(`
 		nrev([], []).
 		nrev([H|T], R) :- nrev(T, RT), append(RT, [H], R).
@@ -550,11 +545,7 @@ func BenchmarkNrev30(b *testing.B) {
 
 // BenchmarkQueens8 stresses backtracking and choice-point machinery.
 func BenchmarkQueens8(b *testing.B) {
-	e, err := core.New(core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(b, core.Options{})
 	e.Consult(`
 		queens(N, Qs) :- numlist(1, N, Ns), perm(Ns, Qs), safe(Qs).
 		perm([], []).
@@ -587,11 +578,7 @@ func benchCPElision(b *testing.B, disable bool) {
 	// (every clause is loaded) and no switch dispatch (a try/retry chain
 	// walks them with a live choice point), the repeat-style access the
 	// paper argues against.
-	e, err := core.New(core.Options{DisableIndexing: disable, DisablePreUnification: disable})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(b, core.Options{DisableIndexing: disable, DisablePreUnification: disable})
 	var src string
 	for i := 0; i < 300; i++ {
 		src += fmt.Sprintf("row(r%d, %d).\n", i, i)

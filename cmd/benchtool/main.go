@@ -1,44 +1,22 @@
-// Command benchtool regenerates the tables of the paper's evaluation (§5)
-// and prints them in the paper's layout. See DESIGN.md for the experiment
-// index.
+// Command benchtool regenerates the tables of the paper's evaluation (§5,
+// experiments E1–E7 of DESIGN.md §4) and prints them in the paper's
+// layout.
 //
 // Usage:
 //
-//	benchtool -table mvv        # Table 1  (MVV times, Educe vs Educe*)
-//	benchtool -table wisconsin  # Tables 2a/2b (times and I/O frequencies)
-//	benchtool -table icheck     # Table 3  (IC preprocess, GC vs Educe*)
-//	benchtool -table cpuscale   # §5.4 client/server CPU scaling
-//	benchtool -table phases     # §3.1 compile-phase split
-//	benchtool -table ruleuse    # §2 per-use rule cost
-//	benchtool -table server     # served MVV: concurrent wire clients
-//	benchtool -table datalog    # R5: recursive Datalog, tuple vs set strategy
-//	benchtool -table scaling    # R3: sessions-vs-throughput (JSON)
-//	benchtool -table profile    # R4: profiled MVV (trace + profile JSON)
-//	benchtool -table all        # every table except scaling and profile
-//
-// -table scaling emits JSON rows (workload, sessions, qps, speedup) for
-// concurrent sessions over a shared file-backed knowledge base; with
-// -check-scaling it exits nonzero if the highest session count's
-// throughput falls below the 1-session baseline, which is how CI guards
-// the sharded buffer pool against lock-contention regressions.
-//
-// -table profile runs both MVV query classes on a profiled session with
-// the slow-query log armed at -slow-query (default 1ns: every query
-// qualifies), streaming the JSON trace records — including one
-// slow_query record per query — to stdout, followed by one JSON document
-// holding the per-predicate profile and a metrics snapshot. With
-// -metrics-out FILE the document is written to FILE instead, leaving
-// stdout purely trace records; CI's bench smoke greps a slow_query
-// record out of the stream and validates its schema.
+//	benchtool -table mvv        # E1: Table 1  (MVV times, Educe vs Educe*)
+//	benchtool -table wisconsin  # E2/E3: Tables 2a/2b (times and I/O frequencies)
+//	benchtool -table icheck     # E4: Table 3  (IC preprocess, GC vs Educe*)
+//	benchtool -table cpuscale   # E5: §5.4 client/server CPU scaling
+//	benchtool -table phases     # E6: §3.1 compile-phase split
+//	benchtool -table ruleuse    # E7: §2 per-use rule cost
+//	benchtool -table all        # every table
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -46,19 +24,8 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "table to regenerate: mvv, wisconsin, icheck, cpuscale, phases, ruleuse, server, datalog, scaling, all")
+	table := flag.String("table", "all", "table to regenerate: mvv, wisconsin, icheck, cpuscale, phases, ruleuse, all")
 	wiscN := flag.Int("wisconsin-n", 10000, "Wisconsin relation cardinality")
-	clients := flag.Int("clients", 8, "with -table server: concurrent wire clients")
-	queries := flag.Int("queries", 20, "with -table server: queries per client")
-	sessions := flag.Int("server-sessions", 4, "with -table server: session pool size")
-	scalingSessions := flag.String("scaling-sessions", "1,2,4,8", "with -table scaling: comma-separated session counts")
-	scalingRounds := flag.Int("scaling-rounds", 3, "with -table scaling: work units per session")
-	checkScaling := flag.Bool("check-scaling", false, "with -table scaling: exit nonzero if max-session throughput < baseline")
-	datalogChains := flag.Int("datalog-chains", 60, "with -table datalog: number of disjoint TC chains")
-	datalogChainLen := flag.Int("datalog-chainlen", 20, "with -table datalog: nodes per TC chain")
-	checkDatalog := flag.Bool("check-datalog", false, "with -table datalog: exit nonzero unless strategies agree and set reads >=5x fewer pages")
-	slowQuery := flag.Duration("slow-query", time.Nanosecond, "with -table profile: slow-query threshold")
-	metricsOut := flag.String("metrics-out", "", "with -table profile: write the profile+metrics JSON document to this file instead of stdout")
 	flag.Parse()
 
 	run := func(name string, f func() error) {
@@ -76,119 +43,9 @@ func main() {
 	run("cpuscale", printCPUScale)
 	run("phases", printPhases)
 	run("ruleuse", printRuleUse)
-	run("server", func() error { return printServer(*clients, *queries, *sessions) })
-	run("datalog", func() error { return printDatalog(*datalogChains, *datalogChainLen, *checkDatalog) })
-	// Scaling and profile run only when asked for by name: scaling builds
-	// file-backed stores; profile interleaves trace records with tables.
-	if *table == "scaling" {
-		run("scaling", func() error {
-			return printScaling(*scalingSessions, *wiscN, *scalingRounds, *checkScaling)
-		})
-	}
-	if *table == "profile" {
-		run("profile", func() error {
-			return printProfile(*slowQuery, *metricsOut)
-		})
-	}
-}
-
-// printProfile runs the profiled MVV workload: slow-query trace records
-// stream to stdout, the profile+metrics document follows (or goes to
-// outPath when set, keeping stdout pure JSON-lines trace).
-func printProfile(slow time.Duration, outPath string) error {
-	res, err := bench.ProfiledMVV(os.Stdout, slow)
-	if err != nil {
-		return err
-	}
-	out := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-func printScaling(spec string, wiscN, rounds int, check bool) error {
-	var counts []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -scaling-sessions %q", spec)
-		}
-		counts = append(counts, n)
-	}
-	dir, err := os.MkdirTemp("", "educe-scaling-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	rows, err := bench.ScalingTable(dir, counts, wiscN, rounds)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rows); err != nil {
-		return err
-	}
-	if check {
-		if err := bench.CheckScaling(rows); err != nil {
-			return fmt.Errorf("scaling check failed: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "scaling check passed: max-session throughput >= baseline")
-	}
-	return nil
-}
-
-func printServer(clients, queries, sessions int) error {
-	row, err := bench.ServerBench(clients, queries, sessions)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Served MVV — concurrent clients over the line protocol (mixed class 1/2)")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "clients\tsessions\tqueries\tsolutions\tsheds\telapsed(ms)\tqps\tp50(ms)\tp95(ms)\tp99(ms)")
-	fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%s\t%.0f\t%s\t%s\t%s\n",
-		row.Clients, row.Sessions, row.Queries, row.Solutions, row.Sheds,
-		ms(row.Elapsed), row.QPS, ms(row.P50), ms(row.P95), ms(row.P99))
-	w.Flush()
-	fmt.Println()
-	return nil
 }
 
 func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
-
-// printDatalog runs the dual-strategy recursive workloads (R5): each
-// generated workload evaluated tuple-at-a-time and set-at-a-time over a
-// file-backed KB, with per-strategy page-read counts.
-func printDatalog(chains, chainLen int, check bool) error {
-	rows, err := bench.DatalogTable(chains, chainLen)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("R5 — Dual strategy: recursive Datalog, tuple- vs set-at-a-time (TC: %d chains x %d nodes)\n", chains, chainLen)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "workload\tstrategy\tqueries\tsolutions\telapsed(ms)\tedb-page-reads")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.2f\t%d\n",
-			r.Workload, r.Strategy, r.Queries, r.Solutions, r.ElapsedMS, r.Pages)
-	}
-	w.Flush()
-	fmt.Println()
-	if check {
-		if err := bench.CheckDatalog(rows, 5); err != nil {
-			return fmt.Errorf("datalog check failed: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "datalog check passed: identical solution sets, set strategy >=5x fewer page reads")
-	}
-	return nil
-}
 
 func printMVV() error {
 	rows, err := bench.MVVTable()

@@ -169,15 +169,15 @@ func main() {
 		os.Exit(2)
 	}
 	opts.Strategy = st
-	eng, err := educe.NewWithOptions(opts)
+	kb, err := educe.OpenKB(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "educe:", err)
 		os.Exit(1)
 	}
-	defer eng.Close()
+	defer kb.Close()
 
 	if *restorePath != "" {
-		if err := eng.KB().Check(); err != nil {
+		if err := kb.Check(); err != nil {
 			fmt.Fprintln(os.Stderr, "educe: restore verification:", err)
 			os.Exit(1)
 		}
@@ -185,10 +185,19 @@ func main() {
 	}
 
 	if *check || *repair {
-		code := runCheck(eng, *repair)
-		eng.Close()
+		code := runCheck(kb, *repair)
+		kb.Close()
 		os.Exit(code)
 	}
+
+	// The shell session: it starts from opts and takes the per-goal
+	// settings through its setters.
+	sess, err := kb.NewSession()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "educe:", err)
+		os.Exit(1)
+	}
+	defer sess.Close()
 
 	var tracer *educe.Tracer
 	if *tracePath != "" {
@@ -203,23 +212,23 @@ func main() {
 			w = f
 		}
 		tracer = educe.NewTracer(w)
-		eng.SetTracer(tracer)
+		sess.SetTracer(tracer)
 	}
 	if *profile {
-		eng.EnableProfiling(true)
+		sess.EnableProfiling(true)
 	}
-	eng.SetTimeout(*timeout)
+	sess.SetTimeout(*timeout)
 	if *slowQuery > 0 {
 		if tracer == nil {
 			// Slow-query records need a tracer; default to stderr.
 			tracer = educe.NewTracer(os.Stderr)
-			eng.SetTracer(tracer)
+			sess.SetTracer(tracer)
 		}
-		eng.SetSlowThreshold(*slowQuery)
+		sess.SetSlowThreshold(*slowQuery)
 	}
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {
-		metricsSrv, err = startMetrics(*metricsAddr, eng.KB())
+		metricsSrv, err = startMetrics(*metricsAddr, kb)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "educe:", err)
 			os.Exit(1)
@@ -233,9 +242,9 @@ func main() {
 			os.Exit(1)
 		}
 		if *external {
-			err = eng.ConsultExternal(string(src))
+			err = sess.ConsultExternal(string(src))
 		} else {
-			err = eng.Consult(string(src))
+			err = sess.Consult(string(src))
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "educe: %s: %v\n", path, err)
@@ -245,8 +254,9 @@ func main() {
 	}
 
 	if *backupPath != "" {
-		code := runBackup(eng, *backupPath)
-		eng.Close()
+		code := runBackup(kb, *backupPath)
+		sess.Close()
+		kb.Close()
 		os.Exit(code)
 	}
 
@@ -268,7 +278,7 @@ func main() {
 				Solutions:    *quotaSolutions,
 			},
 		}
-		if err := runServe(eng, *serveAddr, cfg, *drainTimeout, metricsSrv); err != nil {
+		if err := runServe(kb, *serveAddr, cfg, *drainTimeout, metricsSrv); err != nil {
 			fmt.Fprintln(os.Stderr, "educe:", err)
 			os.Exit(1)
 		}
@@ -278,16 +288,16 @@ func main() {
 	if *goal != "" {
 		g := strings.TrimSuffix(*goal, ".")
 		if *sessions > 1 {
-			if err := runConcurrent(eng, g, *sessions, tracer, *timeout, *profile, *slowQuery); err != nil {
+			if err := runConcurrent(kb, g, *sessions, tracer, *timeout, *profile, *slowQuery); err != nil {
 				fmt.Fprintln(os.Stderr, "educe:", err)
 				os.Exit(1)
 			}
-		} else if err := runBatch(eng, g); err != nil {
+		} else if err := runBatch(sess, g); err != nil {
 			fmt.Fprintln(os.Stderr, "educe:", err)
 			os.Exit(1)
 		}
 		if *stats {
-			printStats(eng.Stats())
+			printStats(sess.Stats())
 		}
 		return
 	}
@@ -308,15 +318,15 @@ func main() {
 		if goal == "halt" {
 			return
 		}
-		runGoal(eng, in, goal)
+		runGoal(sess, in, goal)
 		if *stats {
-			printStats(eng.Stats())
+			printStats(sess.Stats())
 		}
 	}
 }
 
-func runGoal(eng *educe.Engine, in *bufio.Scanner, goal string) {
-	sols, err := eng.Query(goal)
+func runGoal(sess *educe.Session, in *bufio.Scanner, goal string) {
+	sols, err := sess.Query(goal)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -428,8 +438,8 @@ func profileSnapshot(kb *educe.KnowledgeBase) map[string]any {
 // stop accepting, let in-flight queries finish for drainTimeout, then
 // interrupt them. The metrics listener (when present) is shut down with
 // the query server. A clean drain exits 0.
-func runServe(eng *educe.Engine, addr string, cfg server.Config, drainTimeout time.Duration, metricsSrv *http.Server) error {
-	srv, err := server.New(eng.KB(), cfg)
+func runServe(kb *educe.KnowledgeBase, addr string, cfg server.Config, drainTimeout time.Duration, metricsSrv *http.Server) error {
+	srv, err := server.New(kb, cfg)
 	if err != nil {
 		return err
 	}
@@ -464,16 +474,15 @@ func runServe(eng *educe.Engine, addr string, cfg server.Config, drainTimeout ti
 	return nil
 }
 
-// runBackup streams an online backup of the engine's knowledge base to
-// path. A failed backup removes the partial file; the primary store is
+// runBackup streams an online backup of the knowledge base to path. A failed backup removes the partial file; the primary store is
 // unaffected either way.
-func runBackup(eng *educe.Engine, path string) int {
+func runBackup(kb *educe.KnowledgeBase, path string) int {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "educe: backup:", err)
 		return 1
 	}
-	info, err := eng.KB().Backup(f)
+	info, err := kb.Backup(f)
 	cerr := f.Close()
 	if err == nil {
 		err = cerr
@@ -510,8 +519,7 @@ func runRestore(srcPath, dbPath, archiveDir string, targetLSN uint64) error {
 
 // runCheck verifies the knowledge base and, when asked, repairs what is
 // derivable. Exit status 0 means the store is (now) sound.
-func runCheck(eng *educe.Engine, repair bool) int {
-	kb := eng.KB()
+func runCheck(kb *educe.KnowledgeBase, repair bool) int {
 	err := kb.Check()
 	if err == nil {
 		fmt.Println("% knowledge base check: ok")
@@ -536,8 +544,8 @@ func runCheck(eng *educe.Engine, repair bool) int {
 }
 
 // runBatch prints every solution of one goal.
-func runBatch(eng *educe.Engine, goal string) error {
-	sols, err := eng.Query(goal)
+func runBatch(sess *educe.Session, goal string) error {
+	sols, err := sess.Query(goal)
 	if err != nil {
 		return err
 	}
@@ -566,12 +574,11 @@ func runBatch(eng *educe.Engine, goal string) error {
 	return nil
 }
 
-// runConcurrent answers one goal from n sessions sharing the engine's
-// knowledge base, printing per-session solution counts and times. Only
+// runConcurrent answers one goal from n sessions sharing the knowledge
+// base, printing per-session solution counts and times. Only
 // EDB-stored predicates are visible to the extra sessions; main-memory
 // consults are private to the primary session.
-func runConcurrent(eng *educe.Engine, goal string, n int, tracer *educe.Tracer, timeout time.Duration, profile bool, slowQuery time.Duration) error {
-	kb := eng.KB()
+func runConcurrent(kb *educe.KnowledgeBase, goal string, n int, tracer *educe.Tracer, timeout time.Duration, profile bool, slowQuery time.Duration) error {
 	type result struct {
 		count   int
 		elapsed time.Duration

@@ -18,7 +18,7 @@ import (
 // both endpoints because expvar.Publish inside startMetrics can only
 // run once per process.
 func TestMetricsEndpoints(t *testing.T) {
-	kb, err := educe.OpenKB("")
+	kb, err := educe.OpenKB(educe.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,33 +110,38 @@ func TestMetricsEndpoints(t *testing.T) {
 func TestBackupRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	arch := filepath.Join(dir, "arch")
-	eng, err := educe.NewWithOptions(educe.Options{
+	kb, err := educe.OpenKB(educe.Options{
 		StorePath:     filepath.Join(dir, "kb.edb"),
 		WALArchiveDir: arch,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	if err := eng.ConsultExternal("g(1). g(2)."); err != nil {
+	defer kb.Close()
+	w, err := kb.NewSession()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.KB().Flush(); err != nil {
+	defer w.Close()
+	if err := w.ConsultExternal("g(1). g(2)."); err != nil {
+		t.Fatal(err)
+	}
+	if err := kb.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	bk := filepath.Join(dir, "kb.backup")
-	if code := runBackup(eng, bk); code != 0 {
+	if code := runBackup(kb, bk); code != 0 {
 		t.Fatalf("runBackup exit code %d", code)
 	}
-	lsn := eng.KB().LSN()
+	lsn := kb.LSN()
 
 	// Writes after the backup belong to later LSNs and must not appear
 	// in a restore pinned at the backup's end.
-	if err := eng.ConsultExternal("g(3)."); err != nil {
+	if err := w.ConsultExternal("g(3)."); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.KB().Flush(); err != nil {
+	if err := kb.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,15 +149,15 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if err := runRestore(bk, restored, arch, lsn); err != nil {
 		t.Fatalf("runRestore: %v", err)
 	}
-	reng, err := educe.NewWithOptions(educe.Options{StorePath: restored})
+	rkb, err := educe.OpenKB(educe.Options{StorePath: restored})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reng.Close()
-	if err := reng.KB().Check(); err != nil {
+	defer rkb.Close()
+	if err := rkb.Check(); err != nil {
 		t.Fatalf("restored KB fails check: %v", err)
 	}
-	s, err := reng.KB().NewSession()
+	s, err := rkb.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +167,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	}
 
 	// A backup to an unwritable path fails without leaving a file.
-	if code := runBackup(eng, filepath.Join(dir, "missing", "kb.backup")); code == 0 {
+	if code := runBackup(kb, filepath.Join(dir, "missing", "kb.backup")); code == 0 {
 		t.Fatal("runBackup to unwritable path succeeded")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "missing", "kb.backup")); err == nil {

@@ -3,36 +3,35 @@
 // Prolog compiler with a relational storage engine and keeps externally
 // stored rules as relocatable compiled code.
 //
-// Quick start (single session):
+// There is one way in: open a KnowledgeBase, then create Sessions over it.
 //
-//	eng, err := educe.New()                      // in-memory EDB
-//	eng.Consult("likes(sam, curry).")            // rules in main memory
-//	eng.ConsultExternal("edge(a, b). ...")       // facts/rules in the EDB
-//	sols, _ := eng.Query("edge(a, X)")
+//	kb, err := educe.OpenKB(educe.Options{})     // in-memory EDB
+//	defer kb.Close()
+//	s, err := kb.NewSession()
+//	defer s.Close()
+//	s.Consult("likes(sam, curry).")              // rules in main memory
+//	s.ConsultExternal("edge(a, b). ...")         // facts/rules in the EDB
+//	sols, _ := s.Query("edge(a, X)")
 //	for sols.Next() { fmt.Println(sols.Binding("X")) }
 //
-// Concurrent serving (shared knowledge base, one session per goroutine):
+// Options.StorePath names a page file instead of memory. To serve
+// concurrent queries, share the KnowledgeBase and run one Session per
+// goroutine.
 //
-//	kb, err := educe.OpenKB("/data/kb.pages")
-//	defer kb.Close()
-//	for i := 0; i < nWorkers; i++ {
-//		go func() {
-//			s, _ := kb.NewSession()
-//			defer s.Close()
-//			sols, _ := s.Query("edge(a, X)")
-//			...
-//		}()
-//	}
+// Options holds the knowledge base's settings and the defaults every new
+// session starts from. A session changes its own settings only through
+// its setters: SetRuleStorage, SetStrategy, SetTimeout, SetQuota,
+// SetTracer, SetSlowThreshold and EnableProfiling.
 //
 // The engine evaluates queries on the WAM; calls to externally stored
 // procedures trap into the dynamic loader, which pre-unifies inside the
-// storage engine and links only the candidate clauses. SetRuleStorage
-// switches to the Educe baseline (source text + interpreter) used by the
+// storage engine and links only the candidate clauses. RuleStorageSource
+// selects the Educe baseline (source text + interpreter) used by the
 // paper's comparisons.
 //
 // Bounding a query: whichever evaluator answers it, a query runs inside
-// one envelope owned by its session. WithTimeout and Session.SetTimeout
-// give every query a fresh wall-clock budget from its start;
+// one envelope owned by its session. Session.SetTimeout gives every query
+// a fresh wall-clock budget from its start;
 // Session.QueryCtx binds a context for the whole iteration (Next is the
 // only step function) and reports the context's error when the context
 // ended the query; Session.Interrupt aborts the running query from any
@@ -49,13 +48,6 @@ import (
 	"repro/internal/rel"
 	"repro/internal/term"
 )
-
-// Engine is one Educe* engine: a private KnowledgeBase bundled with a
-// single Session — the original single-session API. An Engine (like a
-// Session) must be used from one goroutine at a time; to serve
-// concurrent queries, share one KnowledgeBase across many Sessions
-// (OpenKB / KB.NewSession), or share an Engine's base via Engine.KB().
-type Engine = core.Engine
 
 // KnowledgeBase is the shared, durable half of a deployment: page store
 // and buffer pool, EDB catalog, external dictionary, relational catalog,
@@ -124,8 +116,8 @@ func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
 // golden-file tests of the trace/slow-query schema.
 func NewDeterministicTracer(w io.Writer) *Tracer { return obs.NewDeterministicTracer(w) }
 
-// Options configures an Engine; the zero value is a usable in-memory
-// compiled-mode engine.
+// Options configures a KnowledgeBase and the defaults of its sessions;
+// the zero value is a usable in-memory, compiled-mode knowledge base.
 type Options = core.Options
 
 // RuleStorage selects how externally stored rules are represented.
@@ -159,38 +151,6 @@ const (
 // ParseStrategy parses "auto", "tuple" or "set" (the -strategy flag).
 func ParseStrategy(s string) (Strategy, error) { return core.ParseStrategy(s) }
 
-// Option configures a Session at creation time (KnowledgeBase.NewSession).
-// The With* constructors below consolidate the per-feature Session setters
-// into one declarative surface:
-//
-//	s, err := kb.NewSession(
-//	    educe.WithTimeout(2*time.Second),
-//	    educe.WithStrategy(educe.StrategySet),
-//	)
-type Option = core.Option
-
-// Session options (see the core package for full semantics).
-var (
-	// WithOptions replaces the session-level Options block.
-	WithOptions = core.WithOptions
-	// WithRuleStorage selects compiled (Educe*) or source (baseline) mode.
-	WithRuleStorage = core.WithRuleStorage
-	// WithStrategy selects tuple- vs set-at-a-time evaluation.
-	WithStrategy = core.WithStrategy
-	// WithTimeout gives every query a fresh wall-clock budget.
-	WithTimeout = core.WithTimeout
-	// WithQuota installs per-query resource caps.
-	WithQuota = core.WithQuota
-	// WithTracer directs per-query trace events to a tracer.
-	WithTracer = core.WithTracer
-	// WithTraceWriter is WithTracer over a JSON-lines writer.
-	WithTraceWriter = core.WithTraceWriter
-	// WithSlowThreshold arms the slow-query diagnostic log.
-	WithSlowThreshold = core.WithSlowThreshold
-	// WithProfiling enables the per-predicate 4-port profiler.
-	WithProfiling = core.WithProfiling
-)
-
 // Term is a Prolog term as returned by Solutions bindings.
 type Term = term.Term
 
@@ -222,24 +182,8 @@ func FloatV(v float64) Value { return rel.FloatV(v) }
 // StringV makes a string attribute value.
 func StringV(v string) Value { return rel.StringV(v) }
 
-// New creates an engine with default options (in-memory store, compiled
-// rule storage, GC and indexing enabled).
-func New() (*Engine, error) { return core.New(core.Options{}) }
-
-// NewWithOptions creates an engine with explicit options.
-func NewWithOptions(opts Options) (*Engine, error) { return core.New(opts) }
-
-// Open creates an engine backed by the page file at path, creating the
-// file if needed and reconnecting to any procedures already stored in it.
-func Open(path string) (*Engine, error) { return core.New(core.Options{StorePath: path}) }
-
 // OpenKB opens (or creates) a knowledge base backed by the page file at
-// path (empty for in-memory) for concurrent multi-session serving.
-// Create query contexts with NewSession.
-func OpenKB(path string) (*KnowledgeBase, error) {
-	return core.OpenKB(core.Options{StorePath: path})
-}
-
-// OpenKBWithOptions opens a knowledge base with explicit options;
-// session-level options become the defaults for NewSession.
-func OpenKBWithOptions(opts Options) (*KnowledgeBase, error) { return core.OpenKB(opts) }
+// opts.StorePath (in memory when empty), reconnecting to any procedures
+// already stored in it. Create query contexts with NewSession; each
+// starts from opts.
+func OpenKB(opts Options) (*KnowledgeBase, error) { return core.OpenKB(opts) }

@@ -8,15 +8,28 @@ import (
 	"repro/internal/rel"
 )
 
+// newSession opens a knowledge base with opts and one session over it;
+// both are closed when the test ends.
+func newSession(t *testing.T, opts educe.Options) *educe.Session {
+	t.Helper()
+	kb, err := educe.OpenKB(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { kb.Close() })
+	s, err := kb.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 func TestFacadeTypesAndConstructors(t *testing.T) {
 	if educe.IntV(3).I != 3 || educe.FloatV(1.5).F != 1.5 || educe.StringV("s").S != "s" {
 		t.Fatal("value constructors broken")
 	}
-	eng, err := educe.NewWithOptions(educe.Options{DictSegment: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newSession(t, educe.Options{})
 	if eng.RuleStorage() != educe.RuleStorageCompiled {
 		t.Fatal("default storage mode should be compiled")
 	}
@@ -28,29 +41,29 @@ func TestFacadeTypesAndConstructors(t *testing.T) {
 
 func TestFacadeOpenPersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kb.edb")
-	e1, err := educe.Open(path)
+	kb, err := educe.OpenKB(educe.Options{StorePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := kb.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e1.ConsultExternal("f(1)."); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Close(); err != nil {
+	e1.Close()
+	if err := kb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := educe.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
+	e2 := newSession(t, educe.Options{StorePath: path})
 	if n, _ := e2.QueryCount("f(1)"); n != 1 {
 		t.Fatal("fact lost across sessions")
 	}
 }
 
 func TestFacadeRelations(t *testing.T) {
-	eng, _ := educe.New()
-	defer eng.Close()
+	eng := newSession(t, educe.Options{})
 	r, err := eng.CreateRelation(educe.Schema{
 		Name:  "t",
 		Attrs: []educe.Attr{{Name: "k", Type: educe.Int}, {Name: "v", Type: educe.String}},

@@ -10,25 +10,30 @@ import (
 // The basic flow: facts in the external database, rules in main memory,
 // one query spanning both.
 func Example() {
-	eng, err := educe.New()
+	kb, err := educe.OpenKB(educe.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
+	defer kb.Close()
+	s, err := kb.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
 
-	if err := eng.ConsultExternal(`
+	if err := s.ConsultExternal(`
 		parent(tom, bob).
 		parent(bob, ann).
 	`); err != nil {
 		log.Fatal(err)
 	}
-	if err := eng.Consult(`
+	if err := s.Consult(`
 		grandparent(X, Z) :- parent(X, Y), parent(Y, Z).
 	`); err != nil {
 		log.Fatal(err)
 	}
 
-	sols, err := eng.Query("grandparent(tom, W)")
+	sols, err := s.Query("grandparent(tom, W)")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,13 +45,15 @@ func Example() {
 }
 
 // QueryAll collects every solution at once.
-func ExampleEngine_queryAll() {
-	eng, _ := educe.New()
-	defer eng.Close()
-	eng.Consult("n(1). n(2). n(3).")
-	sols, _ := eng.QueryAll("n(X), X > 1")
-	for _, s := range sols {
-		fmt.Println(s["X"])
+func ExampleSession_queryAll() {
+	kb, _ := educe.OpenKB(educe.Options{})
+	defer kb.Close()
+	s, _ := kb.NewSession()
+	defer s.Close()
+	s.Consult("n(1). n(2). n(3).")
+	sols, _ := s.QueryAll("n(X), X > 1")
+	for _, sol := range sols {
+		fmt.Println(sol["X"])
 	}
 	// Output:
 	// 2
@@ -56,7 +63,9 @@ func ExampleEngine_queryAll() {
 // The Educe baseline interprets source-form rules; both modes give the
 // same answers, at different cost.
 func ExampleRuleStorage() {
-	base, _ := educe.NewWithOptions(educe.Options{RuleStorage: educe.RuleStorageSource})
+	kb, _ := educe.OpenKB(educe.Options{RuleStorage: educe.RuleStorageSource})
+	defer kb.Close()
+	base, _ := kb.NewSession()
 	defer base.Close()
 	base.ConsultExternal(`
 		edge(a, b). edge(b, c).
@@ -70,17 +79,19 @@ func ExampleRuleStorage() {
 
 // Exceptions thrown by Prolog code are catchable in Prolog and surface as
 // Go errors when uncaught.
-func ExampleEngine_exceptions() {
-	eng, _ := educe.New()
-	defer eng.Close()
-	eng.Consult(`
+func ExampleSession_exceptions() {
+	kb, _ := educe.OpenKB(educe.Options{})
+	defer kb.Close()
+	s, _ := kb.NewSession()
+	defer s.Close()
+	s.Consult(`
 		guarded(X, R) :- catch(check(X), bad(Why), R = rejected(Why)).
 		check(X) :- X < 0, throw(bad(negative)).
 		check(_).
 	`)
-	sol, _, _ := eng.QueryOnce("guarded(-1, R)")
+	sol, _, _ := s.QueryOnce("guarded(-1, R)")
 	fmt.Println(sol["R"])
-	_, err := eng.QueryAll("throw(boom)")
+	_, err := s.QueryAll("throw(boom)")
 	fmt.Println(err)
 	// Output:
 	// rejected(negative)

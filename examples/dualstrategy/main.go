@@ -12,7 +12,12 @@ import (
 )
 
 func main() {
-	eng, err := educe.New()
+	kb, err := educe.OpenKB(educe.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer kb.Close()
+	eng, err := kb.NewSession()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func main() {
 	// Set-at-a-time recursion (DESIGN.md §14): a reporting chain stored
 	// in the EDB, its transitive closure answered by the semi-naive
 	// fixpoint driver instead of tuple-at-a-time resolution. A session
-	// opts in with WithStrategy (or educe_strategy/1 from Prolog).
+	// opts in with SetStrategy (or educe_strategy/1 from Prolog).
 	var chain string
 	for i := 0; i < 19; i++ {
 		chain += fmt.Sprintf("boss(m%d, m%d).\n", i, i+1)
@@ -117,11 +122,12 @@ func main() {
 	if err := eng.ConsultExternal(chain); err != nil {
 		log.Fatal(err)
 	}
-	s, err := eng.KB().NewSession(educe.WithStrategy(educe.StrategySet))
+	s, err := kb.NewSession()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer s.Close()
+	s.SetStrategy(educe.StrategySet)
 	n, err := s.QueryCount("above(m0, X)")
 	if err != nil {
 		log.Fatal(err)

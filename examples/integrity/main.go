@@ -14,15 +14,20 @@ import (
 )
 
 func main() {
-	eng, err := educe.New()
+	kb, err := educe.OpenKB(educe.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
+	defer kb.Close()
+	s, err := kb.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
 
 	// The five constraints and the specialisation program, stored
 	// compiled in the external database.
-	if err := eng.ConsultExternal(icheck.Program); err != nil {
+	if err := s.ConsultExternal(icheck.Program); err != nil {
 		log.Fatal(err)
 	}
 
@@ -36,7 +41,7 @@ func main() {
 	for _, u := range updates {
 		q := fmt.Sprintf("specialise_all(%s, Pairs)", u)
 		t0 := time.Now()
-		sol, ok, err := eng.QueryOnce(q)
+		sol, ok, err := s.QueryOnce(q)
 		if err != nil || !ok {
 			log.Fatalf("%s: ok=%v err=%v", u, ok, err)
 		}
@@ -45,7 +50,7 @@ func main() {
 		fmt.Printf("  residual checks: %s\n\n", sol["Pairs"])
 	}
 
-	st := eng.Stats()
-	fmt.Printf("engine: %d WAM instructions, %d EDB retrievals, heap peak %d cells\n",
+	st := s.Stats()
+	fmt.Printf("session: %d WAM instructions, %d EDB retrievals, heap peak %d cells\n",
 		st.Machine.Instructions, st.EDB.Retrievals, st.Machine.HeapPeak)
 }

@@ -1,6 +1,6 @@
 // Persistence: a knowledge base that survives the process — compiled
-// clauses stored in a page file, reopened by a second engine, extended
-// with assert/retract, and inspected through the procedures table.
+// clauses stored in a page file, reopened as a second knowledge base,
+// extended with assert/retract, and inspected through the procedures table.
 package main
 
 import (
@@ -22,11 +22,15 @@ func main() {
 
 	// Session 1: build the knowledge base and close it.
 	{
-		eng, err := educe.Open(path)
+		kb, err := educe.OpenKB(educe.Options{StorePath: path})
 		if err != nil {
 			log.Fatal(err)
 		}
-		err = eng.ConsultExternal(`
+		s, err := kb.NewSession()
+		if err != nil {
+			log.Fatal(err)
+		}
+		err = s.ConsultExternal(`
 			capital(germany, berlin).
 			capital(france, paris).
 			capital(italy, rome).
@@ -39,47 +43,53 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := eng.Close(); err != nil {
+		s.Close()
+		if err := kb.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("session 1: stored compiled knowledge base in", path)
 	}
 
 	// Session 2: reopen — the procedures table reconnects everything.
-	eng, err := educe.Open(path)
+	kb, err := educe.OpenKB(educe.Options{StorePath: path})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
+	defer kb.Close()
+	s, err := kb.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
 
 	fmt.Println("\nsession 2: stored procedures:")
-	for _, p := range eng.DB().Procs() {
+	for _, p := range kb.DB().Procs() {
 		fmt.Printf("  %-14s %d clauses (form=%d, indexed args=%d)\n",
 			p.Indicator(), p.ClauseCount, p.Form, p.K)
 	}
 
-	sol, ok, err := eng.QueryOnce("capital(france, C)")
+	sol, ok, err := s.QueryOnce("capital(france, C)")
 	if err != nil || !ok {
 		log.Fatalf("capital query: ok=%v err=%v", ok, err)
 	}
 	fmt.Println("\ncapital of france:", sol["C"])
 
-	n, err := eng.QueryCount("reachable(germany, X), capital(X, _)")
+	n, err := s.QueryCount("reachable(germany, X), capital(X, _)")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("countries reachable from germany (with capitals):", n)
 
 	// Dynamic updates live alongside the stored base.
-	if _, err := eng.QueryAll("assert(visited(berlin)), assert(visited(rome))"); err != nil {
+	if _, err := s.QueryAll("assert(visited(berlin)), assert(visited(rome))"); err != nil {
 		log.Fatal(err)
 	}
-	sols, err := eng.QueryAll("capital(Land, City), visited(City)")
+	sols, err := s.QueryAll("capital(Land, City), visited(City)")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nvisited capitals:")
-	for _, s := range sols {
-		fmt.Printf("  %s (%s)\n", s["City"], s["Land"])
+	for _, sol := range sols {
+		fmt.Printf("  %s (%s)\n", sol["City"], sol["Land"])
 	}
 }

@@ -10,16 +10,21 @@ import (
 )
 
 func main() {
-	eng, err := educe.New() // in-memory EDB
+	kb, err := educe.OpenKB(educe.Options{}) // in-memory EDB
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
+	defer kb.Close()
+	s, err := kb.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
 
 	// Facts go to the external database: they are compiled to relocatable
 	// WAM code, stored with per-argument index keys, and retrieved by
 	// pre-unification when queried.
-	err = eng.ConsultExternal(`
+	err = s.ConsultExternal(`
 		parent(tom, bob).   parent(tom, liz).
 		parent(bob, ann).   parent(bob, pat).
 		parent(pat, jim).
@@ -29,7 +34,7 @@ func main() {
 	}
 
 	// Rules stay in main memory, compiled once.
-	err = eng.Consult(`
+	err = s.Consult(`
 		ancestor(X, Y) :- parent(X, Y).
 		ancestor(X, Z) :- parent(X, Y), ancestor(Y, Z).
 	`)
@@ -37,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sols, err := eng.Query("ancestor(tom, Who)")
+	sols, err := s.Query("ancestor(tom, Who)")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,8 +55,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The engine keeps statistics on how selective the EDB retrieval was.
-	st := eng.Stats()
+	// The session keeps statistics on how selective the EDB retrieval was.
+	st := s.Stats()
 	fmt.Printf("EDB retrievals: %d, candidate clauses returned: %d (of %d stored)\n",
 		st.EDB.Retrievals, st.EDB.CandidatesReturned, st.EDB.ClausesStored)
 }

@@ -37,11 +37,23 @@ route(F, T, M) :-
 	M is M1 + M2 + 5.   % five minutes to change
 `
 
-func main() {
-	star, err := educe.New()
+// openSession opens an in-memory knowledge base with opts and one session
+// over it.
+func openSession(opts educe.Options) *educe.Session {
+	kb, err := educe.OpenKB(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	s, err := kb.NewSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return s
+}
+
+func main() {
+	star := openSession(educe.Options{})
+	defer star.KB().Close()
 	defer star.Close()
 	if err := star.ConsultExternal(network); err != nil {
 		log.Fatal(err)
@@ -73,19 +85,15 @@ func main() {
 
 	// The same knowledge base under the Educe baseline (source-form rules
 	// plus an interpreter), timed side by side.
-	base, err := educe.NewWithOptions(educe.Options{RuleStorage: educe.RuleStorageSource})
-	if err != nil {
-		log.Fatal(err)
-	}
+	base := openSession(educe.Options{RuleStorage: educe.RuleStorageSource})
+	defer base.KB().Close()
 	defer base.Close()
 	if err := base.ConsultExternal(network + rules); err != nil {
 		log.Fatal(err)
 	}
 
-	starExt, err := educe.New()
-	if err != nil {
-		log.Fatal(err)
-	}
+	starExt := openSession(educe.Options{})
+	defer starExt.KB().Close()
 	defer starExt.Close()
 	if err := starExt.ConsultExternal(network + rules); err != nil {
 		log.Fatal(err)
@@ -93,7 +101,7 @@ func main() {
 
 	const q = "route(marienplatz, X, M)"
 	const reps = 200
-	timeIt := func(e *educe.Engine) time.Duration {
+	timeIt := func(e *educe.Session) time.Duration {
 		t0 := time.Now()
 		for i := 0; i < reps; i++ {
 			if _, err := e.QueryAll(q); err != nil {

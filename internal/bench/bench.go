@@ -1,7 +1,8 @@
 // Package bench contains the experiment runners that regenerate every
-// table in the paper's evaluation (§5). The same runners back the
+// table in the paper's evaluation (§5, E1–E7). The same runners back the
 // testing.B benchmarks in the repository root and the cmd/benchtool
-// table printer.
+// table printer. Each setup opens a private knowledge base and returns a
+// session over it; callers close the session, then s.KB().
 package bench
 
 import (
@@ -52,9 +53,35 @@ type MVVRow struct {
 	Solutions int
 }
 
-// SetupMVV builds an engine loaded with the MVV knowledge base: facts in
-// the EDB, route rules in internal storage (paper §5.1).
-func SetupMVV(sys System, data *mvv.Data) (*core.Engine, error) {
+// openSession opens a private knowledge base with opts and one session
+// over it, then runs load on the session; on any error both are closed.
+func openSession(opts core.Options, load func(*core.Session) error) (*core.Session, error) {
+	kb, err := core.OpenKB(opts)
+	if err != nil {
+		return nil, err
+	}
+	s, err := kb.NewSession()
+	if err == nil {
+		if err = load(s); err != nil {
+			s.Close()
+		}
+	}
+	if err != nil {
+		kb.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// closeAll closes s and then the private knowledge base under it.
+func closeAll(s *core.Session) {
+	s.Close()
+	s.KB().Close()
+}
+
+// SetupMVV builds a knowledge base loaded with the MVV facts and returns a
+// session over it with the route rules in internal storage (paper §5.1).
+func SetupMVV(sys System, data *mvv.Data) (*core.Session, error) {
 	return SetupMVVAt(sys, data, "")
 }
 
@@ -62,60 +89,33 @@ func SetupMVV(sys System, data *mvv.Data) (*core.Engine, error) {
 // file path exercises the full durable stack — checksummed pages and
 // the write-ahead log — under the same workload, so the durability
 // overhead can be measured against the in-memory baseline.
-func SetupMVVAt(sys System, data *mvv.Data, path string) (*core.Engine, error) {
+func SetupMVVAt(sys System, data *mvv.Data, path string) (*core.Session, error) {
 	opts := core.Options{StorePath: path}
 	if sys == Educe {
 		opts.RuleStorage = core.RuleStorageSource
 	}
-	e, err := core.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.ConsultExternalTerms(data.Facts()); err != nil {
-		e.Close()
-		return nil, err
-	}
-	switch sys {
-	case Educe:
-		// Rules are internal: resident in the interpreter.
-		if err := consultInterp(e, mvv.Rules); err != nil {
-			e.Close()
-			return nil, err
+	return openSession(opts, func(s *core.Session) error {
+		if err := s.ConsultExternalTerms(data.Facts()); err != nil {
+			return err
 		}
-	default:
-		if err := e.Consult(mvv.Rules); err != nil {
-			e.Close()
-			return nil, err
+		if sys == Educe {
+			// Rules are internal: resident in the interpreter.
+			return consultInterp(s, mvv.Rules)
 		}
-	}
-	return e, nil
+		return s.Consult(mvv.Rules)
+	})
 }
 
 // SetupMVVKB builds a shared knowledge base loaded with the MVV facts,
 // for concurrent multi-session benchmarks and tests. Create per-worker
 // query contexts with NewMVVSession.
 func SetupMVVKB(data *mvv.Data) (*core.KnowledgeBase, error) {
-	return SetupMVVKBAt(data, "")
-}
-
-// SetupMVVKBAt is SetupMVVKB over a store at path (empty = in-memory),
-// so multi-session scaling runs can exercise the durable stack.
-func SetupMVVKBAt(data *mvv.Data, path string) (*core.KnowledgeBase, error) {
-	kb, err := core.OpenKB(core.Options{StorePath: path})
+	s, err := SetupMVV(EduceStar, data)
 	if err != nil {
 		return nil, err
 	}
-	s, err := kb.NewSession()
-	if err != nil {
-		kb.Close()
-		return nil, err
-	}
-	defer s.Close()
-	if err := s.ConsultExternalTerms(data.Facts()); err != nil {
-		kb.Close()
-		return nil, err
-	}
-	return kb, nil
+	s.Close()
+	return s.KB(), nil
 }
 
 // NewMVVSession creates a session over a shared MVV knowledge base with
@@ -133,43 +133,28 @@ func NewMVVSession(kb *core.KnowledgeBase) (*core.Session, error) {
 	return s, nil
 }
 
-// RunMVVClassSession runs one query class on a session, returning elapsed
-// time and the total number of solutions.
-func RunMVVClassSession(s *core.Session, queries []string) (time.Duration, int, error) {
-	start := time.Now()
-	total := 0
-	for _, q := range queries {
-		n, err := s.QueryCount(q)
-		if err != nil {
-			return 0, 0, fmt.Errorf("query %q: %w", q, err)
-		}
-		total += n
-	}
-	return time.Since(start), total, nil
-}
-
 // consultInterp asserts a program into the baseline interpreter.
-func consultInterp(e *core.Engine, src string) error {
+func consultInterp(s *core.Session, src string) error {
 	p := parser.New(src)
 	terms, err := p.ReadAll()
 	if err != nil {
 		return err
 	}
 	for _, tm := range terms {
-		if err := e.Interp().Assert(tm); err != nil {
+		if err := s.Interp().Assert(tm); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// RunMVVClass runs one query class once, returning elapsed time and the
-// total number of solutions.
-func RunMVVClass(e *core.Engine, queries []string) (time.Duration, int, error) {
+// RunMVVClass runs one query class once on s, returning elapsed time and
+// the total number of solutions.
+func RunMVVClass(s *core.Session, queries []string) (time.Duration, int, error) {
 	start := time.Now()
 	total := 0
 	for _, q := range queries {
-		n, err := e.QueryCount(q)
+		n, err := s.QueryCount(q)
 		if err != nil {
 			return 0, 0, fmt.Errorf("query %q: %w", q, err)
 		}
@@ -183,7 +168,7 @@ func MVVTable() ([]MVVRow, error) {
 	data := mvv.Generate()
 	var rows []MVVRow
 	for _, sys := range []System{EduceStar, Educe} {
-		e, err := SetupMVV(sys, data)
+		s, err := SetupMVV(sys, data)
 		if err != nil {
 			return nil, err
 		}
@@ -192,9 +177,9 @@ func MVVTable() ([]MVVRow, error) {
 				if class == 0 {
 					continue
 				}
-				el, sols, err := RunMVVClass(e, queries)
+				el, sols, err := RunMVVClass(s, queries)
 				if err != nil {
-					e.Close()
+					closeAll(s)
 					return nil, fmt.Errorf("%s class %d: %w", sys, class, err)
 				}
 				rows = append(rows, MVVRow{
@@ -205,7 +190,7 @@ func MVVTable() ([]MVVRow, error) {
 				})
 			}
 		}
-		e.Close()
+		closeAll(s)
 	}
 	return rows, nil
 }
@@ -221,9 +206,10 @@ type WiscRow struct {
 	IO      store.IOStats
 }
 
-// WisconsinEnv holds the built benchmark relations.
+// WisconsinEnv holds the built benchmark relations and a session with
+// them bound as predicates.
 type WisconsinEnv struct {
-	Engine  *core.Engine
+	Session *core.Session
 	A, B, C *rel.Relation
 	N       int
 }
@@ -231,59 +217,31 @@ type WisconsinEnv struct {
 // SetupWisconsin builds relations a and b with n tuples and c with n/10,
 // indexed on unique1/unique2, and binds them as predicates.
 func SetupWisconsin(n int) (*WisconsinEnv, error) {
-	e, err := core.New(core.Options{})
+	kb, err := SetupWisconsinKB(n)
 	if err != nil {
 		return nil, err
 	}
-	cat := e.Catalog()
-	a, err := wisconsin.Build(cat, "wisc_a", n, 1)
+	s, err := NewWisconsinSession(kb)
 	if err != nil {
-		e.Close()
+		kb.Close()
 		return nil, err
 	}
-	b, err := wisconsin.Build(cat, "wisc_b", n, 2)
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	c, err := wisconsin.Build(cat, "wisc_c", n/10, 3)
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	for _, name := range []string{"wisc_a", "wisc_b", "wisc_c"} {
-		if err := e.BindRelation(name); err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	return &WisconsinEnv{Engine: e, A: a, B: b, C: c, N: n}, nil
+	cat := kb.Catalog()
+	return &WisconsinEnv{Session: s, A: cat.Get("wisc_a"), B: cat.Get("wisc_b"), C: cat.Get("wisc_c"), N: n}, nil
 }
 
 // Close releases the environment.
-func (w *WisconsinEnv) Close() { w.Engine.Close() }
+func (w *WisconsinEnv) Close() { closeAll(w.Session) }
 
 // SetupWisconsinKB builds the Wisconsin relations in a shared knowledge
 // base for concurrent multi-session benchmarks; bind them per worker
 // with NewWisconsinSession.
 func SetupWisconsinKB(n int) (*core.KnowledgeBase, error) {
-	return SetupWisconsinKBAt(n, "")
-}
-
-// SetupWisconsinKBAt is SetupWisconsinKB over a store at path (empty =
-// in-memory).
-func SetupWisconsinKBAt(n int, path string) (*core.KnowledgeBase, error) {
-	kb, err := core.OpenKB(core.Options{StorePath: path})
+	kb, err := core.OpenKB(core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	s, err := kb.NewSession()
-	if err != nil {
-		kb.Close()
-		return nil, err
-	}
-	defer s.Close()
-	cat := s.Catalog()
+	cat := kb.Catalog()
 	for _, spec := range []struct {
 		name string
 		n    int
@@ -322,7 +280,7 @@ func WisconsinTable(n int) ([]WiscRow, error) {
 	}
 	defer env.Close()
 
-	st := env.Engine.DB().Store()
+	st := env.Session.KB().Store()
 	var rows []WiscRow
 	measureSet := func(name string, f func() (int, error)) error {
 		st.ResetStats()
@@ -359,7 +317,7 @@ func WisconsinTable(n int) ([]WiscRow, error) {
 	for name, q := range wisconsin.TermQueries("wisc_a", "wisc_b", "wisc_c", n) {
 		st.ResetStats()
 		t0 := time.Now()
-		cnt, err := env.Engine.QueryCount(q)
+		cnt, err := env.Session.QueryCount(q)
 		if err != nil {
 			return nil, fmt.Errorf("term %s: %w", name, err)
 		}
@@ -380,42 +338,29 @@ type ICRow struct {
 	Elapsed time.Duration
 }
 
-// SetupIC prepares an engine for the integrity-check preprocess test.
+// SetupIC prepares a session for the integrity-check preprocess test.
 // GoodCompiler holds everything in main memory; EduceStar stores the
 // specialisation program (and the database) in the EDB in compiled form.
-func SetupIC(sys System) (*core.Engine, error) {
-	e, err := core.New(core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	switch sys {
-	case GoodCompiler:
-		if err := e.Consult(icheck.Program + icheck.Rules); err != nil {
-			e.Close()
-			return nil, err
+func SetupIC(sys System) (*core.Session, error) {
+	return openSession(core.Options{}, func(s *core.Session) error {
+		if sys == GoodCompiler {
+			if err := s.Consult(icheck.Program + icheck.Rules); err != nil {
+				return err
+			}
+			return s.ConsultTerms(icheck.Facts())
 		}
-		if err := e.ConsultTerms(icheck.Facts()); err != nil {
-			e.Close()
-			return nil, err
+		if err := s.ConsultExternal(icheck.Program + icheck.Rules); err != nil {
+			return err
 		}
-	default:
-		if err := e.ConsultExternal(icheck.Program + icheck.Rules); err != nil {
-			e.Close()
-			return nil, err
-		}
-		if err := e.ConsultExternalTerms(icheck.Facts()); err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	return e, nil
+		return s.ConsultExternalTerms(icheck.Facts())
+	})
 }
 
 // ICTable regenerates Table 3's preprocess column for both systems.
 func ICTable() ([]ICRow, error) {
 	var rows []ICRow
 	for _, sys := range []System{GoodCompiler, EduceStar} {
-		e, err := SetupIC(sys)
+		s, err := SetupIC(sys)
 		if err != nil {
 			return nil, err
 		}
@@ -425,19 +370,19 @@ func ICTable() ([]ICRow, error) {
 		for i, q := range icheck.Updates() {
 			t0 := time.Now()
 			for r := 0; r < reps; r++ {
-				n, err := e.QueryCount(q)
+				n, err := s.QueryCount(q)
 				if err != nil {
-					e.Close()
+					closeAll(s)
 					return nil, fmt.Errorf("%s update %d: %w", sys, i+1, err)
 				}
 				if n == 0 {
-					e.Close()
+					closeAll(s)
 					return nil, fmt.Errorf("%s update %d: no specialisation produced", sys, i+1)
 				}
 			}
 			rows = append(rows, ICRow{Update: i + 1, System: sys, Elapsed: time.Since(t0) / reps})
 		}
-		e.Close()
+		closeAll(s)
 	}
 	return rows, nil
 }
@@ -460,21 +405,22 @@ func PhaseTable() ([]PhaseRow, error) {
 		{"mvv-rules", mvv.Rules},
 		{"icheck", icheck.Program + icheck.Rules},
 	} {
-		e, err := core.New(core.Options{})
+		s, err := openSession(core.Options{}, func(s *core.Session) error {
+			s.ResetStats()
+			// Repeat to get measurable durations.
+			for i := 0; i < 50; i++ {
+				if err := s.Consult(c.src); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		e.ResetStats()
-		// Repeat to get measurable durations.
-		for i := 0; i < 50; i++ {
-			if err := e.Consult(c.src); err != nil {
-				e.Close()
-				return nil, err
-			}
-		}
-		ph := e.Stats().Phases
+		ph := s.Stats().Phases
 		rows = append(rows, PhaseRow{Corpus: c.name, Parse: ph.Parse, Compile: ph.Compile, Link: ph.Link})
-		e.Close()
+		closeAll(s)
 	}
 	return rows, nil
 }
@@ -510,30 +456,26 @@ func RuleUseTable(uses int) ([]RuleUseRow, error) {
 		if sys == Educe {
 			opts.RuleStorage = core.RuleStorageSource
 		}
-		e, err := core.New(opts)
+		s, err := openSession(opts, func(s *core.Session) error { return s.ConsultExternal(src) })
 		if err != nil {
 			return nil, err
 		}
-		if err := e.ConsultExternal(src); err != nil {
-			e.Close()
-			return nil, err
-		}
-		e.ResetStats()
+		s.ResetStats()
 		t0 := time.Now()
 		for i := 0; i < uses; i++ {
-			if _, err := e.QueryAll("work"); err != nil {
-				e.Close()
+			if _, err := s.QueryAll("work"); err != nil {
+				closeAll(s)
 				return nil, fmt.Errorf("%s: %w", sys, err)
 			}
 		}
 		el := time.Since(t0)
-		ph := e.Stats().Phases
+		ph := s.Stats().Phases
 		rows = append(rows, RuleUseRow{
 			System: sys, Uses: uses, Elapsed: el,
 			PerUse:  el / time.Duration(uses),
 			Asserts: ph.Asserts, Retrieve: ph.Retrieve,
 		})
-		e.Close()
+		closeAll(s)
 	}
 	return rows, nil
 }

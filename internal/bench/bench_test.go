@@ -42,12 +42,12 @@ func TestMVVBothSystemsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer star.Close()
+	defer closeAll(star)
 	base, err := SetupMVV(Educe, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer base.Close()
+	defer closeAll(base)
 
 	for _, q := range append(append([]string{}, d.Class1[:3]...), d.Class2[:2]...) {
 		n1, err := star.QueryCount(q)
@@ -65,14 +65,11 @@ func TestMVVBothSystemsAgree(t *testing.T) {
 }
 
 func TestICSpecialisation(t *testing.T) {
-	e, err := core.New(core.Options{})
+	e, err := openSession(core.Options{}, func(s *core.Session) error { return s.Consult(icheck.Program) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if err := e.Consult(icheck.Program); err != nil {
-		t.Fatal(err)
-	}
+	defer closeAll(e)
 	// Update 3 violates the salary cap: its residue must contain false.
 	sols, err := e.QueryAll(icheck.Updates()[2])
 	if err != nil {

@@ -26,7 +26,7 @@ func mvvStressQueries(data *mvv.Data) []string {
 
 // TestConcurrentSessionsMVV runs 8 concurrent sessions over one shared
 // knowledge base, each answering the mixed MVV workload, and checks every
-// session's solution counts against a single-session engine loaded with
+// session's solution counts against a single session loaded with
 // the same data (the differential baseline).
 func TestConcurrentSessionsMVV(t *testing.T) {
 	if testing.Short() {
@@ -35,11 +35,12 @@ func TestConcurrentSessionsMVV(t *testing.T) {
 	data := mvv.Generate()
 	queries := mvvStressQueries(data)
 
-	// Differential baseline: a private single-session engine.
+	// Differential baseline: one session over a private knowledge base.
 	base, err := bench.SetupMVV(bench.EduceStar, data)
 	if err != nil {
 		t.Fatalf("baseline setup: %v", err)
 	}
+	defer base.KB().Close()
 	defer base.Close()
 	want := make([]int, len(queries))
 	for i, q := range queries {

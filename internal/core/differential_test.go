@@ -123,7 +123,7 @@ var diffCorpus = []diffCase{
 // wamSolutions runs the query on the compiled engine.
 func wamSolutions(t *testing.T, c diffCase) []string {
 	t.Helper()
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if c.program != "" {
 		if err := e.Consult(c.program); err != nil {
 			t.Fatalf("consult: %v", err)
@@ -241,7 +241,7 @@ func TestDifferentialExternalStorage(t *testing.T) {
 		}
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			star := newEngine(t, Options{})
+			star := newSession(t, Options{})
 			if err := star.ConsultExternal(c.program); err != nil {
 				t.Fatalf("educe* consult: %v", err)
 			}
@@ -249,7 +249,7 @@ func TestDifferentialExternalStorage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("educe* query: %v", err)
 			}
-			base := newEngine(t, Options{RuleStorage: RuleStorageSource})
+			base := newSession(t, Options{RuleStorage: RuleStorageSource})
 			if err := base.ConsultExternal(c.program); err != nil {
 				t.Fatalf("educe consult: %v", err)
 			}

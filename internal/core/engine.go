@@ -3,7 +3,8 @@
 // database described throughout the paper. The public API is re-exported
 // by the root educe package.
 //
-// The engine is split into two layers:
+// The engine is split into two layers, with one way in (OpenKB, then
+// KnowledgeBase.NewSession):
 //
 //   - KnowledgeBase: the shared, concurrency-safe read path — page store
 //     and buffer pool, EDB catalog, external dictionary, relational
@@ -11,9 +12,9 @@
 //     many concurrent sessions.
 //   - Session: per-query state — the WAM machine with its internal
 //     dictionary, the incremental compiler, dynamic predicates and
-//     transient loaded procedures. A Session is single-goroutine.
-//   - Engine: a thin compatibility wrapper bundling one private
-//     KnowledgeBase with one Session (the original single-session API).
+//     transient loaded procedures. A Session is single-goroutine. It
+//     starts from the KnowledgeBase's Options and changes its own
+//     settings only through its Set* methods.
 //
 // The engine runs in one of two rule-storage modes:
 //
@@ -30,7 +31,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -42,7 +42,6 @@ import (
 	"repro/internal/loader"
 	"repro/internal/obs"
 	"repro/internal/parser"
-	"repro/internal/rel"
 	"repro/internal/store"
 	"repro/internal/term"
 	"repro/internal/wam"
@@ -116,7 +115,9 @@ type Stats struct {
 	Dict dict.Stats
 }
 
-// Options configures an Engine (or a KnowledgeBase plus its sessions).
+// Options configures a KnowledgeBase: its store, and the defaults every
+// session it creates starts from (the last four fields). A session
+// changes its own copy only through its setters.
 type Options struct {
 	// StorePath is the page file backing the EDB; empty means in-memory.
 	StorePath string
@@ -132,10 +133,6 @@ type Options struct {
 	// WALArchiveBudget bounds the archive's total bytes; oldest segments
 	// are pruned first (0 = unlimited).
 	WALArchiveBudget int64
-	// DictSegment is the internal dictionary segment size (0 = default).
-	DictSegment int
-	// DisableGC turns the WAM garbage collector off (ablation A5).
-	DisableGC bool
 	// DisableIndexing turns first-argument indexing off (ablation A4).
 	DisableIndexing bool
 	// DisablePreUnification makes EDB retrieval fetch all clauses
@@ -196,8 +193,8 @@ type Session struct {
 
 	// The per-query resource envelope (see envelope.go). budget is the
 	// wall-clock allowance in nanoseconds every query starts with (0:
-	// none; SetTimeout, WithTimeout). qctx is the context the running
-	// query was started under (QueryCtx) and unbindCtx what detaches its
+	// none; SetTimeout). qctx is the context the running query was
+	// started under (QueryCtx) and unbindCtx what detaches its
 	// cancellation from the session. quota caps each query's consumption
 	// (SetQuota): check enforces the pages limit for every evaluator, the
 	// machine the heap, trail and solution limits.
@@ -241,54 +238,16 @@ type dynPred struct {
 	clauses [][]compiler.ClauseCode // compiled units per source clause
 }
 
-// Engine is one Educe* engine with a private KnowledgeBase and a single
-// Session — the original single-session API, kept as a thin wrapper.
-// See educe.Engine for the concurrency contract.
-type Engine struct {
-	*Session
-	kb *KnowledgeBase
-}
+// dictSegment is the size of a session's internal dictionary segments.
+const dictSegment = 4096
 
-// New creates an engine: a private knowledge base plus one session.
-func New(opts Options) (*Engine, error) {
-	kb, err := OpenKB(opts)
-	if err != nil {
-		return nil, err
-	}
-	s, err := kb.NewSessionWithOptions(opts)
-	if err != nil {
-		kb.Close()
-		return nil, err
-	}
-	return &Engine{Session: s, kb: kb}, nil
-}
-
-// KB exposes the engine's knowledge base (for sharing it with further
-// sessions).
-func (e *Engine) KB() *KnowledgeBase { return e.kb }
-
-// Close releases the session and closes the knowledge base's store.
-func (e *Engine) Close() error {
-	e.Session.Close()
-	return e.kb.Close()
-}
-
-// NewSessionWithOptions creates a session with explicit per-session
-// options (DictSegment, DisableGC, DisableIndexing,
-// DisablePreUnification, RuleStorage; store-level fields are ignored).
-func (kb *KnowledgeBase) NewSessionWithOptions(opts Options) (*Session, error) {
-	segment := opts.DictSegment
-	if segment == 0 {
-		segment = 4096
-	}
-	d := dict.New(dict.WithSegmentSize(segment))
-	m := wam.NewMachine(d)
-	if opts.DisableGC {
-		m.SetGC(false)
-	}
+// NewSession creates a session over the shared knowledge base, starting
+// from the KB's Options.
+func (kb *KnowledgeBase) NewSession() (*Session, error) {
+	m := wam.NewMachine(dict.New(dict.WithSegmentSize(dictSegment)))
 	s := &Session{
 		kb:        kb,
-		opts:      opts,
+		opts:      kb.opts,
 		m:         m,
 		comp:      compiler.New(compiler.Options{Transparent: transparentFor(m)}),
 		ops:       parser.NewOpTable(),
@@ -341,7 +300,7 @@ func transparentFor(m *wam.Machine) func(string, int) bool {
 
 // Close releases the session's transient state, rolling back any
 // transaction left open. The shared knowledge base stays open (close it
-// separately); Engine.Close does both.
+// separately).
 func (s *Session) Close() error {
 	s.autoRollback()
 	s.drainProfile()
@@ -356,20 +315,14 @@ func (s *Session) KB() *KnowledgeBase { return s.kb }
 // Machine exposes the WAM (benchmarks and tests).
 func (s *Session) Machine() *wam.Machine { return s.m }
 
-// DB exposes the external database layer.
-func (s *Session) DB() *edb.DB { return s.kb.db }
-
-// Catalog exposes the relational catalog.
-func (s *Session) Catalog() *rel.Catalog { return s.kb.cat }
-
 // Interp exposes the baseline interpreter.
 func (s *Session) Interp() *interp.Interp { return s.in }
 
 // RuleStorage reports the current mode.
 func (s *Session) RuleStorage() RuleStorage { return s.opts.RuleStorage }
 
-// SetRuleStorage switches between Educe* and baseline evaluation
-// (legacy wrapper; prefer WithRuleStorage at NewSession time). The switch
+// SetRuleStorage switches this session between Educe* and baseline
+// evaluation (the KB's Options.RuleStorage is only the default). The switch
 // is rejected with store.ErrTxnOpen while a transaction is open: the two
 // modes resolve clauses through different caches, so changing modes
 // mid-transaction would let one goal see pre-snapshot code the rollback
@@ -415,12 +368,9 @@ func (s *Session) Cost() obs.QueryStats {
 func (s *Session) ID() uint64 { return s.id }
 
 // SetTracer directs the session's per-query trace events to t (nil
-// disables tracing; the imperative form of WithTracer). One tracer may be
-// shared by many sessions; its output is serialised internally.
+// disables tracing). One tracer may be shared by many sessions; its output
+// is serialised internally.
 func (s *Session) SetTracer(t *obs.Tracer) { s.tracer = t }
-
-// SetTraceWriter is SetTracer with a fresh JSON-lines tracer over w.
-func (s *Session) SetTraceWriter(w io.Writer) { s.tracer = obs.NewTracer(w) }
 
 // EnableProfiling turns the per-predicate 4-port profiler on or off for
 // this session. While enabled, the WAM records call/exit/redo/fail
@@ -518,8 +468,7 @@ func (s *Session) drainProfile() {
 // counters (EDB retrievals, pool I/O, code-cache traffic): under
 // concurrent sessions those belong to everyone, and resetting them here
 // would corrupt the other sessions' view. Use KnowledgeBase.ResetStats
-// for the shared counters; Engine.ResetStats (single-session wrapper,
-// private KB) does both.
+// for the shared counters.
 func (s *Session) ResetStats() {
 	s.m.ResetStats()
 	s.in.ResetStats()
@@ -533,14 +482,6 @@ func (s *Session) ResetStats() {
 		s.profile = map[string]*obs.PredCounters{}
 	}
 	s.qProf = nil
-}
-
-// ResetStats zeroes the engine's session counters and its private
-// knowledge base's shared counters — the full reset the benchmark
-// harness expects from the single-session API.
-func (e *Engine) ResetStats() {
-	e.Session.ResetStats()
-	e.kb.ResetStats()
 }
 
 // --- shared-state access helpers --------------------------------------------
@@ -886,9 +827,6 @@ func (s *Session) ConsultExternalTerms(terms []term.Term) error {
 	}
 	return s.storeCompiledClauses(terms)
 }
-
-// Flush writes all buffered pages to the store.
-func (s *Session) Flush() error { return s.kb.st.Flush() }
 
 // AssertExternalTerm stores a single clause in the EDB in the session's
 // current rule-storage form (the paper's assertion of externally

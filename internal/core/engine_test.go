@@ -21,19 +21,26 @@ func mustParseCore(t *testing.T, src string) term.Term {
 	return tm
 }
 
-func newEngine(t *testing.T, opts Options) *Engine {
+// newSession opens a private knowledge base with opts and one session over
+// it; both are closed when the test ends.
+func newSession(t *testing.T, opts Options) *Session {
 	t.Helper()
-	e, err := New(opts)
+	kb, err := OpenKB(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
-	return e
+	t.Cleanup(func() { kb.Close() })
+	s, err := kb.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
-func values(t *testing.T, e *Engine, q, v string) []string {
+func values(t *testing.T, s *Session, q, v string) []string {
 	t.Helper()
-	sols, err := e.QueryAll(q)
+	sols, err := s.QueryAll(q)
 	if err != nil {
 		t.Fatalf("query %s: %v", q, err)
 	}
@@ -45,7 +52,7 @@ func values(t *testing.T, e *Engine, q, v string) []string {
 }
 
 func TestConsultAndQuery(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	err := e.Consult(`
 		parent(tom, bob). parent(tom, liz).
 		parent(bob, ann). parent(bob, pat).
@@ -61,7 +68,7 @@ func TestConsultAndQuery(t *testing.T) {
 }
 
 func TestExternalFactsPreUnified(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal(`
 		edge(a, b). edge(b, c). edge(c, d). edge(d, e).
 	`); err != nil {
@@ -73,7 +80,7 @@ func TestExternalFactsPreUnified(t *testing.T) {
 	}
 	// Pre-unification stats: a bound query retrieves one candidate, not
 	// four.
-	e.ResetStats()
+	e.KB().ResetStats()
 	values(t, e, "edge(c, X)", "X")
 	st := e.Stats()
 	if st.EDB.CandidatesReturned != 1 {
@@ -85,7 +92,7 @@ func TestExternalFactsPreUnified(t *testing.T) {
 	if n, _ := e.QueryCount("edge(_, _)"); n != 4 {
 		t.Fatalf("edge(_,_) count = %d", n)
 	}
-	e.ResetStats()
+	e.KB().ResetStats()
 	got = values(t, e, "edge(a, X)", "X")
 	if !reflect.DeepEqual(got, []string{"b"}) {
 		t.Fatalf("edge(a,X) after freeze = %v", got)
@@ -96,7 +103,7 @@ func TestExternalFactsPreUnified(t *testing.T) {
 }
 
 func TestExternalRules(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal(`
 		edge(a, b). edge(b, c). edge(c, d).
 		path(X, Y) :- edge(X, Y).
@@ -111,7 +118,7 @@ func TestExternalRules(t *testing.T) {
 }
 
 func TestExternalRulesWithControl(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal(`
 		val(1). val(5). val(-3).
 		cls(X, C) :- val(X), ( X > 0 -> C = pos ; C = nonpos ).
@@ -125,7 +132,7 @@ func TestExternalRulesWithControl(t *testing.T) {
 }
 
 func TestBaselineSourceMode(t *testing.T) {
-	e := newEngine(t, Options{RuleStorage: RuleStorageSource})
+	e := newSession(t, Options{RuleStorage: RuleStorageSource})
 	if err := e.ConsultExternal(`
 		edge(a, b). edge(b, c). edge(c, d).
 		path(X, Y) :- edge(X, Y).
@@ -155,11 +162,11 @@ func TestModesAgree(t *testing.T) {
 		route(X, Y, C) :- conn(X, Y, C).
 		route(X, Z, C) :- conn(X, Y, C1), route(Y, Z, C2), C is C1 + C2.
 	`
-	star := newEngine(t, Options{})
+	star := newSession(t, Options{})
 	if err := star.ConsultExternal(src); err != nil {
 		t.Fatal(err)
 	}
-	base := newEngine(t, Options{RuleStorage: RuleStorageSource})
+	base := newSession(t, Options{RuleStorage: RuleStorageSource})
 	if err := base.ConsultExternal(src); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestModesAgree(t *testing.T) {
 }
 
 func TestFindallSetofBootstrap(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult(`item(3). item(1). item(2). item(1).`)
 	got := values(t, e, "findall(X, item(X), L)", "L")
 	if !reflect.DeepEqual(got, []string{"[3,1,2,1]"}) {
@@ -192,7 +199,7 @@ func TestFindallSetofBootstrap(t *testing.T) {
 }
 
 func TestAssertRetractDynamic(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if _, err := e.QueryAll("assert(counter(0))"); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +225,7 @@ func TestAssertRetractDynamic(t *testing.T) {
 }
 
 func TestClauseEnumeration(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.QueryAll("assert(f(1)), assert(f(2))")
 	got := values(t, e, "clause(f(X), true)", "X")
 	if !reflect.DeepEqual(got, []string{"1", "2"}) {
@@ -228,22 +235,23 @@ func TestClauseEnumeration(t *testing.T) {
 
 func TestPersistentStore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kb.edb")
-	e1, err := New(Options{StorePath: path})
+	kb, err := OpenKB(Options{StorePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := kb.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e1.ConsultExternal(`city(munich). city(hamburg). link(munich, hamburg).`); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Close(); err != nil {
+	e1.Close()
+	if err := kb.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	e2, err := New(Options{StorePath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
+	e2 := newSession(t, Options{StorePath: path})
 	got := values(t, e2, "city(X)", "X")
 	if !reflect.DeepEqual(got, []string{"munich", "hamburg"}) {
 		t.Fatalf("cities after reopen = %v", got)
@@ -254,7 +262,7 @@ func TestPersistentStore(t *testing.T) {
 }
 
 func TestRelationBridge(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	r, err := e.CreateRelation(rel.Schema{
 		Name:  "emp",
 		Attrs: []rel.Attr{{Name: "id", Type: rel.Int}, {Name: "name", Type: rel.String}, {Name: "dept", Type: rel.Int}},
@@ -290,7 +298,7 @@ func TestRelationBridge(t *testing.T) {
 func name(i int) string { return "e" + string(rune('0'+i%10)) }
 
 func TestDisableIndexingStillCorrect(t *testing.T) {
-	e := newEngine(t, Options{DisableIndexing: true})
+	e := newSession(t, Options{DisableIndexing: true})
 	e.Consult(`color(red, warm). color(blue, cool). color(green, cool).`)
 	got := values(t, e, "color(blue, T)", "T")
 	if !reflect.DeepEqual(got, []string{"cool"}) {
@@ -299,11 +307,11 @@ func TestDisableIndexingStillCorrect(t *testing.T) {
 }
 
 func TestDisablePreUnification(t *testing.T) {
-	e := newEngine(t, Options{DisablePreUnification: true})
+	e := newSession(t, Options{DisablePreUnification: true})
 	if err := e.ConsultExternal(`f(1, one). f(2, two). f(3, three).`); err != nil {
 		t.Fatal(err)
 	}
-	e.ResetStats()
+	e.KB().ResetStats()
 	got := values(t, e, "f(2, X)", "X")
 	if !reflect.DeepEqual(got, []string{"two"}) {
 		t.Fatalf("got %v", got)
@@ -314,7 +322,7 @@ func TestDisablePreUnification(t *testing.T) {
 }
 
 func TestOpDirective(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.Consult(`
 		:- op(700, xfx, ===>).
 		rule(a ===> b).
@@ -328,7 +336,7 @@ func TestOpDirective(t *testing.T) {
 }
 
 func TestGCDuringQuery(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Machine().SetGCThreshold(2048)
 	e.Consult(`
 		build(0, []) :- !.
@@ -345,7 +353,7 @@ func TestGCDuringQuery(t *testing.T) {
 }
 
 func TestQuerySolutionsIterator(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult("n(1). n(2). n(3).")
 	s, err := e.Query("n(X)")
 	if err != nil {
@@ -365,7 +373,7 @@ func TestQuerySolutionsIterator(t *testing.T) {
 }
 
 func TestBaselineIteratorEarlyClose(t *testing.T) {
-	e := newEngine(t, Options{RuleStorage: RuleStorageSource})
+	e := newSession(t, Options{RuleStorage: RuleStorageSource})
 	if err := e.ConsultExternal("m(1). m(2). m(3)."); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +391,7 @@ func TestBaselineIteratorEarlyClose(t *testing.T) {
 }
 
 func TestCatchThrow(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult(`
 		risky(X) :- X > 0, throw(too_big(X)).
 		risky(X) :- X =< 0.
@@ -402,7 +410,7 @@ func TestCatchThrow(t *testing.T) {
 }
 
 func TestCatchRethrow(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult(`
 		inner :- catch(throw(other), nomatch, true).
 		outer(R) :- catch(inner, other, R = outer_caught).
@@ -414,7 +422,7 @@ func TestCatchRethrow(t *testing.T) {
 }
 
 func TestUncaughtBallAborts(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult("boom :- throw(kaboom).")
 	_, err := e.QueryAll("boom")
 	if err == nil {
@@ -426,7 +434,7 @@ func TestUncaughtBallAborts(t *testing.T) {
 }
 
 func TestExistenceErrorCatchable(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult(`
 		try(R) :- catch(no_such_predicate(1), error(existence_error(procedure, PI), _), R = missing(PI)).
 	`)
@@ -441,7 +449,7 @@ func TestExistenceErrorCatchable(t *testing.T) {
 }
 
 func TestCatchBacktracksThroughGoal(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult(`p(1). p(2). p(3).`)
 	got := values(t, e, "catch(p(X), _, fail)", "X")
 	if !reflect.DeepEqual(got, []string{"1", "2", "3"}) {
@@ -450,7 +458,7 @@ func TestCatchBacktracksThroughGoal(t *testing.T) {
 }
 
 func TestThrowUnwindsNestedCalls(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult(`
 		deep(0) :- throw(bottom).
 		deep(N) :- N > 0, N1 is N - 1, deep(N1).
@@ -472,7 +480,7 @@ func containsSub(s, sub string) bool {
 }
 
 func TestAssertRetractExternal(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal("stock(apples, 10). stock(pears, 5)."); err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +512,7 @@ func TestAssertRetractExternal(t *testing.T) {
 }
 
 func TestRetractExternalRule(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal(`
 		r(X) :- s(X).
 		r(X) :- t(X).
@@ -533,7 +541,7 @@ func TestRetractExternalRule(t *testing.T) {
 }
 
 func TestDropExternal(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal("gone(1). gone(2)."); err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +557,7 @@ func TestDropExternal(t *testing.T) {
 }
 
 func TestRetractExternalSourceMode(t *testing.T) {
-	e := newEngine(t, Options{RuleStorage: RuleStorageSource})
+	e := newSession(t, Options{RuleStorage: RuleStorageSource})
 	if err := e.ConsultExternal("m(1). m(2). m(3)."); err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +572,7 @@ func TestRetractExternalSourceMode(t *testing.T) {
 }
 
 func TestAcyclicTerm(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if n, _ := e.QueryCount("acyclic_term(f(1, g(2), [a,b]))"); n != 1 {
 		t.Fatal("acyclic term misreported")
 	}
@@ -580,7 +588,7 @@ func TestAcyclicTerm(t *testing.T) {
 func TestLoadedCodeCacheEviction(t *testing.T) {
 	// Thousands of distinct pre-unification keys push the session code
 	// cache past its limit; the epoch eviction must not break answers.
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	var src string
 	for i := 0; i < 1500; i++ {
 		src += fmt.Sprintf("kv(k%d, %d).\n", i, i)
@@ -602,7 +610,7 @@ func TestLoadedCodeCacheEviction(t *testing.T) {
 }
 
 func TestSolutionsIteratorEdgeCases(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult("one(1).")
 	s, err := e.Query("one(X)")
 	if err != nil {
@@ -636,7 +644,7 @@ func TestSolutionsIteratorEdgeCases(t *testing.T) {
 }
 
 func TestEngineManyQueriesStable(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult(`
 		len([], 0).
 		len([_|T], N) :- len(T, N1), N is N1 + 1.
@@ -654,7 +662,7 @@ func TestEngineManyQueriesStable(t *testing.T) {
 }
 
 func TestTypedSubLanguage(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	err := e.ConsultExternal(`
 		:- typed(conn(atom, atom, integer)).
 		conn(a, b, 5).
@@ -687,7 +695,7 @@ func TestTypedSubLanguage(t *testing.T) {
 }
 
 func TestStatisticsBuiltin(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Consult("p(1).")
 	values(t, e, "p(X)", "X") // generate some activity
 	got := values(t, e, "educe_statistics(instructions, N)", "N")
@@ -720,25 +728,25 @@ func TestStatisticsBuiltin(t *testing.T) {
 // window re-entered from inside itself counts once, and a KB-wide
 // ResetStats in the middle of a window does not underflow the tally.
 func TestSessionPageAccounting(t *testing.T) {
-	e := newEngine(t, Options{PoolPages: 16})
+	s := newSession(t, Options{PoolPages: 16})
 	var facts string
 	for i := 0; i < 3000; i++ {
 		facts += fmt.Sprintf("f(%d, v%d).\n", i, i%7)
 	}
-	if err := e.ConsultExternal(facts); err != nil {
+	if err := s.ConsultExternal(facts); err != nil {
 		t.Fatal(err)
 	}
 	pagesPerRetrieval := func() uint64 {
-		return e.KB().Obs().Snapshot()["edb.pages_per_retrieval"].(obs.HistogramSnapshot).SumNS
+		return s.KB().Obs().Snapshot()["edb.pages_per_retrieval"].(obs.HistogramSnapshot).SumNS
 	}
 
-	st0, sum0 := e.Stats(), pagesPerRetrieval()
+	st0, sum0 := s.Stats(), pagesPerRetrieval()
 	for i := 0; i < 200; i++ {
-		if n, err := e.QueryCount(fmt.Sprintf("f(%d, V)", i*13)); err != nil || n != 1 {
+		if n, err := s.QueryCount(fmt.Sprintf("f(%d, V)", i*13)); err != nil || n != 1 {
 			t.Fatalf("f(%d, V): n=%d err=%v", i*13, n, err)
 		}
 	}
-	st1 := e.Stats()
+	st1 := s.Stats()
 	pool := st1.IO.Accesses - st0.IO.Accesses
 	if pool == 0 {
 		t.Fatal("the queries touched no page")
@@ -755,7 +763,6 @@ func TestSessionPageAccounting(t *testing.T) {
 	}
 
 	// Re-entry: an rlock inside an rlock is one window.
-	s := e.Session
 	p := s.kb.db.Proc("f", 2)
 	before, pool0 := s.tally.Stats().Accesses, s.kb.st.Stats().Accesses
 	outer := s.rlock()
@@ -776,7 +783,7 @@ func TestSessionPageAccounting(t *testing.T) {
 	if _, err := s.kb.db.Retrieve(p, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.KB().ResetStats()
+	s.KB().ResetStats()
 	unlock()
 	if got := s.tally.Stats().Accesses - before; got != 0 {
 		t.Errorf("window across KnowledgeBase.ResetStats charged %d accesses", got)

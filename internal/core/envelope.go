@@ -16,10 +16,10 @@ import (
 // that exceeds them; they bound compiled-mode queries only.
 
 // SetTimeout gives every query of this session a fresh wall-clock budget
-// of d, counted from the query's start (the imperative form of
-// WithTimeout); d <= 0 removes the bound. A query that outlives its budget
-// aborts with a catchable error(timeout, educe) ball. It applies from the
-// next query on and is safe to call from any goroutine.
+// of d, counted from the query's start; d <= 0 removes the bound. A query
+// that outlives its budget aborts with a catchable error(timeout, educe)
+// ball. It applies from the next query on and is safe to call from any
+// goroutine.
 func (s *Session) SetTimeout(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -56,8 +56,8 @@ type Quota struct {
 	Solutions int
 }
 
-// SetQuota installs per-query resource caps on this session (the
-// imperative form of WithQuota). Unlike SetTimeout and Interrupt, SetQuota
+// SetQuota installs per-query resource caps on this session. Unlike
+// SetTimeout and Interrupt, SetQuota
 // must be called from the session's own goroutine between queries — it is
 // not safe to change a quota while a query is in flight. The quota
 // persists until changed; the zero Quota removes all caps.

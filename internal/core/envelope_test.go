@@ -29,7 +29,6 @@ func TestEnvelopeBoundsBothEvaluators(t *testing.T) {
 	cases := []struct {
 		name string
 		goal string
-		opts []Option
 		// run starts goal on s and returns its iterator.
 		run  func(t *testing.T, s *Session, goal string) (*Solutions, error)
 		want func(error) bool
@@ -39,9 +38,6 @@ func TestEnvelopeBoundsBothEvaluators(t *testing.T) {
 				s.SetTimeout(bound)
 				return s.Query(goal)
 			}},
-		{name: "WithTimeout", goal: spinGoal, want: is(wam.ErrTimeout),
-			opts: []Option{WithTimeout(bound)},
-			run:  func(t *testing.T, s *Session, goal string) (*Solutions, error) { return s.Query(goal) }},
 		{name: "QueryCtx deadline", goal: spinGoal, want: is(context.DeadlineExceeded),
 			run: func(t *testing.T, s *Session, goal string) (*Solutions, error) {
 				ctx, cancel := context.WithTimeout(context.Background(), bound)
@@ -63,8 +59,10 @@ func TestEnvelopeBoundsBothEvaluators(t *testing.T) {
 				return sols, err
 			}},
 		{name: "pages quota", goal: "f(X), X < 0", want: isPages,
-			opts: []Option{WithQuota(Quota{PagesTouched: 2})},
-			run:  func(t *testing.T, s *Session, goal string) (*Solutions, error) { return s.Query(goal) }},
+			run: func(t *testing.T, s *Session, goal string) (*Solutions, error) {
+				s.SetQuota(Quota{PagesTouched: 2})
+				return s.Query(goal)
+			}},
 	}
 
 	var facts strings.Builder
@@ -87,7 +85,7 @@ func TestEnvelopeBoundsBothEvaluators(t *testing.T) {
 		loader.Close()
 		for _, tc := range cases {
 			t.Run(modeName+"/"+tc.name, func(t *testing.T) {
-				s, err := kb.NewSession(tc.opts...)
+				s, err := kb.NewSession()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +107,7 @@ func TestEnvelopeBoundsBothEvaluators(t *testing.T) {
 				// The bound that killed the query must not leak into the
 				// next one, beyond the session's own standing budget.
 				s.SetQuota(Quota{})
-				if got := sessionValues(t, s, "ok(X)", "X"); len(got) != 1 || got[0] != "yes" {
+				if got := values(t, s, "ok(X)", "X"); len(got) != 1 || got[0] != "yes" {
 					t.Errorf("cheap query after the kill = %v", got)
 				}
 			})
@@ -121,7 +119,7 @@ func TestEnvelopeBoundsBothEvaluators(t *testing.T) {
 	// interpreter nests with every step and must refuse, not overflow the
 	// goroutine stack (which Go cannot recover from).
 	t.Run("source depth", func(t *testing.T) {
-		e := newEngine(t, Options{RuleStorage: RuleStorageSource})
+		e := newSession(t, Options{RuleStorage: RuleStorageSource})
 		if err := e.ConsultExternal("loop(0).\nloop(N) :- N > 0, M is N - 1, loop(M).\n"); err != nil {
 			t.Fatal(err)
 		}

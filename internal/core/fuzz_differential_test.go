@@ -129,7 +129,7 @@ func TestFuzzDifferential(t *testing.T) {
 				run  func(q string) ([]string, error)
 			}
 			mkEngine := func(opts Options, external bool) func(q string) ([]string, error) {
-				e := newEngine(t, opts)
+				e := newSession(t, opts)
 				var err error
 				if external {
 					err = e.ConsultExternal(program)

@@ -13,11 +13,7 @@ import (
 // proves the cancellation API's concurrency contract: both calls touch
 // only atomics, so they may land at any point of an in-flight Next.
 func TestInterruptRaceWithNext(t *testing.T) {
-	e, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e := newSession(t, Options{})
 	if err := e.Consult(`
 		loop(0).
 		loop(N) :- N > 0, M is N - 1, loop(M).

@@ -42,16 +42,12 @@ const quotaTestProgram = `
 	trailburn(N) :- mkvars(N, L), chpt(_), bindall(L).
 `
 
-// newQuotaEngine builds an engine with the quota workloads resident and
+// newQuotaSession builds a session with the quota workloads resident and
 // 3000 qf/2 facts in the EDB (enough to span several pages and several
 // thousand solutions).
-func newQuotaEngine(t *testing.T) *Engine {
+func newQuotaSession(t *testing.T) *Session {
 	t.Helper()
-	e, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
+	e := newSession(t, Options{})
 	if err := e.Consult(quotaTestProgram); err != nil {
 		t.Fatalf("consult: %v", err)
 	}
@@ -123,8 +119,7 @@ func TestQuotaResourceErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.kind, func(t *testing.T) {
-			e := newQuotaEngine(t)
-			s := e.Session
+			s := newQuotaSession(t)
 			s.SetQuota(c.quota)
 
 			// Bare workload: enumerate everything; the iteration must end
@@ -181,8 +176,7 @@ func TestQuotaResourceErrors(t *testing.T) {
 // exactly Solutions answers come through, and the overflow error names
 // the right resource.
 func TestSolutionsQuotaExactBudget(t *testing.T) {
-	e := newQuotaEngine(t)
-	s := e.Session
+	s := newQuotaSession(t)
 	s.SetQuota(Quota{Solutions: 7})
 	sols, err := s.Query("qf(X, _)")
 	if err != nil {
@@ -206,8 +200,7 @@ func TestSolutionsQuotaExactBudget(t *testing.T) {
 // same workloads complete when the caps exceed their needs, and
 // reclaimable garbage does not count against the heap cap.
 func TestQuotaDoesNotFireUnderCap(t *testing.T) {
-	e := newQuotaEngine(t)
-	s := e.Session
+	s := newQuotaSession(t)
 	s.SetQuota(Quota{HeapCells: 1 << 22, TrailEntries: 1 << 22, PagesTouched: 1 << 20, Solutions: 1 << 20})
 	if _, ok, err := s.QueryOnce("mklist(5000, L)"); err != nil || !ok {
 		t.Fatalf("under-cap heap workload: ok=%v err=%v", ok, err)
@@ -230,8 +223,7 @@ func TestQuotaDoesNotFireUnderCap(t *testing.T) {
 // TestQuotaErrorMessageShape pins the uncaught error text the server
 // sends over the wire.
 func TestQuotaErrorMessageShape(t *testing.T) {
-	e := newQuotaEngine(t)
-	s := e.Session
+	s := newQuotaSession(t)
 	s.SetQuota(Quota{Solutions: 1})
 	_, err := s.QueryAll("qf(X, _)")
 	if err == nil {

@@ -17,7 +17,7 @@ import (
 func TestResidentLogicalUpdateView(t *testing.T) {
 	cases := []struct {
 		name   string
-		setup  func(t *testing.T, e *Engine)
+		setup  func(t *testing.T, e *Session)
 		pred   string
 		mutate string
 		same   string // P's sorted extension seen later in the same query
@@ -25,7 +25,7 @@ func TestResidentLogicalUpdateView(t *testing.T) {
 	}{
 		{
 			name: "assert on a dynamic predicate",
-			setup: func(t *testing.T, e *Engine) {
+			setup: func(t *testing.T, e *Session) {
 				if _, err := e.QueryAll("assert(d(1)), assert(d(2)), assert(d(3))"); err != nil {
 					t.Fatal(err)
 				}
@@ -55,7 +55,7 @@ func TestResidentLogicalUpdateView(t *testing.T) {
 	for _, tc := range cases {
 		for wname, wrap := range map[string]string{"bare": "%s", "catch": "catch((%s), _, fail)"} {
 			t.Run(tc.name+"/"+wname, func(t *testing.T) {
-				e := newEngine(t, Options{})
+				e := newSession(t, Options{})
 				tc.setup(t, e)
 				goal := fmt.Sprintf("%[1]s(X), %[2]s, X >= 3, findall(Y, %[1]s(Y), L0), msort(L0, L)", tc.pred, tc.mutate)
 				sols, err := e.QueryAll(fmt.Sprintf(wrap, goal))
@@ -77,8 +77,8 @@ func TestResidentLogicalUpdateView(t *testing.T) {
 	}
 }
 
-func consultExternal(src string) func(*testing.T, *Engine) {
-	return func(t *testing.T, e *Engine) {
+func consultExternal(src string) func(*testing.T, *Session) {
+	return func(t *testing.T, e *Session) {
 		t.Helper()
 		if err := e.ConsultExternal(src); err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func consultExternal(src string) func(*testing.T, *Engine) {
 // wrote is evicted by the rollback itself, so the rest of the same query
 // already runs on the restored knowledge base.
 func TestResidentRollbackMidQuery(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	consultExternal("g(1).")(t, e)
 	n, err := e.QueryCount(`begin, assert_external(g(2)), g(2), rollback, \+ g(2), g(1)`)
 	if err != nil || n != 1 {
@@ -103,7 +103,7 @@ func TestResidentRollbackMidQuery(t *testing.T) {
 // builtin tables (the parent commit went 126 -> 3126 blocks and 84 -> 1084
 // builtins over the first loop, each dead builtin pinning its tuples).
 func TestResidentCodeTablesStayFlat(t *testing.T) {
-	e := newEngine(t, Options{}) // StrategyAuto
+	e := newSession(t, Options{}) // StrategyAuto
 	consultExternal(`
 		edge(a, b).
 		path(X, Y) :- edge(X, Y).
@@ -164,20 +164,20 @@ func TestResidentAssertLoopsReclaim(t *testing.T) {
 	// up to minSweep blocks after a sweep that freed everything, once more
 	// for the pinned survivor doubling the threshold.
 	const slack = 24
-	loops := map[string]func(t *testing.T, e *Engine){
-		"in-query": func(t *testing.T, e *Engine) {
+	loops := map[string]func(t *testing.T, e *Session){
+		"in-query": func(t *testing.T, e *Session) {
 			q := fmt.Sprintf("between(1, %d, I), assert(d(I)), I >= %d", n, n)
 			if c, err := e.QueryCount(q); err != nil || c != 1 {
 				t.Fatalf("%s: n=%d err=%v", q, c, err)
 			}
 		},
-		"in-query under a choice point": func(t *testing.T, e *Engine) {
+		"in-query under a choice point": func(t *testing.T, e *Session) {
 			q := fmt.Sprintf("assert(d(0)), assert(d(0)), d(_), between(1, %d, I), assert(d(I)), I >= %d, !", n, n)
 			if c, err := e.QueryCount(q); err != nil || c != 1 {
 				t.Fatalf("%s: n=%d err=%v", q, c, err)
 			}
 		},
-		"API": func(t *testing.T, e *Engine) {
+		"API": func(t *testing.T, e *Session) {
 			for i := 0; i < n; i++ {
 				if err := e.AssertTerm(term.Comp("d", term.Int(i)), false); err != nil {
 					t.Fatal(err)
@@ -191,7 +191,7 @@ func TestResidentAssertLoopsReclaim(t *testing.T) {
 				continue // the baseline interpreter asserts into its own store
 			}
 			t.Run(fmt.Sprintf("%s/storage%d", name, mode), func(t *testing.T) {
-				e := newEngine(t, Options{RuleStorage: mode})
+				e := newSession(t, Options{RuleStorage: mode})
 				base := e.Machine().Stats().Blocks
 				loop(t, e)
 				// Read before the next Query's Reset reclaims everything.

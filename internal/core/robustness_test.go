@@ -13,7 +13,7 @@ import (
 )
 
 func TestPanicContainedAsSystemError(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Machine().RegisterBuiltin(wam.Builtin{Name: "boom", Arity: 0,
 		Fn: func(*wam.Machine, []wam.Cell) (bool, error) { panic("kernel bug") }})
 	if err := e.Consult(`go :- boom.`); err != nil {
@@ -48,7 +48,7 @@ func TestPanicContainedAsSystemError(t *testing.T) {
 }
 
 func TestPanicInSystemErrorIsCatchable(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.Machine().RegisterBuiltin(wam.Builtin{Name: "boom", Arity: 0,
 		Fn: func(*wam.Machine, []wam.Cell) (bool, error) { panic("contained") }})
 	// A panic unwinds the Go stack past the WAM, so catch/3 cannot see
@@ -69,7 +69,7 @@ func TestPanicInSystemErrorIsCatchable(t *testing.T) {
 }
 
 func TestDeadlineStopsRunawayQuery(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.SetTimeout(50 * time.Millisecond)
 	start := time.Now()
 	// A goal with an astronomically large search space: between/3
@@ -92,7 +92,7 @@ func TestDeadlineStopsRunawayQuery(t *testing.T) {
 }
 
 func TestTimeoutIsCatchable(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	e.SetTimeout(50 * time.Millisecond)
 	defer e.SetTimeout(0)
 	got, ok, err := e.QueryOnce("catch((between(1, 1000000000, X), X < 0), error(timeout, _), true)")
@@ -106,7 +106,7 @@ func TestTimeoutIsCatchable(t *testing.T) {
 }
 
 func TestInterruptStopsRunawayQuery(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	done := make(chan error, 1)
 	go func() {
 		_, err := e.QueryAll("between(1, 1000000000, X), X < 0")

@@ -58,10 +58,10 @@ func ParseStrategy(s string) (Strategy, error) {
 // Strategy reports the session's evaluation strategy.
 func (s *Session) Strategy() Strategy { return s.opts.Strategy }
 
-// SetStrategy switches the evaluation strategy. Materialized
-// set-at-a-time results are evicted, so the next call of each re-plans
-// under the new strategy. (Thin wrapper over the WithStrategy option, and
-// what educe_strategy/1 calls mid-query.)
+// SetStrategy switches this session's evaluation strategy (the KB's
+// Options.Strategy is only the default). Materialized set-at-a-time
+// results are evicted, so the next call of each re-plans under the new
+// strategy. educe_strategy/1 calls it mid-query.
 func (s *Session) SetStrategy(st Strategy) {
 	if s.opts.Strategy == st {
 		return

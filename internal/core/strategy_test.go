@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -48,6 +49,17 @@ func solutionSet(t *testing.T, s *Session, q string) []string {
 	return out
 }
 
+// strategySession opens a session over kb switched to strategy st.
+func strategySession(t *testing.T, kb *KnowledgeBase, st Strategy) *Session {
+	t.Helper()
+	s, err := kb.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetStrategy(st)
+	return s
+}
+
 // diffStrategies runs every query on a fresh tuple-strategy session and a
 // fresh set-strategy session over the same KB and requires identical
 // order-insensitive solution sets, with the set session actually having
@@ -56,14 +68,8 @@ func diffStrategies(t *testing.T, kb *KnowledgeBase, queries []string) {
 	t.Helper()
 	before := kb.setopsQueries.Value()
 	for _, q := range queries {
-		tup, err := kb.NewSession(WithStrategy(StrategyTuple))
-		if err != nil {
-			t.Fatal(err)
-		}
-		set, err := kb.NewSession(WithStrategy(StrategySet))
-		if err != nil {
-			t.Fatal(err)
-		}
+		tup := strategySession(t, kb, StrategyTuple)
+		set := strategySession(t, kb, StrategySet)
 		want := solutionSet(t, tup, q)
 		got := solutionSet(t, set, q)
 		if !reflect.DeepEqual(got, want) {
@@ -152,6 +158,89 @@ func TestStrategyDifferentialAncestor(t *testing.T) {
 	diffStrategies(t, kb, []string{"ancestor(X, Y)", "ancestor(tom, X)", "ancestor(X, jim)"})
 }
 
+// TestStrategySetReadsFewerPages is the dual-strategy page count
+// (EXPERIMENTS.md R5) as a count-based check: on a bound-query workload
+// the tuple-at-a-time WAM pays one pre-unified retrieval per call pattern,
+// while the set-at-a-time driver scans each stored predicate once and
+// serves every query from the fixpoint. Both must return the same
+// distinct solutions, and the set session must touch at least 5x fewer
+// pages.
+func TestStrategySetReadsFewerPages(t *testing.T) {
+	// tc: chains disjoint chains of chainLen nodes whose links alternate
+	// between two base relations, one bound query per non-final node.
+	const chains, chainLen = 60, 20
+	var tc strings.Builder
+	var tcQueries []string
+	for c := 0; c < chains; c++ {
+		for i := 0; i < chainLen-1; i++ {
+			base := [2]string{"fwd", "alt"}[i%2]
+			fmt.Fprintf(&tc, "%s(n%d_%d, n%d_%d).\n", base, c, i, c, i+1)
+			tcQueries = append(tcQueries, fmt.Sprintf("path(n%d_%d, X)", c, i))
+		}
+	}
+	tc.WriteString(`
+		edge(X, Y) :- fwd(X, Y).
+		edge(X, Y) :- alt(X, Y).
+		path(X, Y) :- edge(X, Y).
+		path(X, Z) :- edge(X, Y), path(Y, Z).
+	`)
+	// sg: a complete binary tree of the given depth whose parent links
+	// alternate between mother and father, one bound query per leaf.
+	const depth, leaves = 6, 64
+	var sg strings.Builder
+	for i := 0; i < 1<<(depth+1)-1; i++ {
+		fmt.Fprintf(&sg, "node(t%d).\n", i)
+		if i > 0 {
+			fmt.Fprintf(&sg, "%s(t%d, t%d).\n", [2]string{"father", "mother"}[i%2], i, (i-1)/2)
+		}
+	}
+	sg.WriteString(`
+		par(X, P) :- mother(X, P).
+		par(X, P) :- father(X, P).
+		sg(X, X) :- node(X).
+		sg(X, Y) :- par(X, XP), sg(XP, YP), par(Y, YP).
+	`)
+	var sgQueries []string
+	for i := 0; i < leaves; i++ {
+		sgQueries = append(sgQueries, fmt.Sprintf("sg(t%d, Y)", 1<<depth-1+i))
+	}
+
+	for _, w := range []struct {
+		name, program string
+		queries       []string
+	}{{"tc", tc.String(), tcQueries}, {"sg", sg.String(), sgQueries}} {
+		t.Run(w.name, func(t *testing.T) {
+			kb, err := OpenKB(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kb.Close()
+			seed := strategySession(t, kb, StrategyAuto)
+			if err := seed.ConsultExternal(w.program); err != nil {
+				t.Fatal(err)
+			}
+			seed.Close()
+			var sols [2][]string
+			var pages [2]uint64
+			for i, st := range []Strategy{StrategyTuple, StrategySet} {
+				s := strategySession(t, kb, st)
+				for _, q := range w.queries {
+					sols[i] = append(sols[i], q+": "+strings.Join(solutionSet(t, s, q), " "))
+				}
+				pages[i] = s.Cost().PagesTouched
+				s.Close()
+			}
+			if !reflect.DeepEqual(sols[0], sols[1]) {
+				t.Errorf("tuple and set strategies disagree on the distinct solutions")
+			}
+			t.Logf("pages touched: tuple %d, set %d", pages[0], pages[1])
+			if pages[1] == 0 || 5*pages[1] > pages[0] {
+				t.Errorf("set strategy touched %d pages, tuple %d: want at least 5x fewer", pages[1], pages[0])
+			}
+		})
+	}
+}
+
 // TestStrategyDifferentialUnderTxn checks that set-at-a-time results see
 // a transaction's own uncommitted writes, and that a rollback drops them
 // from both strategies alike: materialized relations must be rebuilt from
@@ -164,10 +253,7 @@ func TestStrategyDifferentialUnderTxn(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer kb.Close()
-			s, err := kb.NewSession(WithStrategy(st))
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := strategySession(t, kb, st)
 			defer s.Close()
 			if err := s.ConsultExternal(`
 				edge(a, b). edge(b, c).
@@ -207,7 +293,7 @@ func TestStrategyDifferentialUnderTxn(t *testing.T) {
 // transaction is rejected with store.ErrTxnOpen, and a successful switch
 // drops loaded code so the next query resolves in the new mode.
 func TestSetRuleStorageGuard(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal(`
 		edge(a, b). edge(b, c).
 		path(X, Y) :- edge(X, Y).
@@ -215,7 +301,7 @@ func TestSetRuleStorageGuard(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	if got := sessionValues(t, e.Session, "path(a, X)", "X"); len(got) != 2 {
+	if got := values(t, e, "path(a, X)", "X"); len(got) != 2 {
 		t.Fatalf("compiled path(a,X) = %v", got)
 	}
 
@@ -250,7 +336,7 @@ func TestSetRuleStorageGuard(t *testing.T) {
 	`); err != nil {
 		t.Fatal(err)
 	}
-	got := sessionValues(t, e.Session, "reach(x, V)", "V")
+	got := values(t, e, "reach(x, V)", "V")
 	sort.Strings(got)
 	if want := []string{"y", "z"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("baseline reach(x,V) after switch = %v", got)
@@ -260,22 +346,8 @@ func TestSetRuleStorageGuard(t *testing.T) {
 	}
 }
 
-// values on a plain Session (the engine_test helper takes *Engine).
-func sessionValues(t *testing.T, s *Session, q, v string) []string {
-	t.Helper()
-	sols, err := s.QueryAll(q)
-	if err != nil {
-		t.Fatalf("query %s: %v", q, err)
-	}
-	var out []string
-	for _, m := range sols {
-		out = append(out, m[v].String())
-	}
-	return out
-}
-
 func TestQueryCtxCancellation(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.Consult("loop :- loop."); err != nil {
 		t.Fatal(err)
 	}
@@ -309,13 +381,13 @@ func TestQueryCtxCancellation(t *testing.T) {
 	if err := e.Consult("ok(yes)."); err != nil {
 		t.Fatal(err)
 	}
-	if got := sessionValues(t, e.Session, "ok(X)", "X"); !reflect.DeepEqual(got, []string{"yes"}) {
+	if got := values(t, e, "ok(X)", "X"); !reflect.DeepEqual(got, []string{"yes"}) {
 		t.Fatalf("post-cancel query = %v", got)
 	}
 }
 
 func TestQueryCtxDeadline(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.Consult("loop :- loop."); err != nil {
 		t.Fatal(err)
 	}
@@ -335,72 +407,53 @@ func TestQueryCtxDeadline(t *testing.T) {
 	if err := e.Consult("ok(yes)."); err != nil {
 		t.Fatal(err)
 	}
-	if got := sessionValues(t, e.Session, "ok(X)", "X"); !reflect.DeepEqual(got, []string{"yes"}) {
+	if got := values(t, e, "ok(X)", "X"); !reflect.DeepEqual(got, []string{"yes"}) {
 		t.Fatalf("post-deadline query = %v", got)
 	}
 }
 
-// TestWithTimeoutRearms checks the per-query budget, however it is set
-// (the WithTimeout option or SetTimeout): each query gets a fresh one, so
-// a slow query dies while later cheap queries on the same session are not
-// bounded by the first query's wall-clock instant.
+// TestWithTimeoutRearms checks the per-query budget SetTimeout installs:
+// each query gets a fresh one, so a slow query dies while later cheap
+// queries on the same session are not bounded by the first query's
+// wall-clock instant.
 func TestWithTimeoutRearms(t *testing.T) {
-	kb, err := OpenKB(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kb.Close()
-	for name, open := range map[string]func() (*Session, error){
-		"WithTimeout": func() (*Session, error) { return kb.NewSession(WithTimeout(60 * time.Millisecond)) },
-		"SetTimeout": func() (*Session, error) {
-			s, err := kb.NewSession()
-			if err == nil {
-				s.SetTimeout(60 * time.Millisecond)
-			}
-			return s, err
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			s, err := open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if err := s.Consult("loop :- loop. ok(yes)."); err != nil {
-				t.Fatal(err)
-			}
-			sols, err := s.Query("loop")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sols.Next() {
-				t.Fatal("divergent goal produced a solution")
-			}
-			if sols.Err() != wam.ErrTimeout {
-				t.Fatalf("timed-out query err = %v, want the timeout ball", sols.Err())
-			}
-			// Sleep past the first query's deadline instant; the next query
-			// must still succeed because its budget starts at query start.
-			time.Sleep(80 * time.Millisecond)
-			if got := sessionValues(t, s, "ok(X)", "X"); !reflect.DeepEqual(got, []string{"yes"}) {
-				t.Fatalf("query after a timed-out one = %v", got)
-			}
-		})
-	}
+	t.Run("SetTimeout", func(t *testing.T) {
+		s := newSession(t, Options{})
+		s.SetTimeout(60 * time.Millisecond)
+		if err := s.Consult("loop :- loop. ok(yes)."); err != nil {
+			t.Fatal(err)
+		}
+		sols, err := s.Query("loop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sols.Next() {
+			t.Fatal("divergent goal produced a solution")
+		}
+		if sols.Err() != wam.ErrTimeout {
+			t.Fatalf("timed-out query err = %v, want the timeout ball", sols.Err())
+		}
+		// Sleep past the first query's deadline instant; the next query
+		// must still succeed because its budget starts at query start.
+		time.Sleep(80 * time.Millisecond)
+		if got := values(t, s, "ok(X)", "X"); !reflect.DeepEqual(got, []string{"yes"}) {
+			t.Fatalf("query after a timed-out one = %v", got)
+		}
+	})
 }
 
 // TestEduceStrategyBuiltin drives the educe_strategy/1 control builtin:
 // reading the current strategy, switching it, and rejecting unknown
 // atoms.
 func TestEduceStrategyBuiltin(t *testing.T) {
-	e := newEngine(t, Options{})
-	if got := sessionValues(t, e.Session, "educe_strategy(S)", "S"); !reflect.DeepEqual(got, []string{"auto"}) {
+	e := newSession(t, Options{})
+	if got := values(t, e, "educe_strategy(S)", "S"); !reflect.DeepEqual(got, []string{"auto"}) {
 		t.Fatalf("default strategy = %v", got)
 	}
 	if n, err := e.QueryCount("educe_strategy(set)"); err != nil || n != 1 {
 		t.Fatalf("educe_strategy(set): n=%d err=%v", n, err)
 	}
-	if got := sessionValues(t, e.Session, "educe_strategy(S)", "S"); !reflect.DeepEqual(got, []string{"set"}) {
+	if got := values(t, e, "educe_strategy(S)", "S"); !reflect.DeepEqual(got, []string{"set"}) {
 		t.Fatalf("strategy after switch = %v", got)
 	}
 	if e.Strategy() != StrategySet {
@@ -434,13 +487,13 @@ func TestStrategyAutoRecursiveOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := kb.setopsQueries.Value()
-	if got := sessionValues(t, s, "hop2(a, X)", "X"); !reflect.DeepEqual(got, []string{"c"}) {
+	if got := values(t, s, "hop2(a, X)", "X"); !reflect.DeepEqual(got, []string{"c"}) {
 		t.Fatalf("hop2(a,X) = %v", got)
 	}
 	if kb.setopsQueries.Value() != before {
 		t.Error("auto strategy used the set driver for a non-recursive predicate")
 	}
-	got := sessionValues(t, s, "path(a, X)", "X")
+	got := values(t, s, "path(a, X)", "X")
 	sort.Strings(got)
 	if want := []string{"b", "c"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("path(a,X) = %v", got)
@@ -458,10 +511,7 @@ func TestSetStrategyInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kb.Close()
-	s, err := kb.NewSession(WithStrategy(StrategySet))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := strategySession(t, kb, StrategySet)
 	defer s.Close()
 	if err := s.ConsultExternal(`
 		edge(a, b).

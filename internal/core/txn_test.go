@@ -17,7 +17,7 @@ import (
 // --- Prolog-level transaction/1 ---------------------------------------------
 
 func TestTransactionPrologCommitRollback(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal("p(1). p(2)."); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestTransactionPrologCommitRollback(t *testing.T) {
 	if n, _ := e.QueryCount("p(_)"); n != 4 {
 		t.Fatalf("after thrown txn: p count = %d, want 4", n)
 	}
-	if e.Session.InTxn() {
+	if e.InTxn() {
 		t.Fatal("transaction left open")
 	}
 
@@ -70,7 +70,7 @@ func TestTransactionPrologCommitRollback(t *testing.T) {
 	if n, err := e.QueryCount("catch((begin, begin), error(transaction_error(nested_transaction), educe), rollback)"); err != nil || n != 1 {
 		t.Fatalf("nested begin = %d (%v)", n, err)
 	}
-	if e.Session.InTxn() {
+	if e.InTxn() {
 		t.Fatal("transaction left open after nested-begin test")
 	}
 	if n, err := e.QueryCount("catch(commit, error(transaction_error(no_transaction), educe), true)"); err != nil || n != 1 {
@@ -232,7 +232,7 @@ func TestRollbackRestoresAllLayers(t *testing.T) {
 // --- auto-rollback on timeout and interrupt ----------------------------------
 
 func TestAutoRollbackOnTimeout(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal("p(1)."); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestAutoRollbackOnTimeout(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("err = %v, want timeout", err)
 	}
-	if e.Session.InTxn() {
+	if e.InTxn() {
 		t.Fatal("transaction survived timeout")
 	}
 	if n, _ := e.QueryCount("p(99)"); n != 0 {
@@ -263,7 +263,7 @@ func TestAutoRollbackOnTimeout(t *testing.T) {
 }
 
 func TestAutoRollbackOnInterrupt(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := newSession(t, Options{})
 	if err := e.ConsultExternal("p(1)."); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestAutoRollbackOnInterrupt(t *testing.T) {
 	if _, err := e.QueryAll("loop"); err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("err = %v, want interrupted", err)
 	}
-	if e.Session.InTxn() {
+	if e.InTxn() {
 		t.Fatal("transaction survived interrupt")
 	}
 	if n, _ := e.QueryCount("p(99)"); n != 0 {

@@ -84,6 +84,55 @@ func newTestServer(t *testing.T, kb *core.KnowledgeBase, cfg Config) (*Server, s
 	return srv, addr.String()
 }
 
+// TestPoolSessionsStartFromKBDefaults: the rule storage and strategy in
+// the KB's Options are the defaults of every session it creates — a plain
+// kb.NewSession() and a server pool session alike — and a setter on one
+// session changes neither the KB's default nor the next session.
+func TestPoolSessionsStartFromKBDefaults(t *testing.T) {
+	kb, err := core.OpenKB(core.Options{RuleStorage: core.RuleStorageSource, Strategy: core.StrategySet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { kb.Close() })
+	check := func(what string, s *core.Session) {
+		t.Helper()
+		if s.RuleStorage() != core.RuleStorageSource || s.Strategy() != core.StrategySet {
+			t.Errorf("%s: rule storage %d, strategy %s; want the KB's source storage and set strategy",
+				what, s.RuleStorage(), s.Strategy())
+		}
+	}
+
+	s, err := kb.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check("kb.NewSession()", s)
+	if err := s.SetRuleStorage(core.RuleStorageCompiled); err != nil {
+		t.Fatal(err)
+	}
+	s.SetStrategy(core.StrategyTuple)
+	if s.RuleStorage() != core.RuleStorageCompiled || s.Strategy() != core.StrategyTuple {
+		t.Fatal("setters did not change their own session")
+	}
+	next, err := kb.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	check("the session created after another's setters", next)
+
+	pooled := 0
+	newTestServer(t, kb, Config{MaxSessions: 2, SessionInit: func(s *core.Session) error {
+		pooled++
+		check("pool session", s)
+		return nil
+	}})
+	if pooled != 2 {
+		t.Fatalf("SessionInit saw %d pool sessions, want 2", pooled)
+	}
+}
+
 func TestServeBasic(t *testing.T) {
 	kb := newTestKB(t)
 	_, addr := newTestServer(t, kb, Config{MaxSessions: 2})

@@ -26,9 +26,10 @@ func TestTracedMVVQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer e.KB().Close()
 			defer e.Close()
 			var buf bytes.Buffer
-			e.SetTraceWriter(&buf)
+			e.SetTracer(obs.NewTracer(&buf))
 			if _, err := e.QueryCount(data.Class1[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -248,29 +249,6 @@ func TestSessionResetScope(t *testing.T) {
 	}
 }
 
-// TestEngineResetStatsResetsBoth pins the single-session wrapper's
-// behaviour: Engine.ResetStats clears session and private-KB counters,
-// which the benchmark harness relies on between runs.
-func TestEngineResetStatsResetsBoth(t *testing.T) {
-	data := mvv.Generate()
-	e, err := bench.SetupMVV(bench.EduceStar, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := e.QueryCount(data.Class1[0]); err != nil {
-		t.Fatal(err)
-	}
-	e.ResetStats()
-	st := e.Stats()
-	if st.EDB.Retrievals != 0 || st.IO.Accesses != 0 {
-		t.Errorf("Engine.ResetStats must clear shared counters: %+v", st.EDB)
-	}
-	if st.Cost.Retrievals != 0 || st.Machine.Instructions != 0 {
-		t.Errorf("Engine.ResetStats must clear session counters")
-	}
-}
-
 // TestStatsViewConsistency checks that the legacy PhaseStats view and the
 // statistics builtin agree with the Cost vector.
 func TestStatsViewConsistency(t *testing.T) {
@@ -279,6 +257,7 @@ func TestStatsViewConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.KB().Close()
 	defer e.Close()
 	if _, err := e.QueryCount(data.Class1[0]); err != nil {
 		t.Fatal(err)

@@ -336,12 +336,12 @@ func TestDisabledProfilerOverhead(t *testing.T) {
 		defer s.Close()
 		s.EnableProfiling(profiled)
 		// Warm the shared code cache so both runs execute the same path.
-		if _, _, err := bench.RunMVVClassSession(s, data.Class1); err != nil {
+		if _, _, err := bench.RunMVVClass(s, data.Class1); err != nil {
 			t.Fatal(err)
 		}
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 3; i++ {
-			el, _, err := bench.RunMVVClassSession(s, data.Class1)
+			el, _, err := bench.RunMVVClass(s, data.Class1)
 			if err != nil {
 				t.Fatal(err)
 			}
