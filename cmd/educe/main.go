@@ -23,8 +23,9 @@
 //	-check        verify the knowledge base's on-disk integrity (page
 //	              checksums, structural invariants, index consistency)
 //	              and exit; nonzero exit status on corruption
-//	-repair       like -check, but rebuild derived structures (secondary
-//	              attribute indexes) when the check fails, then re-verify
+//	-repair       like -check, but rebuild derived structures (the clause
+//	              index's argument 1..K-1 entries) when the check fails,
+//	              then re-verify
 //	-timeout D    bound every goal by wall-clock duration D (e.g. 5s);
 //	              runaway goals abort with a catchable timeout error
 //
@@ -120,7 +121,7 @@ func main() {
 	profile := flag.Bool("profile", false, "enable the per-predicate 4-port profiler (see /debug/profile, educe_profile/2)")
 	slowQuery := flag.Duration("slow-query", 0, "emit a slow_query trace record for goals taking at least this long (0 = off)")
 	check := flag.Bool("check", false, "verify the knowledge base's integrity and exit (nonzero on corruption)")
-	repair := flag.Bool("repair", false, "verify, rebuild derived indexes on failure, re-verify, and exit")
+	repair := flag.Bool("repair", false, "verify, rebuild derived index entries on failure, re-verify, and exit")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound per goal; runaway goals abort with a timeout error (0 = none)")
 	serveAddr := flag.String("serve", "", "serve the line protocol on this address instead of running a shell")
 	maxSessions := flag.Int("max-sessions", 4, "with -serve: session pool size (concurrent queries)")
@@ -530,7 +531,7 @@ func runCheck(kb *educe.KnowledgeBase, repair bool) int {
 		return 1
 	}
 	n, rerr := kb.Repair()
-	fmt.Printf("%% repair: %d derived indexes rebuilt\n", n)
+	fmt.Printf("%% repair: %d procedures rebuilt\n", n)
 	if rerr != nil {
 		fmt.Fprintln(os.Stderr, "educe: repair:", rerr)
 		return 1

@@ -2,14 +2,17 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/educe"
+	"repro/internal/store"
 )
 
 // TestMetricsEndpoints pins the /metrics contract consumers scrape —
@@ -172,6 +175,74 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "missing", "kb.backup")); err == nil {
 		t.Fatal("failed backup left a file behind")
+	}
+}
+
+// TestCheckRepairCLI drives -check / -repair: a sound KB prints ok, a
+// poisoned derived index entry fails -check and is fixed by -repair (exit
+// 0), and a lost primary entry fails -repair (exit 1).
+func TestCheckRepairCLI(t *testing.T) {
+	kb, err := educe.OpenKB(educe.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kb.Close()
+	s, err := kb.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.ConsultExternal("g(a, 1). g(b, 2). g(c, 3)."); err != nil {
+		t.Fatal(err)
+	}
+	run := func(repair bool) (int, string) {
+		t.Helper()
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = w
+		code := runCheck(kb, repair)
+		os.Stdout = stdout
+		w.Close()
+		out, _ := io.ReadAll(r)
+		return code, string(out)
+	}
+	if code, out := run(false); code != 0 || !strings.Contains(out, "check: ok") {
+		t.Fatalf("sound KB: exit %d, %q", code, out)
+	}
+
+	// The clause index, reached the way edb.Open reaches it; its keys are
+	// procID | tag | body (see internal/edb).
+	anchor, _ := kb.Store().GetMeta("edb.index")
+	index := store.OpenBTree(kb.Store().Pool(), store.PageID(anchor))
+	prefix := binary.BigEndian.AppendUint32(nil, kb.DB().Proc("g", 2).ProcID)
+	derived := binary.BigEndian.AppendUint64(append(prefix, 1), 12345)
+	if err := index.Insert(derived, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := run(false); code != 1 {
+		t.Fatalf("poisoned derived entry: -check exit %d, want 1", code)
+	}
+	if code, out := run(true); code != 0 || !strings.Contains(out, "repair: 1 procedures rebuilt") {
+		t.Fatalf("poisoned derived entry: -repair exit %d, %q", code, out)
+	}
+	if n, err := s.QueryCount("g(_, 2)"); err != nil || n != 1 {
+		t.Fatalf("g(_, 2) after repair: %d solutions, %v", n, err)
+	}
+
+	var key []byte
+	var val uint64
+	index.Range(append(prefix, 0), nil, func(k []byte, v uint64) bool {
+		key, val = append([]byte(nil), k...), v
+		return false
+	})
+	if ok, err := index.Delete(key, val); !ok || err != nil {
+		t.Fatalf("delete primary entry: %v %v", ok, err)
+	}
+	if code, _ := run(true); code != 1 {
+		t.Fatalf("lost primary entry: -repair exit %d, want 1", code)
 	}
 }
 

@@ -661,6 +661,31 @@ func TestEngineManyQueriesStable(t *testing.T) {
 	}
 }
 
+// TestAssertRetractKeepsPageFileFlat: assert_external/retract_external
+// pairs around one live stored clause must reuse what the retracted
+// clauses freed (the parent grew from 11 pages at round 100 to 109 at
+// round 4000: deleted heap bytes were never reclaimed).
+func TestAssertRetractKeepsPageFileFlat(t *testing.T) {
+	e := newSession(t, Options{})
+	consultExternal(`g(0).`)(t, e)
+	pager := e.KB().Store().Pool().Pager()
+	var at100 uint32
+	for i := 1; i <= 4000; i++ {
+		q := fmt.Sprintf("assert_external(g(%d)), retract_external(g(%d))", i, i)
+		if n, err := e.QueryCount(q); err != nil || n != 1 {
+			t.Fatalf("%s: n=%d err=%v", q, n, err)
+		}
+		if i == 100 {
+			at100 = uint32(pager.NumPages())
+		}
+	}
+	got := uint32(pager.NumPages())
+	t.Logf("pages: %d at round 100, %d at round 4000", at100, got)
+	if got > at100+4 {
+		t.Errorf("page file grew from %d pages at round 100 to %d at round 4000", at100, got)
+	}
+}
+
 func TestTypedSubLanguage(t *testing.T) {
 	e := newSession(t, Options{})
 	err := e.ConsultExternal(`

@@ -30,8 +30,8 @@ type KnowledgeBase struct {
 	opts Options // defaults for sessions created with NewSession
 
 	// mu orders catalog/dictionary metadata access and multi-page
-	// structure mutations (grid splits, B-tree splits, heap chain
-	// growth) against readers. It does NOT serialize page access: since
+	// structure mutations (B-tree splits, heap chain growth) against
+	// readers. It does NOT serialize page access: since
 	// the buffer pool grew per-frame latches, page-byte safety lives in
 	// the pool (shared pins for reads, exclusive for writes), and
 	// concurrent readers stream pages in parallel under their shared
@@ -257,9 +257,9 @@ func (kb *KnowledgeBase) ClearReadOnly() error {
 }
 
 // Check verifies the knowledge base's on-disk integrity: every EDB
-// structure (procedure descriptors, clause heaps, grid and attribute
-// indexes, variable lists) passes its invariant verifier and every
-// stored clause's code blob is readable. On a file-backed store each
+// structure (procedure descriptors, clause heap, clause index) passes its
+// invariant verifier, every index entry resolves to its clause record,
+// and every stored clause's code blob is readable. On a file-backed store each
 // page visited has its checksum verified as a side effect. Check takes
 // the read lock, so it can run against a live KB between queries.
 func (kb *KnowledgeBase) Check() error {
@@ -268,10 +268,10 @@ func (kb *KnowledgeBase) Check() error {
 	return kb.db.Check()
 }
 
-// Repair rebuilds the EDB's derived structures (per-attribute secondary
-// indexes) from its primary ones for every procedure whose Check fails,
-// then flushes. It returns the number of indexes rebuilt; corruption in
-// a primary structure is unrepairable and reported as an error. Cached
+// Repair rebuilds the EDB's derived index entries (arguments 1..K-1)
+// from the primary ones for every procedure whose Check fails, then
+// flushes. It returns the number of procedures rebuilt; corruption in a
+// primary structure is unrepairable and reported as an error. Cached
 // loaded code for repaired procedures is invalidated.
 func (kb *KnowledgeBase) Repair() (int, error) {
 	kb.mu.Lock()

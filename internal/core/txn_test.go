@@ -496,6 +496,14 @@ func TestTxnCrashMatrixCore(t *testing.T) {
 	// called at the transaction boundary. The deferred session close
 	// rolls back any transaction the crash left open, releasing the KB
 	// lock so kb.Close can proceed.
+	//
+	// The transaction also stores txnFacts facts, so that its commit spans
+	// many pages and the matrix cuts it at twenty points, not a handful.
+	const txnFacts = 300
+	txnSrc := "p(10). p(11). newproc(x)."
+	for i := 0; i < txnFacts; i++ {
+		txnSrc += fmt.Sprintf(" q(%d).", i)
+	}
 	workload := func(fsys *simfs.FS, mark func()) {
 		kb, err := OpenKBFS(fsys, Options{StorePath: "kb", PoolPages: 64})
 		if err != nil {
@@ -519,7 +527,7 @@ func TestTxnCrashMatrixCore(t *testing.T) {
 		if err := s.Begin(); err != nil {
 			return
 		}
-		if err := s.ConsultExternal("p(10). p(11). newproc(x)."); err != nil {
+		if err := s.ConsultExternal(txnSrc); err != nil {
 			return
 		}
 		_ = s.Commit()
@@ -558,13 +566,17 @@ func TestTxnCrashMatrixCore(t *testing.T) {
 				defer s.Close()
 				nBase, _ := s.QueryCount("p(_)")
 				hasTxn := kb.DB().Proc("newproc", 1) != nil
+				nFacts := 0
+				if q := kb.DB().Proc("q", 1); q != nil {
+					nFacts = q.ClauseCount
+				}
 				switch {
-				case hasTxn && nBase == 5:
+				case hasTxn && nBase == 5 && nFacts == txnFacts:
 					// full committed state
-				case !hasTxn && nBase == 3:
+				case !hasTxn && nBase == 3 && nFacts == 0:
 					// exact pre-transaction snapshot
 				default:
-					t.Fatalf("recovered state is partial: p=%d txnproc=%v", nBase, hasTxn)
+					t.Fatalf("recovered state is partial: p=%d q=%d txnproc=%v", nBase, nFacts, hasTxn)
 				}
 			})
 		}

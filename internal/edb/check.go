@@ -2,19 +2,18 @@ package edb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/store"
 )
 
-// Check verifies the EDB's integrity: the shared heaps and every
-// procedure's access structures pass their storage-level invariant
-// checks, every clause registry record decodes and its code blob is
-// readable, the secondary attribute indexes mirror the grid exactly,
-// and reachable clause counts match the procedure descriptors. On a
-// file-backed store every page visited also has its checksum verified
-// by the pager, so a clean Check means the whole knowledge base is
-// readable and structurally sound.
+// Check verifies the EDB's integrity: the heaps and the clause index pass
+// their storage-level invariant checks, every index entry belongs to a
+// procedure of the procedures table, and every procedure's entries pass
+// checkProc. On a file-backed store every page visited also has its
+// checksum verified by the pager, so a clean Check means the whole
+// knowledge base is readable and structurally sound.
 func (db *DB) Check() error {
 	if err := db.clauses.Check(); err != nil {
 		return fmt.Errorf("edb: clauses heap: %w", err)
@@ -22,227 +21,197 @@ func (db *DB) Check() error {
 	if err := db.procHeap.Check(); err != nil {
 		return fmt.Errorf("edb: procedures heap: %w", err)
 	}
+	if err := db.index.Check(); err != nil {
+		return fmt.Errorf("edb: clause index: %w", err)
+	}
+	if err := db.checkOrphans(); err != nil {
+		return err
+	}
 	for _, p := range db.Procs() {
-		if err := db.CheckProc(p); err != nil {
+		if err := db.checkProc(p); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// CheckProc verifies one procedure's stored clauses and indexes.
-func (db *DB) CheckProc(p *ProcInfo) error {
-	count, err := db.checkVarList(p)
+// indexEntry is one clause-index entry, its key copied out of the page.
+type indexEntry struct {
+	key []byte
+	rec store.RID
+}
+
+// entries returns the index entries whose key starts with prefix.
+func (db *DB) entries(prefix []byte) ([]indexEntry, error) {
+	var out []indexEntry
+	err := db.indexRange(prefix, func(k []byte, rec store.RID) bool {
+		out = append(out, indexEntry{append([]byte(nil), k...), rec})
+		return true
+	})
+	return out, err
+}
+
+// derived reports whether an index key is a derived entry: anything but
+// a primary tag-0 or wildcard entry.
+func derived(key []byte) bool {
+	return len(key) < 5 || key[4] != 0 && key[4] != wildTag
+}
+
+// checkOrphans reports an index entry whose procedure ID is not in the
+// procedures table.
+func (db *DB) checkOrphans() error {
+	known := make(map[uint32]bool, len(db.procs))
+	for _, p := range db.procs {
+		known[p.ProcID] = true
+	}
+	var orphan error
+	err := db.index.Range(nil, nil, func(k []byte, _ uint64) bool {
+		if len(k) < 4 || !known[binary.BigEndian.Uint32(k)] {
+			orphan = fmt.Errorf("edb: clause index entry %x belongs to no procedure in the procedures table", k)
+		}
+		return orphan == nil
+	})
+	if err != nil {
+		return fmt.Errorf("edb: clause index: %w", err)
+	}
+	return orphan
+}
+
+// checkProc verifies one procedure's index entries: the primary ones and
+// the derived ones that mirror them.
+func (db *DB) checkProc(p *ProcInfo) error {
+	ground, err := db.checkPrimary(p)
 	if err != nil {
 		return err
 	}
-	if p.K > 0 {
-		ground, err := db.checkGround(p)
+	return db.checkDerived(p, ground)
+}
+
+// checkPrimary verifies a procedure's primary entries, tag 0 for its
+// ground clauses and the wildcard tag for the rest: each resolves to a
+// clause record that files under that very key and whose code blob is
+// readable, no record is filed twice, and they number what the
+// descriptor records (all clauses, and those filed as wildcards). It
+// returns the ground clauses' argument keys by record.
+func (db *DB) checkPrimary(p *ProcInfo) (map[store.RID][]ArgKey, error) {
+	ground := map[store.RID][]ArgKey{}
+	seen := map[store.RID]bool{}
+	for _, tag := range []byte{0, wildTag} {
+		es, err := db.entries(indexPrefix(p.ProcID, tag))
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("edb: %s: clause index: %w", p.Indicator(), err)
 		}
-		count += ground
+		for _, e := range es {
+			data, err := db.clauses.Get(e.rec)
+			if err != nil {
+				return nil, fmt.Errorf("edb: %s: clause record %s: %w", p.Indicator(), e.rec, err)
+			}
+			id, blobRID, keys, err := decodeClauseRec(data)
+			if err != nil {
+				return nil, fmt.Errorf("edb: %s: clause record %s: %w", p.Indicator(), e.rec, err)
+			}
+			if len(keys) != p.K || !bytes.Equal(e.key, indexKeys(p.ProcID, id, keys)[0]) {
+				return nil, fmt.Errorf("edb: %s: clause %d (record %s) filed under the wrong key %x", p.Indicator(), id, e.rec, e.key)
+			}
+			if _, err := db.clauses.Get(blobRID); err != nil {
+				return nil, fmt.Errorf("edb: %s: clause blob %s: %w", p.Indicator(), blobRID, err)
+			}
+			if seen[e.rec] {
+				return nil, fmt.Errorf("edb: %s: clause record %s filed twice", p.Indicator(), e.rec)
+			}
+			seen[e.rec] = true
+			if tag == 0 {
+				ground[e.rec] = keys
+			}
+		}
 	}
-	if count != p.ClauseCount {
-		return fmt.Errorf("edb: %s: %d clauses reachable, descriptor records %d", p.Indicator(), count, p.ClauseCount)
+	if wild := len(seen) - len(ground); len(seen) != p.ClauseCount || wild != p.wildCount {
+		return nil, fmt.Errorf("edb: %s: %d clauses indexed (%d as wildcards), descriptor records %d (%d)",
+			p.Indicator(), len(seen), wild, p.ClauseCount, p.wildCount)
+	}
+	return ground, nil
+}
+
+// checkDerived verifies that every argument i in 1..K-1 files exactly the
+// ground records argument 0 files, each under its own hash of argument
+// i, and that no entry carries a tag the procedure does not index.
+func (db *DB) checkDerived(p *ProcInfo, ground map[store.RID][]ArgKey) error {
+	es, err := db.entries(indexPrefix(p.ProcID, 0)[:4])
+	if err != nil {
+		return fmt.Errorf("edb: %s: clause index: %w", p.Indicator(), err)
+	}
+	seen := make([]map[store.RID]bool, p.K)
+	for _, e := range es {
+		if !derived(e.key) {
+			continue
+		}
+		if len(e.key) < 5 || int(e.key[4]) >= p.K {
+			return fmt.Errorf("edb: %s: index entry %x outside the %d indexed arguments", p.Indicator(), e.key, p.K)
+		}
+		i := int(e.key[4])
+		keys, ok := ground[e.rec]
+		if !ok || !bytes.Equal(e.key, attrKey(p.ProcID, i, keys[i].Hash)) {
+			return fmt.Errorf("edb: %s: argument %d entry %x (record %s) mirrors no argument-0 entry", p.Indicator(), i, e.key, e.rec)
+		}
+		if seen[i] == nil {
+			seen[i] = map[store.RID]bool{}
+		}
+		if seen[i][e.rec] {
+			return fmt.Errorf("edb: %s: argument %d files record %s twice", p.Indicator(), i, e.rec)
+		}
+		seen[i][e.rec] = true
+	}
+	for i := 1; i < p.K; i++ {
+		if len(seen[i]) != len(ground) {
+			return fmt.Errorf("edb: %s: argument %d files %d records, argument 0 files %d", p.Indicator(), i, len(seen[i]), len(ground))
+		}
 	}
 	return nil
 }
 
-// checkVarList verifies the variable-list heap and its records.
-func (db *DB) checkVarList(p *ProcInfo) (int, error) {
-	vh := db.procVarHeap(p)
-	if err := vh.Check(); err != nil {
-		return 0, fmt.Errorf("edb: %s: variable list: %w", p.Indicator(), err)
-	}
-	count := 0
-	err := vh.Scan(func(rid store.RID, data []byte) (bool, error) {
-		_, blobRID, _, err := decodeClauseRec(data)
-		if err != nil {
-			return false, fmt.Errorf("edb: %s: variable-list record %s: %w", p.Indicator(), rid, err)
-		}
-		if _, err := db.clauses.Get(blobRID); err != nil {
-			return false, fmt.Errorf("edb: %s: clause blob %s: %w", p.Indicator(), blobRID, err)
-		}
-		count++
-		return true, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return count, nil
-}
-
-// checkGround verifies the grid, the registry records it addresses, and
-// that each secondary attribute index holds exactly the grid's entries.
-func (db *DB) checkGround(p *ProcInfo) (int, error) {
-	if len(p.attrAnchors) != p.K {
-		return 0, fmt.Errorf("edb: %s: %d attribute indexes recorded, want %d", p.Indicator(), len(p.attrAnchors), p.K)
-	}
-	g, err := db.procGrid(p)
-	if err != nil {
-		return 0, fmt.Errorf("edb: %s: grid: %w", p.Indicator(), err)
-	}
-	if err := g.Check(); err != nil {
-		return 0, fmt.Errorf("edb: %s: grid: %w", p.Indicator(), err)
-	}
-	// Resolve every grid payload: registry record decodes, its keys are
-	// ground, and the code blob it addresses is readable.
-	type regRec struct{ keys []ArgKey }
-	recs := map[uint64]regRec{}
-	var walkErr error
-	err = g.PartialMatch(make([]bool, p.K), make([]uint64, p.K), func(payload uint64) bool {
-		rid := store.UnpackRID(payload)
-		rec, err := db.clauses.Get(rid)
-		if err != nil {
-			walkErr = fmt.Errorf("edb: %s: clause record %s: %w", p.Indicator(), rid, err)
-			return false
-		}
-		_, blobRID, keys, err := decodeClauseRec(rec)
-		if err != nil {
-			walkErr = fmt.Errorf("edb: %s: clause record %s: %w", p.Indicator(), rid, err)
-			return false
-		}
-		for i, k := range keys {
-			if k.Wild {
-				walkErr = fmt.Errorf("edb: %s: clause record %s: wildcard key %d stored in the grid", p.Indicator(), rid, i)
-				return false
-			}
-		}
-		if _, err := db.clauses.Get(blobRID); err != nil {
-			walkErr = fmt.Errorf("edb: %s: clause blob %s: %w", p.Indicator(), blobRID, err)
-			return false
-		}
-		if _, dup := recs[payload]; dup {
-			walkErr = fmt.Errorf("edb: %s: clause record %s indexed twice in the grid", p.Indicator(), rid)
-			return false
-		}
-		recs[payload] = regRec{keys: keys}
-		return true
-	})
-	if err != nil {
-		return 0, fmt.Errorf("edb: %s: grid: %w", p.Indicator(), err)
-	}
-	if walkErr != nil {
-		return 0, walkErr
-	}
-	// The per-attribute secondary indexes must mirror the grid: same
-	// payload set, keyed by that attribute's hash.
-	for i := range p.attrAnchors {
-		bt := db.procAttrIdx(p, i)
-		if err := bt.Check(); err != nil {
-			return 0, fmt.Errorf("edb: %s: attribute index %d: %w", p.Indicator(), i, err)
-		}
-		seen := 0
-		var idxErr error
-		err := bt.Range(nil, nil, func(key []byte, val uint64) bool {
-			r, ok := recs[val]
-			if !ok {
-				idxErr = fmt.Errorf("edb: %s: attribute index %d: payload %d not in the grid", p.Indicator(), i, val)
-				return false
-			}
-			if i < len(r.keys) && !bytes.Equal(key, hashKeyBytes(r.keys[i].Hash)) {
-				idxErr = fmt.Errorf("edb: %s: attribute index %d: payload %d filed under the wrong hash", p.Indicator(), i, val)
-				return false
-			}
-			seen++
-			return true
-		})
-		if err != nil {
-			return 0, fmt.Errorf("edb: %s: attribute index %d: %w", p.Indicator(), i, err)
-		}
-		if idxErr != nil {
-			return 0, idxErr
-		}
-		if seen != len(recs) {
-			return 0, fmt.Errorf("edb: %s: attribute index %d holds %d entries, grid holds %d", p.Indicator(), i, seen, len(recs))
-		}
-	}
-	return len(recs), nil
-}
-
 // Repair rebuilds what is derivable: for every procedure whose check
-// fails, the per-attribute secondary indexes are reconstructed from the
-// grid (the primary index). It returns the number of indexes rebuilt.
-// Corruption in a primary structure — a heap, the grid, or the
-// variable list — cannot be regenerated from elsewhere and is reported
-// as an error.
+// fails, its derived entries are deleted and filed again from its tag-0
+// entries. It returns the number of procedures rebuilt. Damage to
+// anything primary — the index's structure, an entry of no known
+// procedure, a procedure's primary entries or its clause count — cannot
+// be regenerated and is reported as an error before that procedure is
+// written.
 func (db *DB) Repair() (int, error) {
+	if err := db.index.Check(); err != nil {
+		return 0, fmt.Errorf("edb: unrepairable clause index: %w", err)
+	}
+	if err := db.checkOrphans(); err != nil {
+		return 0, fmt.Errorf("edb: unrepairable: %w", err)
+	}
 	rebuilt := 0
 	for _, p := range db.Procs() {
-		if db.CheckProc(p) == nil {
+		if db.checkProc(p) == nil {
 			continue
 		}
-		if p.K == 0 {
-			return rebuilt, fmt.Errorf("edb: %s: unrepairable: no derived structures to rebuild", p.Indicator())
-		}
-		// The grid and the records it addresses must be sound; they are
-		// the source the secondary indexes are derived from.
-		g, err := db.procGrid(p)
+		ground, err := db.checkPrimary(p)
 		if err != nil {
-			return rebuilt, fmt.Errorf("edb: %s: unrepairable: %w", p.Indicator(), err)
+			return rebuilt, fmt.Errorf("edb: unrepairable primary index entries: %w", err)
 		}
-		if err := g.Check(); err != nil {
-			return rebuilt, fmt.Errorf("edb: %s: unrepairable primary index: %w", p.Indicator(), err)
-		}
-		type entry struct {
-			keys    []ArgKey
-			payload uint64
-		}
-		var entries []entry
-		var walkErr error
-		err = g.PartialMatch(make([]bool, p.K), make([]uint64, p.K), func(payload uint64) bool {
-			rec, err := db.clauses.Get(store.UnpackRID(payload))
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			_, _, keys, err := decodeClauseRec(rec)
-			if err != nil {
-				walkErr = err
-				return false
-			}
-			entries = append(entries, entry{keys: keys, payload: payload})
-			return true
-		})
-		if err == nil {
-			err = walkErr
-		}
+		es, err := db.entries(indexPrefix(p.ProcID, 0)[:4])
 		if err != nil {
-			return rebuilt, fmt.Errorf("edb: %s: unrepairable clause registry: %w", p.Indicator(), err)
+			return rebuilt, err
 		}
-		// Rebuild every secondary index fresh. The old trees' pages are
-		// abandoned rather than walked for freeing: their links are the
-		// very thing no longer trusted.
-		p.openMu.Lock()
-		p.attrIdx = nil
-		p.attrAnchors = nil
-		p.openMu.Unlock()
-		for i := 0; i < p.K; i++ {
-			bt, err := store.CreateBTree(db.st.Pool())
-			if err != nil {
-				return rebuilt, err
-			}
-			for _, e := range entries {
-				if i >= len(e.keys) {
-					continue
-				}
-				if err := bt.Insert(hashKeyBytes(e.keys[i].Hash), e.payload); err != nil {
+		for _, e := range es {
+			if derived(e.key) {
+				if _, err := db.index.Delete(e.key, e.rec.Pack()); err != nil {
 					return rebuilt, err
 				}
 			}
-			p.openMu.Lock()
-			p.attrAnchors = append(p.attrAnchors, bt.Anchor())
-			p.attrIdx = append(p.attrIdx, bt)
-			p.openMu.Unlock()
-			rebuilt++
 		}
-		if err := db.saveProc(p); err != nil {
-			return rebuilt, err
+		for rec, keys := range ground {
+			for i := 1; i < p.K; i++ {
+				if err := db.index.Insert(attrKey(p.ProcID, i, keys[i].Hash), rec.Pack()); err != nil {
+					return rebuilt, err
+				}
+			}
 		}
-		// Rebuilding the derived structures is all repair can do; if the
-		// procedure still fails, the corruption is in a primary one.
-		if err := db.CheckProc(p); err != nil {
+		rebuilt++
+		if err := db.checkProc(p); err != nil {
 			return rebuilt, fmt.Errorf("edb: unrepairable after index rebuild: %w", err)
 		}
 	}

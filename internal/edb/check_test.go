@@ -1,7 +1,9 @@
 package edb
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -43,44 +45,135 @@ func TestCheckAcceptsSoundStore(t *testing.T) {
 
 func TestRepairRebuildsSecondaryIndexes(t *testing.T) {
 	db, p := buildCheckedDB(t)
-	// Poison attribute index 0 with an entry addressing no grid record:
-	// a derived structure now disagrees with its primary.
-	bt := db.procAttrIdx(p, 0)
-	if err := bt.Insert(hashKeyBytes(12345), 1<<40); err != nil {
+	// Poison argument 1's entries with one addressing no tag-0 record: a
+	// derived entry now disagrees with the primary ones.
+	if err := db.index.Insert(attrKey(p.ProcID, 1, 12345), 1<<40); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Check(); err == nil {
-		t.Fatal("check accepted a poisoned secondary index")
+		t.Fatal("check accepted a poisoned derived entry")
 	}
 	n, err := db.Repair()
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
-	if n != p.K {
-		t.Fatalf("rebuilt %d indexes, want %d", n, p.K)
+	if n != 1 {
+		t.Fatalf("rebuilt %d procedures, want 1", n)
 	}
 	if err := db.Check(); err != nil {
 		t.Fatalf("store still unsound after repair: %v", err)
 	}
-	scs, err := db.Retrieve(p, []ArgKey{AtomKey("k1"), WildKey()})
+	// Both an argument-0 and an argument-1 (rebuilt) lookup still answer.
+	if scs, err := db.Retrieve(p, []ArgKey{AtomKey("k1"), WildKey()}); err != nil || len(scs) == 0 {
+		t.Fatalf("indexed retrieval on argument 0 after repair: %d clauses, %v", len(scs), err)
+	}
+	scs, err := db.Retrieve(p, []ArgKey{WildKey(), IntKey(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scs) == 0 {
-		t.Fatal("indexed retrieval empty after repair")
+	if got := blobs(scs); len(got) == 0 || got[0] != "code-5" {
+		t.Fatalf("indexed retrieval on argument 1 after repair = %v", got)
 	}
 }
 
 func TestRepairRefusesPrimaryCorruption(t *testing.T) {
+	t.Run("clause count", func(t *testing.T) {
+		db, p := buildCheckedDB(t)
+		// Lie about the clause count: nothing derivable can explain it, so
+		// repair must refuse rather than fabricate consistency.
+		p.ClauseCount++
+		defer func() { p.ClauseCount-- }()
+		if err := db.Check(); err == nil {
+			t.Fatal("check accepted a bad clause count")
+		}
+		if _, err := db.Repair(); err == nil {
+			t.Fatal("repair claimed success on unrepairable corruption")
+		}
+	})
+	t.Run("deleted tag-0 entry", func(t *testing.T) {
+		db, p := buildCheckedDB(t)
+		scs, err := db.Retrieve(p, []ArgKey{AtomKey("k1"), IntKey(1)})
+		if err != nil || len(scs) != 1 {
+			t.Fatalf("retrieve: %d clauses, %v", len(scs), err)
+		}
+		sc := scs[0]
+		lost := attrKey(p.ProcID, 0, sc.keys[0].Hash)
+		if ok, err := db.index.Delete(lost, sc.recRID.Pack()); !ok || err != nil {
+			t.Fatalf("delete tag-0 entry: %v %v", ok, err)
+		}
+		if err := db.Check(); err == nil {
+			t.Fatal("check accepted a lost primary entry")
+		}
+		if _, err := db.Repair(); err == nil {
+			t.Fatal("repair claimed success on a lost primary entry")
+		}
+		// The refusal wrote nothing: putting the entry back is enough.
+		if err := db.index.Insert(lost, sc.recRID.Pack()); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Check(); err != nil {
+			t.Fatalf("refused repair changed the index: %v", err)
+		}
+	})
+}
+
+func TestCheckReportsOrphanEntries(t *testing.T) {
 	db, p := buildCheckedDB(t)
-	// Lie about the clause count: nothing derivable can explain it, so
-	// repair must refuse rather than fabricate consistency.
-	p.ClauseCount++
-	defer func() { p.ClauseCount-- }()
-	if err := db.Check(); err == nil {
-		t.Fatal("check accepted a bad clause count")
+	if err := db.index.Insert(attrKey(p.ProcID+1, 0, 7), 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Check(); err == nil || !strings.Contains(err.Error(), "no procedure") {
+		t.Fatalf("check of an orphan entry = %v", err)
 	}
 	if _, err := db.Repair(); err == nil {
-		t.Fatal("repair claimed success on unrepairable corruption")
+		t.Fatal("repair claimed success with an orphan entry")
+	}
+}
+
+// TestOpenRefusesPreIndexStore: a store with a procedures table but no
+// clause index was written by the per-procedure layout; it is refused,
+// not misread.
+func TestOpenRefusesPreIndexStore(t *testing.T) {
+	st, err := store.Open("", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	h, err := store.CreateHeap(st.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetMeta("edb.procs", uint64(h.Root())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(st); !errors.Is(err, errOldFormat) {
+		t.Fatalf("Open of a pre-index store = %v, want the format-change error", err)
+	}
+}
+
+// TestVariableHeadedProcsShareIndexPages: a procedure costs its records
+// and index entries, not access structures of its own (the parent paid
+// seven pages per two-argument procedure, about 7000 here).
+func TestVariableHeadedProcsShareIndexPages(t *testing.T) {
+	db := memDB(t)
+	base := db.st.Pool().Pager().NumPages()
+	for j := 0; j < 1000; j++ {
+		p, err := db.CreateProc(fmt.Sprintf("r%d", j), 2, FormCode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 2; c++ {
+			if _, err := db.StoreClause(p, []ArgKey{WildKey(), WildKey()}, []byte("code")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	added := db.st.Pool().Pager().NumPages() - base
+	t.Logf("1000 procedures added %d pages", added)
+	if added >= 1000 {
+		t.Fatalf("1000 two-clause procedures added %d pages, want < 1000", added)
+	}
+	if err := db.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

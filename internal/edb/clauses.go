@@ -12,11 +12,59 @@ import (
 	"repro/internal/store"
 )
 
-// hashKeyBytes renders an attribute hash as a B-tree key.
-func hashKeyBytes(h uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], h)
-	return b[:]
+// Clause-index keys are procID (4 bytes) | tag (1 byte) | body, integers
+// big-endian so that one procedure's entries, and within them one tag's,
+// are contiguous in key order. Tag i < K files a ground clause under the
+// hash of argument i (body: the 8-byte hash); wildTag files a clause with
+// a variable in an indexed position, or any clause of a procedure with
+// K = 0 (body: the 4-byte clause ID). Every value is the packed RID of
+// the clause record.
+const wildTag = 0xFF
+
+// indexPrefix returns the key prefix procID|tag.
+func indexPrefix(pid uint32, tag byte) []byte {
+	b := make([]byte, 5, 13)
+	binary.BigEndian.PutUint32(b, pid)
+	b[4] = tag
+	return b
+}
+
+// attrKey is the index key filing a ground clause under argument i.
+func attrKey(pid uint32, i int, h uint64) []byte {
+	return binary.BigEndian.AppendUint64(indexPrefix(pid, byte(i)), h)
+}
+
+// filedWild reports whether a clause with the given (first K) argument
+// keys is filed under the wildcard tag: some indexed argument is a
+// variable, or there is none.
+func filedWild(keys []ArgKey) bool {
+	for _, k := range keys {
+		if k.Wild {
+			return true
+		}
+	}
+	return len(keys) == 0
+}
+
+// indexKeys returns the keys a clause is filed under: one per indexed
+// argument when they are all ground, otherwise a single wildcard entry.
+func indexKeys(pid, id uint32, keys []ArgKey) [][]byte {
+	if filedWild(keys) {
+		return [][]byte{binary.BigEndian.AppendUint32(indexPrefix(pid, wildTag), id)}
+	}
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = attrKey(pid, i, k.Hash)
+	}
+	return out
+}
+
+// indexRange visits the index entries whose key starts with prefix. The
+// key is valid only during the call; fn returns false to stop.
+func (db *DB) indexRange(prefix []byte, fn func(key []byte, rec store.RID) bool) error {
+	return db.index.Range(prefix, nil, func(k []byte, v uint64) bool {
+		return bytes.HasPrefix(k, prefix) && fn(k, store.UnpackRID(v))
+	})
 }
 
 // ArgKey is the type-and-value hash of one head argument, the attribute
@@ -78,13 +126,11 @@ type StoredClause struct {
 	Blob []byte
 
 	blobRID store.RID
+	recRID  store.RID // the clause record the index entries address
 	keys    []ArgKey
-	varRec  store.RID // set when the clause lives in the variable list
-	inVar   bool
 }
 
-// clause registry record (grid payload packs reg-RID; varlist stores the
-// record inline):
+// clause record, stored in the clauses heap beside the blob:
 //
 //	clauseID u32, blobRID u64, varMask u64, k hashes u64
 func encodeClauseRec(id uint32, blob store.RID, keys []ArgKey) []byte {
@@ -141,40 +187,17 @@ func (db *DB) StoreClause(p *ProcInfo, keys []ArgKey, blob []byte) (uint32, erro
 	if err != nil {
 		return 0, err
 	}
-	anyWild := false
-	for _, k := range keys {
-		if k.Wild {
-			anyWild = true
-			break
+	recRID, err := db.clauses.Insert(encodeClauseRec(id, blobRID, keys))
+	if err != nil {
+		return 0, err
+	}
+	for _, k := range indexKeys(p.ProcID, id, keys) {
+		if err := db.index.Insert(k, recRID.Pack()); err != nil {
+			return 0, err
 		}
 	}
-	if p.K == 0 || anyWild {
-		rec := encodeClauseRec(id, blobRID, keys)
-		if _, err := db.procVarHeap(p).Insert(rec); err != nil {
-			return 0, err
-		}
-	} else {
-		g, err := db.procGrid(p)
-		if err != nil {
-			return 0, err
-		}
-		hashes := make([]uint64, p.K)
-		for i, k := range keys {
-			hashes[i] = k.Hash
-		}
-		rec := encodeClauseRec(id, blobRID, keys)
-		recRID, err := db.clauses.Insert(rec)
-		if err != nil {
-			return 0, err
-		}
-		if err := g.Insert(hashes, recRID.Pack()); err != nil {
-			return 0, err
-		}
-		for i, k := range keys {
-			if err := db.procAttrIdx(p, i).Insert(hashKeyBytes(k.Hash), recRID.Pack()); err != nil {
-				return 0, err
-			}
-		}
+	if filedWild(keys) {
+		p.wildCount++
 	}
 	p.ClauseCount++
 	db.stored.Add(1)
@@ -214,111 +237,78 @@ func (db *DB) RetrieveObs(p *ProcInfo, query []ArgKey, qs *obs.QueryStats) ([]St
 		}()
 		t0 = time.Now()
 	}
-	scanned := uint64(0)
-	known := make([]bool, p.K)
-	hashes := make([]uint64, p.K)
-	anyKnown := false
-	for i := 0; i < p.K && i < len(query); i++ {
-		if !query[i].Wild {
-			known[i] = true
-			hashes[i] = query[i].Hash
-			anyKnown = true
+	bound := query
+	if len(bound) > p.K {
+		bound = bound[:p.K]
+	}
+	first := -1
+	for i, k := range bound {
+		if !k.Wild {
+			first = i
+			break
 		}
 	}
-	// primary is the access path chosen for the ground-indexed clauses:
-	// attribute index, grid partial match, or (with nothing bound) a full
-	// scan. Its selectivity is recorded per path.
-	primary := obs.PathGrid
-	if !anyKnown {
-		primary = obs.PathFullScan
-		db.fullScans.Add(1)
-	}
-
-	var out []StoredClause
-
-	// Candidates among ground-indexed clauses: use the secondary index of
-	// the first bound attribute when one exists (fully selective), and
-	// fall back to the grid's partial match otherwise.
-	if p.K > 0 {
-		var recRIDs []store.RID
-		firstKnown := -1
-		for i, k := range known {
-			if k {
-				firstKnown = i
-				break
-			}
+	var (
+		out  []StoredClause
+		rids []store.RID
+	)
+	// candidates resolves the clause records filed under prefix and keeps
+	// those that agree with every bound argument (a wildcard key agrees
+	// with anything): the residual pre-unification filter.
+	candidates := func(prefix []byte) (scanned, matched uint64, err error) {
+		rids = rids[:0]
+		err = db.indexRange(prefix, func(_ []byte, rec store.RID) bool {
+			rids = append(rids, rec)
+			return true
+		})
+		if err != nil {
+			return 0, 0, err
 		}
-		if firstKnown >= 0 && firstKnown < len(p.attrAnchors) {
-			primary = obs.PathAttrIndex
-			vals, err := db.procAttrIdx(p, firstKnown).SearchEQ(hashKeyBytes(hashes[firstKnown]))
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range vals {
-				recRIDs = append(recRIDs, store.UnpackRID(v))
-			}
-		} else {
-			g, err := db.procGrid(p)
-			if err != nil {
-				return nil, err
-			}
-			err = g.PartialMatch(known, hashes, func(payload uint64) bool {
-				recRIDs = append(recRIDs, store.UnpackRID(payload))
-				return true
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, rid := range recRIDs {
+	next:
+		for _, rid := range rids {
 			rec, err := db.clauses.Get(rid)
 			if err != nil {
-				return nil, err
+				return 0, 0, err
 			}
 			id, blobRID, keys, err := decodeClauseRec(rec)
 			if err != nil {
-				return nil, err
+				return 0, 0, err
 			}
 			scanned++
-			// Residual filter on the remaining bound attributes.
-			match := true
-			for i := range known {
-				if known[i] && i < len(keys) && keys[i].Hash != hashes[i] {
-					match = false
-					break
+			for i, q := range bound {
+				if !q.Wild && i < len(keys) && !keys[i].Wild && keys[i].Hash != q.Hash {
+					continue next
 				}
 			}
-			if !match {
-				continue
-			}
-			out = append(out, StoredClause{ClauseID: id, blobRID: blobRID, keys: keys, varRec: rid})
+			out = append(out, StoredClause{ClauseID: id, blobRID: blobRID, recRID: rid, keys: keys})
+			matched++
+		}
+		return scanned, matched, nil
+	}
+	// The ground clauses come from the entries of the first bound argument
+	// or, with nothing bound, from every argument-0 entry; the wildcard
+	// entries are read whole. A range the descriptor's counts say is empty
+	// is not read. Each path records its selectivity.
+	primary, prefix := obs.PathFullScan, indexPrefix(p.ProcID, 0)
+	if first >= 0 {
+		primary, prefix = obs.PathAttrIndex, attrKey(p.ProcID, first, bound[first].Hash)
+	}
+	var primaryScanned, primaryMatched, wildScanned, wildMatched uint64
+	var err error
+	if p.ClauseCount > p.wildCount {
+		if primaryScanned, primaryMatched, err = candidates(prefix); err != nil {
+			return nil, err
 		}
 	}
-	primaryScanned, primaryMatched := scanned, uint64(len(out))
-
-	// Variable-list candidates: filtered attribute by attribute.
-	err := db.procVarHeap(p).Scan(func(rid store.RID, data []byte) (bool, error) {
-		id, blobRID, keys, err := decodeClauseRec(data)
-		if err != nil {
-			return false, err
+	if p.wildCount > 0 {
+		if wildScanned, wildMatched, err = candidates(indexPrefix(p.ProcID, wildTag)); err != nil {
+			return nil, err
 		}
-		scanned++
-		for i := range known {
-			if known[i] && i < len(keys) && !keys[i].Wild && keys[i].Hash != hashes[i] {
-				return true, nil // filtered out
-			}
-		}
-		out = append(out, StoredClause{ClauseID: id, blobRID: blobRID, keys: keys, varRec: rid, inVar: true})
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	varScanned := scanned - primaryScanned
-	varMatched := uint64(len(out)) - primaryMatched
+	scanned := primaryScanned + wildScanned
 	db.notePath(primary, 1, primaryScanned, primaryMatched, qs)
-	if varScanned > 0 {
-		db.notePath(obs.PathVarList, 1, varScanned, varMatched, qs)
+	if wildScanned > 0 {
+		db.notePath(obs.PathVarList, 1, wildScanned, wildMatched, qs)
 	}
 
 	sort.Slice(out, func(i, j int) bool { return out[i].ClauseID < out[j].ClauseID })
@@ -367,37 +357,23 @@ func (db *DB) AllClauses(p *ProcInfo) ([]StoredClause, error) {
 
 // DeleteClause removes a clause previously returned by Retrieve.
 func (db *DB) DeleteClause(p *ProcInfo, sc StoredClause) error {
-	if sc.inVar {
-		if err := db.procVarHeap(p).Delete(sc.varRec); err != nil {
-			return err
-		}
-	} else {
-		g, err := db.procGrid(p)
-		if err != nil {
-			return err
-		}
-		hashes := make([]uint64, p.K)
-		for i := 0; i < p.K && i < len(sc.keys); i++ {
-			hashes[i] = sc.keys[i].Hash
-		}
-		ok, err := g.Delete(hashes, sc.varRec.Pack())
+	for _, k := range indexKeys(p.ProcID, sc.ClauseID, sc.keys) {
+		ok, err := db.index.Delete(k, sc.recRID.Pack())
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return fmt.Errorf("edb: clause %d of %s not in index", sc.ClauseID, p.Indicator())
 		}
-		for i := 0; i < p.K && i < len(sc.keys); i++ {
-			if _, err := db.procAttrIdx(p, i).Delete(hashKeyBytes(sc.keys[i].Hash), sc.varRec.Pack()); err != nil {
-				return err
-			}
-		}
-		if err := db.clauses.Delete(sc.varRec); err != nil {
-			return err
-		}
+	}
+	if err := db.clauses.Delete(sc.recRID); err != nil {
+		return err
 	}
 	if err := db.clauses.Delete(sc.blobRID); err != nil {
 		return err
+	}
+	if filedWild(sc.keys) {
+		p.wildCount--
 	}
 	p.ClauseCount--
 	if db.stored.Value() > 0 {

@@ -1,19 +1,23 @@
 // Package edb implements Educe*'s External Data Base layer (paper §4): the
-// procedures table, the external dictionary, the per-procedure clause
-// relations and the clauses relation holding relocatable compiled code,
-// plus the pre-unification filter that selects candidate clauses inside
-// the storage engine before any code is loaded.
+// procedures table, the external dictionary, the clauses relation holding
+// relocatable compiled code, and one clause index over the whole
+// knowledge base, plus the pre-unification filter that selects candidate
+// clauses inside the storage engine before any code is loaded.
 //
 // Layout on top of package store:
 //
-//   - a procedures heap file holds one descriptor record per external
+//   - a procedures heap holds one descriptor record per external
 //     procedure (the paper's procedures table);
-//   - per procedure, a BANG-style grid index maps the hash values of the
-//     first k head arguments to clause records (the paper's procedures
-//     relation), and a variable-list heap holds clauses with variables in
-//     indexed positions (those match any query and bypass the grid);
-//   - one shared clauses heap stores the code/source blobs (the paper's
-//     clauses relation: procedure_id, clause_id, relative_code);
+//   - one clauses heap holds, per clause, its code/source blob (the
+//     paper's clauses relation: procedure_id, clause_id, relative_code)
+//     and a small clause record (clause ID, blob RID, head-argument
+//     hashes: the paper's procedures relation);
+//   - one B-tree, the clause index, files every clause record under
+//     procedure ID | tag | body: for a ground clause one entry per indexed
+//     argument i (tag i, body = that argument's hash), for a clause with a
+//     variable in an indexed position (or of a procedure with no indexed
+//     argument) one wildcard entry (tag 0xFF, body = clause ID) that
+//     every query of the procedure reads;
 //   - the external dictionary heap records (name, arity, hash) for every
 //     atom and functor referenced by stored code, with the hash computed
 //     by the same function as the internal dictionary so the storage
@@ -23,18 +27,18 @@ package edb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-// MaxIndexedArgs caps how many head arguments contribute to the grid
-// index. Indexing on more arguments grows code and directory size
-// exponentially (the paper's §3.2.2 observation), so the index uses the
-// leading arguments only.
+// MaxIndexedArgs caps how many head arguments the clause index files a
+// clause under. Every indexed argument costs one entry per ground clause
+// (and the paper's §3.2.2 notes the code growth of indexing on many), so
+// the index uses the leading arguments only.
 const MaxIndexedArgs = 4
 
 // Form says how a procedure's clauses are stored.
@@ -64,17 +68,10 @@ type ProcInfo struct {
 	ClauseCount int
 
 	nextClauseID uint32
-	gridHeader   store.PageID
-	varRoot      store.PageID
-	attrAnchors  []store.PageID // per-attribute secondary index anchors
-	rid          store.RID      // descriptor record
-
-	// openMu guards the lazy opens below so concurrent readers may race
-	// to materialise the same access structure.
-	openMu  sync.Mutex
-	grid    *store.Grid
-	varHeap *store.Heap
-	attrIdx []*store.BTree
+	// wildCount is how many of the clauses are filed under the wildcard
+	// tag; a retrieval reads those entries only when there are some.
+	wildCount int
+	rid       store.RID // descriptor record
 }
 
 // Indicator renders name/arity.
@@ -83,8 +80,9 @@ func (p *ProcInfo) Indicator() string { return fmt.Sprintf("%s/%d", p.Name, p.Ar
 // DB is an open external database.
 type DB struct {
 	st       *store.Store
-	clauses  *store.Heap // shared clause-blob relation
-	procHeap *store.Heap // procedure descriptors
+	clauses  *store.Heap  // clause blobs and clause records
+	procHeap *store.Heap  // procedure descriptors
+	index    *store.BTree // the clause index (see the package comment)
 	ext      *ExtDict
 	procs    map[procKey]*ProcInfo
 	nextProc uint32
@@ -93,10 +91,9 @@ type DB struct {
 	// base); retrievals run concurrently across sessions, so every
 	// update is atomic. Stats() is a view over these.
 	retrievals *obs.Counter
-	scanned    *obs.Counter // clauses examined by pre-unification
-	candidates *obs.Counter // clauses that passed pre-unification
-	stored     *obs.Gauge   // clauses currently stored (state, not traffic)
-	fullScans  *obs.Counter
+	scanned    *obs.Counter   // clauses examined by pre-unification
+	candidates *obs.Counter   // clauses that passed pre-unification
+	stored     *obs.Gauge     // clauses currently stored (state, not traffic)
 	pagesPerRt *obs.Histogram // buffer accesses per retrieval
 
 	// Per-access-path selectivity counters (choices made, candidates
@@ -119,7 +116,7 @@ type Stats struct {
 	// Retrievals counts clause-set retrievals.
 	Retrievals uint64
 	// ClausesScanned counts clauses examined by pre-unification (index
-	// candidates plus variable-list records); with pre-unification
+	// candidates plus wildcard entries); with pre-unification
 	// disabled every stored clause of the procedure is scanned and
 	// returned.
 	ClausesScanned uint64
@@ -127,8 +124,6 @@ type Stats struct {
 	CandidatesReturned uint64
 	// ClausesStored is the total clauses currently stored.
 	ClausesStored uint64
-	// FullScans counts retrievals with no usable constraint.
-	FullScans uint64
 }
 
 // Selectivity returns CandidatesReturned/ClausesScanned — the §4
@@ -150,14 +145,13 @@ func Open(st *store.Store) (*DB, error) {
 		scanned:    reg.Counter("edb.clauses_scanned"),
 		candidates: reg.Counter("edb.clauses_passed"),
 		stored:     reg.Gauge("edb.clauses_stored"),
-		fullScans:  reg.Counter("edb.full_scans"),
 		pagesPerRt: reg.Histogram("edb.pages_per_retrieval"),
 	}
 	reg.RegisterFunc("edb.preunify_selectivity", func() any {
 		return obs.Ratio(db.candidates.Value(), db.scanned.Value())
 	})
 	for _, path := range []obs.IndexPath{
-		obs.PathAttrIndex, obs.PathGrid, obs.PathVarList, obs.PathFullScan,
+		obs.PathAttrIndex, obs.PathVarList, obs.PathFullScan,
 	} {
 		db.paths[path] = pathCounters{
 			choices: reg.Counter("edb.path." + path.String() + ".choices"),
@@ -165,29 +159,21 @@ func Open(st *store.Store) (*DB, error) {
 			matched: reg.Counter("edb.path." + path.String() + ".matched"),
 		}
 	}
-	if root, ok := st.GetMeta("edb.clauses"); ok {
-		db.clauses = store.OpenHeap(st.Pool(), store.PageID(root))
-	} else {
-		h, err := store.CreateHeap(st.Pool())
-		if err != nil {
-			return nil, err
-		}
-		db.clauses = h
-		if err := st.SetMeta("edb.clauses", uint64(h.Root())); err != nil {
-			return nil, err
-		}
+	_, hasProcs := st.GetMeta("edb.procs")
+	if _, ok := st.GetMeta("edb.index"); hasProcs && !ok {
+		return nil, errOldFormat
 	}
-	if root, ok := st.GetMeta("edb.procs"); ok {
-		db.procHeap = store.OpenHeap(st.Pool(), store.PageID(root))
-	} else {
-		h, err := store.CreateHeap(st.Pool())
-		if err != nil {
-			return nil, err
-		}
-		db.procHeap = h
-		if err := st.SetMeta("edb.procs", uint64(h.Root())); err != nil {
-			return nil, err
-		}
+	var err error
+	if db.clauses, err = openHeap(st, "edb.clauses"); err != nil {
+		return nil, err
+	}
+	// The index is created before the procedures heap, so a store with
+	// procedures and no index can only be one from before the index.
+	if db.index, err = openBTree(st, "edb.index"); err != nil {
+		return nil, err
+	}
+	if db.procHeap, err = openHeap(st, "edb.procs"); err != nil {
+		return nil, err
 	}
 	ext, err := openExtDict(st)
 	if err != nil {
@@ -198,6 +184,36 @@ func Open(st *store.Store) (*DB, error) {
 		return nil, err
 	}
 	return db, nil
+}
+
+// errOldFormat refuses a store written before the KB-wide clause index.
+var errOldFormat = errors.New("edb: store predates the KB-wide clause index (format change: " +
+	"per-procedure grid, attribute B-trees and variable heaps were replaced by edb.index); " +
+	"rebuild it by consulting the source again")
+
+// openHeap attaches to the heap whose root is recorded under the store
+// metadata name, creating and recording it when absent.
+func openHeap(st *store.Store, name string) (*store.Heap, error) {
+	if root, ok := st.GetMeta(name); ok {
+		return store.OpenHeap(st.Pool(), store.PageID(root)), nil
+	}
+	h, err := store.CreateHeap(st.Pool())
+	if err != nil {
+		return nil, err
+	}
+	return h, st.SetMeta(name, uint64(h.Root()))
+}
+
+// openBTree is openHeap for a B-tree.
+func openBTree(st *store.Store, name string) (*store.BTree, error) {
+	if anchor, ok := st.GetMeta(name); ok {
+		return store.OpenBTree(st.Pool(), store.PageID(anchor)), nil
+	}
+	t, err := store.CreateBTree(st.Pool())
+	if err != nil {
+		return nil, err
+	}
+	return t, st.SetMeta(name, uint64(t.Anchor()))
 }
 
 // Store returns the underlying store (for I/O statistics).
@@ -213,7 +229,6 @@ func (db *DB) Stats() Stats {
 		ClausesScanned:     db.scanned.Value(),
 		CandidatesReturned: db.candidates.Value(),
 		ClausesStored:      uint64(db.stored.Value()),
-		FullScans:          db.fullScans.Value(),
 	}
 }
 
@@ -224,7 +239,6 @@ func (db *DB) ResetStats() {
 	db.retrievals.Reset()
 	db.scanned.Reset()
 	db.candidates.Reset()
-	db.fullScans.Reset()
 	db.pagesPerRt.Reset()
 }
 
@@ -270,12 +284,7 @@ func encodeProc(p *ProcInfo) []byte {
 	wu(uint64(p.K))
 	wu(uint64(p.ClauseCount))
 	wu(uint64(p.nextClauseID))
-	wu(uint64(p.gridHeader))
-	wu(uint64(p.varRoot))
-	wu(uint64(len(p.attrAnchors)))
-	for _, a := range p.attrAnchors {
-		wu(uint64(a))
-	}
+	wu(uint64(p.wildCount))
 	return b.Bytes()
 }
 
@@ -302,12 +311,7 @@ func decodeProc(data []byte) (*ProcInfo, error) {
 	p.K = int(ru())
 	p.ClauseCount = int(ru())
 	p.nextClauseID = uint32(ru())
-	p.gridHeader = store.PageID(ru())
-	p.varRoot = store.PageID(ru())
-	na := int(ru())
-	for i := 0; i < na; i++ {
-		p.attrAnchors = append(p.attrAnchors, store.PageID(ru()))
-	}
+	p.wildCount = int(ru())
 	if err != nil {
 		return nil, fmt.Errorf("edb: corrupt procedure descriptor: %w", err)
 	}
@@ -353,33 +357,6 @@ func (db *DB) CreateProc(name string, arity int, form Form) (*ProcInfo, error) {
 		K:         k,
 	}
 	db.nextProc++
-	if k > 0 {
-		g, err := store.CreateGrid(db.st.Pool(), k)
-		if err != nil {
-			return nil, err
-		}
-		p.grid = g
-		p.gridHeader = g.Header()
-		// Secondary indices, one per indexed head argument (the paper's
-		// "primary keys and secondary indices" used for clause filtering,
-		// §3.2.1): a hash index per attribute gives full selectivity for
-		// single-attribute constraints, where the grid's bit-interleaved
-		// partitioning only contributes depth/k bits.
-		for i := 0; i < k; i++ {
-			bt, err := store.CreateBTree(db.st.Pool())
-			if err != nil {
-				return nil, err
-			}
-			p.attrAnchors = append(p.attrAnchors, bt.Anchor())
-			p.attrIdx = append(p.attrIdx, bt)
-		}
-	}
-	vh, err := store.CreateHeap(db.st.Pool())
-	if err != nil {
-		return nil, err
-	}
-	p.varHeap = vh
-	p.varRoot = vh.Root()
 	rid, err := db.procHeap.Insert(encodeProc(p))
 	if err != nil {
 		return nil, err
@@ -425,31 +402,6 @@ func (db *DB) saveProc(p *ProcInfo) error {
 	return nil
 }
 
-func (db *DB) procGrid(p *ProcInfo) (*store.Grid, error) {
-	if p.K == 0 {
-		return nil, nil
-	}
-	p.openMu.Lock()
-	defer p.openMu.Unlock()
-	if p.grid == nil {
-		g, err := store.OpenGrid(db.st.Pool(), p.gridHeader)
-		if err != nil {
-			return nil, err
-		}
-		p.grid = g
-	}
-	return p.grid, nil
-}
-
-func (db *DB) procVarHeap(p *ProcInfo) *store.Heap {
-	p.openMu.Lock()
-	defer p.openMu.Unlock()
-	if p.varHeap == nil {
-		p.varHeap = store.OpenHeap(db.st.Pool(), p.varRoot)
-	}
-	return p.varHeap
-}
-
 // MarkRule records that p holds at least one non-fact clause, disabling
 // the baseline's tuple-at-a-time access path for it.
 func (db *DB) MarkRule(p *ProcInfo) error {
@@ -458,17 +410,4 @@ func (db *DB) MarkRule(p *ProcInfo) error {
 	}
 	p.FactsOnly = false
 	return db.saveProc(p)
-}
-
-// procAttrIdx opens (lazily) the secondary index on attribute i.
-func (db *DB) procAttrIdx(p *ProcInfo, i int) *store.BTree {
-	p.openMu.Lock()
-	defer p.openMu.Unlock()
-	for len(p.attrIdx) < len(p.attrAnchors) {
-		p.attrIdx = append(p.attrIdx, nil)
-	}
-	if p.attrIdx[i] == nil {
-		p.attrIdx[i] = store.OpenBTree(db.st.Pool(), p.attrAnchors[i])
-	}
-	return p.attrIdx[i]
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -262,8 +263,9 @@ func TestPreUnificationStats(t *testing.T) {
 	db.ResetStats()
 	scs, _ = db.AllClauses(p)
 	st = db.Stats()
-	if st.FullScans != 1 || int(st.CandidatesReturned) != len(scs) || len(scs) != 1000 {
-		t.Fatalf("full scan stats = %+v (%d clauses)", st, len(scs))
+	fullScans := db.paths[obs.PathFullScan].choices.Value()
+	if fullScans != 1 || int(st.CandidatesReturned) != len(scs) || len(scs) != 1000 {
+		t.Fatalf("full scan stats = %+v, %d full scans (%d clauses)", st, fullScans, len(scs))
 	}
 }
 

@@ -34,20 +34,12 @@ type extKey struct {
 }
 
 func openExtDict(st *store.Store) (*ExtDict, error) {
-	d := &ExtDict{entries: map[extKey]uint64{}}
-	if root, ok := st.GetMeta("edb.extdict"); ok {
-		d.heap = store.OpenHeap(st.Pool(), store.PageID(root))
-	} else {
-		h, err := store.CreateHeap(st.Pool())
-		if err != nil {
-			return nil, err
-		}
-		d.heap = h
-		if err := st.SetMeta("edb.extdict", uint64(h.Root())); err != nil {
-			return nil, err
-		}
+	heap, err := openHeap(st, "edb.extdict")
+	if err != nil {
+		return nil, err
 	}
-	err := d.heap.Scan(func(_ store.RID, data []byte) (bool, error) {
+	d := &ExtDict{heap: heap, entries: map[extKey]uint64{}}
+	err = d.heap.Scan(func(_ store.RID, data []byte) (bool, error) {
 		name, arity, hash, err := decodeExtEntry(data)
 		if err != nil {
 			return false, err

@@ -5,8 +5,8 @@ import "repro/internal/store"
 // Transaction support. The pager-level transaction (store.Begin /
 // store.Rollback) restores every page byte-for-byte, but the EDB layer
 // caches derived state in memory: the procedures map, each ProcInfo's
-// descriptor fields and lazily-opened access structures, the shared
-// heap handles' append hints, and the external dictionary's entry map.
+// descriptor fields, the shared heap handles' append hints, and the
+// external dictionary's entry map.
 // Snapshot captures that state cheaply (value copies, no page I/O) and
 // Restore puts it back in place after the pager rolled back, so a
 // rolled-back transaction is invisible at every layer.
@@ -15,24 +15,10 @@ import "repro/internal/store"
 // than replacing them: the engine's trap resolvers capture *ProcInfo
 // pointers in closures, so pointer identity must survive rollback.
 
-// procSnap is the value copy of one procedure descriptor's mutable
-// fields.
-type procSnap struct {
-	form         Form
-	factsOnly    bool
-	k            int
-	clauseCount  int
-	nextClauseID uint32
-	gridHeader   store.PageID
-	varRoot      store.PageID
-	attrAnchors  []store.PageID
-	rid          store.RID
-}
-
 // Snapshot is the EDB state captured at transaction begin.
 type Snapshot struct {
 	procs    map[procKey]*ProcInfo
-	vals     map[*ProcInfo]procSnap
+	vals     map[*ProcInfo]ProcInfo // descriptor values at begin
 	nextProc uint32
 	stored   int64
 }
@@ -44,48 +30,25 @@ type Snapshot struct {
 func (db *DB) Snapshot() *Snapshot {
 	s := &Snapshot{
 		procs:    make(map[procKey]*ProcInfo, len(db.procs)),
-		vals:     make(map[*ProcInfo]procSnap, len(db.procs)),
+		vals:     make(map[*ProcInfo]ProcInfo, len(db.procs)),
 		nextProc: db.nextProc,
 		stored:   db.stored.Value(),
 	}
 	for k, p := range db.procs {
 		s.procs[k] = p
-		s.vals[p] = procSnap{
-			form:         p.Form,
-			factsOnly:    p.FactsOnly,
-			k:            p.K,
-			clauseCount:  p.ClauseCount,
-			nextClauseID: p.nextClauseID,
-			gridHeader:   p.gridHeader,
-			varRoot:      p.varRoot,
-			attrAnchors:  append([]store.PageID(nil), p.attrAnchors...),
-			rid:          p.rid,
-		}
+		s.vals[p] = *p
 	}
 	return s
 }
 
 // Restore rolls the in-memory EDB state back to the snapshot. Call it
-// after store.Rollback has restored the pages; it discards every cached
-// handle so subsequent access reopens against the restored pages.
+// after store.Rollback has restored the pages. The clause index handle
+// caches nothing (its root is read from its anchor page), so only the
+// heap handles are reopened.
 func (db *DB) Restore(s *Snapshot) {
 	procs := make(map[procKey]*ProcInfo, len(s.procs))
 	for k, p := range s.procs {
-		v := s.vals[p]
-		p.Form = v.form
-		p.FactsOnly = v.factsOnly
-		p.K = v.k
-		p.ClauseCount = v.clauseCount
-		p.nextClauseID = v.nextClauseID
-		p.gridHeader = v.gridHeader
-		p.varRoot = v.varRoot
-		p.attrAnchors = append([]store.PageID(nil), v.attrAnchors...)
-		p.rid = v.rid
-		p.openMu.Lock()
-		p.grid = nil
-		p.varHeap = nil
-		p.attrIdx = nil
-		p.openMu.Unlock()
+		*p = s.vals[p]
 		procs[k] = p
 	}
 	db.procs = procs

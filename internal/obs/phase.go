@@ -96,10 +96,8 @@ const (
 	// PathAttrIndex: EDB secondary attribute index probe (hash index on
 	// the first bound argument).
 	PathAttrIndex IndexPath = iota
-	// PathGrid: EDB superimposed-codeword grid partial match.
-	PathGrid
-	// PathVarList: EDB variable-records list scan (clauses with an
-	// unindexable argument in the probed position, always checked).
+	// PathVarList: EDB wildcard-entry scan (clauses with a variable in an
+	// indexed position, always checked).
 	PathVarList
 	// PathFullScan: EDB retrieval with no bound argument — every clause
 	// of the procedure is a candidate.
@@ -113,7 +111,7 @@ const (
 )
 
 var pathNames = [NumIndexPaths]string{
-	"attr_index", "grid", "var_list", "full_scan", "rel_index", "rel_seq",
+	"attr_index", "var_list", "full_scan", "rel_index", "rel_seq",
 }
 
 func (p IndexPath) String() string {
@@ -155,7 +153,7 @@ type QueryStats struct {
 	// Retrievals counts EDB clause-set retrievals issued.
 	Retrievals uint64
 	// ClausesScanned counts stored clauses examined by pre-unification
-	// (grid/index candidates plus variable-list records).
+	// (index candidates plus wildcard entries).
 	ClausesScanned uint64
 	// ClausesPassed counts clauses that survived pre-unification and
 	// were fetched (the paper's candidate clauses).

@@ -114,27 +114,35 @@ func writeNode(d []byte, n *bnode) {
 	}
 }
 
+// readNode decodes a node. Its keys are capacity-capped slices of one
+// private copy of the page, and its slices have room for the one entry an
+// insert adds, so a load costs a handful of allocations, not one per key.
 func readNode(d []byte) *bnode {
-	n := &bnode{leaf: d[0] == 1}
 	cnt := int(binary.LittleEndian.Uint16(d[1:3]))
-	n.next = PageID(binary.LittleEndian.Uint32(d[3:7]))
+	n := &bnode{
+		leaf: d[0] == 1,
+		keys: make([][]byte, cnt, cnt+1),
+		next: PageID(binary.LittleEndian.Uint32(d[3:7])),
+	}
+	page := append([]byte(nil), d...)
 	off := 7
-	if !n.leaf {
-		n.children = append(n.children, PageID(binary.LittleEndian.Uint32(d[off:off+4])))
+	if n.leaf {
+		n.vals = make([]uint64, cnt, cnt+1)
+	} else {
+		n.children = make([]PageID, cnt+1, cnt+2)
+		n.children[0] = PageID(binary.LittleEndian.Uint32(page[off : off+4]))
 		off += 4
 	}
 	for i := 0; i < cnt; i++ {
-		kl := int(binary.LittleEndian.Uint16(d[off : off+2]))
+		kl := int(binary.LittleEndian.Uint16(page[off : off+2]))
 		off += 2
-		k := make([]byte, kl)
-		copy(k, d[off:off+kl])
+		n.keys[i] = page[off : off+kl : off+kl]
 		off += kl
-		n.keys = append(n.keys, k)
 		if n.leaf {
-			n.vals = append(n.vals, binary.LittleEndian.Uint64(d[off:off+8]))
+			n.vals[i] = binary.LittleEndian.Uint64(page[off : off+8])
 			off += 8
 		} else {
-			n.children = append(n.children, PageID(binary.LittleEndian.Uint32(d[off:off+4])))
+			n.children[i+1] = PageID(binary.LittleEndian.Uint32(page[off : off+4]))
 			off += 4
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // Structural invariant verifiers. Check walks a structure page by page
 // and verifies every invariant its operations rely on — offsets in
-// range, keys ordered, chains acyclic, directory consistent — reporting
+// range, keys ordered, chains acyclic — reporting
 // the first violation as an error. Reads go through the buffer pool, so
 // on a file-backed store every visited page also has its checksum
 // verified by the pager. The crash-injection harness runs these after
@@ -198,90 +198,6 @@ func (c *btCheck) node(id PageID, lo, hi []byte, depth int) error {
 		if err := c.node(child, clo, chi, depth+1); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Check verifies the grid's invariants: the directory has 2^depth
-// entries, each bucket's local depth fits the directory depth, the
-// directory slots addressing a bucket agree on its low localDepth bits,
-// overflow chains are acyclic with sane entry counts, and every stored
-// entry is reachable from the directory slot its hashes map to.
-func (g *Grid) Check() error {
-	if len(g.dir) != 1<<g.depth {
-		return fmt.Errorf("store: grid %d: directory has %d entries for depth %d", g.header, len(g.dir), g.depth)
-	}
-	numPages := g.pool.Pager().NumPages()
-	heads := map[PageID][]int{} // bucket head -> directory slots
-	for idx, id := range g.dir {
-		if id == invalidPage || id >= numPages {
-			return fmt.Errorf("store: grid %d: directory slot %d points at invalid page %d", g.header, idx, id)
-		}
-		heads[id] = append(heads[id], idx)
-	}
-	for id, slots := range heads {
-		if err := g.checkBucket(id, slots); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (g *Grid) checkBucket(id PageID, slots []int) error {
-	f, err := g.pool.Get(id)
-	if err != nil {
-		return fmt.Errorf("store: grid %d: bucket %d: %w", g.header, id, err)
-	}
-	localDepth := int(f.Data[0])
-	g.pool.Unpin(f, false)
-	if localDepth > g.depth {
-		return fmt.Errorf("store: grid %d: bucket %d: local depth %d exceeds directory depth %d", g.header, id, localDepth, g.depth)
-	}
-	// Every slot addressing this bucket shares its low localDepth bits,
-	// and the bucket owns all 2^(depth-localDepth) such slots.
-	mask := 1<<uint(localDepth) - 1
-	for _, s := range slots[1:] {
-		if s&mask != slots[0]&mask {
-			return fmt.Errorf("store: grid %d: bucket %d addressed by slots %d and %d that differ in their low %d bits", g.header, id, slots[0], s, localDepth)
-		}
-	}
-	if want := 1 << uint(g.depth-localDepth); len(slots) != want {
-		return fmt.Errorf("store: grid %d: bucket %d (local depth %d) addressed by %d slots, want %d", g.header, id, localDepth, len(slots), want)
-	}
-	// Walk the chain: counts in range, same local depth, no cycles, and
-	// every entry hashes back to this bucket.
-	limit := int(g.pool.Pager().NumPages()) + 1
-	seen := map[PageID]bool{}
-	cur := id
-	for cur != invalidPage {
-		if seen[cur] || len(seen) > limit {
-			return fmt.Errorf("store: grid %d: bucket %d: overflow chain cycle at page %d", g.header, id, cur)
-		}
-		seen[cur] = true
-		f, err := g.pool.Get(cur)
-		if err != nil {
-			return fmt.Errorf("store: grid %d: bucket %d: page %d: %w", g.header, id, cur, err)
-		}
-		cnt := int(binary.LittleEndian.Uint16(f.Data[1:3]))
-		ld := int(f.Data[0])
-		next := PageID(binary.LittleEndian.Uint32(f.Data[3:7]))
-		var entries []gridEntry
-		if cnt >= 0 && cnt <= g.bucketCap() {
-			entries = g.readEntries(f.Data)
-		}
-		g.pool.Unpin(f, false)
-		if cnt < 0 || cnt > g.bucketCap() {
-			return fmt.Errorf("store: grid %d: bucket %d: page %d holds %d entries, capacity %d", g.header, id, cur, cnt, g.bucketCap())
-		}
-		if ld != localDepth {
-			return fmt.Errorf("store: grid %d: bucket %d: page %d has local depth %d, head has %d", g.header, id, cur, ld, localDepth)
-		}
-		for _, e := range entries {
-			if got := g.dir[g.interleave(e.hashes, g.depth)]; got != id {
-				return fmt.Errorf("store: grid %d: entry with payload %d stored in bucket %d but addressed to bucket %d", g.header, e.payload, id, got)
-			}
-		}
-		cur = next
 	}
 	return nil
 }

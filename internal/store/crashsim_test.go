@@ -40,9 +40,9 @@ func crashBlob(n int) []byte {
 	return []byte(fmt.Sprintf("clause-%d-relocatable-code", n))
 }
 
-// crashKeys gives every third clause a variable argument (variable-list
-// path); the rest are ground (grid + attribute-index path), with the
-// first attribute drawn from four atoms so buckets share keys.
+// crashKeys gives every third clause a variable argument (a wildcard
+// index entry); the rest are ground (one index entry per argument), with
+// the first attribute drawn from four atoms so entries share keys.
 func crashKeys(n int) []edb.ArgKey {
 	if n%3 == 0 {
 		return []edb.ArgKey{edb.WildKey(), edb.IntKey(int64(n))}
@@ -51,8 +51,8 @@ func crashKeys(n int) []edb.ArgKey {
 }
 
 // runCrashWorkload builds an EDB exercising every storage structure —
-// procedure heap, clause heap with overflow chains, grid, attribute
-// B+trees, variable list — committing in batches. Before each commit
+// procedure heap, clause heap with overflow chains, the clause index
+// B+tree with argument and wildcard entries — committing in batches. Before each commit
 // the batch number about to become durable is written into the store
 // header, so a recovered image self-describes how much of the workload
 // it must contain. A small pool forces steady eviction traffic and a
@@ -138,8 +138,8 @@ func verifyRecovered(t *testing.T, fsys store.FS, label string) {
 			t.Fatalf("%s: clause %d payload corrupted by recovery", label, sc.ClauseID)
 		}
 	}
-	// One indexed retrieval, so the grid/attribute-index read path is
-	// exercised too, not just the scan.
+	// One indexed retrieval, so the argument-entry read path is exercised
+	// too, not just the scan.
 	n := want - 1
 	if n%3 == 0 {
 		n--

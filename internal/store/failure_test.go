@@ -148,32 +148,6 @@ func TestBTreeSurvivesInjectedFailures(t *testing.T) {
 	})
 }
 
-func TestGridSurvivesInjectedFailures(t *testing.T) {
-	runUntilFailure(t, func(pool *Pool) error {
-		g, err := CreateGrid(pool, 2)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < 300; i++ {
-			if err := g.Insert([]uint64{uint64(i % 7), uint64(i)}, uint64(i)); err != nil {
-				return err
-			}
-		}
-		n := 0
-		err = g.PartialMatch([]bool{true, false}, []uint64{3, 0}, func(uint64) bool {
-			n++
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return fmt.Errorf("partial match lost entries")
-		}
-		return nil
-	})
-}
-
 // TestEvictionWriteBackFailure drives the pool into evicting a dirty
 // frame while the pager refuses writes: the Get must fail cleanly, the
 // victim's data must survive in the pool (still dirty, still evictable),

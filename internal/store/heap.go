@@ -17,6 +17,10 @@ import (
 //	[8: ]  slot table, 4 bytes per slot: offset(2), length(2); offset 0
 //	       marks a deleted slot
 //
+// Delete frees a record's slot, not its bytes; an insert that finds too
+// little contiguous room on a page holding such dead bytes compacts the
+// page first.
+//
 // Record encoding: flag byte 0 followed by the payload, or flag byte 1
 // followed by overflow-head page (4) and total length (4).
 type Heap struct {
@@ -130,7 +134,12 @@ func (h *Heap) insertRec(rec []byte) (RID, error) {
 			}
 		}
 		need := len(rec)
-		if available(f.Data, slot < 0) >= need {
+		room := available(f.Data, slot < 0)
+		if room < need && room+reclaimable(f.Data) >= need {
+			compact(f.Data)
+			room = available(f.Data, slot < 0)
+		}
+		if room >= need {
 			free := pageFree(f.Data) - need
 			copy(f.Data[free:], rec)
 			if slot < 0 {
@@ -160,6 +169,34 @@ func (h *Heap) insertRec(rec []byte) (RID, error) {
 		h.pool.Unpin(f, false)
 		pid = next
 	}
+}
+
+// reclaimable reports the data-area bytes that deleted records left
+// behind on the page.
+func reclaimable(d []byte) int {
+	dead := PageSize - pageFree(d)
+	for i := 0; i < pageNSlots(d); i++ {
+		_, ln := slotAt(d, i)
+		dead -= ln
+	}
+	return dead
+}
+
+// compact packs the page's live records against its end, reclaiming the
+// bytes deleted records left behind. Slot numbers, and so RIDs, do not
+// change.
+func compact(d []byte) {
+	var buf [PageSize]byte
+	free := PageSize
+	for i := 0; i < pageNSlots(d); i++ {
+		if off, ln := slotAt(d, i); off != 0 {
+			free -= ln
+			copy(buf[free:], d[off:off+ln])
+			setSlot(d, i, free, ln)
+		}
+	}
+	copy(d[free:], buf[free:])
+	setPageFree(d, free)
 }
 
 func (h *Heap) writeOverflow(data []byte) (PageID, error) {

@@ -1,9 +1,9 @@
 // Package store is the storage engine standing in for the BANG file system
 // used by Educe* (paper §3.3.2, §4): a page file with a buffer pool,
 // slotted-page heap files for variable-length records (compiled clause
-// code), a B+tree for ordered keys (primary keys, Wisconsin range
-// selections) and a BANG-style multi-attribute grid index supporting the
-// partial-match searches that drive pre-unification.
+// code) and a B+tree for ordered keys (primary keys, Wisconsin range
+// selections, and the knowledge base's one clause index whose prefix
+// searches drive pre-unification).
 //
 // All I/O is counted through the buffer pool, which is how the benchmark
 // harness reproduces the paper's I/O-frequency table (Table 2b).
@@ -78,8 +78,8 @@ type Pager interface {
 // CRC32C over the page ID, the data, and the LSN field — the ID so a
 // frame can never be misread as a different page, the LSN so every
 // byte of the frame is covered. Keeping the trailer outside the
-// logical page means the page-layout code of the heap, B+tree and grid
-// is unaware of checksums.
+// logical page means the page-layout code of the heap and B+tree is
+// unaware of checksums.
 const (
 	frameTrailer  = 8
 	diskFrameSize = PageSize + frameTrailer

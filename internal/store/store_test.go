@@ -292,6 +292,39 @@ func TestHeapUpdate(t *testing.T) {
 	}
 }
 
+// TestHeapReusesDeletedSpace: a steady insert/delete load around one live
+// record must not grow the heap (the parent went from 2 to 202 pages over
+// these 4000 rounds: deleted bytes were never reused), and compacting a
+// page must leave the live record at its RID, intact.
+func TestHeapReusesDeletedSpace(t *testing.T) {
+	s := memStore(t)
+	h, _ := CreateHeap(s.Pool())
+	rec := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 200) }
+	live, err := h.Insert(rec(255))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := s.Pool().Pager().NumPages()
+	for i := 0; i < 4000; i++ {
+		rid, err := h.Insert(rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Delete(rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Pool().Pager().NumPages(); got > base+1 {
+		t.Errorf("heap grew from %d to %d pages under a steady load", base, got)
+	}
+	if got, err := h.Get(live); err != nil || !bytes.Equal(got, rec(255)) {
+		t.Fatalf("live record after compaction: %v", err)
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func intKey(v int) []byte {
 	b := make([]byte, 8)
 	binary.BigEndian.PutUint64(b, uint64(v))
@@ -441,163 +474,6 @@ func TestBTreeProperty(t *testing.T) {
 		vals, err := bt.SearchEQ([]byte(k))
 		if err != nil || len(vals) != 1 || vals[0] != v {
 			t.Fatalf("lost key %q: %v %v", k, vals, err)
-		}
-	}
-}
-
-func TestGridInsertAndExactMatch(t *testing.T) {
-	s := memStore(t)
-	g, err := CreateGrid(s.Pool(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 2000
-	for i := 0; i < n; i++ {
-		h := []uint64{uint64(i % 17), uint64(i % 31), uint64(i)}
-		if err := g.Insert(h, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l, _ := g.Len(); l != n {
-		t.Fatalf("Len = %d, want %d", l, n)
-	}
-	// Exact match on all attributes.
-	var got []uint64
-	err = g.PartialMatch([]bool{true, true, true}, []uint64{1244 % 17, 1244 % 31, 1244}, func(p uint64) bool {
-		got = append(got, p)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 1244 {
-		t.Fatalf("exact match = %v", got)
-	}
-}
-
-func TestGridPartialMatch(t *testing.T) {
-	s := memStore(t)
-	g, _ := CreateGrid(s.Pool(), 2)
-	// 100 tuples: attr0 in 0..9, attr1 in 0..9.
-	for a := 0; a < 10; a++ {
-		for b := 0; b < 10; b++ {
-			if err := g.Insert([]uint64{uint64(a), uint64(b)}, uint64(a*10+b)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Constrain attr0 only: expect the 10 tuples with attr0 = 7.
-	var got []uint64
-	err := g.PartialMatch([]bool{true, false}, []uint64{7, 0}, func(p uint64) bool {
-		got = append(got, p)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("partial match found %d tuples, want 10: %v", len(got), got)
-	}
-	for _, p := range got {
-		if p/10 != 7 {
-			t.Fatalf("wrong tuple %d", p)
-		}
-	}
-	// Constrain attr1 only.
-	got = got[:0]
-	g.PartialMatch([]bool{false, true}, []uint64{0, 3}, func(p uint64) bool {
-		got = append(got, p)
-		return true
-	})
-	if len(got) != 10 {
-		t.Fatalf("attr1 partial match: %d tuples", len(got))
-	}
-}
-
-func TestGridDelete(t *testing.T) {
-	s := memStore(t)
-	g, _ := CreateGrid(s.Pool(), 2)
-	g.Insert([]uint64{1, 2}, 100)
-	g.Insert([]uint64{1, 2}, 101)
-	ok, err := g.Delete([]uint64{1, 2}, 100)
-	if err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
-	}
-	if l, _ := g.Len(); l != 1 {
-		t.Fatalf("Len after delete = %d", l)
-	}
-	ok, _ = g.Delete([]uint64{1, 2}, 100)
-	if ok {
-		t.Fatal("double delete succeeded")
-	}
-}
-
-func TestGridCollisionsOverflow(t *testing.T) {
-	s := memStore(t)
-	g, _ := CreateGrid(s.Pool(), 1)
-	// Same hash for everything: forces overflow chains past max depth.
-	for i := 0; i < 1000; i++ {
-		if err := g.Insert([]uint64{42}, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l, _ := g.Len(); l != 1000 {
-		t.Fatalf("Len = %d", l)
-	}
-	count := 0
-	g.PartialMatch([]bool{true}, []uint64{42}, func(uint64) bool { count++; return true })
-	if count != 1000 {
-		t.Fatalf("collision bucket lost entries: %d", count)
-	}
-}
-
-func TestGridPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "grid.db")
-	s, err := Open(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := CreateGrid(s.Pool(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if err := g.Insert([]uint64{uint64(i % 13), uint64(i)}, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	header := g.Header()
-	if err := s.SetMeta("grid", uint64(header)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	root, ok := s2.GetMeta("grid")
-	if !ok {
-		t.Fatal("grid meta lost")
-	}
-	g2, err := OpenGrid(s2.Pool(), PageID(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l, _ := g2.Len(); l != 500 {
-		t.Fatalf("reopened grid Len = %d", l)
-	}
-	var got []uint64
-	g2.PartialMatch([]bool{true, false}, []uint64{5, 0}, func(p uint64) bool {
-		got = append(got, p)
-		return true
-	})
-	for _, p := range got {
-		if p%13 != 5 {
-			t.Fatalf("wrong tuple after reopen: %d", p)
 		}
 	}
 }
