@@ -95,7 +95,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -337,7 +336,6 @@ func runGoal(sess *educe.Session, in *bufio.Scanner, goal string) {
 	for sols.Next() {
 		any = true
 		names := sols.Vars()
-		sort.Strings(names)
 		if len(names) == 0 {
 			fmt.Println("true.")
 			return
@@ -555,7 +553,6 @@ func runBatch(sess *educe.Session, goal string) error {
 	for sols.Next() {
 		n++
 		names := sols.Vars()
-		sort.Strings(names)
 		if len(names) == 0 {
 			fmt.Println("true.")
 			return nil

@@ -117,21 +117,21 @@ func New(opts Options) *Compiler {
 // builtins that never create choice points and never truncate the heap,
 // so they are safe to execute mid-chunk.
 func DefaultTransparent(name string, arity int) bool {
-	switch fmt.Sprintf("%s/%d", name, arity) {
-	case "true/0", "fail/0", "false/0",
-		"=/2", "\\=/2",
-		"var/1", "nonvar/1", "atom/1", "number/1", "integer/1", "float/1",
-		"atomic/1", "compound/1", "callable/1", "is_list/1", "ground/1",
-		"==/2", "\\==/2", "@</2", "@>/2", "@=</2", "@>=/2", "compare/3",
-		"is/2", "=:=/2", "=\\=/2", "</2", ">/2", "=</2", ">=/2",
-		"succ/2", "plus/3",
-		"functor/3", "arg/3", "=../2", "copy_term/2",
-		"atom_codes/2", "atom_chars/2", "char_code/2", "atom_length/2",
-		"number_codes/2", "atom_number/2",
-		"write/1", "print/1", "nl/0", "tab/1",
-		"sort/2", "msort/2", "keysort/2",
-		"$findall_start/1", "$findall_add/2", "$findall_collect/2":
-		return true
+	switch name {
+	case "true", "fail", "false", "nl":
+		return arity == 0
+	case "var", "nonvar", "atom", "number", "integer", "float",
+		"atomic", "compound", "callable", "is_list", "ground",
+		"write", "print", "tab", "$findall_start":
+		return arity == 1
+	case "=", "\\=", "==", "\\==", "@<", "@>", "@=<", "@>=",
+		"is", "=:=", "=\\=", "<", ">", "=<", ">=", "succ",
+		"=..", "copy_term", "atom_codes", "atom_chars", "char_code",
+		"atom_length", "number_codes", "atom_number",
+		"sort", "msort", "keysort", "$findall_add", "$findall_collect":
+		return arity == 2
+	case "compare", "plus", "functor", "arg":
+		return arity == 3
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/parser"
@@ -253,4 +254,44 @@ func TestVoidVariablesCollapse(t *testing.T) {
 		}
 	}
 	t.Fatalf("expected unify_void 3: %v", ops(cc))
+}
+
+// TestDefaultTransparentSet pins the inline-builtin set: every listed
+// name/arity is in it, the same names at other arities and the control
+// builtins are not, and a lookup allocates nothing.
+func TestDefaultTransparentSet(t *testing.T) {
+	set := map[term.Indicator]bool{}
+	for _, pi := range []string{
+		"true/0", "fail/0", "false/0", "nl/0",
+		"var/1", "nonvar/1", "atom/1", "number/1", "integer/1", "float/1",
+		"atomic/1", "compound/1", "callable/1", "is_list/1", "ground/1",
+		"write/1", "print/1", "tab/1", "$findall_start/1",
+		"=/2", "\\=/2", "==/2", "\\==/2", "@</2", "@>/2", "@=</2", "@>=/2",
+		"is/2", "=:=/2", "=\\=/2", "</2", ">/2", "=</2", ">=/2", "succ/2",
+		"=../2", "copy_term/2", "atom_codes/2", "atom_chars/2", "char_code/2",
+		"atom_length/2", "number_codes/2", "atom_number/2",
+		"sort/2", "msort/2", "keysort/2", "$findall_add/2", "$findall_collect/2",
+		"compare/3", "plus/3", "functor/3", "arg/3",
+	} {
+		i := strings.LastIndexByte(pi, '/')
+		set[term.Indicator{Name: pi[:i], Arity: int(pi[i+1] - '0')}] = true
+	}
+	if len(set) != 52 {
+		t.Fatalf("pinned set has %d entries, want 52", len(set))
+	}
+	names := map[string]bool{"call": true, "findall": true, "catch": true, "!": true, "assert": true, "between": true}
+	for pi := range set {
+		names[pi.Name] = true
+	}
+	for name := range names {
+		for arity := 0; arity <= 4; arity++ {
+			pi := term.Indicator{Name: name, Arity: arity}
+			if got := DefaultTransparent(name, arity); got != set[pi] {
+				t.Errorf("DefaultTransparent(%s) = %v, want %v", pi, got, set[pi])
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { DefaultTransparent("atom_length", 2) }); n != 0 {
+		t.Errorf("DefaultTransparent allocates %v times per call", n)
+	}
 }

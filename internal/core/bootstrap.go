@@ -97,7 +97,7 @@ func (s *Session) loadBootstrap() error {
 		return err
 	}
 	for _, pi := range order {
-		if err := s.link(pi, units[pi], false); err != nil {
+		if err := s.link(pi, units[pi]); err != nil {
 			return err
 		}
 	}

@@ -200,7 +200,7 @@ func (s *Session) AssertTerm(t term.Term, front bool) error {
 	}
 	// Auxiliary predicates get unique names; install them permanently.
 	for _, cc := range ccs[1:] {
-		if err := s.link(cc.Pred, []compiler.ClauseCode{cc}, false); err != nil {
+		if err := s.link(cc.Pred, []compiler.ClauseCode{cc}); err != nil {
 			return err
 		}
 	}
@@ -213,7 +213,7 @@ func (s *Session) relinkDyn(pi term.Indicator, dp *dynPred) error {
 	for _, unit := range dp.clauses {
 		main = append(main, unit[0])
 	}
-	if err := s.link(pi, main, false); err != nil {
+	if err := s.link(pi, main); err != nil {
 		return err
 	}
 	fn := s.m.Dict.Intern(pi.Name, pi.Arity)

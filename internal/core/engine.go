@@ -169,7 +169,6 @@ type Session struct {
 	typed map[term.Indicator][]ArgType
 
 	// per-query transient state.
-	queryProcs   []dict.ID              // procs to drop at query end
 	interpLoaded []term.Indicator       // baseline-mode asserted predicates
 	factCaches   []map[uint32]term.Term // baseline per-query tuple caches
 
@@ -186,6 +185,9 @@ type Session struct {
 	nresident int
 	nsetops   int
 	synced    uint64
+
+	queries    map[string]*linkedQuery // linked compiled-mode goals by text
+	queryOrder []string                // their texts, oldest first
 
 	// txn is the open transaction's snapshot set (nil: none). While set,
 	// this session owns the KB write lock (see txn.go).
@@ -254,6 +256,7 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 		in:        interp.New(),
 		dyn:       map[term.Indicator]*dynPred{},
 		resident:  map[term.Indicator]*residentProc{},
+		queries:   map[string]*linkedQuery{},
 		resolvers: map[term.Indicator]bool{},
 		tally:     &store.Tally{},
 		synced:    kb.version.Load(),
@@ -306,6 +309,7 @@ func (s *Session) Close() error {
 	s.drainProfile()
 	s.endQuery()
 	s.evictAll()
+	s.dropQueries()
 	return nil
 }
 
@@ -583,6 +587,8 @@ func (s *Session) directive(d term.Term) error {
 		if err != nil {
 			return err
 		}
+		// A linked query's text may read differently under the new table.
+		s.dropQueries()
 		return s.ops.Define(int(p), typ, string(name))
 	case c.Functor == "dynamic" && len(c.Args) == 1:
 		pi, err := parseIndicator(c.Args[0])
@@ -633,11 +639,10 @@ func (s *Session) compileProgram(terms []term.Term) (map[term.Indicator][]compil
 }
 
 // link installs a predicate's clauses on the machine.
-func (s *Session) link(pi term.Indicator, ccs []compiler.ClauseCode, transient bool) error {
+func (s *Session) link(pi term.Indicator, ccs []compiler.ClauseCode) error {
 	t0 := time.Now()
 	defer func() { s.q.Phases.Add(obs.PhaseLink, time.Since(t0)) }()
-	opts := loader.Options{Index: !s.opts.DisableIndexing, Transient: transient}
-	_, err := loader.LinkPredicate(s.m, pi.Name, pi.Arity, ccs, opts)
+	_, err := loader.LinkPredicate(s.m, pi.Name, pi.Arity, ccs, loader.Options{Index: !s.opts.DisableIndexing})
 	return err
 }
 
@@ -807,7 +812,7 @@ func (s *Session) ConsultTerms(terms []term.Term) error {
 		return err
 	}
 	for _, pi := range order {
-		if err := s.link(pi, units[pi], false); err != nil {
+		if err := s.link(pi, units[pi]); err != nil {
 			return err
 		}
 	}

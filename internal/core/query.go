@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/compiler"
 	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/parser"
@@ -18,7 +17,7 @@ import (
 // Solutions iterates over the answers of one query. Starting a new query
 // on the same session invalidates any live Solutions.
 //
-// Per-query state (transient procedures, baseline fact caches) is
+// Per-query state (baseline asserted rules and fact caches) is
 // released exactly once — on Close, on a Next error, or when the
 // iteration is exhausted — so abandoning an iterator early without
 // calling Close leaks nothing beyond the current query's footprint,
@@ -41,10 +40,12 @@ type Solutions struct {
 
 // Query parses and runs a goal, returning a Solutions iterator. The query
 // executes on the WAM in compiled mode, or on the resolution interpreter
-// in baseline (source) mode. Each query starts from a fresh view of the
-// shared knowledge base: code another session invalidated since the last
-// query is dropped and reloaded on use. The query runs inside the session's
-// resource envelope (see envelope.go).
+// in baseline (source) mode. In compiled mode the session keeps the
+// linked code of each goal text, so asking the same text again skips
+// parsing, compiling and linking (see resident.go). Each query starts
+// from a fresh view of the shared knowledge base: code another session
+// invalidated since the last query is dropped and reloaded on use. The
+// query runs inside the session's resource envelope (see envelope.go).
 func (s *Session) Query(q string) (*Solutions, error) { return s.query(nil, q) }
 
 // query is Query under ctx (nil: none).
@@ -62,66 +63,48 @@ func (s *Session) query(ctx context.Context, q string) (sol *Solutions, err erro
 	s.reconcile()
 	s.beginQuery(q)
 	s.arm(ctx)
+	if s.opts.RuleStorage == RuleStorageSource {
+		body, vars, names, err := s.parseQuery(q)
+		if err != nil {
+			return nil, err
+		}
+		return &Solutions{
+			e:     s,
+			names: names,
+			gen:   newInterpGen(s.in, body, vars),
+		}, nil
+	}
+	lq, err := s.linkQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	s.m.Reset()
+	args := make([]wam.Cell, len(lq.names))
+	for i := range args {
+		args[i] = wam.MakeRef(s.m.NewVar())
+	}
+	return &Solutions{
+		e:     s,
+		names: lq.names,
+		run:   s.m.Call(s.m.Dict.Intern("$query", len(args)), args),
+		args:  args,
+	}, nil
+}
+
+// parseQuery reads goal text q: the goal, its variables, their sorted names.
+func (s *Session) parseQuery(q string) (term.Term, map[string]*term.Var, []string, error) {
 	t0 := time.Now()
 	body, vars, err := parser.ParseTermWithOps(q, s.ops)
 	s.q.Phases.Add(obs.PhaseParse, time.Since(t0))
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	names := make([]string, 0, len(vars))
 	for n := range vars {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-
-	if s.opts.RuleStorage == RuleStorageSource {
-		goal := body
-		vlist := make(map[string]*term.Var, len(vars))
-		for n, v := range vars {
-			vlist[n] = v
-		}
-		return &Solutions{
-			e:     s,
-			names: names,
-			gen:   newInterpGen(s.in, goal, vlist),
-		}, nil
-	}
-
-	vlist := make([]*term.Var, len(names))
-	for i, n := range names {
-		vlist[i] = vars[n]
-	}
-	t1 := time.Now()
-	ccs, err := s.comp.CompileQuery("$query", vlist, body)
-	s.q.Phases.Add(obs.PhaseCompile, time.Since(t1))
-	if err != nil {
-		return nil, err
-	}
-	units := map[term.Indicator][]compiler.ClauseCode{}
-	for _, cc := range ccs {
-		units[cc.Pred] = append(units[cc.Pred], cc)
-	}
-	for pi, cs := range units {
-		if err := s.link(pi, cs, true); err != nil {
-			// Release any query procs already installed by earlier
-			// iterations of this loop.
-			s.endQuery()
-			return nil, err
-		}
-		s.queryProcs = append(s.queryProcs, s.m.Dict.Intern(pi.Name, pi.Arity))
-	}
-	s.m.Reset()
-	args := make([]wam.Cell, len(vlist))
-	for i := range args {
-		args[i] = wam.MakeRef(s.m.NewVar())
-	}
-	fn := s.m.Dict.Intern("$query", len(args))
-	return &Solutions{
-		e:     s,
-		names: names,
-		run:   s.m.Call(fn, args),
-		args:  args,
-	}, nil
+	return body, vars, names, nil
 }
 
 // Next advances to the next solution, returning false when exhausted or
@@ -189,7 +172,9 @@ func (s *Solutions) Binding(name string) term.Term { return s.cur[name] }
 // Map returns the current solution's full binding map.
 func (s *Solutions) Map() map[string]term.Term { return s.cur }
 
-// Vars lists the query's variable names.
+// Vars lists the query's variable names in sorted order. The slice is
+// shared with every later run of the same goal text: read it, never
+// modify it.
 func (s *Solutions) Vars() []string { return s.names }
 
 // Err reports the first error encountered.

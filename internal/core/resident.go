@@ -1,8 +1,12 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/compiler"
 	"repro/internal/edb"
+	"repro/internal/loader"
+	"repro/internal/obs"
 	"repro/internal/term"
 	"repro/internal/wam"
 )
@@ -15,6 +19,10 @@ import (
 // every write to the stored procedure bumps. A session holds what it
 // linked, tagged with the version it saw. Resident code leaves a session
 // through evict and nowhere else, and reconcile decides when it is stale.
+//
+// A session also keeps the queries it linked, by goal text. Their code names
+// callees by functor and builtins by a stable slot, so no write makes it
+// stale; an op/3 directive, which can change how a text reads, drops them.
 
 // filterKey names one variant of a stored procedure: the pre-unification
 // key of each indexed head argument (a procedure uses its first K).
@@ -39,6 +47,7 @@ type residentProc struct {
 	ver      uint64 // stored-procedure version at link time
 	variants map[filterKey]*wam.Proc
 	setops   *setopsInfo
+	aux      []term.Indicator // a source-form procedure's auxiliaries
 }
 
 // sharedCacheLimit caps the number of shared decoded variants before an
@@ -50,6 +59,17 @@ const sharedCacheLimit = 4096
 // results; past it the whole table is evicted at query end (paper §3.3.2:
 // main-memory code is garbage collected, the EDB copy needs none).
 const loadedCacheLimit = 1024
+
+// linkedQuery is one goal text's linked code: $query/N over the goal's
+// variables in names order, and the auxiliaries lifted out of the goal.
+type linkedQuery struct {
+	names []string
+	procs []*wam.Proc
+}
+
+// queryCacheLimit caps a session's linked queries; past it the oldest
+// entry is evicted, one at a time.
+const queryCacheLimit = 512
 
 // --- knowledge-base side ----------------------------------------------------
 
@@ -170,6 +190,9 @@ func (s *Session) evict(pi term.Indicator, rp *residentProc) {
 		s.m.RemoveBlock(proc.Block)
 	}
 	s.nresident -= len(rp.variants)
+	for _, api := range rp.aux {
+		s.m.RemoveProc(s.m.Dict.Intern(api.Name, api.Arity))
+	}
 	if so := rp.setops; so != nil {
 		s.m.RemoveBlock(so.proc.Block)
 		so.tuples = nil // the cursor builtin outlives the result
@@ -189,6 +212,79 @@ func (s *Session) evictAll() {
 	for pi, rp := range s.resident {
 		s.evict(pi, rp)
 	}
+}
+
+// linkQuery returns the linked code of goal text q, installed and ready to
+// call. Only a text the table does not hold is parsed, compiled and
+// linked; one that fails to is not cached.
+func (s *Session) linkQuery(q string) (*linkedQuery, error) {
+	if lq := s.queries[q]; lq != nil {
+		for _, p := range lq.procs {
+			s.m.DefineProc(p)
+		}
+		return lq, nil
+	}
+	body, vars, names, err := s.parseQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	vlist := make([]*term.Var, len(names))
+	for i, n := range names {
+		vlist[i] = vars[n]
+	}
+	t0 := time.Now()
+	ccs, err := s.comp.CompileQuery("$query", vlist, body)
+	s.q.Phases.Add(obs.PhaseCompile, time.Since(t0))
+	if err != nil {
+		return nil, err
+	}
+	t1 := time.Now()
+	defer func() { s.q.Phases.Add(obs.PhaseLink, time.Since(t1)) }()
+	units := map[term.Indicator][]compiler.ClauseCode{}
+	for _, cc := range ccs {
+		units[cc.Pred] = append(units[cc.Pred], cc)
+	}
+	lq := &linkedQuery{names: names}
+	for pi, cs := range units {
+		blk, err := loader.BuildBlock(s.m, pi.Name, pi.Arity, cs, loader.Options{Index: !s.opts.DisableIndexing})
+		if err != nil {
+			return nil, err
+		}
+		lq.procs = append(lq.procs, &wam.Proc{Fn: s.m.Dict.Intern(pi.Name, pi.Arity), Arity: pi.Arity, Block: blk})
+	}
+	for _, p := range lq.procs {
+		s.m.AddBlock(p.Block)
+		s.m.DefineProc(p)
+	}
+	if len(s.queryOrder) == queryCacheLimit {
+		s.dropQuery(s.queryOrder[0])
+		s.queryOrder = s.queryOrder[1:]
+	}
+	s.queries[q] = lq
+	s.queryOrder = append(s.queryOrder, q)
+	return lq, nil
+}
+
+// dropQuery evicts one linked query. Its blocks are retired, so a running
+// query finishes on them; $query/N is uninstalled only if it is this
+// entry's.
+func (s *Session) dropQuery(q string) {
+	for _, p := range s.queries[q].procs {
+		if s.m.Proc(p.Fn) == p {
+			s.m.RemoveProc(p.Fn)
+		} else {
+			s.m.RemoveBlock(p.Block)
+		}
+	}
+	delete(s.queries, q)
+}
+
+// dropQueries empties the linked-query table: an op/3 directive, Close.
+func (s *Session) dropQueries() {
+	for _, q := range s.queryOrder {
+		s.dropQuery(q)
+	}
+	s.queryOrder = nil
 }
 
 // reconcile is the one pass that brings resident code up to date with the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/term"
+	"repro/internal/wam"
 )
 
 // TestResidentLogicalUpdateView mutates a predicate while the same query
@@ -100,8 +101,11 @@ func TestResidentRollbackMidQuery(t *testing.T) {
 
 // TestResidentCodeTablesStayFlat: neither re-materialising a set-at-a-time
 // result nor running plain queries may grow the machine's block and
-// builtin tables (the parent commit went 126 -> 3126 blocks and 84 -> 1084
-// builtins over the first loop, each dead builtin pinning its tuples).
+// builtin tables (before blocks were reclaimed they went 126 -> 3126
+// blocks and 84 -> 1084 builtins over the first loop, each dead builtin
+// pinning its tuples). Every round's assert is a new goal text, so the
+// linked-query table fills up to its capacity; the baseline is read once
+// more distinct goals than that have run, and must hold from there on.
 func TestResidentCodeTablesStayFlat(t *testing.T) {
 	e := newSession(t, Options{}) // StrategyAuto
 	consultExternal(`
@@ -127,29 +131,41 @@ func TestResidentCodeTablesStayFlat(t *testing.T) {
 	}
 	// The warm-up takes every transition between the two query shapes, so
 	// the tables reach their high-water mark before the baseline is read.
-	const warm, rounds = 6, 1000
+	const warm, rounds, full = 6, 1000, 600
+	if full <= queryCacheLimit {
+		t.Fatalf("baseline at round %d, before the linked-query table (%d) is full", full, queryCacheLimit)
+	}
 	for i := 0; i < warm; i += 2 {
 		round(i)
 		round(i + 1)
 		plain()
 		plain()
 	}
-	base, fixpoints := e.Machine().Stats(), e.KB().setopsQueries.Value()
+	var base wam.Stats
+	fixpoints := e.KB().setopsQueries.Value()
 	for i := warm; i < warm+rounds; i++ {
+		if i == warm+full {
+			base = e.Machine().Stats()
+		}
 		round(i)
 	}
 	if got := e.KB().setopsQueries.Value() - fixpoints; got != rounds {
 		t.Fatalf("%d fixpoints over %d rounds: the loop did not re-materialise", got, rounds)
 	}
+	flat := func(when string) {
+		t.Helper()
+		st := e.Machine().Stats()
+		t.Logf("%s: blocks %d -> %d, builtins %d -> %d", when, base.Blocks, st.Blocks, base.Builtins, st.Builtins)
+		if st.Blocks != base.Blocks || st.Builtins != base.Builtins {
+			t.Errorf("code tables grew from round %d to %s: blocks %d -> %d, builtins %d -> %d",
+				full, when, base.Blocks, st.Blocks, base.Builtins, st.Builtins)
+		}
+	}
+	flat(fmt.Sprintf("round %d", rounds))
 	for i := 0; i < rounds; i++ {
 		plain()
 	}
-	st := e.Machine().Stats()
-	t.Logf("blocks %d -> %d, builtins %d -> %d", base.Blocks, st.Blocks, base.Builtins, st.Builtins)
-	if st.Blocks != base.Blocks || st.Builtins != base.Builtins {
-		t.Errorf("code tables grew: blocks %d -> %d, builtins %d -> %d",
-			base.Blocks, st.Blocks, base.Builtins, st.Builtins)
-	}
+	flat("the plain loop")
 }
 
 // TestResidentAssertLoopsReclaim: every assert/1 relinks the whole dynamic
@@ -200,5 +216,212 @@ func TestResidentAssertLoopsReclaim(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResidentHybridAuxiliaries: a source-form procedure reached from
+// compiled execution is compiled at the trap, and the auxiliaries of its
+// control constructs live exactly as long as its resident code: a later
+// query reusing that code finds them (they used to be dropped at query
+// end), and relinking after each invalidation adds no blocks.
+func TestResidentHybridAuxiliaries(t *testing.T) {
+	e := newSession(t, Options{RuleStorage: RuleStorageSource})
+	consultExternal("h(X, Y) :- (X > 1 -> Y = big ; Y = small).")(t, e)
+	if err := e.SetRuleStorage(RuleStorageCompiled); err != nil {
+		t.Fatal(err)
+	}
+	var base int
+	for i := 0; i < 200; i++ {
+		for run := 0; run < 2; run++ {
+			if got := values(t, e, "h(2, Y)", "Y"); !reflect.DeepEqual(got, []string{"big"}) {
+				t.Fatalf("round %d, run %d: %v", i, run, got)
+			}
+		}
+		e.InvalidateLoaded("h", 2)
+		if i == 20 {
+			base = e.Machine().Stats().Blocks
+		}
+	}
+	if got := e.Machine().Stats().Blocks; got != base {
+		t.Fatalf("blocks %d -> %d over 180 relinks", base, got)
+	}
+}
+
+// answers runs q to exhaustion and renders its solutions in order.
+func answers(t *testing.T, e *Session, q string) string {
+	t.Helper()
+	sols, err := e.QueryAll(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return fmt.Sprint(sols)
+}
+
+// TestResidentQueryRepeatedGoal: the second run of a goal text returns the
+// same answers from the linked code the first run left, with no parse,
+// compile or link time.
+func TestResidentQueryRepeatedGoal(t *testing.T) {
+	e := newSession(t, Options{})
+	consultExternal("f(1). f(2). f(3). g(X, Y) :- f(X), Y is X * 10.")(t, e)
+	const q = "g(X, Y), X > 1"
+	first := answers(t, e, q)
+	lq := e.queries[q]
+	before := e.Stats().Phases
+	if again := answers(t, e, q); again != first {
+		t.Fatalf("second run %s, first %s", again, first)
+	}
+	if e.queries[q] != lq || len(e.queries) != 1 {
+		t.Fatalf("second run relinked the goal (table %v)", e.queryOrder)
+	}
+	after := e.Stats().Phases
+	if after.Parse != before.Parse || after.Compile != before.Compile || after.Link != before.Link {
+		t.Errorf("second run spent parse %v, compile %v, link %v", after.Parse-before.Parse,
+			after.Compile-before.Compile, after.Link-before.Link)
+	}
+}
+
+// TestResidentQueryOpDirective: an op/3 directive changes how a goal text
+// reads, so it drops every linked query; the same text is read afresh
+// under each operator table.
+func TestResidentQueryOpDirective(t *testing.T) {
+	e := newSession(t, Options{})
+	const q = "X = (a ~> b ~> c), X = (L ~> _), atom(L)"
+	for _, step := range []struct {
+		op   string
+		want int // solutions; -1: syntax error
+	}{
+		{"", -1},
+		{":- op(700, xfy, ~>).", 1}, // a ~> (b ~> c): L = a
+		{":- op(700, yfx, ~>).", 0}, // (a ~> b) ~> c: L is compound
+		{":- op(0, yfx, ~>).", -1},
+	} {
+		if step.op != "" {
+			if err := e.Consult(step.op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for run := 0; run < 2; run++ {
+			n, err := e.QueryCount(q)
+			if step.want < 0 && err == nil || step.want >= 0 && (err != nil || n != step.want) {
+				t.Fatalf("after %q, run %d: n=%d err=%v, want %d solutions (-1: error)", step.op, run, n, err, step.want)
+			}
+		}
+	}
+}
+
+// TestResidentQueryAuxiliaries: goals whose control constructs compile to
+// auxiliary procedures answer the same on every run from the table, and
+// repeating them adds no code.
+func TestResidentQueryAuxiliaries(t *testing.T) {
+	e := newSession(t, Options{})
+	consultExternal("p(1). p(2). p(3).")(t, e)
+	for name, q := range map[string]string{
+		"disjunction":  "(p(X) ; X = 4), X > 1",
+		"if-then-else": "p(X), (X > 1 -> V = big ; V = small)",
+		"negation":     `p(X), \+ X = 2`,
+		"findall":      "findall(X, (p(X) ; X = 0), L)",
+		"catch":        "catch((p(X), X > 1, throw(found(X))), found(V), true)",
+	} {
+		t.Run(name, func(t *testing.T) {
+			first := answers(t, e, q)
+			base := e.Machine().Stats().Blocks
+			for i := 0; i < 1000; i++ {
+				if got := answers(t, e, q); got != first {
+					t.Fatalf("run %d: %s, first run %s", i+2, got, first)
+				}
+			}
+			if got := e.Machine().Stats().Blocks; got != base {
+				t.Fatalf("blocks %d -> %d over 1000 runs of one goal", base, got)
+			}
+		})
+	}
+}
+
+// TestResidentQuerySeesChangedDefinitions: the cached code of a goal calls
+// its procedures by name, so the next run sees an assert/1 on a dynamic
+// predicate and another session's write to a stored procedure.
+func TestResidentQuerySeesChangedDefinitions(t *testing.T) {
+	e := newSession(t, Options{})
+	consultExternal("f(1).")(t, e)
+	answers(t, e, "assert(d(1))")
+	other, err := e.KB().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	for _, tc := range []struct {
+		by       *Session
+		write, q string
+		was, is  string
+	}{
+		{e, "assert(d(2))", "findall(X, d(X), L)", "[1]", "[1,2]"},
+		{other, "assert_external(f(2))", "findall(X, f(X), L)", "[1]", "[1,2]"},
+	} {
+		if got := values(t, e, tc.q, "L"); !reflect.DeepEqual(got, []string{tc.was}) {
+			t.Fatalf("%s before %s: %v, want %s", tc.q, tc.write, got, tc.was)
+		}
+		answers(t, tc.by, tc.write)
+		if got := values(t, e, tc.q, "L"); !reflect.DeepEqual(got, []string{tc.is}) {
+			t.Errorf("%s after %s: %v, want %s", tc.q, tc.write, got, tc.is)
+		}
+	}
+}
+
+// TestResidentQueryFailuresNotCached: a goal that does not parse or
+// compile leaves nothing in the table, and every run reports its error —
+// as does a goal that links but calls an unknown procedure.
+func TestResidentQueryFailuresNotCached(t *testing.T) {
+	e := newSession(t, Options{})
+	for _, tc := range []struct{ q, err string }{
+		{"p(", "parser"},
+		{"X = 1, 42", "not a callable goal"},
+		{"no_such_predicate(1)", "existence_error"},
+	} {
+		for run := 0; run < 3; run++ {
+			if _, err := e.QueryAll(tc.q); err == nil || !containsSub(err.Error(), tc.err) {
+				t.Fatalf("%s, run %d: err=%v, want %q", tc.q, run, err, tc.err)
+			}
+		}
+	}
+	if len(e.queries) != 1 || e.queries["no_such_predicate(1)"] == nil {
+		t.Fatalf("table holds %v, want only the goal that linked", e.queryOrder)
+	}
+}
+
+// TestResidentQueryEviction: one goal past the capacity evicts the oldest,
+// which still answers when asked again (and evicts the next oldest).
+func TestResidentQueryEviction(t *testing.T) {
+	e := newSession(t, Options{})
+	goal := func(i int) string { return fmt.Sprintf("X = k%d", i) }
+	for i := 0; i <= queryCacheLimit; i++ {
+		answers(t, e, goal(i))
+	}
+	if len(e.queries) != queryCacheLimit || e.queries[goal(0)] != nil || e.queries[goal(1)] == nil {
+		t.Fatalf("%d entries after %d goals; oldest evicted: %v", len(e.queries), queryCacheLimit+1, e.queries[goal(0)] == nil)
+	}
+	if got := values(t, e, goal(0), "X"); !reflect.DeepEqual(got, []string{"k0"}) {
+		t.Fatalf("evicted goal answers %v", got)
+	}
+	if e.queries[goal(0)] == nil || e.queries[goal(1)] != nil || len(e.queries) != queryCacheLimit {
+		t.Fatal("re-asking the evicted goal did not replace the next oldest")
+	}
+}
+
+// TestResidentQuerySourceMode: the baseline interpreter reads the goal
+// text on every run and never uses the table.
+func TestResidentQuerySourceMode(t *testing.T) {
+	e := newSession(t, Options{RuleStorage: RuleStorageSource})
+	consultExternal("f(1). f(2). g(X) :- f(X), X > 1.")(t, e)
+	const q = "g(X)"
+	first := answers(t, e, q)
+	before := e.Stats().Phases.Parse
+	if again := answers(t, e, q); again != first {
+		t.Fatalf("second run %s, first %s", again, first)
+	}
+	if e.Stats().Phases.Parse == before {
+		t.Error("second run did not parse the goal")
+	}
+	if len(e.queries) != 0 {
+		t.Fatalf("source mode linked %v", e.queryOrder)
 	}
 }

@@ -91,8 +91,9 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	ver := s.kb.storedVersion(pi)
 	form := p.Form
 
-	var clauses []compiler.ClauseCode // FormCode path
-	var scs []edb.StoredClause        // FormSource path
+	var clauses []compiler.ClauseCode                  // FormCode path
+	var scs []edb.StoredClause                         // FormSource path
+	var units map[term.Indicator][]compiler.ClauseCode // FormSource: pi and its auxiliaries
 	var err error
 	retr0, pages0 := s.q.Retrievals, s.q.PagesTouched
 	if form == edb.FormCode {
@@ -120,22 +121,10 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 			terms = append(terms, tm)
 		}
 		s.q.Phases.Add(obs.PhaseParse, time.Since(t1))
-		units, _, err := s.compileProgram(terms)
-		if err != nil {
+		if units, _, err = s.compileProgram(terms); err != nil {
 			return nil, err
 		}
 		clauses = units[pi]
-		// Auxiliary predicates (from control constructs) are installed
-		// for the query's duration.
-		for api, accs := range units {
-			if api == pi {
-				continue
-			}
-			if err := s.link(api, accs, true); err != nil {
-				return nil, err
-			}
-			s.queryProcs = append(s.queryProcs, m.Dict.Intern(api.Name, api.Arity))
-		}
 	}
 	t1 := time.Now()
 	blk, err := loader.BuildBlock(m, name, arity, clauses, loader.Options{
@@ -155,6 +144,15 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	}
 	rp.variants[fk] = proc
 	s.nresident++
+	// A source-form procedure's auxiliaries live as long as its code.
+	for api, accs := range units {
+		if api != pi {
+			if err := s.link(api, accs); err != nil {
+				return nil, err
+			}
+			rp.aux = append(rp.aux, api)
+		}
+	}
 	if allWild {
 		// The whole definition was loaded: install it so every later
 		// call — in this query and the following ones — skips the trap
@@ -213,25 +211,10 @@ func (s *Session) cellArgKey(c wam.Cell) edb.ArgKey {
 	}
 }
 
-// endQuery tears down per-query transient state: procedures loaded from
-// the EDB, query-local auxiliary predicates and, in baseline mode, rules
-// asserted into the interpreter (the paper's "erased to make room").
+// endQuery tears down per-query transient state: in baseline mode, the
+// rules asserted into the interpreter (the paper's "erased to make room")
+// and the parsed-tuple caches.
 func (s *Session) endQuery() {
-	for _, fn := range s.queryProcs {
-		if p := s.m.Proc(fn); p != nil {
-			if p.External {
-				// Restore the trap stub; the loaded block stays alive
-				// because the resident table owns it.
-				s.m.DefineProc(&wam.Proc{Fn: fn, Arity: p.Arity, External: true})
-			} else {
-				if p.Block != nil {
-					s.m.RemoveBlock(p.Block)
-				}
-				s.m.RemoveProc(fn)
-			}
-		}
-	}
-	s.queryProcs = s.queryProcs[:0]
 	// Resident code survives across queries: the paper keeps dynamically
 	// loaded procedures in main memory until the code garbage collector
 	// reclaims them. A simple epoch clear bounds it.

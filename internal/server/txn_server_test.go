@@ -354,3 +354,58 @@ func TestServerReadOnlyAfterFailedCommit(t *testing.T) {
 		t.Fatalf("failed commit leaked its write: %v (%v)", res, err)
 	}
 }
+
+// TestServerTxnWriteSeenByRepeatedRead is the served_rw shape: two pool
+// sessions keep answering one read text from the code they linked for it,
+// and a transaction committed on one connection that retracts and asserts
+// schedule2/5 clauses must show in the other connection's next run of the
+// identical text.
+func TestServerTxnWriteSeenByRepeatedRead(t *testing.T) {
+	kb := newTestKB(t)
+	s, err := kb.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.ConsultExternal("schedule2(l1, bus, a, b, 7). schedule2(l2, bus, b, c, 5).")
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := newTestServer(t, kb, Config{MaxSessions: 2})
+	writer, reader := dialClient(t, addr), dialClient(t, addr)
+	const read = "schedule2(l1, Kind, From, To, M)"
+	// The pool hands its sessions out in turn, so a run of reads from one
+	// connection reaches both of them.
+	reads := func(want string) {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			res, err := reader.Query(read)
+			if err != nil || strings.Join(res.Solutions, "; ") != want {
+				t.Fatalf("%s, read %d: %v (err %v), want %s", read, i, res, err, want)
+			}
+		}
+	}
+	reads("From = a, Kind = bus, M = 7, To = b")
+	if err := writer.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"retract_external(schedule2(l1, bus, a, b, 7))", "assert_external(schedule2(l1, tram, b, d, 9))"} {
+		if res, err := writer.Query(g); err != nil || res.N != 1 {
+			t.Fatalf("%s: %v (err %v)", g, res, err)
+		}
+	}
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	reads("From = b, Kind = tram, M = 9, To = d")
+}
+
+func dialClient(t *testing.T, addr string) *Client {
+	t.Helper()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
