@@ -195,7 +195,7 @@ func (s *Session) evict(pi term.Indicator, rp *residentProc) {
 	}
 	if so := rp.setops; so != nil {
 		s.m.RemoveBlock(so.proc.Block)
-		so.tuples = nil // the cursor builtin outlives the result
+		so.prog, so.totals = nil, nil // the cursor builtin outlives the result
 		s.nresident--
 		s.nsetops--
 	}
@@ -289,11 +289,11 @@ func (s *Session) dropQueries() {
 
 // reconcile is the one pass that brings resident code up to date with the
 // knowledge base: a procedure whose stored clauses changed since this
-// session linked them, and a materialised fixpoint any of whose
-// dependencies changed, is evicted. It runs at query start, giving each
-// query a fresh view, and after a rollback, so the rest of the running
-// query sees the restored state. The caller must not hold the KB lock
-// outside a transaction.
+// session linked them is evicted, and so is a materialised fixpoint one
+// of whose rule procedures changed; one only whose leaves changed is
+// parked. It runs at query start, giving each query a fresh view, and
+// after a rollback, so the rest of the running query sees the restored
+// state. The caller must not hold the KB lock outside a transaction.
 func (s *Session) reconcile() {
 	v := s.kb.version.Load()
 	if v == s.synced && s.nsetops == 0 {
@@ -302,51 +302,59 @@ func (s *Session) reconcile() {
 		return
 	}
 	for pi, rp := range s.resident {
-		if (v != s.synced && s.kb.storedVersion(pi) != rp.ver) || s.depsStale(rp.setops, v) || s.relsStale(rp.setops) {
+		if v != s.synced && s.kb.storedVersion(pi) != rp.ver {
 			s.evict(pi, rp)
+		} else {
+			s.settle(pi, rp, v, true)
 		}
 	}
 	s.synced = v
 }
 
-// depsStale reports whether a stored procedure that so was computed from
-// has changed, v being the knowledge base's invalidation version.
-func (s *Session) depsStale(so *setopsInfo, v uint64) bool {
-	if so == nil || so.builtAt == v {
-		return false
+// settle evicts a materialised fixpoint a rule procedure of which changed
+// (v is the KB invalidation version), and parks one only whose leaves did
+// (with rels, catalog cardinalities checked too) as the base its next call
+// maintains, the trap stub put back. Running cursors keep their tuples.
+func (s *Session) settle(pi term.Indicator, rp *residentProc, v uint64, rels bool) {
+	so := rp.setops
+	if so == nil || so.stale {
+		return
 	}
-	for dep, ver := range so.deps {
-		if s.kb.storedVersion(dep) != ver {
-			return true
+	stale := false
+	if rels && len(so.relDeps) > 0 {
+		// Relation inserts do not bump the KB invalidation version, so the
+		// cardinalities are compared every time, under the KB read lock.
+		unlock := s.rlock()
+		for name, n := range so.relDeps {
+			r := s.kb.cat.Get(name)
+			stale = stale || r == nil || r.Count() != n
 		}
+		unlock()
 	}
-	so.builtAt = v
-	return false
-}
-
-// relsStale reports whether a catalog relation that so read has changed.
-// Relation inserts do not bump the KB invalidation version, so the
-// cardinalities are compared every time, under the KB read lock.
-func (s *Session) relsStale(so *setopsInfo) bool {
-	if so == nil || len(so.relDeps) == 0 {
-		return false
-	}
-	unlock := s.rlock()
-	defer unlock()
-	for rn, cnt := range so.relDeps {
-		if r := s.kb.cat.Get(rn); r == nil || r.Count() != cnt {
-			return true
+	if so.builtAt != v {
+		for dep, ver := range so.deps {
+			if s.kb.storedVersion(dep) == ver {
+				continue
+			}
+			if _, leaf := so.prog.Leaves[dep]; !leaf {
+				s.evict(pi, rp)
+				return
+			}
+			stale = true
 		}
+		so.builtAt = v
 	}
-	return false
+	if so.stale = stale; stale && s.m.Proc(so.proc.Fn) == so.proc {
+		s.m.DefineProc(&wam.Proc{Fn: so.proc.Fn, Arity: pi.Arity, External: true})
+	}
 }
 
 // invalidateStored records that this session changed a stored procedure:
 // the shared record is invalidated so other sessions reload at their next
-// query, and this session's own copy and the fixpoints computed from it
-// go now (a stored-clause write leaves the catalog relations alone). An
-// open transaction notes the procedure for its rollback. Caller holds the
-// KB write lock.
+// query, and this session's own copy goes now; the fixpoints computed
+// from it are settled (a stored-clause write leaves the catalog relations
+// alone). An open transaction notes the procedure for its rollback.
+// Caller holds the KB write lock.
 func (s *Session) invalidateStored(pi term.Indicator) {
 	s.kb.invalidateProc(pi)
 	if s.txn != nil {
@@ -354,8 +362,10 @@ func (s *Session) invalidateStored(pi term.Indicator) {
 	}
 	v := s.kb.version.Load()
 	for p, rp := range s.resident {
-		if p == pi || s.depsStale(rp.setops, v) {
+		if p == pi {
 			s.evict(p, rp)
+		} else {
+			s.settle(p, rp, v, false)
 		}
 	}
 }

@@ -52,6 +52,15 @@ func TestResidentLogicalUpdateView(t *testing.T) {
 			pred:  "r", mutate: "assert_external(r(7))",
 			same: "[1,2,3,7,7,7]", next: "[1,2,3,7,7,7]",
 		},
+		{
+			// r reads the materialised closure p by key; the call of p after
+			// the retract maintains p while the first call's cursor runs.
+			name: "retract_external under a maintained fixpoint",
+			setup: consultExternal(`e(0, 1). e(1, 2). e(2, 3).
+				p(X, Y) :- e(X, Y). p(X, Z) :- e(X, Y), p(Y, Z). r(X) :- p(0, X).`),
+			pred: "r", mutate: "ignore((retract_external(e(1, 2)), p(0, _)))",
+			same: "[1]", next: "[1]",
+		},
 	}
 	for _, tc := range cases {
 		for wname, wrap := range map[string]string{"bare": "%s", "catch": "catch((%s), _, fail)"} {

@@ -77,13 +77,16 @@ func (s *Session) SetStrategy(st Strategy) {
 // setopsInfo is a materialized set-at-a-time result with what it depends
 // on: the invalidation version of every stored procedure involved
 // (target, recursive companions, EDB fact leaves) and the cardinality of
-// every relational-catalog leaf, which reconcile compares.
+// every relational-catalog leaf, which reconcile compares. A stale result
+// (only leaves changed) waits uninstalled for its next call to maintain it.
 type setopsInfo struct {
 	proc    *wam.Proc
-	tuples  []rel.Tuple               // the fixpoint, in derivation order
-	builtAt uint64                    // kb invalidation version at build time
-	deps    map[term.Indicator]uint64 // procedure -> version
-	relDeps map[string]int            // relation name -> tuple count
+	prog    *setops.Program                // the rules, and the leaves totals were computed from
+	totals  map[term.Indicator]*rel.MemRel // the fixpoint, in derivation order
+	builtAt uint64                         // kb invalidation version at build time
+	deps    map[term.Indicator]uint64      // procedure -> version
+	relDeps map[string]int                 // relation name -> tuple count
+	stale   bool
 }
 
 // trySetops attempts set-at-a-time evaluation for an external rule
@@ -91,10 +94,12 @@ type setopsInfo struct {
 // predicate's stored clauses (and, transitively, every rule predicate
 // they call) into Datalog, materializes the EDB and catalog leaves,
 // runs the semi-naive fixpoint, and installs the result as a frozen
-// binding-stream procedure. A nil, nil return means ineligible — the
-// caller falls back to tuple-at-a-time loading.
+// binding-stream procedure; a stale result over the same rules and leaves
+// is maintained from the changed leaves instead. A nil, nil return means
+// ineligible — the caller falls back to tuple-at-a-time loading.
 func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error) {
-	if rp := s.resident[target]; rp != nil && rp.setops != nil {
+	rp := s.resident[target]
+	if rp != nil && rp.setops != nil && !rp.setops.stale {
 		return rp.setops.proc, nil
 	}
 	pages0 := s.q.PagesTouched
@@ -104,50 +109,99 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 	if err != nil {
 		return nil, err
 	}
-	if prog == nil {
+	// Auto reserves the set-at-a-time pipeline for recursion, where the
+	// WAM's per-resolution-step page traffic compounds.
+	eligible := prog != nil && (s.opts.Strategy != StrategyAuto || prog.Recursive(target))
+	var base *setopsInfo
+	if rp != nil && rp.setops != nil {
+		if eligible && rp.setops.sameShape(prog, info) {
+			base = rp.setops
+		} else {
+			s.evict(target, rp)
+		}
+	}
+	if !eligible {
 		s.kb.setopsFallbacks.Inc()
 		return nil, nil
 	}
-	if s.opts.Strategy == StrategyAuto && prog.RecursiveComponent(target) == nil {
-		// Auto reserves the set-at-a-time pipeline for recursion, where
-		// the WAM's per-resolution-step page traffic compounds.
-		s.kb.setopsFallbacks.Inc()
-		return nil, nil
-	}
-	ok, err := s.materializeLeaves(prog, info, leaves)
-	if err != nil {
+	drop := func(err error) (*wam.Proc, error) {
+		if base != nil {
+			s.evict(target, rp) // a failed pass may leave the totals part-way
+		}
 		return nil, err
 	}
-	if !ok {
-		s.kb.setopsFallbacks.Inc()
-		return nil, nil
+	changed := map[term.Indicator]*rel.MemRel{}
+	for _, pi := range leaves {
+		if base != nil && base.sameLeaf(pi, info) {
+			continue
+		}
+		if changed[pi], err = s.readLeaf(pi); err == nil && changed[pi] == nil {
+			s.kb.setopsFallbacks.Inc()
+		}
+		if err != nil || changed[pi] == nil {
+			return drop(err)
+		}
 	}
 
 	var st setops.Stats
-	totals, err := prog.Eval(&st, s.check)
+	if base != nil {
+		err = base.prog.Maintain(base.totals, changed, &st, s.check)
+	} else {
+		for pi, leaf := range changed {
+			prog.AddLeaf(pi, leaf)
+		}
+		info.totals, err = prog.Eval(&st, s.check)
+	}
 	if err != nil {
-		return nil, err
+		return drop(err)
 	}
 	s.kb.setopsQueries.Inc()
 	s.kb.setopsIterations.Add(uint64(st.Iterations))
 	s.kb.setopsDeltaTuples.Add(uint64(st.DeltaTuples))
 	s.kb.setopsPages.Add(s.q.PagesTouched - pages0)
+	if base != nil {
+		base.builtAt, base.deps, base.relDeps, base.stale = info.builtAt, info.deps, info.relDeps, false
+		s.m.DefineProc(base.proc)
+		return base.proc, nil
+	}
 
 	// Feed the materialized result back into the WAM as a deterministic
 	// collect-all binding stream (the mixed-strategy boundary of §4):
 	// a nondeterministic builtin enumerating the tuples in derivation
 	// order, installed and frozen like any loaded definition. Each call
-	// enumerates the tuples the result held when the call started.
-	info.tuples = totals[target].Tuples()
+	// enumerates the tuples the result held when the call started; one
+	// binding an atom or integer reads only the tuples its first such
+	// argument keys in the column index: the same solutions, in order.
+	info.prog = prog
 	cursor := func(m *wam.Machine, args []wam.Cell) (bool, error) {
-		tuples := info.tuples
-		return s.tupleCursor(m, arity, func() (rel.Tuple, error) {
-			if len(tuples) == 0 {
-				return nil, nil
+		res := info.totals[target]
+		if res == nil {
+			return false, nil
+		}
+		tuples := res.Tuples()
+		for i := 0; i < arity; i++ {
+			c := m.Deref(m.Reg(i))
+			v, ok := s.cellToRelValue(c, rel.String)
+			if !ok {
+				v, ok = s.cellToRelValue(c, rel.Int)
 			}
-			t := tuples[0]
-			tuples = tuples[1:]
-			return t, nil
+			if ok {
+				keyed := tuples[:0:0]
+				for _, pos := range res.Lookup(i, v) {
+					keyed = append(keyed, tuples[pos])
+				}
+				tuples = keyed
+				break
+			}
+		}
+		return s.tupleCursor(m, arity, func() (rel.Tuple, error) {
+			for len(tuples) > 0 {
+				t := tuples[0]
+				if tuples = tuples[1:]; t != nil {
+					return t, nil
+				}
+			}
+			return nil, nil
 		})
 	}
 	idx := s.m.RegisterBuiltin(wam.Builtin{
@@ -198,8 +252,12 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 		p := s.kb.db.Proc(pi.Name, pi.Arity)
 		if p == nil {
 			r := s.kb.cat.Get(pi.Name)
+			ok := r != nil && len(r.Schema.Attrs) == pi.Arity
+			if ok {
+				info.relDeps[pi.Name] = r.Count()
+			}
 			unlock()
-			if r == nil || len(r.Schema.Attrs) != pi.Arity {
+			if !ok {
 				return nil, nil, nil, nil // unresolved: outside the EDB/rel reach
 			}
 			leaves = append(leaves, pi)
@@ -248,62 +306,78 @@ func (s *Session) fetchAllClauses(p *edb.ProcInfo) ([]compiler.ClauseCode, error
 	return s.fetchClauses(p, keys)
 }
 
-// materializeLeaves reads every leaf relation into memory: EDB
-// facts-only procedures are fetched whole (one all-wild retrieval — the
-// set-at-a-time page-traffic win) and decompiled to ground tuples;
-// relational-catalog relations are scanned sequentially. false (with
-// nil error) means a leaf holds non-atomic facts and the build falls
-// back.
-func (s *Session) materializeLeaves(prog *setops.Program, info *setopsInfo, leaves []term.Indicator) (bool, error) {
-	for _, pi := range leaves {
-		unlock := s.rlock()
-		p := s.kb.db.Proc(pi.Name, pi.Arity)
-		if p != nil {
-			clauses, err := s.fetchAllClauses(p)
-			unlock()
-			if err != nil {
-				return false, err
-			}
-			leaf := rel.NewMemRel(pi.Arity)
-			for _, cc := range clauses {
-				r, ok := setops.DecompileClause(cc)
-				if !ok || len(r.Body) != 0 || r.NVars != 0 {
-					return false, nil // compound-valued or non-ground fact
-				}
-				t := make(rel.Tuple, pi.Arity)
-				for i, a := range r.Head.Args {
-					t[i] = a.Val
-				}
-				leaf.Insert(t)
-			}
-			prog.AddLeaf(pi, leaf)
-			continue
+// readLeaf reads one leaf relation into memory: an EDB facts-only
+// procedure is fetched whole (one all-wild retrieval — the set-at-a-time
+// page-traffic win) and decompiled to ground tuples; a relational-catalog
+// relation is scanned sequentially. A nil relation (with nil error) means
+// the leaf holds non-atomic facts or is gone, and the build falls back.
+func (s *Session) readLeaf(pi term.Indicator) (*rel.MemRel, error) {
+	unlock := s.rlock()
+	defer unlock()
+	leaf := rel.NewMemRel(pi.Arity)
+	if p := s.kb.db.Proc(pi.Name, pi.Arity); p != nil {
+		clauses, err := s.fetchAllClauses(p)
+		if err != nil {
+			return nil, err
 		}
-		r := s.kb.cat.Get(pi.Name)
-		if r == nil || len(r.Schema.Attrs) != pi.Arity {
-			unlock()
-			return false, nil
-		}
-		leaf := rel.NewMemRel(pi.Arity)
-		it := rel.SeqScan(r)
-		for {
-			t, err := it.Next()
-			if err != nil {
-				it.Close()
-				unlock()
-				return false, err
+		t := make(rel.Tuple, pi.Arity)
+		for _, cc := range clauses {
+			r, ok := setops.DecompileClause(cc)
+			if !ok || len(r.Body) != 0 || r.NVars != 0 {
+				return nil, nil // compound-valued or non-ground fact
 			}
-			if t == nil {
-				break
+			for i, a := range r.Head.Args {
+				t[i] = a.Val
 			}
 			leaf.Insert(t)
 		}
-		it.Close()
-		info.relDeps[r.Schema.Name] = r.Count()
-		unlock()
-		prog.AddLeaf(pi, leaf)
+		return leaf, nil
 	}
-	return true, nil
+	r := s.kb.cat.Get(pi.Name)
+	if r == nil || len(r.Schema.Attrs) != pi.Arity {
+		return nil, nil
+	}
+	it := rel.SeqScan(r)
+	defer it.Close()
+	for {
+		t, err := it.Next()
+		if t == nil || err != nil {
+			return leaf, err
+		}
+		leaf.Insert(t)
+	}
+}
+
+// sameLeaf reports whether leaf pi, as info found it, is as it was when so
+// was computed: the same stored version, or the same catalog cardinality.
+func (so *setopsInfo) sameLeaf(pi term.Indicator, info *setopsInfo) bool {
+	if v, stored := info.deps[pi]; stored {
+		return v == so.deps[pi]
+	}
+	return info.relDeps[pi.Name] == so.relDeps[pi.Name]
+}
+
+// sameShape reports whether the stale result so can be maintained into
+// the one prog and info describe: the same stored procedures, the rule
+// procedures among them at the versions so was computed from, and the
+// same catalog relations.
+func (so *setopsInfo) sameShape(prog *setops.Program, info *setopsInfo) bool {
+	if len(info.deps) != len(so.deps) || len(info.relDeps) != len(so.relDeps) {
+		return false
+	}
+	for pi, v := range info.deps {
+		w, ok := so.deps[pi]
+		_, rule := prog.Rules[pi]
+		if _, was := so.prog.Rules[pi]; !ok || rule != was || rule && v != w {
+			return false
+		}
+	}
+	for name := range info.relDeps {
+		if _, ok := so.relDeps[name]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // biStrategy implements educe_strategy/1: with an atom argument (auto,

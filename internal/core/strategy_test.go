@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/term"
 	"repro/internal/wam"
 )
 
@@ -529,5 +531,281 @@ func TestSetStrategyInvalidation(t *testing.T) {
 	got := solutionSet(t, s, "path(a, X)")
 	if want := []string{"X=b", "X=c"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("path(a,X) after assert = %v, want %v", got, want)
+	}
+}
+
+// maintainFixture opens a knowledge base holding the recursive program of
+// the set_rw benchmark over chains of fwd/alt links (chain c is nc_0 ->
+// nc_1 -> ... -> nc_<n-1>, even links fwd, odd ones alt), with a session
+// under StrategyAuto and one under StrategyTuple.
+func maintainFixture(t *testing.T, chains, n int) (auto, tuple *Session) {
+	t.Helper()
+	kb, err := OpenKB(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { kb.Close() })
+	var src strings.Builder
+	for c := 0; c < chains; c++ {
+		for i := 0; i < n-1; i++ {
+			fmt.Fprintf(&src, "%s(n%d_%d, n%d_%d).\n", [2]string{"fwd", "alt"}[i%2], c, i, c, i+1)
+		}
+	}
+	src.WriteString(`
+		edge(X, Y) :- fwd(X, Y).
+		edge(X, Y) :- alt(X, Y).
+		path(X, Y) :- edge(X, Y).
+		path(X, Z) :- edge(X, Y), path(Y, Z).
+	`)
+	auto, tuple = strategySession(t, kb, StrategyAuto), strategySession(t, kb, StrategyTuple)
+	t.Cleanup(func() { auto.Close(); tuple.Close() })
+	if err := auto.ConsultExternal(src.String()); err != nil {
+		t.Fatal(err)
+	}
+	return auto, tuple
+}
+
+// maintainQueries are free, bound-first, bound-second and fully bound
+// reads of path/2 over maintainFixture's first chains.
+var maintainQueries = []string{
+	"path(X, Y)", "path(n0_0, X)", "path(n1_2, X)", "path(X, n0_4)", "path(X, x)",
+	"path(n0_0, n0_4)", "path(n0_1, x)",
+}
+
+// agree requires auto and tuple to give the same distinct solutions to
+// every query.
+func agree(t *testing.T, auto, tuple *Session, queries []string) {
+	t.Helper()
+	for _, q := range queries {
+		if got, want := solutionSet(t, auto, q), solutionSet(t, tuple, q); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: auto %v, tuple %v", q, got, want)
+		}
+	}
+}
+
+// pathResult is auto's materialised path/2, or nil.
+func pathResult(s *Session) *setopsInfo {
+	if rp := s.resident[term.Indicator{Name: "path", Arity: 2}]; rp != nil {
+		return rp.setops
+	}
+	return nil
+}
+
+// maintained requires auto's path/2 result to be so, brought up to date
+// rather than evaluated afresh.
+func maintained(t *testing.T, auto *Session, so *setopsInfo) {
+	t.Helper()
+	if so == nil || pathResult(auto) != so || so.stale {
+		t.Fatalf("path/2 result %p (was %p): not maintained in place", pathResult(auto), so)
+	}
+}
+
+// TestStrategyMaintainOwnTxnWrite: the session's own retract_external and
+// assert_external inside transaction/1 are maintained into the fixpoint,
+// read inside the transaction and after its commit.
+func TestStrategyMaintainOwnTxnWrite(t *testing.T) {
+	auto, tuple := maintainFixture(t, 3, 6)
+	agree(t, auto, tuple, maintainQueries)
+	so := pathResult(auto)
+	got := values(t, auto, `transaction((retract_external(fwd(n0_2, n0_3)), assert_external(fwd(n0_2, x)),
+		findall(X, path(n0_0, X), L0), msort(L0, L)))`, "L")
+	if want := []string{"[n0_1,n0_2,x]"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("path(n0_0, X) inside the transaction: %v, want %v", got, want)
+	}
+	maintained(t, auto, so)
+	agree(t, auto, tuple, maintainQueries)
+	maintained(t, auto, so)
+}
+
+// TestStrategyMaintainOtherSessionCommit: another session's committed
+// writes reach the fixpoint at the next query, by maintenance.
+func TestStrategyMaintainOtherSessionCommit(t *testing.T) {
+	auto, tuple := maintainFixture(t, 3, 6)
+	agree(t, auto, tuple, maintainQueries)
+	so := pathResult(auto)
+	w, err := auto.KB().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := w.RetractExternal(mustParseCore(t, "alt(n0_1, n0_2)")); !ok || err != nil {
+		t.Fatalf("retract: %v %v", ok, err)
+	}
+	if err := w.AssertExternalTerm(mustParseCore(t, "fwd(n0_1, x)")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	agree(t, auto, tuple, maintainQueries)
+	maintained(t, auto, so)
+}
+
+// TestStrategyMaintainRollback: a fixpoint maintained inside a
+// transaction is maintained back when the transaction rolls back.
+func TestStrategyMaintainRollback(t *testing.T) {
+	auto, tuple := maintainFixture(t, 3, 6)
+	before := map[string][]string{}
+	for _, q := range maintainQueries {
+		before[q] = solutionSet(t, auto, q)
+	}
+	so := pathResult(auto)
+	if err := auto.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := auto.RetractExternal(mustParseCore(t, "fwd(n0_0, n0_1)")); !ok || err != nil {
+		t.Fatalf("retract: %v %v", ok, err)
+	}
+	if err := auto.AssertExternalTerm(mustParseCore(t, "alt(n0_3, x)")); err != nil {
+		t.Fatal(err)
+	}
+	if got := solutionSet(t, auto, "path(n0_0, X)"); len(got) != 0 {
+		t.Fatalf("path(n0_0, X) inside the transaction: %v, want none", got)
+	}
+	if got := solutionSet(t, auto, "path(n0_2, X)"); !reflect.DeepEqual(got, []string{"X=n0_3", "X=n0_4", "X=n0_5", "X=x"}) {
+		t.Fatalf("path(n0_2, X) inside the transaction: %v", got)
+	}
+	if err := auto.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range maintainQueries {
+		if got := solutionSet(t, auto, q); !reflect.DeepEqual(got, before[q]) {
+			t.Errorf("%s after rollback: %v, want %v", q, got, before[q])
+		}
+	}
+	maintained(t, auto, so)
+	agree(t, auto, tuple, maintainQueries)
+}
+
+// TestStrategyMaintainBoundReads: bound reads of a result whose column
+// indexes were built before its tuples were deleted — dead slots in the
+// indexes, then compactions — agree with the tuple strategy over many
+// write rounds.
+func TestStrategyMaintainBoundReads(t *testing.T) {
+	auto, tuple := maintainFixture(t, 3, 6)
+	agree(t, auto, tuple, maintainQueries)
+	so := pathResult(auto)
+	for i := 0; i < 40; i++ {
+		// Cut and restore links of chain 0 in turn, and move an extra tail
+		// edge between x0 and x1: every round deletes tuples the indexes
+		// already hold.
+		link := fmt.Sprintf("%s(n0_%d, n0_%d)", [2]string{"fwd", "alt"}[i%5%2], i%5, i%5+1)
+		w := fmt.Sprintf("retract_external(%s), assert_external(fwd(n1_5, x%d))", link, i%2)
+		if i > 0 {
+			w += fmt.Sprintf(", retract_external(fwd(n1_5, x%d))", (i+1)%2)
+		}
+		if n, err := auto.QueryCount(w); err != nil || n != 1 {
+			t.Fatalf("round %d: %s: n=%d err=%v", i, w, n, err)
+		}
+		agree(t, auto, tuple, []string{"path(n0_0, X)", "path(X, n0_5)", "path(n1_0, X)", "path(X, x0)", "path(n0_1, n0_3)"})
+		if n, err := auto.QueryCount("assert_external(" + link + ")"); err != nil || n != 1 {
+			t.Fatalf("round %d: restore %s: n=%d err=%v", i, link, n, err)
+		}
+		agree(t, auto, tuple, []string{"path(n0_0, X)", "path(X, n0_3)"})
+	}
+	maintained(t, auto, so)
+}
+
+// TestStrategyMaintainRuleEdit: a change to a rule procedure of the
+// closure is not maintained: the next call evaluates afresh.
+func TestStrategyMaintainRuleEdit(t *testing.T) {
+	auto, tuple := maintainFixture(t, 3, 6)
+	agree(t, auto, tuple, maintainQueries)
+	so := pathResult(auto)
+	if err := auto.ConsultExternal("side(n0_5, y). edge(X, Y) :- side(X, Y)."); err != nil {
+		t.Fatal(err)
+	}
+	agree(t, auto, tuple, append(maintainQueries, "path(n0_0, y)"))
+	if now := pathResult(auto); now == nil || now == so {
+		t.Fatalf("path/2 result %p after a rule edit, was %p: want a fresh evaluation", now, so)
+	}
+}
+
+// TestStrategyMaintainKeyedOrder: a call binding an atom argument, served
+// from the column index, returns the solutions of a full scan filtered
+// by unification, in the same order, over a result with deleted slots.
+func TestStrategyMaintainKeyedOrder(t *testing.T) {
+	auto, _ := maintainFixture(t, 3, 6)
+	for _, w := range []string{"assert_external(alt(n0_3, x))", "retract_external(fwd(n0_2, n0_3))",
+		"assert_external(fwd(n0_2, n0_3))", "retract_external(alt(n0_3, x))"} {
+		for _, p := range [][2]string{
+			{"path(n0_0, X)", "path(A, X), A == n0_0"},
+			{"path(X, n0_4)", "path(X, B), B == n0_4"},
+			{"path(n0_2, n0_4), X = t", "path(A, B), A == n0_2, B == n0_4, X = t"},
+		} {
+			keyed := values(t, auto, fmt.Sprintf("findall(X, (%s), L)", p[0]), "L")
+			scan := values(t, auto, fmt.Sprintf("findall(X, (%s), L)", p[1]), "L")
+			if !reflect.DeepEqual(keyed, scan) {
+				t.Errorf("after %s: keyed %s gives %v, full scan %v", w, p[0], keyed, scan)
+			}
+		}
+		if n, err := auto.QueryCount(w); err != nil || n != 1 {
+			t.Fatalf("%s: n=%d err=%v", w, n, err)
+		}
+	}
+}
+
+// TestStrategyMaintainTablesStayFlat runs set_rw-shaped rounds in one
+// session — retract the previous tail edge, assert a new one in a
+// transaction, read path/2 bound — and requires the maintained result's
+// slots (live and dead), the Go heap after a collection, and the
+// machine's block and builtin tables to stay flat between rounds 1000 and
+// 2000.
+func TestStrategyMaintainTablesStayFlat(t *testing.T) {
+	const chains, n, rounds = 8, 12, 2000
+	auto, _ := maintainFixture(t, chains, n)
+	var so *setopsInfo
+	var heap [2]uint64
+	var tables [2]wam.Stats
+	last := ""
+	for i := 1; i <= rounds; i++ {
+		c := i % chains
+		edge := fmt.Sprintf("fwd(n%d_%d, x%d)", c, n-1, i%2)
+		w := "assert_external(" + edge + ")"
+		if last != "" {
+			w = "retract_external(" + last + "), " + w
+		}
+		if k, err := auto.QueryCount("transaction((" + w + "))"); err != nil || k != 1 {
+			t.Fatalf("round %d: %s: n=%d err=%v", i, w, k, err)
+		}
+		last = edge
+		for _, r := range []struct {
+			q    string
+			want int
+		}{
+			{fmt.Sprintf("path(n%d_0, X)", c), n},                // the chain and the new tail edge
+			{fmt.Sprintf("path(n%d_3, X)", (c+1)%chains), n - 4}, // a chain without one
+		} {
+			if k, err := auto.QueryCount(r.q); err != nil || k != r.want {
+				t.Fatalf("round %d: %s: %d solutions (err %v), want %d", i, r.q, k, err, r.want)
+			}
+		}
+		if i == 1 {
+			so = pathResult(auto)
+		}
+		if i == rounds/2 || i == rounds {
+			maintained(t, auto, so)
+			res := so.totals[term.Indicator{Name: "path", Arity: 2}]
+			slots, live := len(res.Tuples()), res.Len()
+			if slots > 2*live {
+				t.Fatalf("round %d: %d slots for %d live tuples: compaction did not run", i, slots, live)
+			}
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			k := i / rounds
+			heap[k], tables[k] = ms.HeapAlloc, auto.Machine().Stats()
+			t.Logf("round %d: %d slots, %d live; heap %d KiB; blocks %d, builtins %d", i, slots, live,
+				ms.HeapAlloc>>10, tables[k].Blocks, tables[k].Builtins)
+		}
+	}
+	if tables[1].Blocks != tables[0].Blocks || tables[1].Builtins != tables[0].Builtins {
+		t.Errorf("code tables grew from round %d to %d: %+v -> %+v", rounds/2, rounds, tables[0], tables[1])
+	}
+	if heap[1] > heap[0]+heap[0]/4 {
+		t.Errorf("heap grew from %d KiB at round %d to %d KiB at round %d", heap[0]>>10, rounds/2, heap[1]>>10, rounds)
 	}
 }

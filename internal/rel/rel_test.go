@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -260,5 +261,35 @@ func TestTupleCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemRelDeleteKeepsViews: a delete, and the compaction it triggers,
+// leave the slots and index positions handed out before it as they were;
+// -0 and +0 are one key, as are NaNs, as ValueEq has them.
+func TestMemRelDeleteKeepsViews(t *testing.T) {
+	m := NewMemRel(1)
+	for i := 0; i < 4; i++ {
+		m.Insert(Tuple{IntV(int64(i))})
+	}
+	view, keys := m.Tuples(), m.Lookup(0, IntV(2))
+	for i := 0; i < 3; i++ {
+		if !m.Delete(Tuple{IntV(int64(i))}) || m.Contains(Tuple{IntV(int64(i))}) {
+			t.Fatalf("delete %d", i)
+		}
+	}
+	if got := fmt.Sprint(view, keys, view[keys[0]]); got != "[[0] [1] [2] [3]] [2] [2]" {
+		t.Fatalf("view after deletes: %s", got)
+	}
+	if m.Len() != 1 || len(m.Tuples()) != 1 || len(m.Lookup(0, IntV(2))) != 0 {
+		t.Fatalf("after compaction: %d live, %d slots", m.Len(), len(m.Tuples()))
+	}
+	f := NewMemRel(1)
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for _, v := range []float64{0, negZero, nan, -nan} {
+		f.Insert(Tuple{FloatV(v)})
+	}
+	if f.Len() != 2 || len(f.Lookup(0, FloatV(negZero))) != 1 || !ValueEq(FloatV(nan), FloatV(-nan)) {
+		t.Fatalf("float keys: %d tuples", f.Len())
 	}
 }

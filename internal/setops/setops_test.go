@@ -125,6 +125,9 @@ func mkLeaf(t *testing.T, pairs [][2]string) *rel.MemRel {
 func solutions(m *rel.MemRel) []string {
 	var out []string
 	for _, tp := range m.Tuples() {
+		if tp == nil {
+			continue // deleted
+		}
 		s := ""
 		for i, v := range tp {
 			if i > 0 {

@@ -2,6 +2,7 @@ package setops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rel"
@@ -141,104 +142,101 @@ func (p *Program) Stratify() []Stratum {
 	return strata
 }
 
-// RecursiveComponent returns the set of predicates in pred's SCC if that
-// SCC is recursive, or nil otherwise.
-func (p *Program) RecursiveComponent(pred term.Indicator) map[term.Indicator]bool {
+// Recursive reports whether pred's SCC needs fixpoint iteration.
+func (p *Program) Recursive(pred term.Indicator) bool {
 	for _, st := range p.Stratify() {
-		for _, m := range st.Preds {
-			if m == pred {
-				if !st.Recursive {
-					return nil
-				}
-				set := map[term.Indicator]bool{}
-				for _, q := range st.Preds {
-					set[q] = true
-				}
-				return set
-			}
+		if slices.Contains(st.Preds, pred) {
+			return st.Recursive
 		}
 	}
-	return nil
+	return false
 }
 
 // step is one join stage of a compiled rule plan: scan or probe one body
-// literal, filter on constants and already-bound variables, and bind the
-// rest.
+// literal, filter on bound slots (a slot is a rule variable or, past them,
+// one of the plan's constants), and bind the rest.
 type step struct {
 	lit Literal
 	// probeCol is the column to probe via the source relation's hash
-	// index, or -1 for a full scan. probeVar/probeConst describe the
-	// probe key (a bound variable or a constant).
-	probeCol   int
-	probeVar   int
-	probeConst rel.Value
-	isConstKey bool
-	// checks are (column, variable) pairs that must match an
-	// already-bound variable; constChecks are (column, value) filters
-	// not covered by the probe.
-	checks      [][2]int
-	constChecks []struct {
-		col int
-		val rel.Value
-	}
-	// binds are (column, variable) pairs bound by this step.
-	binds [][2]int
+	// index, or -1 for a full scan; probeVar is the slot of its key.
+	probeCol, probeVar int
+	// checks are (column, slot) pairs that must equal a bound slot; binds
+	// are (column, slot) pairs this step binds.
+	checks, binds [][2]int
 }
 
-// plan is the compiled operator pipeline of one rule: a sequence of join
-// steps followed by the head projection.
+// plan is the compiled operator pipeline of one rule: join steps, then
+// the head projection. A delta plan's first step scans the round's delta;
+// a rederivation plan first matches head against the candidate tuple.
 type plan struct {
-	rule  Rule
-	steps []step
+	rule   Rule
+	head   step
+	steps  []step
+	delta  bool
+	consts []rel.Value // the slots after the rule's variables
 }
 
 // planRule compiles a rule into join steps with static knowledge of
-// which variables are bound at each stage (the translator's analogue of
+// which slots are bound at each stage (the translator's analogue of
 // access-path selection: probe a hash index when a column is bound,
-// otherwise scan).
-func planRule(r Rule) plan {
+// otherwise scan). first >= 0 plans body literal first ahead of the rest;
+// first < 0 the rederivation, which binds the head before the body.
+func planRule(r Rule, first int) plan {
+	pl := plan{rule: r, delta: first >= 0}
 	bound := make([]bool, r.NVars)
-	pl := plan{rule: r, steps: make([]step, 0, len(r.Body))}
-	for _, lit := range r.Body {
-		st := step{lit: lit, probeCol: -1, probeVar: -1}
-		seenHere := map[int]int{}
+	literal := func(lit Literal, probe bool) step {
+		st := step{lit: lit, probeCol: -1}
 		for col, a := range lit.Args {
+			v := a.Var
 			if !a.IsVar {
-				if st.probeCol < 0 {
-					st.probeCol = col
-					st.probeConst = a.Val
-					st.isConstKey = true
-				} else {
-					st.constChecks = append(st.constChecks, struct {
-						col int
-						val rel.Value
-					}{col, a.Val})
-				}
-				continue
+				v = len(bound)
+				pl.consts, bound = append(pl.consts, a.Val), append(bound, true)
 			}
-			if bound[a.Var] {
-				if st.probeCol < 0 {
-					st.probeCol = col
-					st.probeVar = a.Var
-				} else {
-					st.checks = append(st.checks, [2]int{col, a.Var})
-				}
-				continue
+			fresh := !bound[v]
+			for _, b := range st.binds {
+				fresh = fresh && b[1] != v // a repeat within the literal is a selection
 			}
-			if first, dup := seenHere[a.Var]; dup {
-				// Repeated fresh variable within the literal: the second
-				// occurrence is an equality selection against the first.
-				_ = first
-				st.checks = append(st.checks, [2]int{col, a.Var})
-				continue
+			switch {
+			case fresh:
+				st.binds = append(st.binds, [2]int{col, v})
+			case probe && st.probeCol < 0 && bound[v]:
+				st.probeCol, st.probeVar = col, v
+			default:
+				st.checks = append(st.checks, [2]int{col, v})
 			}
-			seenHere[a.Var] = col
-			st.binds = append(st.binds, [2]int{col, a.Var})
 		}
 		for _, b := range st.binds {
 			bound[b[1]] = true
 		}
-		pl.steps = append(pl.steps, st)
+		return st
+	}
+	if first < 0 {
+		pl.head = literal(r.Head, false)
+	} else {
+		pl.steps = append(pl.steps, literal(r.Body[first], false))
+	}
+	for j, lit := range r.Body {
+		if j != first {
+			pl.steps = append(pl.steps, literal(lit, true))
+		}
 	}
 	return pl
+}
+
+// env returns fresh slots for one run of the plan.
+func (pl *plan) env() []rel.Value {
+	return append(make([]rel.Value, pl.rule.NVars, pl.rule.NVars+len(pl.consts)), pl.consts...)
+}
+
+// match binds the step's fresh slots from t and applies its selections.
+func (st *step) match(t rel.Tuple, env []rel.Value) bool {
+	for _, b := range st.binds {
+		env[b[1]] = t[b[0]]
+	}
+	for _, ch := range st.checks {
+		if !rel.ValueEq(t[ch[0]], env[ch[1]]) {
+			return false
+		}
+	}
+	return true
 }
