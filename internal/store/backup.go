@@ -261,31 +261,17 @@ func (p *filePager) beginBackup() (startLSN uint64, pages PageID, err error) {
 	return p.wal.commitLSN, p.numPages, nil
 }
 
-// copyFrame returns the raw disk frame of page id, checksum-verified
-// (all-zero frames are allocated-but-never-written holes and pass).
-// The frames are frozen while a backup is active, so the pager mutex
-// is held only for the one read.
+// copyFrame returns a private copy of the raw disk frame of page id,
+// checksum-verified (allocated-but-never-written holes pass as zero
+// frames). The frames are frozen while a backup is active, so the pager
+// mutex is held only for the one read.
 func (p *filePager) copyFrame(id PageID) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	frame := make([]byte, diskFrameSize)
-	n, err := p.f.ReadAt(frame, int64(id)*diskFrameSize)
-	if err != nil && err != io.EOF {
+	if err := p.readFrame(id); err != nil {
 		return nil, err
 	}
-	if n < diskFrameSize {
-		if allZero(frame[:n]) {
-			return make([]byte, diskFrameSize), nil
-		}
-		p.checksumErrors.Add(1)
-		return nil, fmt.Errorf("store: backup: page %d: torn frame (%d of %d bytes): %w", id, n, diskFrameSize, ErrChecksum)
-	}
-	stored := binary.LittleEndian.Uint32(frame[PageSize+4:])
-	if crc := frameCRC(id, frame[:PageSize+4]); crc != stored && !allZero(frame) {
-		p.checksumErrors.Add(1)
-		return nil, fmt.Errorf("store: backup: page %d: stored CRC %#08x, computed %#08x: %w", id, stored, crc, ErrChecksum)
-	}
-	return frame, nil
+	return append([]byte(nil), p.scratch[:]...), nil
 }
 
 // endBackup seals a commit boundary, archives through it, and

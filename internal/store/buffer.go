@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/list"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -85,7 +84,9 @@ const (
 // Frame is a pinned page in the buffer pool. Callers must Unpin it.
 // While pinned the frame holds its latch in the mode requested at Pin
 // time: Data may be read under either mode but written only under
-// LatchExclusive.
+// LatchExclusive. Data is valid only while the frame is pinned: once
+// unpinned the frame may be evicted, its buffer handed to another page
+// and Data set to nil, so bytes needed later must be copied out first.
 type Frame struct {
 	id   PageID
 	Data []byte
@@ -106,8 +107,10 @@ type Frame struct {
 	// clearing after write-back), so it is atomic.
 	dirty atomic.Bool
 
-	pins int           // guarded by the owning shard's mutex
-	elem *list.Element // guarded by the owning shard's mutex
+	pins int // guarded by the owning shard's mutex
+	// prev and next link an unpinned frame into its shard's LRU chain
+	// (nil while pinned); guarded by the owning shard's mutex.
+	prev, next *Frame
 }
 
 // ID returns the page this frame holds.
@@ -173,8 +176,9 @@ func grown(now, base uint64) uint64 {
 }
 
 // poolShard is one independently locked slice of the pool: its own page
-// map, LRU chain (unpinned frames, front = most recently used), capacity
-// share, and hit/eviction counters. Pages are assigned to shards by a
+// map, LRU chain (unpinned frames linked through Frame.prev/next around
+// the sentinel lru; lru.next = most recently used), capacity share, and
+// hit/eviction counters. Pages are assigned to shards by a
 // multiplicative hash of the page ID, so unrelated pages contend on
 // different mutexes and an eviction in one shard never blocks a hit in
 // another.
@@ -182,7 +186,7 @@ type poolShard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List
+	lru      Frame
 
 	accesses  *obs.Counter
 	hits      *obs.Counter
@@ -246,11 +250,11 @@ func NewPoolObs(pager Pager, capacity int, reg *obs.Registry) *Pool {
 		sh := &poolShard{
 			capacity:  per,
 			frames:    map[PageID]*Frame{},
-			lru:       list.New(),
 			accesses:  reg.Counter(fmt.Sprintf("buffer_pool.shard%d.accesses", i)),
 			hits:      reg.Counter(fmt.Sprintf("buffer_pool.shard%d.hits", i)),
 			evictions: reg.Counter(fmt.Sprintf("buffer_pool.shard%d.evictions", i)),
 		}
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
 		reg.RegisterFunc(fmt.Sprintf("buffer_pool.shard%d.hit_ratio", i), func() any {
 			return obs.Ratio(sh.hits.Value(), sh.accesses.Value())
 		})
@@ -258,6 +262,21 @@ func NewPoolObs(pager Pager, capacity int, reg *obs.Registry) *Pool {
 	}
 	reg.Gauge("buffer_pool.shards").Set(int64(n))
 	return p
+}
+
+// pushFront links the unpinned frame f in as the shard's most recently
+// used (shard mutex held).
+func (sh *poolShard) pushFront(f *Frame) {
+	f.prev, f.next = &sh.lru, sh.lru.next
+	f.prev.next, f.next.prev = f, f
+}
+
+// unlink takes f off the LRU chain if it is on it (shard mutex held).
+func (sh *poolShard) unlink(f *Frame) {
+	if f.next != nil {
+		f.prev.next, f.next.prev = f.next, f.prev
+		f.prev, f.next = nil, nil
+	}
 }
 
 // shardOf maps a page ID to its shard by multiplicative (Fibonacci)
@@ -375,9 +394,10 @@ func (p *Pool) latchFrame(f *Frame, mode LatchMode) {
 
 // Pin fixes page id in the pool, reading it from the pager if absent,
 // and returns its frame latched in the requested mode. Every Pin must be
-// matched by an Unpin. Lock order: the shard mutex is released before
-// the frame latch is taken, so a pin never blocks its whole shard while
-// waiting for a writer to finish with one page.
+// matched by an Unpin, and the frame's Data may be used only until then.
+// Lock order: the shard mutex is released before the frame latch is
+// taken, so a pin never blocks its whole shard while waiting for a
+// writer to finish with one page.
 func (p *Pool) Pin(id PageID, mode LatchMode) (*Frame, error) {
 	sh := p.shardOf(id)
 	sh.mu.Lock()
@@ -386,23 +406,22 @@ func (p *Pool) Pin(id PageID, mode LatchMode) (*Frame, error) {
 	if f, ok := sh.frames[id]; ok {
 		p.met.hits.Inc()
 		sh.hits.Inc()
-		if f.elem != nil {
-			sh.lru.Remove(f.elem)
-			f.elem = nil
-		}
+		sh.unlink(f)
 		f.pins++
 		sh.mu.Unlock()
 		p.latchFrame(f, mode)
 		return f, nil
 	}
-	// Miss: make room, then read the page before publishing the frame so
-	// no other pin can observe a partially loaded page. Misses serialize
-	// per shard — unrelated shards keep streaming hits meanwhile.
-	if err := p.makeRoom(sh); err != nil {
+	// Miss: make room, then read the page — into the evicted frame's
+	// buffer — before publishing the frame so no other pin can observe a
+	// partially loaded page. Misses serialize per shard — unrelated shards
+	// keep streaming hits meanwhile.
+	buf, err := p.makeRoom(sh)
+	if err != nil {
 		sh.mu.Unlock()
 		return nil, err
 	}
-	f := &Frame{id: id, Data: make([]byte, PageSize)}
+	f := &Frame{id: id, Data: buf}
 	p.met.reads.Inc()
 	t0 := time.Now()
 	if err := p.pager.ReadPage(id, f.Data); err != nil {
@@ -435,11 +454,13 @@ func (p *Pool) Alloc() (*Frame, error) {
 	sh.mu.Lock()
 	p.met.accesses.Inc()
 	sh.accesses.Inc()
-	if err := p.makeRoom(sh); err != nil {
+	buf, err := p.makeRoom(sh)
+	if err != nil {
 		sh.mu.Unlock()
 		return nil, err
 	}
-	f := &Frame{id: id, Data: make([]byte, PageSize)}
+	clear(buf) // a recycled buffer still holds the victim's page
+	f := &Frame{id: id, Data: buf}
 	f.pins = 1
 	f.dirty.Store(true)
 	sh.frames[id] = f
@@ -448,50 +469,58 @@ func (p *Pool) Alloc() (*Frame, error) {
 	return f, nil
 }
 
-// makeRoom evicts until the shard has a free slot (shard mutex held).
-// The victim is unpinned and new pins on this shard are excluded by the
-// mutex, so its exclusive latch is either free or held only by an Unpin
-// in its final latch-release step (Unpin drops the pin before the
-// latch); the acquisition here waits at most that instant and cannot
-// deadlock — the latch holder needs no locks to finish. Taking the
-// exclusive latch keeps the WAL/checksum invariant: pages reach the
-// pager only through an exclusively latched frame with stable bytes.
-func (p *Pool) makeRoom(sh *poolShard) error {
+// makeRoom evicts until the shard has a free slot (shard mutex held) and
+// returns a page buffer for it: the last victim's, whose frame is left
+// with nil Data so a use after unpin panics instead of reading another
+// page, or a fresh one when nothing was evicted. A recycled buffer still
+// holds the victim's bytes. The victim is unpinned and new pins on this
+// shard are excluded by the mutex, so its exclusive latch is either free
+// or held only by an Unpin in its final latch-release step (Unpin drops
+// the pin before the latch); the acquisition here waits at most that
+// instant and cannot deadlock — the latch holder needs no locks to
+// finish. Taking the exclusive latch keeps the WAL/checksum invariant:
+// pages reach the pager only through an exclusively latched frame with
+// stable bytes.
+func (p *Pool) makeRoom(sh *poolShard) ([]byte, error) {
+	var buf []byte
 	for len(sh.frames) >= sh.capacity {
-		back := sh.lru.Back()
-		if back == nil {
-			return fmt.Errorf("store: buffer pool exhausted (%d pages, all pinned)", p.capacity)
+		victim := sh.lru.prev
+		if victim == &sh.lru {
+			return nil, fmt.Errorf("store: buffer pool exhausted (%d pages, all pinned)", p.capacity)
 		}
 		t0 := time.Now()
-		victim := back.Value.(*Frame)
-		sh.lru.Remove(back)
-		victim.elem = nil
 		victim.latch.Lock()
 		if victim.dirty.Load() {
 			p.met.writes.Inc()
 			tw := time.Now()
 			if err := p.pager.WritePage(victim.id, victim.Data); err != nil {
-				// Put the victim back on the LRU still dirty: the pool stays
-				// consistent, the page's data is preserved, and a later
-				// eviction or FlushAll retries the write.
+				// Leave the victim at the LRU tail still dirty: the pool
+				// stays consistent, the page's data is preserved, and a
+				// later eviction or FlushAll retries the write.
 				victim.latch.Unlock()
-				victim.elem = sh.lru.PushBack(victim)
-				return err
+				return nil, err
 			}
 			p.met.writeNS.Observe(time.Since(tw))
 			victim.dirty.Store(false)
 		}
+		buf, victim.Data = victim.Data, nil
 		victim.latch.Unlock()
+		sh.unlink(victim)
 		delete(sh.frames, victim.id)
 		p.met.evictions.Inc()
 		sh.evictions.Inc()
 		p.met.evictNS.Observe(time.Since(t0))
 	}
-	return nil
+	if buf == nil {
+		buf = make([]byte, PageSize)
+	}
+	return buf, nil
 }
 
 // Unpin releases a pin and its latch; dirty marks the page modified and
-// requires the frame to be held exclusively. The pin count is checked
+// requires the frame to be held exclusively. After Unpin the caller must
+// not touch f.Data: once no pin is left the frame may be evicted and its
+// buffer reused for another page at any moment. The pin count is checked
 // and dropped under the shard mutex BEFORE the latch is released, so a
 // double Unpin dies on the deliberate "unpin without pin" panic instead
 // of the runtime's unrecoverable unlock-of-unlocked-RWMutex throw.
@@ -514,7 +543,7 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.elem = sh.lru.PushFront(f)
+		sh.pushFront(f)
 	}
 	sh.mu.Unlock()
 	if f.wlatched {
@@ -541,10 +570,7 @@ func (p *Pool) Invalidate() {
 				sh.mu.Unlock()
 				panic(fmt.Sprintf("store: invalidating pinned page %d", id))
 			}
-			if f.elem != nil {
-				sh.lru.Remove(f.elem)
-				f.elem = nil
-			}
+			sh.unlink(f)
 			delete(sh.frames, id)
 		}
 		sh.mu.Unlock()
@@ -561,9 +587,7 @@ func (p *Pool) Free(id PageID) error {
 			sh.mu.Unlock()
 			return fmt.Errorf("store: freeing pinned page %d", id)
 		}
-		if f.elem != nil {
-			sh.lru.Remove(f.elem)
-		}
+		sh.unlink(f)
 		delete(sh.frames, id)
 	}
 	sh.mu.Unlock()
@@ -582,10 +606,7 @@ func (p *Pool) FlushAll() error {
 		var pinned []*Frame
 		for _, f := range sh.frames {
 			if f.dirty.Load() {
-				if f.elem != nil {
-					sh.lru.Remove(f.elem)
-					f.elem = nil
-				}
+				sh.unlink(f)
 				f.pins++
 				pinned = append(pinned, f)
 			}
@@ -611,7 +632,7 @@ func (p *Pool) FlushAll() error {
 			sh.mu.Lock()
 			f.pins--
 			if f.pins == 0 {
-				f.elem = sh.lru.PushFront(f)
+				sh.pushFront(f)
 			}
 			sh.mu.Unlock()
 		}

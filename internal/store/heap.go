@@ -201,7 +201,7 @@ func compact(d []byte) {
 
 func (h *Heap) writeOverflow(data []byte) (PageID, error) {
 	const chunk = PageSize - 8
-	var head, prev PageID
+	var head PageID
 	var prevFrame *Frame
 	for off := 0; off < len(data); off += chunk {
 		end := off + chunk
@@ -224,10 +224,8 @@ func (h *Heap) writeOverflow(data []byte) (PageID, error) {
 			binary.LittleEndian.PutUint32(prevFrame.Data[0:4], uint32(f.ID()))
 			h.pool.Unpin(prevFrame, true)
 		}
-		prev = f.ID()
 		prevFrame = f
 	}
-	_ = prev
 	if prevFrame != nil {
 		h.pool.Unpin(prevFrame, true)
 	}
@@ -288,7 +286,7 @@ func (h *Heap) Delete(rid RID) error {
 		h.pool.Unpin(f, false)
 		return fmt.Errorf("store: no such slot %s", rid)
 	}
-	off, ln := slotAt(f.Data, int(rid.Slot))
+	off, _ := slotAt(f.Data, int(rid.Slot))
 	if off == 0 {
 		h.pool.Unpin(f, false)
 		return fmt.Errorf("store: record %s already deleted", rid)
@@ -297,7 +295,6 @@ func (h *Heap) Delete(rid RID) error {
 	if f.Data[off] == 1 {
 		overflowHead = PageID(binary.LittleEndian.Uint32(f.Data[off+1 : off+5]))
 	}
-	_ = ln
 	setSlot(f.Data, int(rid.Slot), 0, 0)
 	h.pool.Unpin(f, true)
 	for pid := overflowHead; pid != invalidPage; {

@@ -146,6 +146,10 @@ type filePager struct {
 
 	checkpointBytes int64
 
+	// scratch receives every disk frame read from the page file (lock
+	// held), so a read allocates nothing.
+	scratch [diskFrameSize]byte
+
 	checksumErrors atomic.Uint64
 	checkpoints    atomic.Uint64
 	recoveredPages uint64 // pages replayed from the log at open
@@ -373,10 +377,10 @@ func (p *filePager) encodeHeaderPage() ([]byte, error) {
 }
 
 func (p *filePager) readHeader() error {
-	buf := make([]byte, PageSize)
-	if err := p.readFrame(0, buf); err != nil {
+	if err := p.readFrame(0); err != nil {
 		return err
 	}
+	buf := p.scratch[:PageSize]
 	if binary.LittleEndian.Uint32(buf[0:4]) != uint32(pagerMagic) {
 		return errBadMagic
 	}
@@ -413,33 +417,30 @@ func (p *filePager) writeFrame(id PageID, data []byte) error {
 	return err
 }
 
-// readFrame reads page id from the page file, verifying its checksum.
+// readFrame reads page id's disk frame into p.scratch and verifies it:
+// a short frame must be all zeros and a full one must match its CRC.
 // Frames beyond EOF or wholly zero (file holes: allocated, never
-// checkpointed) read as zero pages.
-func (p *filePager) readFrame(id PageID, buf []byte) error {
-	frame := make([]byte, diskFrameSize)
+// checkpointed) read as zero frames. Callers hold the lock, or own the
+// pager outright while opening it.
+func (p *filePager) readFrame(id PageID) error {
+	frame := p.scratch[:]
 	n, err := p.f.ReadAt(frame, int64(id)*diskFrameSize)
 	if err != nil && err != io.EOF {
 		return err
 	}
 	if n < diskFrameSize {
 		if allZero(frame[:n]) {
-			zeroPage(buf)
+			clear(frame)
 			return nil
 		}
 		p.checksumErrors.Add(1)
 		return fmt.Errorf("store: page %d: torn frame (%d of %d bytes): %w", id, n, diskFrameSize, ErrChecksum)
 	}
 	stored := binary.LittleEndian.Uint32(frame[PageSize+4:])
-	if crc := frameCRC(id, frame[:PageSize+4]); crc != stored {
-		if allZero(frame) {
-			zeroPage(buf)
-			return nil
-		}
+	if crc := frameCRC(id, frame[:PageSize+4]); crc != stored && !allZero(frame) {
 		p.checksumErrors.Add(1)
 		return fmt.Errorf("store: page %d: stored CRC %#08x, computed %#08x: %w", id, stored, crc, ErrChecksum)
 	}
-	copy(buf[:PageSize], frame[:PageSize])
 	return nil
 }
 
@@ -464,12 +465,6 @@ func allZero(b []byte) bool {
 	return true
 }
 
-func zeroPage(buf []byte) {
-	for i := range buf[:PageSize] {
-		buf[i] = 0
-	}
-}
-
 func (p *filePager) ReadPage(id PageID, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -480,7 +475,11 @@ func (p *filePager) ReadPage(id PageID, buf []byte) error {
 		copy(buf[:PageSize], img)
 		return nil
 	}
-	return p.readFrame(id, buf)
+	if err := p.readFrame(id); err != nil {
+		return err
+	}
+	copy(buf[:PageSize], p.scratch[:])
+	return nil
 }
 
 func (p *filePager) WritePage(id PageID, buf []byte) error {
@@ -522,17 +521,13 @@ func (p *filePager) Allocate() (PageID, error) {
 	defer p.mu.Unlock()
 	if p.freeHead != invalidPage {
 		id := p.freeHead
-		var next PageID
+		link := p.scratch[:4] // filled by readFrame below
 		if img, ok := p.tail[id]; ok {
-			next = PageID(binary.LittleEndian.Uint32(img[:4]))
-		} else {
-			buf := make([]byte, PageSize)
-			if err := p.readFrame(id, buf); err != nil {
-				return 0, err
-			}
-			next = PageID(binary.LittleEndian.Uint32(buf[:4]))
+			link = img[:4]
+		} else if err := p.readFrame(id); err != nil {
+			return 0, err
 		}
-		p.freeHead = next
+		p.freeHead = PageID(binary.LittleEndian.Uint32(link))
 		p.stash(id, make([]byte, PageSize)) // reused pages must read as zero
 		p.hdrDirty = true
 		return id, nil
