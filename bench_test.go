@@ -16,6 +16,7 @@ import (
 	"repro/internal/bench/wisconsin"
 	"repro/internal/core"
 	"repro/internal/dict"
+	"repro/internal/obs"
 	"repro/internal/wam"
 )
 
@@ -353,12 +354,12 @@ func BenchmarkCompilePhases(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	ph := e.Stats().Phases
-	total := ph.Parse + ph.Compile + ph.Link
-	if total > 0 {
-		b.ReportMetric(100*float64(ph.Parse)/float64(total), "parse%")
-		b.ReportMetric(100*float64(ph.Compile)/float64(total), "codegen%")
-		b.ReportMetric(100*float64(ph.Link)/float64(total), "link%")
+	ph := e.Cost().Phases
+	parse, compile, link := ph.Get(obs.PhaseParse), ph.Get(obs.PhaseCompile), ph.Get(obs.PhaseLink)
+	if total := parse + compile + link; total > 0 {
+		b.ReportMetric(100*float64(parse)/float64(total), "parse%")
+		b.ReportMetric(100*float64(compile)/float64(total), "codegen%")
+		b.ReportMetric(100*float64(link)/float64(total), "link%")
 	}
 }
 

@@ -380,9 +380,10 @@ func printStats(st core.Stats) {
 		obs.RatioString(st.Cost.ClausesPassed, st.Cost.ClausesScanned),
 		obs.RatioString(st.Cost.CacheHits, st.Cost.CacheHits+st.Cost.CacheMisses),
 		obs.RatioString(st.Dict.Hits, st.Dict.Hits+st.Dict.Misses))
-	ph := st.Phases
+	ph := &st.Cost.Phases
 	fmt.Printf("%% phases: parse=%v compile=%v edb_fetch=%v preunify=%v link=%v exec=%v gc=%v store=%v\n",
-		ph.Parse, ph.Compile, ph.EDBFetch, ph.PreUnify, ph.Link, ph.Exec, ph.GC, ph.Store)
+		ph.Get(obs.PhaseParse), ph.Get(obs.PhaseCompile), ph.Get(obs.PhaseEDBFetch), ph.Get(obs.PhasePreUnify),
+		ph.Get(obs.PhaseLink), ph.Get(obs.PhaseExec), ph.Get(obs.PhaseGC), ph.Get(obs.PhaseStore))
 }
 
 // startMetrics exposes the KB metrics registry: a flat JSON snapshot at

@@ -81,9 +81,6 @@ type Quota = core.Quota
 // Stats aggregates engine counters.
 type Stats = core.Stats
 
-// PhaseStats breaks down rule-pipeline time (parse/compile/link/store).
-type PhaseStats = core.PhaseStats
-
 // QueryStats is the per-session cost-model view: phase spans plus the
 // retrieval/selectivity/cache counters of the paper's tables.
 type QueryStats = obs.QueryStats

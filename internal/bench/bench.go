@@ -13,6 +13,7 @@ import (
 	"repro/internal/bench/mvv"
 	"repro/internal/bench/wisconsin"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/rel"
 	"repro/internal/store"
@@ -418,8 +419,9 @@ func PhaseTable() ([]PhaseRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ph := s.Stats().Phases
-		rows = append(rows, PhaseRow{Corpus: c.name, Parse: ph.Parse, Compile: ph.Compile, Link: ph.Link})
+		ph := s.Cost().Phases
+		rows = append(rows, PhaseRow{Corpus: c.name, Parse: ph.Get(obs.PhaseParse),
+			Compile: ph.Get(obs.PhaseCompile), Link: ph.Get(obs.PhaseLink)})
 		closeAll(s)
 	}
 	return rows, nil
@@ -469,11 +471,12 @@ func RuleUseTable(uses int) ([]RuleUseRow, error) {
 			}
 		}
 		el := time.Since(t0)
-		ph := s.Stats().Phases
+		cost := s.Cost()
 		rows = append(rows, RuleUseRow{
 			System: sys, Uses: uses, Elapsed: el,
-			PerUse:  el / time.Duration(uses),
-			Asserts: ph.Asserts, Retrieve: ph.Retrieve,
+			PerUse:   el / time.Duration(uses),
+			Asserts:  cost.Asserts,
+			Retrieve: cost.Phases.Get(obs.PhaseEDBFetch) + cost.Phases.Get(obs.PhasePreUnify),
 		})
 		closeAll(s)
 	}

@@ -60,44 +60,8 @@ const (
 	RuleStorageSource
 )
 
-// PhaseStats breaks the rule-management pipeline into the phases the
-// paper's §3.1 compares: reading (lexing+parsing), code generation, and
-// loader/link time, plus EDB store/retrieve time. It is a view over the
-// session's obs.QueryStats accumulation (see Stats.Cost for the full
-// phase vector); Retrieve is the sum of the finer-grained edb_fetch and
-// preunify phases.
-type PhaseStats struct {
-	Parse    time.Duration
-	Compile  time.Duration
-	Link     time.Duration
-	Store    time.Duration
-	Retrieve time.Duration // EDBFetch + PreUnify
-	EDBFetch time.Duration // clause blob fetches
-	PreUnify time.Duration // in-store candidate selection + hash filtering
-	Exec     time.Duration // WAM / interpreter execution (includes GC)
-	GC       time.Duration // WAM garbage-collection pauses (within Exec)
-	Asserts  uint64        // baseline-mode assert operations
-}
-
-// phaseView projects an obs.QueryStats onto the legacy PhaseStats shape.
-func phaseView(qs *obs.QueryStats) PhaseStats {
-	ph := &qs.Phases
-	return PhaseStats{
-		Parse:    ph.Get(obs.PhaseParse),
-		Compile:  ph.Get(obs.PhaseCompile),
-		Link:     ph.Get(obs.PhaseLink),
-		Store:    ph.Get(obs.PhaseStore),
-		Retrieve: ph.Get(obs.PhaseEDBFetch) + ph.Get(obs.PhasePreUnify),
-		EDBFetch: ph.Get(obs.PhaseEDBFetch),
-		PreUnify: ph.Get(obs.PhasePreUnify),
-		Exec:     ph.Get(obs.PhaseExec),
-		GC:       ph.Get(obs.PhaseGC),
-		Asserts:  qs.Asserts,
-	}
-}
-
 // Stats aggregates engine counters for the benchmark harness. Machine,
-// Phases, Cost, Dict and SessionIO are per-session; EDB and IO are shared
+// Cost, Dict and SessionIO are per-session; EDB and IO are shared
 // knowledge-base counters.
 type Stats struct {
 	Machine wam.Stats
@@ -107,9 +71,9 @@ type Stats struct {
 	// storage accesses (exact when sessions do not overlap in time;
 	// see store.Tally).
 	SessionIO store.IOStats
-	Phases    PhaseStats
-	// Cost is the session's accumulated cost-model view: the full phase
-	// vector plus the per-session retrieval/selectivity/cache counters
+	// Cost is the session's accumulated cost-model view: the phase
+	// times (parse, compile, edb_fetch, preunify, link, exec, gc, store)
+	// plus the per-session retrieval/selectivity/cache counters
 	// (exact per-session attribution, unlike the shared EDB totals).
 	Cost obs.QueryStats
 	Dict dict.Stats
@@ -348,14 +312,12 @@ func (s *Session) SetRuleStorage(rs RuleStorage) error {
 
 // Stats returns aggregated counters.
 func (s *Session) Stats() Stats {
-	cost := s.Cost()
 	return Stats{
 		Machine:   s.m.Stats(),
 		EDB:       s.kb.db.Stats(),
 		IO:        s.kb.st.Stats(),
 		SessionIO: s.tally.Stats(),
-		Phases:    phaseView(&cost),
-		Cost:      cost,
+		Cost:      s.Cost(),
 		Dict:      s.m.Dict.Stats(),
 	}
 }

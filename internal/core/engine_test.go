@@ -145,13 +145,13 @@ func TestBaselineSourceMode(t *testing.T) {
 		t.Fatalf("baseline path(a,X) = %v", got)
 	}
 	// The baseline must have parsed and asserted rules per query.
-	if e.Stats().Phases.Asserts == 0 {
+	if e.Cost().Asserts == 0 {
 		t.Fatal("baseline made no asserts")
 	}
 	// Second query reloads (assert + erase per use).
-	before := e.Stats().Phases.Asserts
+	before := e.Cost().Asserts
 	values(t, e, "path(b, X)", "X")
-	if e.Stats().Phases.Asserts <= before {
+	if e.Cost().Asserts <= before {
 		t.Fatal("baseline did not re-assert on second query")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/term"
 	"repro/internal/wam"
 )
@@ -275,17 +276,18 @@ func TestResidentQueryRepeatedGoal(t *testing.T) {
 	const q = "g(X, Y), X > 1"
 	first := answers(t, e, q)
 	lq := e.queries[q]
-	before := e.Stats().Phases
+	before := e.Cost().Phases
 	if again := answers(t, e, q); again != first {
 		t.Fatalf("second run %s, first %s", again, first)
 	}
 	if e.queries[q] != lq || len(e.queries) != 1 {
 		t.Fatalf("second run relinked the goal (table %v)", e.queryOrder)
 	}
-	after := e.Stats().Phases
-	if after.Parse != before.Parse || after.Compile != before.Compile || after.Link != before.Link {
-		t.Errorf("second run spent parse %v, compile %v, link %v", after.Parse-before.Parse,
-			after.Compile-before.Compile, after.Link-before.Link)
+	after := e.Cost().Phases
+	for _, p := range []obs.Phase{obs.PhaseParse, obs.PhaseCompile, obs.PhaseLink} {
+		if spent := after.Get(p) - before.Get(p); spent != 0 {
+			t.Errorf("second run spent %v in %s", spent, p)
+		}
 	}
 }
 
@@ -423,11 +425,11 @@ func TestResidentQuerySourceMode(t *testing.T) {
 	consultExternal("f(1). f(2). g(X) :- f(X), X > 1.")(t, e)
 	const q = "g(X)"
 	first := answers(t, e, q)
-	before := e.Stats().Phases.Parse
+	before := e.Cost().Phases[obs.PhaseParse]
 	if again := answers(t, e, q); again != first {
 		t.Fatalf("second run %s, first %s", again, first)
 	}
-	if e.Stats().Phases.Parse == before {
+	if e.Cost().Phases[obs.PhaseParse] == before {
 		t.Error("second run did not parse the goal")
 	}
 	if len(e.queries) != 0 {

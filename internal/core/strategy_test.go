@@ -343,7 +343,7 @@ func TestSetRuleStorageGuard(t *testing.T) {
 	if want := []string{"y", "z"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("baseline reach(x,V) after switch = %v", got)
 	}
-	if e.Stats().Phases.Asserts == 0 {
+	if e.Cost().Asserts == 0 {
 		t.Fatal("post-switch query did not run on the baseline interpreter")
 	}
 }

@@ -498,8 +498,8 @@ func TestTxnCrashMatrixCore(t *testing.T) {
 	// lock so kb.Close can proceed.
 	//
 	// The transaction also stores txnFacts facts, so that its commit spans
-	// many pages and the matrix cuts it at twenty points, not a handful.
-	const txnFacts = 300
+	// many pages and the matrix cuts it at twenty-one points, not a handful.
+	const txnFacts = 340
 	txnSrc := "p(10). p(11). newproc(x)."
 	for i := 0; i < txnFacts; i++ {
 		txnSrc += fmt.Sprintf(" q(%d).", i)

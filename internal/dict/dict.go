@@ -6,20 +6,16 @@
 // strings. The design follows the paper's eight principles:
 //
 //   - IDs are a concatenation of segment number and slot index, so an entry
-//     is never relocated while live (principle 4).
+//     is never relocated (principle 4).
 //   - Each segment is a fixed-size closed (open-addressing) hash table;
 //     the table as a whole is extended by chaining new segments when every
 //     existing segment passes a high-water mark, default 70% (principle 5).
 //   - New insertions go to the "hot" segment — the one with the lowest
 //     occupancy — to balance load across segments (paper §3.3.1).
-//   - Deleted slots become tombstones and are reused by later insertions
-//     without moving live entries (principle 3 reconciled with 4).
-//   - A segment whose occupancy drops to zero has its backing storage
-//     released and is reallocated lazily (the paper's segment GC).
 //
-// Entries are reference counted: the engine retains an entry for each use in
-// resident code and releases it when the code is discarded, which is what
-// triggers dictionary garbage collection in the paper.
+// The table is append-only: an entry, once interned, is never removed, so
+// an ID stays valid for the table's lifetime and code holding it needs no
+// reference count.
 package dict
 
 import (
@@ -44,25 +40,15 @@ const (
 	DefaultHighWater = 0.70
 )
 
-type slotState uint8
-
-const (
-	slotFree slotState = iota // never used; terminates probe chains
-	slotUsed
-	slotDead // tombstone; reusable but does not terminate probes
-)
-
 type entry struct {
 	name  string
 	arity int32
-	state slotState
-	refs  int32
+	used  bool // a free slot terminates a probe chain
 }
 
 type segment struct {
-	entries []entry // nil when released; reallocated lazily
-	used    int     // live entries
-	dead    int     // tombstones
+	entries []entry
+	used    int
 }
 
 // Table is a segmented closed-hash dictionary. Create one with New; the
@@ -78,7 +64,7 @@ type Table struct {
 	segBits   uint    // log2(segSize)
 	highWater int     // used-count threshold per segment
 	hwFrac    float64 // configured high-water fraction
-	live      int     // total live entries
+	live      int     // total entries
 	// stats (atomic: bumped on read paths that may run concurrently)
 	probes  atomic.Uint64
 	inserts atomic.Uint64
@@ -161,8 +147,7 @@ func (t *Table) split(id ID) (seg, slot int) {
 	return int(v >> t.segBits), int(v & uint32(t.segSize-1))
 }
 
-// Intern returns the ID for (name, arity), inserting it if absent. The
-// entry's reference count is not changed; see Retain.
+// Intern returns the ID for (name, arity), inserting it if absent.
 func (t *Table) Intern(name string, arity int) ID {
 	h := Hash(name, arity)
 	if id, ok := t.find(h, name, arity); ok {
@@ -171,46 +156,20 @@ func (t *Table) Intern(name string, arity int) ID {
 	}
 	t.misses.Add(1)
 	t.inserts.Add(1)
+	// maybeGrow keeps some segment below the high-water mark, so the
+	// least occupied one has a free slot.
 	seg := t.hotSegment()
 	s := t.segs[seg]
-	if s.entries == nil {
-		s.entries = make([]entry, t.segSize)
-	}
 	mask := t.segSize - 1
-	start := int(h) & mask
-	insertAt := -1
-	for i := 0; i < t.segSize; i++ {
-		j := (start + i) & mask
-		e := &s.entries[j]
-		switch e.state {
-		case slotFree:
-			if insertAt < 0 {
-				insertAt = j
-			}
-			i = t.segSize // break out
-		case slotDead:
-			if insertAt < 0 {
-				insertAt = j
-			}
-		}
+	j := int(h) & mask
+	for s.entries[j].used {
+		j = (j + 1) & mask
 	}
-	if insertAt < 0 {
-		// Hot segment completely full of live entries (can only happen
-		// with a high-water mark of 1.0): chain a fresh segment.
-		t.segs = append(t.segs, newSegment(t.segSize))
-		seg = len(t.segs) - 1
-		s = t.segs[seg]
-		insertAt = int(h) & mask
-	}
-	e := &s.entries[insertAt]
-	if e.state == slotDead {
-		s.dead--
-	}
-	*e = entry{name: name, arity: int32(arity), state: slotUsed}
+	s.entries[j] = entry{name: name, arity: int32(arity), used: true}
 	s.used++
 	t.live++
 	t.maybeGrow()
-	return t.makeID(seg, insertAt)
+	return t.makeID(seg, j)
 }
 
 // Lookup returns the ID for (name, arity) if it is interned.
@@ -223,17 +182,17 @@ func (t *Table) find(h uint64, name string, arity int) (ID, bool) {
 	mask := t.segSize - 1
 	start := int(h) & mask
 	for si, s := range t.segs {
-		if s.entries == nil || s.used == 0 {
+		if s.used == 0 {
 			continue
 		}
 		for i := 0; i < t.segSize; i++ {
 			j := (start + i) & mask
 			e := &s.entries[j]
 			t.probes.Add(1)
-			if e.state == slotFree {
+			if !e.used {
 				break // end of this segment's probe chain
 			}
-			if e.state == slotUsed && int(e.arity) == arity && e.name == name {
+			if int(e.arity) == arity && e.name == name {
 				return t.makeID(si, j), true
 			}
 		}
@@ -263,70 +222,25 @@ func (t *Table) maybeGrow() {
 	t.segs = append(t.segs, newSegment(t.segSize))
 }
 
-// Name returns the name of an interned entry. It panics on an invalid or
-// deleted ID, which always indicates an engine bug.
+// Name returns the name of an interned entry. It panics on an ID the
+// table never issued, which always indicates an engine bug.
 func (t *Table) Name(id ID) string { return t.entry(id).name }
 
 // Arity returns the arity of an interned entry.
 func (t *Table) Arity(id ID) int { return int(t.entry(id).arity) }
-
-// Refs returns the current reference count of an entry.
-func (t *Table) Refs(id ID) int { return int(t.entry(id).refs) }
 
 func (t *Table) entry(id ID) *entry {
 	if id == None {
 		panic("dict: invalid ID 0")
 	}
 	seg, slot := t.split(id)
-	if seg >= len(t.segs) || t.segs[seg].entries == nil {
-		panic(fmt.Sprintf("dict: ID %d refers to missing segment", id))
+	if seg >= len(t.segs) || !t.segs[seg].entries[slot].used {
+		panic(fmt.Sprintf("dict: ID %d names no entry", id))
 	}
-	e := &t.segs[seg].entries[slot]
-	if e.state != slotUsed {
-		panic(fmt.Sprintf("dict: ID %d refers to deleted entry", id))
-	}
-	return e
+	return &t.segs[seg].entries[slot]
 }
 
-// Retain increments the reference count of id.
-func (t *Table) Retain(id ID) { t.entry(id).refs++ }
-
-// Release decrements the reference count of id and deletes the entry when
-// the count reaches zero. Deleting frees the slot for reuse (the ID becomes
-// invalid) and releases a segment's storage when it empties entirely.
-func (t *Table) Release(id ID) {
-	e := t.entry(id)
-	if e.refs > 0 {
-		e.refs--
-	}
-	if e.refs == 0 {
-		t.remove(id)
-	}
-}
-
-// Remove deletes the entry regardless of its reference count.
-func (t *Table) Remove(id ID) { t.remove(id) }
-
-func (t *Table) remove(id ID) {
-	seg, slot := t.split(id)
-	s := t.segs[seg]
-	e := &s.entries[slot]
-	if e.state != slotUsed {
-		return
-	}
-	*e = entry{state: slotDead}
-	s.used--
-	s.dead++
-	t.live--
-	if s.used == 0 {
-		// Segment garbage collection: drop the backing array; it is
-		// reallocated on the next insertion into this segment.
-		s.entries = nil
-		s.dead = 0
-	}
-}
-
-// Len returns the number of live entries.
+// Len returns the number of entries.
 func (t *Table) Len() int { return t.live }
 
 // Segments returns the number of chained segments.

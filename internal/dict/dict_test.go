@@ -105,79 +105,23 @@ func TestStableIDsAcrossGrowth(t *testing.T) {
 	}
 }
 
-func TestRemoveAndSlotReuse(t *testing.T) {
-	d := New(WithSegmentSize(16))
-	a := d.Intern("doomed", 3)
-	d.Remove(a)
-	if _, ok := d.Lookup("doomed", 3); ok {
-		t.Fatal("removed entry still found")
-	}
-	// Looking past a tombstone must still find entries inserted later in
-	// the same chain.
-	b := d.Intern("doomed", 3)
-	if _, ok := d.Lookup("doomed", 3); !ok {
-		t.Fatal("re-interned entry not found")
-	}
-	_ = b
-}
-
-func TestTombstoneProbeChain(t *testing.T) {
-	// Force collisions into one small segment and check deletion keeps
-	// later chain entries reachable.
+// TestHighWaterOneFillsSegments: with a high-water mark of 1.0 a segment
+// fills every slot before the next is chained, and entries in a full
+// segment stay reachable.
+func TestHighWaterOneFillsSegments(t *testing.T) {
 	d := New(WithSegmentSize(16), WithHighWater(1.0))
-	var names []string
-	for i := 0; len(names) < 5; i++ {
-		names = append(names, fmt.Sprintf("n%d", i))
+	ids := map[string]ID{}
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("n%d", i)
+		ids[name] = d.Intern(name, 0)
 	}
-	ids := make([]ID, len(names))
-	for i, n := range names {
-		ids[i] = d.Intern(n, 0)
+	if st := d.Stats(); st.SegmentUsed[0] != 16 || st.SegmentUsed[1] != 16 {
+		t.Fatalf("segment occupancy %v, want the first two full", st.SegmentUsed)
 	}
-	d.Remove(ids[1])
-	for i, n := range names {
-		if i == 1 {
-			continue
+	for name, id := range ids {
+		if got, ok := d.Lookup(name, 0); !ok || got != id {
+			t.Errorf("%s = (%d, %v), want %d", name, got, ok, id)
 		}
-		if got, ok := d.Lookup(n, 0); !ok || got != ids[i] {
-			t.Errorf("%s unreachable after deleting neighbour", n)
-		}
-	}
-}
-
-func TestRefCounting(t *testing.T) {
-	d := New(WithSegmentSize(16))
-	id := d.Intern("counted", 1)
-	d.Retain(id)
-	d.Retain(id)
-	if d.Refs(id) != 2 {
-		t.Fatalf("refs = %d", d.Refs(id))
-	}
-	d.Release(id)
-	if _, ok := d.Lookup("counted", 1); !ok {
-		t.Fatal("entry deleted while still referenced")
-	}
-	d.Release(id)
-	if _, ok := d.Lookup("counted", 1); ok {
-		t.Fatal("entry survives zero refcount")
-	}
-}
-
-func TestSegmentStorageRelease(t *testing.T) {
-	d := New(WithSegmentSize(16))
-	var ids []ID
-	for i := 0; i < 10; i++ {
-		ids = append(ids, d.Intern(fmt.Sprintf("t%d", i), 0))
-	}
-	for _, id := range ids {
-		d.Remove(id)
-	}
-	if d.Len() != 0 {
-		t.Fatalf("Len = %d after removing all", d.Len())
-	}
-	// Reinsertion must still work after the segment storage was dropped.
-	id := d.Intern("fresh", 0)
-	if d.Name(id) != "fresh" {
-		t.Fatal("reinsertion after segment release failed")
 	}
 }
 

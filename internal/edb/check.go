@@ -89,10 +89,10 @@ func (db *DB) checkProc(p *ProcInfo) error {
 
 // checkPrimary verifies a procedure's primary entries, tag 0 for its
 // ground clauses and the wildcard tag for the rest: each resolves to a
-// clause record that files under that very key and whose code blob is
-// readable, no record is filed twice, and they number what the
-// descriptor records (all clauses, and those filed as wildcards). It
-// returns the ground clauses' argument keys by record.
+// readable clause record that files under that very key, no record is
+// filed twice, and they number what the descriptor records (all clauses,
+// and those filed as wildcards). It returns the ground clauses' argument
+// keys by record.
 func (db *DB) checkPrimary(p *ProcInfo) (map[store.RID][]ArgKey, error) {
 	ground := map[store.RID][]ArgKey{}
 	seen := map[store.RID]bool{}
@@ -106,15 +106,12 @@ func (db *DB) checkPrimary(p *ProcInfo) (map[store.RID][]ArgKey, error) {
 			if err != nil {
 				return nil, fmt.Errorf("edb: %s: clause record %s: %w", p.Indicator(), e.rec, err)
 			}
-			id, blobRID, keys, err := decodeClauseRec(data)
+			id, keys, _, err := decodeClauseRec(data)
 			if err != nil {
 				return nil, fmt.Errorf("edb: %s: clause record %s: %w", p.Indicator(), e.rec, err)
 			}
 			if len(keys) != p.K || !bytes.Equal(e.key, indexKeys(p.ProcID, id, keys)[0]) {
 				return nil, fmt.Errorf("edb: %s: clause %d (record %s) filed under the wrong key %x", p.Indicator(), id, e.rec, e.key)
-			}
-			if _, err := db.clauses.Get(blobRID); err != nil {
-				return nil, fmt.Errorf("edb: %s: clause blob %s: %w", p.Indicator(), blobRID, err)
 			}
 			if seen[e.rec] {
 				return nil, fmt.Errorf("edb: %s: clause record %s filed twice", p.Indicator(), e.rec)

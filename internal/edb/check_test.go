@@ -98,7 +98,7 @@ func TestRepairRefusesPrimaryCorruption(t *testing.T) {
 		}
 		sc := scs[0]
 		lost := attrKey(p.ProcID, 0, sc.keys[0].Hash)
-		if ok, err := db.index.Delete(lost, sc.recRID.Pack()); !ok || err != nil {
+		if ok, err := db.index.Delete(lost, sc.rid.Pack()); !ok || err != nil {
 			t.Fatalf("delete tag-0 entry: %v %v", ok, err)
 		}
 		if err := db.Check(); err == nil {
@@ -108,7 +108,7 @@ func TestRepairRefusesPrimaryCorruption(t *testing.T) {
 			t.Fatal("repair claimed success on a lost primary entry")
 		}
 		// The refusal wrote nothing: putting the entry back is enough.
-		if err := db.index.Insert(lost, sc.recRID.Pack()); err != nil {
+		if err := db.index.Insert(lost, sc.rid.Pack()); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Check(); err != nil {
@@ -131,23 +131,67 @@ func TestCheckReportsOrphanEntries(t *testing.T) {
 }
 
 // TestOpenRefusesPreIndexStore: a store with a procedures table but no
-// clause index was written by the per-procedure layout; it is refused,
-// not misread.
+// edb.records heap was written in an older layout, either per-procedure
+// indexes (edb.procs alone) or a clause record beside a separate code
+// blob (edb.clauses + edb.index + edb.procs); it is refused, not misread.
 func TestOpenRefusesPreIndexStore(t *testing.T) {
-	st, err := store.Open("", 64)
-	if err != nil {
-		t.Fatal(err)
+	for name, metas := range map[string][]string{
+		"per-procedure indexes": {"edb.procs"},
+		"record beside blob":    {"edb.clauses", "edb.index", "edb.procs"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, err := store.Open("", 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for _, m := range metas {
+				h, err := store.CreateHeap(st.Pool())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.SetMeta(m, uint64(h.Root())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := Open(st); !errors.Is(err, errOldFormat) {
+				t.Fatalf("Open of an old-format store = %v, want the format-change error", err)
+			}
+		})
 	}
-	defer st.Close()
-	h, err := store.CreateHeap(st.Pool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetMeta("edb.procs", uint64(h.Root())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(st); !errors.Is(err, errOldFormat) {
-		t.Fatalf("Open of a pre-index store = %v, want the format-change error", err)
+}
+
+// TestMalformedRecordIsAnError: a clause record whose header does not
+// describe itself consistently is reported by Retrieve and Check, never
+// a panic.
+func TestMalformedRecordIsAnError(t *testing.T) {
+	for name, rec := range map[string][]byte{
+		"short header":        {1, 0, 0, 0, 1},
+		"K above the maximum": {1, 0, 0, 0, MaxIndexedArgs + 1, 0},
+		"mask beyond K":       append([]byte{1, 0, 0, 0, 1, 0b10}, make([]byte, 8)...),
+		"missing hashes":      append([]byte{1, 0, 0, 0, 2, 0}, make([]byte, 8)...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := memDB(t)
+			p, err := db.CreateProc("m", 1, FormCode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rid, err := db.clauses.Insert(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.index.Insert(attrKey(p.ProcID, 0, 7), rid.Pack()); err != nil {
+				t.Fatal(err)
+			}
+			p.ClauseCount = 1
+			if _, err := db.Retrieve(p, nil); err == nil || !strings.Contains(err.Error(), "clause record") {
+				t.Errorf("Retrieve of a malformed record = %v", err)
+			}
+			if err := db.Check(); err == nil || !strings.Contains(err.Error(), "clause record") {
+				t.Errorf("Check of a malformed record = %v", err)
+			}
+		})
 	}
 }
 

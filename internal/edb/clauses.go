@@ -125,52 +125,48 @@ type StoredClause struct {
 	// text (FormSource).
 	Blob []byte
 
-	blobRID store.RID
-	recRID  store.RID // the clause record the index entries address
-	keys    []ArgKey
+	rid  store.RID // the clause record the index entries address
+	keys []ArgKey
 }
 
-// clause record, stored in the clauses heap beside the blob:
+// A clause is one record of the clauses heap (the paper's clauses tuple):
+// a self-describing header, then the payload.
 //
-//	clauseID u32, blobRID u64, varMask u64, k hashes u64
-func encodeClauseRec(id uint32, blob store.RID, keys []ArgKey) []byte {
-	var b bytes.Buffer
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], id)
-	b.Write(tmp[:4])
-	binary.LittleEndian.PutUint64(tmp[:], blob.Pack())
-	b.Write(tmp[:])
-	var mask uint64
+//	clauseID u32, K u8, wildcard mask u8, K argument hashes u64, payload
+const recHdr = 6
+
+func encodeClauseRec(id uint32, keys []ArgKey, payload []byte) []byte {
+	b := make([]byte, recHdr, recHdr+8*len(keys)+len(payload))
+	binary.LittleEndian.PutUint32(b, id)
+	b[4] = byte(len(keys))
 	for i, k := range keys {
 		if k.Wild {
-			mask |= 1 << uint(i)
+			b[5] |= 1 << uint(i)
 		}
+		b = binary.LittleEndian.AppendUint64(b, k.Hash)
 	}
-	binary.LittleEndian.PutUint64(tmp[:], mask)
-	b.Write(tmp[:])
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(tmp[:], k.Hash)
-		b.Write(tmp[:])
-	}
-	return b.Bytes()
+	return append(b, payload...)
 }
 
-func decodeClauseRec(data []byte) (id uint32, blob store.RID, keys []ArgKey, err error) {
-	if len(data) < 20 {
-		return 0, store.RID{}, nil, fmt.Errorf("edb: short clause record")
+// decodeClauseRec splits a clause record; payload is a subslice of data.
+func decodeClauseRec(data []byte) (id uint32, keys []ArgKey, payload []byte, err error) {
+	if len(data) < recHdr {
+		return 0, nil, nil, fmt.Errorf("edb: short clause record (%d bytes)", len(data))
 	}
-	id = binary.LittleEndian.Uint32(data[:4])
-	blob = store.UnpackRID(binary.LittleEndian.Uint64(data[4:12]))
-	mask := binary.LittleEndian.Uint64(data[12:20])
-	rest := data[20:]
-	for i := 0; i*8+8 <= len(rest); i++ {
-		k := ArgKey{Hash: binary.LittleEndian.Uint64(rest[i*8 : i*8+8])}
-		if mask&(1<<uint(i)) != 0 {
-			k.Wild = true
-		}
-		keys = append(keys, k)
+	k, mask := int(data[4]), data[5]
+	switch {
+	case k > MaxIndexedArgs:
+		return 0, nil, nil, fmt.Errorf("edb: clause record indexes %d arguments, at most %d", k, MaxIndexedArgs)
+	case mask>>uint(k) != 0:
+		return 0, nil, nil, fmt.Errorf("edb: clause record wildcard mask %#x beyond its %d arguments", mask, k)
+	case len(data) < recHdr+8*k:
+		return 0, nil, nil, fmt.Errorf("edb: short clause record (%d bytes, %d argument hashes)", len(data), k)
 	}
-	return id, blob, keys, nil
+	keys = make([]ArgKey, k)
+	for i := range keys {
+		keys[i] = ArgKey{Wild: mask&(1<<uint(i)) != 0, Hash: binary.LittleEndian.Uint64(data[recHdr+8*i:])}
+	}
+	return binary.LittleEndian.Uint32(data), keys, data[recHdr+8*k:], nil
 }
 
 // StoreClause stores one clause blob under the procedure with the given
@@ -183,16 +179,12 @@ func (db *DB) StoreClause(p *ProcInfo, keys []ArgKey, blob []byte) (uint32, erro
 	keys = keys[:p.K]
 	id := p.nextClauseID
 	p.nextClauseID++
-	blobRID, err := db.clauses.Insert(blob)
-	if err != nil {
-		return 0, err
-	}
-	recRID, err := db.clauses.Insert(encodeClauseRec(id, blobRID, keys))
+	rid, err := db.clauses.Insert(encodeClauseRec(id, keys, blob))
 	if err != nil {
 		return 0, err
 	}
 	for _, k := range indexKeys(p.ProcID, id, keys) {
-		if err := db.index.Insert(k, recRID.Pack()); err != nil {
+		if err := db.index.Insert(k, rid.Pack()); err != nil {
 			return 0, err
 		}
 	}
@@ -214,10 +206,11 @@ func (db *DB) Retrieve(p *ProcInfo, query []ArgKey) ([]StoredClause, error) {
 }
 
 // RetrieveObs is Retrieve with per-query cost attribution: when qs is
-// non-nil the call charges its preunify time (candidate selection and
-// hash filtering inside the storage layer), its edb_fetch time (clause
-// blob fetches), and its clauses-scanned / clauses-passed / pages-touched
-// counts to qs. KB-wide totals go to the metrics registry either way.
+// non-nil the call charges its preunify time (the clause-index ranges),
+// its edb_fetch time (reading each candidate's record and applying the
+// residual hash filter), and its clauses-scanned / clauses-passed /
+// pages-touched counts to qs. KB-wide totals go to the metrics registry
+// either way.
 func (db *DB) RetrieveObs(p *ProcInfo, query []ArgKey, qs *obs.QueryStats) ([]StoredClause, error) {
 	db.retrievals.Add(1)
 	var t0 time.Time
@@ -248,83 +241,69 @@ func (db *DB) RetrieveObs(p *ProcInfo, query []ArgKey, qs *obs.QueryStats) ([]St
 			break
 		}
 	}
-	var (
-		out  []StoredClause
-		rids []store.RID
-	)
-	// candidates resolves the clause records filed under prefix and keeps
-	// those that agree with every bound argument (a wildcard key agrees
-	// with anything): the residual pre-unification filter.
-	candidates := func(prefix []byte) (scanned, matched uint64, err error) {
-		rids = rids[:0]
-		err = db.indexRange(prefix, func(_ []byte, rec store.RID) bool {
+	var rids []store.RID
+	collect := func(prefix []byte) error {
+		return db.indexRange(prefix, func(_ []byte, rec store.RID) bool {
 			rids = append(rids, rec)
 			return true
 		})
-		if err != nil {
-			return 0, 0, err
-		}
-	next:
-		for _, rid := range rids {
-			rec, err := db.clauses.Get(rid)
-			if err != nil {
-				return 0, 0, err
-			}
-			id, blobRID, keys, err := decodeClauseRec(rec)
-			if err != nil {
-				return 0, 0, err
-			}
-			scanned++
-			for i, q := range bound {
-				if !q.Wild && i < len(keys) && !keys[i].Wild && keys[i].Hash != q.Hash {
-					continue next
-				}
-			}
-			out = append(out, StoredClause{ClauseID: id, blobRID: blobRID, recRID: rid, keys: keys})
-			matched++
-		}
-		return scanned, matched, nil
 	}
 	// The ground clauses come from the entries of the first bound argument
 	// or, with nothing bound, from every argument-0 entry; the wildcard
 	// entries are read whole. A range the descriptor's counts say is empty
-	// is not read. Each path records its selectivity.
+	// is not read.
 	primary, prefix := obs.PathFullScan, indexPrefix(p.ProcID, 0)
 	if first >= 0 {
 		primary, prefix = obs.PathAttrIndex, attrKey(p.ProcID, first, bound[first].Hash)
 	}
-	var primaryScanned, primaryMatched, wildScanned, wildMatched uint64
-	var err error
 	if p.ClauseCount > p.wildCount {
-		if primaryScanned, primaryMatched, err = candidates(prefix); err != nil {
+		if err := collect(prefix); err != nil {
 			return nil, err
 		}
 	}
+	nPrimary := len(rids)
 	if p.wildCount > 0 {
-		if wildScanned, wildMatched, err = candidates(indexPrefix(p.ProcID, wildTag)); err != nil {
+		if err := collect(indexPrefix(p.ProcID, wildTag)); err != nil {
 			return nil, err
 		}
 	}
-	scanned := primaryScanned + wildScanned
-	db.notePath(primary, 1, primaryScanned, primaryMatched, qs)
-	if wildScanned > 0 {
-		db.notePath(obs.PathVarList, 1, wildScanned, wildMatched, qs)
-	}
-
-	sort.Slice(out, func(i, j int) bool { return out[i].ClauseID < out[j].ClauseID })
-	// Candidate selection (pre-unification inside the storage layer) ends
-	// here; what follows is fetching the surviving clauses' code.
+	// Candidate selection by index range ends here; what follows reads each
+	// candidate's record once and keeps those that agree with every bound
+	// argument (a wildcard key agrees with anything): the residual
+	// pre-unification filter.
 	if qs != nil {
 		now := time.Now()
 		qs.Phases.Add(obs.PhasePreUnify, now.Sub(t0))
 		t0 = now
 	}
-	for i := range out {
-		blob, err := db.clauses.Get(out[i].blobRID)
+	out := make([]StoredClause, 0, len(rids))
+	primaryMatched := 0
+next:
+	for i, rid := range rids {
+		rec, err := db.clauses.Get(rid)
 		if err != nil {
 			return nil, err
 		}
-		out[i].Blob = blob
+		id, keys, blob, err := decodeClauseRec(rec)
+		if err != nil {
+			return nil, fmt.Errorf("%w (record %s of %s)", err, rid, p.Indicator())
+		}
+		for j, q := range bound {
+			if !q.Wild && j < len(keys) && !keys[j].Wild && keys[j].Hash != q.Hash {
+				continue next
+			}
+		}
+		if i < nPrimary {
+			primaryMatched++
+		}
+		out = append(out, StoredClause{ClauseID: id, Blob: blob, rid: rid, keys: keys})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ClauseID < out[j].ClauseID })
+	// Each path records its selectivity.
+	scanned, wildScanned := uint64(len(rids)), uint64(len(rids)-nPrimary)
+	db.notePath(primary, 1, uint64(nPrimary), uint64(primaryMatched), qs)
+	if wildScanned > 0 {
+		db.notePath(obs.PathVarList, 1, wildScanned, uint64(len(out)-primaryMatched), qs)
 	}
 	db.scanned.Add(scanned)
 	db.candidates.Add(uint64(len(out)))
@@ -358,7 +337,7 @@ func (db *DB) AllClauses(p *ProcInfo) ([]StoredClause, error) {
 // DeleteClause removes a clause previously returned by Retrieve.
 func (db *DB) DeleteClause(p *ProcInfo, sc StoredClause) error {
 	for _, k := range indexKeys(p.ProcID, sc.ClauseID, sc.keys) {
-		ok, err := db.index.Delete(k, sc.recRID.Pack())
+		ok, err := db.index.Delete(k, sc.rid.Pack())
 		if err != nil {
 			return err
 		}
@@ -366,10 +345,7 @@ func (db *DB) DeleteClause(p *ProcInfo, sc StoredClause) error {
 			return fmt.Errorf("edb: clause %d of %s not in index", sc.ClauseID, p.Indicator())
 		}
 	}
-	if err := db.clauses.Delete(sc.recRID); err != nil {
-		return err
-	}
-	if err := db.clauses.Delete(sc.blobRID); err != nil {
+	if err := db.clauses.Delete(sc.rid); err != nil {
 		return err
 	}
 	if filedWild(sc.keys) {

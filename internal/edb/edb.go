@@ -8,10 +8,11 @@
 //
 //   - a procedures heap holds one descriptor record per external
 //     procedure (the paper's procedures table);
-//   - one clauses heap holds, per clause, its code/source blob (the
-//     paper's clauses relation: procedure_id, clause_id, relative_code)
-//     and a small clause record (clause ID, blob RID, head-argument
-//     hashes: the paper's procedures relation);
+//   - one clauses heap holds one record per clause (the paper's clauses
+//     tuple): a header with the clause ID, the number K of indexed
+//     arguments, their wildcard mask and K head-argument hashes (the
+//     attributes of the paper's procedures relation), followed by the
+//     code or source blob (relative_code); a candidate costs one read;
 //   - one B-tree, the clause index, files every clause record under
 //     procedure ID | tag | body: for a ground clause one entry per indexed
 //     argument i (tag i, body = that argument's hash), for a clause with a
@@ -80,7 +81,7 @@ func (p *ProcInfo) Indicator() string { return fmt.Sprintf("%s/%d", p.Name, p.Ar
 // DB is an open external database.
 type DB struct {
 	st       *store.Store
-	clauses  *store.Heap  // clause blobs and clause records
+	clauses  *store.Heap  // clause records, one per clause
 	procHeap *store.Heap  // procedure descriptors
 	index    *store.BTree // the clause index (see the package comment)
 	ext      *ExtDict
@@ -159,16 +160,17 @@ func Open(st *store.Store) (*DB, error) {
 			matched: reg.Counter("edb.path." + path.String() + ".matched"),
 		}
 	}
+	// The clause records' heap is created before the procedures heap, so a
+	// store with procedures and no edb.records was written in an older
+	// format: records beside separate blobs, or per-procedure indexes.
 	_, hasProcs := st.GetMeta("edb.procs")
-	if _, ok := st.GetMeta("edb.index"); hasProcs && !ok {
+	if _, ok := st.GetMeta("edb.records"); hasProcs && !ok {
 		return nil, errOldFormat
 	}
 	var err error
-	if db.clauses, err = openHeap(st, "edb.clauses"); err != nil {
+	if db.clauses, err = openHeap(st, "edb.records"); err != nil {
 		return nil, err
 	}
-	// The index is created before the procedures heap, so a store with
-	// procedures and no index can only be one from before the index.
 	if db.index, err = openBTree(st, "edb.index"); err != nil {
 		return nil, err
 	}
@@ -186,9 +188,9 @@ func Open(st *store.Store) (*DB, error) {
 	return db, nil
 }
 
-// errOldFormat refuses a store written before the KB-wide clause index.
-var errOldFormat = errors.New("edb: store predates the KB-wide clause index (format change: " +
-	"per-procedure grid, attribute B-trees and variable heaps were replaced by edb.index); " +
+// errOldFormat refuses a store written before one record per clause.
+var errOldFormat = errors.New("edb: store predates one record per clause (format change: " +
+	"a clause's header and code now share one edb.records record); " +
 	"rebuild it by consulting the source again")
 
 // openHeap attaches to the heap whose root is recorded under the store

@@ -269,6 +269,39 @@ func TestPreUnificationStats(t *testing.T) {
 	}
 }
 
+// TestRetrieveReadsOneRecordPerCandidate: a clause's header and code are
+// one record, so a retrieval costs its index range plus one buffer
+// access per candidate.
+func TestRetrieveReadsOneRecordPerCandidate(t *testing.T) {
+	db := memDB(t)
+	p, _ := db.CreateProc("c", 2, FormCode)
+	for i := 0; i < 300; i++ {
+		keys := []ArgKey{AtomKey(fmt.Sprintf("k%d", i%3)), IntKey(int64(i))}
+		if _, err := db.StoreClause(p, keys, []byte(fmt.Sprintf("code%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool := db.st.Pool()
+	a0 := pool.Accesses()
+	if err := db.indexRange(attrKey(p.ProcID, 0, AtomKey("k1").Hash), func([]byte, store.RID) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	rangeCost := pool.Accesses() - a0
+	a0 = pool.Accesses()
+	scs, err := db.Retrieve(p, []ArgKey{AtomKey("k1"), WildKey()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := pool.Accesses() - a0
+	if len(scs) != 100 || string(scs[0].Blob) != "code1" {
+		t.Fatalf("retrieve k1 = %d clauses, first %q", len(scs), scs[0].Blob)
+	}
+	if want := rangeCost + uint64(len(scs)); got != want {
+		t.Fatalf("retrieval of %d candidates made %d buffer accesses, want %d (index range %d + one per candidate)",
+			len(scs), got, want, rangeCost)
+	}
+}
+
 func TestExtDictIntern(t *testing.T) {
 	db := memDB(t)
 	h1, err := db.Ext().Intern("foo", 2)

@@ -95,18 +95,23 @@ func DecodeClause(data []byte) (compiler.ClauseCode, error) {
 		}
 		return v
 	}
-	rs := func() string {
+	// count reads a length prefix of elements encoded in at least size
+	// bytes each. A count the rest of the blob cannot hold is refused
+	// before anything is allocated for it, as is one read after an error
+	// (a varint cut short can still carry a huge partial value).
+	count := func(what string, size uint64) int {
 		n := ru()
-		if firstErr != nil || n > uint64(r.Len()) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("loader: truncated string")
-			}
-			return ""
+		if firstErr == nil && n > uint64(r.Len())/size {
+			firstErr = fmt.Errorf("implausible %s %d", what, n)
 		}
-		buf := make([]byte, n)
-		if _, err := r.Read(buf); err != nil && firstErr == nil {
-			firstErr = err
+		if firstErr != nil {
+			return 0
 		}
+		return int(n)
+	}
+	rs := func() string {
+		buf := make([]byte, count("string length", 1))
+		r.Read(buf) // count checked that the bytes are there
 		return string(buf)
 	}
 	var cc compiler.ClauseCode
@@ -123,21 +128,13 @@ func DecodeClause(data []byte) (compiler.ClauseCode, error) {
 	cc.Key.Arity = int(ru())
 	cc.Key.Int = ri()
 	cc.NVars = int(ru())
-	nsym := ru()
-	if firstErr == nil && nsym > uint64(len(data)) {
-		return cc, fmt.Errorf("loader: implausible symbol count %d", nsym)
-	}
-	cc.Symbols = make([]compiler.Symbol, nsym)
+	cc.Symbols = make([]compiler.Symbol, count("symbol count", 3))
 	for i := range cc.Symbols {
 		cc.Symbols[i].Kind = compiler.SymKind(ru())
 		cc.Symbols[i].Name = rs()
 		cc.Symbols[i].Arity = int(ru())
 	}
-	nins := ru()
-	if firstErr == nil && nins > uint64(len(data)) {
-		return cc, fmt.Errorf("loader: implausible instruction count %d", nins)
-	}
-	cc.Instrs = make([]wam.Instr, nins)
+	cc.Instrs = make([]wam.Instr, count("instruction count", 13))
 	for i := range cc.Instrs {
 		ins := &cc.Instrs[i]
 		ins.Op = wam.Op(ru())
@@ -152,11 +149,7 @@ func DecodeClause(data []byte) (compiler.ClauseCode, error) {
 		ins.A = int32(ri())
 		ins.B = int32(ri())
 		ins.C = int32(ri())
-		ntbl := ru()
-		if firstErr == nil && ntbl > uint64(len(data)) {
-			return cc, fmt.Errorf("loader: implausible switch table size %d", ntbl)
-		}
-		if ntbl > 0 {
+		if ntbl := count("switch table size", 2); ntbl > 0 {
 			ins.Tbl = make([]wam.SwitchCase, ntbl)
 			for j := range ins.Tbl {
 				ins.Tbl[j].Key = wam.Cell(ru())

@@ -2,6 +2,7 @@ package loader
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -400,6 +401,21 @@ func TestDecodeCorruptBlob(t *testing.T) {
 	}
 	if _, err := DecodeClause(nil); err == nil {
 		t.Fatal("expected error on empty blob")
+	}
+	// A symbol count cut short by the end of the blob still reads as a
+	// large partial value (2^21-1 here); it must be refused before it
+	// sizes an allocation.
+	blob := EncodeClause(compiler.ClauseCode{})
+	blob = append(blob[:len(blob)-2], 0xff, 0xff, 0xff)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeClause(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("expected error on a truncated symbol count")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("decoding a truncated symbol count allocated %d bytes", n)
 	}
 }
 

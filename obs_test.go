@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/bench/mvv"
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -247,31 +246,4 @@ func TestSessionResetScope(t *testing.T) {
 	if got := kb.Store().Stats().Accesses; got != 0 {
 		t.Errorf("KnowledgeBase.ResetStats must clear pool counters, got %d", got)
 	}
-}
-
-// TestStatsViewConsistency checks that the legacy PhaseStats view and the
-// statistics builtin agree with the Cost vector.
-func TestStatsViewConsistency(t *testing.T) {
-	data := mvv.Generate()
-	e, err := bench.SetupMVV(bench.EduceStar, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.KB().Close()
-	defer e.Close()
-	if _, err := e.QueryCount(data.Class1[0]); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.Phases.Retrieve != st.Phases.EDBFetch+st.Phases.PreUnify {
-		t.Errorf("Retrieve view %v != EDBFetch %v + PreUnify %v",
-			st.Phases.Retrieve, st.Phases.EDBFetch, st.Phases.PreUnify)
-	}
-	if st.Phases.Exec != st.Cost.Phases.Get(obs.PhaseExec) {
-		t.Errorf("Exec view %v != cost %v", st.Phases.Exec, st.Cost.Phases.Get(obs.PhaseExec))
-	}
-	if st.Cost.ClausesScanned == 0 || st.Cost.ClausesPassed > st.Cost.ClausesScanned {
-		t.Errorf("selectivity counters: %+v", st.Cost)
-	}
-	var _ core.Stats = st // the view type is part of the public surface
 }
