@@ -1,6 +1,7 @@
 package edb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -127,6 +128,31 @@ func TestCheckReportsOrphanEntries(t *testing.T) {
 	}
 	if _, err := db.Repair(); err == nil {
 		t.Fatal("repair claimed success with an orphan entry")
+	}
+}
+
+// TestCheckReportsMalformedIndexNode: a clause-index node whose entry
+// count runs past its page is reported by Check and Retrieve, not a panic.
+func TestCheckReportsMalformedIndexNode(t *testing.T) {
+	db, p := buildCheckedDB(t)
+	pool := db.st.Pool()
+	af, err := pool.Get(db.index.Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := store.PageID(binary.LittleEndian.Uint32(af.Data[0:4]))
+	pool.Unpin(af, false)
+	f, err := pool.GetX(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(f.Data[1:3], 0xFFFF) // the node's entry count
+	pool.Unpin(f, true)
+	if err := db.Check(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("clause index: store: btree %d: node %d", db.index.Anchor(), root)) {
+		t.Fatalf("Check of a malformed index node = %v", err)
+	}
+	if _, err := db.Retrieve(p, []ArgKey{AtomKey("k1"), WildKey()}); err == nil {
+		t.Fatal("Retrieve read through a malformed index node")
 	}
 }
 

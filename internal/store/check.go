@@ -111,7 +111,7 @@ func (h *Heap) checkOverflow(pid PageID, slot int, head PageID, total int) error
 	return nil
 }
 
-// Check verifies the B+tree's invariants: nodes parse and fit in a
+// Check verifies the B+tree's invariants: every entry lies within its
 // page, keys are ordered and bounded by their parent separators, every
 // leaf sits at the same depth, and the leaf chain links the leaves in
 // left-to-right order.
@@ -121,81 +121,77 @@ func (t *BTree) Check() error {
 		return fmt.Errorf("store: btree %d: %w", t.anchor, err)
 	}
 	c := &btCheck{t: t, seen: map[PageID]bool{root: true}, leafDepth: -1}
-	if err := c.node(root, nil, nil, 0); err != nil {
+	if err := c.visit(root, nil, nil, 0); err != nil {
 		return err
 	}
-	// The leaf chain must thread the leaves exactly in key order.
-	for i, id := range c.leaves {
-		var want PageID
-		if i+1 < len(c.leaves) {
-			want = c.leaves[i+1]
-		}
-		if c.leafNext[i] != want {
-			return fmt.Errorf("store: btree %d: leaf %d links to %d, want %d", t.anchor, id, c.leafNext[i], want)
-		}
+	if c.lastNext != invalidPage {
+		return fmt.Errorf("store: btree %d: last leaf %d links to %d", t.anchor, c.last, c.lastNext)
 	}
 	return nil
 }
 
+// btCheck meets the leaves in key order; each must be the last one's next.
 type btCheck struct {
-	t         *BTree
-	seen      map[PageID]bool
-	leafDepth int
-	leaves    []PageID
-	leafNext  []PageID
+	t              *BTree
+	seen           map[PageID]bool
+	leafDepth      int
+	last, lastNext PageID
 }
 
-func (c *btCheck) node(id PageID, lo, hi []byte, depth int) error {
-	n, err := c.t.load(id)
+func (c *btCheck) visit(id PageID, lo, hi []byte, depth int) error {
+	f, err := c.t.pool.Get(id)
 	if err != nil {
-		return fmt.Errorf("store: btree %d: node %d: %w", c.t.anchor, id, err)
+		return c.t.bad(id, err)
 	}
-	if nodeSize(n) > PageSize {
-		return fmt.Errorf("store: btree %d: node %d: serialized size %d exceeds page", c.t.anchor, id, nodeSize(n))
-	}
-	for i, k := range n.keys {
-		if len(k) > MaxKeyLen {
+	// Walk a copy: the children below pin pages of their own.
+	n := node(bytes.Clone(f.Data))
+	c.t.pool.Unpin(f, false)
+	seps, kids := [][]byte{}, []PageID{n.child0()} // kids: an internal node's only
+	off := n.first()
+	for i := 0; i < n.count(); i++ {
+		k, end, err := n.entry(off)
+		if err != nil {
+			return c.t.bad(id, err)
+		}
+		off = end
+		switch {
+		case len(k) > MaxKeyLen:
 			return fmt.Errorf("store: btree %d: node %d: key %d of %d bytes", c.t.anchor, id, i, len(k))
-		}
-		if i > 0 && bytes.Compare(n.keys[i-1], k) > 0 {
+		case i > 0 && bytes.Compare(seps[len(seps)-1], k) > 0:
 			return fmt.Errorf("store: btree %d: node %d: keys out of order at %d", c.t.anchor, id, i)
-		}
-		if lo != nil && bytes.Compare(k, lo) < 0 {
+		case lo != nil && bytes.Compare(k, lo) < 0:
 			return fmt.Errorf("store: btree %d: node %d: key %d below parent separator", c.t.anchor, id, i)
-		}
-		if hi != nil && bytes.Compare(k, hi) > 0 {
+		case hi != nil && bytes.Compare(k, hi) > 0:
 			return fmt.Errorf("store: btree %d: node %d: key %d above parent separator", c.t.anchor, id, i)
 		}
+		seps = append(seps, k)
+		kids = append(kids, PageID(n.val(end)))
 	}
-	if n.leaf {
-		if len(n.vals) != len(n.keys) {
-			return fmt.Errorf("store: btree %d: leaf %d: %d keys, %d values", c.t.anchor, id, len(n.keys), len(n.vals))
-		}
-		if c.leafDepth == -1 {
+	if n.leaf() {
+		switch {
+		case c.leafDepth == -1:
 			c.leafDepth = depth
-		} else if depth != c.leafDepth {
+		case depth != c.leafDepth:
 			return fmt.Errorf("store: btree %d: leaf %d at depth %d, expected %d", c.t.anchor, id, depth, c.leafDepth)
+		case c.lastNext != id:
+			return fmt.Errorf("store: btree %d: leaf %d links to %d, want %d", c.t.anchor, c.last, c.lastNext, id)
 		}
-		c.leaves = append(c.leaves, id)
-		c.leafNext = append(c.leafNext, n.next)
+		c.last, c.lastNext = id, n.next()
 		return nil
 	}
-	if len(n.children) != len(n.keys)+1 {
-		return fmt.Errorf("store: btree %d: node %d: %d keys but %d children", c.t.anchor, id, len(n.keys), len(n.children))
-	}
-	for i, child := range n.children {
-		if c.seen[child] {
-			return fmt.Errorf("store: btree %d: node %d shared or cyclic (reached twice)", c.t.anchor, child)
+	for i, child := range kids {
+		if child == invalidPage || c.seen[child] {
+			return fmt.Errorf("store: btree %d: node %d: child %d (page %d) is missing or reached twice", c.t.anchor, id, i, child)
 		}
 		c.seen[child] = true
 		clo, chi := lo, hi
 		if i > 0 {
-			clo = n.keys[i-1]
+			clo = seps[i-1]
 		}
-		if i < len(n.keys) {
-			chi = n.keys[i]
+		if i < len(seps) {
+			chi = seps[i]
 		}
-		if err := c.node(child, clo, chi, depth+1); err != nil {
+		if err := c.visit(child, clo, chi, depth+1); err != nil {
 			return err
 		}
 	}

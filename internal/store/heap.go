@@ -312,9 +312,23 @@ func (h *Heap) Delete(rid RID) error {
 	return nil
 }
 
-// Update replaces the record at rid in place when it fits, otherwise
-// deletes and reinserts, returning the (possibly new) RID.
+// Update replaces the record at rid and returns its RID. An inline record
+// replaced by one no longer than its slot is rewritten in place and keeps
+// its RID; otherwise the record is deleted and inserted again.
 func (h *Heap) Update(rid RID, data []byte) (RID, error) {
+	f, err := h.pool.GetX(rid.Page)
+	if err != nil {
+		return RID{}, err
+	}
+	if s := int(rid.Slot); len(data) <= inlineMax && s < pageNSlots(f.Data) {
+		if off, ln := slotAt(f.Data, s); off != 0 && f.Data[off] == 0 && 1+len(data) <= ln {
+			copy(f.Data[off+1:], data)
+			setSlot(f.Data, s, off, 1+len(data))
+			h.pool.Unpin(f, true)
+			return rid, nil
+		}
+	}
+	h.pool.Unpin(f, false)
 	if err := h.Delete(rid); err != nil {
 		return RID{}, err
 	}

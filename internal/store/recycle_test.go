@@ -101,26 +101,22 @@ func TestPoolRecyclesEvictedBuffers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	root, err := bt.rootID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := bt.load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, child := range node.children {
-		leaf, err := bt.load(child)
+	// Walk the root and its leaves in place through the node walker,
+	// copying out what it yields; after the evictions below the same walk
+	// over recycled buffers must yield the same nodes.
+	walk := func() (keys [][]byte, kids []PageID) {
+		root, err := bt.rootID()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j, k := range leaf.keys {
-			keep(fmt.Sprintf("BTree.load leaf %d key %d", i, j), k)
+		rk, rc := walkNode(t, pool, root)
+		for _, child := range rc {
+			lk, _ := walkNode(t, pool, child)
+			keys = append(keys, lk...)
 		}
+		return append(keys, rk...), rc
 	}
-	for i, k := range node.keys {
-		keep(fmt.Sprintf("BTree.load root key %d", i), k)
-	}
+	walkKeys, children := walk()
 
 	// A frame kept past its Unpin loses its Data once evicted.
 	stale, err := pool.Get(h.Root())
@@ -162,13 +158,22 @@ func TestPoolRecyclesEvictedBuffers(t *testing.T) {
 	if stale.Data != nil {
 		t.Fatal("an evicted frame still has Data")
 	}
+	again, _ := walk()
+	if len(again) != len(walkKeys) {
+		t.Fatalf("walker yields %d keys after recycling, %d before", len(again), len(walkKeys))
+	}
+	for i := range again {
+		if !bytes.Equal(again[i], walkKeys[i]) {
+			t.Fatalf("walker key %d changed after its page's buffer was recycled", i)
+		}
+	}
 
 	// Steady-state misses: cycling through more clean pages than the
 	// pool holds makes every pin a miss that recycles the LRU victim.
-	if len(node.children) < 9 {
-		t.Fatalf("btree root has %d children, want more than the pool's 8 frames", len(node.children))
+	if len(children) < 9 {
+		t.Fatalf("btree root has %d children, want more than the pool's 8 frames", len(children))
 	}
-	cycle := node.children[:9]
+	cycle := children[:9]
 	touch := func(n int) {
 		for i := 0; i < n; i++ {
 			f, err := pool.Get(cycle[i%len(cycle)])
@@ -191,4 +196,31 @@ func TestPoolRecyclesEvictedBuffers(t *testing.T) {
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / misses; per >= 512 {
 		t.Fatalf("a steady-state miss allocates %d bytes, want < 512", per)
 	}
+}
+
+// walkNode reads node id through the entry walker while it is pinned and
+// returns copies of its keys and, for an internal node, its children.
+func walkNode(t *testing.T, pool *Pool, id PageID) (keys [][]byte, kids []PageID) {
+	t.Helper()
+	f, err := pool.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Unpin(f, false)
+	n := node(f.Data)
+	if !n.leaf() {
+		kids = append(kids, n.child0())
+	}
+	for i, off := 0, n.first(); i < n.count(); i++ {
+		k, end, err := n.entry(off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, bytes.Clone(k))
+		if !n.leaf() {
+			kids = append(kids, PageID(n.val(end)))
+		}
+		off = end
+	}
+	return keys, kids
 }

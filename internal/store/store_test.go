@@ -292,6 +292,56 @@ func TestHeapUpdate(t *testing.T) {
 	}
 }
 
+// TestHeapUpdateInPlace: an inline record replaced by one no longer than
+// its slot keeps its RID; a growing record moves to the append-hint page,
+// and an overflow record is deleted and inserted again, its chain freed.
+func TestHeapUpdateInPlace(t *testing.T) {
+	s := memStore(t)
+	h, _ := CreateHeap(s.Pool())
+	rid, err := h.Insert([]byte("a record of some thirty bytes."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the first page so the append hint moves past it.
+	for r := rid; r.Page == rid.Page; {
+		if r, err = h.Insert(bytes.Repeat([]byte{'f'}, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func(rid RID, data []byte) RID {
+		t.Helper()
+		nrid, err := h.Update(rid, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := h.Get(nrid); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Get after Update = %q, %v", got, err)
+		}
+		return nrid
+	}
+	for _, data := range []string{"same length: thirty bytes, ok.", "shorter", ""} {
+		if nrid := update(rid, []byte(data)); nrid != rid {
+			t.Fatalf("update to %d bytes moved %s to %s", len(data), rid, nrid)
+		}
+	}
+	grown := update(rid, []byte("a record longer than the shortest one"))
+	if grown.Page == rid.Page {
+		t.Fatalf("a grown record stayed on page %d", rid.Page)
+	}
+	pages := s.Pool().Pager().NumPages()
+	big := update(grown, bytes.Repeat([]byte{'o'}, 3*PageSize))
+	update(big, []byte("short")) // fits the 9-byte stub, but its chain must go
+	if _, err := h.Insert(bytes.Repeat([]byte{'o'}, 3*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Pool().Pager().NumPages(); got > pages+4 {
+		t.Errorf("the replaced overflow chain was not freed: %d pages, then %d", pages, got)
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHeapReusesDeletedSpace: a steady insert/delete load around one live
 // record must not grow the heap (the parent went from 2 to 202 pages over
 // these 4000 rounds: deleted bytes were never reused), and compacting a
