@@ -166,7 +166,9 @@ func TestWriterInvalidatesReaders(t *testing.T) {
 // TestConcurrentReadersWithWriter races reading sessions against a
 // writing session appending facts to a stored procedure (run with -race).
 // Each reader must always observe one of the states the writer produced
-// (monotonically growing counts), never an error or a torn result.
+// (monotonically growing counts), never an error or a torn result, and its
+// keyed read of tick(0), a key the writer never writes, must always answer
+// the same: that variant stays resident while the writes drop the others.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	kb, err := core.OpenKB(core.Options{})
 	if err != nil {
@@ -228,6 +230,10 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					return
 				}
 				last = n
+				if n, err := s.QueryCount("tick(0)"); err != nil || n != 1 {
+					errs <- fmt.Errorf("reader %d: tick(0) gave %d solutions (err=%v), want 1", r, n, err)
+					return
+				}
 			}
 		}(r)
 	}

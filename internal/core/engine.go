@@ -651,6 +651,7 @@ func (s *Session) storeOneCompiled(cc compiler.ClauseCode, keys []edb.ArgKey, is
 	if err != nil {
 		return err
 	}
+	firstRule := isRule && p.FactsOnly
 	if isRule {
 		if err := db.MarkRule(p); err != nil {
 			return err
@@ -668,7 +669,10 @@ func (s *Session) storeOneCompiled(cc compiler.ClauseCode, keys []edb.ArgKey, is
 	if _, err := db.StoreClause(p, keys, loader.EncodeClause(cc)); err != nil {
 		return err
 	}
-	s.invalidateStored(cc.Pred)
+	if firstRule {
+		keys = nil // every call now loads the procedure whole
+	}
+	s.invalidateStored(cc.Pred, keys)
 	s.markExternal(cc.Pred)
 	return nil
 }
@@ -692,6 +696,7 @@ func (s *Session) storeSourceClauses(terms []term.Term) error {
 		if err != nil {
 			return err
 		}
+		firstRule := body != term.TrueAtom && p.FactsOnly
 		if body != term.TrueAtom {
 			if err := db.MarkRule(p); err != nil {
 				return err
@@ -705,7 +710,10 @@ func (s *Session) storeSourceClauses(terms []term.Term) error {
 		if _, err := db.StoreClause(p, keys, []byte(tm.String()+".")); err != nil {
 			return err
 		}
-		s.invalidateStored(pi)
+		if firstRule {
+			keys = nil // every call now loads the procedure whole
+		}
+		s.invalidateStored(pi, keys)
 		s.markExternal(pi)
 	}
 	for p := range touched {
@@ -846,7 +854,7 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 				if err := db.DeleteClause(p, sc); err != nil {
 					return false, err
 				}
-				s.invalidateStored(pi)
+				s.invalidateStored(pi, sc.Keys())
 				return true, nil
 			}
 		}
@@ -864,7 +872,7 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 				if err := db.DeleteClause(p, sc); err != nil {
 					return false, err
 				}
-				s.invalidateStored(pi)
+				s.invalidateStored(pi, sc.Keys())
 				return true, nil
 			}
 			env.Undo(mark)
@@ -914,7 +922,7 @@ func (s *Session) DropExternal(name string, arity int) error {
 	if err := db.DropProc(p); err != nil {
 		return err
 	}
-	s.invalidateStored(term.Indicator{Name: name, Arity: arity})
+	s.invalidateStored(term.Indicator{Name: name, Arity: arity}, nil)
 	s.m.RemoveProc(s.m.Dict.Intern(name, arity))
 	return nil
 }

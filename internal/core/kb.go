@@ -279,7 +279,7 @@ func (kb *KnowledgeBase) Repair() (int, error) {
 	n, err := kb.db.Repair()
 	if n > 0 {
 		for _, p := range kb.db.Procs() {
-			kb.invalidateProc(term.Indicator{Name: p.Name, Arity: p.Arity})
+			kb.invalidateProc(term.Indicator{Name: p.Name, Arity: p.Arity}, nil)
 		}
 		if ferr := kb.st.Flush(); err == nil {
 			err = ferr

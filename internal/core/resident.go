@@ -14,11 +14,14 @@ import (
 // Code residency (paper §3.2.1, §3.3.2): the dynamic loader freezes a
 // loaded definition in main memory until the code garbage collector
 // reclaims it; the EDB copy needs no collection. Both sides keep one table
-// keyed by procedure. The knowledge base holds the decoded, still
-// relocatable clause sets every session links from, and the version that
-// every write to the stored procedure bumps. A session holds what it
-// linked, tagged with the version it saw. Resident code leaves a session
-// through evict and nowhere else, and reconcile decides when it is stale.
+// keyed by procedure, then by pre-unification filter. The knowledge base
+// holds the decoded, still relocatable clause sets every session links
+// from, the version that every write to the stored procedure bumps, and a
+// log of the last writes' keys. A session holds what it linked, tagged with
+// the version it saw. A write changes only the variants whose filter admits
+// the written clause (edb.Admits): the knowledge base drops those at once, a
+// session when it catches up through the log. Resident code leaves a
+// session through evict and nowhere else, and reconcile decides when.
 //
 // A session also keeps the queries it linked, by goal text. Their code names
 // callees by functor and builtins by a stable slot, so no write makes it
@@ -37,7 +40,12 @@ func filterKeyOf(keys []edb.ArgKey) (fk filterKey) {
 type sharedProc struct {
 	ver      uint64 // bumped by every invalidation
 	variants map[filterKey][]compiler.ClauseCode
+	log      []filterKey // keys of the last writeLogLen writes; version v's at (v-1) % writeLogLen
 }
+
+// writeLogLen is how many writes a procedure's log keeps; a session further
+// behind than that evicts the procedure whole.
+const writeLogLen = 16
 
 // residentProc is one session's linked code for one stored procedure:
 // tuple-at-a-time variants by filter (the all-wild one is also installed
@@ -140,19 +148,51 @@ func (kb *KnowledgeBase) storeShared(pi term.Indicator, fk filterKey, ccs []comp
 	kb.cacheEntries.Set(int64(kb.nvariants))
 }
 
-// invalidateProc drops every shared variant of pi and bumps its version
-// so sessions discard their resident copies. Callers must hold the KB
-// write lock (or be the only user of the KB).
-func (kb *KnowledgeBase) invalidateProc(pi term.Indicator) {
+// invalidateProc records a write to pi of a clause with head keys keys (nil:
+// a write that may change every variant, logged as the all-wild key that
+// admits them all). It drops the shared variants the keys admit, bumps pi's
+// version and logs the keys, so sessions drop the same variants of their
+// resident copies. Callers must hold the KB write lock (or be the only user
+// of the KB).
+func (kb *KnowledgeBase) invalidateProc(pi term.Indicator, keys []edb.ArgKey) {
 	kb.cacheMu.Lock()
 	defer kb.cacheMu.Unlock()
 	sp := kb.sharedFor(pi)
-	kb.nvariants -= len(sp.variants)
-	sp.variants = nil
+	w := filterKeyOf(keys)
+	for i := range w {
+		w[i].Wild = w[i].Wild || keys == nil
+	}
+	for fk := range sp.variants {
+		if edb.Admits(fk[:], w[:]) {
+			delete(sp.variants, fk)
+			kb.nvariants--
+			kb.cacheInvals.Inc()
+		}
+	}
 	sp.ver++
 	kb.version.Add(1)
-	kb.cacheInvals.Inc()
+	if len(sp.log) < writeLogLen {
+		sp.log = append(sp.log, w)
+	} else {
+		sp.log[(sp.ver-1)%writeLogLen] = w
+	}
 	kb.cacheEntries.Set(int64(kb.nvariants))
+}
+
+// writesSince appends to buf the keys of the writes that took pi from
+// version from to version to, or returns nil when the log no longer reaches
+// back to from.
+func (kb *KnowledgeBase) writesSince(pi term.Indicator, from, to uint64, buf []filterKey) []filterKey {
+	kb.cacheMu.Lock()
+	defer kb.cacheMu.Unlock()
+	sp := kb.shared[pi]
+	if sp == nil || from > to || sp.ver-from > uint64(len(sp.log)) {
+		return nil
+	}
+	for v := from + 1; v <= to; v++ {
+		buf = append(buf, sp.log[(v-1)%writeLogLen])
+	}
+	return buf
 }
 
 // InvalidateLoaded drops shared cached code for one external procedure;
@@ -160,19 +200,15 @@ func (kb *KnowledgeBase) invalidateProc(pi term.Indicator) {
 func (kb *KnowledgeBase) InvalidateLoaded(name string, arity int) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	kb.invalidateProc(term.Indicator{Name: name, Arity: arity})
+	kb.invalidateProc(term.Indicator{Name: name, Arity: arity}, nil)
 }
 
 // --- session side -----------------------------------------------------------
 
 // residentFor returns the session's record for pi at stored version ver,
-// first evicting a record linked against another version.
+// first bringing an older record up to ver.
 func (s *Session) residentFor(pi term.Indicator, ver uint64) *residentProc {
-	rp := s.resident[pi]
-	if rp != nil && rp.ver != ver {
-		s.evict(pi, rp)
-		rp = nil
-	}
+	rp := s.catchUp(pi, s.resident[pi], ver)
 	if rp == nil {
 		rp = &residentProc{ver: ver}
 		s.resident[pi] = rp
@@ -180,16 +216,46 @@ func (s *Session) residentFor(pi term.Indicator, ver uint64) *residentProc {
 	return rp
 }
 
-// evict drops a procedure's resident code and restores the trap stub, so
-// the next call reloads from the EDB. It is safe at any time, mid-query
-// included: the machine only retires the blocks, so a running iteration
-// finishes over the clauses it started with (the logical update view) and
-// the slots are reclaimed once no frame addresses them.
-func (s *Session) evict(pi term.Indicator, rp *residentProc) {
-	for _, proc := range rp.variants {
-		s.m.RemoveBlock(proc.Block)
+// catchUp brings rp from its version to stored version ver: it evicts the
+// variants the logged writes in between admit, or the whole record when the
+// log no longer reaches back to rp.ver. It returns the record, now at ver,
+// or nil once it is gone (or was nil), so a variant is only ever filed under
+// the version its clauses were read at.
+func (s *Session) catchUp(pi term.Indicator, rp *residentProc, ver uint64) *residentProc {
+	if rp == nil || rp.ver == ver {
+		return rp
 	}
-	s.nresident -= len(rp.variants)
+	var buf [writeLogLen]filterKey
+	s.evict(pi, rp, s.kb.writesSince(pi, rp.ver, ver, buf[:0]))
+	rp.ver = ver
+	return s.resident[pi]
+}
+
+// evict drops the variants of a procedure's resident code that the keys of
+// one of writes admit, or, with nil writes or a record holding a fixpoint
+// or auxiliaries, all of it; a record left empty goes. The trap stub
+// returns if the installed code went, so the next call reloads from the
+// EDB. It is safe at any time, mid-query included: the machine only retires
+// the blocks, so a running iteration finishes over the clauses it started
+// with (the logical update view) and the slots are reclaimed once no frame
+// addresses them.
+func (s *Session) evict(pi term.Indicator, rp *residentProc, writes []filterKey) {
+	whole := writes == nil || rp.setops != nil || rp.aux != nil
+	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
+	installed := s.m.Proc(fn)
+	restub := whole && installed != nil && installed.Transient
+	for fk, proc := range rp.variants {
+		drop := whole
+		for _, w := range writes {
+			drop = drop || edb.Admits(fk[:], w[:])
+		}
+		if drop {
+			s.m.RemoveBlock(proc.Block)
+			delete(rp.variants, fk)
+			s.nresident--
+			restub = restub || proc == installed
+		}
+	}
 	for _, api := range rp.aux {
 		s.m.RemoveProc(s.m.Dict.Intern(api.Name, api.Arity))
 	}
@@ -199,9 +265,10 @@ func (s *Session) evict(pi term.Indicator, rp *residentProc) {
 		s.nresident--
 		s.nsetops--
 	}
-	delete(s.resident, pi)
-	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
-	if p := s.m.Proc(fn); p != nil && p.Transient {
+	if len(rp.variants) == 0 {
+		delete(s.resident, pi)
+	}
+	if restub {
 		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: pi.Arity, External: true})
 	}
 }
@@ -210,7 +277,7 @@ func (s *Session) evict(pi term.Indicator, rp *residentProc) {
 // garbage collector, a rule-storage switch, Close.
 func (s *Session) evictAll() {
 	for pi, rp := range s.resident {
-		s.evict(pi, rp)
+		s.evict(pi, rp, nil)
 	}
 }
 
@@ -288,9 +355,9 @@ func (s *Session) dropQueries() {
 }
 
 // reconcile is the one pass that brings resident code up to date with the
-// knowledge base: a procedure whose stored clauses changed since this
-// session linked them is evicted, and so is a materialised fixpoint one
-// of whose rule procedures changed; one only whose leaves changed is
+// knowledge base: each procedure whose stored clauses changed since this
+// session linked them catches up, and a materialised fixpoint one of whose
+// rule procedures changed is evicted; one only whose leaves changed is
 // parked. It runs at query start, giving each query a fresh view, and
 // after a rollback, so the rest of the running query sees the restored
 // state. The caller must not hold the KB lock outside a transaction.
@@ -302,9 +369,7 @@ func (s *Session) reconcile() {
 		return
 	}
 	for pi, rp := range s.resident {
-		if v != s.synced && s.kb.storedVersion(pi) != rp.ver {
-			s.evict(pi, rp)
-		} else {
+		if v == s.synced || s.catchUp(pi, rp, s.kb.storedVersion(pi)) != nil {
 			s.settle(pi, rp, v, true)
 		}
 	}
@@ -337,7 +402,7 @@ func (s *Session) settle(pi term.Indicator, rp *residentProc, v uint64, rels boo
 				continue
 			}
 			if _, leaf := so.prog.Leaves[dep]; !leaf {
-				s.evict(pi, rp)
+				s.evict(pi, rp, nil)
 				return
 			}
 			stale = true
@@ -349,21 +414,22 @@ func (s *Session) settle(pi term.Indicator, rp *residentProc, v uint64, rels boo
 	}
 }
 
-// invalidateStored records that this session changed a stored procedure:
-// the shared record is invalidated so other sessions reload at their next
-// query, and this session's own copy goes now; the fixpoints computed
-// from it are settled (a stored-clause write leaves the catalog relations
-// alone). An open transaction notes the procedure for its rollback.
-// Caller holds the KB write lock.
-func (s *Session) invalidateStored(pi term.Indicator) {
-	s.kb.invalidateProc(pi)
+// invalidateStored records that this session wrote a clause with head keys
+// keys to a stored procedure (nil: a change to every variant). The shared
+// record drops the variants the keys admit, other sessions drop theirs at
+// their next query, and this session's own copy catches up now; the
+// fixpoints computed from it are settled (a stored-clause write leaves the
+// catalog relations alone). An open transaction notes the procedure for its
+// rollback. Caller holds the KB write lock.
+func (s *Session) invalidateStored(pi term.Indicator, keys []edb.ArgKey) {
+	s.kb.invalidateProc(pi, keys)
 	if s.txn != nil {
 		s.txn.touched[pi] = true
 	}
 	v := s.kb.version.Load()
 	for p, rp := range s.resident {
 		if p == pi {
-			s.evict(p, rp)
+			s.catchUp(p, rp, s.kb.storedVersion(p))
 		} else {
 			s.settle(p, rp, v, false)
 		}
@@ -378,5 +444,5 @@ func (s *Session) invalidateStored(pi term.Indicator) {
 func (s *Session) InvalidateLoaded(name string, arity int) {
 	unlock := s.wlock()
 	defer unlock()
-	s.invalidateStored(term.Indicator{Name: name, Arity: arity})
+	s.invalidateStored(term.Indicator{Name: name, Arity: arity}, nil)
 }

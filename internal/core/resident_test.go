@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -109,6 +112,272 @@ func TestResidentRollbackMidQuery(t *testing.T) {
 	}
 }
 
+// TestResidentWriteDropsOnlyAdmittedVariants: a stored-clause write drops
+// the resident and shared variants whose pre-unification filter admits the
+// written clause and no others. The reader loads variants of item/2,
+// another session writes, and each later query of the reader must answer
+// right at the stated retrieval cost (0: the variant stayed resident);
+// variants is how many variants of item/2 the reader then holds.
+func TestResidentWriteDropsOnlyAdmittedVariants(t *testing.T) {
+	const facts = "item(k1, a). item(k2, b)."
+	const k1, k2, all = "findall(V, item(k1, V), L)", "findall(V, item(k2, V), L)", "findall(K, item(K, _), L0), msort(L0, L)"
+	type check struct {
+		q, want string
+		retr    uint64
+	}
+	run := func(goals ...string) func(*testing.T, *Session) {
+		return func(t *testing.T, w *Session) {
+			t.Helper()
+			for _, g := range goals {
+				if n, err := w.QueryCount(g); err != nil || n == 0 {
+					t.Fatalf("write %s: n=%d err=%v", g, n, err)
+				}
+			}
+		}
+	}
+	var past []string
+	for i := 0; i <= writeLogLen; i++ {
+		past = append(past, fmt.Sprintf("assert_external(item(w%d, c))", i))
+	}
+	cases := []struct {
+		name     string
+		src      string
+		source   bool // stored in source form
+		load     []string
+		write    func(*testing.T, *Session)
+		after    []check
+		variants int
+	}{
+		{
+			name: "a: a write of another key keeps the loaded variants",
+			src:  facts, load: []string{k1, k2},
+			write:    run("assert_external(item(k3, c))"),
+			after:    []check{{k1, "[a]", 0}, {k2, "[b]", 0}, {"findall(V, item(k3, V), L)", "[c]", 1}},
+			variants: 3,
+		},
+		{
+			name: "b: a retract drops its key's variant only",
+			src:  facts, load: []string{k1, k2},
+			write:    run("retract_external(item(k1, a))"),
+			after:    []check{{k2, "[b]", 0}, {k1, "[]", 1}},
+			variants: 2,
+		},
+		{
+			name: "c: any write drops the all-wild variant and a rule procedure",
+			src:  facts + " r(K, V) :- item(K, V).", load: []string{k1, "findall(V, r(k1, V), L)", all},
+			write: run("assert_external(item(k3, c))", "assert_external(r(k3, d))"),
+			after: []check{
+				{k1, "[a]", 0},
+				{"findall(V, r(k1, V), L)", "[a]", 1},
+				{all, "[k1,k2,k3]", 1},
+			},
+			variants: 2,
+		},
+		{
+			name: "d: a facts procedure's first rule drops every variant",
+			src:  facts, load: []string{k1, k2},
+			write:    run("assert_external((item(k9, V) :- V = z))"),
+			after:    []check{{k1, "[a]", 1}, {k2, "[b]", 0}, {"findall(V, item(k9, V), L)", "[z]", 0}},
+			variants: 1,
+		},
+		{
+			// The stored item(X, b) unifies with the retracted item(a, b):
+			// its keys, not the retract term's, name the variants it was in.
+			name: "e: a source-form retract drops the variants of the clause it deleted",
+			src:  "item(X, b). item(c, d).", source: true, load: []string{"findall(V, item(c, V), L)"},
+			write:    run("retract_external(item(a, b))"),
+			after:    []check{{"findall(V, item(c, V), L)", "[d]", 1}},
+			variants: 1,
+		},
+		{
+			name: "f: more writes than the log holds evict the procedure",
+			src:  facts, load: []string{k1, k2},
+			write:    run(past...),
+			after:    []check{{k1, "[a]", 0}, {"findall(V, item(w0, V), L)", "[c]", 1}},
+			variants: 2,
+		},
+		{
+			name: "g: a rollback drops every variant of what it touched",
+			src:  facts, load: []string{k1, k2},
+			write:    run("begin, assert_external(item(k3, c)), rollback"),
+			after:    []check{{k1, "[a]", 1}, {"findall(V, item(k3, V), L)", "[]", 1}},
+			variants: 2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newSession(t, Options{})
+			if tc.source {
+				if err := e.SetRuleStorage(RuleStorageSource); err != nil {
+					t.Fatal(err)
+				}
+			}
+			consultExternal(tc.src)(t, e)
+			if err := e.SetRuleStorage(RuleStorageCompiled); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range tc.load {
+				answers(t, e, q)
+			}
+			w, err := e.KB().NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			tc.write(t, w)
+			for _, c := range tc.after {
+				r0 := e.Cost().Retrievals
+				got := values(t, e, c.q, "L")
+				if retr := e.Cost().Retrievals - r0; !reflect.DeepEqual(got, []string{c.want}) || retr != c.retr {
+					t.Errorf("%s: %v at %d retrievals, want %s at %d", c.q, got, retr, c.want, c.retr)
+				}
+			}
+			if rp := e.resident[term.Indicator{Name: "item", Arity: 2}]; rp == nil || len(rp.variants) != tc.variants {
+				t.Errorf("reader holds %v, want %d variants of item/2", rp, tc.variants)
+			}
+		})
+	}
+}
+
+// TestResidentWritesMatchModel runs a fixed-seed random schedule of stored
+// writes (assert_external, retract_external, committed and rolled-back
+// transactions, through the calls their builtins make) from two sessions
+// over one knowledge base, interleaved with keyed, all-wild and rule reads
+// in both, and compares every answer with a model. Some facts have a
+// variable key, so a source-form retract can delete a clause other than the
+// retract term.
+func TestResidentWritesMatchModel(t *testing.T) {
+	type fact struct{ k, v string }
+	keys, vals := []string{"k0", "k1", "k2", "_"}, []string{"v0", "v1", "v2"}
+	name := func(t term.Term) string {
+		if _, ok := t.(*term.Var); ok {
+			return "_"
+		}
+		return t.String()
+	}
+	for _, mode := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {
+		t.Run(fmt.Sprintf("storage%d", mode), func(t *testing.T) {
+			kb, err := OpenKB(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kb.Close()
+			var ss [2]*Session
+			for i := range ss {
+				if ss[i], err = kb.NewSession(); err != nil {
+					t.Fatal(err)
+				}
+				defer ss[i].Close()
+			}
+			// A session stores clauses in its own rule-storage form, so a
+			// write switches it to mode and back (in source form that evicts
+			// the writer's resident code; the other session keeps its own).
+			store := func(s *Session, rs RuleStorage) {
+				if err := s.SetRuleStorage(rs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			store(ss[0], mode)
+			consultExternal("kv(k0, v0). kv2(K, V) :- kv(K, V).")(t, ss[0])
+			store(ss[0], RuleStorageCompiled)
+			model := []fact{{"k0", "v0"}}
+			rng := rand.New(rand.NewSource(1))
+			// write draws one write, makes it in s and returns m with it
+			// applied, and whether it took. A retract removes the first fact
+			// the term matches: the same clause in compiled form, a unifying
+			// one in source form.
+			write := func(s *Session, m []fact) ([]fact, bool) {
+				f := fact{keys[rng.Intn(len(keys))], vals[rng.Intn(len(vals))]}
+				var k term.Term = term.Atom(f.k)
+				if f.k == "_" {
+					k = &term.Var{Name: "K"}
+				}
+				tm := term.Comp("kv", k, term.Atom(f.v))
+				if rng.Intn(2) == 0 {
+					if err := s.AssertExternalTerm(tm); err != nil {
+						t.Fatalf("assert %s: %v", tm, err)
+					}
+					return append(m[:len(m):len(m)], f), true
+				}
+				ok, err := s.RetractExternal(tm)
+				want := -1
+				for i, g := range m {
+					if g.v == f.v && (g.k == f.k || mode == RuleStorageSource && (g.k == "_" || f.k == "_")) {
+						want = i
+						break
+					}
+				}
+				if err != nil || ok != (want >= 0) {
+					t.Fatalf("retract %s: ok=%v err=%v, model %v", tm, ok, err, m)
+				}
+				if !ok {
+					return m, false
+				}
+				return append(m[:want:want], m[want+1:]...), true
+			}
+			for step := 0; step < 1500; step++ {
+				who := rng.Intn(len(ss))
+				s := ss[who]
+				switch op := rng.Intn(10); {
+				case op < 2:
+					store(s, mode)
+					model, _ = write(s, model)
+					store(s, RuleStorageCompiled)
+				case op < 4: // a transaction of up to three writes
+					store(s, mode)
+					if err := s.Begin(); err != nil {
+						t.Fatal(err)
+					}
+					m, ok := model, true
+					for n := 1 + rng.Intn(3); n > 0 && ok; n-- {
+						m, ok = write(s, m)
+					}
+					if ok && rng.Intn(3) > 0 {
+						err, model = s.Commit(), m
+					} else {
+						err = s.Rollback()
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					store(s, RuleStorageCompiled)
+				default:
+					pred := []string{"kv", "kv2"}[rng.Intn(2)]
+					k := keys[rng.Intn(len(keys))]
+					goal := fmt.Sprintf("%s(%s, V)", pred, k)
+					if k == "_" {
+						goal = pred + "(K, V)"
+					}
+					sols, err := s.QueryAll(goal)
+					if err != nil {
+						t.Fatalf("step %d, session %d: %s: %v", step, who, goal, err)
+					}
+					var got, want []string
+					for _, sol := range sols {
+						if k == "_" {
+							got = append(got, name(sol["K"])+"-"+name(sol["V"]))
+						} else {
+							got = append(got, name(sol["V"]))
+						}
+					}
+					for _, f := range model {
+						if k == "_" {
+							want = append(want, f.k+"-"+f.v)
+						} else if f.k == k || f.k == "_" {
+							want = append(want, f.v)
+						}
+					}
+					sort.Strings(got)
+					sort.Strings(want)
+					if strings.Join(got, " ") != strings.Join(want, " ") {
+						t.Fatalf("step %d, session %d: %s gave %v, model %v", step, who, goal, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestResidentCodeTablesStayFlat: neither re-materialising a set-at-a-time
 // result nor running plain queries may grow the machine's block and
 // builtin tables (before blocks were reclaimed they went 126 -> 3126
@@ -116,6 +385,7 @@ func TestResidentRollbackMidQuery(t *testing.T) {
 // pinning its tuples). Every round's assert is a new goal text, so the
 // linked-query table fills up to its capacity; the baseline is read once
 // more distinct goals than that have run, and must hold from there on.
+// Nor may a keyed write/read loop grow them or the shared variants.
 func TestResidentCodeTablesStayFlat(t *testing.T) {
 	e := newSession(t, Options{}) // StrategyAuto
 	consultExternal(`
@@ -167,15 +437,50 @@ func TestResidentCodeTablesStayFlat(t *testing.T) {
 		st := e.Machine().Stats()
 		t.Logf("%s: blocks %d -> %d, builtins %d -> %d", when, base.Blocks, st.Blocks, base.Builtins, st.Builtins)
 		if st.Blocks != base.Blocks || st.Builtins != base.Builtins {
-			t.Errorf("code tables grew from round %d to %s: blocks %d -> %d, builtins %d -> %d",
-				full, when, base.Blocks, st.Blocks, base.Builtins, st.Builtins)
+			t.Errorf("code tables grew over %s: blocks %d -> %d, builtins %d -> %d",
+				when, base.Blocks, st.Blocks, base.Builtins, st.Builtins)
 		}
 	}
-	flat(fmt.Sprintf("round %d", rounds))
+	flat(fmt.Sprintf("rounds %d to %d", full, rounds))
 	for i := 0; i < rounds; i++ {
 		plain()
 	}
 	flat("the plain loop")
+
+	// A keyed write/read loop over fixed goal texts: each write drops the
+	// variants that admit it (key w's and the all-wild one) and the reads
+	// reload them; those of k1 and k2, which no write admits, stay. From the
+	// first round on, neither the block table nor the shared variants may
+	// grow, and no procedure's write log outgrows its capacity.
+	consultExternal("item(k1, a). item(k2, b).")(t, e)
+	keyed := func() {
+		t.Helper()
+		for _, step := range []struct {
+			q string
+			n int
+		}{
+			{"assert_external(item(w, x))", 1}, {"item(k1, _)", 1}, {"item(w, _)", 1}, {"item(_, _)", 3},
+			{"retract_external(item(w, x))", 1}, {"item(k2, _)", 1}, {"item(w, _)", 0}, {"item(_, _)", 2},
+		} {
+			if n, err := e.QueryCount(step.q); err != nil || n != step.n {
+				t.Fatalf("%s: n=%d err=%v, want %d", step.q, n, err, step.n)
+			}
+		}
+	}
+	keyed()
+	base, entries := e.Machine().Stats(), e.KB().cacheEntries.Value()
+	for i := 0; i < rounds; i++ {
+		keyed()
+	}
+	flat("the keyed loop")
+	if got := e.KB().cacheEntries.Value(); got != entries {
+		t.Errorf("shared variants %d -> %d over the keyed loop", entries, got)
+	}
+	for pi, sp := range e.KB().shared {
+		if len(sp.log) > writeLogLen {
+			t.Errorf("%s logs %d writes, capacity %d", pi, len(sp.log), writeLogLen)
+		}
+	}
 }
 
 // TestResidentAssertLoopsReclaim: every assert/1 relinks the whole dynamic

@@ -69,7 +69,7 @@ func (s *Session) SetStrategy(st Strategy) {
 	s.opts.Strategy = st
 	for pi, rp := range s.resident {
 		if rp.setops != nil {
-			s.evict(pi, rp)
+			s.evict(pi, rp, nil)
 		}
 	}
 }
@@ -117,7 +117,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 		if eligible && rp.setops.sameShape(prog, info) {
 			base = rp.setops
 		} else {
-			s.evict(target, rp)
+			s.evict(target, rp, nil)
 		}
 	}
 	if !eligible {
@@ -126,7 +126,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 	}
 	drop := func(err error) (*wam.Proc, error) {
 		if base != nil {
-			s.evict(target, rp) // a failed pass may leave the totals part-way
+			s.evict(target, rp, nil) // a failed pass may leave the totals part-way
 		}
 		return nil, err
 	}

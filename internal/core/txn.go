@@ -116,7 +116,7 @@ func (s *Session) restoreLogical(txn *sessionTxn) {
 	s.kb.db.Ext().RollbackJournal()
 	s.kb.cat.Restore(txn.catSnap)
 	for pi := range txn.touched {
-		s.kb.invalidateProc(pi)
+		s.kb.invalidateProc(pi, nil)
 	}
 	s.kb.txnRollbacks.Inc()
 	s.kb.mu.Unlock()

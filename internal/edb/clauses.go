@@ -129,6 +129,22 @@ type StoredClause struct {
 	keys []ArgKey
 }
 
+// Keys returns the clause's head-argument keys as stored (its first K).
+func (sc StoredClause) Keys() []ArgKey { return sc.keys }
+
+// Admits reports whether a clause with head keys clause is a candidate for
+// a call with filter keys filter: at every position both give, one side is
+// wild or the hashes agree. It is the residual pre-unification filter, and
+// run the other way it names the loaded candidate sets a write changes.
+func Admits(filter, clause []ArgKey) bool {
+	for j, q := range filter {
+		if !q.Wild && j < len(clause) && !clause[j].Wild && clause[j].Hash != q.Hash {
+			return false
+		}
+	}
+	return true
+}
+
 // A clause is one record of the clauses heap (the paper's clauses tuple):
 // a self-describing header, then the payload.
 //
@@ -268,8 +284,7 @@ func (db *DB) RetrieveObs(p *ProcInfo, query []ArgKey, qs *obs.QueryStats) ([]St
 		}
 	}
 	// Candidate selection by index range ends here; what follows reads each
-	// candidate's record once and keeps those that agree with every bound
-	// argument (a wildcard key agrees with anything): the residual
+	// candidate's record once and keeps those Admits: the residual
 	// pre-unification filter.
 	if qs != nil {
 		now := time.Now()
@@ -278,7 +293,6 @@ func (db *DB) RetrieveObs(p *ProcInfo, query []ArgKey, qs *obs.QueryStats) ([]St
 	}
 	out := make([]StoredClause, 0, len(rids))
 	primaryMatched := 0
-next:
 	for i, rid := range rids {
 		rec, err := db.clauses.Get(rid)
 		if err != nil {
@@ -288,10 +302,8 @@ next:
 		if err != nil {
 			return nil, fmt.Errorf("%w (record %s of %s)", err, rid, p.Indicator())
 		}
-		for j, q := range bound {
-			if !q.Wild && j < len(keys) && !keys[j].Wild && keys[j].Hash != q.Hash {
-				continue next
-			}
+		if !Admits(bound, keys) {
+			continue
 		}
 		if i < nPrimary {
 			primaryMatched++
