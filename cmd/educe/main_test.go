@@ -216,7 +216,10 @@ func TestCheckRepairCLI(t *testing.T) {
 	// The clause index, reached the way edb.Open reaches it; its keys are
 	// procID | tag | body (see internal/edb).
 	anchor, _ := kb.Store().GetMeta("edb.index")
-	index := store.OpenBTree(kb.Store().Pool(), store.PageID(anchor))
+	index, err := store.OpenBTree(kb.Store().Pool(), store.PageID(anchor))
+	if err != nil {
+		t.Fatal(err)
+	}
 	prefix := binary.BigEndian.AppendUint32(nil, kb.DB().Proc("g", 2).ProcID)
 	derived := binary.BigEndian.AppendUint64(append(prefix, 1), 12345)
 	if err := index.Insert(derived, 1<<40); err != nil {

@@ -498,7 +498,8 @@ func (s *Session) Consult(src string) error {
 }
 
 // ConsultExternal compiles src and stores every clause in the EDB in the
-// session's current rule-storage form. The predicates become external:
+// session's current rule-storage form; a procedure already stored keeps
+// its own (see ConsultExternalTerms). The predicates become external:
 // calling them traps into the dynamic loader. Takes the KB write lock.
 func (s *Session) ConsultExternal(src string) error {
 	terms, err := s.parseProgram(src)
@@ -789,22 +790,37 @@ func (s *Session) ConsultTerms(terms []term.Term) error {
 	return nil
 }
 
-// ConsultExternalTerms stores pre-parsed clause terms in the EDB in the
-// session's current rule-storage form, under the KB write lock.
+// ConsultExternalTerms stores pre-parsed clause terms in the EDB, under
+// the KB write lock. A clause of a stored procedure takes that
+// procedure's form; one of a new procedure, the session's rule-storage
+// form.
 func (s *Session) ConsultExternalTerms(terms []term.Term) error {
 	if s.kb.st.ReadOnly() {
 		return store.ErrReadOnly
 	}
 	unlock := s.wlock()
 	defer unlock()
-	if s.opts.RuleStorage == RuleStorageSource {
-		return s.storeSourceClauses(terms)
+	var src, code []term.Term
+	for _, tm := range terms {
+		head, _ := splitClauseTerm(tm)
+		pi := head.Indicator()
+		p := s.kb.db.Proc(pi.Name, pi.Arity)
+		if p == nil && s.opts.RuleStorage == RuleStorageSource || p != nil && p.Form == edb.FormSource {
+			src = append(src, tm)
+		} else {
+			code = append(code, tm)
+		}
 	}
-	return s.storeCompiledClauses(terms)
+	if len(src) > 0 {
+		if err := s.storeSourceClauses(src); err != nil {
+			return err
+		}
+	}
+	return s.storeCompiledClauses(code)
 }
 
-// AssertExternalTerm stores a single clause in the EDB in the session's
-// current rule-storage form (the paper's assertion of externally
+// AssertExternalTerm stores a single clause in the EDB, in the form
+// ConsultExternalTerms picks (the paper's assertion of externally
 // maintained code, one of the triggers of §3.3.2's garbage collection).
 func (s *Session) AssertExternalTerm(t term.Term) error {
 	return s.ConsultExternalTerms([]term.Term{t})

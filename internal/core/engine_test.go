@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/rel"
+	"repro/internal/store"
 	"repro/internal/term"
 )
 
@@ -258,6 +260,51 @@ func TestPersistentStore(t *testing.T) {
 	}
 	if n, _ := e2.QueryCount("link(munich, hamburg)"); n != 1 {
 		t.Fatal("link lost after reopen")
+	}
+}
+
+// TestOpenRefusesIndexBeforePairOrder: a clause index whose anchor lacks
+// the pair-order tag was written when separators held keys alone; OpenKB
+// refuses it with the format-change error rather than misread it.
+func TestOpenRefusesIndexBeforePairOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.edb")
+	kb, err := OpenKB(Options{StorePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := kb.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ConsultExternal(`city(munich). city(hamburg).`); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if err := kb.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An anchor of the old format: the root ID, then zeros.
+	st, err := store.Open(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor, _ := st.GetMeta("edb.index")
+	f, err := st.Pool().GetX(store.PageID(anchor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(f.Data[4:8])
+	st.Pool().Unpin(f, true)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if kb, err := OpenKB(Options{StorePath: path}); !errors.Is(err, store.ErrOldBTree) {
+		if err == nil {
+			kb.Close()
+		}
+		t.Fatalf("OpenKB of an index before pair order = %v, want %v", err, store.ErrOldBTree)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/edb"
 	"repro/internal/obs"
 	"repro/internal/term"
 	"repro/internal/wam"
@@ -269,17 +270,12 @@ func TestResidentWritesMatchModel(t *testing.T) {
 				}
 				defer ss[i].Close()
 			}
-			// A session stores clauses in its own rule-storage form, so a
-			// write switches it to mode and back (in source form that evicts
-			// the writer's resident code; the other session keeps its own).
-			store := func(s *Session, rs RuleStorage) {
-				if err := s.SetRuleStorage(rs); err != nil {
-					t.Fatal(err)
-				}
+			// Session 0 runs in mode and stores the procedures in it;
+			// session 1 stays compiled, and its writes take their form.
+			if err := ss[0].SetRuleStorage(mode); err != nil {
+				t.Fatal(err)
 			}
-			store(ss[0], mode)
 			consultExternal("kv(k0, v0). kv2(K, V) :- kv(K, V).")(t, ss[0])
-			store(ss[0], RuleStorageCompiled)
 			model := []fact{{"k0", "v0"}}
 			rng := rand.New(rand.NewSource(1))
 			// write draws one write, makes it in s and returns m with it
@@ -320,11 +316,8 @@ func TestResidentWritesMatchModel(t *testing.T) {
 				s := ss[who]
 				switch op := rng.Intn(10); {
 				case op < 2:
-					store(s, mode)
 					model, _ = write(s, model)
-					store(s, RuleStorageCompiled)
 				case op < 4: // a transaction of up to three writes
-					store(s, mode)
 					if err := s.Begin(); err != nil {
 						t.Fatal(err)
 					}
@@ -340,7 +333,6 @@ func TestResidentWritesMatchModel(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					store(s, RuleStorageCompiled)
 				default:
 					pred := []string{"kv", "kv2"}[rng.Intn(2)]
 					k := keys[rng.Intn(len(keys))]
@@ -739,5 +731,35 @@ func TestResidentQuerySourceMode(t *testing.T) {
 	}
 	if len(e.queries) != 0 {
 		t.Fatalf("source mode linked %v", e.queryOrder)
+	}
+}
+
+// TestAssertKeepsProcedureForm: a compiled-mode session asserting into a
+// source-form procedure stores the clause as source text, so it reads
+// back in both rule-storage modes; a code blob among the texts would not
+// parse.
+func TestAssertKeepsProcedureForm(t *testing.T) {
+	src := newSession(t, Options{})
+	if err := src.SetRuleStorage(RuleStorageSource); err != nil {
+		t.Fatal(err)
+	}
+	consultExternal("color(red). shade(X) :- color(X).")(t, src)
+	comp, err := src.KB().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comp.Close()
+	if _, err := comp.QueryAll("assert_external(color(blue))"); err != nil {
+		t.Fatal(err)
+	}
+	if p := src.KB().DB().Proc("color", 1); p == nil || p.Form != edb.FormSource {
+		t.Fatalf("color/1 is %+v, want source form", p)
+	}
+	for name, s := range map[string]*Session{"source": src, "compiled": comp} {
+		for _, q := range []string{"findall(X, color(X), L)", "findall(X, shade(X), L)"} {
+			if got := values(t, s, q, "L"); !reflect.DeepEqual(got, []string{"[red,blue]"}) {
+				t.Errorf("%s mode: %s gave %v, want [red,blue]", name, q, got)
+			}
+		}
 	}
 }

@@ -209,7 +209,7 @@ func openHeap(st *store.Store, name string) (*store.Heap, error) {
 // openBTree is openHeap for a B-tree.
 func openBTree(st *store.Store, name string) (*store.BTree, error) {
 	if anchor, ok := st.GetMeta(name); ok {
-		return store.OpenBTree(st.Pool(), store.PageID(anchor)), nil
+		return store.OpenBTree(st.Pool(), store.PageID(anchor))
 	}
 	t, err := store.CreateBTree(st.Pool())
 	if err != nil {

@@ -320,3 +320,35 @@ func TestExtDictIntern(t *testing.T) {
 		t.Fatalf("Len = %d", db.Ext().Len())
 	}
 }
+
+// TestRetractPagesIndependentOfSharedValue: deleting one of N clauses that
+// share an indexed argument value costs as many buffer accesses at N = 16k
+// as at N = 1k, give or take a deeper index: each of the clause's index
+// entries is found by one descent, not by walking the entries filed under
+// the shared value.
+func TestRetractPagesIndependentOfSharedValue(t *testing.T) {
+	cost := func(n int) uint64 {
+		db := memDB(t)
+		p, _ := db.CreateProc("schedule", 2, FormCode)
+		for i := 0; i < n; i++ {
+			keys := []ArgKey{AtomKey("bus"), IntKey(int64(i))}
+			if _, err := db.StoreClause(p, keys, []byte(fmt.Sprintf("code%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scs, err := db.Retrieve(p, []ArgKey{WildKey(), IntKey(int64(n - 1))})
+		if err != nil || len(scs) != 1 {
+			t.Fatalf("retrieve the last clause: %d clauses, %v", len(scs), err)
+		}
+		pool := db.st.Pool()
+		a0 := pool.Accesses()
+		if err := db.DeleteClause(p, scs[0]); err != nil {
+			t.Fatal(err)
+		}
+		return pool.Accesses() - a0
+	}
+	small, large := cost(1000), cost(16000)
+	if large > small+2 {
+		t.Fatalf("a retract made %d buffer accesses among 1k clauses sharing a value, %d among 16k", small, large)
+	}
+}

@@ -185,9 +185,15 @@ func (c *Catalog) decodeRelation(data []byte) (*Relation, error) {
 	r.count = int(ru())
 	ni := int(ru())
 	for i := 0; i < ni; i++ {
-		attr := int(ru())
-		anchor := store.PageID(ru())
-		r.indexes[attr] = store.OpenBTree(c.st.Pool(), anchor)
+		attr, anchor := int(ru()), store.PageID(ru())
+		if err != nil {
+			break
+		}
+		bt, berr := store.OpenBTree(c.st.Pool(), anchor)
+		if berr != nil {
+			return nil, fmt.Errorf("rel: %s: index on attribute %d: %w", r.Schema.Name, attr, berr)
+		}
+		r.indexes[attr] = bt
 	}
 	if err != nil {
 		return nil, fmt.Errorf("rel: corrupt catalog entry: %w", err)

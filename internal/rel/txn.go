@@ -1,6 +1,10 @@
 package rel
 
-import "repro/internal/store"
+import (
+	"maps"
+
+	"repro/internal/store"
+)
 
 // Transaction support: the pager rollback restores every page, and
 // Snapshot/Restore bring the catalog's in-memory caches (relation
@@ -12,7 +16,7 @@ import "repro/internal/store"
 type relSnap struct {
 	heapRoot store.PageID
 	count    int
-	indexes  map[int]store.PageID // attr -> B-tree anchor
+	indexes  map[int]*store.BTree
 }
 
 // CatSnapshot is the catalog state captured at transaction begin.
@@ -33,18 +37,15 @@ func (c *Catalog) Snapshot() *CatSnapshot {
 	for n, r := range c.rels {
 		s.rels[n] = r
 		s.rids[n] = c.rids[n]
-		idx := make(map[int]store.PageID, len(r.indexes))
-		for attr, bt := range r.indexes {
-			idx[attr] = bt.Anchor()
-		}
-		s.vals[r] = relSnap{heapRoot: r.heap.Root(), count: r.count, indexes: idx}
+		s.vals[r] = relSnap{heapRoot: r.heap.Root(), count: r.count, indexes: maps.Clone(r.indexes)}
 	}
 	return s
 }
 
 // Restore rolls the in-memory catalog back to the snapshot. Call it
-// after store.Rollback; every handle is reopened over the restored
-// pages.
+// after store.Rollback; every heap handle is reopened over the restored
+// pages, and every B-tree handle kept: it is only an anchor, which
+// outlives a rollback.
 func (c *Catalog) Restore(s *CatSnapshot) {
 	pool := c.st.Pool()
 	rels := make(map[string]*Relation, len(s.rels))
@@ -53,10 +54,7 @@ func (c *Catalog) Restore(s *CatSnapshot) {
 		v := s.vals[r]
 		r.heap = store.OpenHeap(pool, v.heapRoot)
 		r.count = v.count
-		r.indexes = make(map[int]*store.BTree, len(v.indexes))
-		for attr, anchor := range v.indexes {
-			r.indexes[attr] = store.OpenBTree(pool, anchor)
-		}
+		r.indexes = maps.Clone(v.indexes)
 		rels[n] = r
 		rids[n] = s.rids[n]
 	}

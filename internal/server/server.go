@@ -328,9 +328,10 @@ func (s *Server) handleConn(c net.Conn) {
 			tc.SetWriteBuffer(s.cfg.SockWriteBuffer)
 		}
 	}
-	if !s.writeLine(c, protoGreeting) {
-		return
-	}
+	// Replies collect in w; the loop sends each command's in one write.
+	w := bufio.NewWriter(deadlineConn{c, s.cfg.WriteTimeout})
+	defer w.Flush()
+	ok := writeLine(w, protoGreeting)
 
 	// pinned is the session held by this connection's open transaction,
 	// nil outside one. A connection that dies mid-transaction (EOF, read
@@ -347,6 +348,9 @@ func (s *Server) handleConn(c net.Conn) {
 	sc := bufio.NewScanner(c)
 	sc.Buffer(make([]byte, 0, 1024), maxLineBytes)
 	for {
+		if !ok || w.Flush() != nil {
+			return
+		}
 		// Deadline first, then the drain check: Shutdown closes draining
 		// before nudging read deadlines, so every interleaving either
 		// sees the closed channel here or scans with an already-expired
@@ -354,7 +358,7 @@ func (s *Server) handleConn(c net.Conn) {
 		c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		select {
 		case <-s.draining:
-			s.writeLine(c, protoDraining)
+			writeLine(w, protoDraining)
 			return
 		default:
 		}
@@ -367,7 +371,7 @@ func (s *Server) handleConn(c net.Conn) {
 			// rollback then releases its transaction.
 			select {
 			case <-s.draining:
-				s.writeLine(c, protoDraining)
+				writeLine(w, protoDraining)
 			default:
 			}
 			return
@@ -379,40 +383,24 @@ func (s *Server) handleConn(c net.Conn) {
 		cmd, rest, _ := strings.Cut(line, " ")
 		switch cmd {
 		case "ping":
-			if !s.writeLine(c, protoPong) {
-				return
-			}
+			ok = writeLine(w, protoPong)
 		case "quit":
-			s.writeLine(c, protoBye)
+			writeLine(w, protoBye)
 			return
 		case "q":
-			if !s.runQuery(c, strings.TrimSpace(rest), &pinned) {
-				return
-			}
+			ok = s.runQuery(w, strings.TrimSpace(rest), &pinned)
 		case "TXN", "txn":
-			if !s.cmdTxn(c, &pinned) {
-				return
-			}
+			ok = s.cmdTxn(w, &pinned)
 		case "COMMIT", "commit":
-			if !s.cmdCommit(c, &pinned) {
-				return
-			}
+			ok = s.cmdCommit(w, &pinned)
 		case "ROLLBACK", "rollback":
-			if !s.cmdRollback(c, &pinned) {
-				return
-			}
+			ok = s.cmdRollback(w, &pinned)
 		case "BACKUP", "backup":
-			if !s.cmdBackup(c, pinned, strings.TrimSpace(rest)) {
-				return
-			}
+			ok = s.cmdBackup(w, pinned, strings.TrimSpace(rest))
 		case "RW", "rw":
-			if !s.cmdClearReadOnly(c, pinned) {
-				return
-			}
+			ok = s.cmdClearReadOnly(w, pinned)
 		default:
-			if !s.writeLine(c, "err unknown command "+sanitizeLine(cmd)) {
-				return
-			}
+			ok = writeLine(w, "err unknown command "+sanitizeLine(cmd))
 		}
 	}
 }
@@ -422,34 +410,34 @@ func (s *Server) handleConn(c net.Conn) {
 // disconnect, which rolls back). The transaction holds the KB write
 // lock, so it serializes against every other session; the connection's
 // read deadline bounds how long an idle transaction can do that.
-func (s *Server) cmdTxn(c net.Conn, pinned **core.Session) bool {
+func (s *Server) cmdTxn(w *bufio.Writer, pinned **core.Session) bool {
 	if *pinned != nil {
-		return s.writeLine(c, "err nested_transaction")
+		return writeLine(w, "err nested_transaction")
 	}
 	if s.kb.Store().ReadOnly() {
-		return s.writeLine(c, protoReadOnly)
+		return writeLine(w, protoReadOnly)
 	}
 	sess, shed := s.acquire()
 	if sess == nil {
-		return s.writeLine(c, shed)
+		return writeLine(w, shed)
 	}
 	if err := sess.Begin(); err != nil {
 		s.releaseSession(sess)
 		if errors.Is(err, store.ErrReadOnly) {
-			return s.writeLine(c, protoReadOnly)
+			return writeLine(w, protoReadOnly)
 		}
-		return s.writeLine(c, "err "+sanitizeLine(err.Error()))
+		return writeLine(w, "err "+sanitizeLine(err.Error()))
 	}
 	*pinned = sess
-	return s.writeLine(c, protoTxn)
+	return writeLine(w, protoTxn)
 }
 
 // cmdCommit commits the connection's open transaction and returns the
 // session to the pool. A failed commit has already rolled back and
 // degraded the store to read-only; the reply reflects that.
-func (s *Server) cmdCommit(c net.Conn, pinned **core.Session) bool {
+func (s *Server) cmdCommit(w *bufio.Writer, pinned **core.Session) bool {
 	if *pinned == nil {
-		return s.writeLine(c, "err no_transaction")
+		return writeLine(w, "err no_transaction")
 	}
 	sess := *pinned
 	*pinned = nil
@@ -457,49 +445,50 @@ func (s *Server) cmdCommit(c net.Conn, pinned **core.Session) bool {
 	s.releaseSession(sess)
 	if err != nil {
 		if s.kb.Store().ReadOnly() {
-			return s.writeLine(c, protoReadOnly)
+			return writeLine(w, protoReadOnly)
 		}
-		return s.writeLine(c, "err "+sanitizeLine(err.Error()))
+		return writeLine(w, "err "+sanitizeLine(err.Error()))
 	}
-	return s.writeLine(c, protoCommit)
+	return writeLine(w, protoCommit)
 }
 
 // cmdRollback rolls back the connection's open transaction.
-func (s *Server) cmdRollback(c net.Conn, pinned **core.Session) bool {
+func (s *Server) cmdRollback(w *bufio.Writer, pinned **core.Session) bool {
 	if *pinned == nil {
-		return s.writeLine(c, "err no_transaction")
+		return writeLine(w, "err no_transaction")
 	}
 	sess := *pinned
 	*pinned = nil
 	err := sess.Rollback()
 	s.releaseSession(sess)
 	if err != nil {
-		return s.writeLine(c, "err "+sanitizeLine(err.Error()))
+		return writeLine(w, "err "+sanitizeLine(err.Error()))
 	}
-	return s.writeLine(c, protoRollback)
+	return writeLine(w, protoRollback)
 }
 
 // cmdBackup streams an online backup of the knowledge base to a file on
-// the server host, with progress lines while the copy runs. Refused
+// the server host, with progress lines while the copy runs, each flushed
+// as it is written. Refused
 // inside a transaction: the pinned session holds the KB write lock for
 // the transaction's whole lifetime and the backup's start/finish edges
 // need the read lock, so the connection would deadlock against itself.
 // A failed backup removes the partial file and leaves the primary (and
 // its read-write status) untouched.
-func (s *Server) cmdBackup(c net.Conn, pinned *core.Session, path string) bool {
+func (s *Server) cmdBackup(w *bufio.Writer, pinned *core.Session, path string) bool {
 	if pinned != nil {
-		return s.writeLine(c, "err backup_in_transaction")
+		return writeLine(w, "err backup_in_transaction")
 	}
 	if path == "" {
-		return s.writeLine(c, "err backup needs a file path")
+		return writeLine(w, "err backup needs a file path")
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return s.writeLine(c, "err backup "+sanitizeLine(err.Error()))
+		return writeLine(w, "err backup "+sanitizeLine(err.Error()))
 	}
 	wok := true
 	info, err := s.kb.BackupProgress(f, func(copied, total uint64) error {
-		if !s.writeLine(c, fmt.Sprintf("bk %d/%d", copied, total)) {
+		if _, err := fmt.Fprintf(w, "bk %d/%d\n", copied, total); err != nil || w.Flush() != nil {
 			wok = false
 			return errors.New("client went away")
 		}
@@ -514,9 +503,9 @@ func (s *Server) cmdBackup(c net.Conn, pinned *core.Session, path string) bool {
 		if !wok {
 			return false
 		}
-		return s.writeLine(c, "err backup "+sanitizeLine(err.Error()))
+		return writeLine(w, "err backup "+sanitizeLine(err.Error()))
 	}
-	return s.writeLine(c, fmt.Sprintf("ok backup pages=%d start_lsn=%d end_lsn=%d",
+	return writeLine(w, fmt.Sprintf("ok backup pages=%d start_lsn=%d end_lsn=%d",
 		info.Pages, info.StartLSN, info.EndLSN))
 }
 
@@ -524,14 +513,14 @@ func (s *Server) cmdBackup(c net.Conn, pinned *core.Session, path string) bool {
 // resolved the fault behind it (see store.ClearReadOnly); a no-op "ok
 // rw" when the store is already writable. Refused inside a transaction
 // for the same self-deadlock reason as BACKUP.
-func (s *Server) cmdClearReadOnly(c net.Conn, pinned *core.Session) bool {
+func (s *Server) cmdClearReadOnly(w *bufio.Writer, pinned *core.Session) bool {
 	if pinned != nil {
-		return s.writeLine(c, "err rw_in_transaction")
+		return writeLine(w, "err rw_in_transaction")
 	}
 	if err := s.kb.ClearReadOnly(); err != nil {
-		return s.writeLine(c, "err rw "+sanitizeLine(err.Error()))
+		return writeLine(w, "err rw "+sanitizeLine(err.Error()))
 	}
-	return s.writeLine(c, protoRW)
+	return writeLine(w, protoRW)
 }
 
 // releaseSession returns a session to the pool.
@@ -584,16 +573,16 @@ func (s *Server) acquire() (*core.Session, string) {
 // a goal that leaves a transaction open (begin/0) pins it to the
 // connection. It returns false when the connection is dead and must be
 // closed.
-func (s *Server) runQuery(c net.Conn, goal string, pinned **core.Session) bool {
+func (s *Server) runQuery(w *bufio.Writer, goal string, pinned **core.Session) bool {
 	if goal == "" {
-		return s.writeLine(c, "err empty goal")
+		return writeLine(w, "err empty goal")
 	}
 	sess := *pinned
 	if sess == nil {
 		var shed string
 		sess, shed = s.acquire()
 		if sess == nil {
-			return s.writeLine(c, shed)
+			return writeLine(w, shed)
 		}
 	}
 	s.gInflight.Add(1)
@@ -611,13 +600,12 @@ func (s *Server) runQuery(c net.Conn, goal string, pinned **core.Session) bool {
 	}
 	sess.SetQuota(quota)
 
-	n := 0
-	wok := true
+	n, wok := 0, true
 	sols, err := sess.Query(goal)
 	if err == nil {
 		for sols.Next() {
 			n++
-			if wok = s.writeLine(c, "sol "+renderSolution(sols)); !wok {
+			if wok = writeSolution(w, sols); !wok {
 				break
 			}
 		}
@@ -661,38 +649,50 @@ func (s *Server) runQuery(c net.Conn, goal string, pinned **core.Session) bool {
 		if wam.ResourceKind(err) != "" {
 			s.mQuotaKills.Inc()
 		}
-		return s.writeLine(c, "err "+sanitizeLine(err.Error()))
+		return writeLine(w, "err "+sanitizeLine(err.Error()))
 	}
-	return s.writeLine(c, fmt.Sprintf("end %d", n))
+	_, err = fmt.Fprintf(w, "end %d\n", n)
+	return err == nil
 }
 
-// renderSolution formats the current solution's bindings as one line.
-func renderSolution(sols *core.Solutions) string {
+// writeSolution appends the current solution's bindings as one sol line.
+func writeSolution(w *bufio.Writer, sols *core.Solutions) bool {
+	w.WriteString("sol ")
 	names := sols.Vars()
 	if len(names) == 0 {
-		return "true"
+		w.WriteString("true")
 	}
-	var b strings.Builder
 	for i, name := range names {
 		if i > 0 {
-			b.WriteString(", ")
+			w.WriteString(", ")
 		}
-		b.WriteString(name)
-		b.WriteString(" = ")
+		w.WriteString(name)
+		w.WriteString(" = ")
 		if t := sols.Binding(name); t != nil {
-			b.WriteString(t.String())
+			w.WriteString(sanitizeLine(t.String()))
 		} else {
-			b.WriteString("_")
+			w.WriteString("_")
 		}
 	}
-	return sanitizeLine(b.String())
+	return w.WriteByte('\n') == nil
 }
 
-// writeLine sends one reply line under the write deadline.
-func (s *Server) writeLine(c net.Conn, line string) bool {
-	c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	_, err := io.WriteString(c, line+"\n")
-	return err == nil
+// writeLine appends one reply line to the connection's buffer, reporting
+// false once a write to the connection has failed.
+func writeLine(w *bufio.Writer, line string) bool {
+	w.WriteString(line)
+	return w.WriteByte('\n') == nil
+}
+
+// deadlineConn arms the write deadline once per write: per reply flush.
+type deadlineConn struct {
+	net.Conn
+	timeout time.Duration
+}
+
+func (c deadlineConn) Write(p []byte) (int, error) {
+	c.SetWriteDeadline(time.Now().Add(c.timeout))
+	return c.Conn.Write(p)
 }
 
 // Shutdown drains the server: stop accepting, tell idle connections and

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -590,5 +591,78 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// countingListener counts the writes to every connection it accepts.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestOneWritePerReply: a command's reply leaves in one write — a query's
+// sol lines with its end line, or with its err line when it fails after
+// producing solutions, and TXN's and COMMIT's lines each.
+func TestOneWritePerReply(t *testing.T) {
+	kb := newTestKB(t)
+	srv, err := New(kb, Config{MaxSessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int64
+	go srv.Serve(countingListener{ln, &writes})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	rc := dialRaw(t, ln.Addr().String())
+	defer rc.close()
+	rc.expect(protoGreeting)
+	for _, tc := range []struct {
+		cmd   string
+		reply []string // the last line is matched as a prefix
+	}{
+		{"q f(X), X < 4", []string{"sol X = 1", "sol X = 2", "sol X = 3", "end 3"}},
+		{"q f(X), (X < 3 -> true ; throw(boom))", []string{"sol X = 1", "sol X = 2", "err "}},
+		{"TXN", []string{protoTxn}},
+		{"COMMIT", []string{protoCommit}},
+	} {
+		before := writes.Load()
+		rc.send(tc.cmd)
+		last := len(tc.reply) - 1
+		for _, want := range tc.reply[:last] {
+			rc.expect(want)
+		}
+		if got, err := rc.recv(); err != nil || !strings.HasPrefix(got, tc.reply[last]) {
+			t.Fatalf("%s: last line %q (%v), want %q...", tc.cmd, got, err, tc.reply[last])
+		}
+		if n := writes.Load() - before; n != 1 {
+			t.Errorf("%s: reply took %d writes, want 1", tc.cmd, n)
+		}
 	}
 }

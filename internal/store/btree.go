@@ -2,15 +2,22 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
-// BTree is a disk-backed B+tree mapping variable-length byte keys to
-// uint64 values (packed RIDs). Duplicate keys are allowed; (key, value)
-// pairs are unique only if the caller keeps them so. Deletion is lazy
-// (no rebalancing), which is adequate for the engine's index workloads.
+// BTree is a disk-backed B+tree holding a set of (key, value) pairs —
+// variable-length byte keys, uint64 values (packed RIDs) — in pair order:
+// by key, equal keys by value. Callers file a record under a key at most
+// once, so pairs are unique. Deletion is lazy (no rebalancing), which is
+// adequate for the engine's index workloads.
+//
+// A separator is the first pair of the subtree to its right. Every
+// operation descends past each separator at most its pair (Range with
+// (lo, 0)), so one root-to-leaf path reaches the only leaf that can hold
+// a pair, however many pairs share its key.
 //
 // A node is its page bytes. Every path reads entries in place through
 // one walker, node.entry, which reports an entry running past the page
@@ -20,7 +27,8 @@ import (
 // back and pushes the separator up the path the descent recorded.
 //
 // The tree is addressed by an anchor page holding the current root, so
-// root splits do not invalidate stored references to the tree.
+// root splits do not invalidate stored references to the tree, and the
+// format tag pairOrder.
 type BTree struct {
 	pool   *Pool
 	anchor PageID
@@ -33,19 +41,45 @@ const MaxKeyLen = PageSize / 8
 // can make one) is an error rather than an endless loop.
 const maxDepth = 32
 
+// pairOrder, at anchor bytes [4:8] after the root, tags a tree in pair
+// order. A tree written before, whose separators held keys alone, has no
+// tag.
+const pairOrder = 0x52494150 // "PAIR"
+
+// ErrOldBTree refuses a tree written before pair order.
+var ErrOldBTree = errors.New("store: B-tree predates (key, value) pair order (format change: " +
+	"internal separators now carry the value); rebuild the store by consulting the source again")
+
 // Node layout:
 //
 //	[0]    leaf flag
 //	[1:3]  entry count
 //	[3:7]  next leaf
 //	[7: ]  leaf:    (keyLen u16, key, val u64)*
-//	       internal: child0 u32, then (keyLen u16, key, child u32)*
+//	       internal: child0 u32, then (keyLen u16, key, val u64, child u32)*
 const nodeHdr = 7
 
 // node is a view of one node's page bytes.
 type node []byte
 
+// pair is one (key, value) entry of a tree.
+type pair struct {
+	key []byte
+	val uint64
+}
+
+// compare orders p against q: by key, then by value. It does not inline,
+// so the walkers on every descent compare in place instead.
+func (p pair) compare(q pair) int {
+	if c := bytes.Compare(p.key, q.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.val, q.val)
+}
+
 var errNodeOverrun = errors.New("entry runs past the page")
+
+var errPairPresent = errors.New("pair already present")
 
 func (n node) leaf() bool        { return n[0] == 1 }
 func (n node) count() int        { return int(binary.LittleEndian.Uint16(n[1:3])) }
@@ -53,6 +87,9 @@ func (n node) setCount(c int)    { binary.LittleEndian.PutUint16(n[1:3], uint16(
 func (n node) next() PageID      { return PageID(binary.LittleEndian.Uint32(n[3:7])) }
 func (n node) setNext(id PageID) { binary.LittleEndian.PutUint32(n[3:7], uint32(id)) }
 func (n node) child0() PageID    { return PageID(binary.LittleEndian.Uint32(n[nodeHdr:])) }
+
+// kid reads the child to the right of the internal entry ending at end.
+func (n node) kid(end int) PageID { return PageID(binary.LittleEndian.Uint32(n[end-4:])) }
 
 // first is the offset of entry 0.
 func (n node) first() int {
@@ -62,78 +99,64 @@ func (n node) first() int {
 	return nodeHdr + 4
 }
 
-// entry reads the entry at off: its key, aliasing the page, and the
-// offset just past it, where its value ends (node.val).
-func (n node) entry(off int) (key []byte, end int, err error) {
+// entry reads the entry at off: its pair, the key aliasing the page, and
+// the offset just past it, where an internal entry's child ends.
+func (n node) entry(off int) (p pair, end int, err error) {
 	if uint(off)+2 <= uint(len(n)) {
 		kv := off + 2 + int(binary.LittleEndian.Uint16(n[off:]))
-		if end = kv + 4; n.leaf() {
+		if end = kv + 8; !n.leaf() {
 			end += 4
 		}
 		if end <= len(n) {
-			return n[off+2 : kv], end, nil
+			return pair{n[off+2 : kv], binary.LittleEndian.Uint64(n[kv:])}, end, nil
 		}
 	}
-	return nil, 0, errNodeOverrun
+	return pair{}, 0, errNodeOverrun
 }
 
-// val reads the value of the entry ending at end: a leaf's u64, or in an
-// internal node the child to the key's right.
-func (n node) val(end int) uint64 {
+// put writes the entry p — in an internal node followed by kid — at off
+// and returns the offset past it.
+func (n node) put(off int, p pair, kid PageID) int {
+	binary.LittleEndian.PutUint16(n[off:], uint16(len(p.key)))
+	k := off + 2 + copy(n[off+2:], p.key)
+	binary.LittleEndian.PutUint64(n[k:], p.val)
 	if n.leaf() {
-		return binary.LittleEndian.Uint64(n[end-8:])
-	}
-	return uint64(binary.LittleEndian.Uint32(n[end-4:]))
-}
-
-// put writes the entry (key, v) at off and returns the offset past it.
-func (n node) put(off int, key []byte, v uint64) int {
-	binary.LittleEndian.PutUint16(n[off:], uint16(len(key)))
-	k := off + 2 + copy(n[off+2:], key)
-	if n.leaf() {
-		binary.LittleEndian.PutUint64(n[k:], v)
 		return k + 8
 	}
-	binary.LittleEndian.PutUint32(n[k:], uint32(v))
-	return k + 4
+	binary.LittleEndian.PutUint32(n[k+8:], uint32(kid))
+	return k + 12
 }
 
-// child returns the index and page of the child a descent for key takes:
-// past every separator at most key (upper, where an insert goes: after
-// the equal keys) or below it (where a search starts).
-func (n node) child(key []byte, upper bool) (int, PageID, error) {
-	i, off, last := 0, nodeHdr+4, 0
-	for cnt := n.count(); i < cnt; i++ {
-		k, end, err := n.entry(off)
+// child returns the child a descent for p takes: the one right of the
+// last separator at most p.
+func (n node) child(p pair) (PageID, error) {
+	kid := n.child0()
+	for i, off, cnt := 0, nodeHdr+4, n.count(); i < cnt; i++ {
+		e, end, err := n.entry(off)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		if cmp := bytes.Compare(k, key); cmp > 0 || cmp == 0 && !upper {
+		if c := bytes.Compare(e.key, p.key); c > 0 || c == 0 && e.val > p.val {
 			break
 		}
-		last, off = end, end
+		off, kid = end, n.kid(end)
 	}
-	if last == 0 {
-		return i, n.child0(), nil
-	}
-	return i, PageID(n.val(last)), nil
+	return kid, nil
 }
 
-// seek walks n once and returns the end of its entries and the offset of
-// entry pos — for pos < 0, of the first entry above key or, with match,
-// of the first entry (key, val) — or the end when there is none.
-func (n node) seek(pos int, key []byte, val uint64, match bool) (at, end int, err error) {
+// seek walks n once and returns the offset of its first pair at least p
+// (the end of its entries when there is none), the end of its entries,
+// and whether that pair is p.
+func (n node) seek(p pair) (at, end int, found bool, err error) {
 	at, end = -1, n.first()
 	for i, cnt := 0, n.count(); i < cnt; i++ {
-		k, next, err := n.entry(end)
+		e, next, err := n.entry(end)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, false, err
 		}
-		if at < 0 && i == pos {
-			at = end
-		} else if at < 0 && pos < 0 {
-			if c := bytes.Compare(k, key); c > 0 || match && c == 0 && n.val(next) == val {
-				at = end
+		if at < 0 {
+			if c := bytes.Compare(e.key, p.key); c > 0 || c == 0 && e.val >= p.val {
+				at, found = end, c == 0 && e.val == p.val
 			}
 		}
 		end = next
@@ -141,7 +164,7 @@ func (n node) seek(pos int, key []byte, val uint64, match bool) (at, end int, er
 	if at < 0 {
 		at = end
 	}
-	return at, end, nil
+	return at, end, found, nil
 }
 
 // CreateBTree allocates an empty tree and returns it.
@@ -159,14 +182,20 @@ func CreateBTree(pool *Pool) (*BTree, error) {
 		return nil, err
 	}
 	binary.LittleEndian.PutUint32(anchorFrame.Data[0:4], uint32(root))
+	binary.LittleEndian.PutUint32(anchorFrame.Data[4:8], pairOrder)
 	anchor := anchorFrame.ID()
 	pool.Unpin(anchorFrame, true)
 	return &BTree{pool: pool, anchor: anchor}, nil
 }
 
-// OpenBTree attaches to the tree anchored at anchor.
-func OpenBTree(pool *Pool, anchor PageID) *BTree {
-	return &BTree{pool: pool, anchor: anchor}
+// OpenBTree attaches to the tree anchored at anchor, refusing one
+// written before pair order.
+func OpenBTree(pool *Pool, anchor PageID) (*BTree, error) {
+	t := &BTree{pool: pool, anchor: anchor}
+	if _, err := t.rootID(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // Anchor returns the tree's stable anchor page.
@@ -177,8 +206,11 @@ func (t *BTree) rootID() (PageID, error) {
 	if err != nil {
 		return 0, err
 	}
-	id := PageID(binary.LittleEndian.Uint32(f.Data[0:4]))
+	id, tag := PageID(binary.LittleEndian.Uint32(f.Data[0:4])), binary.LittleEndian.Uint32(f.Data[4:8])
 	t.pool.Unpin(f, false)
+	if tag != pairOrder {
+		return 0, ErrOldBTree
+	}
 	return id, nil
 }
 
@@ -196,119 +228,117 @@ func (t *BTree) bad(id PageID, err error) error {
 	return fmt.Errorf("store: btree %d: node %d: %w", t.anchor, id, err)
 }
 
-// step is one internal node an insert passed and the child it took.
-type step struct {
-	id  PageID
-	idx int
-}
-
-// descend walks from the root to the leaf for key, choosing children by
-// node.child, and returns the leaf and its depth; path, when not nil,
-// records the internal nodes passed.
-func (t *BTree) descend(key []byte, upper bool, path *[maxDepth]step) (PageID, int, error) {
+// descend walks from the root to the leaf for p, choosing children by
+// node.child, and returns the leaf pinned in mode, with its depth; path,
+// when not nil, records the internal nodes passed. Every node is latched
+// in mode, so a writer gets its leaf ready to edit.
+func (t *BTree) descend(p pair, mode LatchMode, path *[maxDepth]PageID) (*Frame, int, error) {
 	id, err := t.rootID()
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
 	for depth := 0; ; depth++ {
-		f, err := t.pool.Get(id)
+		f, err := t.pool.Pin(id, mode)
 		if err != nil {
-			return 0, 0, err
+			return nil, 0, err
 		}
 		n := node(f.Data)
 		if n.leaf() {
-			t.pool.Unpin(f, false)
-			return id, depth, nil
+			return f, depth, nil
 		}
-		i, c, err := n.child(key, upper)
+		c, err := n.child(p)
 		t.pool.Unpin(f, false)
 		if err != nil {
-			return 0, 0, t.bad(id, err)
+			return nil, 0, t.bad(id, err)
 		}
 		if depth == maxDepth {
-			return 0, 0, fmt.Errorf("store: btree %d: deeper than %d levels", t.anchor, maxDepth)
+			return nil, 0, fmt.Errorf("store: btree %d: deeper than %d levels", t.anchor, maxDepth)
 		}
 		if path != nil {
-			path[depth] = step{id, i}
+			path[depth] = id
 		}
 		id = c
 	}
 }
 
-// Insert adds (key, val) after any equal keys.
+// Insert adds the pair (key, val). The pair must not be in the tree yet;
+// one already present is refused.
 func (t *BTree) Insert(key []byte, val uint64) error {
 	if len(key) > MaxKeyLen {
 		return fmt.Errorf("store: btree key of %d bytes exceeds limit %d", len(key), MaxKeyLen)
 	}
-	var path [maxDepth]step
-	id, depth, err := t.descend(key, true, &path)
+	var path [maxDepth]PageID
+	p, kid := pair{key, val}, invalidPage
+	f, depth, err := t.descend(p, LatchExclusive, &path)
 	if err != nil {
 		return err
 	}
 	// A split copies its separator into sep only after laying out the
-	// entry it was given, so k may alias sep on the way up.
+	// entry it was given, so p may alias sep on the way up.
 	var sep [MaxKeyLen]byte
-	pos, k, v := -1, key, val
 	for {
-		right, n, err := t.place(id, pos, k, v, &sep)
+		id := f.ID()
+		right, s, err := t.place(f, p, kid, &sep)
 		if err != nil || right == invalidPage {
 			return err
 		}
-		k, v = sep[:n], uint64(right)
 		if depth == 0 {
-			return t.newRoot(id, k, right)
+			return t.newRoot(id, s, right)
 		}
 		depth--
-		id, pos = path[depth].id, path[depth].idx
+		if f, err = t.pool.GetX(path[depth]); err != nil {
+			return err
+		}
+		p, kid = s, right
 	}
 }
 
-// place writes (key, v) into node id as entry pos (pos < 0: at a leaf's
-// upper bound for key). A full node splits; the new right sibling is
-// returned with the length of its separator, copied into sep.
-func (t *BTree) place(id PageID, pos int, key []byte, v uint64, sep *[MaxKeyLen]byte) (PageID, int, error) {
-	f, err := t.pool.GetX(id)
-	if err != nil {
-		return 0, 0, err
-	}
+// place writes p — in an internal node with kid, the child to its right
+// — into the exclusively pinned node f at its place in pair order, and
+// unpins f. A full node splits; the new right sibling is returned with
+// its separator, whose key is copied into sep.
+func (t *BTree) place(f *Frame, p pair, kid PageID, sep *[MaxKeyLen]byte) (PageID, pair, error) {
 	n := node(f.Data)
-	at, end, err := n.seek(pos, key, 0, false)
+	at, end, found, err := n.seek(p)
+	if err == nil && found {
+		err = errPairPresent
+	}
 	if err != nil {
 		t.pool.Unpin(f, false)
-		return 0, 0, t.bad(id, err)
+		return 0, pair{}, t.bad(f.ID(), err)
 	}
-	size := 2 + len(key) + 4
+	size := 2 + len(p.key) + 12
 	if n.leaf() {
-		size += 4
+		size -= 4
 	}
 	if end+size <= PageSize {
 		copy(n[at+size:], n[at:end])
-		n.put(at, key, v)
+		n.put(at, p, kid)
 		n.setCount(n.count() + 1)
 		t.pool.Unpin(f, true)
-		return invalidPage, 0, nil
+		return invalidPage, pair{}, nil
 	}
-	right, sl, err := t.split(n, at, end, key, v, sep)
+	right, s, err := t.split(n, at, end, p, kid, sep)
 	t.pool.Unpin(f, err == nil)
-	return right, sl, err
+	return right, s, err
 }
 
-// split makes room for (key, v) at offset at of the full node n, whose
+// split makes room for p (and kid) at offset at of the full node n, whose
 // entries end at end. It lays the n+1 entries out in a scratch buffer and
 // cuts them at entry count/2 — at the middle byte instead if keys of very
 // unequal length would overflow a half there — keeping the left half in n
-// and moving the right half to a new page. A leaf's separator is the
-// right half's first key; an internal node's middle key moves up and its
-// child becomes the right half's child0.
-func (t *BTree) split(n node, at, end int, key []byte, v uint64, sep *[MaxKeyLen]byte) (PageID, int, error) {
+// and moving the right half to a new page. The separator is the right
+// half's first pair: a leaf keeps it as its first entry; an internal node
+// moves it up and its child becomes the right half's child0.
+func (t *BTree) split(n node, at, end int, p pair, kid PageID, sep *[MaxKeyLen]byte) (PageID, pair, error) {
 	rf, err := t.pool.Alloc()
 	if err != nil {
-		return 0, 0, err
+		return 0, pair{}, err
 	}
-	var buf [PageSize + 2 + MaxKeyLen + 8]byte
+	var buf [PageSize + 2 + MaxKeyLen + 12]byte
 	s := node(buf[:])
 	copy(s, n[:at])
-	w := s.put(at, key, v)
+	w := s.put(at, p, kid)
 	w += copy(s[w:], n[at:end])
 
 	// seek has walked n's entries, so the scratch copy walks cleanly.
@@ -322,8 +352,8 @@ func (t *BTree) split(n node, at, end int, key []byte, v uint64, sep *[MaxKeyLen
 			_, off, _ = s.entry(off)
 		}
 	}
-	k, after, _ := s.entry(off)
-	sl := copy(sep[:], k)
+	m, after, _ := s.entry(off)
+	m.key = sep[:copy(sep[:], m.key)]
 
 	r := node(rf.Data)
 	if n.leaf() {
@@ -334,26 +364,26 @@ func (t *BTree) split(n node, at, end int, key []byte, v uint64, sep *[MaxKeyLen
 		n.setNext(rf.ID())
 	} else {
 		r.setCount(cnt - mid - 1)
-		binary.LittleEndian.PutUint32(r[nodeHdr:], uint32(s.val(after)))
+		binary.LittleEndian.PutUint32(r[nodeHdr:], uint32(s.kid(after)))
 		copy(r[nodeHdr+4:], s[after:w])
 	}
 	copy(n[first:], s[first:off])
 	n.setCount(mid)
 	id := rf.ID()
 	t.pool.Unpin(rf, true)
-	return id, sl, nil
+	return id, m, nil
 }
 
 // newRoot puts a root above the split root old: child0 old, one entry
 // (sep, right).
-func (t *BTree) newRoot(old PageID, sep []byte, right PageID) error {
+func (t *BTree) newRoot(old PageID, sep pair, right PageID) error {
 	f, err := t.pool.Alloc()
 	if err != nil {
 		return err
 	}
 	n := node(f.Data) // zeroed: an internal node
 	binary.LittleEndian.PutUint32(n[nodeHdr:], uint32(old))
-	n.put(nodeHdr+4, sep, uint64(right))
+	n.put(nodeHdr+4, sep, right)
 	n.setCount(1)
 	id := f.ID()
 	t.pool.Unpin(f, true)
@@ -365,69 +395,52 @@ func (t *BTree) newRoot(old PageID, sep []byte, right PageID) error {
 // returns false to stop. The key slice passed to fn is only valid during
 // the call.
 func (t *BTree) Range(lo, hi []byte, fn func(key []byte, val uint64) bool) error {
-	id, _, err := t.descend(lo, false, nil)
-	if err != nil {
-		return err
-	}
-	for id != invalidPage {
-		f, err := t.pool.Get(id)
-		if err != nil {
-			return err
-		}
+	f, _, err := t.descend(pair{lo, 0}, LatchShared, nil)
+	for err == nil {
 		n := node(f.Data)
 		for i, off := 0, nodeHdr; i < n.count(); i++ {
-			k, end, err := n.entry(off)
+			e, end, err := n.entry(off)
 			if err != nil {
 				t.pool.Unpin(f, false)
-				return t.bad(id, err)
+				return t.bad(f.ID(), err)
 			}
 			off = end
-			if lo != nil && bytes.Compare(k, lo) < 0 {
+			if lo != nil && bytes.Compare(e.key, lo) < 0 {
 				continue
 			}
-			if hi != nil && bytes.Compare(k, hi) > 0 || !fn(k, n.val(end)) {
+			if hi != nil && bytes.Compare(e.key, hi) > 0 || !fn(e.key, e.val) {
 				t.pool.Unpin(f, false)
 				return nil
 			}
 		}
-		id = n.next()
+		next := n.next()
 		t.pool.Unpin(f, false)
+		if next == invalidPage {
+			return nil
+		}
+		f, err = t.pool.Get(next)
 	}
-	return nil
+	return err
 }
 
-// Delete removes one (key, val) pair, reporting whether it was found.
-// Equal keys may span leaves, so the search follows the leaf chain from
-// the first leaf the key can be in.
+// Delete removes the pair (key, val), reporting whether it was present.
+// The leaf the descent reaches is the only one that can hold it.
 func (t *BTree) Delete(key []byte, val uint64) (bool, error) {
-	id, _, err := t.descend(key, false, nil)
+	f, _, err := t.descend(pair{key, val}, LatchExclusive, nil)
 	if err != nil {
 		return false, err
 	}
-	for id != invalidPage {
-		f, err := t.pool.GetX(id)
-		if err != nil {
-			return false, err
-		}
-		n := node(f.Data)
-		at, end, err := n.seek(-1, key, val, true)
-		if err != nil {
-			t.pool.Unpin(f, false)
-			return false, t.bad(id, err)
-		}
-		if at == end { // no key above key yet
-			id = n.next()
-			t.pool.Unpin(f, false)
-			continue
-		}
-		k, past, _ := n.entry(at)
-		found := bytes.Equal(k, key)
-		if found {
-			copy(n[at:], n[past:end])
-			n.setCount(n.count() - 1)
-		}
-		t.pool.Unpin(f, found)
-		return found, nil
+	n := node(f.Data)
+	at, end, found, err := n.seek(pair{key, val})
+	if err != nil {
+		t.pool.Unpin(f, false)
+		return false, t.bad(f.ID(), err)
 	}
-	return false, nil
+	if found {
+		_, past, _ := n.entry(at)
+		copy(n[at:], n[past:end])
+		n.setCount(n.count() - 1)
+	}
+	t.pool.Unpin(f, found)
+	return found, nil
 }

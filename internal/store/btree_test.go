@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -28,33 +29,45 @@ func (t *BTree) Len() (int, error) {
 	return count, err
 }
 
-// btModel is the sorted list of (key, value) pairs a tree must hold,
-// equal keys in insertion order.
-type btModel []btPair
-
-type btPair struct {
-	key []byte
-	val uint64
-}
-
-// insert places (key, val) after every equal key, as BTree.Insert does.
-func (m btModel) insert(key []byte, val uint64) btModel {
-	i := sort.Search(len(m), func(i int) bool { return bytes.Compare(m[i].key, key) > 0 })
-	m = append(m, btPair{})
-	copy(m[i+1:], m[i:])
-	m[i] = btPair{bytes.Clone(key), val}
-	return m
-}
-
-// delete removes one (key, val), reporting whether there was one.
-func (m btModel) delete(key []byte, val uint64) (btModel, bool) {
-	i := sort.Search(len(m), func(i int) bool { return bytes.Compare(m[i].key, key) >= 0 })
-	for ; i < len(m) && bytes.Equal(m[i].key, key); i++ {
-		if m[i].val == val {
-			return append(m[:i], m[i+1:]...), true
-		}
+// height counts the tree's levels, root to leaf.
+func (t *BTree) height() (int, error) {
+	f, depth, err := t.descend(pair{}, LatchShared, nil)
+	if err != nil {
+		return 0, err
 	}
-	return m, false
+	t.pool.Unpin(f, false)
+	return depth + 1, nil
+}
+
+// btModel is the set of pairs a tree must hold, in pair order.
+type btModel []pair
+
+// find returns where (key, val) is or would go, and whether it is there.
+func (m btModel) find(key []byte, val uint64) (int, bool) {
+	p := pair{key, val}
+	i := sort.Search(len(m), func(i int) bool { return m[i].compare(p) >= 0 })
+	return i, i < len(m) && m[i].compare(p) == 0
+}
+
+// insert adds (key, val) unless it is present, reporting whether it did.
+func (m btModel) insert(key []byte, val uint64) (btModel, bool) {
+	i, found := m.find(key, val)
+	if found {
+		return m, false
+	}
+	m = append(m, pair{})
+	copy(m[i+1:], m[i:])
+	m[i] = pair{bytes.Clone(key), val}
+	return m, true
+}
+
+// delete removes (key, val), reporting whether it was present.
+func (m btModel) delete(key []byte, val uint64) (btModel, bool) {
+	i, found := m.find(key, val)
+	if found {
+		m = append(m[:i], m[i+1:]...)
+	}
+	return m, found
 }
 
 // verifyModel requires the tree to pass Check and hold exactly the model,
@@ -66,7 +79,7 @@ func verifyModel(t *testing.T, bt *BTree, m btModel) {
 	}
 	var got btModel
 	if err := bt.Range(nil, nil, func(k []byte, v uint64) bool {
-		got = append(got, btPair{bytes.Clone(k), v})
+		got = append(got, pair{bytes.Clone(k), v})
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -81,9 +94,10 @@ func verifyModel(t *testing.T, bt *BTree, m btModel) {
 	}
 }
 
-// TestBTreeMatchesModel drives random inserts and deletes — duplicate
-// keys and pairs, key lengths from 1 to MaxKeyLen — into a tree at least
-// three levels deep, checking it against a sorted model after each batch.
+// TestBTreeMatchesModel drives random inserts and deletes — many pairs
+// per key, key lengths from 1 to MaxKeyLen — into a tree at least three
+// levels deep, checking it against a sorted model after each batch. An
+// insert of a pair already present must be refused.
 func TestBTreeMatchesModel(t *testing.T) {
 	s := memStore(t)
 	bt, err := CreateBTree(s.Pool())
@@ -105,15 +119,16 @@ func TestBTreeMatchesModel(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			if rng.Intn(10) < 7 || len(m) == 0 {
 				key, val := pool[rng.Intn(len(pool))], uint64(rng.Intn(3))
-				if err := bt.Insert(key, val); err != nil {
-					t.Fatal(err)
+				var added bool
+				m, added = m.insert(key, val)
+				if err := bt.Insert(key, val); added != (err == nil) || err != nil && !errors.Is(err, errPairPresent) {
+					t.Fatalf("Insert(%q, %d) = %v, model says new: %v", key, val, err, added)
 				}
-				m = m.insert(key, val)
 				continue
 			}
 			p := m[rng.Intn(len(m))]
 			if rng.Intn(4) == 0 { // often absent
-				p = btPair{pool[rng.Intn(len(pool))], uint64(rng.Intn(4))}
+				p = pair{pool[rng.Intn(len(pool))], uint64(rng.Intn(4))}
 			}
 			ok, err := bt.Delete(p.key, p.val)
 			if err != nil {
@@ -126,8 +141,8 @@ func TestBTreeMatchesModel(t *testing.T) {
 		}
 		verifyModel(t, bt, m)
 	}
-	if _, depth, err := bt.descend(nil, false, nil); err != nil || depth < 2 {
-		t.Fatalf("tree has %d levels (%v), want at least 3", depth+1, err)
+	if h, err := bt.height(); err != nil || h < 3 {
+		t.Fatalf("tree has %d levels (%v), want at least 3", h, err)
 	}
 }
 
@@ -146,7 +161,7 @@ func TestBTreeSplitsKeysOfUnequalLength(t *testing.T) {
 		if err := bt.Insert(key, val); err != nil {
 			t.Fatal(err)
 		}
-		m = m.insert(key, val)
+		m, _ = m.insert(key, val)
 	}
 	for i := 0; i < 39; i++ {
 		insert([]byte("b"), uint64(i))
@@ -157,6 +172,38 @@ func TestBTreeSplitsKeysOfUnequalLength(t *testing.T) {
 	}
 	insert(long(0), 0)
 	verifyModel(t, bt, m)
+}
+
+// TestBTreeDeleteDescends: deleting the last of 20k pairs under one key
+// reads the anchor and one root-to-leaf path, not the leaf chain through
+// the pairs that share its key.
+func TestBTreeDeleteDescends(t *testing.T) {
+	s := memStore(t)
+	bt, err := CreateBTree(s.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	key := []byte("bus")
+	for i := 0; i < n; i++ {
+		if err := bt.Insert(key, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := bt.height()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := s.Pool().Accesses()
+	if ok, err := bt.Delete(key, n-1); !ok || err != nil {
+		t.Fatalf("Delete = %v, %v", ok, err)
+	}
+	if got := s.Pool().Accesses() - acc; got > uint64(h+1) {
+		t.Fatalf("a delete touched %d pages; the tree is %d levels high, plus the anchor", got, h)
+	}
+	if got, err := bt.Len(); err != nil || got != n-1 {
+		t.Fatalf("Len = %d, %v", got, err)
+	}
 }
 
 // TestBTreeInPlaceWritesAllocateNothing: an insert and a delete that stay
@@ -247,8 +294,11 @@ func TestBTreeMalformedNodeIsAnError(t *testing.T) {
 		{"key length overflow", func(_, leaf node) { binary.LittleEndian.PutUint16(leaf[nodeHdr:], 0xFFFF) }, []byte{0}},
 		{"truncated internal node", func(root, _ node) {
 			// The last separator's key ends two bytes short of the page,
-			// so its child pointer runs past it.
-			at, _, _ := root.seek(root.count()-1, nil, 0, false)
+			// so its value and child run past it.
+			at := root.first()
+			for i := 1; i < root.count(); i++ {
+				_, at, _ = root.entry(at)
+			}
 			binary.LittleEndian.PutUint16(root[at:], uint16(PageSize-at-4))
 		}, []byte{0xFF}},
 	} {
@@ -296,7 +346,8 @@ func TestBTreeMalformedNodeIsAnError(t *testing.T) {
 }
 
 // FuzzBTreeOps decodes its input, four bytes an operation, into inserts
-// and deletes checked against the model, then checks the whole tree.
+// of pairs not yet present and deletes, checked against the model, then
+// checks the whole tree.
 func FuzzBTreeOps(f *testing.F) {
 	f.Add([]byte{0, 255, 'a', 0, 1, 255, 'a', 1, 2, 255, 'b', 0, 3, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0, 200, 7, 1}, 64))
@@ -320,10 +371,13 @@ func FuzzBTreeOps(f *testing.F) {
 			op, a, b, c := data[0], data[1], data[2], data[3]
 			if op%4 != 3 || len(m) == 0 {
 				key, val := bytes.Repeat([]byte{b % 8}, 1+int(a)*2), uint64(c%4)
+				var added bool
+				if m, added = m.insert(key, val); !added {
+					continue
+				}
 				if err := bt.Insert(key, val); err != nil {
 					t.Fatal(err)
 				}
-				m = m.insert(key, val)
 				continue
 			}
 			p := m[(int(a)<<8|int(b))%len(m)]

@@ -112,8 +112,9 @@ func (h *Heap) checkOverflow(pid PageID, slot int, head PageID, total int) error
 }
 
 // Check verifies the B+tree's invariants: every entry lies within its
-// page, keys are ordered and bounded by their parent separators, every
-// leaf sits at the same depth, and the leaf chain links the leaves in
+// page, pairs are strictly ordered and bounded by their parent
+// separators (at least the left one, below the right one), every leaf
+// sits at the same depth, and the leaf chain links the leaves in
 // left-to-right order.
 func (t *BTree) Check() error {
 	root, err := t.rootID()
@@ -138,7 +139,7 @@ type btCheck struct {
 	last, lastNext PageID
 }
 
-func (c *btCheck) visit(id PageID, lo, hi []byte, depth int) error {
+func (c *btCheck) visit(id PageID, lo, hi *pair, depth int) error {
 	f, err := c.t.pool.Get(id)
 	if err != nil {
 		return c.t.bad(id, err)
@@ -146,26 +147,26 @@ func (c *btCheck) visit(id PageID, lo, hi []byte, depth int) error {
 	// Walk a copy: the children below pin pages of their own.
 	n := node(bytes.Clone(f.Data))
 	c.t.pool.Unpin(f, false)
-	seps, kids := [][]byte{}, []PageID{n.child0()} // kids: an internal node's only
+	seps, kids := []pair{}, []PageID{n.child0()} // kids: an internal node's only
 	off := n.first()
 	for i := 0; i < n.count(); i++ {
-		k, end, err := n.entry(off)
+		p, end, err := n.entry(off)
 		if err != nil {
 			return c.t.bad(id, err)
 		}
 		off = end
 		switch {
-		case len(k) > MaxKeyLen:
-			return fmt.Errorf("store: btree %d: node %d: key %d of %d bytes", c.t.anchor, id, i, len(k))
-		case i > 0 && bytes.Compare(seps[len(seps)-1], k) > 0:
-			return fmt.Errorf("store: btree %d: node %d: keys out of order at %d", c.t.anchor, id, i)
-		case lo != nil && bytes.Compare(k, lo) < 0:
-			return fmt.Errorf("store: btree %d: node %d: key %d below parent separator", c.t.anchor, id, i)
-		case hi != nil && bytes.Compare(k, hi) > 0:
-			return fmt.Errorf("store: btree %d: node %d: key %d above parent separator", c.t.anchor, id, i)
+		case len(p.key) > MaxKeyLen:
+			return fmt.Errorf("store: btree %d: node %d: key %d of %d bytes", c.t.anchor, id, i, len(p.key))
+		case i > 0 && seps[i-1].compare(p) >= 0:
+			return fmt.Errorf("store: btree %d: node %d: pairs out of order at %d", c.t.anchor, id, i)
+		case lo != nil && p.compare(*lo) < 0:
+			return fmt.Errorf("store: btree %d: node %d: pair %d below parent separator", c.t.anchor, id, i)
+		case hi != nil && p.compare(*hi) >= 0:
+			return fmt.Errorf("store: btree %d: node %d: pair %d not below parent separator", c.t.anchor, id, i)
 		}
-		seps = append(seps, k)
-		kids = append(kids, PageID(n.val(end)))
+		seps = append(seps, p)
+		kids = append(kids, n.kid(end))
 	}
 	if n.leaf() {
 		switch {
@@ -186,10 +187,10 @@ func (c *btCheck) visit(id PageID, lo, hi []byte, depth int) error {
 		c.seen[child] = true
 		clo, chi := lo, hi
 		if i > 0 {
-			clo = seps[i-1]
+			clo = &seps[i-1]
 		}
 		if i < len(seps) {
-			chi = seps[i]
+			chi = &seps[i]
 		}
 		if err := c.visit(child, clo, chi, depth+1); err != nil {
 			return err

@@ -65,7 +65,10 @@ func TestPoolRecyclesEvictedBuffers(t *testing.T) {
 	}
 	defer pager.Close()
 	pool = NewPool(pager, 8)
-	h, bt = OpenHeap(pool, h.Root()), OpenBTree(pool, bt.Anchor())
+	h = OpenHeap(pool, h.Root())
+	if bt, err = OpenBTree(pool, bt.Anchor()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Collect values read through pages the pool is about to recycle,
 	// each with a clone to compare against once the buffers are reused.
@@ -212,13 +215,13 @@ func walkNode(t *testing.T, pool *Pool, id PageID) (keys [][]byte, kids []PageID
 		kids = append(kids, n.child0())
 	}
 	for i, off := 0, n.first(); i < n.count(); i++ {
-		k, end, err := n.entry(off)
+		p, end, err := n.entry(off)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys = append(keys, bytes.Clone(k))
+		keys = append(keys, bytes.Clone(p.key))
 		if !n.leaf() {
-			kids = append(kids, PageID(n.val(end)))
+			kids = append(kids, n.kid(end))
 		}
 		off = end
 	}

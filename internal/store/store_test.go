@@ -454,8 +454,11 @@ func TestBTreeDuplicates(t *testing.T) {
 		}
 	}
 	vals, _ := bt.SearchEQ([]byte("dup"))
-	if len(vals) != 50 {
-		t.Fatalf("duplicates: %d values", len(vals))
+	if len(vals) != 50 || !sort.SliceIsSorted(vals, func(i, j int) bool { return vals[i] < vals[j] }) {
+		t.Fatalf("duplicates: %d values, want 50 in value order: %v", len(vals), vals)
+	}
+	if err := bt.Insert([]byte("dup"), 7); err == nil {
+		t.Fatal("a pair already present was inserted again")
 	}
 	ok, err := bt.Delete([]byte("dup"), 25)
 	if err != nil || !ok {
@@ -542,7 +545,10 @@ func TestBTreePersistence(t *testing.T) {
 	s2, _ := Open(path, 64)
 	defer s2.Close()
 	anchor, _ := s2.GetMeta("bt")
-	bt2 := OpenBTree(s2.Pool(), PageID(anchor))
+	bt2, err := OpenBTree(s2.Pool(), PageID(anchor))
+	if err != nil {
+		t.Fatal(err)
+	}
 	vals, err := bt2.SearchEQ(intKey(1234))
 	if err != nil || len(vals) != 1 || vals[0] != 1234 {
 		t.Fatalf("reopened search: %v %v", vals, err)
