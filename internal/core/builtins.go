@@ -213,14 +213,7 @@ func (s *Session) relinkDyn(pi term.Indicator, dp *dynPred) error {
 	for _, unit := range dp.clauses {
 		main = append(main, unit[0])
 	}
-	if err := s.link(pi, main); err != nil {
-		return err
-	}
-	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
-	if p := s.m.Proc(fn); p != nil {
-		p.Dynamic = true
-	}
-	return nil
+	return s.link(pi, main)
 }
 
 func (s *Session) biRetract(m *wam.Machine, args []wam.Cell) (bool, error) {

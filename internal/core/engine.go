@@ -83,7 +83,8 @@ type Stats struct {
 // session it creates starts from (the last four fields). A session
 // changes its own copy only through its setters.
 type Options struct {
-	// StorePath is the page file backing the EDB; empty means in-memory.
+	// StorePath is the page file backing the EDB; empty means an
+	// in-memory store, which refuses WALArchiveDir.
 	StorePath string
 	// PoolPages is the buffer pool size (0 = store.DefaultPoolPages).
 	PoolPages int

@@ -285,7 +285,7 @@ func TestOpenRefusesIndexBeforePairOrder(t *testing.T) {
 	}
 
 	// An anchor of the old format: the root ID, then zeros.
-	st, err := store.Open(path, 64)
+	st, err := store.Open(store.OSFS{}, path, store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func OpenKB(opts Options) (*KnowledgeBase, error) {
 // OpenKBFS is OpenKB over an explicit filesystem, letting tests run a
 // full knowledge base on a deterministic fault-injecting store.
 func OpenKBFS(fsys store.FS, opts Options) (*KnowledgeBase, error) {
-	st, err := store.OpenOptionsFS(fsys, opts.StorePath, store.Options{
+	st, err := store.Open(fsys, opts.StorePath, store.Options{
 		PoolPages:       opts.PoolPages,
 		CheckpointBytes: opts.CheckpointBytes,
 		ArchiveDir:      opts.WALArchiveDir,
@@ -240,8 +240,8 @@ func (kb *KnowledgeBase) BackupProgress(w io.Writer, progress func(copied, total
 	return info, nil
 }
 
-// LSN reports the store's last committed log sequence number (0 for
-// in-memory stores): the point-in-time coordinate backups and restores
+// LSN reports the store's last committed log sequence number, in-memory
+// stores included: the point-in-time coordinate backups and restores
 // are addressed by.
 func (kb *KnowledgeBase) LSN() uint64 { return kb.st.LSN() }
 
@@ -259,8 +259,8 @@ func (kb *KnowledgeBase) ClearReadOnly() error {
 // Check verifies the knowledge base's on-disk integrity: every EDB
 // structure (procedure descriptors, clause heap, clause index) passes its
 // invariant verifier, every index entry resolves to its clause record,
-// and every stored clause's code blob is readable. On a file-backed store each
-// page visited has its checksum verified as a side effect. Check takes
+// and every stored clause's code blob is readable. Each page read from
+// the pager has its checksum verified as a side effect. Check takes
 // the read lock, so it can run against a live KB between queries.
 func (kb *KnowledgeBase) Check() error {
 	kb.mu.RLock()

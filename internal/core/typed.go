@@ -86,12 +86,6 @@ func (s *Session) DeclareTyped(name string, types []ArgType) {
 	s.typed[term.Indicator{Name: name, Arity: len(types)}] = types
 }
 
-// TypedSignature returns the declared signature, if any.
-func (s *Session) TypedSignature(name string, arity int) ([]ArgType, bool) {
-	ts, ok := s.typed[term.Indicator{Name: name, Arity: arity}]
-	return ts, ok
-}
-
 // typedDirective handles :- typed(p(atom, integer, ...)).
 func (s *Session) typedDirective(spec term.Term) error {
 	c, ok := spec.(*term.Compound)

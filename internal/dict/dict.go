@@ -246,9 +246,6 @@ func (t *Table) Len() int { return t.live }
 // Segments returns the number of chained segments.
 func (t *Table) Segments() int { return len(t.segs) }
 
-// SegmentSize returns the per-segment capacity.
-func (t *Table) SegmentSize() int { return t.segSize }
-
 // Stats reports cumulative probe/insert/lookup counters, associative-
 // address resolution hits/misses, and per-segment occupancy, for
 // benchmarks and tests.

@@ -11,9 +11,9 @@ import (
 // Check verifies the EDB's integrity: the heaps and the clause index pass
 // their storage-level invariant checks, every index entry belongs to a
 // procedure of the procedures table, and every procedure's entries pass
-// checkProc. On a file-backed store every page visited also has its
-// checksum verified by the pager, so a clean Check means the whole
-// knowledge base is readable and structurally sound.
+// checkProc. Every page the pool reads from the pager also has its
+// checksum verified, so a clean Check means the whole knowledge base is
+// readable and structurally sound.
 func (db *DB) Check() error {
 	if err := db.clauses.Check(); err != nil {
 		return fmt.Errorf("edb: clauses heap: %w", err)

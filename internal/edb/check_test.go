@@ -12,7 +12,7 @@ import (
 
 func buildCheckedDB(t *testing.T) (*DB, *ProcInfo) {
 	t.Helper()
-	st, err := store.Open("", 64)
+	st, err := store.Open(nil, "", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestOpenRefusesPreIndexStore(t *testing.T) {
 		"record beside blob":    {"edb.clauses", "edb.index", "edb.procs"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			st, err := store.Open("", 64)
+			st, err := store.Open(nil, "", store.Options{PoolPages: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 
 func memDB(t *testing.T) *DB {
 	t.Helper()
-	st, err := store.Open("", 256)
+	st, err := store.Open(nil, "", store.Options{PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestArityZeroProc(t *testing.T) {
 
 func TestPersistenceAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "edb.db")
-	st, err := store.Open(path, 256)
+	st, err := store.Open(store.OSFS{}, path, store.Options{PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := store.Open(path, 256)
+	st2, err := store.Open(store.OSFS{}, path, store.Options{PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ func LinkPredicate(m *wam.Machine, name string, arity int, clauses []compiler.Cl
 	m.AddBlock(blk)
 	proc := &wam.Proc{Fn: fn, Arity: arity, Block: blk, Transient: opts.Transient}
 	if old := m.Proc(fn); old != nil {
-		proc.Dynamic = old.Dynamic
 		proc.External = old.External
 	}
 	m.DefineProc(proc)

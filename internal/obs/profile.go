@@ -71,24 +71,6 @@ func NewProfileTable() *ProfileTable {
 	return &ProfileTable{preds: map[string]*PredCounters{}}
 }
 
-// Merge folds one predicate's counters into the table.
-func (t *ProfileTable) Merge(pred string, c *PredCounters) {
-	if t == nil || c == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.preds == nil {
-		t.preds = map[string]*PredCounters{}
-	}
-	p, ok := t.preds[pred]
-	if !ok {
-		p = &PredCounters{}
-		t.preds[pred] = p
-	}
-	p.Add(c)
-}
-
 // MergeAll folds a whole per-query profile into the table under one lock
 // acquisition.
 func (t *ProfileTable) MergeAll(profile map[string]*PredCounters) {

@@ -12,7 +12,7 @@ import (
 
 func memCatalog(t *testing.T) *Catalog {
 	t.Helper()
-	st, err := store.Open("", 256)
+	st, err := store.Open(nil, "", store.Options{PoolPages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestIndexJoin(t *testing.T) {
 
 func TestCatalogPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rel.db")
-	st, _ := store.Open(path, 256)
+	st, _ := store.Open(store.OSFS{}, path, store.Options{PoolPages: 256})
 	c, err := OpenCatalog(st)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestCatalogPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, _ := store.Open(path, 256)
+	st2, _ := store.Open(store.OSFS{}, path, store.Options{PoolPages: 256})
 	defer st2.Close()
 	c2, err := OpenCatalog(st2)
 	if err != nil {

@@ -229,15 +229,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Shutdown (returning
 // ErrServerClosed) or a non-temporary accept error.
 func (s *Server) Serve(ln net.Listener) error {

@@ -65,7 +65,6 @@ type BackupInfo struct {
 // suspended) until then. Methods must not be called concurrently;
 // store writes may proceed freely in other goroutines throughout.
 type Backup struct {
-	s        *Store
 	p        *filePager
 	w        io.Writer
 	crc      uint32
@@ -85,18 +84,14 @@ var ErrBackupActive = errors.New("store: online backup already in progress")
 // (the knowledge base takes its read lock for this instant); the copy
 // loop then runs with writers proceeding concurrently.
 func (s *Store) StartBackup(w io.Writer) (*Backup, error) {
-	p, ok := s.pager.(*filePager)
-	if !ok {
-		return nil, fmt.Errorf("store: pager %T does not support online backup (file-backed stores only)", s.pager)
-	}
 	if err := s.pool.FlushAll(); err != nil {
 		return nil, err
 	}
-	startLSN, pages, err := p.beginBackup()
+	startLSN, pages, err := s.pager.beginBackup()
 	if err != nil {
 		return nil, err
 	}
-	b := &Backup{s: s, p: p, w: w, startLSN: startLSN, pages: pages}
+	b := &Backup{p: s.pager, w: w, startLSN: startLSN, pages: pages}
 	var hdr [20]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], backupMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], backupVersion)
@@ -203,12 +198,7 @@ func (s *Store) Backup(w io.Writer) (BackupInfo, error) {
 // LSN reports the LSN of the last durable commit. At a quiescent
 // commit boundary it identifies exactly the transaction-consistent
 // state a backup or restore at this LSN reproduces.
-func (s *Store) LSN() uint64 {
-	if p, ok := s.pager.(*filePager); ok {
-		return p.commitLSNNow()
-	}
-	return 0
-}
+func (s *Store) LSN() uint64 { return s.pager.commitLSNNow() }
 
 // ClearReadOnly is the operator path out of read-only degradation
 // (a failed transaction commit flips the store read-only; see Commit).
@@ -220,10 +210,8 @@ func (s *Store) ClearReadOnly() error {
 	if !s.readOnly.Load() {
 		return nil
 	}
-	if p, ok := s.pager.(*filePager); ok {
-		if err := p.clearDiverged(); err != nil {
-			return err
-		}
+	if err := s.pager.clearDiverged(); err != nil {
+		return err
 	}
 	s.readOnly.Store(false)
 	return nil

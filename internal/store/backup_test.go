@@ -38,7 +38,7 @@ type bkState struct {
 // bkOpen opens the primary with archiving on and a low checkpoint
 // threshold, so the run cuts several archive segments.
 func bkOpen(fsys store.FS) (*store.Store, error) {
-	return store.OpenOptionsFS(fsys, "kb", store.Options{
+	return store.Open(fsys, "kb", store.Options{
 		PoolPages:       32,
 		CheckpointBytes: 24 << 10,
 		ArchiveDir:      "arch",
@@ -143,7 +143,7 @@ func bkScenario(fsys store.FS) (states []bkState, stream *bytes.Buffer, info sto
 // every page must read back checksum-clean.
 func verifyRestored(t *testing.T, fsys store.FS, path string, wantBatches int, label string) {
 	t.Helper()
-	st, err := store.OpenFS(fsys, path, 64)
+	st, err := store.Open(fsys, path, store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatalf("%s: reopen restored store: %v", label, err)
 	}
@@ -467,7 +467,7 @@ func TestRestoreRejectsCorruptStream(t *testing.T) {
 func TestCheckpointBytesCutsSegments(t *testing.T) {
 	run := func(checkpointBytes int64) int {
 		fsys := simfs.New(nil)
-		st, err := store.OpenOptionsFS(fsys, "kb", store.Options{
+		st, err := store.Open(fsys, "kb", store.Options{
 			PoolPages:       32,
 			CheckpointBytes: checkpointBytes,
 			ArchiveDir:      "arch",
@@ -508,7 +508,7 @@ func TestCheckpointBytesCutsSegments(t *testing.T) {
 // fails loudly instead of producing a silently incomplete state.
 func TestArchiveBudgetPrunesOldest(t *testing.T) {
 	fsys := simfs.New(nil)
-	st, err := store.OpenOptionsFS(fsys, "kb", store.Options{
+	st, err := store.Open(fsys, "kb", store.Options{
 		PoolPages:       32,
 		CheckpointBytes: 8 << 10,
 		ArchiveDir:      "arch",
@@ -663,7 +663,7 @@ func TestClearReadOnlyRecommits(t *testing.T) {
 			if err := store.RestoreFS(fsys, "r-clear", bytes.NewReader(buf.Bytes()), "arch", info.EndLSN); err != nil {
 				t.Fatalf("restore after clear: %v", err)
 			}
-			rst, err := store.OpenFS(fsys, "r-clear", 64)
+			rst, err := store.Open(fsys, "r-clear", store.Options{PoolPages: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,9 +32,6 @@ type IOStats struct {
 	LatchWaitNS uint64
 }
 
-// HitRatio returns Hits/Accesses (the paper's buffer warmth measure).
-func (s IOStats) HitRatio() float64 { return obs.Ratio(s.Hits, s.Accesses) }
-
 // poolMetrics bundles the registry handles the pool updates. All handles
 // are resolved once at pool construction; updates are lock-free atomics.
 type poolMetrics struct {

@@ -10,8 +10,8 @@ import (
 // and verifies every invariant its operations rely on — offsets in
 // range, keys ordered, chains acyclic — reporting
 // the first violation as an error. Reads go through the buffer pool, so
-// on a file-backed store every visited page also has its checksum
-// verified by the pager. The crash-injection harness runs these after
+// every visited page the pool misses also has its checksum verified by
+// the pager. The crash-injection harness runs these after
 // every simulated crash and recovery; the educe CLI exposes them as
 // `educe -check`.
 

@@ -59,11 +59,10 @@ func crashKeys(n int) []edb.ArgKey {
 // low checkpoint threshold forces mid-run checkpoints, putting crash
 // points inside both the commit and the checkpoint paths.
 func runCrashWorkload(fsys store.FS) error {
-	st, err := store.OpenFS(fsys, "kb", 32)
+	st, err := store.Open(fsys, "kb", store.Options{PoolPages: 32, CheckpointBytes: 96 << 10})
 	if err != nil {
 		return err
 	}
-	store.SetCheckpointLimit(st.Pool().Pager(), 96<<10)
 	db, err := edb.Open(st)
 	if err != nil {
 		return err
@@ -96,7 +95,7 @@ func runCrashWorkload(fsys store.FS) error {
 // with intact payloads.
 func verifyRecovered(t *testing.T, fsys store.FS, label string) {
 	t.Helper()
-	st, err := store.OpenFS(fsys, "kb", 64)
+	st, err := store.Open(fsys, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}
@@ -204,7 +203,7 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 	for k := 0; ; k++ {
 		ctl := simfs.NewCtl(k)
 		again := crashed.Clone(ctl)
-		st, err := store.OpenFS(again, "kb", 64)
+		st, err := store.Open(again, "kb", store.Options{PoolPages: 64})
 		if err == nil {
 			st.Close()
 			if k == 0 {
@@ -240,7 +239,7 @@ func TestChecksumDetectsByteFlips(t *testing.T) {
 			img[pos] ^= 0x40
 			fs2 := simfs.New(nil)
 			fs2.SetImage("kb", img)
-			st, err := store.OpenFS(fs2, "kb", 64)
+			st, err := store.Open(fs2, "kb", store.Options{PoolPages: 64})
 			if err != nil {
 				t.Fatalf("frame %d off %d: reopen: %v", frame, off, err)
 			}
@@ -262,7 +261,7 @@ func TestCheckCatchesSeededCorruption(t *testing.T) {
 	if err := runCrashWorkload(fsys); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.OpenFS(fsys, "kb", 64)
+	st, err := store.Open(fsys, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

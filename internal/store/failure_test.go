@@ -83,7 +83,7 @@ func (p *flakyPager) Close() error {
 func runUntilFailure(t *testing.T, build func(pool *Pool) error) {
 	t.Helper()
 	for budget := 0; budget < 10000; budget++ {
-		fp := &flakyPager{inner: NewMemPager(), remaining: budget}
+		fp := &flakyPager{inner: inMemoryPager(t), remaining: budget}
 		pool := NewPool(fp, 16)
 		err := build(pool)
 		if err == nil {
@@ -154,7 +154,7 @@ func TestBTreeSurvivesInjectedFailures(t *testing.T) {
 // and once the pager heals the same operations must succeed with no
 // data loss.
 func TestEvictionWriteBackFailure(t *testing.T) {
-	inner := NewMemPager()
+	inner := inMemoryPager(t)
 	fp := &flakyPager{inner: inner, remaining: 1 << 30}
 	pool := NewPool(fp, 8)
 
@@ -316,10 +316,10 @@ func ckptPattern(id PageID, gen byte) []byte {
 	return buf
 }
 
-func checkpointWorkload(t *testing.T, ctl *flakyFileCtl) (Pager, *flakyFS, int, error) {
+func checkpointWorkload(t *testing.T, ctl *flakyFileCtl) (*filePager, *flakyFS, int, error) {
 	t.Helper()
 	fsys := &flakyFS{ctl: ctl, files: map[string]*flakyFile{}}
-	pg, err := OpenFilePagerFS(fsys, "kb")
+	pg, err := openFilePager(fsys, "kb", Options{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -335,7 +335,7 @@ func checkpointWorkload(t *testing.T, ctl *flakyFileCtl) (Pager, *flakyFS, int, 
 	if err := pg.Sync(); err != nil { // plain commit, no checkpoint yet
 		t.Fatalf("base commit: %v", err)
 	}
-	pg.(*filePager).setCheckpointLimit(1)
+	pg.checkpointBytes = 1
 	if err := pg.WritePage(1, ckptPattern(1, 1)); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
@@ -385,10 +385,9 @@ func TestCheckpointFaultKeepsPagerConsistent(t *testing.T) {
 			if !errors.Is(err, inject) {
 				t.Fatalf("%s: Sync = %v, want injected fault", label, err)
 			}
-			p := pg.(*filePager)
 			// The tail must still hold an image for every page it held
 			// before the fault — a failed checkpoint may not discard them.
-			if _, ok := p.tail[1]; !ok {
+			if _, ok := pg.tail[1]; !ok {
 				t.Fatalf("%s: failed checkpoint cleared the tail", label)
 			}
 			verifyCkptContent(t, pg, label+" (after fault)")
@@ -404,7 +403,7 @@ func TestCheckpointFaultKeepsPagerConsistent(t *testing.T) {
 			if err := pg.Close(); err != nil {
 				t.Fatalf("%s: close: %v", label, err)
 			}
-			pg2, err := OpenFilePagerFS(fsys, "kb")
+			pg2, err := openFilePager(fsys, "kb", Options{})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", label, err)
 			}
@@ -420,7 +419,7 @@ func TestReadErrorsPropagate(t *testing.T) {
 	// Build a valid structure, then make every further pager op fail:
 	// reads must error, not panic. A large pool holds everything in
 	// memory, so force misses with a tiny pool.
-	inner := NewMemPager()
+	inner := inMemoryPager(t)
 	pool := NewPool(inner, 16)
 	h, err := CreateHeap(pool)
 	if err != nil {

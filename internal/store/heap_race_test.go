@@ -45,7 +45,7 @@ func checkOverflowRecord(data []byte, size int) error {
 // Every yielded record must be internally consistent — a scanner must
 // never follow a chain the writer has already freed.
 func TestHeapScanOverflowVsChurn(t *testing.T) {
-	pool := NewPool(NewMemPager(), 16)
+	pool := NewPool(inMemoryPager(t), 16)
 	h, err := CreateHeap(pool)
 	if err != nil {
 		t.Fatal(err)

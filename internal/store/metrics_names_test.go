@@ -22,7 +22,7 @@ func TestStoreMetricsSchemaGolden(t *testing.T) {
 	// A file-backed store registers the WAL and checksum metrics too;
 	// 512 pool pages is the default config and yields 16 shards.
 	dir := t.TempDir()
-	st, err := Open(filepath.Join(dir, "kb.pages"), 512)
+	st, err := Open(OSFS{}, filepath.Join(dir, "kb.pages"), Options{PoolPages: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestStoreMetricsSchemaGolden(t *testing.T) {
 // the shards gauge reporting the shard count.
 func TestPerShardMetricsCount(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := NewPoolObs(NewMemPager(), 64, reg)
+	p := NewPoolObs(inMemoryPager(t), 64, reg)
 	snap := reg.Snapshot()
 	if got := snap["buffer_pool.shards"].(int64); got != int64(p.Shards()) {
 		t.Errorf("buffer_pool.shards = %d, pool has %d", got, p.Shards())

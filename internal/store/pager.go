@@ -8,10 +8,11 @@
 // All I/O is counted through the buffer pool, which is how the benchmark
 // harness reproduces the paper's I/O-frequency table (Table 2b).
 //
-// File-backed stores are crash-safe: every page carries a CRC32C trailer
-// verified on read, updates go through a write-ahead log (wal.go) with
-// group commit, and opening a file replays the log, discarding any torn
-// tail, before the header is trusted.
+// Every store, in-memory included, runs the one crash-safe pager: every
+// page carries a CRC32C trailer verified on read, updates go through a
+// write-ahead log (wal.go) with group commit, and opening a file replays
+// the log, discarding any torn tail, before the header is trusted. An
+// in-memory store is that pager over a pair of in-memory files (vfs.go).
 package store
 
 import (
@@ -42,9 +43,6 @@ type RID struct {
 	Slot uint16
 }
 
-// Nil reports whether the RID is the zero value.
-func (r RID) Nil() bool { return r.Page == invalidPage && r.Slot == 0 }
-
 func (r RID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 
 // Pack encodes the RID into a uint64.
@@ -53,7 +51,9 @@ func (r RID) Pack() uint64 { return uint64(r.Page)<<16 | uint64(r.Slot) }
 // UnpackRID decodes a packed RID.
 func UnpackRID(v uint64) RID { return RID{Page: PageID(v >> 16), Slot: uint16(v & 0xffff)} }
 
-// Pager reads and writes fixed-size pages.
+// Pager reads and writes fixed-size pages. It is the buffer pool's view
+// of the store's one pager, the crash-safe filePager; fault-injection
+// tests wrap it.
 type Pager interface {
 	// ReadPage fills buf (PageSize bytes) with page id.
 	ReadPage(id PageID, buf []byte) error
@@ -66,9 +66,8 @@ type Pager interface {
 	// NumPages reports the number of pages ever allocated (including
 	// header and freed pages).
 	NumPages() PageID
-	// Sync flushes to stable storage. For the file pager this is the
-	// commit point: everything written since the previous Sync becomes
-	// durable atomically.
+	// Sync is the commit point: everything written since the previous
+	// Sync becomes durable atomically.
 	Sync() error
 	Close() error
 }
@@ -156,91 +155,9 @@ type filePager struct {
 	discardedRecs  uint64 // uncommitted/torn log records dropped at open
 }
 
-// memPager keeps pages in memory; used for tests and for purely in-memory
-// engines. It still goes through the buffer pool so I/O counting works.
-type memPager struct {
-	mu       sync.Mutex
-	pages    [][]byte
-	freeHead PageID
-	meta     map[string]uint64
-	// txn, when non-nil, is the undo record of the open transaction
-	// (txn.go): mutations of pre-existing pages save pre-images first.
-	txn *memTxn
-}
-
-// NewMemPager returns an in-memory pager.
-func NewMemPager() Pager {
-	p := &memPager{meta: map[string]uint64{}}
-	p.pages = append(p.pages, make([]byte, PageSize)) // header placeholder
-	return p
-}
-
-func (p *memPager) ReadPage(id PageID, buf []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if int(id) >= len(p.pages) {
-		return fmt.Errorf("store: read of unallocated page %d", id)
-	}
-	copy(buf, p.pages[id])
-	return nil
-}
-
-func (p *memPager) WritePage(id PageID, buf []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if int(id) >= len(p.pages) {
-		return fmt.Errorf("store: write of unallocated page %d", id)
-	}
-	p.saveUndo(id)
-	copy(p.pages[id], buf)
-	return nil
-}
-
-func (p *memPager) Allocate() (PageID, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.freeHead != invalidPage {
-		id := p.freeHead
-		p.freeHead = PageID(binary.LittleEndian.Uint32(p.pages[id][:4]))
-		p.saveUndo(id)
-		for i := range p.pages[id] {
-			p.pages[id][i] = 0
-		}
-		return id, nil
-	}
-	p.pages = append(p.pages, make([]byte, PageSize))
-	return PageID(len(p.pages) - 1), nil
-}
-
-func (p *memPager) Free(id PageID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if int(id) >= len(p.pages) || id == 0 {
-		return fmt.Errorf("store: free of invalid page %d", id)
-	}
-	p.saveUndo(id)
-	binary.LittleEndian.PutUint32(p.pages[id][:4], uint32(p.freeHead))
-	p.freeHead = id
-	return nil
-}
-
-func (p *memPager) NumPages() PageID { return PageID(len(p.pages)) }
-func (p *memPager) Sync() error      { return nil }
-func (p *memPager) Close() error     { return nil }
-
-// OpenFilePager opens (or creates) a page file at path, replaying the
-// write-ahead log at path+WALSuffix if a previous run crashed.
-func OpenFilePager(path string) (Pager, error) {
-	return OpenFilePagerFS(OSFS{}, path)
-}
-
-// OpenFilePagerFS is OpenFilePager over an explicit filesystem, so tests
-// can inject deterministic in-memory files and crash points.
-func OpenFilePagerFS(fsys FS, path string) (Pager, error) {
-	return openFilePagerFS(fsys, path, Options{})
-}
-
-func openFilePagerFS(fsys FS, path string, opts Options) (Pager, error) {
+// openFilePager opens (or creates) the page file path on fsys, replaying
+// the write-ahead log at path+WALSuffix if a previous run crashed.
+func openFilePager(fsys FS, path string, opts Options) (*filePager, error) {
 	f, err := fsys.OpenFile(path)
 	if err != nil {
 		return nil, err
@@ -574,7 +491,7 @@ func (p *filePager) Sync() error {
 // has grown past its limit — including a checkpoint left over from an
 // earlier fault, which retries here even when nothing new is pending.
 // While a transaction is open, commit is a no-op: durability waits for
-// CommitTxn.
+// commitTxn.
 func (p *filePager) commit() error {
 	if p.txn != nil {
 		return nil
@@ -703,22 +620,6 @@ func (p *filePager) Close() error {
 	return err
 }
 
-// setCheckpointLimit lowers the log-size threshold that triggers a
-// checkpoint (tests exercise checkpoint crossings with small limits).
-func (p *filePager) setCheckpointLimit(bytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.checkpointBytes = bytes
-}
-
-// SetCheckpointLimit configures the WAL-size checkpoint threshold on
-// pagers that have one (the file pager); other pagers ignore it.
-func SetCheckpointLimit(pg Pager, bytes int64) {
-	if p, ok := pg.(*filePager); ok {
-		p.setCheckpointLimit(bytes)
-	}
-}
-
 // attachObs exposes the pager's durability counters in the knowledge
 // base's metrics registry. The pager exists before the registry (the
 // store creates the registry after opening the pager, and recovery has
@@ -764,30 +665,6 @@ func (p *filePager) commitLSNNow() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.wal.commitLSN
-}
-
-// obsAttacher is implemented by pagers that contribute metrics to the
-// store's registry.
-type obsAttacher interface{ attachObs(reg *obs.Registry) }
-
-// metaTable gives Store access to the pager's name->root map.
-type metaTable interface {
-	metaGet(name string) (uint64, bool)
-	metaSet(name string, v uint64) error
-}
-
-func (p *memPager) metaGet(name string) (uint64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	v, ok := p.meta[name]
-	return v, ok
-}
-
-func (p *memPager) metaSet(name string, v uint64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.meta[name] = v
-	return nil
 }
 
 func (p *filePager) metaGet(name string) (uint64, bool) {

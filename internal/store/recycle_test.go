@@ -19,7 +19,7 @@ import (
 
 func TestPoolRecyclesEvictedBuffers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "recycle.db")
-	pager, err := OpenFilePager(path)
+	pager, err := openFilePager(OSFS{}, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPoolRecyclesEvictedBuffers(t *testing.T) {
 	if err := pager.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if pager, err = OpenFilePager(path); err != nil {
+	if pager, err = openFilePager(OSFS{}, path, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer pager.Close()

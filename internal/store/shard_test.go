@@ -14,15 +14,15 @@ import (
 
 func TestShardCountScaling(t *testing.T) {
 	cases := []struct{ capacity, shards int }{
-		{8, 1},   // minimum pool: single shard, identical to unsharded
-		{15, 1},  // below 2x min per-shard capacity: still one shard
+		{8, 1},  // minimum pool: single shard, identical to unsharded
+		{15, 1}, // below 2x min per-shard capacity: still one shard
 		{16, 2},
 		{64, 8},
 		{512, 16}, // default pool: capped at maxPoolShards
 		{4096, 16},
 	}
 	for _, c := range cases {
-		p := NewPool(NewMemPager(), c.capacity)
+		p := NewPool(inMemoryPager(t), c.capacity)
 		if got := p.Shards(); got != c.shards {
 			t.Errorf("capacity %d: %d shards, want %d", c.capacity, got, c.shards)
 		}
@@ -32,7 +32,7 @@ func TestShardCountScaling(t *testing.T) {
 func TestShardCapacityCoversPool(t *testing.T) {
 	// Per-shard capacities must sum to at least the requested capacity.
 	for _, capacity := range []int{8, 16, 100, 512} {
-		p := NewPool(NewMemPager(), capacity)
+		p := NewPool(inMemoryPager(t), capacity)
 		total := 0
 		for _, sh := range p.shards {
 			total += sh.capacity
@@ -48,7 +48,7 @@ func TestShardCapacityCoversPool(t *testing.T) {
 // page version atomic: a reader may see any version, but never a page
 // whose bytes disagree with each other.
 func TestNoTornReads(t *testing.T) {
-	pool := NewPool(NewMemPager(), 64)
+	pool := NewPool(inMemoryPager(t), 64)
 	const nPages = 8
 	var ids []PageID
 	for i := 0; i < nPages; i++ {
@@ -117,7 +117,7 @@ func TestNoTornReads(t *testing.T) {
 // and must never deadlock against a writer holding a latch while
 // allocating.
 func TestFlushAllDuringWrites(t *testing.T) {
-	pager := NewMemPager()
+	pager := inMemoryPager(t)
 	pool := NewPool(pager, 32)
 	var ids []PageID
 	for i := 0; i < 16; i++ {
@@ -178,7 +178,7 @@ func TestFlushAllDuringWrites(t *testing.T) {
 }
 
 func TestDirtyUnpinRequiresExclusive(t *testing.T) {
-	pool := NewPool(NewMemPager(), 8)
+	pool := NewPool(inMemoryPager(t), 8)
 	f, err := pool.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestDirtyUnpinRequiresExclusive(t *testing.T) {
 // runtime's unrecoverable unlock-of-unlocked-RWMutex throw (the pin
 // count is checked under the shard mutex before the latch is touched).
 func TestUnpinWithoutPinPanics(t *testing.T) {
-	pool := NewPool(NewMemPager(), 8)
+	pool := NewPool(inMemoryPager(t), 8)
 	f, err := pool.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestUnpinWithoutPinPanics(t *testing.T) {
 }
 
 func TestMarkDirtyRequiresExclusive(t *testing.T) {
-	pool := NewPool(NewMemPager(), 8)
+	pool := NewPool(inMemoryPager(t), 8)
 	f, err := pool.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestMarkDirtyRequiresExclusive(t *testing.T) {
 // holding their pins, and only then unpin. With an exclusive-only latch
 // this deadlocks; the test would time out rather than pass.
 func TestConcurrentReadersSamePage(t *testing.T) {
-	pool := NewPool(NewMemPager(), 8)
+	pool := NewPool(inMemoryPager(t), 8)
 	f, err := pool.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestConcurrentReadersSamePage(t *testing.T) {
 // nested windows of one tally count once, a ResetStats inside a window
 // does not underflow, and a window costs no allocation.
 func TestTallyWindows(t *testing.T) {
-	pool := NewPool(NewMemPager(), 8)
+	pool := NewPool(inMemoryPager(t), 8)
 	f, err := pool.Alloc()
 	if err != nil {
 		t.Fatal(err)

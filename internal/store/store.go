@@ -8,14 +8,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Store bundles a pager and a buffer pool and exposes a small name->root
+// Store bundles the pager and a buffer pool and exposes a small name->root
 // metadata table used by higher layers (the EDB catalog) to find their
 // structures again after reopening a file. It also owns the metrics
 // registry shared by every layer of the knowledge base built on top of
 // it (the store is the bottom of the stack, so the registry is created
 // here and exposed upward via Obs).
 type Store struct {
-	pager Pager
+	pager *filePager
 	pool  *Pool
 	reg   *obs.Registry
 	// readOnly flips on when a transaction commit fails against the
@@ -56,51 +56,28 @@ type Options struct {
 	ArchiveBudget int64
 }
 
-// Open opens (or creates) a store. An empty path yields an in-memory
-// store. poolPages <= 0 selects DefaultPoolPages.
-func Open(path string, poolPages int) (*Store, error) {
-	return OpenFS(OSFS{}, path, poolPages)
-}
-
-// OpenFS is Open over an explicit filesystem, letting tests inject
-// deterministic in-memory files and crash points under a real store.
-func OpenFS(fsys FS, path string, poolPages int) (*Store, error) {
-	return OpenOptionsFS(fsys, path, Options{PoolPages: poolPages})
-}
-
-// OpenOptions opens (or creates) a store with explicit options.
-func OpenOptions(path string, opts Options) (*Store, error) {
-	return OpenOptionsFS(OSFS{}, path, opts)
-}
-
-// OpenOptionsFS is OpenOptions over an explicit filesystem.
-func OpenOptionsFS(fsys FS, path string, opts Options) (*Store, error) {
+// Open opens (or creates) the store at path on fsys. An empty path
+// opens an in-memory store instead, and fsys is not used: the same
+// crash-safe pager runs over a fresh pair of in-memory files, so it has
+// transactions, an LSN and online backup like any other store. It has no
+// directory to archive its log into, so it refuses opts.ArchiveDir.
+func Open(fsys FS, path string, opts Options) (*Store, error) {
+	if path == "" {
+		if opts.ArchiveDir != "" {
+			return nil, fmt.Errorf("store: ArchiveDir %q needs a store path: an in-memory store cannot archive its WAL", opts.ArchiveDir)
+		}
+		fsys, path = memFS{}, "mem"
+	}
+	pager, err := openFilePager(fsys, path, opts)
+	if err != nil {
+		return nil, err
+	}
 	poolPages := opts.PoolPages
 	if poolPages <= 0 {
 		poolPages = DefaultPoolPages
 	}
-	var pager Pager
-	var err error
-	if path == "" {
-		pager = NewMemPager()
-	} else {
-		pager, err = openFilePagerFS(fsys, path, opts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return NewStore(pager, poolPages), nil
-}
-
-// NewStore builds a store over an already-open pager.
-func NewStore(pager Pager, poolPages int) *Store {
-	if poolPages <= 0 {
-		poolPages = DefaultPoolPages
-	}
 	reg := obs.NewRegistry()
-	if oa, ok := pager.(obsAttacher); ok {
-		oa.attachObs(reg)
-	}
+	pager.attachObs(reg)
 	s := &Store{pager: pager, pool: NewPoolObs(pager, poolPages, reg), reg: reg}
 	reg.RegisterFunc("store.read_only", func() any {
 		if s.readOnly.Load() {
@@ -108,7 +85,7 @@ func NewStore(pager Pager, poolPages int) *Store {
 		}
 		return uint64(0)
 	})
-	return s
+	return s, nil
 }
 
 // Pool returns the buffer pool.
@@ -126,22 +103,10 @@ func (s *Store) ResetStats() { s.pool.ResetStats() }
 
 // SetMeta records a named root value (page or packed RID) in the store
 // header so it survives reopening.
-func (s *Store) SetMeta(name string, v uint64) error {
-	mt, ok := s.pager.(metaTable)
-	if !ok {
-		return fmt.Errorf("store: pager has no metadata table")
-	}
-	return mt.metaSet(name, v)
-}
+func (s *Store) SetMeta(name string, v uint64) error { return s.pager.metaSet(name, v) }
 
 // GetMeta fetches a named root value.
-func (s *Store) GetMeta(name string) (uint64, bool) {
-	mt, ok := s.pager.(metaTable)
-	if !ok {
-		return 0, false
-	}
-	return mt.metaGet(name)
-}
+func (s *Store) GetMeta(name string) (uint64, bool) { return s.pager.metaGet(name) }
 
 // Flush writes all dirty pages to the pager.
 func (s *Store) Flush() error { return s.pool.FlushAll() }
@@ -149,15 +114,6 @@ func (s *Store) Flush() error { return s.pool.FlushAll() }
 // ReadOnly reports whether the store has degraded to read-only mode
 // after a failed transaction commit.
 func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
-
-// txnPager returns the pager's transaction interface.
-func (s *Store) txnPager() (TxnPager, error) {
-	tp, ok := s.pager.(TxnPager)
-	if !ok {
-		return nil, fmt.Errorf("store: pager %T does not support transactions", s.pager)
-	}
-	return tp, nil
-}
 
 // Begin opens a transaction: every page written until Commit stays
 // buffered in memory, invisible to the files, and Rollback restores the
@@ -168,17 +124,13 @@ func (s *Store) Begin() error {
 	if s.readOnly.Load() {
 		return ErrReadOnly
 	}
-	tp, err := s.txnPager()
-	if err != nil {
-		return err
-	}
 	// Flush first so the pager's snapshot point contains everything the
 	// pool was holding: from here on, dirty frames belong to the
 	// transaction and are discarded wholesale on rollback.
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}
-	return tp.BeginTxn()
+	return s.pager.beginTxn()
 }
 
 // Commit makes the open transaction durable. On failure the
@@ -187,27 +139,23 @@ func (s *Store) Begin() error {
 // pre-transaction state, writes return ErrReadOnly until the store is
 // reopened against a healthy disk.
 func (s *Store) Commit() error {
-	tp, err := s.txnPager()
-	if err != nil {
-		return err
-	}
-	if !tp.InTxn() {
+	if !s.pager.inTxn() {
 		return ErrNoTxn
 	}
 	if err := s.pool.FlushAll(); err != nil {
 		// Write-back into the pager failed before the commit point; the
 		// pager still holds a consistent transaction to undo.
-		if rerr := tp.RollbackTxn(); rerr == nil {
+		if rerr := s.pager.rollbackTxn(); rerr == nil {
 			s.pool.Invalidate()
 		}
 		s.readOnly.Store(true)
 		return err
 	}
-	if err := tp.CommitTxn(); err != nil {
+	if err := s.pager.commitTxn(); err != nil {
 		if errors.Is(err, ErrNoTxn) {
 			return err // caller error, not a disk fault
 		}
-		// CommitTxn rolled the pager back itself; drop every cached
+		// commitTxn rolled the pager back itself; drop every cached
 		// frame so no rolled-back bytes survive in the pool.
 		s.pool.Invalidate()
 		s.readOnly.Store(true)
@@ -220,11 +168,7 @@ func (s *Store) Commit() error {
 // pre-transaction state and the buffer pool drops every frame (clean or
 // dirty — either may hold transaction bytes).
 func (s *Store) Rollback() error {
-	tp, err := s.txnPager()
-	if err != nil {
-		return err
-	}
-	if err := tp.RollbackTxn(); err != nil {
+	if err := s.pager.rollbackTxn(); err != nil {
 		return err
 	}
 	s.pool.Invalidate()
@@ -232,13 +176,7 @@ func (s *Store) Rollback() error {
 }
 
 // InTxn reports whether a transaction is open.
-func (s *Store) InTxn() bool {
-	tp, err := s.txnPager()
-	if err != nil {
-		return false
-	}
-	return tp.InTxn()
-}
+func (s *Store) InTxn() bool { return s.pager.inTxn() }
 
 // Close flushes and closes the underlying file.
 func (s *Store) Close() error {

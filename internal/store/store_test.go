@@ -13,65 +13,68 @@ import (
 
 func memStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open("", 64)
+	s, err := Open(nil, "", Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-func TestPagerAllocateFreeReuse(t *testing.T) {
-	for _, mode := range []string{"mem", "file"} {
-		t.Run(mode, func(t *testing.T) {
-			var p Pager
-			var err error
-			if mode == "mem" {
-				p = NewMemPager()
-			} else {
-				p, err = OpenFilePager(filepath.Join(t.TempDir(), "t.db"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer p.Close()
-			}
-			a, _ := p.Allocate()
-			b, _ := p.Allocate()
-			if a == b || a == 0 || b == 0 {
-				t.Fatalf("bad allocation: %d %d", a, b)
-			}
-			buf := make([]byte, PageSize)
-			buf[0] = 0xAB
-			if err := p.WritePage(a, buf); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, PageSize)
-			if err := p.ReadPage(a, got); err != nil {
-				t.Fatal(err)
-			}
-			if got[0] != 0xAB {
-				t.Fatal("page content lost")
-			}
-			if err := p.Free(a); err != nil {
-				t.Fatal(err)
-			}
-			c, _ := p.Allocate()
-			if c != a {
-				t.Fatalf("freed page not reused: got %d want %d", c, a)
-			}
-			// A reused page must come back zeroed.
-			if err := p.ReadPage(c, got); err != nil {
-				t.Fatal(err)
-			}
-			if got[0] != 0 {
-				t.Fatal("reused page not zeroed")
-			}
-		})
+// inMemoryPager opens the store's one pager over a fresh pair of
+// in-memory files, for tests that drive a pager or a pool directly.
+func inMemoryPager(t *testing.T) *filePager {
+	t.Helper()
+	p, err := openFilePager(memFS{}, "mem", Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
+}
+
+func TestPagerAllocateFreeReuse(t *testing.T) {
+	t.Run("file", func(t *testing.T) {
+		p, err := openFilePager(OSFS{}, filepath.Join(t.TempDir(), "t.db"), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		a, _ := p.Allocate()
+		b, _ := p.Allocate()
+		if a == b || a == 0 || b == 0 {
+			t.Fatalf("bad allocation: %d %d", a, b)
+		}
+		buf := make([]byte, PageSize)
+		buf[0] = 0xAB
+		if err := p.WritePage(a, buf); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, PageSize)
+		if err := p.ReadPage(a, got); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 0xAB {
+			t.Fatal("page content lost")
+		}
+		if err := p.Free(a); err != nil {
+			t.Fatal(err)
+		}
+		c, _ := p.Allocate()
+		if c != a {
+			t.Fatalf("freed page not reused: got %d want %d", c, a)
+		}
+		// A reused page must come back zeroed.
+		if err := p.ReadPage(c, got); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != 0 {
+			t.Fatal("reused page not zeroed")
+		}
+	})
 }
 
 func TestFilePagerPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.db")
-	p, err := OpenFilePager(path)
+	p, err := openFilePager(OSFS{}, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +84,19 @@ func TestFilePagerPersistence(t *testing.T) {
 	if err := p.WritePage(id, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.(metaTable).metaSet("root", uint64(id)); err != nil {
+	if err := p.metaSet("root", uint64(id)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	p2, err := OpenFilePager(path)
+	p2, err := openFilePager(OSFS{}, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	v, ok := p2.(metaTable).metaGet("root")
+	v, ok := p2.metaGet("root")
 	if !ok || PageID(v) != id {
 		t.Fatalf("meta lost: %d %v", v, ok)
 	}
@@ -127,7 +130,7 @@ func TestBufferPoolCountsIO(t *testing.T) {
 }
 
 func TestBufferPoolEviction(t *testing.T) {
-	s, err := Open("", 8)
+	s, err := Open(nil, "", Options{PoolPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestBufferPoolEviction(t *testing.T) {
 }
 
 func TestBufferPoolAllPinned(t *testing.T) {
-	s, err := Open("", 8)
+	s, err := Open(nil, "", Options{PoolPages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +536,7 @@ func TestBTreeProperty(t *testing.T) {
 
 func TestBTreePersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bt.db")
-	s, _ := Open(path, 64)
+	s, _ := Open(OSFS{}, path, Options{PoolPages: 64})
 	bt, _ := CreateBTree(s.Pool())
 	for i := 0; i < 2000; i++ {
 		bt.Insert(intKey(i), uint64(i))
@@ -542,7 +545,7 @@ func TestBTreePersistence(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := Open(path, 64)
+	s2, _ := Open(OSFS{}, path, Options{PoolPages: 64})
 	defer s2.Close()
 	anchor, _ := s2.GetMeta("bt")
 	bt2, err := OpenBTree(s2.Pool(), PageID(anchor))

@@ -3,7 +3,7 @@ package store
 // Transactions. The pager's normal regime makes every Sync a commit
 // point; a transaction suspends that — Sync becomes a no-op, page
 // images keep accumulating in memory (the WAL buffer and the tail map),
-// and nothing touches either file until CommitTxn appends the single
+// and nothing touches either file until commitTxn appends the single
 // commit marker. Rollback therefore needs no disk I/O at all: it
 // discards the WAL buffer, restores the header fields and the
 // pre-transaction tail images, and the files never knew the transaction
@@ -12,7 +12,7 @@ package store
 //
 // The one hard case is a commit that fails halfway: a failed fsync
 // happens after the marker has left the buffer, so the marker may or
-// may not be durable. CommitTxn rolls the in-memory state back and
+// may not be durable. commitTxn rolls the in-memory state back and
 // truncates the log to its pre-transaction length so recovery cannot
 // resurrect the aborted transaction; if even the truncate fails, the
 // store above flips read-only, which keeps the divergence from
@@ -29,27 +29,16 @@ var (
 	ErrNoTxn = errors.New("store: no transaction open")
 )
 
-// TxnPager is implemented by pagers that can group writes into an
-// atomic, rollback-able unit. Between BeginTxn and CommitTxn, Sync is a
-// no-op: nothing becomes durable until the commit, and RollbackTxn
-// restores the pager exactly to its BeginTxn state.
-type TxnPager interface {
-	BeginTxn() error
-	CommitTxn() error
-	RollbackTxn() error
-	InTxn() bool
-}
-
 // pagerTxn is the filePager's undo record: the header fields at
-// BeginTxn plus, for every page stashed during the transaction, its
+// beginTxn plus, for every page stashed during the transaction, its
 // pre-transaction tail image.
 type pagerTxn struct {
 	numPages PageID
 	freeHead PageID
 	meta     map[string]uint64
 	hdrDirty bool
-	preOff   int64  // wal.off at BeginTxn, for post-failure truncation
-	preLSN   uint64 // wal.lsn at BeginTxn; rollback reuses the discarded LSNs
+	preOff   int64  // wal.off at beginTxn, for post-failure truncation
+	preLSN   uint64 // wal.lsn at beginTxn; rollback reuses the discarded LSNs
 	// preTail maps each page first stashed during the transaction to the
 	// tail image it had before (nil: the page was not in the tail, so
 	// rollback deletes it).
@@ -67,7 +56,7 @@ type divergence struct {
 	lsn uint64
 }
 
-func (p *filePager) BeginTxn() error {
+func (p *filePager) beginTxn() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.txn != nil {
@@ -96,7 +85,7 @@ func (p *filePager) BeginTxn() error {
 	return nil
 }
 
-func (p *filePager) CommitTxn() error {
+func (p *filePager) commitTxn() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.txn == nil {
@@ -146,7 +135,7 @@ func (p *filePager) CommitTxn() error {
 	return nil
 }
 
-func (p *filePager) RollbackTxn() error {
+func (p *filePager) rollbackTxn() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.txn == nil {
@@ -159,7 +148,7 @@ func (p *filePager) RollbackTxn() error {
 // rollbackLocked restores the pre-transaction pager state (mu held,
 // p.txn non-nil). No file I/O happens while a transaction is open, so
 // dropping the WAL buffer and restoring the in-memory images is the
-// whole undo; only the commit-failure path in CommitTxn touches the log
+// whole undo; only the commit-failure path in commitTxn touches the log
 // file afterwards.
 func (p *filePager) rollbackLocked() {
 	txn := p.txn
@@ -183,7 +172,7 @@ func (p *filePager) rollbackLocked() {
 	p.wal.lsn = txn.preLSN
 }
 
-func (p *filePager) InTxn() bool {
+func (p *filePager) inTxn() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.txn != nil
@@ -223,78 +212,4 @@ func (p *filePager) clearDiverged() error {
 		return err
 	}
 	return p.checkpointLocked()
-}
-
-// memTxn is the memPager's undo record: the page-array length and
-// header fields at BeginTxn plus pre-images of the pre-existing pages
-// written during the transaction.
-type memTxn struct {
-	nPages   int
-	freeHead PageID
-	meta     map[string]uint64
-	pre      map[PageID][]byte
-}
-
-// saveUndo records page id's pre-image, once, if it predates the
-// transaction (pages allocated inside the transaction are undone by
-// truncating the page array).
-func (p *memPager) saveUndo(id PageID) {
-	if p.txn == nil || int(id) >= p.txn.nPages {
-		return
-	}
-	if _, seen := p.txn.pre[id]; !seen {
-		p.txn.pre[id] = append([]byte(nil), p.pages[id]...)
-	}
-}
-
-func (p *memPager) BeginTxn() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.txn != nil {
-		return ErrTxnOpen
-	}
-	meta := make(map[string]uint64, len(p.meta))
-	for k, v := range p.meta {
-		meta[k] = v
-	}
-	p.txn = &memTxn{
-		nPages:   len(p.pages),
-		freeHead: p.freeHead,
-		meta:     meta,
-		pre:      map[PageID][]byte{},
-	}
-	return nil
-}
-
-func (p *memPager) CommitTxn() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.txn == nil {
-		return ErrNoTxn
-	}
-	p.txn = nil // memory is the only store; nothing can fail
-	return nil
-}
-
-func (p *memPager) RollbackTxn() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.txn == nil {
-		return ErrNoTxn
-	}
-	txn := p.txn
-	p.txn = nil
-	for id, img := range txn.pre {
-		copy(p.pages[id], img)
-	}
-	p.pages = p.pages[:txn.nPages]
-	p.freeHead = txn.freeHead
-	p.meta = txn.meta
-	return nil
-}
-
-func (p *memPager) InTxn() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.txn != nil
 }

@@ -160,61 +160,53 @@ func verifyTxnState(t *testing.T, st *store.Store, label string) {
 }
 
 // TestTxnRollbackRestoresStore proves Begin → mutate → Rollback is a
-// perfect undo for both pagers: heap content, meta table, allocations
-// and the buffer pool all return to the pre-transaction state, and the
-// same transaction retried with Commit then sticks.
+// perfect undo: heap content, meta table, allocations and the buffer
+// pool all return to the pre-transaction state, and the same
+// transaction retried with Commit then sticks.
 func TestTxnRollbackRestoresStore(t *testing.T) {
-	for _, backend := range []string{"mem", "file"} {
-		t.Run(backend, func(t *testing.T) {
-			var st *store.Store
-			var err error
-			if backend == "mem" {
-				st, err = store.Open("", 64)
-			} else {
-				st, err = store.OpenFS(simfs.New(nil), "kb", 64)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			root, rids := buildTxnBase(t, st)
-			nPages := st.Pool().Pager().NumPages()
+	t.Run("file", func(t *testing.T) {
+		st, err := store.Open(simfs.New(nil), "kb", store.Options{PoolPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		root, rids := buildTxnBase(t, st)
+		nPages := st.Pool().Pager().NumPages()
 
-			if err := st.Begin(); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Begin(); !errors.Is(err, store.ErrTxnOpen) {
-				t.Fatalf("nested Begin: %v, want ErrTxnOpen", err)
-			}
-			mutateInTxn(t, st, root, rids)
-			if err := st.Rollback(); err != nil {
-				t.Fatal(err)
-			}
-			if got := st.Pool().Pager().NumPages(); got != nPages {
-				t.Fatalf("rollback left %d pages, want %d", got, nPages)
-			}
-			verifyBaseState(t, st, "after rollback")
-			if err := st.Rollback(); !errors.Is(err, store.ErrNoTxn) {
-				t.Fatalf("stray Rollback: %v, want ErrNoTxn", err)
-			}
-			if err := st.Commit(); !errors.Is(err, store.ErrNoTxn) {
-				t.Fatalf("stray Commit: %v, want ErrNoTxn", err)
-			}
-			if st.ReadOnly() {
-				t.Fatal("stray Commit must not degrade the store")
-			}
+		if err := st.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Begin(); !errors.Is(err, store.ErrTxnOpen) {
+			t.Fatalf("nested Begin: %v, want ErrTxnOpen", err)
+		}
+		mutateInTxn(t, st, root, rids)
+		if err := st.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Pool().Pager().NumPages(); got != nPages {
+			t.Fatalf("rollback left %d pages, want %d", got, nPages)
+		}
+		verifyBaseState(t, st, "after rollback")
+		if err := st.Rollback(); !errors.Is(err, store.ErrNoTxn) {
+			t.Fatalf("stray Rollback: %v, want ErrNoTxn", err)
+		}
+		if err := st.Commit(); !errors.Is(err, store.ErrNoTxn) {
+			t.Fatalf("stray Commit: %v, want ErrNoTxn", err)
+		}
+		if st.ReadOnly() {
+			t.Fatal("stray Commit must not degrade the store")
+		}
 
-			// The same transaction, committed, sticks.
-			if err := st.Begin(); err != nil {
-				t.Fatal(err)
-			}
-			mutateInTxn(t, st, root, rids)
-			if err := st.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			verifyTxnState(t, st, "after commit")
-		})
-	}
+		// The same transaction, committed, sticks.
+		if err := st.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		mutateInTxn(t, st, root, rids)
+		if err := st.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		verifyTxnState(t, st, "after commit")
+	})
 }
 
 // TestTxnDurability commits a transaction on a file store and reopens
@@ -223,7 +215,7 @@ func TestTxnRollbackRestoresStore(t *testing.T) {
 // leave no trace after reopen.
 func TestTxnDurability(t *testing.T) {
 	fsys := simfs.New(nil)
-	st, err := store.OpenFS(fsys, "kb", 64)
+	st, err := store.Open(fsys, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +230,7 @@ func TestTxnDurability(t *testing.T) {
 	// No Close (which would checkpoint): reopen from the harvested image
 	// so recovery must come from the log.
 	img := fsys.Harvest(simfs.Keep)
-	st2, err := store.OpenFS(img, "kb", 64)
+	st2, err := store.Open(img, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +239,7 @@ func TestTxnDurability(t *testing.T) {
 
 	// Rollback then crash: reopen sees the base state.
 	fsys2 := simfs.New(nil)
-	st3, err := store.OpenFS(fsys2, "kb", 64)
+	st3, err := store.Open(fsys2, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +253,7 @@ func TestTxnDurability(t *testing.T) {
 	}
 	verifyBaseState(t, st3, "rollback before crash")
 	img2 := fsys2.Harvest(simfs.Keep)
-	st4, err := store.OpenFS(img2, "kb", 64)
+	st4, err := store.Open(img2, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +266,7 @@ func TestTxnDurability(t *testing.T) {
 // riding the same commit. Every durability operation the run performs
 // is a potential crash point.
 func runTxnCommitWorkload(t *testing.T, fsys store.FS) error {
-	st, err := store.OpenFS(fsys, "kb", 64)
+	st, err := store.Open(fsys, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		return err
 	}
@@ -330,7 +322,7 @@ func TestTxnCommitCrashMatrix(t *testing.T) {
 				t.Fatalf("crash at op %d/%d never surfaced", k, total)
 			}
 			label := fmt.Sprintf("crash at op %d/%d, %s", k, total, variant)
-			st, err := store.OpenFS(fsys.Harvest(variant), "kb", 64)
+			st, err := store.Open(fsys.Harvest(variant), "kb", store.Options{PoolPages: 64})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", label, err)
 			}
@@ -360,7 +352,7 @@ func TestTxnCommitFaultDegradesReadOnly(t *testing.T) {
 	// Probe: count the ops before and during Commit.
 	probe := simfs.NewCtl(-1)
 	pfs := simfs.New(probe)
-	pst, err := store.OpenFS(pfs, "kb", 64)
+	pst, err := store.Open(pfs, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +377,7 @@ func TestTxnCommitFaultDegradesReadOnly(t *testing.T) {
 			ctl := simfs.NewCtl(-1)
 			ctl.FailAt(k, inject)
 			fsys := simfs.New(ctl)
-			st, err := store.OpenFS(fsys, "kb", 64)
+			st, err := store.Open(fsys, "kb", store.Options{PoolPages: 64})
 			if err != nil {
 				t.Fatalf("%s: open: %v", label, err)
 			}
@@ -411,7 +403,7 @@ func TestTxnCommitFaultDegradesReadOnly(t *testing.T) {
 			// The disk heals; reopening must find the pre-transaction
 			// state — in particular the possibly-written commit marker
 			// must not resurrect the aborted transaction.
-			st2, err := store.OpenFS(fsys, "kb", 64)
+			st2, err := store.Open(fsys, "kb", store.Options{PoolPages: 64})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", label, err)
 			}
@@ -428,7 +420,7 @@ func TestTxnCommitFaultDegradesReadOnly(t *testing.T) {
 // still open: Close must roll it back, not persist half of it.
 func TestTxnAbandonedOnCloseRollsBack(t *testing.T) {
 	fsys := simfs.New(nil)
-	st, err := store.OpenFS(fsys, "kb", 64)
+	st, err := store.Open(fsys, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +432,7 @@ func TestTxnAbandonedOnCloseRollsBack(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.OpenFS(fsys, "kb", 64)
+	st2, err := store.Open(fsys, "kb", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +440,11 @@ func TestTxnAbandonedOnCloseRollsBack(t *testing.T) {
 	st2.Close()
 }
 
-// TestMemTxnFreeListRollback exercises the memory pager's undo of
+// TestTxnFreeListRollback exercises the pager's undo of
 // allocate-from-free-list and Free: the free chain and page contents
 // must come back exactly.
-func TestMemTxnFreeListRollback(t *testing.T) {
-	st, err := store.Open("", 64)
+func TestTxnFreeListRollback(t *testing.T) {
+	st, err := store.Open(nil, "", store.Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

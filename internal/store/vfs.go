@@ -4,12 +4,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // File is the I/O surface the pager needs from a backing file. It is
-// satisfied by *os.File (via osFile) in production; tests substitute
-// deterministic in-memory files with crash injection to exercise the
-// recovery path at every write and sync boundary.
+// satisfied by *os.File (via osFile) for a store with a path and by
+// memFile for an in-memory one; tests substitute deterministic files
+// with crash injection to exercise the recovery path at every write and
+// sync boundary.
 type File interface {
 	io.ReaderAt
 	io.WriterAt
@@ -83,3 +85,66 @@ func (OSFS) List(dir string) ([]string, error) {
 
 // Remove deletes the named file.
 func (OSFS) Remove(name string) error { return os.Remove(name) }
+
+// memFS holds the files of an in-memory store. It has no directory
+// operations, so it cannot host a WAL archive.
+type memFS map[string]*memFile
+
+// OpenFile returns the named file, creating it empty when absent.
+func (fs memFS) OpenFile(name string) (File, error) {
+	f, ok := fs[name]
+	if !ok {
+		f = &memFile{}
+		fs[name] = f
+	}
+	return f, nil
+}
+
+// memFile is a File held in a byte slice. Sync has nothing to flush, and
+// Truncate keeps the slice's capacity for the log to grow back into.
+type memFile struct {
+	mu   sync.Mutex
+	data []byte
+}
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if off >= int64(len(f.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if end := int(off) + len(p); end > len(f.data) {
+		f.data = append(f.data, make([]byte, end-len(f.data))...)
+	}
+	return copy(f.data[off:], p), nil
+}
+
+func (f *memFile) Truncate(size int64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if int(size) <= len(f.data) {
+		f.data = f.data[:size]
+	} else {
+		f.data = append(f.data, make([]byte, int(size)-len(f.data))...)
+	}
+	return nil
+}
+
+func (f *memFile) Size() (int64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return int64(len(f.data)), nil
+}
+
+func (f *memFile) Sync() error  { return nil }
+func (f *memFile) Close() error { return nil }

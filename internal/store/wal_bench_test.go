@@ -20,7 +20,7 @@ import (
 // writes and fsyncs per allocated page.
 func BenchmarkAllocateDurable(b *testing.B) {
 	fsys := simfs.New(nil)
-	st, err := store.OpenFS(fsys, "kb", 256)
+	st, err := store.Open(fsys, "kb", store.Options{PoolPages: 256})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -928,11 +928,6 @@ func biKeysort(m *Machine, a []Cell) (bool, error) {
 // cursors, clause/2) use it to attempt tuple matches.
 func (m *Machine) TryUnify(f func() bool) bool { return m.tentativelyCommit(f) }
 
-// WouldUnify runs f and undoes its bindings regardless of the outcome,
-// returning f's result. It is the speculative test behind \=/2 and the
-// engine's pre-unification checks.
-func (m *Machine) WouldUnify(f func() bool) bool { return m.tentatively(f) }
-
 // registerExtraBuiltins adds the cyclic-data detection facilities the
 // paper's introduction mentions Educe* provides.
 func registerExtraBuiltins(m *Machine) {

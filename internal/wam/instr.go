@@ -228,8 +228,6 @@ type Proc struct {
 	// one with Block == nil triggers the machine's OnUndefined hook
 	// (the paper's interpreter trap).
 	External bool
-	// Dynamic marks assert/retract-able predicates.
-	Dynamic bool
 	// Transient marks code loaded from the EDB for the current query,
 	// subject to eviction.
 	Transient bool

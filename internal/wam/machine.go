@@ -313,9 +313,6 @@ type Quota struct {
 // every Call.
 func (m *Machine) SetQuota(q Quota) { m.quota = q }
 
-// GetQuota returns the installed quota.
-func (m *Machine) GetQuota() Quota { return m.quota }
-
 // SetCheckHook makes f the machine's per-poll cancellation check in place
 // of CheckCancel: the owning session installs the one check all its
 // evaluators share, which is CheckCancel plus the caps the machine cannot
@@ -618,20 +615,6 @@ func (m *Machine) bindAddr(a int, c Cell) {
 		m.trail = append(m.trail, a)
 		m.stats.TrailOps++
 	}
-}
-
-// Bind binds the unbound variable cell v (TagRef) to c with the standard
-// ordering rule when both are variables: the younger (higher address)
-// variable is bound to the older.
-func (m *Machine) Bind(v, c Cell) {
-	if c.Tag() == TagRef && c.Val() < v.Val() {
-		m.bindAddr(v.Val(), c)
-		return
-	}
-	if c.Tag() == TagRef && c.Val() == v.Val() {
-		return
-	}
-	m.bindAddr(v.Val(), c)
 }
 
 // Unify unifies two cells, binding variables and trailing as needed.
