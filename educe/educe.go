@@ -50,10 +50,10 @@ import (
 )
 
 // KnowledgeBase is the shared, durable half of a deployment: page store
-// and buffer pool, EDB catalog, external dictionary, relational catalog,
-// and the shared loaded-code cache. A KnowledgeBase is safe for
-// concurrent use: any number of Sessions may read it in parallel, while
-// writes (ConsultExternal, InsertTuples, retracting or dropping stored
+// and buffer pool, EDB catalog, relational catalog, and the shared
+// loaded-code cache. A KnowledgeBase is safe for concurrent use: any
+// number of Sessions may read it in parallel, while writes
+// (ConsultExternal, InsertTuples, retracting or dropping stored
 // procedures) serialise behind its write lock and invalidate affected
 // cached code everywhere.
 type KnowledgeBase = core.KnowledgeBase

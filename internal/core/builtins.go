@@ -198,9 +198,14 @@ func (s *Session) AssertTerm(t term.Term, front bool) error {
 		dp.terms = append(dp.terms, t)
 		dp.clauses = append(dp.clauses, ccs)
 	}
-	// Auxiliary predicates get unique names; install them permanently.
+	// Auxiliary predicates get unique names; each is linked with all of its
+	// clauses (a disjunction's has one per branch) and goes with the clause.
+	aux := map[term.Indicator][]compiler.ClauseCode{}
 	for _, cc := range ccs[1:] {
-		if err := s.link(cc.Pred, []compiler.ClauseCode{cc}); err != nil {
+		aux[cc.Pred] = append(aux[cc.Pred], cc)
+	}
+	for api, accs := range aux {
+		if err := s.link(api, accs); err != nil {
 			return err
 		}
 	}
@@ -230,6 +235,7 @@ func (s *Session) biRetract(m *wam.Machine, args []wam.Cell) (bool, error) {
 		r := term.Rename(ct)
 		rh, rb := splitClauseTerm(r)
 		if env.Unify(head, rh) && env.Unify(body, rb) {
+			s.dead = append(s.dead, dp.clauses[i])
 			dp.terms = append(append([]term.Term{}, dp.terms[:i]...), dp.terms[i+1:]...)
 			dp.clauses = append(append([][]compiler.ClauseCode{}, dp.clauses[:i]...), dp.clauses[i+1:]...)
 			if err := s.relinkDyn(pi, dp); err != nil {
@@ -256,6 +262,9 @@ func (s *Session) biAbolish(m *wam.Machine, args []wam.Cell) (bool, error) {
 	pi, err := parseIndicator(t)
 	if err != nil {
 		return false, err
+	}
+	if dp, ok := s.dyn[pi]; ok {
+		s.dead = append(s.dead, dp.clauses...)
 	}
 	delete(s.dyn, pi)
 	s.m.RemoveProc(s.m.Dict.Intern(pi.Name, pi.Arity))

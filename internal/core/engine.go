@@ -7,9 +7,9 @@
 // KnowledgeBase.NewSession):
 //
 //   - KnowledgeBase: the shared, concurrency-safe read path — page store
-//     and buffer pool, EDB catalog, external dictionary, relational
-//     catalog, and the shared loaded-code cache. One KnowledgeBase serves
-//     many concurrent sessions.
+//     and buffer pool, EDB catalog, relational catalog, and the shared
+//     loaded-code cache. One KnowledgeBase serves many concurrent
+//     sessions.
 //   - Session: per-query state — the WAM machine with its internal
 //     dictionary, the incremental compiler, dynamic predicates and
 //     transient loaded procedures. A Session is single-goroutine. It
@@ -128,7 +128,8 @@ type Session struct {
 	in *interp.Interp // baseline interpreter (source mode)
 
 	// dynamic (assert/retract) predicates: source terms + compiled code.
-	dyn map[term.Indicator]*dynPred
+	dyn  map[term.Indicator]*dynPred
+	dead [][]compiler.ClauseCode // retracted dynamic clauses (see endQuery)
 
 	// typed holds declared type signatures (the typed sub-language).
 	typed map[term.Indicator][]ArgType
@@ -242,8 +243,7 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 	// so calls trap to the loader, and give the baseline interpreter
 	// direct access to facts-only relations.
 	kb.mu.RLock()
-	procs := kb.db.Procs()
-	for _, p := range procs {
+	for _, p := range kb.db.Procs() {
 		fn := m.Dict.Intern(p.Name, p.Arity)
 		if m.Proc(fn) == nil {
 			m.DefineProc(&wam.Proc{Fn: fn, Arity: p.Arity, External: true})
@@ -259,10 +259,7 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 // transparentFor returns the inline-builtin test bound to machine m.
 func transparentFor(m *wam.Machine) func(string, int) bool {
 	return func(name string, arity int) bool {
-		if !compiler.DefaultTransparent(name, arity) {
-			return false
-		}
-		return m.BuiltinIndex(name, arity) >= 0
+		return compiler.DefaultTransparent(name, arity) && m.BuiltinIndex(name, arity) >= 0
 	}
 }
 
@@ -656,12 +653,6 @@ func (s *Session) storeOneCompiled(cc compiler.ClauseCode, keys []edb.ArgKey, is
 	firstRule := isRule && p.FactsOnly
 	if isRule {
 		if err := db.MarkRule(p); err != nil {
-			return err
-		}
-	}
-	// Register every symbol in the external dictionary (paper §4 item 2).
-	for _, sym := range cc.Symbols {
-		if _, err := db.Ext().Intern(sym.Name, sym.Arity); err != nil {
 			return err
 		}
 	}

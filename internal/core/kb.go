@@ -16,8 +16,8 @@ import (
 
 // KnowledgeBase is the shared, durable half of an Educe* deployment: the
 // page store with its buffer pool, the EDB (procedures table, clause
-// relations, external dictionary), the relational catalog, and a cache of
-// loaded relocatable code keyed by procedure + pre-unification filter.
+// relations, clause index), the relational catalog, and a cache of loaded
+// relocatable code keyed by procedure + pre-unification filter.
 //
 // One KnowledgeBase serves any number of concurrent Sessions. The paper's
 // architecture already separates this state from per-session WAM state

@@ -211,9 +211,10 @@ func (s *Session) cellArgKey(c wam.Cell) edb.ArgKey {
 	}
 }
 
-// endQuery tears down per-query transient state: in baseline mode, the
-// rules asserted into the interpreter (the paper's "erased to make room")
-// and the parsed-tuple caches.
+// endQuery tears down per-query transient state: the auxiliaries of
+// retracted dynamic clauses, which a running clause may still call, and in
+// baseline mode the rules asserted into the interpreter (the paper's
+// "erased to make room") and the parsed-tuple caches.
 func (s *Session) endQuery() {
 	// Resident code survives across queries: the paper keeps dynamically
 	// loaded procedures in main memory until the code garbage collector
@@ -221,14 +222,18 @@ func (s *Session) endQuery() {
 	if s.nresident > loadedCacheLimit {
 		s.evictAll()
 	}
+	for _, unit := range s.dead {
+		for _, cc := range unit[1:] {
+			s.m.RemoveProc(s.m.Dict.Intern(cc.Pred.Name, cc.Pred.Arity))
+		}
+	}
+	s.dead = s.dead[:0]
 	for _, pi := range s.interpLoaded {
 		s.in.RetractAll(pi)
 	}
 	s.interpLoaded = s.interpLoaded[:0]
 	for _, c := range s.factCaches {
-		for k := range c {
-			delete(c, k)
-		}
+		clear(c)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // writes (assert/retract/consult on stored procedures, relation
 // inserts) atomic: Commit publishes them durably in one WAL commit,
 // Rollback (or any failure) restores the KB exactly — pages, indexes,
-// external dictionary, code caches — to the pre-transaction state.
+// code caches — to the pre-transaction state.
 //
 // Concurrency model: the transaction owner holds the KB write lock for
 // the whole transaction, so transactions serialize against every other
@@ -23,10 +23,10 @@ import (
 // skip the lock (see rlock/wlock). This is the coarsest correct scheme
 // and matches the latch hierarchy: kb.mu above pool frame latches.
 //
-// Scope: transactions cover the shared durable state — the EDB, the
-// relational catalog and the external dictionary. Session-local state
-// (dynamic predicates, consulted in-memory code, the internal
-// dictionary, which is content-hashed and append-only) is not covered.
+// Scope: transactions cover the shared durable state — the EDB and the
+// relational catalog. Session-local state (dynamic predicates, consulted
+// in-memory code, the internal dictionary, which is content-hashed and
+// append-only) is not covered.
 //
 // Failure model: if Commit fails against the disk (ENOSPC, EIO), the
 // store rolls the pages back, truncates the WAL to the pre-transaction
@@ -64,7 +64,6 @@ func (s *Session) Begin() error {
 		catSnap: s.kb.cat.Snapshot(),
 		touched: map[term.Indicator]bool{},
 	}
-	s.kb.db.Ext().BeginJournal()
 	return nil
 }
 
@@ -81,7 +80,6 @@ func (s *Session) Commit() error {
 		s.restoreLogical(txn)
 		return err
 	}
-	s.kb.db.Ext().EndJournal()
 	s.kb.txnCommits.Inc()
 	s.kb.mu.Unlock()
 	return nil
@@ -113,7 +111,6 @@ func (s *Session) InTxn() bool { return s.txn != nil }
 // query runs on the restored state.
 func (s *Session) restoreLogical(txn *sessionTxn) {
 	s.kb.db.Restore(txn.edbSnap)
-	s.kb.db.Ext().RollbackJournal()
 	s.kb.cat.Restore(txn.catSnap)
 	for pi := range txn.touched {
 		s.kb.invalidateProc(pi, nil)
@@ -177,22 +174,20 @@ func (s *Session) biRollback(m *wam.Machine, args []wam.Cell) (bool, error) {
 // group stored-clause writes without leaving the language. The clause
 // must be ground; retract_external does not bind caller variables.
 func (s *Session) biAssertExternal(m *wam.Machine, args []wam.Cell) (bool, error) {
-	if err := s.AssertExternalTerm(m.DecodeTerm(args[0])); err != nil {
-		if errors.Is(err, store.ErrReadOnly) {
-			return false, wam.TransactionBall("read_only")
-		}
-		return false, err
-	}
-	return true, nil
+	err := s.AssertExternalTerm(m.DecodeTerm(args[0]))
+	return err == nil, readOnlyBall(err)
 }
 
 func (s *Session) biRetractExternal(m *wam.Machine, args []wam.Cell) (bool, error) {
 	ok, err := s.RetractExternal(m.DecodeTerm(args[0]))
-	if err != nil {
-		if errors.Is(err, store.ErrReadOnly) {
-			return false, wam.TransactionBall("read_only")
-		}
-		return false, err
+	return ok && err == nil, readOnlyBall(err)
+}
+
+// readOnlyBall maps a read-only store's refusal of a write to its
+// catchable ball; any other error passes through.
+func readOnlyBall(err error) error {
+	if errors.Is(err, store.ErrReadOnly) {
+		return wam.TransactionBall("read_only")
 	}
-	return ok, nil
+	return err
 }

@@ -122,8 +122,8 @@ func New(opts ...Option) *Table {
 func newSegment(size int) *segment { return &segment{entries: make([]entry, size)} }
 
 // Hash returns the dictionary hash of a (name, arity) pair. It is exported
-// because the external dictionary stores this value alongside each atom so
-// the storage engine can pre-unify on it (paper §4).
+// because the clause index keys atoms and functors by it (edb.AtomKey,
+// edb.StructKey), so the storage engine can pre-unify on it (paper §4).
 func Hash(name string, arity int) uint64 {
 	// FNV-1a over the name, then mix in the arity.
 	const (

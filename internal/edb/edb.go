@@ -1,8 +1,11 @@
 // Package edb implements Educe*'s External Data Base layer (paper §4): the
-// procedures table, the external dictionary, the clauses relation holding
-// relocatable compiled code, and one clause index over the whole
-// knowledge base, plus the pre-unification filter that selects candidate
-// clauses inside the storage engine before any code is loaded.
+// procedures table, the clauses relation holding relocatable compiled
+// code, and one clause index over the whole knowledge base, plus the
+// pre-unification filter that selects candidate clauses inside the
+// storage engine before any code is loaded. The paper's external
+// dictionary is the symbol table each stored code blob carries (see
+// loader.EncodeClause): symbols are referenced by name, so no separate
+// persistent table is kept.
 //
 // Layout on top of package store:
 //
@@ -18,11 +21,9 @@
 //     argument i (tag i, body = that argument's hash), for a clause with a
 //     variable in an indexed position (or of a procedure with no indexed
 //     argument) one wildcard entry (tag 0xFF, body = clause ID) that
-//     every query of the procedure reads;
-//   - the external dictionary heap records (name, arity, hash) for every
-//     atom and functor referenced by stored code, with the hash computed
-//     by the same function as the internal dictionary so the storage
-//     engine can pre-unify on hash values alone.
+//     every query of the procedure reads. Argument hashes are computed by
+//     the internal dictionary's hash function, so the storage engine can
+//     pre-unify on hash values alone.
 package edb
 
 import (
@@ -84,7 +85,6 @@ type DB struct {
 	clauses  *store.Heap  // clause records, one per clause
 	procHeap *store.Heap  // procedure descriptors
 	index    *store.BTree // the clause index (see the package comment)
-	ext      *ExtDict
 	procs    map[procKey]*ProcInfo
 	nextProc uint32
 
@@ -177,11 +177,6 @@ func Open(st *store.Store) (*DB, error) {
 	if db.procHeap, err = openHeap(st, "edb.procs"); err != nil {
 		return nil, err
 	}
-	ext, err := openExtDict(st)
-	if err != nil {
-		return nil, err
-	}
-	db.ext = ext
 	if err := db.loadProcs(); err != nil {
 		return nil, err
 	}
@@ -220,9 +215,6 @@ func openBTree(st *store.Store, name string) (*store.BTree, error) {
 
 // Store returns the underlying store (for I/O statistics).
 func (db *DB) Store() *store.Store { return db.st }
-
-// Ext returns the external dictionary.
-func (db *DB) Ext() *ExtDict { return db.ext }
 
 // Stats returns a snapshot of the pre-unification counters.
 func (db *DB) Stats() Stats {

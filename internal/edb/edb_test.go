@@ -1,10 +1,12 @@
 package edb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dict"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -211,9 +213,6 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.StoreClause(p, []ArgKey{AtomKey(fmt.Sprintf("s%d", i)), IntKey(int64(i))}, []byte(fmt.Sprintf("code%d", i)))
 	}
-	if _, err := db.Ext().Intern("station", 2); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +237,85 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if len(scs) != 1 || string(scs[0].Blob) != "code33" {
 		t.Fatalf("reopened retrieve: %v", blobs(scs))
 	}
-	if h, ok := db2.Ext().Lookup("station", 2); !ok || h == 0 {
-		t.Fatal("external dictionary lost")
+}
+
+// TestOpenAcceptsStoreWithDictionaryHeap: a store written while the EDB
+// kept a persistent external dictionary carries an edb.extdict heap of
+// (name, arity, hash) records beside an otherwise identical layout. It
+// opens, answers, takes new clauses and passes Check; the dictionary heap
+// is never read and its pages stay allocated. A new store records no such
+// heap.
+func TestOpenAcceptsStoreWithDictionaryHeap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "edb.db")
+	st, err := store.Open(store.OSFS{}, path, store.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.GetMeta("edb.extdict"); ok {
+		t.Fatal("a new store recorded an edb.extdict heap")
+	}
+	symbols, err := store.CreateHeap(st.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetMeta("edb.extdict", uint64(symbols.Root())); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := db.CreateProc("conn", 2, FormCode)
+	for i := 0; i < 10; i++ {
+		name := fmt.Sprintf("s%d", i)
+		rec := binary.AppendUvarint(nil, uint64(len(name)))
+		rec = append(rec, name...)
+		rec = binary.AppendUvarint(rec, 0)
+		rec = binary.LittleEndian.AppendUint64(rec, dict.Hash(name, 0))
+		if _, err := symbols.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.StoreClause(p, []ArgKey{AtomKey(name), IntKey(int64(i))}, []byte(fmt.Sprintf("code%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(store.OSFS{}, path, store.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	db2, err := Open(st2)
+	if err != nil {
+		t.Fatalf("Open of a store with a dictionary heap: %v", err)
+	}
+	p2 := db2.Proc("conn", 2)
+	if _, err := db2.StoreClause(p2, []ArgKey{AtomKey("s10"), IntKey(10)}, []byte("code10")); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{3, 10} {
+		scs, err := db2.Retrieve(p2, []ArgKey{AtomKey(fmt.Sprintf("s%d", i)), WildKey()})
+		if err != nil || len(scs) != 1 || string(scs[0].Blob) != fmt.Sprintf("code%d", i) {
+			t.Fatalf("retrieve s%d: %v, %v", i, blobs(scs), err)
+		}
+	}
+	if err := db2.Check(); err != nil {
+		t.Fatalf("Check of a store with a dictionary heap: %v", err)
+	}
+	root, ok := st2.GetMeta("edb.extdict")
+	if !ok {
+		t.Fatal("the dictionary heap lost its meta entry")
+	}
+	n := 0
+	err = store.OpenHeap(st2.Pool(), store.PageID(root)).Scan(func(store.RID, []byte) (bool, error) {
+		n++
+		return true, nil
+	})
+	if err != nil || n != 10 {
+		t.Fatalf("dictionary heap after reopen: %d records, %v", n, err)
 	}
 }
 
@@ -299,25 +375,6 @@ func TestRetrieveReadsOneRecordPerCandidate(t *testing.T) {
 	if want := rangeCost + uint64(len(scs)); got != want {
 		t.Fatalf("retrieval of %d candidates made %d buffer accesses, want %d (index range %d + one per candidate)",
 			len(scs), got, want, rangeCost)
-	}
-}
-
-func TestExtDictIntern(t *testing.T) {
-	db := memDB(t)
-	h1, err := db.Ext().Intern("foo", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, _ := db.Ext().Intern("foo", 2)
-	if h1 != h2 {
-		t.Fatal("intern not idempotent")
-	}
-	h3, _ := db.Ext().Intern("foo", 3)
-	if h1 == h3 {
-		t.Fatal("arity not mixed into hash")
-	}
-	if db.Ext().Len() != 2 {
-		t.Fatalf("Len = %d", db.Ext().Len())
 	}
 }
 

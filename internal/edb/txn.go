@@ -5,8 +5,7 @@ import "repro/internal/store"
 // Transaction support. The pager-level transaction (store.Begin /
 // store.Rollback) restores every page byte-for-byte, but the EDB layer
 // caches derived state in memory: the procedures map, each ProcInfo's
-// descriptor fields, the shared heap handles' append hints, and the
-// external dictionary's entry map.
+// descriptor fields and the shared heap handles' append hints.
 // Snapshot captures that state cheaply (value copies, no page I/O) and
 // Restore puts it back in place after the pager rolled back, so a
 // rolled-back transaction is invisible at every layer.
@@ -25,8 +24,7 @@ type Snapshot struct {
 
 // Snapshot captures the in-memory EDB state for a transaction. The
 // caller must hold the knowledge base's write lock (transactions are
-// KB-exclusive), and must also start the external dictionary's journal
-// via Ext().BeginJournal.
+// KB-exclusive).
 func (db *DB) Snapshot() *Snapshot {
 	s := &Snapshot{
 		procs:    make(map[procKey]*ProcInfo, len(db.procs)),
@@ -58,37 +56,4 @@ func (db *DB) Restore(s *Snapshot) {
 	// cache an append hint that may point at pages the rollback freed.
 	db.clauses = store.OpenHeap(db.st.Pool(), db.clauses.Root())
 	db.procHeap = store.OpenHeap(db.st.Pool(), db.procHeap.Root())
-}
-
-// BeginJournal starts recording newly interned entries so an aborted
-// transaction can remove them again. Interning is idempotent and
-// content-hashed, so replaying an entry after rollback recreates the
-// same value — but the persistent heap record is gone, and the map must
-// agree with the heap for edb.Check.
-func (d *ExtDict) BeginJournal() {
-	d.mu.Lock()
-	d.journal = []extKey{}
-	d.mu.Unlock()
-}
-
-// EndJournal stops recording (commit path: the entries stay).
-func (d *ExtDict) EndJournal() {
-	d.mu.Lock()
-	d.journal = nil
-	d.mu.Unlock()
-}
-
-// RollbackJournal removes every entry interned since BeginJournal and
-// reopens the heap handle over the rolled-back pages.
-func (d *ExtDict) RollbackJournal() {
-	d.mu.Lock()
-	for _, k := range d.journal {
-		if _, ok := d.entries[k]; ok {
-			delete(d.entries, k)
-			d.count--
-		}
-	}
-	d.journal = nil
-	d.heap = store.OpenHeap(d.heap.Pool(), d.heap.Root())
-	d.mu.Unlock()
 }
