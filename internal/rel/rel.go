@@ -9,6 +9,7 @@ package rel
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -159,40 +160,43 @@ func encodeTuple(t Tuple) []byte {
 	return b.Bytes()
 }
 
+// decodeTuple reads one value per schema attribute from data; a value
+// cut short by the end of data, or a malformed varint, is an error,
+// never a zero-filled value.
 func decodeTuple(data []byte, schema *Schema) (Tuple, error) {
-	r := bytes.NewReader(data)
 	out := make(Tuple, 0, len(schema.Attrs))
 	for range schema.Attrs {
-		tb, err := r.ReadByte()
-		if err != nil {
-			return nil, err
+		if len(data) == 0 {
+			return nil, errTruncated
 		}
-		v := Value{Type: Type(tb)}
+		v := Value{Type: Type(data[0])}
+		data = data[1:]
+		n := 0
 		switch v.Type {
 		case Int:
-			v.I, err = binary.ReadVarint(r)
+			v.I, n = binary.Varint(data)
 		case Float:
-			var b [8]byte
-			_, err = r.Read(b[:])
-			v.F = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+			if len(data) >= 8 {
+				v.F, n = math.Float64frombits(binary.LittleEndian.Uint64(data)), 8
+			}
 		case String:
-			var n uint64
-			n, err = binary.ReadUvarint(r)
-			if err == nil && n > 0 {
-				buf := make([]byte, n)
-				_, err = r.Read(buf)
-				v.S = string(buf)
+			l, k := binary.Uvarint(data)
+			if k > 0 && l <= uint64(len(data)-k) {
+				v.S, n = string(data[k:k+int(l)]), k+int(l)
 			}
 		default:
-			return nil, fmt.Errorf("rel: bad value type %d", tb)
+			return nil, fmt.Errorf("rel: bad value type %d", v.Type)
 		}
-		if err != nil {
-			return nil, err
+		if n <= 0 {
+			return nil, errTruncated
 		}
+		data = data[n:]
 		out = append(out, v)
 	}
 	return out, nil
 }
+
+var errTruncated = errors.New("rel: truncated or malformed tuple")
 
 // Relation is a stored relation with optional per-attribute indexes.
 type Relation struct {
@@ -207,31 +211,17 @@ type Relation struct {
 func (r *Relation) Count() int { return r.count }
 
 // Insert appends a tuple, maintaining indexes.
-func (r *Relation) Insert(t Tuple) error {
-	if len(t) != len(r.Schema.Attrs) {
-		return fmt.Errorf("rel: %s: tuple arity %d, want %d", r.Schema.Name, len(t), len(r.Schema.Attrs))
-	}
-	for i, v := range t {
-		if v.Type != r.Schema.Attrs[i].Type {
-			return fmt.Errorf("rel: %s.%s: value type %v, want %v",
-				r.Schema.Name, r.Schema.Attrs[i].Name, v.Type, r.Schema.Attrs[i].Type)
-		}
-	}
-	rid, err := r.heap.Insert(encodeTuple(t))
-	if err != nil {
-		return err
-	}
-	for attr, idx := range r.indexes {
-		if err := idx.Insert(t[attr].Key(), rid.Pack()); err != nil {
+func (r *Relation) Insert(t Tuple) error { return r.InsertAll([]Tuple{t}) }
+
+// InsertAll bulk-inserts tuples, deferring the catalog write to the end.
+// The whole batch is checked before the first heap write, so a tuple the
+// relation cannot hold leaves the relation as it was.
+func (r *Relation) InsertAll(ts []Tuple) error {
+	for _, t := range ts {
+		if err := r.check(t); err != nil {
 			return err
 		}
 	}
-	r.count++
-	return r.cat.saveRelation(r)
-}
-
-// InsertAll bulk-inserts tuples, deferring the catalog write to the end.
-func (r *Relation) InsertAll(ts []Tuple) error {
 	for _, t := range ts {
 		rid, err := r.heap.Insert(encodeTuple(t))
 		if err != nil {
@@ -245,6 +235,25 @@ func (r *Relation) InsertAll(ts []Tuple) error {
 		r.count++
 	}
 	return r.cat.saveRelation(r)
+}
+
+// check rejects a tuple of the wrong arity, a value of the wrong type,
+// and an indexed string longer than a B-tree key may be.
+func (r *Relation) check(t Tuple) error {
+	if len(t) != len(r.Schema.Attrs) {
+		return fmt.Errorf("rel: %s: tuple arity %d, want %d", r.Schema.Name, len(t), len(r.Schema.Attrs))
+	}
+	for i, v := range t {
+		a := r.Schema.Attrs[i]
+		if v.Type != a.Type {
+			return fmt.Errorf("rel: %s.%s: value type %v, want %v", r.Schema.Name, a.Name, v.Type, a.Type)
+		}
+		if _, ok := r.indexes[i]; ok && len(v.S) > store.MaxKeyLen {
+			return fmt.Errorf("rel: %s.%s: indexed value of %d bytes exceeds the key limit %d",
+				r.Schema.Name, a.Name, len(v.S), store.MaxKeyLen)
+		}
+	}
+	return nil
 }
 
 // CreateIndex builds a B-tree index on the attribute, indexing existing

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -73,6 +74,41 @@ func TestTypeChecking(t *testing.T) {
 	if err := r.Insert(Tuple{IntV(1), IntV(1)}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
+	// A rejected tuple writes nothing, whichever path it takes and
+	// wherever it sits in its batch: Count and a scan still agree.
+	unchanged := func(label string, want int) {
+		t.Helper()
+		ts, err := Collect(SeqScan(r))
+		if err != nil || len(ts) != want || r.Count() != want {
+			t.Fatalf("%s: count %d, scan %d tuples (%v), want %d", label, r.Count(), len(ts), err, want)
+		}
+	}
+	good := Tuple{IntV(7), IntV(7), StringV("seven")}
+	unchanged("Insert", 1)
+	if err := r.InsertAll([]Tuple{good, {IntV(1), IntV(1)}}); err == nil {
+		t.Fatal("InsertAll accepted a short tuple")
+	}
+	unchanged("InsertAll short tuple", 1)
+	if err := r.InsertAll([]Tuple{good, {IntV(10), StringV("oops"), IntV(3)}}); err == nil {
+		t.Fatal("InsertAll accepted a mistyped tuple")
+	}
+	unchanged("InsertAll mistyped tuple", 1)
+	if err := r.CreateIndex("name"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.InsertAll([]Tuple{good, {IntV(1), IntV(1)}}); err == nil {
+		t.Fatal("InsertAll accepted a short tuple on an indexed relation")
+	}
+	unchanged("indexed InsertAll short tuple", 1)
+	long := StringV(strings.Repeat("k", store.MaxKeyLen+1))
+	if err := r.Insert(Tuple{IntV(2), IntV(2), long}); err == nil {
+		t.Fatal("Insert accepted an indexed value longer than a key")
+	}
+	unchanged("Insert long indexed value", 1)
+	if err := r.InsertAll([]Tuple{good}); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("good InsertAll", 2)
 }
 
 func TestIndexScanRange(t *testing.T) {
@@ -261,6 +297,14 @@ func TestTupleCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// Every proper prefix of an encoding is an error, never a tuple with
+	// zero-filled values.
+	enc := encodeTuple(Tuple{IntV(1), FloatV(2.5), StringV("abcdef")})
+	for n := range enc {
+		if tp, err := decodeTuple(enc[:n], &schema); err == nil {
+			t.Fatalf("%d of %d bytes decoded as %v", n, len(enc), tp)
+		}
 	}
 }
 

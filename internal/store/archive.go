@@ -18,11 +18,11 @@ package store
 // Invariants the pager maintains:
 //
 //   - a segment is only ever cut from the committed prefix of the live
-//     log, at a commit boundary, and the live log is only truncated
+//     log, at a commit boundary, and the live log is only rewound
 //     after the segment is durably synced — so the archive never has a
 //     gap: concatenated in sequence order, segment records carry dense
 //     LSNs (duplicates are possible after a crash between archiving and
-//     truncating, and replay skips them; see replayArchive);
+//     the next commit, and replay skips them; see replayArchive);
 //   - an archive append failure never fails the primary: the checkpoint
 //     is skipped (the committed log stays live and is re-archived by a
 //     later checkpoint) and store.wal.archive_errors counts the fault;
@@ -80,7 +80,7 @@ func segName(dir string, seq uint64) string {
 
 // openArchiver scans dir, validating the newest segment (the only one a
 // crashed append can have left torn) and removing it if incomplete —
-// safe, because the live log is truncated only after a segment is
+// safe, because the live log is rewound only after a segment is
 // durable, so an incomplete segment's records are still in the log and
 // will be re-archived.
 func openArchiver(fsys ArchiveFS, dir string, budget int64) (*archiver, error) {
@@ -104,7 +104,7 @@ func openArchiver(fsys ArchiveFS, dir string, budget int64) (*archiver, error) {
 			// Appends always target the highest sequence number, and names
 			// are zero-padded, so only the lexicographically last segment
 			// can be a crashed append whose header never reached the disk.
-			// Its records are still in the live log (the log is truncated
+			// Its records are still in the live log (the log is rewound
 			// only after a segment syncs), so dropping it loses nothing.
 			if i == len(segNames)-1 {
 				if rerr := fsys.Remove(name); rerr != nil {

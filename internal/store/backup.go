@@ -236,7 +236,7 @@ func (p *filePager) beginBackup() (startLSN uint64, pages PageID, err error) {
 	if err := p.commitOnly(); err != nil {
 		return 0, 0, err
 	}
-	// The checkpoint about to fold and truncate the log must not lose
+	// The checkpoint about to fold and rewind the log must not lose
 	// archived history, so the barrier failing fails the backup — the
 	// primary keeps its committed log and retries archiving later.
 	if err := p.archiveBarrier(); err != nil {

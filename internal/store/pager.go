@@ -111,7 +111,7 @@ var errBadMagic = errors.New("store: not a store file (bad magic)")
 // filePager is a crash-safe Pager over two Files: the page file and its
 // write-ahead log. Page writes accumulate in memory (tail) and in the
 // log buffer; Sync commits them with one log write and one fsync; a
-// checkpoint folds the committed images into the page file and empties
+// checkpoint folds the committed images into the page file and rewinds
 // the log. The header (page count, free list, meta table) lives in
 // memory and rides along with every commit as the page-0 image, so
 // Allocate and Free are pure memory operations.
@@ -229,6 +229,12 @@ func (p *filePager) recoverLog() error {
 	if err != nil {
 		return err
 	}
+	if info.committedLSN < p.checkpointLSN() {
+		// A stale head: the first write of a generation reached the disk
+		// without its first blocks, so replay read a prefix of the
+		// generation before, which the page file already holds whole.
+		committed, info.committedOff = nil, 0
+	}
 	p.discardedRecs = uint64(info.discarded)
 	p.wal.lsn = info.committedLSN
 	p.wal.commitLSN = info.committedLSN
@@ -247,7 +253,7 @@ func (p *filePager) recoverLog() error {
 	if err != nil {
 		return err
 	}
-	if sz == 0 && info.discarded == 0 {
+	if sz == 0 {
 		return nil
 	}
 	if p.archive != nil && info.committedOff > 0 {
@@ -259,15 +265,27 @@ func (p *filePager) recoverLog() error {
 		}
 		if err := p.archive.append(recs, info.committedLSN); err != nil {
 			// Archive fault: keep the committed log live instead of
-			// truncating history away. New records overwrite the
-			// discarded tail; a later checkpoint retries the archive.
+			// truncating history away, but cut the discarded tail first:
+			// new records reuse its LSNs, so a stale one just past the
+			// new end could continue the sequence. A later checkpoint
+			// retries the archive.
 			p.archive.faults.Add(1)
 			p.wal.off = info.committedOff
-			p.wal.archivedOff = 0
-			return nil
+			return p.wal.truncate(info.committedOff)
 		}
 	}
-	return p.wal.resetLog()
+	return p.wal.truncate(0)
+}
+
+// checkpointLSN is the LSN in the page file's header frame, the last
+// commit a completed checkpoint folded in; 0 if the frame is missing or
+// torn (a crash inside the checkpoint that wrote it).
+func (p *filePager) checkpointLSN() uint64 {
+	f := p.scratch[:]
+	if n, _ := p.f.ReadAt(f, 0); n < diskFrameSize || frameCRC(0, f[:PageSize+4]) != binary.LittleEndian.Uint32(f[PageSize+4:]) {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(f[12:20])
 }
 
 func (p *filePager) encodeHeaderPage() ([]byte, error) {
@@ -524,7 +542,7 @@ func (p *filePager) commitOnly() error {
 }
 
 // checkpoint folds every committed page image into the page file and
-// truncates the log. Called only at commit points, so the tail holds
+// rewinds the log. Called only at commit points, so the tail holds
 // committed images exclusively. During an online backup it is a no-op
 // (the page file's frames must stay frozen; the log simply keeps
 // growing until the backup finishes), and with archiving enabled an
@@ -590,9 +608,7 @@ func (p *filePager) checkpointLocked() error {
 	if err := p.f.Sync(); err != nil {
 		return err
 	}
-	if err := p.wal.resetLog(); err != nil {
-		return err
-	}
+	p.wal.resetLog()
 	p.tail = map[PageID][]byte{}
 	p.checkpoints.Add(1)
 	return nil
@@ -610,6 +626,14 @@ func (p *filePager) Close() error {
 	err := p.commit()
 	if err == nil {
 		err = p.checkpoint()
+	}
+	if err == nil && p.wal.off == 0 {
+		// Checkpointed: a closed store keeps no log, old generations
+		// included.
+		var sz int64
+		if sz, err = p.wal.f.Size(); err == nil && sz > 0 {
+			err = p.wal.truncate(0)
+		}
 	}
 	if werr := p.wal.f.Close(); err == nil && werr != nil {
 		err = werr

@@ -42,7 +42,7 @@ type Options struct {
 	// PoolPages is the buffer pool capacity (<= 0: DefaultPoolPages).
 	PoolPages int
 	// CheckpointBytes is the WAL size past which a commit checkpoints
-	// and truncates the log (<= 0: the built-in 4 MiB default). Small
+	// and rewinds the log (<= 0: the built-in 4 MiB default). Small
 	// thresholds cut archive segments more often.
 	CheckpointBytes int64
 	// ArchiveDir, when non-empty, enables WAL segment archiving: every

@@ -112,14 +112,9 @@ func (p *filePager) commitTxn() error {
 		// file still holds records carrying them), and the divergence is
 		// recorded so clearDiverged can repair the log before the store
 		// re-enables writes.
-		durable := false
-		if terr := p.wal.f.Truncate(txn.preOff); terr == nil {
-			if serr := p.wal.f.Sync(); serr == nil {
-				p.wal.off = txn.preOff
-				durable = true
-			}
-		}
-		if !durable {
+		if p.wal.truncate(txn.preOff) == nil {
+			p.wal.off = txn.preOff
+		} else {
 			p.wal.lsn = advancedLSN
 			p.diverged = &divergence{off: txn.preOff, lsn: txn.preLSN}
 		}
@@ -195,10 +190,7 @@ func (p *filePager) clearDiverged() error {
 		return errors.New("store: cannot clear read-only during an online backup")
 	}
 	if d := p.diverged; d != nil {
-		if err := p.wal.f.Truncate(d.off); err != nil {
-			return err
-		}
-		if err := p.wal.f.Sync(); err != nil {
+		if err := p.wal.truncate(d.off); err != nil {
 			return err
 		}
 		p.wal.off = d.off

@@ -27,7 +27,10 @@ import (
 // Replay applies page records in order and promotes them to the
 // committed state at each valid commit marker; a record that is torn
 // (short) or fails its CRC ends the scan — it and everything after it
-// is the discarded tail.
+// is the discarded tail. A checkpoint rewinds the log rather than
+// truncating it, so the file can hold an older generation past the
+// current one's end: replay also ends at the first record whose LSN is
+// not one more than its predecessor's (older records carry lower LSNs).
 const (
 	walPage   = 1
 	walCommit = 2
@@ -38,7 +41,7 @@ const (
 const WALSuffix = ".wal"
 
 // defaultCheckpointBytes bounds log growth: after a commit that leaves
-// the log larger than this, the pager checkpoints and truncates it.
+// the log larger than this, the pager checkpoints and rewinds it.
 const defaultCheckpointBytes = 4 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -114,22 +117,23 @@ func (w *wal) commit() error {
 	return nil
 }
 
-// resetLog empties the log after a checkpoint has made the main file
-// current. Once the truncate has succeeded, off/buf are reset even if
-// the fsync then fails: the file really is shorter as the OS sees it,
-// so leaving off at its old value would make the next commit write past
-// a hole of zeros that replay mistakes for the end of the log —
-// silently discarding a commit that reported success. Replaying the
-// old log instead (if the truncate never became durable before a
-// crash) merely rewrites images the checkpoint already persisted.
-func (w *wal) resetLog() error {
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
+// resetLog rewinds the log after a checkpoint has made the main file
+// current. The file keeps its length: the next generation overwrites
+// blocks the file already has, so a commit's fsync need not also make
+// the file's growth durable, and whatever of the old generation is left
+// past the new end fails replay's LSN-continuity check.
+func (w *wal) resetLog() {
 	w.off = 0
 	w.archivedOff = 0
 	w.buf = w.buf[:0]
 	w.dirty = false
+}
+
+// truncate durably cuts the log file to n bytes.
+func (w *wal) truncate(n int64) error {
+	if err := w.f.Truncate(n); err != nil {
+		return err
+	}
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
@@ -175,15 +179,13 @@ func scanRecords(log []byte, fn func(kind byte, lsn uint64, id PageID, data []by
 
 // walReplayInfo summarises one log replay.
 type walReplayInfo struct {
-	// maxLSN is the highest LSN seen, committed or not, so new records
-	// never reuse the LSN of a record a crash may yet surface.
-	maxLSN uint64
 	// committedLSN is the LSN of the last valid commit marker and
 	// committedOff the byte offset just past it: log[0:committedOff] is
 	// the committed prefix a WAL archive preserves.
 	committedLSN uint64
 	committedOff int64
-	// discarded counts records dropped as uncommitted or torn tail.
+	// discarded counts records dropped as uncommitted or torn tail; an
+	// LSN break, the end of the current generation, is neither.
 	discarded int
 }
 
@@ -204,10 +206,13 @@ func (w *wal) replay() (committed map[PageID][]byte, info walReplayInfo, err err
 	}
 	pending := map[PageID][]byte{}
 	recEnd := int64(0)
+	next, broke := uint64(0), false // next: the LSN the next record must carry (0: any)
 	off := scanRecords(log, func(kind byte, lsn uint64, id PageID, data []byte) bool {
-		if lsn > info.maxLSN {
-			info.maxLSN = lsn
+		if next != 0 && lsn != next {
+			broke = true
+			return false
 		}
+		next = lsn + 1
 		if kind == walPage {
 			img := make([]byte, PageSize)
 			copy(img, data)
@@ -225,7 +230,7 @@ func (w *wal) replay() (committed map[PageID][]byte, info walReplayInfo, err err
 		return true
 	})
 	info.discarded = len(pending)
-	if off < len(log) {
+	if off < len(log) && !broke {
 		info.discarded++ // the torn or corrupt record that ended the scan
 	}
 	return committed, info, nil
