@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"repro/internal/parser"
@@ -121,9 +120,9 @@ func (in *Interp) registerBuiltins() {
 		if err != nil {
 			return false, err
 		}
-		return env.Unify(a[0], v), nil
+		return env.Unify(a[0], v.Term()), nil
 	}))
-	acmp := func(f func(float64, float64) bool) builtinFn {
+	acmp := func(f func(int) bool) builtinFn {
 		return det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
 			x, err := evalArith(env, a[0])
 			if err != nil {
@@ -133,15 +132,15 @@ func (in *Interp) registerBuiltins() {
 			if err != nil {
 				return false, err
 			}
-			return f(numOf(x), numOf(y)), nil
+			return f(term.CompareNumbers(x, y)), nil
 		})
 	}
-	reg("=:=", 2, acmp(func(a, b float64) bool { return a == b }))
-	reg("=\\=", 2, acmp(func(a, b float64) bool { return a != b }))
-	reg("<", 2, acmp(func(a, b float64) bool { return a < b }))
-	reg(">", 2, acmp(func(a, b float64) bool { return a > b }))
-	reg("=<", 2, acmp(func(a, b float64) bool { return a <= b }))
-	reg(">=", 2, acmp(func(a, b float64) bool { return a >= b }))
+	reg("=:=", 2, acmp(func(c int) bool { return c == 0 }))
+	reg("=\\=", 2, acmp(func(c int) bool { return c != 0 }))
+	reg("<", 2, acmp(func(c int) bool { return c < 0 }))
+	reg(">", 2, acmp(func(c int) bool { return c > 0 }))
+	reg("=<", 2, acmp(func(c int) bool { return c <= 0 }))
+	reg(">=", 2, acmp(func(c int) bool { return c >= 0 }))
 
 	reg("functor", 3, det(biIFunctor))
 	reg("arg", 3, det(biIArg))
@@ -425,181 +424,48 @@ func biIUniv(in *Interp, a []term.Term, env *Env) (bool, error) {
 	}
 }
 
-// numOf widens a numeric term.
-func numOf(t term.Term) float64 {
-	switch x := t.(type) {
-	case term.Int:
-		return float64(x)
-	case term.Float:
-		return float64(x)
-	}
-	return math.NaN()
-}
-
-// evalArith evaluates an arithmetic expression term.
-func evalArith(env *Env, t term.Term) (term.Term, error) {
+// evalArith evaluates an arithmetic expression term; what each constant
+// and function computes is package term's table, shared with the WAM.
+func evalArith(env *Env, t term.Term) (term.Number, error) {
 	t = env.Resolve(t)
+	if n, ok := term.NumberOf(t); ok {
+		return n, nil
+	}
 	switch x := t.(type) {
-	case term.Int, term.Float:
-		return x, nil
 	case *term.Var:
-		return nil, fmt.Errorf("interp: unbound variable in arithmetic")
+		return term.Number{}, fmt.Errorf("interp: unbound variable in arithmetic")
 	case term.Atom:
-		switch x {
-		case "pi":
-			return term.Float(math.Pi), nil
-		case "e":
-			return term.Float(math.E), nil
-		}
-		return nil, fmt.Errorf("interp: unknown constant %s", x)
+		return arithResult(term.ArithConstant(string(x)))
 	case *term.Compound:
 		if len(x.Args) == 1 {
 			a, err := evalArith(env, x.Args[0])
 			if err != nil {
-				return nil, err
+				return term.Number{}, err
 			}
-			return evalUnary1(x.Functor, a)
+			return arithResult(term.EvalUnary(x.Functor, a))
 		}
 		if len(x.Args) == 2 {
+			if x.Functor == term.ConsName && env.Resolve(x.Args[1]) == term.NilAtom {
+				return evalArith(env, x.Args[0]) // [X] evaluates to X
+			}
 			a, err := evalArith(env, x.Args[0])
 			if err != nil {
-				return nil, err
+				return term.Number{}, err
 			}
 			b, err := evalArith(env, x.Args[1])
 			if err != nil {
-				return nil, err
+				return term.Number{}, err
 			}
-			return evalBinary2(x.Functor, a, b)
+			return arithResult(term.EvalBinary(x.Functor, a, b))
 		}
 	}
-	return nil, fmt.Errorf("interp: bad arithmetic expression %s", t)
+	return term.Number{}, fmt.Errorf("interp: bad arithmetic expression %s", t)
 }
 
-func bothInt(a, b term.Term) (term.Int, term.Int, bool) {
-	x, ok1 := a.(term.Int)
-	y, ok2 := b.(term.Int)
-	return x, y, ok1 && ok2
-}
-
-func evalUnary1(op string, a term.Term) (term.Term, error) {
-	switch op {
-	case "-":
-		if x, ok := a.(term.Int); ok {
-			return -x, nil
-		}
-		return term.Float(-numOf(a)), nil
-	case "+":
-		return a, nil
-	case "abs":
-		if x, ok := a.(term.Int); ok {
-			if x < 0 {
-				return -x, nil
-			}
-			return x, nil
-		}
-		return term.Float(math.Abs(numOf(a))), nil
-	case "truncate":
-		return term.Int(math.Trunc(numOf(a))), nil
-	case "float":
-		return term.Float(numOf(a)), nil
-	case "sqrt":
-		return term.Float(math.Sqrt(numOf(a))), nil
-	case "sign":
-		v := numOf(a)
-		switch {
-		case v > 0:
-			return term.Int(1), nil
-		case v < 0:
-			return term.Int(-1), nil
-		}
-		return term.Int(0), nil
+// arithResult prefixes an error of the shared table with the package.
+func arithResult(n term.Number, err error) (term.Number, error) {
+	if err != nil {
+		return term.Number{}, fmt.Errorf("interp: %w", err)
 	}
-	return nil, fmt.Errorf("interp: unknown function %s/1", op)
-}
-
-func evalBinary2(op string, a, b term.Term) (term.Term, error) {
-	switch op {
-	case "+":
-		if x, y, ok := bothInt(a, b); ok {
-			return x + y, nil
-		}
-		return term.Float(numOf(a) + numOf(b)), nil
-	case "-":
-		if x, y, ok := bothInt(a, b); ok {
-			return x - y, nil
-		}
-		return term.Float(numOf(a) - numOf(b)), nil
-	case "*":
-		if x, y, ok := bothInt(a, b); ok {
-			return x * y, nil
-		}
-		return term.Float(numOf(a) * numOf(b)), nil
-	case "/":
-		if x, y, ok := bothInt(a, b); ok {
-			if y == 0 {
-				return nil, fmt.Errorf("interp: zero divisor")
-			}
-			if x%y == 0 {
-				return x / y, nil
-			}
-		}
-		if numOf(b) == 0 {
-			return nil, fmt.Errorf("interp: zero divisor")
-		}
-		return term.Float(numOf(a) / numOf(b)), nil
-	case "//":
-		x, y, ok := bothInt(a, b)
-		if !ok || y == 0 {
-			return nil, fmt.Errorf("interp: bad // operands")
-		}
-		return x / y, nil
-	case "mod":
-		x, y, ok := bothInt(a, b)
-		if !ok || y == 0 {
-			return nil, fmt.Errorf("interp: bad mod operands")
-		}
-		r := x % y
-		if r != 0 && (r < 0) != (y < 0) {
-			r += y
-		}
-		return r, nil
-	case "rem":
-		x, y, ok := bothInt(a, b)
-		if !ok || y == 0 {
-			return nil, fmt.Errorf("interp: bad rem operands")
-		}
-		return x % y, nil
-	case "min":
-		if numOf(a) <= numOf(b) {
-			return a, nil
-		}
-		return b, nil
-	case "max":
-		if numOf(a) >= numOf(b) {
-			return a, nil
-		}
-		return b, nil
-	case "**", "^":
-		if x, y, ok := bothInt(a, b); ok && op == "^" && y >= 0 {
-			r := term.Int(1)
-			for i := term.Int(0); i < y; i++ {
-				r *= x
-			}
-			return r, nil
-		}
-		return term.Float(math.Pow(numOf(a), numOf(b))), nil
-	case ">>":
-		x, y, ok := bothInt(a, b)
-		if !ok {
-			return nil, fmt.Errorf("interp: bad >> operands")
-		}
-		return x >> uint(y), nil
-	case "<<":
-		x, y, ok := bothInt(a, b)
-		if !ok {
-			return nil, fmt.Errorf("interp: bad << operands")
-		}
-		return x << uint(y), nil
-	}
-	return nil, fmt.Errorf("interp: unknown function %s/2", op)
+	return n, nil
 }

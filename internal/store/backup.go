@@ -4,13 +4,13 @@ package store
 // page file's disk frames taken while the store keeps serving reads
 // AND writes: starting the backup forces a checkpoint (so the frames
 // hold the complete committed state) and then freezes them — further
-// checkpoints are suspended, so concurrent writers proceed normally
-// into the tail map and the WAL, which simply grows until the backup
-// finishes. Every copied frame is therefore exactly the committed
-// state at the backup-start LSN; no page-level fuzziness needs
-// repairing at restore time. Frames are copied one page at a time
-// under the pager mutex — there is no global freeze, and each copy
-// window is one frame long.
+// checkpoints are suspended, so concurrent writers proceed normally:
+// their pages land in the pager's pending map, their commits in the WAL
+// and the tail map, which simply grow until the backup finishes. Every
+// copied frame is therefore exactly the committed state at the
+// backup-start LSN; no page-level fuzziness needs repairing at restore
+// time. Frames are copied one page at a time under the pager mutex —
+// there is no global freeze, and each copy window is one frame long.
 //
 // Restore lays the frames back down and, to reach any LSN past the
 // backup start, replays archived WAL segments (archive.go) up to an
@@ -287,19 +287,21 @@ func (p *filePager) endBackup(startLSN uint64) (endLSN uint64, err error) {
 		return 0, err
 	}
 	endLSN = p.wal.commitLSN
-	if p.wal.size() >= p.checkpointBytes {
+	if p.wal.off >= p.checkpointBytes {
 		_ = p.checkpoint()
 	}
 	return endLSN, nil
 }
 
 // abortBackup unfreezes the page file after a failed or abandoned
-// backup, retrying any checkpoint the freeze deferred.
+// backup, retrying any checkpoint the freeze deferred. That checkpoint
+// may run between two syncs; like every checkpoint it folds only what
+// commits logged, never a writer's pending pages.
 func (p *filePager) abortBackup() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.backupActive = false
-	if p.wal.size() >= p.checkpointBytes {
+	if p.wal.off >= p.checkpointBytes {
 		_ = p.checkpoint()
 	}
 }

@@ -716,3 +716,64 @@ func TestClearReadOnlyStillFaulty(t *testing.T) {
 		t.Fatal("store writable although the repair failed")
 	}
 }
+
+// TestBackupAbortFoldsOnlyCommitted aborts a backup while a writer's
+// pool has evicted pages it never synced, with the log past its
+// checkpoint threshold, then crashes: the abort's deferred checkpoint
+// must fold only what commits logged, so the reopened store holds
+// exactly the records of the last Sync.
+func TestBackupAbortFoldsOnlyCommitted(t *testing.T) {
+	const synced, unsynced = 140, 200
+	fsys := simfs.New(simfs.NewCtl(-1))
+	st, err := store.Open(fsys, "kb", store.Options{PoolPages: 8, CheckpointBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := bkSetup(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(i int) []byte { return bytes.Repeat(bkRecord(i), 25) }
+	for i := 0; i < synced; i++ {
+		if _, err := h.Insert(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	bk, err := st.StartBackup(&bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := st.Stats().Writes
+	for i := synced; i < synced+unsynced; i++ {
+		if _, err := h.Insert(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := st.Stats().Writes - writes; n*store.PageSize < 16<<10 {
+		t.Fatalf("the pool wrote back %d unsynced pages, too few to pass the checkpoint threshold", n)
+	}
+	bk.Abort()
+
+	st2, err := store.Open(fsys.Harvest(simfs.Drop), "kb", store.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	root, _ := st2.GetMeta("heap.root")
+	n := 0
+	if err := store.OpenHeap(st2.Pool(), store.PageID(root)).Scan(func(_ store.RID, r []byte) (bool, error) {
+		if !bytes.Equal(r, rec(n)) {
+			return false, fmt.Errorf("record %d is not the %dth inserted", n, n)
+		}
+		n++
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != synced {
+		t.Fatalf("reopened store holds %d records; the last Sync committed %d", n, synced)
+	}
+}

@@ -109,12 +109,13 @@ const pagerMagic = 0xBA461991
 var errBadMagic = errors.New("store: not a store file (bad magic)")
 
 // filePager is a crash-safe Pager over two Files: the page file and its
-// write-ahead log. Page writes accumulate in memory (tail) and in the
-// log buffer; Sync commits them with one log write and one fsync; a
-// checkpoint folds the committed images into the page file and rewinds
-// the log. The header (page count, free list, meta table) lives in
-// memory and rides along with every commit as the page-0 image, so
-// Allocate and Free are pure memory operations.
+// write-ahead log. A page write lands in pending, one image per page;
+// Sync logs every pending page once, then the header, then a commit
+// marker, with one log write and one fsync, and moves the images into
+// tail; a checkpoint folds tail into the page file and rewinds the log.
+// The header (page count, free list, meta table) lives in memory and is
+// logged with every commit as the page-0 image, so Allocate and Free
+// are pure memory operations.
 type filePager struct {
 	mu       sync.Mutex
 	f        File
@@ -123,11 +124,15 @@ type filePager struct {
 	freeHead PageID
 	meta     map[string]uint64
 	hdrDirty bool
-	// tail holds the latest image of every page written since the last
-	// checkpoint; reads are served from it before the page file.
+	// pending holds the image of every page written since the last
+	// commit; nothing of it is in either file yet. Reads try it first.
+	pending map[PageID][]byte
+	// tail holds the committed image of every page logged since the last
+	// checkpoint, the header (page 0) included; reads try it next, then
+	// the page file. A checkpoint folds exactly tail.
 	tail map[PageID][]byte
 	// txn, when non-nil, is the undo record of the open transaction
-	// (txn.go): commits are suspended and stash records pre-images.
+	// (txn.go): commits are suspended until commitTxn.
 	txn *pagerTxn
 	// archive, when non-nil, receives the committed log at every
 	// checkpoint instead of it being discarded (archive.go).
@@ -135,7 +140,7 @@ type filePager struct {
 	// backupActive, while true, blocks checkpoints: an online backup
 	// (backup.go) is copying the page file's frames and they must stay
 	// frozen at the backup-start state. Commits keep working — writers
-	// proceed into the tail and the log.
+	// proceed into pending, and commits into the log and the tail.
 	backupActive bool
 	// diverged, when non-nil, records a failed-commit cleanup that
 	// could not be made durable (txn.go): the log may still hold the
@@ -171,6 +176,7 @@ func openFilePager(fsys FS, path string, opts Options) (*filePager, error) {
 		f:               f,
 		wal:             newWAL(wf),
 		meta:            map[string]uint64{},
+		pending:         map[PageID][]byte{},
 		tail:            map[PageID][]byte{},
 		checkpointBytes: defaultCheckpointBytes,
 	}
@@ -288,12 +294,14 @@ func (p *filePager) checkpointLSN() uint64 {
 	return binary.LittleEndian.Uint64(f[12:20])
 }
 
-func (p *filePager) encodeHeaderPage() ([]byte, error) {
+// encodeHeaderPage encodes the in-memory header stamped with lsn, the
+// LSN of the commit marker that will commit it.
+func (p *filePager) encodeHeaderPage(lsn uint64) ([]byte, error) {
 	buf := make([]byte, PageSize)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(pagerMagic))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(p.numPages))
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(p.freeHead))
-	binary.LittleEndian.PutUint64(buf[12:20], p.wal.lsn)
+	binary.LittleEndian.PutUint64(buf[12:20], lsn)
 	off := 20
 	binary.LittleEndian.PutUint32(buf[off:off+4], uint32(len(p.meta)))
 	off += 4
@@ -322,8 +330,8 @@ func (p *filePager) readHeader() error {
 	p.numPages = PageID(binary.LittleEndian.Uint32(buf[4:8]))
 	p.freeHead = PageID(binary.LittleEndian.Uint32(buf[8:12]))
 	if lsn := binary.LittleEndian.Uint64(buf[12:20]); lsn > p.wal.lsn {
-		// The header was written at a checkpoint, i.e. a commit
-		// boundary, so its LSN is a committed LSN.
+		// The header is stamped with the marker that committed it, so
+		// its LSN is a committed LSN.
 		p.wal.lsn = lsn
 		p.wal.commitLSN = lsn
 	}
@@ -406,7 +414,7 @@ func (p *filePager) ReadPage(id PageID, buf []byte) error {
 	if id >= p.numPages {
 		return fmt.Errorf("store: read of unallocated page %d", id)
 	}
-	if img, ok := p.tail[id]; ok {
+	if img := p.image(id); img != nil {
 		copy(buf[:PageSize], img)
 		return nil
 	}
@@ -427,28 +435,26 @@ func (p *filePager) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// stash records buf as the current image of page id and appends it to
-// the log buffer (lock held). Nothing touches the page file here: the
-// image becomes durable at the next Sync and reaches its home frame at
-// the next checkpoint. Inside a transaction, the page's pre-transaction
-// tail image is saved first (once) so rollback can restore it.
-func (p *filePager) stash(id PageID, buf []byte) {
-	if p.txn != nil {
-		if _, seen := p.txn.preTail[id]; !seen {
-			if img, ok := p.tail[id]; ok {
-				p.txn.preTail[id] = append([]byte(nil), img...)
-			} else {
-				p.txn.preTail[id] = nil
-			}
-		}
+// image returns page id's latest image held in memory, pending before
+// tail, or nil if the page file holds it (lock held).
+func (p *filePager) image(id PageID) []byte {
+	if img, ok := p.pending[id]; ok {
+		return img
 	}
-	img := p.tail[id]
+	return p.tail[id]
+}
+
+// stash records buf as page id's pending image, overwriting any earlier
+// one in place (lock held). Nothing touches either file here: the image
+// is logged at the next commit and reaches its home frame at the
+// checkpoint after that.
+func (p *filePager) stash(id PageID, buf []byte) {
+	img := p.pending[id]
 	if img == nil {
 		img = make([]byte, PageSize)
-		p.tail[id] = img
+		p.pending[id] = img
 	}
 	copy(img, buf[:PageSize])
-	p.wal.appendPage(id, img)
 }
 
 func (p *filePager) Allocate() (PageID, error) {
@@ -457,7 +463,7 @@ func (p *filePager) Allocate() (PageID, error) {
 	if p.freeHead != invalidPage {
 		id := p.freeHead
 		link := p.scratch[:4] // filled by readFrame below
-		if img, ok := p.tail[id]; ok {
+		if img := p.image(id); img != nil {
 			link = img[:4]
 		} else if err := p.readFrame(id); err != nil {
 			return 0, err
@@ -517,33 +523,41 @@ func (p *filePager) commit() error {
 	if err := p.commitOnly(); err != nil {
 		return err
 	}
-	if p.wal.size() >= p.checkpointBytes {
+	if p.wal.off >= p.checkpointBytes {
 		return p.checkpoint()
 	}
 	return nil
 }
 
-// commitOnly seals the pending batch with a commit marker (no
-// checkpoint). With nothing pending it is free.
+// commitOnly logs every pending page once, in page order, then the
+// header and a commit marker, and moves the committed images into the
+// tail (no checkpoint). With nothing pending it is free. On failure the
+// images stay pending, so a retry logs a superset of the batch.
 func (p *filePager) commitOnly() error {
-	if !p.hdrDirty && !p.wal.pending() {
+	if !p.hdrDirty && len(p.pending) == 0 {
 		return nil
 	}
-	hdr, err := p.encodeHeaderPage()
+	ids := sortedPageIDs(p.pending)
+	// The batch is one record per page, the header's, then the marker's.
+	hdr, err := p.encodeHeaderPage(p.wal.lsn + uint64(len(ids)) + 2)
 	if err != nil {
 		return err
 	}
-	p.wal.appendPage(0, hdr)
-	if err := p.wal.commit(); err != nil {
+	if err := p.wal.commit(ids, p.pending, hdr); err != nil {
 		return err
 	}
+	for _, id := range ids {
+		p.tail[id] = p.pending[id]
+	}
+	p.tail[0] = hdr
+	clear(p.pending)
 	p.hdrDirty = false
 	return nil
 }
 
-// checkpoint folds every committed page image into the page file and
-// rewinds the log. Called only at commit points, so the tail holds
-// committed images exclusively. During an online backup it is a no-op
+// checkpoint folds the tail, every image a commit logged since the last
+// checkpoint, into the page file and rewinds the log; pending images
+// stay in memory. During an online backup it is a no-op
 // (the page file's frames must stay frozen; the log simply keeps
 // growing until the backup finishes), and with archiving enabled an
 // archive fault skips the checkpoint rather than either failing the
@@ -586,24 +600,17 @@ func (p *filePager) archiveBarrier() error {
 }
 
 // checkpointLocked is the fold half of a checkpoint, past the archive
-// barrier and the backup guard.
+// barrier and the backup guard. The header it folds is the one the last
+// commit logged, stamped with that commit's LSN: recoverLog's stale-head
+// check compares replay's last commit against it.
 func (p *filePager) checkpointLocked() error {
-	if p.wal.size() == 0 && len(p.tail) == 0 {
-		if sz, err := p.f.Size(); err == nil && sz > 0 {
-			return nil // nothing new and the header is already on disk
-		}
+	if p.wal.off == 0 && len(p.tail) == 0 {
+		return nil // nothing logged since the last checkpoint
 	}
 	for _, id := range sortedPageIDs(p.tail) {
 		if err := p.writeFrame(id, p.tail[id]); err != nil {
 			return err
 		}
-	}
-	hdr, err := p.encodeHeaderPage()
-	if err != nil {
-		return err
-	}
-	if err := p.writeFrame(0, hdr); err != nil {
-		return err
 	}
 	if err := p.f.Sync(); err != nil {
 		return err

@@ -2,16 +2,17 @@ package store
 
 // Transactions. The pager's normal regime makes every Sync a commit
 // point; a transaction suspends that — Sync becomes a no-op, page
-// images keep accumulating in memory (the WAL buffer and the tail map),
-// and nothing touches either file until commitTxn appends the single
-// commit marker. Rollback therefore needs no disk I/O at all: it
-// discards the WAL buffer, restores the header fields and the
-// pre-transaction tail images, and the files never knew the transaction
-// happened. A crash mid-transaction recovers to the pre-transaction
-// state for the same reason.
+// images keep accumulating in the pending map, and nothing touches
+// either file until commitTxn logs them with the single commit marker.
+// beginTxn commits first, so pending then holds exactly the
+// transaction's pages and the tail only committed ones. Rollback
+// therefore needs no disk I/O at all: it clears pending and restores
+// the header fields, and the files never knew the transaction happened.
+// Nothing was logged, so no LSN is reused. A crash mid-transaction
+// recovers to the pre-transaction state for the same reason.
 //
 // The one hard case is a commit that fails halfway: a failed fsync
-// happens after the marker has left the buffer, so the marker may or
+// happens after the batch has reached the file, so its marker may or
 // may not be durable. commitTxn rolls the in-memory state back and
 // truncates the log to its pre-transaction length so recovery cannot
 // resurrect the aborted transaction; if even the truncate fails, the
@@ -30,19 +31,14 @@ var (
 )
 
 // pagerTxn is the filePager's undo record: the header fields at
-// beginTxn plus, for every page stashed during the transaction, its
-// pre-transaction tail image.
+// beginTxn and the log's position, for the commit-failure truncate.
 type pagerTxn struct {
 	numPages PageID
 	freeHead PageID
 	meta     map[string]uint64
 	hdrDirty bool
 	preOff   int64  // wal.off at beginTxn, for post-failure truncation
-	preLSN   uint64 // wal.lsn at beginTxn; rollback reuses the discarded LSNs
-	// preTail maps each page first stashed during the transaction to the
-	// tail image it had before (nil: the page was not in the tail, so
-	// rollback deletes it).
-	preTail map[PageID][]byte
+	preLSN   uint64 // wal.lsn at beginTxn, restored with preOff
 }
 
 // divergence records a failed-commit cleanup that could not be made
@@ -62,10 +58,9 @@ func (p *filePager) beginTxn() error {
 	if p.txn != nil {
 		return ErrTxnOpen
 	}
-	// Make the pre-transaction state durable first. After this the WAL
-	// buffer is empty and nothing is pending, so everything appended
-	// while the transaction is open is exactly the transaction's redo
-	// set, and discarding the buffer is a complete log undo.
+	// Make the pre-transaction state durable first. After this nothing
+	// is pending, so every page stashed while the transaction is open
+	// belongs to it, and clearing pending is a complete undo.
 	if err := p.commit(); err != nil {
 		return err
 	}
@@ -80,7 +75,6 @@ func (p *filePager) beginTxn() error {
 		hdrDirty: p.hdrDirty,
 		preOff:   p.wal.off,
 		preLSN:   p.wal.lsn,
-		preTail:  map[PageID][]byte{},
 	}
 	return nil
 }
@@ -102,20 +96,18 @@ func (p *filePager) commitTxn() error {
 		// durable marker can at worst resurface the transaction at the
 		// next open, never diverge from live state that kept writing.
 		p.txn = txn
-		advancedLSN := p.wal.lsn
 		p.rollbackLocked()
-		// Adopt the shorter offset only once the truncate is durable: a
-		// failed fsync means a crash could still surface the marker, so
-		// keeping wal.off advanced makes any later append land after it
-		// instead of silently narrowing the divergence to a crash window.
-		// In that diverged state the discarded LSNs stay burned too (the
-		// file still holds records carrying them), and the divergence is
-		// recorded so clearDiverged can repair the log before the store
-		// re-enables writes.
+		// Adopt the pre-transaction offset and LSN only once the
+		// truncate is durable: a failed fsync means a crash could still
+		// surface the marker, so keeping wal.off advanced makes any later
+		// append land after it instead of silently narrowing the
+		// divergence to a crash window. In that diverged state the
+		// batch's LSNs stay burned too (the file still holds records
+		// carrying them), and the divergence is recorded so clearDiverged
+		// can repair the log before the store re-enables writes.
 		if p.wal.truncate(txn.preOff) == nil {
-			p.wal.off = txn.preOff
+			p.wal.off, p.wal.lsn = txn.preOff, txn.preLSN
 		} else {
-			p.wal.lsn = advancedLSN
 			p.diverged = &divergence{off: txn.preOff, lsn: txn.preLSN}
 		}
 		return err
@@ -124,7 +116,7 @@ func (p *filePager) commitTxn() error {
 	// other commit, but do not fail the committed transaction over it: a
 	// checkpoint fault leaves the tail and the committed log intact
 	// (see checkpoint), and the next commit retries it.
-	if p.wal.size() >= p.checkpointBytes {
+	if p.wal.off >= p.checkpointBytes {
 		_ = p.checkpoint()
 	}
 	return nil
@@ -141,10 +133,9 @@ func (p *filePager) rollbackTxn() error {
 }
 
 // rollbackLocked restores the pre-transaction pager state (mu held,
-// p.txn non-nil). No file I/O happens while a transaction is open, so
-// dropping the WAL buffer and restoring the in-memory images is the
-// whole undo; only the commit-failure path in commitTxn touches the log
-// file afterwards.
+// p.txn non-nil). Nothing is logged while a transaction is open, so
+// clearing pending and restoring the header fields is the whole undo;
+// only the commit-failure path in commitTxn touches the log afterwards.
 func (p *filePager) rollbackLocked() {
 	txn := p.txn
 	p.txn = nil
@@ -152,19 +143,7 @@ func (p *filePager) rollbackLocked() {
 	p.freeHead = txn.freeHead
 	p.meta = txn.meta
 	p.hdrDirty = txn.hdrDirty
-	for id, img := range txn.preTail {
-		if img == nil {
-			delete(p.tail, id)
-		} else {
-			p.tail[id] = img
-		}
-	}
-	p.wal.buf = p.wal.buf[:0]
-	p.wal.dirty = false
-	// The discarded records never reached the file (no I/O inside a
-	// transaction), so their LSNs are reused — keeping the LSN sequence
-	// of what does reach the log (and hence the archive) dense.
-	p.wal.lsn = txn.preLSN
+	clear(p.pending)
 }
 
 func (p *filePager) inTxn() bool {

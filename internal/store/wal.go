@@ -7,14 +7,15 @@ import (
 	"sync/atomic"
 )
 
-// The write-ahead log makes page-file updates crash-atomic. Every
-// WritePage appends a full page image to the log (buffered in memory);
-// Sync appends a commit marker, writes the whole batch with a single
-// WriteAt and makes it durable with a single fsync — group commit: the
-// cost of durability is one fsync per flush, not per page. The main
-// page file is only written at checkpoint, after the images it absorbs
-// are already durable in the log, so a crash at any instant leaves
-// either the old or the new committed state recoverable.
+// The write-ahead log makes page-file updates crash-atomic. A commit
+// logs one batch: a full image of every page written since the last
+// commit, each once however often it was written, then the header page
+// and a commit marker, in a single WriteAt made durable by a single
+// fsync — group commit: the cost of durability is one fsync per flush,
+// not per page. Nothing is logged between commits. The main page file
+// is only written at checkpoint, after the images it absorbs are
+// already durable in the log, so a crash at any instant leaves either
+// the old or the new committed state recoverable.
 //
 // Record layout (little-endian):
 //
@@ -47,11 +48,10 @@ const defaultCheckpointBytes = 4 << 20
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 type wal struct {
-	f     File
-	buf   []byte // records appended since the last flush to f
-	off   int64  // flushed bytes in f
-	lsn   uint64
-	dirty bool // page records appended since the last commit
+	f   File
+	buf []byte // the batch commit encodes, kept for reuse
+	off int64  // flushed bytes in f: the log's length
+	lsn uint64
 	// commitLSN is the LSN of the last durable commit marker. Unlike
 	// lsn it never counts records that were later discarded (a rolled
 	// back transaction, a torn tail), so it is the LSN a backup or an
@@ -71,12 +71,6 @@ type wal struct {
 
 func newWAL(f File) *wal { return &wal{f: f} }
 
-// pending reports whether any page image awaits a commit marker.
-func (w *wal) pending() bool { return w.dirty }
-
-// size is the log's logical length (flushed plus buffered).
-func (w *wal) size() int64 { return w.off + int64(len(w.buf)) }
-
 func (w *wal) appendRec(kind byte, id PageID, data []byte) {
 	w.lsn++
 	var hdr [walRecHdr]byte
@@ -92,26 +86,34 @@ func (w *wal) appendRec(kind byte, id PageID, data []byte) {
 
 func (w *wal) appendPage(id PageID, data []byte) {
 	w.appendRec(walPage, id, data)
-	w.dirty = true
 	w.appends.Add(1)
 }
 
-// commit seals the current batch: one commit marker, one write, one
-// fsync, regardless of how many pages the batch touched.
-func (w *wal) commit() error {
+// commit logs one batch — an image record for each page of ids, then
+// hdr as page 0, then a commit marker — with one write and one fsync,
+// regardless of how many pages the batch holds. A failed write gives
+// the batch's LSNs back, since the retry rewrites it from the same
+// offset; a failed fsync keeps them, since the offset has moved past a
+// batch that may be durable.
+func (w *wal) commit(ids []PageID, pages map[PageID][]byte, hdr []byte) error {
+	prev := w.lsn
+	w.buf = w.buf[:0]
+	for _, id := range ids {
+		w.appendPage(id, pages[id])
+	}
+	w.appendPage(0, hdr)
 	w.appendRec(walCommit, 0, nil)
 	if _, err := w.f.WriteAt(w.buf, w.off); err != nil {
+		w.lsn = prev
 		return err
 	}
 	w.off += int64(len(w.buf))
 	w.bytes.Add(uint64(len(w.buf)))
-	w.buf = w.buf[:0]
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
 	w.fsyncs.Add(1)
 	w.commits.Add(1)
-	w.dirty = false
 	// The marker was the last record appended, so w.lsn is its LSN.
 	w.commitLSN = w.lsn
 	return nil
@@ -125,8 +127,6 @@ func (w *wal) commit() error {
 func (w *wal) resetLog() {
 	w.off = 0
 	w.archivedOff = 0
-	w.buf = w.buf[:0]
-	w.dirty = false
 }
 
 // truncate durably cuts the log file to n bytes.

@@ -2,31 +2,13 @@ package wam
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dict"
+	"repro/internal/term"
 )
 
-// Number is the result of arithmetic evaluation: an integer or a float.
-type Number struct {
-	IsFloat bool
-	I       int64
-	F       float64
-}
-
-func intNum(v int64) Number   { return Number{I: v} }
-func fltNum(v float64) Number { return Number{IsFloat: true, F: v} }
-
-// AsFloat returns the numeric value as a float64.
-func (n Number) AsFloat() float64 {
-	if n.IsFloat {
-		return n.F
-	}
-	return float64(n.I)
-}
-
-// Cell converts the number into a heap cell (floats are interned).
-func (n Number) Cell(m *Machine) Cell {
+// numberCell converts n into a heap cell (floats are interned).
+func (m *Machine) numberCell(n term.Number) Cell {
 	if n.IsFloat {
 		return m.PushFloat(n.F)
 	}
@@ -42,38 +24,33 @@ func arithErrf(format string, args ...any) error {
 	return &ErrArith{Msg: fmt.Sprintf(format, args...)}
 }
 
+// arithResult wraps an error of the shared table as an ErrArith.
+func arithResult(n term.Number, err error) (term.Number, error) {
+	if err != nil {
+		return term.Number{}, &ErrArith{Msg: err.Error()}
+	}
+	return n, nil
+}
+
 // Eval evaluates cell c as an arithmetic expression (the right side of
-// is/2 and the operands of the arithmetic comparisons).
-func (m *Machine) Eval(c Cell) (Number, error) {
+// is/2 and the operands of the arithmetic comparisons); what each
+// constant and function computes is package term's table, shared with
+// the interpreter.
+func (m *Machine) Eval(c Cell) (term.Number, error) {
 	d := m.Deref(c)
 	switch d.Tag() {
 	case TagInt:
-		return intNum(d.IntVal()), nil
+		return term.IntNumber(d.IntVal()), nil
 	case TagFlt:
-		return fltNum(m.floats[d.Val()]), nil
+		return term.FloatNumber(m.floats[d.Val()]), nil
 	case TagRef:
-		return Number{}, arithErrf("unbound variable in expression")
+		return term.Number{}, arithErrf("unbound variable in expression")
 	case TagCon:
 		name := m.Dict.Name(dict.ID(d.Val()))
-		switch name {
-		case "pi":
-			return fltNum(math.Pi), nil
-		case "e":
-			return fltNum(math.E), nil
-		case "inf", "infinite":
-			return fltNum(math.Inf(1)), nil
-		case "nan":
-			return fltNum(math.NaN()), nil
-		case "epsilon":
-			return fltNum(2.220446049250313e-16), nil
-		case "max_tagged_integer":
-			return intNum(MaxInt), nil
-		case "random":
-			// Deterministic stand-in; real randomness would break
-			// reproducible benchmarks.
-			return fltNum(0.42), nil
+		if name == "max_tagged_integer" {
+			return term.IntNumber(MaxInt), nil
 		}
-		return Number{}, arithErrf("unknown constant %s", name)
+		return arithResult(term.ArithConstant(name))
 	case TagStr:
 		f := m.heap[d.Val()]
 		name := m.Dict.Name(f.FunID())
@@ -81,294 +58,27 @@ func (m *Machine) Eval(c Cell) (Number, error) {
 		if n == 1 {
 			a, err := m.Eval(m.heap[d.Val()+1])
 			if err != nil {
-				return Number{}, err
+				return term.Number{}, err
 			}
-			return evalUnary(name, a)
+			return arithResult(term.EvalUnary(name, a))
 		}
 		if n == 2 {
 			a, err := m.Eval(m.heap[d.Val()+1])
 			if err != nil {
-				return Number{}, err
+				return term.Number{}, err
 			}
 			b, err := m.Eval(m.heap[d.Val()+2])
 			if err != nil {
-				return Number{}, err
+				return term.Number{}, err
 			}
-			return evalBinary(name, a, b)
+			return arithResult(term.EvalBinary(name, a, b))
 		}
-		return Number{}, arithErrf("unknown function %s/%d", name, n)
+		return term.Number{}, arithErrf("unknown function %s/%d", name, n)
 	case TagLis:
 		// [X] evaluates to X per tradition (a single character code).
 		if m.Deref(m.heap[d.Val()+1]) == MakeCon(m.nilID()) {
 			return m.Eval(m.heap[d.Val()])
 		}
 	}
-	return Number{}, arithErrf("type error in expression (tag %v)", d.Tag())
-}
-
-func evalUnary(name string, a Number) (Number, error) {
-	switch name {
-	case "-":
-		if a.IsFloat {
-			return fltNum(-a.F), nil
-		}
-		return intNum(-a.I), nil
-	case "+":
-		return a, nil
-	case "abs":
-		if a.IsFloat {
-			return fltNum(math.Abs(a.F)), nil
-		}
-		if a.I < 0 {
-			return intNum(-a.I), nil
-		}
-		return a, nil
-	case "sign":
-		if a.IsFloat {
-			switch {
-			case a.F > 0:
-				return fltNum(1), nil
-			case a.F < 0:
-				return fltNum(-1), nil
-			}
-			return fltNum(0), nil
-		}
-		switch {
-		case a.I > 0:
-			return intNum(1), nil
-		case a.I < 0:
-			return intNum(-1), nil
-		}
-		return intNum(0), nil
-	case "min", "max":
-		return Number{}, arithErrf("%s/1 is not a function", name)
-	case "sqrt":
-		return fltNum(math.Sqrt(a.AsFloat())), nil
-	case "sin":
-		return fltNum(math.Sin(a.AsFloat())), nil
-	case "cos":
-		return fltNum(math.Cos(a.AsFloat())), nil
-	case "tan":
-		return fltNum(math.Tan(a.AsFloat())), nil
-	case "asin":
-		return fltNum(math.Asin(a.AsFloat())), nil
-	case "acos":
-		return fltNum(math.Acos(a.AsFloat())), nil
-	case "atan":
-		return fltNum(math.Atan(a.AsFloat())), nil
-	case "exp":
-		return fltNum(math.Exp(a.AsFloat())), nil
-	case "log":
-		return fltNum(math.Log(a.AsFloat())), nil
-	case "log2":
-		return fltNum(math.Log2(a.AsFloat())), nil
-	case "float":
-		return fltNum(a.AsFloat()), nil
-	case "integer":
-		if a.IsFloat {
-			return intNum(int64(math.Round(a.F))), nil
-		}
-		return a, nil
-	case "float_integer_part":
-		return fltNum(math.Trunc(a.AsFloat())), nil
-	case "float_fractional_part":
-		f := a.AsFloat()
-		return fltNum(f - math.Trunc(f)), nil
-	case "truncate":
-		return intNum(int64(math.Trunc(a.AsFloat()))), nil
-	case "round":
-		return intNum(int64(math.Round(a.AsFloat()))), nil
-	case "ceiling":
-		return intNum(int64(math.Ceil(a.AsFloat()))), nil
-	case "floor":
-		return intNum(int64(math.Floor(a.AsFloat()))), nil
-	case "\\":
-		if a.IsFloat {
-			return Number{}, arithErrf("\\ requires an integer")
-		}
-		return intNum(^a.I), nil
-	case "msb":
-		if a.IsFloat || a.I <= 0 {
-			return Number{}, arithErrf("msb requires a positive integer")
-		}
-		b := int64(-1)
-		for v := a.I; v != 0; v >>= 1 {
-			b++
-		}
-		return intNum(b), nil
-	case "succ":
-		if a.IsFloat {
-			return Number{}, arithErrf("succ requires an integer")
-		}
-		return intNum(a.I + 1), nil
-	}
-	return Number{}, arithErrf("unknown function %s/1", name)
-}
-
-func evalBinary(name string, a, b Number) (Number, error) {
-	switch name {
-	case "+":
-		if a.IsFloat || b.IsFloat {
-			return fltNum(a.AsFloat() + b.AsFloat()), nil
-		}
-		return intNum(a.I + b.I), nil
-	case "-":
-		if a.IsFloat || b.IsFloat {
-			return fltNum(a.AsFloat() - b.AsFloat()), nil
-		}
-		return intNum(a.I - b.I), nil
-	case "*":
-		if a.IsFloat || b.IsFloat {
-			return fltNum(a.AsFloat() * b.AsFloat()), nil
-		}
-		return intNum(a.I * b.I), nil
-	case "/":
-		if !a.IsFloat && !b.IsFloat {
-			if b.I == 0 {
-				return Number{}, arithErrf("zero divisor")
-			}
-			if a.I%b.I == 0 {
-				return intNum(a.I / b.I), nil
-			}
-			return fltNum(float64(a.I) / float64(b.I)), nil
-		}
-		if b.AsFloat() == 0 {
-			return Number{}, arithErrf("zero divisor")
-		}
-		return fltNum(a.AsFloat() / b.AsFloat()), nil
-	case "//":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("// requires integers")
-		}
-		if b.I == 0 {
-			return Number{}, arithErrf("zero divisor")
-		}
-		return intNum(a.I / b.I), nil
-	case "div":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("div requires integers")
-		}
-		if b.I == 0 {
-			return Number{}, arithErrf("zero divisor")
-		}
-		q := a.I / b.I
-		if (a.I%b.I != 0) && ((a.I < 0) != (b.I < 0)) {
-			q--
-		}
-		return intNum(q), nil
-	case "mod":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("mod requires integers")
-		}
-		if b.I == 0 {
-			return Number{}, arithErrf("zero divisor")
-		}
-		r := a.I % b.I
-		if r != 0 && ((r < 0) != (b.I < 0)) {
-			r += b.I
-		}
-		return intNum(r), nil
-	case "rem":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("rem requires integers")
-		}
-		if b.I == 0 {
-			return Number{}, arithErrf("zero divisor")
-		}
-		return intNum(a.I % b.I), nil
-	case "min":
-		if cmpNum(a, b) <= 0 {
-			return a, nil
-		}
-		return b, nil
-	case "max":
-		if cmpNum(a, b) >= 0 {
-			return a, nil
-		}
-		return b, nil
-	case "**":
-		return fltNum(math.Pow(a.AsFloat(), b.AsFloat())), nil
-	case "^":
-		if !a.IsFloat && !b.IsFloat {
-			if b.I < 0 {
-				return Number{}, arithErrf("negative integer exponent")
-			}
-			r := int64(1)
-			base := a.I
-			for e := b.I; e > 0; e >>= 1 {
-				if e&1 == 1 {
-					r *= base
-				}
-				base *= base
-			}
-			return intNum(r), nil
-		}
-		return fltNum(math.Pow(a.AsFloat(), b.AsFloat())), nil
-	case ">>":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf(">> requires integers")
-		}
-		return intNum(a.I >> uint(b.I)), nil
-	case "<<":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("<< requires integers")
-		}
-		return intNum(a.I << uint(b.I)), nil
-	case "/\\":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("/\\ requires integers")
-		}
-		return intNum(a.I & b.I), nil
-	case "\\/":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("\\/ requires integers")
-		}
-		return intNum(a.I | b.I), nil
-	case "xor":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("xor requires integers")
-		}
-		return intNum(a.I ^ b.I), nil
-	case "atan", "atan2":
-		return fltNum(math.Atan2(a.AsFloat(), b.AsFloat())), nil
-	case "gcd":
-		if a.IsFloat || b.IsFloat {
-			return Number{}, arithErrf("gcd requires integers")
-		}
-		x, y := a.I, b.I
-		if x < 0 {
-			x = -x
-		}
-		if y < 0 {
-			y = -y
-		}
-		for y != 0 {
-			x, y = y, x%y
-		}
-		return intNum(x), nil
-	case "copysign":
-		return fltNum(math.Copysign(a.AsFloat(), b.AsFloat())), nil
-	}
-	return Number{}, arithErrf("unknown function %s/2", name)
-}
-
-// cmpNum compares two numbers: -1, 0 or 1.
-func cmpNum(a, b Number) int {
-	if !a.IsFloat && !b.IsFloat {
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
-		return 0
-	}
-	af, bf := a.AsFloat(), b.AsFloat()
-	switch {
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
-	}
-	return 0
+	return term.Number{}, arithErrf("type error in expression (tag %v)", d.Tag())
 }

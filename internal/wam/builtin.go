@@ -108,7 +108,7 @@ func registerCoreBuiltins(m *Machine) {
 		if err != nil {
 			return false, err
 		}
-		return m.Unify(a[0], n.Cell(m)), nil
+		return m.Unify(a[0], m.numberCell(n)), nil
 	})
 	arithCmp := func(f func(int) bool) BuiltinFn {
 		return func(m *Machine, a []Cell) (bool, error) {
@@ -120,7 +120,7 @@ func registerCoreBuiltins(m *Machine) {
 			if err != nil {
 				return false, err
 			}
-			return f(cmpNum(x, y)), nil
+			return f(term.CompareNumbers(x, y)), nil
 		}
 	}
 	reg("=:=", 2, arithCmp(func(c int) bool { return c == 0 }))
@@ -337,18 +337,18 @@ func (m *Machine) CompareCells(a, b Cell) int {
 	case TagRef:
 		return da.Val() - db.Val()
 	case TagInt, TagFlt:
-		var x, y Number
+		var x, y term.Number
 		if da.Tag() == TagInt {
-			x = intNum(da.IntVal())
+			x = term.IntNumber(da.IntVal())
 		} else {
-			x = fltNum(m.floats[da.Val()])
+			x = term.FloatNumber(m.floats[da.Val()])
 		}
 		if db.Tag() == TagInt {
-			y = intNum(db.IntVal())
+			y = term.IntNumber(db.IntVal())
 		} else {
-			y = fltNum(m.floats[db.Val()])
+			y = term.FloatNumber(m.floats[db.Val()])
 		}
-		if c := cmpNum(x, y); c != 0 {
+		if c := term.CompareNumbers(x, y); c != 0 {
 			return c
 		}
 		// Equal value: Float precedes Int.
