@@ -526,6 +526,32 @@ func containsSub(s, sub string) bool {
 	return false
 }
 
+// TestAnonymousVariableStoredApart: an anonymous variable is never read
+// under the name of a named variable of the same clause, so a stored
+// clause keeps its variables apart in both rule-storage modes, and
+// retract_external finds it again.
+func TestAnonymousVariableStoredApart(t *testing.T) {
+	for _, rs := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {
+		e := newSession(t, Options{RuleStorage: rs})
+		if err := e.ConsultExternal("q(2). p(_, _A1) :- q(_A1)."); err != nil {
+			t.Fatal(err)
+		}
+		count := func(q string, want int) {
+			t.Helper()
+			if n, err := e.QueryCount(q); err != nil || n != want {
+				t.Fatalf("%v: %s has %d solutions (err %v), want %d", rs, q, n, err, want)
+			}
+		}
+		count("p(1, 2)", 1)
+		count("p(2, 2)", 1)
+		count("p(1, 1)", 0)
+		if ok, err := e.RetractExternal(mustParseCore(t, "(p(_, _A1) :- q(_A1))")); !ok || err != nil {
+			t.Fatalf("%v: retract_external: %v, %v", rs, ok, err)
+		}
+		count("p(2, 2)", 0)
+	}
+}
+
 func TestAssertRetractExternal(t *testing.T) {
 	e := newSession(t, Options{})
 	if err := e.ConsultExternal("stock(apples, 10). stock(pears, 5)."); err != nil {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/interp"
@@ -41,11 +43,12 @@ type Solutions struct {
 // Query parses and runs a goal, returning a Solutions iterator. The query
 // executes on the WAM in compiled mode, or on the resolution interpreter
 // in baseline (source) mode. In compiled mode the session keeps the
-// linked code of each goal text, so asking the same text again skips
-// parsing, compiling and linking (see resident.go). Each query starts
-// from a fresh view of the shared knowledge base: code another session
-// invalidated since the last query is dropped and reloaded on use. The
-// query runs inside the session's resource envelope (see envelope.go).
+// linked code of each goal shape, so a text that differs from an earlier
+// one at most in its constants skips parsing, compiling and linking (see
+// resident.go). Each query starts from a fresh view of the shared
+// knowledge base: code another session invalidated since the last query
+// is dropped and reloaded on use. The query runs inside the session's
+// resource envelope (see envelope.go).
 func (s *Session) Query(q string) (*Solutions, error) { return s.query(nil, q) }
 
 // query is Query under ctx (nil: none).
@@ -83,10 +86,11 @@ func (s *Session) query(ctx context.Context, q string) (sol *Solutions, err erro
 	for i := range args {
 		args[i] = wam.MakeRef(s.m.NewVar())
 	}
+	s.callArgs = append(append(s.callArgs[:0], args...), lq.consts...)
 	return &Solutions{
 		e:     s,
 		names: lq.names,
-		run:   s.m.Call(s.m.Dict.Intern("$query", len(args)), args),
+		run:   s.m.Call(lq.fn, s.callArgs),
 		args:  args,
 	}, nil
 }
@@ -106,6 +110,97 @@ func (s *Session) parseQuery(q string) (term.Term, map[string]*term.Var, []strin
 	sort.Strings(names)
 	return body, vars, names, nil
 }
+
+// shapeMarker stands for a lifted constant in a shape key. No liftable
+// text contains it, so texts share a key only if they differ in constants.
+const shapeMarker = 0
+
+// goalScan is a goal text's scanned shape; a session reuses one's buffers.
+type goalScan struct {
+	key  []byte // the text, each constant replaced by shapeMarker
+	name string
+	args []goalArg
+}
+
+// goalArg is a scanned variable ('V'), atom ('a') or integer ('0', val).
+type goalArg struct {
+	kind byte
+	text string
+	val  int64
+}
+
+// scan reports whether goal text q is one call name(a1, ..., an), each ai
+// an unquoted [a-z][A-Za-z0-9_]* atom, an unsigned decimal integer in the
+// WAM's range or a variable; see DESIGN §6, "Linked queries".
+func (g *goalScan) scan(q string) bool {
+	g.key, g.args = g.key[:0], g.args[:0]
+	i, last := span(q, 0, layout), 0 // q[:last] is in key
+	j := span(q, i, alnum)
+	if j == i || q[i] < 'a' || q[i] > 'z' || j == len(q) || q[j] != '(' {
+		return false
+	}
+	g.name = q[i:j]
+	for i = j; q[i] != ')'; { // q[i] is the '(' or ',' before an argument
+		j = span(q, i+1, layout)
+		k := span(q, j, alnum)
+		if k == j {
+			return false
+		}
+		a := goalArg{kind: 'V', text: q[j:k]}
+		switch c := q[j]; { // lower case, digit, or upper case and '_'
+		case c >= 'a':
+			a.kind = 'a'
+		case c <= '9':
+			v, err := strconv.ParseInt(a.text, 10, 64)
+			if a.kind, a.val = '0', v; err != nil || !wam.CheckInt(v) {
+				return false
+			}
+		}
+		if g.args = append(g.args, a); a.kind != 'V' {
+			g.key = append(append(g.key, q[last:j]...), shapeMarker)
+			last = k
+		}
+		if i = span(q, k, layout); i == len(q) || q[i] != ',' && q[i] != ')' {
+			return false
+		}
+	}
+	g.key = append(g.key, q[last:]...)
+	return span(q, i+1, layout) == len(q)
+}
+
+// confirms reports whether t, the text's term as read, is the scanned call.
+func (g *goalScan) confirms(t term.Term) bool {
+	c, ok := t.(*term.Compound)
+	ok = ok && c.Functor == g.name && len(c.Args) == len(g.args)
+	for i := 0; ok && i < len(g.args); i++ {
+		_, isVar := c.Args[i].(*term.Var)
+		a, arg := g.args[i], c.Args[i]
+		ok = a.kind == 'V' && isVar || a.kind == 'a' && arg == term.Atom(a.text) || a.kind == '0' && arg == term.Int(a.val)
+	}
+	return ok
+}
+
+// cells returns the scanned constants as m's cells, in argument order.
+func (g *goalScan) cells(m *wam.Machine) (cs []wam.Cell) {
+	for _, a := range g.args {
+		switch a.kind {
+		case 'a':
+			cs = append(cs, wam.MakeCon(m.Dict.Intern(a.text, 0)))
+		case '0':
+			cs = append(cs, wam.MakeInt(a.val))
+		}
+	}
+	return cs
+}
+
+// controlGoals call a goal argument; a goal calling one is never lifted.
+var controlGoals = map[string]bool{"call": true, "not": true, "once": true, "ignore": true,
+	"forall": true, "findall": true, "bagof": true, "setof": true, "aggregate_all": true, "transaction": true}
+
+const layout, alnum = " \t\n\r", "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
+
+// span returns the end of the run of bytes of set that starts at q[i].
+func span(q string, i int, set string) int { return len(q) - len(strings.TrimLeft(q[i:], set)) }
 
 // Next advances to the next solution, returning false when exhausted or
 // on error (check Err). Exhaustion and errors release per-query state.
@@ -173,7 +268,7 @@ func (s *Solutions) Binding(name string) term.Term { return s.cur[name] }
 func (s *Solutions) Map() map[string]term.Term { return s.cur }
 
 // Vars lists the query's variable names in sorted order. The slice is
-// shared with every later run of the same goal text: read it, never
+// shared with every run of a goal of the same shape: read it, never
 // modify it.
 func (s *Solutions) Vars() []string { return s.names }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/dict"
 	"repro/internal/edb"
 	"repro/internal/loader"
 	"repro/internal/obs"
@@ -23,9 +24,9 @@ import (
 // session when it catches up through the log. Resident code leaves a
 // session through evict and nowhere else, and reconcile decides when.
 //
-// A session also keeps the queries it linked, by goal text. Their code names
-// callees by functor and builtins by a stable slot, so no write makes it
-// stale; an op/3 directive, which can change how a text reads, drops them.
+// A session also keeps the queries it linked, by text, with code shared by
+// shape. The code names callees by functor and builtins by a stable slot, so
+// no write makes it stale; op/3, which can change how a text reads, drops it.
 
 // filterKey names one variant of a stored procedure: the pre-unification
 // key of each indexed head argument (a procedure uses its first K).
@@ -68,15 +69,26 @@ const sharedCacheLimit = 4096
 // main-memory code is garbage collected, the EDB copy needs none).
 const loadedCacheLimit = 1024
 
-// linkedQuery is one goal text's linked code: $query/N over the goal's
-// variables in names order, and the auxiliaries lifted out of the goal.
+// linkedQuery is one goal text's entry: its shape and the constants the
+// shape lifted, as cells.
 type linkedQuery struct {
-	names []string
-	procs []*wam.Proc
+	*queryShape
+	consts []wam.Cell
 }
 
-// queryCacheLimit caps a session's linked queries; past it the oldest
-// entry is evicted, one at a time.
+// queryShape is one goal shape's linked code: $query/N over the goal's
+// variables in names order and then its lifted constants, and the goal's
+// auxiliaries. refs counts its texts; key is "" for a text's own shape.
+type queryShape struct {
+	key   string
+	names []string
+	procs []*wam.Proc
+	fn    dict.ID // $query/N
+	refs  int
+}
+
+// queryCacheLimit caps a session's linked query texts; past it the oldest
+// is evicted, one at a time.
 const queryCacheLimit = 512
 
 // --- knowledge-base side ----------------------------------------------------
@@ -281,16 +293,42 @@ func (s *Session) evictAll() {
 	}
 }
 
-// linkQuery returns the linked code of goal text q, installed and ready to
-// call. Only a text the table does not hold is parsed, compiled and
-// linked; one that fails to is not cached.
+// linkQuery returns the table entry of goal text q, its code installed and
+// ready to call. Only a text of a new shape is parsed, compiled and linked;
+// one that fails to is not cached.
 func (s *Session) linkQuery(q string) (*linkedQuery, error) {
-	if lq := s.queries[q]; lq != nil {
-		for _, p := range lq.procs {
-			s.m.DefineProc(p)
+	lq := s.queries[q]
+	if lq == nil {
+		g := &s.scan
+		lifted := g.scan(q) && s.m.BuiltinIndex(g.name, len(g.args)) < 0 && !controlGoals[g.name]
+		sh := s.shapes[string(g.key)]
+		if !lifted || sh == nil {
+			var err error
+			if sh, err = s.linkShape(q, lifted); err != nil {
+				return nil, err
+			}
 		}
-		return lq, nil
+		lq = &linkedQuery{queryShape: sh}
+		if sh.key != "" {
+			lq.consts = g.cells(s.m)
+		}
+		sh.refs++ // before the eviction, which may drop a text of this shape
+		if len(s.queryOrder) == queryCacheLimit {
+			s.dropQuery(s.queryOrder[0])
+			s.queryOrder = s.queryOrder[1:]
+		}
+		s.queries[q] = lq
+		s.queryOrder = append(s.queryOrder, q)
 	}
+	for _, p := range lq.procs {
+		s.m.DefineProc(p)
+	}
+	return lq, nil
+}
+
+// linkShape parses, compiles and links goal text q. A lifted text whose term
+// is the scanned call gets its constants as $query arguments and a key.
+func (s *Session) linkShape(q string, lifted bool) (*queryShape, error) {
 	body, vars, names, err := s.parseQuery(q)
 	if err != nil {
 		return nil, err
@@ -298,6 +336,17 @@ func (s *Session) linkQuery(q string) (*linkedQuery, error) {
 	vlist := make([]*term.Var, len(names))
 	for i, n := range names {
 		vlist[i] = vars[n]
+	}
+	g := &s.scan
+	if lifted = lifted && g.confirms(body); lifted {
+		args := append([]term.Term(nil), body.(*term.Compound).Args...)
+		for i, a := range g.args {
+			if a.kind != 'V' {
+				args[i] = &term.Var{}
+				vlist = append(vlist, args[i].(*term.Var))
+			}
+		}
+		body = term.Comp(g.name, args...)
 	}
 	t0 := time.Now()
 	ccs, err := s.comp.CompileQuery("$query", vlist, body)
@@ -311,39 +360,41 @@ func (s *Session) linkQuery(q string) (*linkedQuery, error) {
 	for _, cc := range ccs {
 		units[cc.Pred] = append(units[cc.Pred], cc)
 	}
-	lq := &linkedQuery{names: names}
+	sh := &queryShape{names: names, fn: s.m.Dict.Intern("$query", len(vlist))}
 	for pi, cs := range units {
 		blk, err := loader.BuildBlock(s.m, pi.Name, pi.Arity, cs, loader.Options{Index: !s.opts.DisableIndexing})
 		if err != nil {
 			return nil, err
 		}
-		lq.procs = append(lq.procs, &wam.Proc{Fn: s.m.Dict.Intern(pi.Name, pi.Arity), Arity: pi.Arity, Block: blk})
+		sh.procs = append(sh.procs, &wam.Proc{Fn: s.m.Dict.Intern(pi.Name, pi.Arity), Arity: pi.Arity, Block: blk})
 	}
-	for _, p := range lq.procs {
+	for _, p := range sh.procs {
 		s.m.AddBlock(p.Block)
-		s.m.DefineProc(p)
 	}
-	if len(s.queryOrder) == queryCacheLimit {
-		s.dropQuery(s.queryOrder[0])
-		s.queryOrder = s.queryOrder[1:]
+	if lifted {
+		sh.key = string(g.key)
+		s.shapes[sh.key] = sh
 	}
-	s.queries[q] = lq
-	s.queryOrder = append(s.queryOrder, q)
-	return lq, nil
+	return sh, nil
 }
 
-// dropQuery evicts one linked query. Its blocks are retired, so a running
-// query finishes on them; $query/N is uninstalled only if it is this
-// entry's.
+// dropQuery evicts one text. Its shape goes with the last text that uses
+// it: the blocks are retired, so a running query finishes on them, and
+// $query/N is uninstalled only if it is this shape's.
 func (s *Session) dropQuery(q string) {
-	for _, p := range s.queries[q].procs {
+	sh := s.queries[q].queryShape
+	delete(s.queries, q)
+	if sh.refs--; sh.refs > 0 {
+		return
+	}
+	delete(s.shapes, sh.key)
+	for _, p := range sh.procs {
 		if s.m.Proc(p.Fn) == p {
 			s.m.RemoveProc(p.Fn)
 		} else {
 			s.m.RemoveBlock(p.Block)
 		}
 	}
-	delete(s.queries, q)
 }
 
 // dropQueries empties the linked-query table: an op/3 directive, Close.

@@ -586,7 +586,7 @@ func answers(t *testing.T, e *Session, q string) string {
 
 // TestResidentQueryRepeatedGoal: the second run of a goal text returns the
 // same answers from the linked code the first run left, with no parse,
-// compile or link time.
+// compile or link time; so does a new text of a shape already linked.
 func TestResidentQueryRepeatedGoal(t *testing.T) {
 	e := newSession(t, Options{})
 	consultExternal("f(1). f(2). f(3). g(X, Y) :- f(X), Y is X * 10.")(t, e)
@@ -605,6 +605,238 @@ func TestResidentQueryRepeatedGoal(t *testing.T) {
 		if spent := after.Get(p) - before.Get(p); spent != 0 {
 			t.Errorf("second run spent %v in %s", spent, p)
 		}
+	}
+
+	// g(2, Y) and g(3, Y) differ only in a constant: the second runs the
+	// code the first linked.
+	if got := values(t, e, "g(2, Y)", "Y"); !reflect.DeepEqual(got, []string{"20"}) {
+		t.Fatalf("g(2, Y): %v", got)
+	}
+	before = e.Cost().Phases
+	if got := values(t, e, "g(3, Y)", "Y"); !reflect.DeepEqual(got, []string{"30"}) {
+		t.Fatalf("g(3, Y): %v", got)
+	}
+	after = e.Cost().Phases
+	for _, p := range []obs.Phase{obs.PhaseParse, obs.PhaseCompile, obs.PhaseLink} {
+		if spent := after.Get(p) - before.Get(p); spent != 0 {
+			t.Errorf("a new text of a linked shape spent %v in %s", spent, p)
+		}
+	}
+	if sh := e.queries["g(3, Y)"].queryShape; sh != e.queries["g(2, Y)"].queryShape || sh.refs != 2 || len(e.shapes) != 1 {
+		t.Fatalf("g(2, Y) and g(3, Y) do not share one shape (%d shapes)", len(e.shapes))
+	}
+}
+
+// TestResidentQueryNotLifted: a text the reader might take otherwise than
+// as one call with one-token arguments, or one that calls a builtin or a
+// control construct, is its own shape, and answers as it did when every
+// text was linked whole ("error": a syntax error).
+func TestResidentQueryNotLifted(t *testing.T) {
+	e := newSession(t, Options{})
+	consultExternal(`p(a, 1). p(b, -1). p('A b', 2). p(1.5, 3). p([0'a, 0'b], 4). p(a, "ab"). q(a). foo.`)(t, e)
+	pa := "[map[X:1] map[X:[97,98]]]"
+	for _, tc := range []struct{ q, want string }{
+		{"p('a', X)", pa},
+		{"p('A b', X)", "[map[X:2]]"},
+		{"p(X, -1)", "[map[X:b]]"},
+		{"p(X, - 1)", "[]"},
+		{"p(1.5, X)", "[map[X:3]]"},
+		{"p(1.0e0, X)", "[]"},
+		{`p("ab", X)`, "[map[X:4]]"},
+		{`p(a, "ab")`, "[map[]]"},
+		{"p(0'a, X)", "[]"},
+		{"p(0x1, X)", "[]"},
+		{"p(X, 0b1)", "[map[X:a]]"},
+		{"p (a, X)", "error"},
+		{"atom_length(abc, N)", "[map[N:3]]"},
+		{"call(foo)", "[map[]]"},
+		{"call(p, a, X)", pa},
+		{`\+ p(a, 2)`, "[map[]]"},
+		{"not(q(b))", "[map[]]"},
+		{"findall(a, q(a), L)", "[map[L:[a]]]"},
+		{"once(q(X))", "[map[X:a]]"},
+		{"p(a /* comment */, X)", pa},
+		{"p(a, X) % comment", "error"},
+		{"p(a, X).", pa},
+		{"p(a, X), q(b)", "[]"},
+		{"p(f(a), X)", "[]"},
+		{"p([a], X)", "[]"},
+		{"p(ä, X)", "[]"},
+		{"p(99999999999999999999, X)", "[]"},
+	} {
+		for run := 0; run < 2; run++ {
+			sols, err := e.QueryAll(tc.q)
+			got := fmt.Sprint(sols)
+			if err != nil {
+				got = "error"
+			}
+			if got != tc.want {
+				t.Fatalf("%s, run %d: %s (err %v), want %s", tc.q, run, got, err, tc.want)
+			}
+		}
+		if lq := e.queries[tc.q]; lq != nil && (lq.key != "" || lq.consts != nil) {
+			t.Errorf("%s lifted to shape %q", tc.q, lq.key)
+		}
+	}
+	// A sibling text that lifts answers from its own shape.
+	if got := values(t, e, "p(b, X)", "X"); !reflect.DeepEqual(got, []string{"-1"}) || e.queries["p(b, X)"].key == "" {
+		t.Fatalf("p(b, X): %v, lifted %v", got, e.queries["p(b, X)"].key != "")
+	}
+}
+
+// TestResidentQueryShapeKeys: a shape key stands for a lifted text's
+// constants with a marker that no liftable text contains and the reader
+// rejects, so texts share a key only if they differ in constants alone,
+// and a text spelling out a key is not read as that shape.
+func TestResidentQueryShapeKeys(t *testing.T) {
+	var g goalScan
+	key := func(q string) (string, bool) {
+		ok := g.scan(q)
+		return string(g.key), ok
+	}
+	for _, tc := range []struct{ a, b string }{
+		{"item(k1, G, V, Tag)", "item(k20, G, V, Tag)"},
+		{"p(a, 7)", "p(7, a)"},
+		{"p( a ,X)", "p( 007 ,X)"},
+	} {
+		ka, oka := key(tc.a)
+		kb, okb := key(tc.b)
+		if !oka || !okb || ka != kb || !strings.ContainsRune(ka, shapeMarker) {
+			t.Errorf("%s and %s: keys %q (%v) and %q (%v), want one shared key", tc.a, tc.b, ka, oka, kb, okb)
+		}
+	}
+	for _, tc := range []struct{ a, b string }{
+		{"p(a, X)", "p(a, Y)"},
+		{"p(a, X)", "p(a,X)"},
+		{"p(a, X)", "q(a, X)"},
+		{"p(a, X)", "p(a, X, b)"},
+	} {
+		ka, _ := key(tc.a)
+		if kb, _ := key(tc.b); ka == kb {
+			t.Errorf("%s and %s share the key %q", tc.a, tc.b, ka)
+		}
+	}
+	e := newSession(t, Options{})
+	consultExternal("p(a, 1).")(t, e)
+	answers(t, e, "p(a, X)")
+	k, _ := key("p(a, X)")
+	if _, ok := key(k); ok {
+		t.Fatalf("the key %q scans as a liftable text", k)
+	}
+	if _, err := e.QueryAll(k); err == nil {
+		t.Fatalf("the key %q reads as a goal", k)
+	}
+	if len(e.queries) != 1 || len(e.shapes) != 1 {
+		t.Fatalf("%d texts, %d shapes after asking the key, want 1 and 1", len(e.queries), len(e.shapes))
+	}
+}
+
+// TestResidentQueryShapeLifetime: a shape's code goes when its last text
+// leaves the table, and not before, not even when a new text of the shape
+// evicts the last one; op/3 and Close empty the table.
+func TestResidentQueryShapeLifetime(t *testing.T) {
+	e := newSession(t, Options{})
+	if err := e.Consult("p(a, 1). p(b, 2). p(c, 3)."); err != nil {
+		t.Fatal(err)
+	}
+	fillers := 0
+	fill := func(n int) {
+		for ; n > 0; n-- {
+			answers(t, e, fmt.Sprintf("X = k%d", fillers))
+			fillers++
+		}
+	}
+	blocks := func() int { return e.Machine().Stats().Blocks }
+	linked := func() int64 { return e.Cost().Phases[obs.PhaseLink] }
+	var first int
+	for cycle := 0; cycle < 3; cycle++ {
+		answers(t, e, "p(a, X)")
+		sh, b, l := e.queries["p(a, X)"].queryShape, blocks(), linked()
+		if got := values(t, e, "p(b, X)", "X"); !reflect.DeepEqual(got, []string{"2"}) || blocks() != b || linked() != l {
+			t.Fatalf("p(b, X): %v, blocks %d -> %d, relinked %v", got, b, blocks(), linked() != l)
+		}
+		// The fillers evict p(a, X); the shape stays for p(b, X).
+		fill(queryCacheLimit - 1)
+		if e.queries["p(a, X)"] != nil || e.queries["p(b, X)"] == nil || e.shapes[sh.key] != sh || sh.refs != 1 {
+			t.Fatalf("cycle %d: p(a, X) kept %v, p(b, X) kept %v, shape refs %d",
+				cycle, e.queries["p(a, X)"] != nil, e.queries["p(b, X)"] != nil, sh.refs)
+		}
+		if l = linked(); !reflect.DeepEqual(values(t, e, "p(b, X)", "X"), []string{"2"}) || linked() != l {
+			t.Fatalf("p(b, X) with its sibling evicted: relinked %v, or wrong answers", linked() != l)
+		}
+		// p(b, X) is now the oldest text: p(c, X) evicts it and runs the
+		// shape's code.
+		if l = linked(); !reflect.DeepEqual(values(t, e, "p(c, X)", "X"), []string{"3"}) || linked() != l {
+			t.Fatalf("p(c, X) evicting the shape's last text: relinked %v, or wrong answers", linked() != l)
+		}
+		if e.queries["p(b, X)"] != nil || e.queries["p(c, X)"].queryShape != sh || sh.refs != 1 {
+			t.Fatalf("cycle %d: p(b, X) kept %v, shape refs %d", cycle, e.queries["p(b, X)"] != nil, sh.refs)
+		}
+		// The fillers make p(c, X) the oldest; the next one evicts it, and
+		// the shape's code goes with it.
+		fill(queryCacheLimit)
+		if len(e.shapes) != 0 || e.queries["p(c, X)"] != nil {
+			t.Fatalf("the last text of a shape left, %d shapes stay", len(e.shapes))
+		}
+		for _, p := range sh.procs {
+			if e.Machine().Proc(p.Fn) == p {
+				t.Fatalf("%s stays installed", e.Machine().Dict.Name(p.Fn))
+			}
+		}
+		if cycle == 0 {
+			first = blocks()
+		} else if blocks() != first {
+			t.Fatalf("cycle %d: blocks %d, %d after the first; a shape's code outlived its texts", cycle, blocks(), first)
+		}
+	}
+
+	// op/3 and Close empty the table, texts and shapes.
+	answers(t, e, "p(a, X)")
+	answers(t, e, "p(b, X)")
+	if err := e.Consult(":- op(700, xfx, ~>)."); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.queries) != 0 || len(e.queryOrder) != 0 || len(e.shapes) != 0 {
+		t.Fatalf("op/3 left %d texts, %d shapes", len(e.queries), len(e.shapes))
+	}
+	answers(t, e, "p(a, X)")
+	e.Close()
+	if len(e.queries) != 0 || len(e.shapes) != 0 {
+		t.Fatalf("Close left %d texts, %d shapes", len(e.queries), len(e.shapes))
+	}
+}
+
+// TestResidentQueryShapesStayFlat: a stream of distinct goal texts of one
+// shape, term_cold's pattern, links one shape; the block table after the
+// last round is what it was after the first.
+func TestResidentQueryShapesStayFlat(t *testing.T) {
+	e := newSession(t, Options{})
+	var kb strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&kb, "item(k%d, g%d, %d, t).\n", i, i%7, i)
+	}
+	if err := e.Consult(kb.String()); err != nil {
+		t.Fatal(err)
+	}
+	const rounds, perRound = 10, 1000
+	var first int
+	for r := 0; r < rounds; r++ {
+		for i := r * perRound; i < (r+1)*perRound; i++ {
+			want := 0
+			if i < 100 {
+				want = 1
+			}
+			if n, err := e.QueryCount(fmt.Sprintf("item(k%d, G, V, Tag)", i)); err != nil || n != want {
+				t.Fatalf("item(k%d, G, V, Tag): n=%d err=%v, want %d", i, n, err, want)
+			}
+		}
+		if r == 0 {
+			first = e.Machine().Stats().Blocks
+		}
+	}
+	if got := e.Machine().Stats().Blocks; got != first || len(e.shapes) != 1 || len(e.queries) != queryCacheLimit {
+		t.Fatalf("blocks %d after the first round, %d after the last; %d shapes, %d texts",
+			first, got, len(e.shapes), len(e.queries))
 	}
 }
 

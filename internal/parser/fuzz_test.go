@@ -3,11 +3,14 @@ package parser
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/term"
 )
 
 // FuzzParseTermWithOps reads arbitrary goal text, as a query arriving from
 // the wire: the reader must return a term or an error, never panic, and a
-// term it returns must render. Plain `go test` runs the seeds below and
+// term it returns must render to text that re-reads, under the same
+// operator table, to a variant of the term. Plain `go test` runs the seeds below and
 // the pinned inputs under testdata/fuzz; explore further with
 //
 //	go test ./internal/parser -run '^$' -fuzz FuzzParseTermWithOps -fuzztime 15s
@@ -59,6 +62,41 @@ func FuzzParseTermWithOps(f *testing.F) {
 		if tm == nil {
 			t.Fatalf("%q: no term and no error", src)
 		}
-		_ = tm.String()
+		text := tm.String()
+		back, _, err := ParseTermWithOps(text, ops)
+		if err != nil {
+			t.Fatalf("%q: rendered as %q, which does not re-read: %v", src, text, err)
+		}
+		if !variant(tm, back, map[*term.Var]*term.Var{}, map[*term.Var]*term.Var{}) {
+			t.Fatalf("%q: rendered as %q, which re-reads as %q", src, text, back)
+		}
 	})
+}
+
+// variant reports whether a and b are equal up to a one-to-one renaming of
+// variables; ab and ba hold the renaming so far.
+func variant(a, b term.Term, ab, ba map[*term.Var]*term.Var) bool {
+	switch x := a.(type) {
+	case *term.Var:
+		y, ok := b.(*term.Var)
+		if !ok {
+			return false
+		}
+		if ab[x] == nil && ba[y] == nil {
+			ab[x], ba[y] = y, x
+		}
+		return ab[x] == y && ba[y] == x
+	case *term.Compound:
+		y, ok := b.(*term.Compound)
+		if !ok || x.Functor != y.Functor || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !variant(x.Args[i], y.Args[i], ab, ba) {
+				return false
+			}
+		}
+		return true
+	}
+	return term.Equal(a, b)
 }

@@ -5,6 +5,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/lex"
@@ -24,8 +25,8 @@ type Parser struct {
 	lx   *lex.Lexer
 	ops  *OpTable
 	vars map[string]*term.Var
-	// anonCount numbers fresh anonymous variables within one read.
-	anonCount int
+	// anon holds the anonymous variables of one read, named once it ends.
+	anon []*term.Var
 }
 
 // New returns a parser over src using the standard operator table.
@@ -52,11 +53,12 @@ func (p *Parser) ReadTerm() (term.Term, map[string]*term.Var, error) {
 		return nil, nil, nil
 	}
 	p.vars = map[string]*term.Var{}
-	p.anonCount = 0
+	p.anon = p.anon[:0]
 	t, err := p.parse(1200)
 	if err != nil {
 		return nil, nil, err
 	}
+	p.nameAnon()
 	end, err := p.lx.Next()
 	if err != nil {
 		return nil, nil, err
@@ -114,8 +116,9 @@ func (p *Parser) errTok(tok lex.Token, format string, args ...any) error {
 
 func (p *Parser) variable(name string) *term.Var {
 	if name == "_" {
-		p.anonCount++
-		return &term.Var{Name: fmt.Sprintf("_A%d", p.anonCount)}
+		v := &term.Var{}
+		p.anon = append(p.anon, v)
+		return v
 	}
 	if v, ok := p.vars[name]; ok {
 		return v
@@ -123,6 +126,22 @@ func (p *Parser) variable(name string) *term.Var {
 	v := &term.Var{Name: name}
 	p.vars[name] = v
 	return v
+}
+
+// nameAnon names the read's anonymous variables _A1, _A2, ..., skipping
+// the names of its named variables, so the term's text re-reads with the
+// same variables.
+func (p *Parser) nameAnon() {
+	n := 0
+	for _, v := range p.anon {
+		for {
+			n++
+			v.Name = "_A" + strconv.Itoa(n)
+			if _, taken := p.vars[v.Name]; !taken {
+				break
+			}
+		}
+	}
 }
 
 // parse reads a term of precedence at most maxPrec.

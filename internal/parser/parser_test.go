@@ -28,6 +28,8 @@ func TestCanonicalRoundTrip(t *testing.T) {
 		"{a}",
 		"-42",
 		"3.5",
+		"f('/*')",
+		"'/**'",
 	}
 	for _, src := range cases {
 		t1 := mustParse(t, src)

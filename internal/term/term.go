@@ -445,7 +445,10 @@ func atomNeedsNoQuote(s string) bool {
 	if isSoloLower(s) {
 		return true
 	}
-	// All-symbolic atoms need no quotes.
+	// All-symbolic atoms need no quotes, unless they would open a comment.
+	if strings.HasPrefix(s, "/*") {
+		return false
+	}
 	allSym := true
 	for _, r := range s {
 		if !isSymbolRune(r) {
