@@ -10,9 +10,10 @@
 // internal dictionary IDs are session-local, symbol tables are not.
 //
 // Control constructs (;/2, ->/2, \+/1) are compiled by lifting them into
-// auxiliary predicates that receive the enclosing clause's cut barrier as
-// a hidden first argument, so cut behaves correctly inside disjunctions
-// and if-then-else while remaining local inside \+ and call/1.
+// local procedures laid out after the clause's own code, in the same code
+// unit. A local procedure receives the enclosing clause's cut barrier as a
+// hidden first argument, so cut behaves correctly inside disjunctions and
+// if-then-else while remaining local inside \+ and call/1.
 package compiler
 
 import (
@@ -97,11 +98,10 @@ type Options struct {
 	Transparent func(name string, arity int) bool
 }
 
-// Compiler compiles clauses. One Compiler should be used per program unit
-// so auxiliary predicate names stay unique.
+// Compiler compiles clauses. It keeps no state between clauses: the same
+// clause always compiles to the same code.
 type Compiler struct {
 	transparent func(string, int) bool
-	auxCount    int
 }
 
 // New returns a Compiler.
@@ -136,9 +136,8 @@ func DefaultTransparent(name string, arity int) bool {
 	return false
 }
 
-// CompileClause compiles one clause term (either `Head :- Body` or a fact).
-// It returns the clause's code first, followed by the code of any auxiliary
-// predicates synthesised for control constructs.
+// CompileClause compiles one clause term (either `Head :- Body` or a fact)
+// to its code unit, the one element of the returned slice.
 func (c *Compiler) CompileClause(t term.Term) ([]ClauseCode, error) {
 	head, body, err := splitClause(t)
 	if err != nil {
@@ -147,8 +146,8 @@ func (c *Compiler) CompileClause(t term.Term) ([]ClauseCode, error) {
 	return c.compile(head, body)
 }
 
-// CompileQuery compiles `?- Body` into a predicate name/arity over the
-// given variables (in order), plus auxiliary clauses.
+// CompileQuery compiles `?- Body` into the one clause of a predicate
+// name/arity over the given variables (in order).
 func (c *Compiler) CompileQuery(name string, vars []*term.Var, body term.Term) ([]ClauseCode, error) {
 	args := make([]term.Term, len(vars))
 	for i, v := range vars {
@@ -168,11 +167,6 @@ func splitClause(t term.Term) (head, body term.Term, err error) {
 	return nil, nil, fmt.Errorf("compiler: %s is not a valid clause head", t)
 }
 
-func (c *Compiler) freshAux(parent term.Indicator) string {
-	c.auxCount++
-	return fmt.Sprintf("$aux_%s_%d_%d", parent.Name, parent.Arity, c.auxCount)
-}
-
 // goalKind classifies a transformed body goal.
 type goalKind uint8
 
@@ -187,45 +181,79 @@ type bgoal struct {
 	kind   goalKind
 	t      term.Term // callable for gCall
 	cutVar *term.Var // barrier for gCutTo
+	local  int       // gCall of local procedure local-1; 0: a named call
 }
 
-// compile compiles one clause after control transformation.
+// unit is one clause's code unit under construction: the clause's code and
+// then the local procedures lifted from its control constructs, over one
+// symbol table. locals holds each local procedure's clauses (head, body)
+// until it is laid out.
+type unit struct {
+	c      *Compiler
+	symIdx map[Symbol]int
+	syms   []Symbol
+	code   []wam.Instr
+	locals [][][2]term.Term
+}
+
+// compile compiles one clause and its local procedures into one unit.
 func (c *Compiler) compile(head, body term.Term) ([]ClauseCode, error) {
 	pred := head.Indicator()
 	if pred.Name == "" {
 		return nil, fmt.Errorf("compiler: clause head must be callable, got %s", head)
 	}
-	ctx := &clauseCtx{
-		c:        c,
-		pred:     pred,
-		symIdx:   map[Symbol]int{},
-		levelVar: &term.Var{Name: "$Level"},
-	}
-	goals, auxTerms, err := ctx.transformBody(body, nil)
+	u := &unit{c: c, symIdx: map[Symbol]int{}}
+	nvars, err := u.clause(head, body)
 	if err != nil {
 		return nil, err
 	}
-	code, err := ctx.emitClause(head, goals)
-	if err != nil {
-		return nil, err
-	}
-	out := []ClauseCode{code}
-	for _, at := range auxTerms {
-		sub, err := c.CompileClause(at)
-		if err != nil {
-			return nil, err
+	// Each local procedure has two clauses, chained by try_me_else and
+	// trust_me; compiling them may lift further local procedures.
+	var starts []int32
+	for i := 0; i < len(u.locals); i++ {
+		starts = append(starts, int32(len(u.code)))
+		for j, cl := range u.locals[i] {
+			if j == 0 {
+				u.code = append(u.code, wam.Instr{Op: wam.OpTryMeElse})
+			} else {
+				u.code[starts[i]].L = int32(len(u.code))
+				u.code = append(u.code, wam.Instr{Op: wam.OpTrustMe})
+			}
+			if _, err := u.clause(cl[0], cl[1]); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, sub...)
 	}
-	return out, nil
+	for i := range u.code {
+		if op := u.code[i].Op; op == wam.OpCallLocal || op == wam.OpExecuteLocal {
+			u.code[i].L = starts[u.code[i].L]
+		}
+	}
+	return []ClauseCode{{
+		Pred:    pred,
+		Key:     indexKey(headArgs(head)),
+		Instrs:  u.code,
+		Symbols: u.syms,
+		NVars:   nvars,
+	}}, nil
+}
+
+// clause appends one clause's code to the unit after control
+// transformation and returns its number of distinct variables.
+func (u *unit) clause(head, body term.Term) (int, error) {
+	ctx := &clauseCtx{u: u, levelVar: &term.Var{Name: "$Level"}}
+	goals, err := ctx.transformBody(body)
+	if err != nil {
+		return 0, err
+	}
+	return ctx.emitClause(head, goals), nil
 }
 
 // transformBody flattens conjunctions and lifts control constructs into
-// auxiliary predicates. barrier is the cut target inside a lifted
-// construct (nil at clause level).
-func (ctx *clauseCtx) transformBody(body term.Term, barrier *term.Var) ([]bgoal, []term.Term, error) {
+// local procedures. A cut inside a lifted construct reaches the clause's
+// own code as '$cut_to'(Barrier) (see replaceCut).
+func (ctx *clauseCtx) transformBody(body term.Term) ([]bgoal, error) {
 	var goals []bgoal
-	var aux []term.Term
 	var walk func(t term.Term) error
 	walk = func(t term.Term) error {
 		switch g := t.(type) {
@@ -240,11 +268,7 @@ func (ctx *clauseCtx) transformBody(body term.Term, barrier *term.Var) ([]bgoal,
 				goals = append(goals, bgoal{kind: gFail})
 				return nil
 			case "!":
-				if barrier == nil {
-					goals = append(goals, bgoal{kind: gCut})
-				} else {
-					goals = append(goals, bgoal{kind: gCutTo, cutVar: barrier})
-				}
+				goals = append(goals, bgoal{kind: gCut})
 				return nil
 			}
 			goals = append(goals, bgoal{kind: gCall, t: g})
@@ -266,26 +290,13 @@ func (ctx *clauseCtx) transformBody(body term.Term, barrier *term.Var) ([]bgoal,
 				goals = append(goals, bgoal{kind: gCutTo, cutVar: v})
 				return nil
 			case g.Functor == ";" && len(g.Args) == 2:
-				gs, as, err := ctx.liftDisjunction(g, barrier)
-				if err != nil {
-					return err
-				}
-				goals = append(goals, gs)
-				aux = append(aux, as...)
+				goals = append(goals, ctx.liftDisjunction(g))
 				return nil
 			case g.Functor == "->" && len(g.Args) == 2:
-				ite := term.Comp(";", g, term.Atom("fail"))
-				gs, as, err := ctx.liftDisjunction(ite, barrier)
-				if err != nil {
-					return err
-				}
-				goals = append(goals, gs)
-				aux = append(aux, as...)
+				goals = append(goals, ctx.liftDisjunction(term.Comp(";", g, term.Atom("fail"))))
 				return nil
 			case (g.Functor == "\\+" || g.Functor == "not") && len(g.Args) == 1:
-				gs, as := ctx.liftNegation(g.Args[0])
-				goals = append(goals, gs)
-				aux = append(aux, as...)
+				goals = append(goals, ctx.liftNegation(g.Args[0]))
 				return nil
 			}
 			goals = append(goals, bgoal{kind: gCall, t: g})
@@ -294,22 +305,25 @@ func (ctx *clauseCtx) transformBody(body term.Term, barrier *term.Var) ([]bgoal,
 		return fmt.Errorf("compiler: cannot compile goal %v", t)
 	}
 	if err := walk(body); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return goals, aux, nil
+	return goals, nil
 }
 
-// liftDisjunction compiles (A;B) — where A may be (C->T) — into an
-// auxiliary predicate receiving the cut barrier and the construct's
+// addLocal queues a local procedure's clauses and returns the call goal
+// that enters it with head's arguments.
+func (ctx *clauseCtx) addLocal(head term.Term, clauses ...[2]term.Term) bgoal {
+	ctx.u.locals = append(ctx.u.locals, clauses)
+	return bgoal{kind: gCall, t: head, local: len(ctx.u.locals)}
+}
+
+// liftDisjunction compiles (A;B) — where A may be (C->T) — into a local
+// procedure receiving the clause's cut barrier and the construct's
 // variables.
-func (ctx *clauseCtx) liftDisjunction(d *term.Compound, barrier *term.Var) (bgoal, []term.Term, error) {
-	bar := barrier
-	if bar == nil {
-		bar = ctx.levelVar
-		ctx.needLevel = true
-	}
+func (ctx *clauseCtx) liftDisjunction(d *term.Compound) bgoal {
+	bar := ctx.levelVar
+	ctx.needLevel = true
 	vars := term.Variables(d)
-	name := ctx.c.freshAux(ctx.pred)
 	headArgs := make([]term.Term, 0, len(vars)+1)
 	headArgs = append(headArgs, bar)
 	for _, v := range vars {
@@ -317,44 +331,31 @@ func (ctx *clauseCtx) liftDisjunction(d *term.Compound, barrier *term.Var) (bgoa
 			headArgs = append(headArgs, v)
 		}
 	}
-	head := term.New(name, headArgs...)
+	head := term.New(";", headArgs...)
 
 	a, b := d.Args[0], d.Args[1]
-	var clauses []term.Term
 	if ite, ok := a.(*term.Compound); ok && ite.Functor == "->" && len(ite.Args) == 2 {
 		cond, then := ite.Args[0], ite.Args[1]
-		c1 := term.Comp(":-", head, conj(cond, term.Atom("!"), replaceCut(then, bar)))
-		c2 := term.Comp(":-", head, replaceCut(b, bar))
-		clauses = []term.Term{c1, c2}
+		a = conj(cond, term.Atom("!"), replaceCut(then, bar))
 	} else {
-		c1 := term.Comp(":-", head, replaceCut(a, bar))
-		c2 := term.Comp(":-", head, replaceCut(b, bar))
-		clauses = []term.Term{c1, c2}
+		a = replaceCut(a, bar)
 	}
-	return bgoal{kind: gCall, t: head}, clauses, nil
+	return ctx.addLocal(head, [2]term.Term{head, a}, [2]term.Term{head, replaceCut(b, bar)})
 }
 
-// liftNegation compiles \+ G into an auxiliary predicate with a local cut.
-func (ctx *clauseCtx) liftNegation(g term.Term) (bgoal, []term.Term) {
+// liftNegation compiles \+ G into a local procedure with a local cut.
+func (ctx *clauseCtx) liftNegation(g term.Term) bgoal {
 	vars := term.Variables(g)
-	name := ctx.c.freshAux(ctx.pred)
 	args := make([]term.Term, len(vars))
+	fresh := make([]term.Term, len(vars))
 	for i, v := range vars {
 		args[i] = v
+		fresh[i] = &term.Var{Name: fmt.Sprintf("_N%d", i)}
 	}
-	head := term.New(name, args...)
-	c1 := term.Comp(":-", head, conj(g, term.Atom("!"), term.Atom("fail")))
-	var c2 term.Term
-	if len(args) == 0 {
-		c2 = head
-	} else {
-		fresh := make([]term.Term, len(args))
-		for i := range fresh {
-			fresh[i] = &term.Var{Name: fmt.Sprintf("_N%d", i)}
-		}
-		c2 = term.New(name, fresh...)
-	}
-	return bgoal{kind: gCall, t: head}, []term.Term{c1, c2}
+	head := term.New("\\+", args...)
+	return ctx.addLocal(head,
+		[2]term.Term{head, conj(g, term.Atom("!"), term.Atom("fail"))},
+		[2]term.Term{term.New("\\+", fresh...), term.TrueAtom})
 }
 
 func conj(gs ...term.Term) term.Term {

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -105,28 +106,57 @@ func TestDeepCutUsesLevel(t *testing.T) {
 	}
 }
 
+// localCalls checks that cc is one self-contained unit: no $-named
+// symbol, and every local call enters a try_me_else/trust_me pair inside
+// the unit. It returns the local calls.
+func localCalls(t *testing.T, cc ClauseCode) []wam.Instr {
+	t.Helper()
+	for _, s := range cc.Symbols {
+		if strings.HasPrefix(s.Name, "$") {
+			t.Fatalf("symbol %q in %v", s.Name, cc.Instrs)
+		}
+	}
+	var calls []wam.Instr
+	for _, ins := range cc.Instrs {
+		if ins.Op != wam.OpCallLocal && ins.Op != wam.OpExecuteLocal {
+			continue
+		}
+		calls = append(calls, ins)
+		if ins.L <= 0 || int(ins.L) >= len(cc.Instrs) || cc.Instrs[ins.L].Op != wam.OpTryMeElse {
+			t.Fatalf("%v does not enter a try_me_else in the unit: %v", ins, cc.Instrs)
+		}
+		if next := cc.Instrs[ins.L].L; next <= ins.L || int(next) >= len(cc.Instrs) || cc.Instrs[next].Op != wam.OpTrustMe {
+			t.Fatalf("%v: its try_me_else does not lead to a trust_me: %v", ins, cc.Instrs)
+		}
+	}
+	return calls
+}
+
 func TestControlConstructsLiftAuxiliaries(t *testing.T) {
 	ccs := compile(t, "p(X) :- q(X), ( X > 0 -> r(X) ; s(X) )")
-	if len(ccs) != 3 { // clause + two aux clauses
-		t.Fatalf("expected 3 units, got %d", len(ccs))
+	if len(ccs) != 1 || ccs[0].Pred != (term.Indicator{Name: "p", Arity: 1}) {
+		t.Fatalf("expected one unit of p/1, got %d", len(ccs))
 	}
-	aux := ccs[1].Pred
-	if aux.Name[0] != '$' {
-		t.Fatalf("aux predicate name %q", aux.Name)
+	calls := localCalls(t, ccs[0])
+	// The construct is the last goal: a tail call carrying the cut barrier
+	// and X.
+	if len(calls) != 1 || calls[0].Op != wam.OpExecuteLocal || calls[0].Ar != 2 {
+		t.Fatalf("local calls %v, want one execute_local of arity 2", calls)
 	}
-	if ccs[1].Pred != ccs[2].Pred {
-		t.Fatal("aux clauses belong to different predicates")
-	}
-	// The barrier argument makes the aux arity >= construct vars + 1.
-	if aux.Arity < 2 {
-		t.Fatalf("aux arity %d", aux.Arity)
+	// Nested constructs lift local procedures of their own, in the unit.
+	ccs = compile(t, "p(X) :- ( X = a ; ( X = b -> q(X) ; \\+ r(X) ) ), s(X)")
+	if calls := localCalls(t, ccs[0]); len(ccs) != 1 || len(calls) != 3 || calls[0].Op != wam.OpCallLocal {
+		t.Fatalf("%d units, local calls %v, want 1 unit, 3 calls, the first call_local", len(ccs), calls)
 	}
 }
 
 func TestNegationAux(t *testing.T) {
 	ccs := compile(t, "p(X) :- \\+ q(X)")
-	if len(ccs) != 3 {
-		t.Fatalf("\\+ should lift 2 aux clauses, got %d units", len(ccs))
+	if len(ccs) != 1 {
+		t.Fatalf("\\+ should compile to one unit, got %d", len(ccs))
+	}
+	if calls := localCalls(t, ccs[0]); len(calls) != 1 || calls[0].Ar != 1 {
+		t.Fatalf("local calls %v, want one of arity 1", calls)
 	}
 }
 
@@ -198,18 +228,21 @@ func TestSymbolTableRelocatable(t *testing.T) {
 	}
 }
 
-func TestAuxNamesUniquePerCompiler(t *testing.T) {
+func TestCompileSameUnitEveryTime(t *testing.T) {
+	// A clause with control constructs compiles to the same unit in every
+	// compiler, however many it compiled before: nothing is named per
+	// compile, so a stored copy can be matched by its bytes.
+	const src = "p(X) :- ( X = 1 ; X = 2 ), \\+ q(X)"
 	c := New(Options{})
-	mk := func() string {
-		tm, _, _ := parser.ParseTerm("p(X) :- ( X = 1 ; X = 2 )")
-		ccs, err := c.CompileClause(tm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ccs[1].Pred.Name
+	tm, _, _ := parser.ParseTerm(src)
+	first, err := c.CompileClause(tm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a, b := mk(), mk(); a == b {
-		t.Fatalf("aux names collide: %s", a)
+	again, _ := c.CompileClause(tm)
+	other := compile(t, src)
+	if !reflect.DeepEqual(first, again) || !reflect.DeepEqual(first, other) {
+		t.Fatalf("compiles differ:\n%v\n%v\n%v", first, again, other)
 	}
 }
 

@@ -14,18 +14,12 @@ func symID(i int32) dict.ID { return dict.ID(i) }
 
 // clauseCtx carries the state of one clause compilation.
 type clauseCtx struct {
-	c    *Compiler
-	pred term.Indicator
-
-	symIdx map[Symbol]int
-	syms   []Symbol
+	u *unit
 
 	// levelVar is the pseudo-variable holding the clause's cut barrier;
 	// it becomes a permanent variable when needLevel is set.
 	levelVar  *term.Var
 	needLevel bool
-
-	code []wam.Instr
 
 	occ      map[*term.Var]int
 	perm     map[*term.Var]int
@@ -38,27 +32,27 @@ type clauseCtx struct {
 }
 
 func (ctx *clauseCtx) sym(kind SymKind, name string, arity int) int32 {
-	s := Symbol{Kind: kind, Name: name, Arity: arity}
-	if i, ok := ctx.symIdx[s]; ok {
+	u, s := ctx.u, Symbol{Kind: kind, Name: name, Arity: arity}
+	if i, ok := u.symIdx[s]; ok {
 		return int32(i)
 	}
-	i := len(ctx.syms)
-	ctx.syms = append(ctx.syms, s)
-	ctx.symIdx[s] = i
+	i := len(u.syms)
+	u.syms = append(u.syms, s)
+	u.symIdx[s] = i
 	return int32(i)
 }
 
-func (ctx *clauseCtx) emit(i wam.Instr) { ctx.code = append(ctx.code, i) }
+func (ctx *clauseCtx) emit(i wam.Instr) { ctx.u.code = append(ctx.u.code, i) }
 
 func (ctx *clauseCtx) isTransparent(g bgoal) bool {
 	if g.kind != gCall {
 		return true // cuts and fail never end a chunk
 	}
 	pi := g.t.Indicator()
-	if pi.Name == "call" {
-		return false // call/N must set the cut barrier via a real call
+	if g.local > 0 || pi.Name == "call" {
+		return false // local procedures and call/N set the cut barrier via a real call
 	}
-	return ctx.c.transparent(pi.Name, pi.Arity)
+	return ctx.u.c.transparent(pi.Name, pi.Arity)
 }
 
 // headArgs returns the argument list of a clause head.
@@ -77,8 +71,9 @@ func goalArgs(g term.Term) []term.Term {
 	return nil
 }
 
-// emitClause generates code for one transformed clause.
-func (ctx *clauseCtx) emitClause(head term.Term, goals []bgoal) (ClauseCode, error) {
+// emitClause generates code for one transformed clause and returns its
+// number of distinct variables.
+func (ctx *clauseCtx) emitClause(head term.Term, goals []bgoal) int {
 	hargs := headArgs(head)
 
 	// Occurrence counting (variables in the head and in call goals).
@@ -244,24 +239,25 @@ func (ctx *clauseCtx) emitClause(head term.Term, goals []bgoal) (ClauseCode, err
 				})
 				continue
 			}
+			call := wam.Instr{Op: wam.OpCall, Ar: int32(pi.Arity), N: int32(ctx.envSize)}
 			if gi == lastRealCall && lco {
 				if ctx.env {
 					ctx.emit(wam.Instr{Op: wam.OpDeallocate})
 				}
-				ctx.emit(wam.Instr{
-					Op: wam.OpExecute,
-					Fn: symID(ctx.sym(SymPred, pi.Name, pi.Arity)),
-					Ar: int32(pi.Arity),
-				})
+				call.Op, call.N = wam.OpExecute, 0
 				terminated = true
-			} else {
-				ctx.emit(wam.Instr{
-					Op: wam.OpCall,
-					Fn: symID(ctx.sym(SymPred, pi.Name, pi.Arity)),
-					Ar: int32(pi.Arity),
-					N:  int32(ctx.envSize),
-				})
 			}
+			if g.local > 0 {
+				// L holds the local procedure's number until the unit is
+				// laid out.
+				call.Op, call.L = wam.OpCallLocal, int32(g.local-1)
+				if terminated {
+					call.Op = wam.OpExecuteLocal
+				}
+			} else {
+				call.Fn = symID(ctx.sym(SymPred, pi.Name, pi.Arity))
+			}
+			ctx.emit(call)
 		}
 		if terminated {
 			break
@@ -274,14 +270,7 @@ func (ctx *clauseCtx) emitClause(head term.Term, goals []bgoal) (ClauseCode, err
 		ctx.emit(wam.Instr{Op: wam.OpProceed})
 	}
 
-	nvars := len(chunkOf)
-	return ClauseCode{
-		Pred:    ctx.pred,
-		Key:     indexKey(hargs),
-		Instrs:  ctx.code,
-		Symbols: ctx.syms,
-		NVars:   nvars,
-	}, nil
+	return len(chunkOf)
 }
 
 func (ctx *clauseCtx) emitCutTo(v *term.Var) {

@@ -3,7 +3,7 @@ package core
 // bootstrapSrc is the Prolog-level standard library compiled into every
 // engine at start-up. Control constructs appear here as ordinary
 // predicates so they remain callable through call/N (compiled clause
-// bodies get the faster auxiliary-predicate translation instead).
+// bodies get the faster translation into local procedures instead).
 const bootstrapSrc = `
 % --- control, callable via metacall -------------------------------------
 ','(A, B) :- call(A), call(B).

@@ -193,32 +193,17 @@ func (s *Session) AssertTerm(t term.Term, front bool) error {
 	dp := s.ensureDyn(pi)
 	if front {
 		dp.terms = append([]term.Term{t}, dp.terms...)
-		dp.clauses = append([][]compiler.ClauseCode{ccs}, dp.clauses...)
+		dp.clauses = append([]compiler.ClauseCode{ccs[0]}, dp.clauses...)
 	} else {
 		dp.terms = append(dp.terms, t)
-		dp.clauses = append(dp.clauses, ccs)
-	}
-	// Auxiliary predicates get unique names; each is linked with all of its
-	// clauses (a disjunction's has one per branch) and goes with the clause.
-	aux := map[term.Indicator][]compiler.ClauseCode{}
-	for _, cc := range ccs[1:] {
-		aux[cc.Pred] = append(aux[cc.Pred], cc)
-	}
-	for api, accs := range aux {
-		if err := s.link(api, accs); err != nil {
-			return err
-		}
+		dp.clauses = append(dp.clauses, ccs[0])
 	}
 	return s.relinkDyn(pi, dp)
 }
 
 // relinkDyn rebuilds a dynamic predicate's code from its clause list.
 func (s *Session) relinkDyn(pi term.Indicator, dp *dynPred) error {
-	main := make([]compiler.ClauseCode, 0, len(dp.clauses))
-	for _, unit := range dp.clauses {
-		main = append(main, unit[0])
-	}
-	return s.link(pi, main)
+	return s.link(pi, dp.clauses)
 }
 
 func (s *Session) biRetract(m *wam.Machine, args []wam.Cell) (bool, error) {
@@ -235,9 +220,8 @@ func (s *Session) biRetract(m *wam.Machine, args []wam.Cell) (bool, error) {
 		r := term.Rename(ct)
 		rh, rb := splitClauseTerm(r)
 		if env.Unify(head, rh) && env.Unify(body, rb) {
-			s.dead = append(s.dead, dp.clauses[i])
 			dp.terms = append(append([]term.Term{}, dp.terms[:i]...), dp.terms[i+1:]...)
-			dp.clauses = append(append([][]compiler.ClauseCode{}, dp.clauses[:i]...), dp.clauses[i+1:]...)
+			dp.clauses = append(append([]compiler.ClauseCode{}, dp.clauses[:i]...), dp.clauses[i+1:]...)
 			if err := s.relinkDyn(pi, dp); err != nil {
 				return false, err
 			}
@@ -262,9 +246,6 @@ func (s *Session) biAbolish(m *wam.Machine, args []wam.Cell) (bool, error) {
 	pi, err := parseIndicator(t)
 	if err != nil {
 		return false, err
-	}
-	if dp, ok := s.dyn[pi]; ok {
-		s.dead = append(s.dead, dp.clauses...)
 	}
 	delete(s.dyn, pi)
 	s.m.RemoveProc(s.m.Dict.Intern(pi.Name, pi.Arity))

@@ -128,8 +128,7 @@ type Session struct {
 	in *interp.Interp // baseline interpreter (source mode)
 
 	// dynamic (assert/retract) predicates: source terms + compiled code.
-	dyn  map[term.Indicator]*dynPred
-	dead [][]compiler.ClauseCode // retracted dynamic clauses (see endQuery)
+	dyn map[term.Indicator]*dynPred
 
 	// typed holds declared type signatures (the typed sub-language).
 	typed map[term.Indicator][]ArgType
@@ -206,7 +205,7 @@ type Session struct {
 
 type dynPred struct {
 	terms   []term.Term
-	clauses [][]compiler.ClauseCode // compiled units per source clause
+	clauses []compiler.ClauseCode // one code unit per source clause
 }
 
 // dictSegment is the size of a session's internal dictionary segments.
@@ -581,8 +580,8 @@ func parseIndicator(t term.Term) (term.Indicator, error) {
 	return term.Indicator{Name: string(name), Arity: int(arity)}, nil
 }
 
-// compileProgram compiles clauses grouped by predicate (aux predicates
-// included), preserving first-definition order.
+// compileProgram compiles clauses grouped by predicate, preserving
+// first-definition order.
 func (s *Session) compileProgram(terms []term.Term) (map[term.Indicator][]compiler.ClauseCode, []term.Indicator, error) {
 	t0 := time.Now()
 	defer func() { s.q.Phases.Add(obs.PhaseCompile, time.Since(t0)) }()
@@ -593,12 +592,11 @@ func (s *Session) compileProgram(terms []term.Term) (map[term.Indicator][]compil
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, cc := range ccs {
-			if _, ok := units[cc.Pred]; !ok {
-				order = append(order, cc.Pred)
-			}
-			units[cc.Pred] = append(units[cc.Pred], cc)
+		pi := ccs[0].Pred
+		if _, ok := units[pi]; !ok {
+			order = append(order, pi)
 		}
+		units[pi] = append(units[pi], ccs[0])
 	}
 	return units, order, nil
 }
@@ -611,9 +609,8 @@ func (s *Session) link(pi term.Indicator, ccs []compiler.ClauseCode) error {
 	return err
 }
 
-// storeCompiledClauses compiles and stores clauses (and their auxiliary
-// predicates) in the EDB in compiled form. Caller holds the KB write
-// lock.
+// storeCompiledClauses compiles and stores clauses in the EDB in compiled
+// form, one record per clause. Caller holds the KB write lock.
 func (s *Session) storeCompiledClauses(terms []term.Term) error {
 	for _, tm := range terms {
 		head, _ := splitClauseTerm(tm)
@@ -627,20 +624,8 @@ func (s *Session) storeCompiledClauses(terms []term.Term) error {
 			return err
 		}
 		_, body := splitClauseTerm(tm)
-		// The first unit is the clause itself; the rest are auxiliary
-		// predicate clauses that must be stored alongside it. Auxiliary
-		// predicates always count as rules (they exist to carry control
-		// constructs).
-		for i, cc := range ccs {
-			keys := argKeysOf(nil)
-			isRule := true
-			if i == 0 {
-				keys = argKeysOf(headArgsOf(head))
-				isRule = body != term.TrueAtom
-			}
-			if err := s.storeOneCompiled(cc, keys, isRule); err != nil {
-				return err
-			}
+		if err := s.storeOneCompiled(ccs[0], argKeysOf(headArgsOf(head)), body != term.TrueAtom); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -826,10 +811,10 @@ func (s *Session) AssertExternalTerm(t term.Term) error {
 // Head :- Body) from the EDB and reports whether one was removed. Takes
 // the KB write lock.
 //
-// Compiled-form matching compares relocatable code bytes, which is exact
-// for clauses without control constructs; clauses containing ;/->/\+
-// compile to uniquely named auxiliary predicates and cannot be matched
-// this way (an error is returned). Source-form matching unifies terms.
+// Compiled-form matching compares relocatable code bytes: a clause compiles
+// to the same one code unit every time, control constructs included, so
+// this finds the clause as stored up to variable renaming. Source-form
+// matching unifies terms.
 func (s *Session) RetractExternal(t term.Term) (bool, error) {
 	if s.kb.st.ReadOnly() {
 		return false, store.ErrReadOnly
@@ -853,9 +838,6 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 	}
 	switch p.Form {
 	case edb.FormCode:
-		if hasControl(body) {
-			return false, fmt.Errorf("core: cannot retract compiled clause with control constructs: %s", t)
-		}
 		ccs, err := compiler.New(compiler.Options{Transparent: transparentFor(s.m)}).CompileClause(t)
 		if err != nil {
 			return false, err
@@ -891,24 +873,6 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 		}
 		return false, nil
 	}
-}
-
-// hasControl reports whether a body contains control constructs that
-// compile to auxiliary predicates.
-func hasControl(t term.Term) bool {
-	c, ok := t.(*term.Compound)
-	if !ok {
-		return false
-	}
-	switch {
-	case c.Functor == "," && len(c.Args) == 2:
-		return hasControl(c.Args[0]) || hasControl(c.Args[1])
-	case (c.Functor == ";" || c.Functor == "->") && len(c.Args) == 2:
-		return true
-	case (c.Functor == "\\+" || c.Functor == "not") && len(c.Args) == 1:
-		return true
-	}
-	return false
 }
 
 func trimDot(s string) string {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/obs"
@@ -130,6 +131,37 @@ func TestExternalRulesWithControl(t *testing.T) {
 	got := values(t, e, "cls(X, C), C == pos", "X")
 	if !reflect.DeepEqual(got, []string{"1", "5"}) {
 		t.Fatalf("cls = %v", got)
+	}
+}
+
+// TestProfileLocalProcedures: a clause's control constructs run inside its
+// own box. The profile has rows for the program's predicates only, and
+// each keeps exits <= calls + redos although a local procedure proceeds.
+func TestProfileLocalProcedures(t *testing.T) {
+	e := newSession(t, Options{})
+	if err := e.ConsultExternal(`
+		val(1). val(5). val(-3).
+		cls(X, C) :- val(X), ( X > 0 -> C = pos ; C = nonpos ).
+		odd(X) :- val(X), \+ X =:= 5, (X > 0 ; X < -1).
+	`); err != nil {
+		t.Fatal(err)
+	}
+	e.EnableProfiling(true)
+	for q, want := range map[string]int{"cls(X, C)": 3, "odd(X)": 2} {
+		if n, err := e.QueryCount(q); err != nil || n != want {
+			t.Fatalf("%s: n=%d err=%v, want %d", q, n, err, want)
+		}
+	}
+	var preds []string
+	for _, r := range e.Profile() {
+		preds = append(preds, r.Pred)
+		if r.Exits > r.Calls+r.Redos {
+			t.Errorf("%s: exits %d > calls %d + redos %d", r.Pred, r.Exits, r.Calls, r.Redos)
+		}
+	}
+	sort.Strings(preds)
+	if want := []string{"$query/1", "$query/2", "cls/2", "odd/1", "val/1"}; !reflect.DeepEqual(preds, want) {
+		t.Fatalf("profiled predicates %v, want %v", preds, want)
 	}
 }
 
@@ -604,12 +636,17 @@ func TestRetractExternalRule(t *testing.T) {
 	if !reflect.DeepEqual(got, []string{"1"}) {
 		t.Fatalf("after retract r(X) = %v", got)
 	}
-	// Clauses with control constructs are rejected in compiled form.
+	// A clause with a control construct compiles to the same bytes again,
+	// so it is found and removed like any other.
 	if err := e.AssertExternalTerm(mustParseCore(t, "r(X) :- (s(X) ; t(X))")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RetractExternal(mustParseCore(t, "r(X) :- (s(X) ; t(X))")); err == nil {
-		t.Fatal("expected control-construct rejection")
+	ok, err = e.RetractExternal(mustParseCore(t, "r(Y) :- (s(Y) ; t(Y))"))
+	if err != nil || !ok {
+		t.Fatalf("retract control-construct rule: %v %v", ok, err)
+	}
+	if got := values(t, e, "r(X)", "X"); !reflect.DeepEqual(got, []string{"1"}) {
+		t.Fatalf("after retracting the disjunction r(X) = %v", got)
 	}
 }
 
@@ -626,6 +663,42 @@ func TestDropExternal(t *testing.T) {
 	}
 	if err := e.DropExternal("gone", 1); err == nil {
 		t.Fatal("double drop should error")
+	}
+
+	// Control constructs store no procedures of their own: the knowledge
+	// base lists only the program's predicates, and retracting or dropping
+	// their clauses leaves nothing else behind.
+	if err := e.ConsultExternal(`
+		c(X) :- (X = 1 ; X = 2).
+		c(X) :- (X = 4 -> true ; X = 3).
+		n(X) :- c(X), \+ X = 2.
+	`); err != nil {
+		t.Fatal(err)
+	}
+	procs := func() []string {
+		var out []string
+		for _, p := range e.KB().DB().Procs() {
+			out = append(out, fmt.Sprintf("%s/%d", p.Name, p.Arity))
+		}
+		return out
+	}
+	if got := procs(); !reflect.DeepEqual(got, []string{"c/1", "n/1"}) {
+		t.Fatalf("stored procedures %v, want [c/1 n/1]", got)
+	}
+	if got := values(t, e, "n(X)", "X"); !reflect.DeepEqual(got, []string{"1", "4"}) {
+		t.Fatalf("n(X) = %v", got)
+	}
+	if n, err := e.QueryCount("retract_external((n(X) :- c(X), \\+ X = 2))"); err != nil || n != 1 {
+		t.Fatalf("retract_external: n=%d err=%v", n, err)
+	}
+	if err := e.DropExternal("c", 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := procs(); !reflect.DeepEqual(got, []string{"n/1"}) {
+		t.Fatalf("after retract and drop, stored procedures %v, want [n/1]", got)
+	}
+	if got := values(t, e, "n(X)", "X"); len(got) != 0 {
+		t.Fatalf("n(X) after its clause was retracted = %v", got)
 	}
 }
 

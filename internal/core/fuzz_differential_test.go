@@ -124,7 +124,7 @@ func TestFuzzDifferential(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)))
 			program, queries := genProgram(r)
 
-			// Five configurations under test. The set strategy answers
+			// Six configurations under test. The set strategy answers
 			// with sets and its bags may differ (DESIGN §14), so it is
 			// compared as a sorted, deduplicated set, and not on the
 			// findall query, whose answer holds a bag.
@@ -149,12 +149,40 @@ func TestFuzzDifferential(t *testing.T) {
 					return renderSolutions(sols), err
 				}
 			}
+			// Each line stored by a session of its own, queries from another.
+			perSession := func() func(q string) ([]string, error) {
+				kb, err := OpenKB(Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { kb.Close() })
+				for _, line := range strings.Split(strings.TrimSpace(program), "\n") {
+					s, err := kb.NewSession()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.ConsultExternal(line); err != nil {
+						t.Fatalf("consult %q: %v", line, err)
+					}
+					s.Close()
+				}
+				e, err := kb.NewSession()
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { e.Close() })
+				return func(q string) ([]string, error) {
+					sols, err := e.QueryAll(q)
+					return renderSolutions(sols), err
+				}
+			}
 			configs := []config{
 				{name: "wam-internal", run: mkEngine(Options{}, false)},
 				{name: "educe*-external", run: mkEngine(Options{}, true)},
 				{name: "educe-source", run: mkEngine(Options{RuleStorage: RuleStorageSource}, true)},
 				{name: "interp", run: func(q string) ([]string, error) { return runOnInterp(t, program, q) }},
 				{name: "set-external", run: mkEngine(Options{Strategy: StrategySet}, true), set: true},
+				{name: "per-session-external", run: perSession()},
 			}
 
 			for _, q := range queries {

@@ -90,7 +90,7 @@ func (s *Session) query(ctx context.Context, q string) (sol *Solutions, err erro
 	return &Solutions{
 		e:     s,
 		names: lq.names,
-		run:   s.m.Call(lq.fn, s.callArgs),
+		run:   s.m.Call(lq.proc.Fn, s.callArgs),
 		args:  args,
 	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/compiler"
-	"repro/internal/dict"
 	"repro/internal/edb"
 	"repro/internal/loader"
 	"repro/internal/obs"
@@ -56,7 +55,6 @@ type residentProc struct {
 	ver      uint64 // stored-procedure version at link time
 	variants map[filterKey]*wam.Proc
 	setops   *setopsInfo
-	aux      []term.Indicator // a source-form procedure's auxiliaries
 }
 
 // sharedCacheLimit caps the number of shared decoded variants before an
@@ -77,13 +75,12 @@ type linkedQuery struct {
 }
 
 // queryShape is one goal shape's linked code: $query/N over the goal's
-// variables in names order and then its lifted constants, and the goal's
-// auxiliaries. refs counts its texts; key is "" for a text's own shape.
+// variables in names order and then its lifted constants. refs counts its
+// texts; key is "" for a text's own shape.
 type queryShape struct {
 	key   string
 	names []string
-	procs []*wam.Proc
-	fn    dict.ID // $query/N
+	proc  *wam.Proc // $query/N
 	refs  int
 }
 
@@ -244,15 +241,15 @@ func (s *Session) catchUp(pi term.Indicator, rp *residentProc, ver uint64) *resi
 }
 
 // evict drops the variants of a procedure's resident code that the keys of
-// one of writes admit, or, with nil writes or a record holding a fixpoint
-// or auxiliaries, all of it; a record left empty goes. The trap stub
-// returns if the installed code went, so the next call reloads from the
-// EDB. It is safe at any time, mid-query included: the machine only retires
-// the blocks, so a running iteration finishes over the clauses it started
-// with (the logical update view) and the slots are reclaimed once no frame
-// addresses them.
+// one of writes admit, or, with nil writes or a record holding a fixpoint,
+// all of it; a record left empty goes. The trap stub returns if the
+// installed code went, so the next call reloads from the EDB. It is safe
+// at any time, mid-query included: the machine only retires the blocks, so
+// a running iteration finishes over the clauses it started with (the
+// logical update view) and the slots are reclaimed once no frame addresses
+// them.
 func (s *Session) evict(pi term.Indicator, rp *residentProc, writes []filterKey) {
-	whole := writes == nil || rp.setops != nil || rp.aux != nil
+	whole := writes == nil || rp.setops != nil
 	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
 	installed := s.m.Proc(fn)
 	restub := whole && installed != nil && installed.Transient
@@ -267,9 +264,6 @@ func (s *Session) evict(pi term.Indicator, rp *residentProc, writes []filterKey)
 			s.nresident--
 			restub = restub || proc == installed
 		}
-	}
-	for _, api := range rp.aux {
-		s.m.RemoveProc(s.m.Dict.Intern(api.Name, api.Arity))
 	}
 	if so := rp.setops; so != nil {
 		s.m.RemoveBlock(so.proc.Block)
@@ -320,9 +314,7 @@ func (s *Session) linkQuery(q string) (*linkedQuery, error) {
 		s.queries[q] = lq
 		s.queryOrder = append(s.queryOrder, q)
 	}
-	for _, p := range lq.procs {
-		s.m.DefineProc(p)
-	}
+	s.m.DefineProc(lq.proc)
 	return lq, nil
 }
 
@@ -356,21 +348,11 @@ func (s *Session) linkShape(q string, lifted bool) (*queryShape, error) {
 	}
 	t1 := time.Now()
 	defer func() { s.q.Phases.Add(obs.PhaseLink, time.Since(t1)) }()
-	units := map[term.Indicator][]compiler.ClauseCode{}
-	for _, cc := range ccs {
-		units[cc.Pred] = append(units[cc.Pred], cc)
+	blk, err := loader.BuildBlock(s.m, "$query", len(vlist), ccs, loader.Options{Index: !s.opts.DisableIndexing})
+	if err != nil {
+		return nil, err
 	}
-	sh := &queryShape{names: names, fn: s.m.Dict.Intern("$query", len(vlist))}
-	for pi, cs := range units {
-		blk, err := loader.BuildBlock(s.m, pi.Name, pi.Arity, cs, loader.Options{Index: !s.opts.DisableIndexing})
-		if err != nil {
-			return nil, err
-		}
-		sh.procs = append(sh.procs, &wam.Proc{Fn: s.m.Dict.Intern(pi.Name, pi.Arity), Arity: pi.Arity, Block: blk})
-	}
-	for _, p := range sh.procs {
-		s.m.AddBlock(p.Block)
-	}
+	sh := &queryShape{names: names, proc: &wam.Proc{Fn: s.m.Dict.Intern("$query", len(vlist)), Arity: len(vlist), Block: s.m.AddBlock(blk)}}
 	if lifted {
 		sh.key = string(g.key)
 		s.shapes[sh.key] = sh
@@ -388,12 +370,10 @@ func (s *Session) dropQuery(q string) {
 		return
 	}
 	delete(s.shapes, sh.key)
-	for _, p := range sh.procs {
-		if s.m.Proc(p.Fn) == p {
-			s.m.RemoveProc(p.Fn)
-		} else {
-			s.m.RemoveBlock(p.Block)
-		}
+	if p := sh.proc; s.m.Proc(p.Fn) == p {
+		s.m.RemoveProc(p.Fn)
+	} else {
+		s.m.RemoveBlock(p.Block)
 	}
 }
 

@@ -520,6 +520,22 @@ func TestResidentAssertLoopsReclaim(t *testing.T) {
 				t.Fatalf("%s: n=%d err=%v", q, c, err)
 			}
 		},
+		"if-then-else clause": func(t *testing.T, e *Session) {
+			// The control construct adds no name to the dictionary.
+			const q = "assert((c(X) :- (X > 1 -> true ; fail))), retract((c(_) :- _))"
+			var live int
+			for i := 1; i <= n; i++ {
+				if c, err := e.QueryCount(q); err != nil || c != 1 {
+					t.Fatalf("%s: n=%d err=%v", q, c, err)
+				}
+				if i == 1 {
+					live = e.Machine().Dict.Stats().Live
+				}
+			}
+			if got := e.Machine().Dict.Stats().Live; got != live {
+				t.Fatalf("dictionary %d -> %d live names over %d rounds", live, got, n-1)
+			}
+		},
 		"API": func(t *testing.T, e *Session) {
 			for i := 0; i < n; i++ {
 				if err := e.AssertTerm(term.Comp("d", term.Int(i)), false); err != nil {
@@ -778,10 +794,8 @@ func TestResidentQueryShapeLifetime(t *testing.T) {
 		if len(e.shapes) != 0 || e.queries["p(c, X)"] != nil {
 			t.Fatalf("the last text of a shape left, %d shapes stay", len(e.shapes))
 		}
-		for _, p := range sh.procs {
-			if e.Machine().Proc(p.Fn) == p {
-				t.Fatalf("%s stays installed", e.Machine().Dict.Name(p.Fn))
-			}
+		if p := sh.proc; e.Machine().Proc(p.Fn) == p {
+			t.Fatalf("%s stays installed", e.Machine().Dict.Name(p.Fn))
 		}
 		if cycle == 0 {
 			first = blocks()

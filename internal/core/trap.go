@@ -91,9 +91,8 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	ver := s.kb.storedVersion(pi)
 	form := p.Form
 
-	var clauses []compiler.ClauseCode                  // FormCode path
-	var scs []edb.StoredClause                         // FormSource path
-	var units map[term.Indicator][]compiler.ClauseCode // FormSource: pi and its auxiliaries
+	var clauses []compiler.ClauseCode // FormCode path
+	var scs []edb.StoredClause        // FormSource path
 	var err error
 	retr0, pages0 := s.q.Retrievals, s.q.PagesTouched
 	if form == edb.FormCode {
@@ -109,8 +108,7 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 
 	if form == edb.FormSource {
 		// A source-form procedure reached from compiled execution:
-		// parse and compile on the fly (the hybrid path). Stays
-		// per-session: auxiliary predicate naming is per-compiler.
+		// parse and compile on the fly (the hybrid path).
 		var terms []term.Term
 		t1 := time.Now()
 		for _, sc := range scs {
@@ -121,7 +119,8 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 			terms = append(terms, tm)
 		}
 		s.q.Phases.Add(obs.PhaseParse, time.Since(t1))
-		if units, _, err = s.compileProgram(terms); err != nil {
+		units, _, err := s.compileProgram(terms)
+		if err != nil {
 			return nil, err
 		}
 		clauses = units[pi]
@@ -144,15 +143,6 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	}
 	rp.variants[fk] = proc
 	s.nresident++
-	// A source-form procedure's auxiliaries live as long as its code.
-	for api, accs := range units {
-		if api != pi {
-			if err := s.link(api, accs); err != nil {
-				return nil, err
-			}
-			rp.aux = append(rp.aux, api)
-		}
-	}
 	if allWild {
 		// The whole definition was loaded: install it so every later
 		// call — in this query and the following ones — skips the trap
@@ -211,10 +201,9 @@ func (s *Session) cellArgKey(c wam.Cell) edb.ArgKey {
 	}
 }
 
-// endQuery tears down per-query transient state: the auxiliaries of
-// retracted dynamic clauses, which a running clause may still call, and in
-// baseline mode the rules asserted into the interpreter (the paper's
-// "erased to make room") and the parsed-tuple caches.
+// endQuery tears down per-query transient state: in baseline mode the
+// rules asserted into the interpreter (the paper's "erased to make room")
+// and the parsed-tuple caches.
 func (s *Session) endQuery() {
 	// Resident code survives across queries: the paper keeps dynamically
 	// loaded procedures in main memory until the code garbage collector
@@ -222,12 +211,6 @@ func (s *Session) endQuery() {
 	if s.nresident > loadedCacheLimit {
 		s.evictAll()
 	}
-	for _, unit := range s.dead {
-		for _, cc := range unit[1:] {
-			s.m.RemoveProc(s.m.Dict.Intern(cc.Pred.Name, cc.Pred.Arity))
-		}
-	}
-	s.dead = s.dead[:0]
 	for _, pi := range s.interpLoaded {
 		s.in.RetractAll(pi)
 	}

@@ -160,5 +160,17 @@ func DecodeClause(data []byte) (compiler.ClauseCode, error) {
 	if firstErr != nil {
 		return cc, fmt.Errorf("loader: decode: %w", firstErr)
 	}
+	// A clause's code offsets stay inside the clause: the loader places
+	// clauses side by side in one block. Switch instructions are the
+	// loader's own and never part of a clause.
+	for i, ins := range cc.Instrs {
+		switch {
+		case ins.Op >= wam.OpSwitchOnTerm && ins.Op <= wam.OpSwitchOnStructure:
+			return cc, fmt.Errorf("loader: instruction %d: %s in clause code", i, ins.Op)
+		case jumps(ins.Op) && (ins.L < 0 || int(ins.L) >= len(cc.Instrs)):
+			return cc, fmt.Errorf("loader: instruction %d: %s target %d outside the clause (%d instructions)",
+				i, ins.Op, ins.L, len(cc.Instrs))
+		}
+	}
 	return cc, nil
 }

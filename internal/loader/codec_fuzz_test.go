@@ -27,6 +27,16 @@ func FuzzDecodeClause(f *testing.F) {
 		`q(X) :- (X > 1 -> Y = big ; Y = small), \+ r(Y), !`,
 		"s(X) :- (a(X) ; b(X) ; X = 2.25), X =\\= -0.0",
 		`p(1.5, -1.0e300, "codes", [x, y|T], f(g(T), 'quoted atom'))`,
+		// Local procedures: chained and nested constructs, a cut inside a
+		// disjunction, a construct in a condition, recursion in a branch.
+		"t(X, Y) :- (X = a -> Y = 1 ; X = b -> Y = 2 ; Y = 3)",
+		`u(X) :- \+ (v(X), \+ w(X))`,
+		"n(X) :- not(m(X)), (X > 0 ; X < -5)",
+		"c(X) :- (a(X), ! ; b(X)), d(X)",
+		"e(X) :- (X == 1 -> true ; fail)",
+		"f(L, S) :- (L = [] -> S = 0 ; L = [H|T], f(T, S0), S is S0 + H)",
+		`g(X) :- (X = f(Y, "s") ; X = 1.5), \+ Y = z`,
+		"h(X) :- ((X = 1 ; X = 2) -> true ; X = 3)",
 	} {
 		tm, _, err := parser.ParseTerm(src)
 		if err != nil {

@@ -59,17 +59,12 @@ func BuildBlock(m *wam.Machine, name string, arity int, clauses []compiler.Claus
 	if len(clauses) == 0 {
 		return &wam.CodeBlock{Name: label, Instrs: []wam.Instr{{Op: wam.OpFail}}}, nil
 	}
-	resolved := make([][]wam.Instr, len(clauses))
-	for i, cc := range clauses {
-		ins, err := Resolve(m, cc)
-		if err != nil {
-			return nil, fmt.Errorf("loader: %s clause %d: %w", label, i, err)
-		}
-		resolved[i] = ins
-	}
-
 	if len(clauses) == 1 {
-		return &wam.CodeBlock{Name: label, Instrs: resolved[0]}, nil
+		ins, err := Resolve(m, clauses[0], 0)
+		if err != nil {
+			return nil, fmt.Errorf("loader: %s clause 0: %w", label, err)
+		}
+		return &wam.CodeBlock{Name: label, Instrs: ins}, nil
 	}
 
 	indexable := opts.Index && arity >= 1
@@ -91,7 +86,7 @@ func BuildBlock(m *wam.Machine, name string, arity int, clauses []compiler.Claus
 	// Main try_me_else chain; entries[i] is the offset of clause i's code.
 	entries := make([]int32, len(clauses))
 	markers := make([]int, len(clauses))
-	for i, ins := range resolved {
+	for i, cc := range clauses {
 		markers[i] = len(code)
 		switch {
 		case i == 0:
@@ -102,6 +97,10 @@ func BuildBlock(m *wam.Machine, name string, arity int, clauses []compiler.Claus
 			code = append(code, wam.Instr{Op: wam.OpRetryMeElse})
 		}
 		entries[i] = int32(len(code))
+		ins, err := Resolve(m, cc, entries[i])
+		if err != nil {
+			return nil, fmt.Errorf("loader: %s clause %d: %w", label, i, err)
+		}
 		code = append(code, ins...)
 	}
 	// Patch marker targets to the next marker.
@@ -220,13 +219,19 @@ func appendChain(code []wam.Instr, entries []int32) []wam.Instr {
 }
 
 // Resolve rewrites one clause's relocatable code against m's dictionary,
-// returning linked instructions. This is the loader's address-resolution
-// step (associative address -> internal dictionary identifier).
-func Resolve(m *wam.Machine, cc compiler.ClauseCode) ([]wam.Instr, error) {
+// returning linked instructions that will sit at offset base of their
+// block. This is the loader's address-resolution step (associative address
+// -> internal dictionary identifier; clause-relative code offset ->
+// block offset).
+func Resolve(m *wam.Machine, cc compiler.ClauseCode, base int32) ([]wam.Instr, error) {
 	out := make([]wam.Instr, len(cc.Instrs))
 	copy(out, cc.Instrs)
 	for i := range out {
 		ins := &out[i]
+		if jumps(ins.Op) {
+			ins.L += base
+			continue
+		}
 		switch ins.Op {
 		case wam.OpGetConstant, wam.OpPutConstant, wam.OpUnifyConstant:
 			s, err := symbolAt(cc, ins.Fn)
@@ -260,6 +265,18 @@ func Resolve(m *wam.Machine, cc compiler.ClauseCode) ([]wam.Instr, error) {
 		}
 	}
 	return out, nil
+}
+
+// jumps reports whether op's L is a code offset: in relocatable code one
+// relative to the clause's first instruction (the try_me_else chains and
+// calls of its local procedures).
+func jumps(op wam.Op) bool {
+	switch op {
+	case wam.OpTryMeElse, wam.OpRetryMeElse, wam.OpTry, wam.OpRetry, wam.OpTrust,
+		wam.OpJump, wam.OpCallLocal, wam.OpExecuteLocal:
+		return true
+	}
+	return false
 }
 
 func symbolAt(cc compiler.ClauseCode, idx dict.ID) (compiler.Symbol, error) {

@@ -3,6 +3,7 @@ package loader
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -392,6 +393,44 @@ func TestClauseCodeRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(cc, back) {
 			t.Fatalf("round trip mismatch:\n%+v\n%+v", cc, back)
 		}
+	}
+}
+
+// TestDecodeRejectsTargetOutsideClause: a stored clause whose code offsets
+// leave it would jump into the clause laid out next to it, or past the
+// block's end; decoding refuses it, and the intact clause still links and
+// runs its local procedure.
+func TestDecodeRejectsTargetOutsideClause(t *testing.T) {
+	c := compiler.New(compiler.Options{})
+	tm, _, _ := parser.ParseTerm("p(X) :- (X = a ; X = b)")
+	ccs, err := c.CompileClause(tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := ccs[0]
+	for i, ins := range cc.Instrs {
+		if ins.Op != wam.OpCallLocal && ins.Op != wam.OpExecuteLocal && ins.Op != wam.OpTryMeElse {
+			continue
+		}
+		for _, bad := range []int32{-1, int32(len(cc.Instrs))} {
+			broken := cc
+			broken.Instrs = slices.Clone(cc.Instrs)
+			broken.Instrs[i].L = bad
+			if _, err := DecodeClause(EncodeClause(broken)); err == nil {
+				t.Errorf("%s with target %d decoded", ins.Op, bad)
+			}
+		}
+	}
+	back, err := DecodeClause(EncodeClause(cc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := wam.NewMachine(nil)
+	if _, err := LinkPredicate(m, "p", 1, []compiler.ClauseCode{back, back}, DefaultOptions); err != nil {
+		t.Fatal(err)
+	}
+	if got := query(t, m, "p(X)"); len(got) != 4 || got[1]["X"] != "b" || got[2]["X"] != "a" {
+		t.Fatalf("p(X) over two copies = %v", got)
 	}
 }
 

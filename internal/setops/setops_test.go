@@ -2,6 +2,7 @@ package setops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/rel"
 	"repro/internal/term"
+	"repro/internal/wam"
 )
 
 func decompile(t *testing.T, src string) Rule {
@@ -110,6 +112,32 @@ func TestDecompileRejects(t *testing.T) {
 	// The last case is genuinely safe Datalog: p(X) :- q(X, _).
 	if _, ok := tryDecompile(t, cases[len(cases)-1]); !ok {
 		t.Errorf("decompile %q: rejected, want accept", cases[len(cases)-1])
+	}
+}
+
+// TestDecompileRejectsLocalCall: a local call, which enters a control
+// construct lifted into the clause's own code, is outside the Datalog
+// fragment even where a named call in its place would be accepted.
+func TestDecompileRejectsLocalCall(t *testing.T) {
+	tm, _, _ := parser.ParseTerm("p(X) :- q(X), r(X).")
+	ccs, err := compiler.New(compiler.Options{}).CompileClause(tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := DecompileClause(ccs[0]); !ok {
+		t.Fatal("p(X) :- q(X), r(X) rejected")
+	}
+	for i, ins := range ccs[0].Instrs {
+		local := map[wam.Op]wam.Op{wam.OpCall: wam.OpCallLocal, wam.OpExecute: wam.OpExecuteLocal}[ins.Op]
+		if local == 0 {
+			continue
+		}
+		cc := ccs[0]
+		cc.Instrs = slices.Clone(cc.Instrs)
+		cc.Instrs[i] = wam.Instr{Op: local, Ar: ins.Ar, N: ins.N}
+		if r, ok := DecompileClause(cc); ok {
+			t.Errorf("%s in place of %s accepted: %+v", local, ins.Op, r)
+		}
 	}
 }
 

@@ -433,6 +433,19 @@ func (m *Machine) runLoop() (bool, error) {
 				m.prof.portCall(ins.Fn, proc.Block)
 			}
 			m.p = codePtr{blk: proc.Block}
+		case OpCallLocal, OpExecuteLocal:
+			m.stats.Calls++
+			m.maybeGC(int(ins.Ar))
+			m.numArgs = int(ins.Ar)
+			m.ensureRegs(m.numArgs)
+			if ins.Op == OpCallLocal {
+				m.cp = codePtr{blk: m.p.blk, off: m.p.off + 1}
+			}
+			m.b0 = m.b
+			if m.prof != nil {
+				m.prof.portLocal(m.p.blk)
+			}
+			m.p.off = int(ins.L)
 		case OpProceed:
 			if m.prof != nil {
 				m.prof.portExit(m.p.blk, m.cp.blk)

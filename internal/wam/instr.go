@@ -75,7 +75,7 @@ const (
 	OpNeckCut  // cut to the B0 of the current call
 	OpGetLevel // Yn := B0
 	OpCutY     // cut to the level saved in Yn
-	OpCutX     // cut to the level held in Xn (aux-predicate cut barrier)
+	OpCutX     // cut to the level held in Xn (a local procedure's cut barrier)
 
 	// Builtins.
 	OpBuiltin      // invoke builtin #N with A args; deterministic or redo-based
@@ -83,6 +83,13 @@ const (
 
 	// Fail unconditionally.
 	OpFail
+
+	// Local calls: enter a procedure laid out in the current block at
+	// offset L with Ar arguments, setting B0 as call/execute do. A clause
+	// compiles its control constructs into such procedures (appended
+	// opcodes keep the stored numbering of the ones above).
+	OpCallLocal    // N = env size hint, as call
+	OpExecuteLocal // tail form
 )
 
 var opNames = map[Op]string{
@@ -107,6 +114,7 @@ var opNames = map[Op]string{
 	OpSwitchOnStructure: "switch_on_structure",
 	OpNeckCut:           "neck_cut", OpGetLevel: "get_level", OpCutY: "cut_y", OpCutX: "cut_x",
 	OpBuiltin: "builtin", OpRetryBuiltin: "retry_builtin", OpFail: "fail",
+	OpCallLocal: "call_local", OpExecuteLocal: "execute_local",
 }
 
 func (o Op) String() string {
@@ -185,6 +193,8 @@ func (i Instr) String() string {
 		return fmt.Sprintf("%s p%d/%d", i.Op, i.Fn, i.Ar)
 	case OpTryMeElse, OpRetryMeElse, OpTry, OpRetry, OpTrust, OpJump:
 		return fmt.Sprintf("%s @%d", i.Op, i.L)
+	case OpCallLocal, OpExecuteLocal:
+		return fmt.Sprintf("%s @%d/%d", i.Op, i.L, i.Ar)
 	case OpSwitchOnTerm:
 		return fmt.Sprintf("%s var@%d con@%d lis@%d str@%d", i.Op, i.L, i.A, i.B, i.C)
 	case OpSwitchOnConstant, OpSwitchOnStructure:

@@ -46,7 +46,7 @@ func init() {
 	set(ClassUnify, OpUnifyVariableX, OpUnifyVariableY, OpUnifyValueX, OpUnifyValueY,
 		OpUnifyConstant, OpUnifyInteger, OpUnifyFloat, OpUnifyNil, OpUnifyVoid)
 	set(ClassControl, OpNop, OpAllocate, OpDeallocate, OpCall, OpExecute,
-		OpProceed, OpHalt, OpJump, OpFail)
+		OpProceed, OpHalt, OpJump, OpFail, OpCallLocal, OpExecuteLocal)
 	set(ClassChoice, OpTryMeElse, OpRetryMeElse, OpTrustMe, OpTry, OpRetry,
 		OpTrust, OpRetryBuiltin)
 	set(ClassIndex, OpSwitchOnTerm, OpSwitchOnConstant, OpSwitchOnStructure)

@@ -17,7 +17,9 @@ import (
 //
 //   - call: every transfer of control into a predicate via OpCall or
 //     OpExecute — a tail call counts as a call to the callee (the
-//     caller's frame is gone, so its box is left implicitly);
+//     caller's frame is gone, so its box is left implicitly) — and every
+//     local call, which counts as a call of the block's own predicate
+//     (its local procedure proceeds, crossing that predicate's exit);
 //   - exit: every OpProceed, attributed to the owner of the code block
 //     being exited;
 //   - redo/fail: a backtrack that moves control from one predicate's
@@ -82,6 +84,14 @@ func (pr *Profiler) portCall(fn dict.ID, blk *CodeBlock) {
 	pr.tick()
 	pr.counters(fn).Calls++
 	pr.setCur(blk)
+}
+
+// portLocal records a local call inside blk as a call of its owner.
+func (pr *Profiler) portLocal(blk *CodeBlock) {
+	pr.tick()
+	if owner, ok := ownerOf(blk); ok {
+		pr.counters(owner).Calls++
+	}
 }
 
 // portExit records an exit-port crossing out of from (OpProceed),
