@@ -38,6 +38,20 @@ var diffCorpus = []diffCase{
 		firsttwo(X) :- p(X), X < 3.
 		f(X) :- firsttwo(X), !.
 	`, "f(X)"},
+	{"cut-through-callee-disjunction", `
+		v(1). v(2). v(3).
+		c(X) :- ( v(X), X > 1, ! ; X = none ).
+	`, "findall(X, c(X), L)"},
+	{"cut-through-callee-clauses", `
+		v(1). v(2). v(3).
+		p(X) :- v(X), X > 1, !.
+		p(none).
+	`, "findall(X, p(X), L)"},
+	{"cut-through-call", `
+		v(1). v(2). v(3).
+		p(X) :- call(v(X)), X > 1, !.
+		p(none).
+	`, "findall(X, p(X), L)"},
 	{"ite", `
 		cls(X, pos) :- ( X > 0 -> true ; fail ).
 		cls(X, neg) :- ( X > 0 -> fail ; true ).

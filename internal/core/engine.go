@@ -31,6 +31,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -141,12 +142,12 @@ type Session struct {
 	// fact resolver, so late-created procedures can be wired lazily.
 	resolvers map[term.Indicator]bool
 
-	// resident is the code this session has linked from the EDB, by
-	// stored procedure, nresident the variants and materialised results
-	// it holds and nsetops the materialised results alone (see
+	// resident is the code this session has linked from the EDB, by the
+	// stored procedure's functor, nresident the variants and materialised
+	// results it holds and nsetops the materialised results alone (see
 	// resident.go). synced is the KB invalidation version the table was
 	// last reconciled against.
-	resident  map[term.Indicator]*residentProc
+	resident  map[dict.ID]*residentProc
 	nresident int
 	nsetops   int
 	synced    uint64
@@ -223,7 +224,7 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 		ops:       parser.NewOpTable(),
 		in:        interp.New(),
 		dyn:       map[term.Indicator]*dynPred{},
-		resident:  map[term.Indicator]*residentProc{},
+		resident:  map[dict.ID]*residentProc{},
 		queries:   map[string]*linkedQuery{},
 		shapes:    map[string]*queryShape{},
 		resolvers: map[term.Indicator]bool{},
@@ -745,7 +746,7 @@ func argKeyOf(a term.Term) edb.ArgKey {
 	case term.Int:
 		return edb.IntKey(int64(x))
 	case term.Float:
-		return edb.FloatKey(floatBits(float64(x)))
+		return edb.FloatKey(math.Float64bits(float64(x)))
 	case *term.Compound:
 		if _, ok := term.IsCons(x); ok {
 			return edb.ListKey()

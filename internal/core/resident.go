@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/dict"
 	"repro/internal/edb"
 	"repro/internal/loader"
 	"repro/internal/obs"
@@ -14,14 +15,17 @@ import (
 // Code residency (paper §3.2.1, §3.3.2): the dynamic loader freezes a
 // loaded definition in main memory until the code garbage collector
 // reclaims it; the EDB copy needs no collection. Both sides keep one table
-// keyed by procedure, then by pre-unification filter. The knowledge base
-// holds the decoded, still relocatable clause sets every session links
-// from, the version that every write to the stored procedure bumps, and a
-// log of the last writes' keys. A session holds what it linked, tagged with
-// the version it saw. A write changes only the variants whose filter admits
-// the written clause (edb.Admits): the knowledge base drops those at once, a
-// session when it catches up through the log. Resident code leaves a
-// session through evict and nowhere else, and reconcile decides when.
+// keyed by procedure, then by variant. The knowledge base holds the
+// decoded, still relocatable clause sets every session links from, by
+// pre-unification filter, the version that every write to the stored
+// procedure bumps, and a log of the last writes' keys. A session holds what
+// it linked, by functor and then by the call's argument cells, each variant
+// with its filter and tagged with the version it saw, so a call that finds
+// its variant resident hashes no name. A write changes only the variants
+// whose filter admits the written clause (edb.Admits): the knowledge base
+// drops those at once, a session when it catches up through the log.
+// Resident code leaves a session through evict and nowhere else, and
+// reconcile decides when.
 //
 // A session also keeps the queries it linked, by text, with code shared by
 // shape. The code names callees by functor and builtins by a stable slot, so
@@ -47,13 +51,34 @@ type sharedProc struct {
 // behind than that evicts the procedure whole.
 const writeLogLen = 16
 
+// callKey names one variant of a session's resident code by the cells of
+// the call's first K argument registers: an atom or an integer as it is (the
+// session dictionary never reuses an ID), a structure by its functor cell,
+// any list as MakeLis(0), an unbound argument as the zero cell, and a float
+// by its bits, flagged in floats (a float cell only indexes the float table,
+// which every query empties).
+type callKey struct {
+	args   [edb.MaxIndexedArgs]wam.Cell
+	floats uint8
+}
+
+// variant is one linked variant with the filter it was retrieved under.
+type variant struct {
+	wam.Proc
+	fk filterKey
+}
+
 // residentProc is one session's linked code for one stored procedure:
-// tuple-at-a-time variants by filter (the all-wild one is also installed
+// tuple-at-a-time variants by call key (the all-wild one is also installed
 // in the machine's procedure table) or a materialised set-at-a-time
-// fixpoint, installed likewise.
+// fixpoint, installed likewise. keyed is how many argument registers a call
+// key reads when the hit path may serve the procedure (a facts relation,
+// in a session with pre-unification on), else 0.
 type residentProc struct {
+	pi       term.Indicator
 	ver      uint64 // stored-procedure version at link time
-	variants map[filterKey]*wam.Proc
+	keyed    int
+	variants map[callKey]*variant
 	setops   *setopsInfo
 }
 
@@ -214,13 +239,13 @@ func (kb *KnowledgeBase) InvalidateLoaded(name string, arity int) {
 
 // --- session side -----------------------------------------------------------
 
-// residentFor returns the session's record for pi at stored version ver,
-// first bringing an older record up to ver.
-func (s *Session) residentFor(pi term.Indicator, ver uint64) *residentProc {
-	rp := s.catchUp(pi, s.resident[pi], ver)
+// residentFor returns the session's record for pi (functor fn) at stored
+// version ver, first bringing an older record up to ver.
+func (s *Session) residentFor(fn dict.ID, pi term.Indicator, ver uint64) *residentProc {
+	rp := s.catchUp(fn, s.resident[fn], ver)
 	if rp == nil {
-		rp = &residentProc{ver: ver}
-		s.resident[pi] = rp
+		rp = &residentProc{pi: pi, ver: ver, variants: map[callKey]*variant{}}
+		s.resident[fn] = rp
 	}
 	return rp
 }
@@ -230,14 +255,14 @@ func (s *Session) residentFor(pi term.Indicator, ver uint64) *residentProc {
 // log no longer reaches back to rp.ver. It returns the record, now at ver,
 // or nil once it is gone (or was nil), so a variant is only ever filed under
 // the version its clauses were read at.
-func (s *Session) catchUp(pi term.Indicator, rp *residentProc, ver uint64) *residentProc {
+func (s *Session) catchUp(fn dict.ID, rp *residentProc, ver uint64) *residentProc {
 	if rp == nil || rp.ver == ver {
 		return rp
 	}
 	var buf [writeLogLen]filterKey
-	s.evict(pi, rp, s.kb.writesSince(pi, rp.ver, ver, buf[:0]))
+	s.evict(fn, rp, s.kb.writesSince(rp.pi, rp.ver, ver, buf[:0]))
 	rp.ver = ver
-	return s.resident[pi]
+	return s.resident[fn]
 }
 
 // evict drops the variants of a procedure's resident code that the keys of
@@ -248,21 +273,20 @@ func (s *Session) catchUp(pi term.Indicator, rp *residentProc, ver uint64) *resi
 // a running iteration finishes over the clauses it started with (the
 // logical update view) and the slots are reclaimed once no frame addresses
 // them.
-func (s *Session) evict(pi term.Indicator, rp *residentProc, writes []filterKey) {
+func (s *Session) evict(fn dict.ID, rp *residentProc, writes []filterKey) {
 	whole := writes == nil || rp.setops != nil
-	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
 	installed := s.m.Proc(fn)
 	restub := whole && installed != nil && installed.Transient
-	for fk, proc := range rp.variants {
+	for ck, v := range rp.variants {
 		drop := whole
 		for _, w := range writes {
-			drop = drop || edb.Admits(fk[:], w[:])
+			drop = drop || edb.Admits(v.fk[:], w[:])
 		}
 		if drop {
-			s.m.RemoveBlock(proc.Block)
-			delete(rp.variants, fk)
+			s.m.RemoveBlock(v.Block)
+			delete(rp.variants, ck)
 			s.nresident--
-			restub = restub || proc == installed
+			restub = restub || &v.Proc == installed
 		}
 	}
 	if so := rp.setops; so != nil {
@@ -272,18 +296,18 @@ func (s *Session) evict(pi term.Indicator, rp *residentProc, writes []filterKey)
 		s.nsetops--
 	}
 	if len(rp.variants) == 0 {
-		delete(s.resident, pi)
+		delete(s.resident, fn)
 	}
 	if restub {
-		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: pi.Arity, External: true})
+		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: rp.pi.Arity, External: true})
 	}
 }
 
 // evictAll empties the resident table: the epoch clear of the code
 // garbage collector, a rule-storage switch, Close.
 func (s *Session) evictAll() {
-	for pi, rp := range s.resident {
-		s.evict(pi, rp, nil)
+	for fn, rp := range s.resident {
+		s.evict(fn, rp, nil)
 	}
 }
 
@@ -399,9 +423,9 @@ func (s *Session) reconcile() {
 		// go stale otherwise (through a catalog relation).
 		return
 	}
-	for pi, rp := range s.resident {
-		if v == s.synced || s.catchUp(pi, rp, s.kb.storedVersion(pi)) != nil {
-			s.settle(pi, rp, v, true)
+	for fn, rp := range s.resident {
+		if v == s.synced || s.catchUp(fn, rp, s.kb.storedVersion(rp.pi)) != nil {
+			s.settle(fn, rp, v, true)
 		}
 	}
 	s.synced = v
@@ -411,7 +435,7 @@ func (s *Session) reconcile() {
 // (v is the KB invalidation version), and parks one only whose leaves did
 // (with rels, catalog cardinalities checked too) as the base its next call
 // maintains, the trap stub put back. Running cursors keep their tuples.
-func (s *Session) settle(pi term.Indicator, rp *residentProc, v uint64, rels bool) {
+func (s *Session) settle(fn dict.ID, rp *residentProc, v uint64, rels bool) {
 	so := rp.setops
 	if so == nil || so.stale {
 		return
@@ -433,7 +457,7 @@ func (s *Session) settle(pi term.Indicator, rp *residentProc, v uint64, rels boo
 				continue
 			}
 			if _, leaf := so.prog.Leaves[dep]; !leaf {
-				s.evict(pi, rp, nil)
+				s.evict(fn, rp, nil)
 				return
 			}
 			stale = true
@@ -441,7 +465,7 @@ func (s *Session) settle(pi term.Indicator, rp *residentProc, v uint64, rels boo
 		so.builtAt = v
 	}
 	if so.stale = stale; stale && s.m.Proc(so.proc.Fn) == so.proc {
-		s.m.DefineProc(&wam.Proc{Fn: so.proc.Fn, Arity: pi.Arity, External: true})
+		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: rp.pi.Arity, External: true})
 	}
 }
 
@@ -458,11 +482,11 @@ func (s *Session) invalidateStored(pi term.Indicator, keys []edb.ArgKey) {
 		s.txn.touched[pi] = true
 	}
 	v := s.kb.version.Load()
-	for p, rp := range s.resident {
-		if p == pi {
-			s.catchUp(p, rp, s.kb.storedVersion(p))
+	for fn, rp := range s.resident {
+		if rp.pi == pi {
+			s.catchUp(fn, rp, s.kb.storedVersion(pi))
 		} else {
-			s.settle(p, rp, v, false)
+			s.settle(fn, rp, v, false)
 		}
 	}
 }

@@ -25,6 +25,7 @@ func TestResidentLogicalUpdateView(t *testing.T) {
 		name   string
 		setup  func(t *testing.T, e *Session)
 		pred   string
+		key    string // a bound first argument every call of pred passes ("": none)
 		mutate string
 		same   string // P's sorted extension seen later in the same query
 		next   string // and by the next query
@@ -66,13 +67,43 @@ func TestResidentLogicalUpdateView(t *testing.T) {
 			pred: "r", mutate: "ignore((retract_external(e(1, 2)), p(0, _)))",
 			same: "[1]", next: "[1]",
 		},
+		{
+			// The keyed calls after the write find their variant by its
+			// call key; the write changed it, or, for another key, not.
+			name:  "assert_external of an admitted key",
+			setup: consultExternal("f(k, 1). f(k, 2). f(k, 3). f(j, 9)."),
+			pred:  "f", key: "k", mutate: "assert_external(f(k, 7))",
+			same: "[1,2,3,7,7,7]", next: "[1,2,3,7,7,7]",
+		},
+		{
+			name:  "retract_external of an admitted key",
+			setup: consultExternal("f(k, 1). f(k, 2). f(k, 3). f(j, 9)."),
+			pred:  "f", key: "k", mutate: "ignore(retract_external(f(k, 2)))",
+			same: "[1,3]", next: "[1,3]",
+		},
+		{
+			name:  "assert_external of a non-admitted key",
+			setup: consultExternal("f(k, 1). f(k, 2). f(k, 3). f(j, 9)."),
+			pred:  "f", key: "k", mutate: "assert_external(f(j, 7))",
+			same: "[1,2,3]", next: "[1,2,3]",
+		},
+		{
+			name:  "retract_external of a non-admitted key",
+			setup: consultExternal("f(k, 1). f(k, 2). f(k, 3). f(j, 9)."),
+			pred:  "f", key: "k", mutate: "ignore(retract_external(f(j, 9)))",
+			same: "[1,2,3]", next: "[1,2,3]",
+		},
 	}
 	for _, tc := range cases {
 		for wname, wrap := range map[string]string{"bare": "%s", "catch": "catch((%s), _, fail)"} {
 			t.Run(tc.name+"/"+wname, func(t *testing.T) {
 				e := newSession(t, Options{})
 				tc.setup(t, e)
-				goal := fmt.Sprintf("%[1]s(X), %[2]s, X >= 3, findall(Y, %[1]s(Y), L0), msort(L0, L)", tc.pred, tc.mutate)
+				call := tc.pred + "("
+				if tc.key != "" {
+					call += tc.key + ", "
+				}
+				goal := fmt.Sprintf("%[1]sX), %[2]s, X >= 3, findall(Y, %[1]sY), L0), msort(L0, L)", call, tc.mutate)
 				sols, err := e.QueryAll(fmt.Sprintf(wrap, goal))
 				if err != nil {
 					t.Fatalf("mutating query: %v", err)
@@ -83,7 +114,7 @@ func TestResidentLogicalUpdateView(t *testing.T) {
 				if got := sols[0]["L"].String(); got != tc.same {
 					t.Errorf("next call in the same query saw %s, want %s", got, tc.same)
 				}
-				next := values(t, e, fmt.Sprintf("findall(Y, %s(Y), L0), msort(L0, L)", tc.pred), "L")
+				next := values(t, e, fmt.Sprintf("findall(Y, %sY), L0), msort(L0, L)", call), "L")
 				if !reflect.DeepEqual(next, []string{tc.next}) {
 					t.Errorf("next query saw %v, want %s", next, tc.next)
 				}
@@ -110,6 +141,66 @@ func TestResidentRollbackMidQuery(t *testing.T) {
 	n, err := e.QueryCount(`begin, assert_external(g(2)), g(2), rollback, \+ g(2), g(1)`)
 	if err != nil || n != 1 {
 		t.Fatalf("n=%d err=%v, want the rolled-back clause gone within the query", n, err)
+	}
+}
+
+// TestResidentCallKeysDoNotCollide: a resident variant is found by the
+// call's argument cells, so calls that differ only in the kind of an
+// argument, or in a float filed under the same float-table index (the table
+// is emptied at every query), must find different variants. Every query of
+// one session answers as a fresh session does.
+func TestResidentCallKeysDoNotCollide(t *testing.T) {
+	cases := []struct {
+		name, src string
+		queries   []string
+	}{
+		{"floats at one float-table index", "f(1.5, a). f(2.5, b).",
+			[]string{"f(1.5, X)", "f(2.5, X)", "f(1.5, X)"}},
+		{"structure, other functor, list", "g(s(1), a). g(t(1), b). g([1], c).",
+			[]string{"g(s(1), X)", "g(t(1), X)", "g([1], X)", "g(s(2), X)", "g([2], X)"}},
+		{"an integer and an atom that print alike", "h(1, a). h('1', b).",
+			[]string{"h(1, X)", "h('1', X)", "h(1, X)"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newSession(t, Options{})
+			consultExternal(tc.src)(t, e)
+			for _, q := range tc.queries {
+				fresh, err := e.KB().NewSession()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := answers(t, e, q), answers(t, fresh, q)
+				fresh.Close()
+				if got != want {
+					t.Errorf("%s: %s, want %s as a fresh session answers", q, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestResidentHitAllocatesNothing: a call that finds its variant resident
+// allocates nothing, so a goal making 100 such calls allocates what one
+// making a single call does, up to a small constant. (The calls are written
+// out: a failure-driven forall/between loop allocates per iteration itself.)
+func TestResidentHitAllocatesNothing(t *testing.T) {
+	e := newSession(t, Options{})
+	consultExternal("f(k1, a). f(k2, b).")(t, e)
+	calls := strings.TrimSuffix(strings.Repeat("f(k1, _), ", 100), ", ")
+	if err := e.Consult("one :- f(k1, _). hundred :- " + calls + "."); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(q string) float64 {
+		answers(t, e, q) // links the goal and the variant
+		return testing.AllocsPerRun(20, func() {
+			if n, err := e.QueryCount(q); err != nil || n != 1 {
+				t.Fatalf("%s: n=%d err=%v", q, n, err)
+			}
+		})
+	}
+	if one, hundred := allocs("one"), allocs("hundred"); hundred-one > 4 {
+		t.Errorf("100 resident calls allocate %.0f times, one call %.0f: a hit allocates", hundred, one)
 	}
 }
 
@@ -233,7 +324,7 @@ func TestResidentWriteDropsOnlyAdmittedVariants(t *testing.T) {
 					t.Errorf("%s: %v at %d retrievals, want %s at %d", c.q, got, retr, c.want, c.retr)
 				}
 			}
-			if rp := e.resident[term.Indicator{Name: "item", Arity: 2}]; rp == nil || len(rp.variants) != tc.variants {
+			if rp := e.resident[e.m.Dict.Intern("item", 2)]; rp == nil || len(rp.variants) != tc.variants {
 				t.Errorf("reader holds %v, want %d variants of item/2", rp, tc.variants)
 			}
 		})

@@ -67,9 +67,9 @@ func (s *Session) SetStrategy(st Strategy) {
 		return
 	}
 	s.opts.Strategy = st
-	for pi, rp := range s.resident {
+	for fn, rp := range s.resident {
 		if rp.setops != nil {
-			s.evict(pi, rp, nil)
+			s.evict(fn, rp, nil)
 		}
 	}
 }
@@ -98,7 +98,7 @@ type setopsInfo struct {
 // is maintained from the changed leaves instead. A nil, nil return means
 // ineligible — the caller falls back to tuple-at-a-time loading.
 func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error) {
-	rp := s.resident[target]
+	rp := s.resident[fn]
 	if rp != nil && rp.setops != nil && !rp.setops.stale {
 		return rp.setops.proc, nil
 	}
@@ -117,7 +117,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 		if eligible && rp.setops.sameShape(prog, info) {
 			base = rp.setops
 		} else {
-			s.evict(target, rp, nil)
+			s.evict(fn, rp, nil)
 		}
 	}
 	if !eligible {
@@ -126,7 +126,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 	}
 	drop := func(err error) (*wam.Proc, error) {
 		if base != nil {
-			s.evict(target, rp, nil) // a failed pass may leave the totals part-way
+			s.evict(fn, rp, nil) // a failed pass may leave the totals part-way
 		}
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 		},
 	})
 	info.proc = &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
-	s.residentFor(target, info.deps[target]).setops = info
+	s.residentFor(fn, target, info.deps[target]).setops = info
 	s.nresident++
 	s.nsetops++
 	s.m.DefineProc(info.proc) // freeze: later calls skip the trap entirely

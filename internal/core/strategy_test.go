@@ -585,7 +585,7 @@ func agree(t *testing.T, auto, tuple *Session, queries []string) {
 
 // pathResult is auto's materialised path/2, or nil.
 func pathResult(s *Session) *setopsInfo {
-	if rp := s.resident[term.Indicator{Name: "path", Arity: 2}]; rp != nil {
+	if rp := s.resident[s.m.Dict.Intern("path", 2)]; rp != nil {
 		return rp.setops
 	}
 	return nil

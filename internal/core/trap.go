@@ -17,19 +17,28 @@ import (
 	"repro/internal/wam"
 )
 
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
 // onUndefined is the interpreter trap of §3.2.1: a call to a procedure
-// with no resident code consults the procedures table and, for an external
+// with no installed code consults the procedures table and, for an external
 // procedure, invokes the dynamic loader. The loader pre-unifies in the EDB
 // using the call's bound arguments, decodes the candidate relocatable
 // clauses, resolves their associative addresses and splices control code.
+//
+// A call whose variant is already resident is served first, from its
+// argument cells: under the KB read lock (as rlock takes it) and only while
+// nothing was written since the session last reconciled, it touches no page,
+// so it neither tallies nor looks the procedure up. Every other call takes
+// the loader path below.
 //
 // The decoded (still relocatable) candidate sets are shared across
 // sessions through the knowledge base's code cache; only the final link
 // against this session's machine is per-session. The KB read lock is held
 // across the storage access, never across linking or execution.
 func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
+	if rp := s.resident[fn]; rp != nil && rp.keyed > 0 {
+		if proc := s.residentHit(rp, callKeyOf(m, rp.keyed)); proc != nil {
+			return proc, nil
+		}
+	}
 	name := m.Dict.Name(fn)
 	arity := m.Dict.Arity(fn)
 	pi := term.Indicator{Name: name, Arity: arity}
@@ -60,34 +69,28 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 		}
 	}
 
-	// Build the pre-unification filter from the call's argument
-	// registers. Rule procedures are always loaded whole and frozen for
-	// the query (the paper's §3.2.1 "freeze the definition": in-memory
-	// switch instructions then dispatch between their clauses); facts
-	// relations are filtered per goal, where EDB selectivity pays.
+	// Key the call by its argument registers. Rule procedures are always
+	// loaded whole and frozen for the query (the paper's §3.2.1 "freeze the
+	// definition": in-memory switch instructions then dispatch between
+	// their clauses); facts relations are filtered per goal, where EDB
+	// selectivity pays.
+	keyed := 0
+	if p.FactsOnly && !s.opts.DisablePreUnification {
+		keyed = p.K
+	}
+	ck := callKeyOf(m, keyed)
+	if proc := s.resident[fn].lookup(ck); proc != nil {
+		unlock()
+		return proc, nil
+	}
+	// A miss: build the pre-unification filter from the call key. The proc
+	// version is stable while we hold the read lock (writers hold the write
+	// lock across store + invalidate), so code fetched below is
+	// consistently tagged.
 	keys := make([]edb.ArgKey, p.K)
-	allWild := true
-	for i := 0; i < p.K; i++ {
-		if s.opts.DisablePreUnification || !p.FactsOnly {
-			keys[i] = edb.WildKey()
-			continue
-		}
-		keys[i] = s.cellArgKey(m.Deref(m.Reg(i)))
-		if !keys[i].Wild {
-			allWild = false
-		}
+	for i := range keys {
+		keys[i] = s.cellArgKey(&ck, i)
 	}
-
-	fk := filterKeyOf(keys)
-	if rp := s.resident[pi]; rp != nil {
-		if proc := rp.variants[fk]; proc != nil {
-			unlock()
-			return proc, nil
-		}
-	}
-	// The proc version is stable while we hold the read lock (writers
-	// hold the write lock across store + invalidate), so code fetched
-	// below is consistently tagged.
 	ver := s.kb.storedVersion(pi)
 	form := p.Form
 
@@ -134,16 +137,16 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	if err != nil {
 		return nil, err
 	}
+	blk.Owner, blk.HasOwner = fn, true // for the profiler; a keyed variant is not installed
 	m.AddBlock(blk)
-	proc := &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
+	v := &variant{Proc: wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}, fk: filterKeyOf(keys)}
+	proc := &v.Proc
 
-	rp := s.residentFor(pi, ver)
-	if rp.variants == nil {
-		rp.variants = map[filterKey]*wam.Proc{}
-	}
-	rp.variants[fk] = proc
+	rp := s.residentFor(fn, pi, ver)
+	rp.keyed = keyed
+	rp.variants[ck] = v
 	s.nresident++
-	if allWild {
+	if ck == (callKey{}) {
 		// The whole definition was loaded: install it so every later
 		// call — in this query and the following ones — skips the trap
 		// entirely. This is the paper's "freezing" of the procedure
@@ -181,24 +184,68 @@ func (s *Session) fetchClauses(p *edb.ProcInfo, keys []edb.ArgKey) ([]compiler.C
 	return clauses, nil
 }
 
-// cellArgKey derives a pre-unification key from an argument cell.
-func (s *Session) cellArgKey(c wam.Cell) edb.ArgKey {
-	m := s.m
+// residentHit returns the resident variant for call key ck, or nil when
+// there is none or a write since the session last reconciled may have
+// changed it (the loader path then decides). It takes the KB read lock as
+// rlock does, outside the session's own transaction.
+func (s *Session) residentHit(rp *residentProc, ck callKey) *wam.Proc {
+	if s.txn == nil {
+		s.kb.mu.RLock()
+		defer s.kb.mu.RUnlock()
+	}
+	if s.kb.version.Load() != s.synced {
+		return nil
+	}
+	return rp.lookup(ck)
+}
+
+// lookup returns the resident variant for call key ck, or nil.
+func (rp *residentProc) lookup(ck callKey) *wam.Proc {
+	if rp == nil {
+		return nil
+	}
+	if v := rp.variants[ck]; v != nil {
+		return &v.Proc
+	}
+	return nil
+}
+
+// callKeyOf reads the call key of the current call from its first keyed
+// argument registers.
+func callKeyOf(m *wam.Machine, keyed int) (ck callKey) {
+	for i := 0; i < keyed; i++ {
+		switch c := m.Deref(m.Reg(i)); c.Tag() {
+		case wam.TagCon, wam.TagInt:
+			ck.args[i] = c
+		case wam.TagStr:
+			ck.args[i] = m.Heap(c.Val())
+		case wam.TagLis:
+			ck.args[i] = wam.MakeLis(0)
+		case wam.TagFlt:
+			ck.args[i] = wam.Cell(math.Float64bits(m.Float(c)))
+			ck.floats |= 1 << i
+		}
+	}
+	return ck
+}
+
+// cellArgKey derives the pre-unification key of argument i of a call key.
+func (s *Session) cellArgKey(ck *callKey, i int) edb.ArgKey {
+	c := ck.args[i]
+	if ck.floats&(1<<i) != 0 {
+		return edb.FloatKey(uint64(c))
+	}
 	switch c.Tag() {
 	case wam.TagCon:
-		return edb.AtomKey(m.Dict.Name(c.AtomID()))
+		return edb.AtomKey(s.m.Dict.Name(c.AtomID()))
 	case wam.TagInt:
 		return edb.IntKey(c.IntVal())
-	case wam.TagFlt:
-		return edb.FloatKey(floatBits(m.Float(c)))
 	case wam.TagLis:
 		return edb.ListKey()
-	case wam.TagStr:
-		f := m.Heap(c.Val())
-		return edb.StructKey(m.Dict.Name(f.FunID()), f.FunArity())
-	default:
-		return edb.WildKey()
+	case wam.TagFun:
+		return edb.StructKey(s.m.Dict.Name(c.FunID()), c.FunArity())
 	}
+	return edb.WildKey()
 }
 
 // endQuery tears down per-query transient state: in baseline mode the

@@ -17,7 +17,7 @@ func (in *Interp) registerBuiltins() {
 		mark := env.Mark()
 		if env.Unify(a[0], a[1]) {
 			r := k()
-			if r.stop || r.cut || r.err != nil {
+			if r.stop || r.cut != 0 || r.err != nil {
 				return r
 			}
 		}
@@ -43,7 +43,7 @@ func (in *Interp) registerBuiltins() {
 			}
 			if ok {
 				r := k()
-				if r.stop || r.cut || r.err != nil {
+				if r.stop || r.cut != 0 || r.err != nil {
 					return r
 				}
 			}
@@ -242,8 +242,10 @@ func (in *Interp) registerBuiltins() {
 					return result{err: fmt.Errorf("interp: call/%d: not callable", n)}
 				}
 			}
-			r := in.solve(goal, env, k)
-			r.cut = false // cut is local inside call/N
+			r := in.solve(goal, env, in.depth, k)
+			if r.cut == in.depth {
+				r.cut = 0 // cut is local inside call/N
+			}
 			return r
 		}
 	}
@@ -264,7 +266,7 @@ func (in *Interp) registerBuiltins() {
 			mark := env.Mark()
 			if env.Unify(a[2], v) {
 				r := k()
-				if r.stop || r.cut || r.err != nil {
+				if r.stop || r.cut != 0 || r.err != nil {
 					return r
 				}
 			}
@@ -276,7 +278,7 @@ func (in *Interp) registerBuiltins() {
 	reg("findall", 3, func(in *Interp, a []term.Term, env *Env, k cont) result {
 		var items []term.Term
 		mark := env.Mark()
-		r := in.solve(a[1], env, func() result {
+		r := in.solve(a[1], env, in.depth, func() result {
 			items = append(items, term.Rename(env.ResolveDeep(a[0])))
 			return proceed
 		})
@@ -286,7 +288,7 @@ func (in *Interp) registerBuiltins() {
 		env.Undo(mark)
 		if env.Unify(a[2], term.List(items...)) {
 			rr := k()
-			if rr.stop || rr.cut || rr.err != nil {
+			if rr.stop || rr.cut != 0 || rr.err != nil {
 				return rr
 			}
 		}

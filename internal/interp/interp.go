@@ -148,7 +148,7 @@ func splitClause(t term.Term) (head, body term.Term) {
 // result carries control flow through the CPS solver.
 type result struct {
 	stop bool // the caller asked to stop enumerating
-	cut  bool // a cut is propagating toward its barrier
+	cut  int  // nonzero: a cut is propagating toward the barrier with this id
 	err  error
 }
 
@@ -170,7 +170,7 @@ func (in *Interp) Solve(goal term.Term, env *Env, fn func(*Env) bool) error {
 			return err
 		}
 	}
-	r := in.solve(goal, env, func() result {
+	r := in.solve(goal, env, -1, func() result {
 		if fn(env) {
 			return proceed
 		}
@@ -190,8 +190,10 @@ func (in *Interp) SolveOnce(goal term.Term, env *Env) (bool, error) {
 }
 
 // solve resolves one goal under the resource envelope: the inference
-// count, the amortized Check poll and the depth cap.
-func (in *Interp) solve(goal term.Term, env *Env, k cont) result {
+// count, the amortized Check poll and the depth cap. A cut in goal returns
+// to barrier cb: a call's barrier is the depth of the goal it resolves,
+// unique on the stack, and the query's is -1.
+func (in *Interp) solve(goal term.Term, env *Env, cb int, k cont) result {
 	in.inferences++
 	if in.inferences&0xff == 0 && in.Check != nil {
 		if err := in.Check(); err != nil {
@@ -202,12 +204,12 @@ func (in *Interp) solve(goal term.Term, env *Env, k cont) result {
 		return result{err: ErrDepth}
 	}
 	in.depth++
-	r := in.step(goal, env, k)
+	r := in.step(goal, env, cb, k)
 	in.depth--
 	return r
 }
 
-func (in *Interp) step(goal term.Term, env *Env, k cont) result {
+func (in *Interp) step(goal term.Term, env *Env, cb int, k cont) result {
 	goal = env.Resolve(goal)
 	switch g := goal.(type) {
 	case *term.Var:
@@ -225,7 +227,7 @@ func (in *Interp) step(goal term.Term, env *Env, k cont) result {
 			if r.stop || r.err != nil {
 				return r
 			}
-			r.cut = true
+			r.cut = cb
 			return r
 		}
 		return in.call(goal, nil, env, k)
@@ -233,24 +235,24 @@ func (in *Interp) step(goal term.Term, env *Env, k cont) result {
 		switch {
 		case g.Functor == "," && len(g.Args) == 2:
 			a, b := g.Args[0], g.Args[1]
-			return in.solve(a, env, func() result { return in.solve(b, env, k) })
+			return in.solve(a, env, cb, func() result { return in.solve(b, env, cb, k) })
 		case g.Functor == ";" && len(g.Args) == 2:
 			if ite, ok := env.Resolve(g.Args[0]).(*term.Compound); ok && ite.Functor == "->" && len(ite.Args) == 2 {
-				return in.ifThenElse(ite.Args[0], ite.Args[1], g.Args[1], env, k)
+				return in.ifThenElse(ite.Args[0], ite.Args[1], g.Args[1], env, cb, k)
 			}
 			mark := env.Mark()
-			r := in.solve(g.Args[0], env, k)
-			if r.stop || r.cut || r.err != nil {
+			r := in.solve(g.Args[0], env, cb, k)
+			if r.stop || r.cut != 0 || r.err != nil {
 				return r
 			}
 			env.Undo(mark)
-			return in.solve(g.Args[1], env, k)
+			return in.solve(g.Args[1], env, cb, k)
 		case g.Functor == "->" && len(g.Args) == 2:
-			return in.ifThenElse(g.Args[0], g.Args[1], term.Atom("fail"), env, k)
+			return in.ifThenElse(g.Args[0], g.Args[1], term.Atom("fail"), env, cb, k)
 		case (g.Functor == "\\+" || g.Functor == "not") && len(g.Args) == 1:
 			mark := env.Mark()
 			found := false
-			r := in.solve(g.Args[0], env, func() result {
+			r := in.solve(g.Args[0], env, in.depth, func() result {
 				found = true
 				return result{stop: true}
 			})
@@ -269,10 +271,11 @@ func (in *Interp) step(goal term.Term, env *Env, k cont) result {
 }
 
 // ifThenElse implements (C -> T ; E) with commit to the first C solution.
-func (in *Interp) ifThenElse(c, t, e term.Term, env *Env, k cont) result {
+// A cut in C is local to it; T and E are transparent to cut.
+func (in *Interp) ifThenElse(c, t, e term.Term, env *Env, cb int, k cont) result {
 	mark := env.Mark()
 	found := false
-	r := in.solve(c, env, func() result {
+	r := in.solve(c, env, in.depth, func() result {
 		found = true
 		return result{stop: true}
 	})
@@ -281,10 +284,10 @@ func (in *Interp) ifThenElse(c, t, e term.Term, env *Env, k cont) result {
 	}
 	if found {
 		// Condition bindings are in effect.
-		return in.solve(t, env, k)
+		return in.solve(t, env, cb, k)
 	}
 	env.Undo(mark)
-	return in.solve(e, env, k)
+	return in.solve(e, env, cb, k)
 }
 
 // call resolves a user predicate or builtin.
@@ -297,21 +300,17 @@ func (in *Interp) call(goal term.Term, args []term.Term, env *Env, k cont) resul
 		return in.runExternal(ext, goal, env, k)
 	}
 	cs, ok := in.clauses[pi]
-	if !ok {
-		if in.OnUndefined != nil {
-			handled, err := in.OnUndefined(in, pi)
-			if err != nil {
-				return result{err: err}
-			}
-			if handled {
-				cs = in.clauses[pi]
-			} else {
-				return result{err: fmt.Errorf("interp: unknown procedure %s", pi)}
-			}
-		} else {
-			return result{err: fmt.Errorf("interp: unknown procedure %s", pi)}
+	if !ok && in.OnUndefined != nil {
+		handled, err := in.OnUndefined(in, pi)
+		if err != nil {
+			return result{err: err}
 		}
+		cs, ok = in.clauses[pi], handled
 	}
+	if !ok {
+		return result{err: fmt.Errorf("interp: unknown procedure %s", pi)}
+	}
+	barrier := in.depth
 	for _, c := range cs {
 		mark := env.Mark()
 		var rh, rb term.Term
@@ -323,13 +322,13 @@ func (in *Interp) call(goal term.Term, args []term.Term, env *Env, k cont) resul
 			rh, rb = rc.Args[0], rc.Args[1]
 		}
 		if env.Unify(goal, rh) {
-			r := in.solve(rb, env, k)
-			if r.stop || r.err != nil {
+			r := in.solve(rb, env, barrier, k)
+			if r.stop || r.err != nil || r.cut != 0 && r.cut != barrier {
 				return r
 			}
-			if r.cut {
-				// The cut's barrier is this call: absorb it and stop
-				// trying alternatives.
+			if r.cut == barrier {
+				// The cut is this clause's: absorb it and stop trying
+				// alternatives.
 				env.Undo(mark)
 				return proceed
 			}
@@ -357,7 +356,7 @@ func (in *Interp) runExternal(ext ExternalFn, goal term.Term, env *Env, k cont) 
 	var out result
 	err := ext(goal, env, func() bool {
 		r := k()
-		if r.stop || r.cut || r.err != nil {
+		if r.stop || r.cut != 0 || r.err != nil {
 			out = r
 			return false
 		}
@@ -365,10 +364,6 @@ func (in *Interp) runExternal(ext ExternalFn, goal term.Term, env *Env, k cont) 
 	})
 	if err != nil && out.err == nil {
 		out.err = err
-	}
-	if out.cut {
-		// The external call is the cut barrier.
-		out.cut = false
 	}
 	return out
 }

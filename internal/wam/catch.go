@@ -101,28 +101,22 @@ func (m *Machine) deliverBall(ball *ErrBall) (caught, failed bool) {
 	return false, false
 }
 
-// handleBuiltinError routes a builtin error through exception delivery.
-// It returns the action the run loop should take.
-type errAction uint8
-
-const (
-	errPropagate errAction = iota // return the error to the caller
-	errJump                       // continue at m.p (recovery installed)
-	errFail                       // backtrack
-)
-
-func (m *Machine) handleBuiltinError(err error) (errAction, error) {
+// handleBuiltinError routes an error raised in the run loop through
+// exception delivery. It reports whether the loop goes on at m.p (a
+// recovery goal entered, or a failed recovery backtracked); otherwise the
+// run ends with the returned error (nil: no more solutions).
+func (m *Machine) handleBuiltinError(err error) (bool, error) {
 	err = m.asBall(err)
 	ball, ok := err.(*ErrBall)
 	if !ok {
-		return errPropagate, err
+		return false, err
 	}
 	caught, failed := m.deliverBall(ball)
 	if !caught {
-		return errPropagate, err
+		return false, err
 	}
 	if failed {
-		return errFail, nil
+		return m.backtrack(), nil
 	}
 	if m.pendingJump != nil {
 		m.p = *m.pendingJump
@@ -131,5 +125,5 @@ func (m *Machine) handleBuiltinError(err error) (errAction, error) {
 		// so a cut inside it is local (see the tail-call jump in run).
 		m.b0 = m.b
 	}
-	return errJump, nil
+	return true, nil
 }

@@ -39,14 +39,8 @@ func (m *Machine) backtrack() bool {
 // 256 instructions inside the loop.
 func (m *Machine) runLoop() (bool, error) {
 	if err := m.checkCancel(); err != nil {
-		switch act, perr := m.handleBuiltinError(err); act {
-		case errJump:
-		case errFail:
-			if !m.backtrack() {
-				return false, nil
-			}
-		default:
-			return false, perr
+		if ok, err := m.handleBuiltinError(err); !ok {
+			return false, err
 		}
 	}
 	for {
@@ -62,17 +56,10 @@ func (m *Machine) runLoop() (bool, error) {
 		// (no calls, no builtins) is bounded.
 		if m.stats.Instructions&interruptMask == 0 {
 			if err := m.checkCancel(); err != nil {
-				switch act, perr := m.handleBuiltinError(err); act {
-				case errJump:
-					continue
-				case errFail:
-					if !m.backtrack() {
-						return false, nil
-					}
-					continue
-				default:
-					return false, perr
+				if ok, err := m.handleBuiltinError(err); !ok {
+					return false, err
 				}
+				continue
 			}
 		}
 
@@ -372,22 +359,15 @@ func (m *Machine) runLoop() (bool, error) {
 			m.cp = m.cellCode(m.stack[m.e+1])
 			m.e = m.stack[m.e].SmallVal()
 			m.p.off++
-		case OpCall:
+		case OpCall, OpExecute:
 			m.stats.Calls++
 			m.maybeGC(int(ins.Ar))
 			proc, err := m.lookupProc(ins.Fn)
 			if err != nil {
-				switch act, perr := m.handleBuiltinError(err); act {
-				case errJump:
-					continue
-				case errFail:
-					if !m.backtrack() {
-						return false, nil
-					}
-					continue
-				default:
-					return false, perr
+				if ok, err := m.handleBuiltinError(err); !ok {
+					return false, err
 				}
+				continue
 			}
 			if proc == nil { // unknown fails
 				if !m.backtrack() {
@@ -397,37 +377,9 @@ func (m *Machine) runLoop() (bool, error) {
 			}
 			m.numArgs = int(ins.Ar)
 			m.ensureRegs(m.numArgs)
-			m.cp = codePtr{blk: m.p.blk, off: m.p.off + 1}
-			m.b0 = m.b
-			if m.prof != nil {
-				m.prof.portCall(ins.Fn, proc.Block)
+			if ins.Op == OpCall {
+				m.cp = codePtr{blk: m.p.blk, off: m.p.off + 1}
 			}
-			m.p = codePtr{blk: proc.Block}
-		case OpExecute:
-			m.stats.Calls++
-			m.maybeGC(int(ins.Ar))
-			proc, err := m.lookupProc(ins.Fn)
-			if err != nil {
-				switch act, perr := m.handleBuiltinError(err); act {
-				case errJump:
-					continue
-				case errFail:
-					if !m.backtrack() {
-						return false, nil
-					}
-					continue
-				default:
-					return false, perr
-				}
-			}
-			if proc == nil {
-				if !m.backtrack() {
-					return false, nil
-				}
-				continue
-			}
-			m.numArgs = int(ins.Ar)
-			m.ensureRegs(m.numArgs)
 			m.b0 = m.b
 			if m.prof != nil {
 				m.prof.portCall(ins.Fn, proc.Block)
@@ -553,17 +505,10 @@ func (m *Machine) runLoop() (bool, error) {
 			m.ensureRegs(m.numArgs)
 			ok, err := bi.Fn(m, m.x[:ins.Ar])
 			if err != nil {
-				switch act, perr := m.handleBuiltinError(err); act {
-				case errJump:
-					continue
-				case errFail:
-					if !m.backtrack() {
-						return false, nil
-					}
-					continue
-				default:
-					return false, perr
+				if ok, err := m.handleBuiltinError(err); !ok {
+					return false, err
 				}
+				continue
 			}
 			if !ok {
 				m.pendingJump = nil
@@ -590,17 +535,10 @@ func (m *Machine) runLoop() (bool, error) {
 			e := m.extras[len(m.extras)-1]
 			ok, err := e.fn(m)
 			if err != nil {
-				switch act, perr := m.handleBuiltinError(err); act {
-				case errJump:
-					continue
-				case errFail:
-					if !m.backtrack() {
-						return false, nil
-					}
-					continue
-				default:
-					return false, perr
+				if ok, err := m.handleBuiltinError(err); !ok {
+					return false, err
 				}
+				continue
 			}
 			if ok {
 				m.p = e.resume

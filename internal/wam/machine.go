@@ -864,18 +864,10 @@ func (m *Machine) lookupProc(fn dict.ID) (*Proc, error) {
 		return p, nil
 	}
 	if m.OnUndefined != nil {
-		np, err := m.OnUndefined(m, fn)
-		if err != nil {
-			return nil, err
-		}
-		if np != nil {
-			// Trap-loaded procedures may bypass DefineProc (per-call
-			// filtered candidate sets are returned, not installed), so
-			// stamp the profiler's block owner here too.
-			if np.Block != nil && !np.Block.HasOwner {
-				np.Block.Owner, np.Block.HasOwner = np.Fn, true
-			}
-			return np, nil
+		// The trap may return code it does not install (a variant linked
+		// for the call's bound arguments); it stamps the block's owner.
+		if np, err := m.OnUndefined(m, fn); err != nil || np != nil {
+			return np, err
 		}
 	}
 	if m.UnknownFails {
