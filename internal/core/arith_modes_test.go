@@ -5,7 +5,8 @@ package core
 // (package term). Every constant, function and comparison of that table
 // must give the same answer, or fail with the same reason, in both. The
 // operands are bound at run time, so no evaluation happens at compile
-// time.
+// time. A call of an unknown procedure, at the top or from a rule, fails
+// with the same existence_error ball in both.
 
 import (
 	"fmt"
@@ -67,10 +68,15 @@ func TestArithmeticModesAgree(t *testing.T) {
 			queries = append(queries, fmt.Sprintf("A = %s, B = %s, %s(A, B)", p[0], p[1], term.Atom(op)))
 		}
 	}
-	queries = append(queries, "A = [0'a], X is A + 1")
+	queries = append(queries, "A = [0'a], X is A + 1", "nope(1)", "g(1)")
 
 	compiled := newSession(t, Options{})
 	source := newSession(t, Options{RuleStorage: RuleStorageSource})
+	for _, s := range []*Session{compiled, source} {
+		if err := s.ConsultExternal("g(X) :- nope(X)."); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, q := range queries {
 		c, s := arithOutcome(compiled, q), arithOutcome(source, q)
 		if c != s {

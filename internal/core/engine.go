@@ -152,11 +152,9 @@ type Session struct {
 	nsetops   int
 	synced    uint64
 
-	queries    map[string]*linkedQuery // linked compiled-mode goals by text
+	queries    map[string]*linkedQuery // compiled-mode goals by text
 	queryOrder []string                // their texts, oldest first
-	shapes     map[string]*queryShape  // their lifted shapes by shape key
-	scan       goalScan                // the last text scanned for its shape
-	callArgs   []wam.Cell              // the $query call's arguments
+	callArgs   []wam.Cell              // a direct call's arguments
 
 	// txn is the open transaction's snapshot set (nil: none). While set,
 	// this session owns the KB write lock (see txn.go).
@@ -226,7 +224,6 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 		dyn:       map[term.Indicator]*dynPred{},
 		resident:  map[dict.ID]*residentProc{},
 		queries:   map[string]*linkedQuery{},
-		shapes:    map[string]*queryShape{},
 		resolvers: map[term.Indicator]bool{},
 		tally:     &store.Tally{},
 		synced:    kb.version.Load(),

@@ -135,19 +135,22 @@ func TestExternalRulesWithControl(t *testing.T) {
 }
 
 // TestProfileLocalProcedures: a clause's control constructs run inside its
-// own box. The profile has rows for the program's predicates only, and
-// each keeps exits <= calls + redos although a local procedure proceeds.
+// own box. The profile has rows for the program's predicates, and for the
+// $query code of the one goal that is not a single call, and each keeps
+// exits <= calls + redos although a local procedure proceeds.
 func TestProfileLocalProcedures(t *testing.T) {
 	e := newSession(t, Options{})
 	if err := e.ConsultExternal(`
 		val(1). val(5). val(-3).
 		cls(X, C) :- val(X), ( X > 0 -> C = pos ; C = nonpos ).
 		odd(X) :- val(X), \+ X =:= 5, (X > 0 ; X < -1).
+		sum(0, 0).
+		sum(N, S) :- N > 0, M is N - 1, sum(M, S0), val(V), S is S0 + V.
 	`); err != nil {
 		t.Fatal(err)
 	}
 	e.EnableProfiling(true)
-	for q, want := range map[string]int{"cls(X, C)": 3, "odd(X)": 2} {
+	for q, want := range map[string]int{"cls(X, C)": 3, "odd(X)": 2, "cls(X, C), C == pos": 2, "sum(2, S)": 9} {
 		if n, err := e.QueryCount(q); err != nil || n != want {
 			t.Fatalf("%s: n=%d err=%v, want %d", q, n, err, want)
 		}
@@ -160,7 +163,7 @@ func TestProfileLocalProcedures(t *testing.T) {
 		}
 	}
 	sort.Strings(preds)
-	if want := []string{"$query/1", "$query/2", "cls/2", "odd/1", "val/1"}; !reflect.DeepEqual(preds, want) {
+	if want := []string{"$query/2", "cls/2", "odd/1", "sum/2", "val/1"}; !reflect.DeepEqual(preds, want) {
 		t.Fatalf("profiled predicates %v, want %v", preds, want)
 	}
 }

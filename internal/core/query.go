@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,13 +43,12 @@ type Solutions struct {
 
 // Query parses and runs a goal, returning a Solutions iterator. The query
 // executes on the WAM in compiled mode, or on the resolution interpreter
-// in baseline (source) mode. In compiled mode the session keeps the
-// linked code of each goal shape, so a text that differs from an earlier
-// one at most in its constants skips parsing, compiling and linking (see
-// resident.go). Each query starts from a fresh view of the shared
-// knowledge base: code another session invalidated since the last query
-// is dropped and reloaded on use. The query runs inside the session's
-// resource envelope (see envelope.go).
+// in baseline (source) mode. In compiled mode a text that is one call of a
+// procedure runs as that call, with no code of its own, and any other
+// text's linked $query code is kept and reused (see resident.go). Each
+// query starts from a fresh view of the shared knowledge base: code another
+// session invalidated since the last query is dropped and reloaded on use.
+// The query runs inside the session's resource envelope (see envelope.go).
 func (s *Session) Query(q string) (*Solutions, error) { return s.query(nil, q) }
 
 // query is Query under ctx (nil: none).
@@ -86,11 +86,21 @@ func (s *Session) query(ctx context.Context, q string) (sol *Solutions, err erro
 	for i := range args {
 		args[i] = wam.MakeRef(s.m.NewVar())
 	}
-	s.callArgs = append(append(s.callArgs[:0], args...), lq.consts...)
+	call := args // $query/N's, in names order
+	if lq.proc == nil {
+		call = s.callArgs[:0]
+		for _, c := range lq.args {
+			if c.Tag() == wam.TagRef {
+				c = args[c.Val()]
+			}
+			call = append(call, c)
+		}
+		s.callArgs = call
+	}
 	return &Solutions{
 		e:     s,
 		names: lq.names,
-		run:   s.m.Call(lq.proc.Fn, s.callArgs),
+		run:   s.m.Call(lq.fn, call),
 		args:  args,
 	}, nil
 }
@@ -111,89 +121,57 @@ func (s *Session) parseQuery(q string) (term.Term, map[string]*term.Var, []strin
 	return body, vars, names, nil
 }
 
-// shapeMarker stands for a lifted constant in a shape key. No liftable
-// text contains it, so texts share a key only if they differ in constants.
-const shapeMarker = 0
-
-// goalScan is a goal text's scanned shape; a session reuses one's buffers.
-type goalScan struct {
-	key  []byte // the text, each constant replaced by shapeMarker
-	name string
-	args []goalArg
-}
-
-// goalArg is a scanned variable ('V'), atom ('a') or integer ('0', val).
-type goalArg struct {
-	kind byte
-	text string
-	val  int64
-}
-
-// scan reports whether goal text q is one call name(a1, ..., an), each ai
-// an unquoted [a-z][A-Za-z0-9_]* atom, an unsigned decimal integer in the
-// WAM's range or a variable; see DESIGN §6, "Linked queries".
-func (g *goalScan) scan(q string) bool {
-	g.key, g.args = g.key[:0], g.args[:0]
-	i, last := span(q, 0, layout), 0 // q[:last] is in key
+// directCall returns the entry of goal text q when q is one call of a
+// procedure, name(a1, ..., an) with each ai an unquoted [a-z][A-Za-z0-9_]*
+// atom, an unsigned decimal integer in the WAM's range or a variable not
+// starting with '_' (see DESIGN §6, "Linked queries"), and nil otherwise.
+func (s *Session) directCall(q string) *linkedQuery {
+	i := span(q, 0, layout)
 	j := span(q, i, alnum)
 	if j == i || q[i] < 'a' || q[i] > 'z' || j == len(q) || q[j] != '(' {
-		return false
+		return nil
 	}
-	g.name = q[i:j]
+	name, lq := q[i:j], &linkedQuery{}
+	lq.names, lq.args = lq.nameBuf[:0], lq.argBuf[:0]
 	for i = j; q[i] != ')'; { // q[i] is the '(' or ',' before an argument
 		j = span(q, i+1, layout)
 		k := span(q, j, alnum)
-		if k == j {
-			return false
+		if k == j || q[j] == '_' {
+			return nil
 		}
-		a := goalArg{kind: 'V', text: q[j:k]}
-		switch c := q[j]; { // lower case, digit, or upper case and '_'
-		case c >= 'a':
-			a.kind = 'a'
-		case c <= '9':
-			v, err := strconv.ParseInt(a.text, 10, 64)
-			if a.kind, a.val = '0', v; err != nil || !wam.CheckInt(v) {
-				return false
+		switch a := q[j:k]; {
+		case a[0] >= 'a':
+			lq.args = append(lq.args, wam.MakeCon(s.m.Dict.Intern(a, 0)))
+		case a[0] <= '9':
+			v, err := strconv.ParseInt(a, 10, 64)
+			if err != nil || !wam.CheckInt(v) {
+				return nil
 			}
-		}
-		if g.args = append(g.args, a); a.kind != 'V' {
-			g.key = append(append(g.key, q[last:j]...), shapeMarker)
-			last = k
+			lq.args = append(lq.args, wam.MakeInt(v))
+		default: // a variable: the names stay sorted, the references with them
+			n, seen := slices.BinarySearch(lq.names, a)
+			if !seen {
+				lq.names = slices.Insert(lq.names, n, a)
+				for x, c := range lq.args {
+					if c.Tag() == wam.TagRef && c.Val() >= n {
+						lq.args[x] = wam.MakeRef(c.Val() + 1)
+					}
+				}
+			}
+			lq.args = append(lq.args, wam.MakeRef(n))
 		}
 		if i = span(q, k, layout); i == len(q) || q[i] != ',' && q[i] != ')' {
-			return false
+			return nil
 		}
 	}
-	g.key = append(g.key, q[last:]...)
-	return span(q, i+1, layout) == len(q)
-}
-
-// confirms reports whether t, the text's term as read, is the scanned call.
-func (g *goalScan) confirms(t term.Term) bool {
-	c, ok := t.(*term.Compound)
-	ok = ok && c.Functor == g.name && len(c.Args) == len(g.args)
-	for i := 0; ok && i < len(g.args); i++ {
-		_, isVar := c.Args[i].(*term.Var)
-		a, arg := g.args[i], c.Args[i]
-		ok = a.kind == 'V' && isVar || a.kind == 'a' && arg == term.Atom(a.text) || a.kind == '0' && arg == term.Int(a.val)
+	if span(q, i+1, layout) != len(q) || s.m.BuiltinIndex(name, len(lq.args)) >= 0 || controlGoals[name] {
+		return nil
 	}
-	return ok
+	lq.fn = s.m.Dict.Intern(name, len(lq.args))
+	return lq
 }
 
-// cells returns the scanned constants as m's cells, in argument order.
-func (g *goalScan) cells(m *wam.Machine) (cs []wam.Cell) {
-	for _, a := range g.args {
-		switch a.kind {
-		case 'a':
-			cs = append(cs, wam.MakeCon(m.Dict.Intern(a.text, 0)))
-		case '0':
-			cs = append(cs, wam.MakeInt(a.val))
-		}
-	}
-	return cs
-}
-
-// controlGoals call a goal argument; a goal calling one is never lifted.
+// controlGoals call a goal argument; a text calling one is always compiled.
 var controlGoals = map[string]bool{"call": true, "not": true, "once": true, "ignore": true,
 	"forall": true, "findall": true, "bagof": true, "setof": true, "aggregate_all": true, "transaction": true}
 
@@ -268,8 +246,7 @@ func (s *Solutions) Binding(name string) term.Term { return s.cur[name] }
 func (s *Solutions) Map() map[string]term.Term { return s.cur }
 
 // Vars lists the query's variable names in sorted order. The slice is
-// shared with every run of a goal of the same shape: read it, never
-// modify it.
+// shared with every run of the same goal text: read it, never modify it.
 func (s *Solutions) Vars() []string { return s.names }
 
 // Err reports the first error encountered.
@@ -435,8 +412,11 @@ func newInterpGen(in *interp.Interp, goal term.Term, vars map[string]*term.Var) 
 			g.sols <- sol
 			return <-g.resume
 		})
+		var unk *interp.ErrUnknownProc
 		if errors.Is(err, interp.ErrDepth) {
 			err = wam.ResourceBall("depth")
+		} else if errors.As(err, &unk) {
+			err = wam.AsBall(&wam.ErrUnknownProc{Name: unk.PI.Name, Arity: unk.PI.Arity})
 		}
 		g.errCh <- err
 		close(g.sols)

@@ -27,9 +27,10 @@ import (
 // Resident code leaves a session through evict and nowhere else, and
 // reconcile decides when.
 //
-// A session also keeps the queries it linked, by text, with code shared by
-// shape. The code names callees by functor and builtins by a stable slot, so
-// no write makes it stale; op/3, which can change how a text reads, drops it.
+// A session also keeps the goal texts it ran, by text: a one-call text as
+// the call, any other as its linked $query code. Both name callees by functor
+// and builtins by a stable slot, so no write makes them stale; op/3, which
+// can change how a text reads, drops them.
 
 // filterKey names one variant of a stored procedure: the pre-unification
 // key of each indexed head argument (a procedure uses its first K).
@@ -92,21 +93,18 @@ const sharedCacheLimit = 4096
 // main-memory code is garbage collected, the EDB copy needs none).
 const loadedCacheLimit = 1024
 
-// linkedQuery is one goal text's entry: its shape and the constants the
-// shape lifted, as cells.
+// linkedQuery is one goal text's entry: a call of fn, names its variables
+// in sorted order. Either proc is the text's own linked $query/N over them,
+// or proc is nil and the text is one call of a procedure with arguments
+// args, a variable's a reference to its index in names; up to six
+// arguments fit the entry's own buffers, so it is one allocation.
 type linkedQuery struct {
-	*queryShape
-	consts []wam.Cell
-}
-
-// queryShape is one goal shape's linked code: $query/N over the goal's
-// variables in names order and then its lifted constants. refs counts its
-// texts; key is "" for a text's own shape.
-type queryShape struct {
-	key   string
-	names []string
-	proc  *wam.Proc // $query/N
-	refs  int
+	fn      dict.ID
+	proc    *wam.Proc
+	names   []string
+	args    []wam.Cell
+	nameBuf [6]string
+	argBuf  [6]wam.Cell
 }
 
 // queryCacheLimit caps a session's linked query texts; past it the oldest
@@ -312,25 +310,18 @@ func (s *Session) evictAll() {
 }
 
 // linkQuery returns the table entry of goal text q, its code installed and
-// ready to call. Only a text of a new shape is parsed, compiled and linked;
-// one that fails to is not cached.
+// ready to call. A new text that scans as one call of a procedure is that
+// call; any other is parsed, compiled and linked, and one that fails to is
+// not cached.
 func (s *Session) linkQuery(q string) (*linkedQuery, error) {
 	lq := s.queries[q]
 	if lq == nil {
-		g := &s.scan
-		lifted := g.scan(q) && s.m.BuiltinIndex(g.name, len(g.args)) < 0 && !controlGoals[g.name]
-		sh := s.shapes[string(g.key)]
-		if !lifted || sh == nil {
+		if lq = s.directCall(q); lq == nil {
 			var err error
-			if sh, err = s.linkShape(q, lifted); err != nil {
+			if lq, err = s.linkGoal(q); err != nil {
 				return nil, err
 			}
 		}
-		lq = &linkedQuery{queryShape: sh}
-		if sh.key != "" {
-			lq.consts = g.cells(s.m)
-		}
-		sh.refs++ // before the eviction, which may drop a text of this shape
 		if len(s.queryOrder) == queryCacheLimit {
 			s.dropQuery(s.queryOrder[0])
 			s.queryOrder = s.queryOrder[1:]
@@ -338,13 +329,15 @@ func (s *Session) linkQuery(q string) (*linkedQuery, error) {
 		s.queries[q] = lq
 		s.queryOrder = append(s.queryOrder, q)
 	}
-	s.m.DefineProc(lq.proc)
+	if lq.proc != nil {
+		s.m.DefineProc(lq.proc)
+	}
 	return lq, nil
 }
 
-// linkShape parses, compiles and links goal text q. A lifted text whose term
-// is the scanned call gets its constants as $query arguments and a key.
-func (s *Session) linkShape(q string, lifted bool) (*queryShape, error) {
+// linkGoal parses, compiles and links goal text q as $query/N over its
+// variables.
+func (s *Session) linkGoal(q string) (*linkedQuery, error) {
 	body, vars, names, err := s.parseQuery(q)
 	if err != nil {
 		return nil, err
@@ -352,17 +345,6 @@ func (s *Session) linkShape(q string, lifted bool) (*queryShape, error) {
 	vlist := make([]*term.Var, len(names))
 	for i, n := range names {
 		vlist[i] = vars[n]
-	}
-	g := &s.scan
-	if lifted = lifted && g.confirms(body); lifted {
-		args := append([]term.Term(nil), body.(*term.Compound).Args...)
-		for i, a := range g.args {
-			if a.kind != 'V' {
-				args[i] = &term.Var{}
-				vlist = append(vlist, args[i].(*term.Var))
-			}
-		}
-		body = term.Comp(g.name, args...)
 	}
 	t0 := time.Now()
 	ccs, err := s.comp.CompileQuery("$query", vlist, body)
@@ -376,27 +358,21 @@ func (s *Session) linkShape(q string, lifted bool) (*queryShape, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &queryShape{names: names, proc: &wam.Proc{Fn: s.m.Dict.Intern("$query", len(vlist)), Arity: len(vlist), Block: s.m.AddBlock(blk)}}
-	if lifted {
-		sh.key = string(g.key)
-		s.shapes[sh.key] = sh
-	}
-	return sh, nil
+	p := &wam.Proc{Fn: s.m.Dict.Intern("$query", len(vlist)), Arity: len(vlist), Block: s.m.AddBlock(blk)}
+	return &linkedQuery{fn: p.Fn, proc: p, names: names}, nil
 }
 
-// dropQuery evicts one text. Its shape goes with the last text that uses
-// it: the blocks are retired, so a running query finishes on them, and
-// $query/N is uninstalled only if it is this shape's.
+// dropQuery evicts one text. Its $query block is retired, so a running
+// query finishes on it, and $query/N is uninstalled only if it is this
+// text's; a direct call holds no code.
 func (s *Session) dropQuery(q string) {
-	sh := s.queries[q].queryShape
+	p := s.queries[q].proc
 	delete(s.queries, q)
-	if sh.refs--; sh.refs > 0 {
-		return
-	}
-	delete(s.shapes, sh.key)
-	if p := sh.proc; s.m.Proc(p.Fn) == p {
+	switch {
+	case p == nil:
+	case s.m.Proc(p.Fn) == p:
 		s.m.RemoveProc(p.Fn)
-	} else {
+	default:
 		s.m.RemoveBlock(p.Block)
 	}
 }

@@ -691,57 +691,79 @@ func answers(t *testing.T, e *Session, q string) string {
 	return fmt.Sprint(sols)
 }
 
+// noLink runs run and fails t if it spent parse, compile or link time on e.
+func noLink(t *testing.T, e *Session, what string, run func()) {
+	t.Helper()
+	before := e.Cost().Phases
+	run()
+	after := e.Cost().Phases
+	for _, p := range []obs.Phase{obs.PhaseParse, obs.PhaseCompile, obs.PhaseLink} {
+		if spent := after.Get(p) - before.Get(p); spent != 0 {
+			t.Errorf("%s spent %v in %s", what, spent, p)
+		}
+	}
+}
+
+// queryProcs lists the $query procedures installed in e's machine.
+func queryProcs(e *Session) []string {
+	var out []string
+	e.Machine().Procs(func(p *wam.Proc) bool {
+		if d := e.Machine().Dict; d.Name(p.Fn) == "$query" {
+			out = append(out, fmt.Sprintf("$query/%d", d.Arity(p.Fn)))
+		}
+		return true
+	})
+	return out
+}
+
 // TestResidentQueryRepeatedGoal: the second run of a goal text returns the
 // same answers from the linked code the first run left, with no parse,
-// compile or link time; so does a new text of a shape already linked.
+// compile or link time. A new text that is one call of a known procedure
+// spends none on its first run either: it runs as that call, with no
+// $query code of its own.
 func TestResidentQueryRepeatedGoal(t *testing.T) {
 	e := newSession(t, Options{})
 	consultExternal("f(1). f(2). f(3). g(X, Y) :- f(X), Y is X * 10.")(t, e)
 	const q = "g(X, Y), X > 1"
 	first := answers(t, e, q)
 	lq := e.queries[q]
-	before := e.Cost().Phases
-	if again := answers(t, e, q); again != first {
-		t.Fatalf("second run %s, first %s", again, first)
-	}
-	if e.queries[q] != lq || len(e.queries) != 1 {
+	noLink(t, e, "the second run", func() {
+		if again := answers(t, e, q); again != first {
+			t.Fatalf("second run %s, first %s", again, first)
+		}
+	})
+	if e.queries[q] != lq || len(e.queries) != 1 || lq.proc == nil {
 		t.Fatalf("second run relinked the goal (table %v)", e.queryOrder)
 	}
-	after := e.Cost().Phases
-	for _, p := range []obs.Phase{obs.PhaseParse, obs.PhaseCompile, obs.PhaseLink} {
-		if spent := after.Get(p) - before.Get(p); spent != 0 {
-			t.Errorf("second run spent %v in %s", spent, p)
-		}
-	}
 
-	// g(2, Y) and g(3, Y) differ only in a constant: the second runs the
-	// code the first linked.
-	if got := values(t, e, "g(2, Y)", "Y"); !reflect.DeepEqual(got, []string{"20"}) {
-		t.Fatalf("g(2, Y): %v", got)
-	}
-	before = e.Cost().Phases
-	if got := values(t, e, "g(3, Y)", "Y"); !reflect.DeepEqual(got, []string{"30"}) {
-		t.Fatalf("g(3, Y): %v", got)
-	}
-	after = e.Cost().Phases
-	for _, p := range []obs.Phase{obs.PhaseParse, obs.PhaseCompile, obs.PhaseLink} {
-		if spent := after.Get(p) - before.Get(p); spent != 0 {
-			t.Errorf("a new text of a linked shape spent %v in %s", spent, p)
+	for _, tc := range []struct{ q, v, want string }{
+		{"g(2, Y)", "Y", "20"},
+		{"g(3, Y)", "Y", "30"},
+		{"g(X, 10)", "X", "1"},
+	} {
+		noLink(t, e, tc.q, func() {
+			if got := values(t, e, tc.q, tc.v); !reflect.DeepEqual(got, []string{tc.want}) {
+				t.Fatalf("%s: %v, want %s", tc.q, got, tc.want)
+			}
+		})
+		if lq := e.queries[tc.q]; lq == nil || lq.proc != nil {
+			t.Fatalf("%s is not a direct call", tc.q)
 		}
 	}
-	if sh := e.queries["g(3, Y)"].queryShape; sh != e.queries["g(2, Y)"].queryShape || sh.refs != 2 || len(e.shapes) != 1 {
-		t.Fatalf("g(2, Y) and g(3, Y) do not share one shape (%d shapes)", len(e.shapes))
+	if got := queryProcs(e); !reflect.DeepEqual(got, []string{"$query/2"}) {
+		t.Fatalf("installed %v, want only the first goal's $query/2", got)
 	}
 }
 
 // TestResidentQueryNotLifted: a text the reader might take otherwise than
 // as one call with one-token arguments, or one that calls a builtin or a
-// control construct, is its own shape, and answers as it did when every
-// text was linked whole ("error": a syntax error).
+// control construct, links its own $query code, and answers as it did when
+// every text was linked ("error": a syntax error).
 func TestResidentQueryNotLifted(t *testing.T) {
 	e := newSession(t, Options{})
 	consultExternal(`p(a, 1). p(b, -1). p('A b', 2). p(1.5, 3). p([0'a, 0'b], 4). p(a, "ab"). q(a). foo.`)(t, e)
 	pa := "[map[X:1] map[X:[97,98]]]"
+	linked := map[*wam.Proc]string{}
 	for _, tc := range []struct{ q, want string }{
 		{"p('a', X)", pa},
 		{"p('A b', X)", "[map[X:2]]"},
@@ -781,66 +803,27 @@ func TestResidentQueryNotLifted(t *testing.T) {
 				t.Fatalf("%s, run %d: %s (err %v), want %s", tc.q, run, got, err, tc.want)
 			}
 		}
-		if lq := e.queries[tc.q]; lq != nil && (lq.key != "" || lq.consts != nil) {
-			t.Errorf("%s lifted to shape %q", tc.q, lq.key)
+		switch lq := e.queries[tc.q]; {
+		case lq == nil && tc.want != "error":
+			t.Errorf("%s is not in the table", tc.q)
+		case lq == nil:
+		case lq.proc == nil:
+			t.Errorf("%s runs as a direct call", tc.q)
+		case linked[lq.proc] != "":
+			t.Errorf("%s runs the $query code %s linked", tc.q, linked[lq.proc])
+		default:
+			linked[lq.proc] = tc.q
 		}
 	}
-	// A sibling text that lifts answers from its own shape.
-	if got := values(t, e, "p(b, X)", "X"); !reflect.DeepEqual(got, []string{"-1"}) || e.queries["p(b, X)"].key == "" {
-		t.Fatalf("p(b, X): %v, lifted %v", got, e.queries["p(b, X)"].key != "")
+	// A text that is one call of a procedure runs as that call.
+	if got := values(t, e, "p(b, X)", "X"); !reflect.DeepEqual(got, []string{"-1"}) || e.queries["p(b, X)"].proc != nil {
+		t.Fatalf("p(b, X): %v, direct %v", got, e.queries["p(b, X)"].proc == nil)
 	}
 }
 
-// TestResidentQueryShapeKeys: a shape key stands for a lifted text's
-// constants with a marker that no liftable text contains and the reader
-// rejects, so texts share a key only if they differ in constants alone,
-// and a text spelling out a key is not read as that shape.
-func TestResidentQueryShapeKeys(t *testing.T) {
-	var g goalScan
-	key := func(q string) (string, bool) {
-		ok := g.scan(q)
-		return string(g.key), ok
-	}
-	for _, tc := range []struct{ a, b string }{
-		{"item(k1, G, V, Tag)", "item(k20, G, V, Tag)"},
-		{"p(a, 7)", "p(7, a)"},
-		{"p( a ,X)", "p( 007 ,X)"},
-	} {
-		ka, oka := key(tc.a)
-		kb, okb := key(tc.b)
-		if !oka || !okb || ka != kb || !strings.ContainsRune(ka, shapeMarker) {
-			t.Errorf("%s and %s: keys %q (%v) and %q (%v), want one shared key", tc.a, tc.b, ka, oka, kb, okb)
-		}
-	}
-	for _, tc := range []struct{ a, b string }{
-		{"p(a, X)", "p(a, Y)"},
-		{"p(a, X)", "p(a,X)"},
-		{"p(a, X)", "q(a, X)"},
-		{"p(a, X)", "p(a, X, b)"},
-	} {
-		ka, _ := key(tc.a)
-		if kb, _ := key(tc.b); ka == kb {
-			t.Errorf("%s and %s share the key %q", tc.a, tc.b, ka)
-		}
-	}
-	e := newSession(t, Options{})
-	consultExternal("p(a, 1).")(t, e)
-	answers(t, e, "p(a, X)")
-	k, _ := key("p(a, X)")
-	if _, ok := key(k); ok {
-		t.Fatalf("the key %q scans as a liftable text", k)
-	}
-	if _, err := e.QueryAll(k); err == nil {
-		t.Fatalf("the key %q reads as a goal", k)
-	}
-	if len(e.queries) != 1 || len(e.shapes) != 1 {
-		t.Fatalf("%d texts, %d shapes after asking the key, want 1 and 1", len(e.queries), len(e.shapes))
-	}
-}
-
-// TestResidentQueryShapeLifetime: a shape's code goes when its last text
-// leaves the table, and not before, not even when a new text of the shape
-// evicts the last one; op/3 and Close empty the table.
+// TestResidentQueryShapeLifetime: the $query code of a text that is not one
+// call goes when the text leaves the table, so the block table is flat over
+// cycles that refill it; op/3 and Close empty the table.
 func TestResidentQueryShapeLifetime(t *testing.T) {
 	e := newSession(t, Options{})
 	if err := e.Consult("p(a, 1). p(b, 2). p(c, 3)."); err != nil {
@@ -853,67 +836,48 @@ func TestResidentQueryShapeLifetime(t *testing.T) {
 			fillers++
 		}
 	}
-	blocks := func() int { return e.Machine().Stats().Blocks }
-	linked := func() int64 { return e.Cost().Phases[obs.PhaseLink] }
+	const q = "p(X, N), N > 1"
 	var first int
 	for cycle := 0; cycle < 3; cycle++ {
-		answers(t, e, "p(a, X)")
-		sh, b, l := e.queries["p(a, X)"].queryShape, blocks(), linked()
-		if got := values(t, e, "p(b, X)", "X"); !reflect.DeepEqual(got, []string{"2"}) || blocks() != b || linked() != l {
-			t.Fatalf("p(b, X): %v, blocks %d -> %d, relinked %v", got, b, blocks(), linked() != l)
+		if got := values(t, e, q, "X"); !reflect.DeepEqual(got, []string{"b", "c"}) {
+			t.Fatalf("cycle %d: %s gave %v", cycle, q, got)
 		}
-		// The fillers evict p(a, X); the shape stays for p(b, X).
-		fill(queryCacheLimit - 1)
-		if e.queries["p(a, X)"] != nil || e.queries["p(b, X)"] == nil || e.shapes[sh.key] != sh || sh.refs != 1 {
-			t.Fatalf("cycle %d: p(a, X) kept %v, p(b, X) kept %v, shape refs %d",
-				cycle, e.queries["p(a, X)"] != nil, e.queries["p(b, X)"] != nil, sh.refs)
-		}
-		if l = linked(); !reflect.DeepEqual(values(t, e, "p(b, X)", "X"), []string{"2"}) || linked() != l {
-			t.Fatalf("p(b, X) with its sibling evicted: relinked %v, or wrong answers", linked() != l)
-		}
-		// p(b, X) is now the oldest text: p(c, X) evicts it and runs the
-		// shape's code.
-		if l = linked(); !reflect.DeepEqual(values(t, e, "p(c, X)", "X"), []string{"3"}) || linked() != l {
-			t.Fatalf("p(c, X) evicting the shape's last text: relinked %v, or wrong answers", linked() != l)
-		}
-		if e.queries["p(b, X)"] != nil || e.queries["p(c, X)"].queryShape != sh || sh.refs != 1 {
-			t.Fatalf("cycle %d: p(b, X) kept %v, shape refs %d", cycle, e.queries["p(b, X)"] != nil, sh.refs)
-		}
-		// The fillers make p(c, X) the oldest; the next one evicts it, and
-		// the shape's code goes with it.
+		p := e.queries[q].proc
 		fill(queryCacheLimit)
-		if len(e.shapes) != 0 || e.queries["p(c, X)"] != nil {
-			t.Fatalf("the last text of a shape left, %d shapes stay", len(e.shapes))
+		if e.queries[q] != nil || len(e.queries) != queryCacheLimit {
+			t.Fatalf("cycle %d: %s kept %v, %d texts", cycle, q, e.queries[q] != nil, len(e.queries))
 		}
-		if p := sh.proc; e.Machine().Proc(p.Fn) == p {
-			t.Fatalf("%s stays installed", e.Machine().Dict.Name(p.Fn))
+		if e.Machine().Proc(p.Fn) == p {
+			t.Fatalf("cycle %d: the evicted text's %s stays installed", cycle, e.Machine().Dict.Name(p.Fn))
 		}
-		if cycle == 0 {
-			first = blocks()
-		} else if blocks() != first {
-			t.Fatalf("cycle %d: blocks %d, %d after the first; a shape's code outlived its texts", cycle, blocks(), first)
+		if blocks := e.Machine().Stats().Blocks; cycle == 0 {
+			first = blocks
+		} else if blocks != first {
+			t.Fatalf("cycle %d: blocks %d, %d after the first; an evicted text's code stayed", cycle, blocks, first)
 		}
 	}
 
-	// op/3 and Close empty the table, texts and shapes.
+	// op/3 and Close empty the table, direct calls and linked texts alike.
 	answers(t, e, "p(a, X)")
-	answers(t, e, "p(b, X)")
+	answers(t, e, q)
 	if err := e.Consult(":- op(700, xfx, ~>)."); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.queries) != 0 || len(e.queryOrder) != 0 || len(e.shapes) != 0 {
-		t.Fatalf("op/3 left %d texts, %d shapes", len(e.queries), len(e.shapes))
+	if len(e.queries) != 0 || len(e.queryOrder) != 0 {
+		t.Fatalf("op/3 left %d texts", len(e.queries))
 	}
 	answers(t, e, "p(a, X)")
+	answers(t, e, q)
 	e.Close()
-	if len(e.queries) != 0 || len(e.shapes) != 0 {
-		t.Fatalf("Close left %d texts, %d shapes", len(e.queries), len(e.shapes))
+	if len(e.queries) != 0 || len(queryProcs(e)) != 0 {
+		t.Fatalf("Close left %d texts, %v", len(e.queries), queryProcs(e))
 	}
 }
 
-// TestResidentQueryShapesStayFlat: a stream of distinct goal texts of one
-// shape, term_cold's pattern, links one shape; the block table after the
-// last round is what it was after the first.
+// TestResidentQueryShapesStayFlat: a stream of distinct goal texts that are
+// each one call, term_cold's pattern, links no code: the block table after
+// the last round is what it was after the first, and no $query procedure is
+// defined.
 func TestResidentQueryShapesStayFlat(t *testing.T) {
 	e := newSession(t, Options{})
 	var kb strings.Builder
@@ -939,9 +903,11 @@ func TestResidentQueryShapesStayFlat(t *testing.T) {
 			first = e.Machine().Stats().Blocks
 		}
 	}
-	if got := e.Machine().Stats().Blocks; got != first || len(e.shapes) != 1 || len(e.queries) != queryCacheLimit {
-		t.Fatalf("blocks %d after the first round, %d after the last; %d shapes, %d texts",
-			first, got, len(e.shapes), len(e.queries))
+	if got := e.Machine().Stats().Blocks; got != first || len(e.queries) != queryCacheLimit {
+		t.Fatalf("blocks %d after the first round, %d after the last; %d texts", first, got, len(e.queries))
+	}
+	if got := queryProcs(e); len(got) != 0 {
+		t.Fatalf("one-call goals defined %v", got)
 	}
 }
 

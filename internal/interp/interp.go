@@ -62,6 +62,11 @@ const maxDepth = 600_000
 // ErrDepth ends a resolution nested deeper than the solver's stack allows.
 var ErrDepth = errors.New("interp: resolution depth limit exceeded")
 
+// ErrUnknownProc ends a resolution that calls a procedure with no clauses.
+type ErrUnknownProc struct{ PI term.Indicator }
+
+func (e *ErrUnknownProc) Error() string { return fmt.Sprintf("interp: unknown procedure %s", e.PI) }
+
 // New returns an interpreter with the builtin set registered.
 func New() *Interp {
 	in := &Interp{
@@ -308,7 +313,7 @@ func (in *Interp) call(goal term.Term, args []term.Term, env *Env, k cont) resul
 		cs, ok = in.clauses[pi], handled
 	}
 	if !ok {
-		return result{err: fmt.Errorf("interp: unknown procedure %s", pi)}
+		return result{err: &ErrUnknownProc{PI: pi}}
 	}
 	barrier := in.depth
 	for _, c := range cs {

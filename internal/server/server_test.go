@@ -65,7 +65,7 @@ func newTestKB(t *testing.T) *core.KnowledgeBase {
 
 // newTestServer starts a server on a loopback port and arranges its
 // shutdown at test end.
-func newTestServer(t *testing.T, kb *core.KnowledgeBase, cfg Config) (*Server, string) {
+func newTestServer(t testing.TB, kb *core.KnowledgeBase, cfg Config) (*Server, string) {
 	t.Helper()
 	srv, err := New(kb, cfg)
 	if err != nil {

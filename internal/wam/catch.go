@@ -106,7 +106,7 @@ func (m *Machine) deliverBall(ball *ErrBall) (caught, failed bool) {
 // recovery goal entered, or a failed recovery backtracked); otherwise the
 // run ends with the returned error (nil: no more solutions).
 func (m *Machine) handleBuiltinError(err error) (bool, error) {
-	err = m.asBall(err)
+	err = AsBall(err)
 	ball, ok := err.(*ErrBall)
 	if !ok {
 		return false, err

@@ -22,10 +22,11 @@ func (m *Machine) backtrack() bool {
 		}
 		return false
 	}
-	from := m.p.blk
+	from, e := m.p.blk, m.e
 	m.p = m.restoreFromChoicePoint()
 	if m.prof != nil {
 		m.prof.portBacktrack(from, m.p.blk)
+		m.redoExited(e)
 	}
 	return true
 }
@@ -369,12 +370,6 @@ func (m *Machine) runLoop() (bool, error) {
 				}
 				continue
 			}
-			if proc == nil { // unknown fails
-				if !m.backtrack() {
-					return false, nil
-				}
-				continue
-			}
 			m.numArgs = int(ins.Ar)
 			m.ensureRegs(m.numArgs)
 			if ins.Op == OpCall {
@@ -572,9 +567,9 @@ func (m *Machine) getConst(a, c Cell) bool {
 
 func (m *Machine) nilID() dict.ID { return m.Dict.Intern("[]", 0) }
 
-// asBall converts an unknown-procedure error into the ISO existence_error
+// AsBall converts an unknown-procedure error into the ISO existence_error
 // ball so it is catchable; other errors pass through unchanged.
-func (m *Machine) asBall(err error) error {
+func AsBall(err error) error {
 	if unk, ok := err.(*ErrUnknownProc); ok {
 		return &ErrBall{Term: term.Comp("error",
 			term.Comp("existence_error", term.Atom("procedure"),

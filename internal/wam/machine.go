@@ -143,10 +143,6 @@ type Machine struct {
 	// the call raise ErrUnknownProc.
 	OnUndefined func(m *Machine, fn dict.ID) (*Proc, error)
 
-	// UnknownFails makes calls to undefined procedures fail silently
-	// instead of raising an error.
-	UnknownFails bool
-
 	// GC policy.
 	gcEnabled   bool
 	gcThreshold int // run GC when heap grew this much since last collection
@@ -524,8 +520,7 @@ func (m *Machine) RegisterBuiltin(b Builtin) int {
 
 // TailCall arranges for control to transfer to fn with the given argument
 // cells when the currently executing builtin returns true. It implements
-// call/N. The second result is false when the target is undefined and the
-// machine is configured to fail silently.
+// call/N.
 func (m *Machine) TailCall(fn dict.ID, args []Cell) (bool, error) {
 	// Load the argument registers before resolving the target: procedure
 	// resolution may trap into the dynamic loader, whose pre-unification
@@ -534,7 +529,7 @@ func (m *Machine) TailCall(fn dict.ID, args []Cell) (bool, error) {
 	copy(m.x, args)
 	m.numArgs = len(args)
 	proc, err := m.lookupProc(fn)
-	if err != nil || proc == nil {
+	if err != nil {
 		return false, err
 	}
 	m.pendingJump = &codePtr{blk: proc.Block}
@@ -869,9 +864,6 @@ func (m *Machine) lookupProc(fn dict.ID) (*Proc, error) {
 		if np, err := m.OnUndefined(m, fn); err != nil || np != nil {
 			return np, err
 		}
-	}
-	if m.UnknownFails {
-		return nil, nil
 	}
 	return nil, &ErrUnknownProc{Name: m.Dict.Name(fn), Arity: m.Dict.Arity(fn)}
 }

@@ -26,7 +26,8 @@ import (
 //     block to another counts a fail against the predicate giving up
 //     control and a redo for the predicate resumed; backtracks within
 //     one predicate (its own retry chain) are internal to the box and
-//     are not counted.
+//     are not counted. Each enclosing box that had exited and that the
+//     resumed goal's continuation re-enters counts a redo as well.
 //
 // Self-time is measured between port events: the elapsed wall time since
 // the previous event is charged to the predicate that was executing.
@@ -117,6 +118,24 @@ func (pr *Profiler) portBacktrack(from, to *CodeBlock) {
 		pr.counters(toOwner).Redos++
 	}
 	pr.setCur(to)
+}
+
+// redoExited counts a redo for each box the resumed choice point's
+// continuation re-enters after it exited: each frame on its environment
+// chain but not on that of e, the failed goal's (a frame lies above its
+// caller's, so the chains meet where their addresses do).
+func (m *Machine) redoExited(e int) {
+	blk, a := m.cp.blk, m.e
+	for a != e {
+		if a < e {
+			e = m.stack[e].SmallVal()
+			continue
+		}
+		if owner, ok := ownerOf(blk); ok {
+			m.prof.counters(owner).Redos++
+		}
+		blk, a = m.cellCode(m.stack[a+1]).blk, m.stack[a].SmallVal()
+	}
 }
 
 // portFinalFail records the failure that exhausts the machine (no choice

@@ -41,24 +41,19 @@ func (r *Run) Next() (bool, error) {
 	m := r.m
 	if !r.started {
 		r.started = true
+		m.stats.Calls++
 		proc, err := m.lookupProc(r.fn)
 		if err != nil {
 			r.done = true
-			return false, err
-		}
-		if proc == nil {
-			r.done = true
-			return false, nil
+			return false, AsBall(err)
 		}
 		if m.prof != nil {
 			m.prof.portCall(r.fn, proc.Block)
 		}
 		m.p = codePtr{blk: proc.Block}
-	} else {
-		if !m.backtrack() {
-			r.done = true
-			return false, nil
-		}
+	} else if !m.backtrack() {
+		r.done = true
+		return false, nil
 	}
 	ok, err := m.runLoop()
 	if err != nil || !ok {
