@@ -14,6 +14,11 @@
 //	sols, _ := s.Query("edge(a, X)")
 //	for sols.Next() { fmt.Println(sols.Binding("X")) }
 //
+// A binding is read where the answer lies, and is readable until the next
+// Next or Close, or the next query on the session, which also makes the
+// earlier Solutions inert; Solutions.Map returns a fresh map of the
+// current solution's bindings, which the caller may keep.
+//
 // Options.StorePath names a page file instead of memory. To serve
 // concurrent queries, share the KnowledgeBase and run one Session per
 // goroutine.

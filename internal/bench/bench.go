@@ -14,7 +14,6 @@ import (
 	"repro/internal/bench/wisconsin"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/parser"
 	"repro/internal/rel"
 	"repro/internal/store"
 )
@@ -99,10 +98,8 @@ func SetupMVVAt(sys System, data *mvv.Data, path string) (*core.Session, error) 
 		if err := s.ConsultExternalTerms(data.Facts()); err != nil {
 			return err
 		}
-		if sys == Educe {
-			// Rules are internal: resident in the interpreter.
-			return consultInterp(s, mvv.Rules)
-		}
+		// Rules are internal: resident in main memory, in the
+		// interpreter under Educe.
 		return s.Consult(mvv.Rules)
 	})
 }
@@ -132,21 +129,6 @@ func NewMVVSession(kb *core.KnowledgeBase) (*core.Session, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// consultInterp asserts a program into the baseline interpreter.
-func consultInterp(s *core.Session, src string) error {
-	p := parser.New(src)
-	terms, err := p.ReadAll()
-	if err != nil {
-		return err
-	}
-	for _, tm := range terms {
-		if err := s.Interp().Assert(tm); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunMVVClass runs one query class once on s, returning elapsed time and

@@ -132,6 +132,10 @@ var diffCorpus = []diffCase{
 	{"nested-control", `
 		f(X, R) :- ( X > 10 -> ( X > 100 -> R = huge ; R = big ) ; \+ X > 0 -> R = nonpos ; R = small ).
 	`, "member(X, [-5, 5, 50, 500]), f(X, R)"},
+	{"consulted-call", `
+		h(1). h(2). h(3).
+		g(X) :- h(X), X > 1.
+	`, "g(X)"},
 }
 
 // wamSolutions runs the query on the compiled engine.
@@ -273,6 +277,28 @@ func TestDifferentialExternalStorage(t *testing.T) {
 			}
 			w, i := renderSolutions(sols1), renderSolutions(sols2)
 			if !reflect.DeepEqual(w, i) {
+				t.Fatalf("storage modes disagree on %q:\n  compiled: %v\n  source:   %v", c.query, w, i)
+			}
+		})
+	}
+}
+
+// TestDifferentialSourceConsult: the corpus consulted into main memory
+// answers the same in both rule-storage modes; the source-mode session's
+// interpreter reads the consulted clauses.
+func TestDifferentialSourceConsult(t *testing.T) {
+	for _, c := range diffCorpus {
+		t.Run(c.name, func(t *testing.T) {
+			w := wamSolutions(t, c)
+			base := newSession(t, Options{RuleStorage: RuleStorageSource})
+			if err := base.Consult(c.program); err != nil {
+				t.Fatalf("consult: %v", err)
+			}
+			sols, err := base.QueryAll(c.query)
+			if err != nil {
+				t.Fatalf("source query: %v", err)
+			}
+			if i := renderSolutions(sols); !reflect.DeepEqual(w, i) {
 				t.Fatalf("storage modes disagree on %q:\n  compiled: %v\n  source:   %v", c.query, w, i)
 			}
 		})

@@ -155,6 +155,7 @@ type Session struct {
 	queries    map[string]*linkedQuery // compiled-mode goals by text
 	queryOrder []string                // their texts, oldest first
 	callArgs   []wam.Cell              // a direct call's arguments
+	gen        *interpGen              // the source-mode query's worker
 
 	// txn is the open transaction's snapshot set (nil: none). While set,
 	// this session owns the KB write lock (see txn.go).
@@ -281,9 +282,6 @@ func (s *Session) KB() *KnowledgeBase { return s.kb }
 
 // Machine exposes the WAM (benchmarks and tests).
 func (s *Session) Machine() *wam.Machine { return s.m }
-
-// Interp exposes the baseline interpreter.
-func (s *Session) Interp() *interp.Interp { return s.in }
 
 // RuleStorage reports the current mode.
 func (s *Session) RuleStorage() RuleStorage { return s.opts.RuleStorage }
@@ -755,7 +753,8 @@ func argKeyOf(a term.Term) edb.ArgKey {
 }
 
 // ConsultTerms compiles pre-parsed clause terms into main memory (bulk
-// loading path for workload generators).
+// loading path for workload generators); in source mode the interpreter
+// gets them too.
 func (s *Session) ConsultTerms(terms []term.Term) error {
 	units, order, err := s.compileProgram(terms)
 	if err != nil {
@@ -765,6 +764,9 @@ func (s *Session) ConsultTerms(terms []term.Term) error {
 		if err := s.link(pi, units[pi]); err != nil {
 			return err
 		}
+	}
+	if s.opts.RuleStorage == RuleStorageSource {
+		return s.in.Consult(terms)
 	}
 	return nil
 }

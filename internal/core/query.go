@@ -17,8 +17,13 @@ import (
 	"repro/internal/wam"
 )
 
-// Solutions iterates over the answers of one query. Starting a new query
-// on the same session invalidates any live Solutions.
+// Solutions iterates over the answers of one query, each read where it
+// lies: Binding decodes one variable of the current solution, found by its
+// position in Vars, and Map returns a fresh map of them all, which the
+// caller may keep. A binding is readable until the next Next or Close, or
+// the next query on the session, which also makes this Solutions inert:
+// Next returns false, Close does nothing, and Binding and Map give nil, as
+// they do before the first solution and after the last.
 //
 // Per-query state (baseline asserted rules and fact caches) is
 // released exactly once — on Close, on a Next error, or when the
@@ -26,19 +31,20 @@ import (
 // calling Close leaks nothing beyond the current query's footprint,
 // which the next Query on the session reclaims.
 type Solutions struct {
-	e        *Session
-	names    []string
-	err      error
-	done     bool
-	released bool
-	cur      map[string]term.Term
+	e     *Session
+	qid   uint64 // the session's query this handle iterates
+	names []string
+	err   error
+	done  bool // per-query state released
+	on    bool // positioned on a solution
 
-	// compiled (WAM) execution
-	run  *wam.Run
-	args []wam.Cell
-
-	// baseline (interpreter) execution
-	gen *interpGen
+	// The current solution, by position in names: in compiled mode the
+	// answer cells (up to six fit argBuf, so a query is one allocation),
+	// in source mode the values gen delivered.
+	run    wam.Run
+	args   []wam.Cell
+	argBuf [6]wam.Cell
+	gen    *interpGen
 }
 
 // Query parses and runs a goal, returning a Solutions iterator. The query
@@ -71,38 +77,32 @@ func (s *Session) query(ctx context.Context, q string) (sol *Solutions, err erro
 		if err != nil {
 			return nil, err
 		}
-		return &Solutions{
-			e:     s,
-			names: names,
-			gen:   newInterpGen(s.in, body, vars),
-		}, nil
+		s.gen = newInterpGen(s.in, body, vars, names)
+		return &Solutions{e: s, qid: s.qid, names: names, gen: s.gen}, nil
 	}
 	lq, err := s.linkQuery(q)
 	if err != nil {
 		return nil, err
 	}
 	s.m.Reset()
-	args := make([]wam.Cell, len(lq.names))
-	for i := range args {
-		args[i] = wam.MakeRef(s.m.NewVar())
+	sol = &Solutions{e: s, qid: s.qid, names: lq.names}
+	sol.args = sol.argBuf[:0]
+	for range lq.names {
+		sol.args = append(sol.args, wam.MakeRef(s.m.NewVar()))
 	}
-	call := args // $query/N's, in names order
+	call := sol.args // $query/N's, in names order
 	if lq.proc == nil {
 		call = s.callArgs[:0]
 		for _, c := range lq.args {
 			if c.Tag() == wam.TagRef {
-				c = args[c.Val()]
+				c = sol.args[c.Val()]
 			}
 			call = append(call, c)
 		}
 		s.callArgs = call
 	}
-	return &Solutions{
-		e:     s,
-		names: lq.names,
-		run:   s.m.Call(lq.fn, call),
-		args:  args,
-	}, nil
+	s.m.Call(&sol.run, lq.fn, call)
+	return sol, nil
 }
 
 // parseQuery reads goal text q: the goal, its variables, their sorted names.
@@ -194,29 +194,17 @@ func (s *Solutions) Next() (ok bool) {
 			ok = s.fail(s.e.containPanic(r))
 		}
 	}()
-	if s.done {
+	s.on = false
+	if s.done || s.qid != s.e.qid {
 		return false
 	}
-	if s.run != nil {
-		t0 := time.Now()
-		ok, err := s.run.Next()
-		s.e.q.Phases.Add(obs.PhaseExec, time.Since(t0))
-		if err != nil {
-			return s.fail(err)
-		}
-		if !ok {
-			s.finish()
-			return false
-		}
-		s.e.qSolCount++
-		s.cur = map[string]term.Term{}
-		for i, n := range s.names {
-			s.cur[n] = s.e.m.DecodeTerm(s.args[i])
-		}
-		return true
-	}
+	var err error
 	t0 := time.Now()
-	sol, ok, err := s.gen.next()
+	if s.gen != nil {
+		ok, err = s.gen.next()
+	} else {
+		ok, err = s.run.Next()
+	}
 	s.e.q.Phases.Add(obs.PhaseExec, time.Since(t0))
 	if err != nil {
 		return s.fail(err)
@@ -226,7 +214,7 @@ func (s *Solutions) Next() (ok bool) {
 		return false
 	}
 	s.e.qSolCount++
-	s.cur = sol
+	s.on = true
 	return true
 }
 
@@ -239,11 +227,32 @@ func (s *Solutions) fail(err error) bool {
 	return false
 }
 
-// Binding returns the current solution's value for the named variable.
-func (s *Solutions) Binding(name string) term.Term { return s.cur[name] }
+// Binding returns the current solution's value for the named variable,
+// decoding that variable alone; nil if the name is not one of Vars or no
+// solution is current.
+func (s *Solutions) Binding(name string) term.Term {
+	i, found := slices.BinarySearch(s.names, name)
+	switch {
+	case !found || !s.on || s.qid != s.e.qid:
+		return nil
+	case s.gen != nil:
+		return s.gen.vals[i]
+	}
+	return s.e.m.DecodeTerm(s.args[i])
+}
 
-// Map returns the current solution's full binding map.
-func (s *Solutions) Map() map[string]term.Term { return s.cur }
+// Map returns a fresh map of the current solution's bindings, which the
+// caller may keep; nil if no solution is current.
+func (s *Solutions) Map() map[string]term.Term {
+	if !s.on || s.qid != s.e.qid {
+		return nil
+	}
+	m := make(map[string]term.Term, len(s.names))
+	for _, n := range s.names {
+		m[n] = s.Binding(n)
+	}
+	return m
+}
 
 // Vars lists the query's variable names in sorted order. The slice is
 // shared with every run of the same goal text: read it, never modify it.
@@ -253,9 +262,11 @@ func (s *Solutions) Vars() []string { return s.names }
 func (s *Solutions) Err() error { return s.err }
 
 // Close abandons the query and releases per-query state. Safe to call
-// multiple times and after exhaustion.
+// multiple times and after exhaustion; a no-op once a newer query started.
 func (s *Solutions) Close() {
-	s.finish()
+	if s.qid == s.e.qid {
+		s.finish()
+	}
 }
 
 // containPanic converts a runtime panic escaping query execution into
@@ -329,15 +340,11 @@ func (s *Session) traceQuery() {
 // finish marks the iteration done and releases per-query state exactly
 // once.
 func (s *Solutions) finish() {
-	s.done = true
-	if s.released {
+	if s.done {
 		return
 	}
-	s.released = true
+	s.done, s.on = true, false
 	s.e.disarm()
-	if s.gen != nil {
-		s.gen.stop()
-	}
 	s.e.traceQuery()
 	s.e.endQuery()
 }
@@ -378,78 +385,71 @@ func (s *Session) QueryOnce(q string) (map[string]term.Term, bool, error) {
 		return nil, false, err
 	}
 	defer sol.Close()
-	if sol.Next() {
-		return sol.Map(), true, sol.Err()
-	}
-	return nil, false, sol.Err()
+	ok := sol.Next()
+	return sol.Map(), ok, sol.Err()
 }
 
 // interpGen adapts the interpreter's push-style enumeration to the
-// pull-style Solutions iterator with a worker goroutine, started by the
-// first next. The worker runs only while the session's goroutine waits in
-// next or stop, so the two never touch the session at the same time.
+// pull-style Solutions iterator with a worker goroutine. The worker runs
+// only while the session's goroutine waits in next or stop, so the two
+// never touch the session at the same time.
 type interpGen struct {
-	solve   func() // the worker's body
-	sols    chan map[string]term.Term
+	sols    chan []term.Term
 	resume  chan bool
-	errCh   chan error
-	started bool
+	vals    []term.Term // the solution next delivered last
+	err     error       // the enumeration's end, set before sols closes
 	stopped bool
 }
 
-func newInterpGen(in *interp.Interp, goal term.Term, vars map[string]*term.Var) *interpGen {
-	g := &interpGen{
-		sols:   make(chan map[string]term.Term),
-		resume: make(chan bool),
-		errCh:  make(chan error, 1),
-	}
-	g.solve = func() {
-		err := in.Solve(goal, interp.NewEnv(), func(e *interp.Env) bool {
-			sol := map[string]term.Term{}
-			for n, v := range vars {
-				sol[n] = e.ResolveDeep(v)
+// newInterpGen starts a worker enumerating goal's solutions, each the
+// values of vars in names order, parked until the first next.
+func newInterpGen(in *interp.Interp, goal term.Term, vars map[string]*term.Var, names []string) *interpGen {
+	g := &interpGen{sols: make(chan []term.Term), resume: make(chan bool)}
+	go func() {
+		defer close(g.sols)
+		if !<-g.resume {
+			return
+		}
+		g.err = in.Solve(goal, interp.NewEnv(), func(e *interp.Env) bool {
+			sol := make([]term.Term, len(names))
+			for i, n := range names {
+				sol[i] = e.ResolveDeep(vars[n])
 			}
 			g.sols <- sol
 			return <-g.resume
 		})
 		var unk *interp.ErrUnknownProc
-		if errors.Is(err, interp.ErrDepth) {
-			err = wam.ResourceBall("depth")
-		} else if errors.As(err, &unk) {
-			err = wam.AsBall(&wam.ErrUnknownProc{Name: unk.PI.Name, Arity: unk.PI.Arity})
+		if errors.Is(g.err, interp.ErrDepth) {
+			g.err = wam.ResourceBall("depth")
+		} else if errors.As(g.err, &unk) {
+			g.err = wam.AsBall(&wam.ErrUnknownProc{Name: unk.PI.Name, Arity: unk.PI.Arity})
 		}
-		g.errCh <- err
-		close(g.sols)
-	}
+	}()
 	return g
 }
 
-func (g *interpGen) next() (map[string]term.Term, bool, error) {
+func (g *interpGen) next() (bool, error) {
 	if g.stopped {
-		return nil, false, nil
+		return false, nil
 	}
-	if g.started {
-		g.resume <- true
-	} else {
-		g.started = true
-		go g.solve()
-	}
-	sol, ok := <-g.sols
+	g.resume <- true
+	var ok bool
+	g.vals, ok = <-g.sols
 	if !ok {
 		g.stopped = true
-		return nil, false, <-g.errCh
+		return false, g.err
 	}
-	return sol, true, nil
+	return true, nil
 }
 
-// stop cancels the enumeration and waits for the worker, parked on a
-// delivered solution, to unwind: the session's next query runs on the same
-// interpreter.
+// stop cancels the enumeration and waits for the worker, parked before the
+// first solution or on a delivered one, to unwind: the session's next query
+// runs on the same interpreter. A nil g has nothing to stop.
 func (g *interpGen) stop() {
-	if g.started && !g.stopped {
+	if g != nil && !g.stopped {
 		g.resume <- false
 		for range g.sols {
 		}
+		g.stopped = true
 	}
-	g.stopped = true
 }

@@ -1,0 +1,168 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/term"
+	"repro/internal/wam"
+)
+
+// TestSolutionsReadByPosition: in every way a query can be evaluated,
+// Binding reads the same value as Map, an unknown name reads nil, nothing
+// is readable once the iteration is exhausted or closed, and QueryAll's
+// maps are the caller's own.
+func TestSolutionsReadByPosition(t *testing.T) {
+	const prog = "p(1, a). p(2, f(Z, Z)). p(3, [x, y])."
+	const paths = `edge(a, b). edge(b, c). edge(c, d).
+		path(X, Y) :- edge(X, Y).
+		path(X, Z) :- edge(X, Y), path(Y, Z).`
+	inMemory := func(opts Options) func(*testing.T) *Session {
+		return func(t *testing.T) *Session {
+			e := newSession(t, opts)
+			consult(t, e, prog)
+			return e
+		}
+	}
+	cases := []struct {
+		name, goal string
+		open       func(*testing.T) *Session
+	}{
+		{"direct call", "p(N, A)", inMemory(Options{})},
+		{"linked $query", "p(N, A), N > 0", inMemory(Options{})},
+		{"source mode", "p(N, A)", inMemory(Options{RuleStorage: RuleStorageSource})},
+		{"set evaluation", "path(a, X)", func(t *testing.T) *Session {
+			e := newSession(t, Options{})
+			consultExternal(paths)(t, e)
+			e.SetStrategy(StrategySet)
+			return e
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := c.open(t)
+			before := e.KB().setopsQueries.Value()
+			sol, err := e.Query(c.goal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Binding(sol.Vars()[0]) != nil || sol.Map() != nil {
+				t.Error("a binding is readable before the first solution")
+			}
+			n := 0
+			for sol.Next() {
+				n++
+				m := sol.Map()
+				for _, name := range sol.Vars() {
+					if b := sol.Binding(name); b == nil || m[name] == nil || b.String() != m[name].String() {
+						t.Errorf("solution %d: Binding(%s) = %v, Map()[%s] = %v", n, name, b, name, m[name])
+					}
+				}
+				if len(m) != len(sol.Vars()) || sol.Binding("Nope") != nil {
+					t.Errorf("solution %d: map %v over %v, unknown name %v", n, m, sol.Vars(), sol.Binding("Nope"))
+				}
+			}
+			if sol.Err() != nil || n != 3 {
+				t.Fatalf("%d solutions, err %v", n, sol.Err())
+			}
+			if sol.Binding(sol.Vars()[0]) != nil || sol.Map() != nil {
+				t.Error("a binding is readable after exhaustion")
+			}
+			sol, err = e.Query(c.goal)
+			if err != nil || !sol.Next() {
+				t.Fatalf("rerun: %v", err)
+			}
+			sol.Close()
+			if sol.Binding(sol.Vars()[0]) != nil || sol.Map() != nil {
+				t.Error("a binding is readable after Close")
+			}
+			all, err := e.QueryAll(c.goal)
+			if err != nil || len(all) != 3 {
+				t.Fatalf("QueryAll: %v %v", all, err)
+			}
+			if fmt.Sprint(all[0]) == fmt.Sprint(all[1]) || fmt.Sprint(all[1]) == fmt.Sprint(all[2]) {
+				t.Errorf("QueryAll's maps do not differ: %v", all)
+			}
+			if set := e.KB().setopsQueries.Value() > before; set != (c.name == "set evaluation") {
+				t.Errorf("set evaluation used: %v", set)
+			}
+		})
+	}
+}
+
+// TestStaleSolutionsAreInert: once a newer query has started, an earlier
+// Solutions reads nothing, advances nowhere and closes nothing: the newer
+// query keeps its answers and its deadline.
+func TestStaleSolutionsAreInert(t *testing.T) {
+	for mode, rs := range map[string]RuleStorage{"compiled": RuleStorageCompiled, "source": RuleStorageSource} {
+		t.Run(mode, func(t *testing.T) {
+			e := newSession(t, Options{RuleStorage: rs})
+			consult(t, e, "p(1). p(2).")
+			sol1, err := e.Query("p(X)")
+			if err != nil || !sol1.Next() {
+				t.Fatalf("first query: %v", err)
+			}
+			sol2, err := e.Query("p(Y)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol1.Close()
+			if sol1.Next() || sol1.Binding("X") != nil || sol1.Map() != nil {
+				t.Errorf("a stale handle reads: Binding %v, Map %v", sol1.Binding("X"), sol1.Map())
+			}
+			var got []string
+			for sol2.Next() {
+				got = append(got, sol2.Binding("Y").String())
+			}
+			if fmt.Sprint(got) != "[1 2]" || sol2.Err() != nil {
+				t.Errorf("the live query after a stale Close: %v, err %v", got, sol2.Err())
+			}
+
+			e.SetTimeout(100 * time.Millisecond)
+			sol1, err = e.Query("p(X)")
+			if err != nil || !sol1.Next() {
+				t.Fatalf("first query: %v", err)
+			}
+			sol2, err = e.Query(spinGoal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol1.Close()
+			start := time.Now()
+			if sol2.Next() || !errors.Is(sol2.Err(), wam.ErrTimeout) {
+				t.Errorf("after a stale Close the spinning query ended with %v after %v, want a timeout", sol2.Err(), time.Since(start))
+			}
+		})
+	}
+}
+
+// TestQueryAllocatesOnce: a warm resident keyed goal costs one heap object
+// per query, the Solutions, with its binding read.
+func TestQueryAllocatesOnce(t *testing.T) {
+	e := newSession(t, Options{})
+	consultExternal("f(k1, 7). f(k2, 9).")(t, e)
+	query := func() {
+		sol, err := e.Query("f(k1, V)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Next() || sol.Binding("V") != term.Int(7) {
+			t.Fatalf("f(k1, V): V = %v, err %v", sol.Binding("V"), sol.Err())
+		}
+		sol.Close()
+	}
+	query() // links the goal and the variant
+	if n := testing.AllocsPerRun(50, query); n > 1 {
+		t.Errorf("a query allocates %.1f times", n)
+	}
+}
+
+// consult loads src into e's main memory.
+func consult(t *testing.T, e *Session, src string) {
+	t.Helper()
+	if err := e.Consult(src); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -249,9 +249,11 @@ func (s *Session) cellArgKey(ck *callKey, i int) edb.ArgKey {
 }
 
 // endQuery tears down per-query transient state: in baseline mode the
-// rules asserted into the interpreter (the paper's "erased to make room")
-// and the parsed-tuple caches.
+// query's interpreter worker, the rules asserted into the interpreter (the
+// paper's "erased to make room") and the parsed-tuple caches.
 func (s *Session) endQuery() {
+	s.gen.stop()
+	s.gen = nil
 	// Resident code survives across queries: the paper keeps dynamically
 	// loaded procedures in main memory until the code garbage collector
 	// reclaims them. A simple epoch clear bounds it.

@@ -105,6 +105,23 @@ func (in *Interp) assert(t term.Term, front bool) error {
 	return nil
 }
 
+// Consult adds the clauses terms, in order, in place of the old clauses of
+// every predicate they define: a predicate consulted again is redefined.
+func (in *Interp) Consult(terms []term.Term) error {
+	fresh := map[term.Indicator]bool{}
+	for _, t := range terms {
+		head, _ := splitClause(t)
+		if pi := head.Indicator(); !fresh[pi] {
+			fresh[pi] = true
+			in.RetractAll(pi)
+		}
+		if err := in.Assert(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Retract removes the first clause whose head and body unify with t,
 // reporting whether one was removed.
 func (in *Interp) Retract(t term.Term) bool {

@@ -97,7 +97,8 @@ func queryErr(m *wam.Machine, goal string) ([]map[string]string, error) {
 		args[i] = wam.MakeRef(m.NewVar())
 	}
 	fn := m.Dict.Intern("$query", len(args))
-	run := m.Call(fn, args)
+	var run wam.Run
+	m.Call(&run, fn, args)
 	var out []map[string]string
 	for {
 		ok, err := run.Next()

@@ -88,7 +88,8 @@ func ask(t *testing.T, m *wam.Machine, goal string) ([]string, error) {
 	for i := range args {
 		args[i] = wam.MakeRef(m.NewVar())
 	}
-	run := m.Call(m.Dict.Intern("$q", len(args)), args)
+	var run wam.Run
+	m.Call(&run, m.Dict.Intern("$q", len(args)), args)
 	var out []string
 	for {
 		ok, err := run.Next()

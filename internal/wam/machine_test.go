@@ -23,7 +23,8 @@ func atomCell(m *Machine, name string) Cell { return MakeCon(m.Dict.Intern(name,
 func solutions1(t *testing.T, m *Machine, fn dict.ID) []string {
 	t.Helper()
 	v := MakeRef(m.NewVar())
-	run := m.Call(fn, []Cell{v})
+	var run Run
+	m.Call(&run, fn, []Cell{v})
 	var out []string
 	for {
 		ok, err := run.Next()
@@ -77,7 +78,8 @@ func TestFactsFirstArgBound(t *testing.T) {
 		{Op: OpGetConstant, Fn: b, Arg: 0},
 		{Op: OpProceed},
 	})
-	run := m.Call(fn, []Cell{atomCell(m, "b")})
+	var run Run
+	m.Call(&run, fn, []Cell{atomCell(m, "b")})
 	ok, err := run.Next()
 	if err != nil || !ok {
 		t.Fatalf("p(b) = (%v, %v)", ok, err)
@@ -88,7 +90,7 @@ func TestFactsFirstArgBound(t *testing.T) {
 	}
 
 	m.Reset()
-	run = m.Call(fn, []Cell{atomCell(m, "z")})
+	m.Call(&run, fn, []Cell{atomCell(m, "z")})
 	ok, err = run.Next()
 	if err != nil || ok {
 		t.Fatalf("p(z) = (%v, %v), want failure", ok, err)
@@ -150,19 +152,20 @@ func TestStructureUnification(t *testing.T) {
 		return m.EncodeTerm(tm, map[*term.Var]Cell{})
 	}
 
-	run := m.Call(fn, []Cell{parse("f(a, g(a))")})
+	var run Run
+	m.Call(&run, fn, []Cell{parse("f(a, g(a))")})
 	if ok, err := run.Next(); err != nil || !ok {
 		t.Fatalf("s(f(a,g(a))) = (%v,%v)", ok, err)
 	}
 	m.Reset()
-	run = m.Call(fn, []Cell{parse("f(a, g(b))")})
+	m.Call(&run, fn, []Cell{parse("f(a, g(b))")})
 	if ok, err := run.Next(); err != nil || ok {
 		t.Fatalf("s(f(a,g(b))) = (%v,%v), want failure", ok, err)
 	}
 	// Mode with unbound argument: s(X) builds the structure.
 	m.Reset()
 	v := MakeRef(m.NewVar())
-	run = m.Call(fn, []Cell{v})
+	m.Call(&run, fn, []Cell{v})
 	if ok, err := run.Next(); err != nil || !ok {
 		t.Fatalf("s(X) = (%v,%v)", ok, err)
 	}
@@ -208,7 +211,8 @@ func TestBuiltinCallViaWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := m.Call(isFn, []Cell{v, m.EncodeTerm(expr, env)})
+	var run Run
+	m.Call(&run, isFn, []Cell{v, m.EncodeTerm(expr, env)})
 	ok, err := run.Next()
 	if err != nil || !ok {
 		t.Fatalf("is = (%v,%v)", ok, err)
@@ -222,7 +226,8 @@ func TestBetweenNondet(t *testing.T) {
 	m := NewMachine(nil)
 	fn := m.Dict.Intern("between", 3)
 	v := MakeRef(m.NewVar())
-	run := m.Call(fn, []Cell{MakeInt(1), MakeInt(4), v})
+	var run Run
+	m.Call(&run, fn, []Cell{MakeInt(1), MakeInt(4), v})
 	var got []string
 	for {
 		ok, err := run.Next()
@@ -305,7 +310,8 @@ func TestGCWithChoicePointsAndTrail(t *testing.T) {
 	m := NewMachine(nil)
 	fn := m.Dict.Intern("between", 3)
 	v := MakeRef(m.NewVar())
-	run := m.Call(fn, []Cell{MakeInt(1), MakeInt(3), v})
+	var run Run
+	m.Call(&run, fn, []Cell{MakeInt(1), MakeInt(3), v})
 	ok, err := run.Next()
 	if err != nil || !ok {
 		t.Fatal("first solution missing")

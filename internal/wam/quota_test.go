@@ -29,7 +29,8 @@ func TestSolutionQuotaKillsEnumeration(t *testing.T) {
 	})
 	m.SetQuota(Quota{Solutions: 2})
 	v := MakeRef(m.NewVar())
-	run := m.Call(fn, []Cell{v})
+	var run Run
+	m.Call(&run, fn, []Cell{v})
 	for i := 0; i < 2; i++ {
 		ok, err := run.Next()
 		if err != nil || !ok {
@@ -58,7 +59,8 @@ func TestSolutionQuotaResetsPerQuery(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		m.Reset()
 		v := MakeRef(m.NewVar())
-		run := m.Call(fn, []Cell{v})
+		var run Run
+		m.Call(&run, fn, []Cell{v})
 		ok, err := run.Next()
 		if err != nil || !ok {
 			t.Fatalf("round %d: ok=%v err=%v", round, ok, err)
@@ -77,7 +79,8 @@ func TestCheckHookAbortsQuery(t *testing.T) {
 	})
 	m.SetCheckHook(func() error { return ResourceBall("pages") })
 	v := MakeRef(m.NewVar())
-	run := m.Call(fn, []Cell{v})
+	var run Run
+	m.Call(&run, fn, []Cell{v})
 	ok, err := run.Next()
 	if ok {
 		t.Fatalf("solution delivered despite failing check hook")

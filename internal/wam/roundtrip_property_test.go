@@ -74,7 +74,8 @@ func TestCompileRunRoundTripProperty(t *testing.T) {
 
 		// Mode 1: p(X) binds X to the stored term.
 		v := wam.MakeRef(m.NewVar())
-		run := m.Call(m.Dict.Intern("p", 1), []wam.Cell{v})
+		var run wam.Run
+		m.Call(&run, m.Dict.Intern("p", 1), []wam.Cell{v})
 		ok, err := run.Next()
 		if err != nil || !ok {
 			t.Fatalf("p(X) failed for %s: %v", tm, err)
@@ -90,7 +91,7 @@ func TestCompileRunRoundTripProperty(t *testing.T) {
 		// Mode 2: p(T) with the exact term succeeds once.
 		m.Reset()
 		cell := m.EncodeTerm(tm, map[*term.Var]wam.Cell{})
-		run = m.Call(m.Dict.Intern("p", 1), []wam.Cell{cell})
+		m.Call(&run, m.Dict.Intern("p", 1), []wam.Cell{cell})
 		ok, err = run.Next()
 		if err != nil || !ok {
 			t.Fatalf("p(%s) failed: %v", tm, err)
@@ -100,7 +101,7 @@ func TestCompileRunRoundTripProperty(t *testing.T) {
 		other := term.Comp("zz_not_there", tm)
 		m.Reset()
 		cell = m.EncodeTerm(other, map[*term.Var]wam.Cell{})
-		run = m.Call(m.Dict.Intern("p", 1), []wam.Cell{cell})
+		m.Call(&run, m.Dict.Intern("p", 1), []wam.Cell{cell})
 		ok, err = run.Next()
 		if err != nil {
 			t.Fatalf("p(%s): %v", other, err)
@@ -184,7 +185,8 @@ func TestGCDifferentialProperty(t *testing.T) {
 						term.Comp("p", &term.Var{Name: "X"})))))
 			loader.LinkPredicate(m, "q", 1, churn, loader.DefaultOptions)
 			v := wam.MakeRef(m.NewVar())
-			runq := m.Call(m.Dict.Intern("q", 1), []wam.Cell{v})
+			var runq wam.Run
+			m.Call(&runq, m.Dict.Intern("q", 1), []wam.Cell{v})
 			ok, err := runq.Next()
 			if err != nil || !ok {
 				t.Fatalf("q(X): %v %v", ok, err)

@@ -9,31 +9,32 @@ import (
 // ErrHalted is returned by builtin halt/0 to stop the session.
 var ErrHalted = errors.New("wam: halted")
 
-// Run drives one query to completion, one solution at a time.
+// Run drives one query to completion, one solution at a time. It is a
+// value its caller owns, filled by Machine.Call.
 type Run struct {
 	m       *Machine
 	fn      dict.ID
-	arity   int
 	started bool
 	done    bool
 }
 
-// Call prepares a call to the procedure fn/arity with the given argument
+// Call fills r with a call to the procedure fn with the given argument
 // cells (which the caller typically creates with NewVar/EncodeTerm). The
-// query runs when Next is first called.
-func (m *Machine) Call(fn dict.ID, args []Cell) *Run {
+// query runs when r.Next is first called.
+func (m *Machine) Call(r *Run, fn dict.ID, args []Cell) {
 	m.ensureRegs(len(args))
 	copy(m.x, args)
 	m.numArgs = len(args)
 	m.cp = codePtr{blk: m.haltBlock}
 	m.b0 = m.b
 	m.solutions = 0 // the solution quota is per query
-	return &Run{m: m, fn: fn, arity: len(args)}
+	*r = Run{m: m, fn: fn}
 }
 
 // Next produces the next solution. It returns false when no (further)
 // solution exists. Bindings are available on the machine heap through the
-// argument cells passed to Call until Next or Close is called again.
+// argument cells passed to Call until Next is called again or the machine
+// is reset.
 func (r *Run) Next() (bool, error) {
 	if r.done {
 		return false, nil
@@ -56,15 +57,9 @@ func (r *Run) Next() (bool, error) {
 		return false, nil
 	}
 	ok, err := m.runLoop()
-	if err != nil || !ok {
-		r.done = true
-	}
-	if ok && err == nil {
+	r.done = err != nil || !ok
+	if !r.done {
 		m.solutions++
 	}
 	return ok, err
 }
-
-// Close abandons the query. The machine keeps its heap contents until the
-// next query resets it; call Machine.Reset to reclaim everything.
-func (r *Run) Close() { r.done = true }
