@@ -167,7 +167,8 @@ func (s *Session) biAssert(front bool) wam.BuiltinFn {
 	}
 }
 
-// ensureDyn registers pi as a dynamic predicate (initially empty).
+// ensureDyn registers pi as a dynamic predicate (initially empty); in
+// source mode the interpreter gets it too.
 func (s *Session) ensureDyn(pi term.Indicator) *dynPred {
 	if dp, ok := s.dyn[pi]; ok {
 		return dp
@@ -175,11 +176,15 @@ func (s *Session) ensureDyn(pi term.Indicator) *dynPred {
 	dp := &dynPred{}
 	s.dyn[pi] = dp
 	s.relinkDyn(pi, dp)
+	if s.opts.RuleStorage == RuleStorageSource {
+		s.in.Dynamic(pi)
+	}
 	return dp
 }
 
 // AssertTerm adds a clause to a dynamic in-memory predicate, compiling it
-// immediately (the incremental compiler at work).
+// immediately (the incremental compiler at work); in source mode the
+// interpreter gets it too.
 func (s *Session) AssertTerm(t term.Term, front bool) error {
 	head, _ := splitClauseTerm(t)
 	pi := head.Indicator()
@@ -198,7 +203,13 @@ func (s *Session) AssertTerm(t term.Term, front bool) error {
 		dp.terms = append(dp.terms, t)
 		dp.clauses = append(dp.clauses, ccs[0])
 	}
-	return s.relinkDyn(pi, dp)
+	if err := s.relinkDyn(pi, dp); err != nil || s.opts.RuleStorage != RuleStorageSource {
+		return err
+	}
+	if front {
+		return s.in.AssertA(t)
+	}
+	return s.in.Assert(t)
 }
 
 // relinkDyn rebuilds a dynamic predicate's code from its clause list.

@@ -136,6 +136,15 @@ var diffCorpus = []diffCase{
 		h(1). h(2). h(3).
 		g(X) :- h(X), X > 1.
 	`, "g(X)"},
+	{"catch-throw", "", "catch(throw(x), E, true)"},
+	{"catch-existence-error", "", "catch(nope(1), error(existence_error(procedure, P), _), true)"},
+	// The inner catch has exited when y is thrown: the outer one catches it.
+	{"catch-after-exit", "", "catch((catch(true, y, R = in), throw(y)), y, R = out)"},
+	{"catch-undoes-bindings", "", "catch((X = 1, throw(e)), e, (var(X), Y = undone))"},
+	{"catch-in-rule", `
+		v(1). v(2).
+		safe(X, R) :- catch((v(X), X > 1, throw(big(X))), big(B), R = caught(B)).
+	`, "safe(X, R)"},
 }
 
 // wamSolutions runs the query on the compiled engine.
@@ -300,6 +309,33 @@ func TestDifferentialSourceConsult(t *testing.T) {
 			}
 			if i := renderSolutions(sols); !reflect.DeepEqual(w, i) {
 				t.Fatalf("storage modes disagree on %q:\n  compiled: %v\n  source:   %v", c.query, w, i)
+			}
+		})
+	}
+	// Main memory written otherwise than by a consulted clause: a clause
+	// asserted through the API, a predicate declared dynamic.
+	for _, c := range []struct {
+		name  string
+		setup func(*Session) error
+		query string
+		want  []string
+	}{
+		{"assert-term", func(s *Session) error { return s.AssertTerm(term.Comp("q", term.Int(1)), false) }, "q(X)", []string{"X=1;"}},
+		{"dynamic", func(s *Session) error { return s.Consult(":- dynamic(cnt/1).") }, "cnt(X)", []string{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, rs := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {
+				s := newSession(t, Options{RuleStorage: rs})
+				if err := c.setup(s); err != nil {
+					t.Fatal(err)
+				}
+				sols, err := s.QueryAll(c.query)
+				if err != nil {
+					t.Fatalf("rule storage %d: %s: %v", rs, c.query, err)
+				}
+				if got := renderSolutions(sols); !reflect.DeepEqual(got, c.want) {
+					t.Fatalf("rule storage %d: %s = %v, want %v", rs, c.query, got, c.want)
+				}
 			}
 		})
 	}

@@ -134,13 +134,10 @@ type Session struct {
 	// typed holds declared type signatures (the typed sub-language).
 	typed map[term.Indicator][]ArgType
 
-	// per-query transient state.
-	interpLoaded []term.Indicator       // baseline-mode asserted predicates
-	factCaches   []map[uint32]term.Term // baseline per-query tuple caches
-
-	// resolvers tracks facts-only procedures already given a baseline
-	// fact resolver, so late-created procedures can be wired lazily.
-	resolvers map[term.Indicator]bool
+	// per-query transient state: the stored procedures the baseline
+	// interpreter asserted, and the stored clause texts parsed.
+	interpLoaded []term.Indicator
+	parsed       map[storedClause]term.Term
 
 	// resident is the code this session has linked from the EDB, by the
 	// stored procedure's functor, nresident the variants and materialised
@@ -196,7 +193,8 @@ type Session struct {
 	qProf      map[string]*obs.PredCounters
 	slowThresh time.Duration
 
-	// current-query trace metadata.
+	// current-query trace metadata; qOpen until the query ends.
+	qOpen     bool
 	qid       uint64
 	qGoal     string
 	qStart    time.Time
@@ -216,19 +214,19 @@ const dictSegment = 4096
 func (kb *KnowledgeBase) NewSession() (*Session, error) {
 	m := wam.NewMachine(dict.New(dict.WithSegmentSize(dictSegment)))
 	s := &Session{
-		kb:        kb,
-		opts:      kb.opts,
-		m:         m,
-		comp:      compiler.New(compiler.Options{Transparent: transparentFor(m)}),
-		ops:       parser.NewOpTable(),
-		in:        interp.New(),
-		dyn:       map[term.Indicator]*dynPred{},
-		resident:  map[dict.ID]*residentProc{},
-		queries:   map[string]*linkedQuery{},
-		resolvers: map[term.Indicator]bool{},
-		tally:     &store.Tally{},
-		synced:    kb.version.Load(),
-		id:        kb.nextSessionID(),
+		kb:       kb,
+		opts:     kb.opts,
+		m:        m,
+		comp:     compiler.New(compiler.Options{Transparent: transparentFor(m)}),
+		ops:      parser.NewOpTable(),
+		in:       interp.New(),
+		dyn:      map[term.Indicator]*dynPred{},
+		resident: map[dict.ID]*residentProc{},
+		parsed:   map[storedClause]term.Term{},
+		queries:  map[string]*linkedQuery{},
+		tally:    &store.Tally{},
+		synced:   kb.version.Load(),
+		id:       kb.nextSessionID(),
 	}
 	// The machine charges GC pauses to the current query's phase vector;
 	// &s.q.Phases is stable for the session's lifetime.
@@ -241,20 +239,6 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 		return nil, err
 	}
 	s.in.OnUndefined = s.interpTrap
-	// Reconnect procedures already stored in the EDB: mark them external
-	// so calls trap to the loader, and give the baseline interpreter
-	// direct access to facts-only relations.
-	kb.mu.RLock()
-	for _, p := range kb.db.Procs() {
-		fn := m.Dict.Intern(p.Name, p.Arity)
-		if m.Proc(fn) == nil {
-			m.DefineProc(&wam.Proc{Fn: fn, Arity: p.Arity, External: true})
-		}
-		if p.Form == edb.FormSource && p.FactsOnly {
-			s.registerFactResolver(p)
-		}
-	}
-	kb.mu.RUnlock()
 	return s, nil
 }
 
@@ -270,7 +254,6 @@ func transparentFor(m *wam.Machine) func(string, int) bool {
 // separately).
 func (s *Session) Close() error {
 	s.autoRollback()
-	s.drainProfile()
 	s.endQuery()
 	s.evictAll()
 	s.dropQueries()
@@ -597,118 +580,73 @@ func (s *Session) compileProgram(terms []term.Term) (map[term.Indicator][]compil
 	return units, order, nil
 }
 
-// link installs a predicate's clauses on the machine.
+// link installs a predicate's clauses on the machine. Code loaded from the
+// EDB that it replaces is only uninstalled: its block is the resident
+// table's, which may serve it again and retires it at eviction.
 func (s *Session) link(pi term.Indicator, ccs []compiler.ClauseCode) error {
 	t0 := time.Now()
 	defer func() { s.q.Phases.Add(obs.PhaseLink, time.Since(t0)) }()
+	if p := s.m.Proc(s.m.Dict.Intern(pi.Name, pi.Arity)); p != nil && p.Transient {
+		s.m.UndefineProc(p)
+	}
 	_, err := loader.LinkPredicate(s.m, pi.Name, pi.Arity, ccs, loader.Options{Index: !s.opts.DisableIndexing})
 	return err
 }
 
-// storeCompiledClauses compiles and stores clauses in the EDB in compiled
-// form, one record per clause. Caller holds the KB write lock.
-func (s *Session) storeCompiledClauses(terms []term.Term) error {
-	for _, tm := range terms {
-		head, _ := splitClauseTerm(tm)
-		if err := s.checkTyped(head); err != nil {
-			return err
-		}
-		t0 := time.Now()
+// storeClause stores one clause in the EDB as one record: in its stored
+// procedure's form, or a new procedure's in the session's rule-storage
+// form. The blob is the clause's relocatable code or its text. Storing a
+// rule in a facts-only procedure makes every later call load it whole.
+// Caller holds the KB write lock.
+func (s *Session) storeClause(tm term.Term) error {
+	head, body := splitClauseTerm(tm)
+	if err := s.checkTyped(head); err != nil {
+		return err
+	}
+	pi := head.Indicator()
+	db := s.kb.db
+	form := edb.FormCode
+	if p := db.Proc(pi.Name, pi.Arity); p != nil {
+		form = p.Form
+	} else if s.opts.RuleStorage == RuleStorageSource {
+		form = edb.FormSource
+	}
+	var blob []byte
+	t0 := time.Now()
+	if form == edb.FormCode {
 		ccs, err := s.comp.CompileClause(tm)
 		s.q.Phases.Add(obs.PhaseCompile, time.Since(t0))
 		if err != nil {
 			return err
 		}
-		_, body := splitClauseTerm(tm)
-		if err := s.storeOneCompiled(ccs[0], argKeysOf(headArgsOf(head)), body != term.TrueAtom); err != nil {
-			return err
-		}
+		t0 = time.Now()
+		blob = loader.EncodeClause(ccs[0])
+	} else {
+		blob = []byte(tm.String() + ".")
 	}
-	return nil
-}
-
-func (s *Session) storeOneCompiled(cc compiler.ClauseCode, keys []edb.ArgKey, isRule bool) error {
-	t0 := time.Now()
 	defer func() { s.q.Phases.Add(obs.PhaseStore, time.Since(t0)) }()
-	db := s.kb.db
-	p, err := db.EnsureProc(cc.Pred.Name, cc.Pred.Arity, edb.FormCode)
+	p, err := db.EnsureProc(pi.Name, pi.Arity, form)
 	if err != nil {
 		return err
 	}
-	firstRule := isRule && p.FactsOnly
-	if isRule {
+	firstRule := body != term.TrueAtom && p.FactsOnly
+	if body != term.TrueAtom {
 		if err := db.MarkRule(p); err != nil {
 			return err
 		}
 	}
+	keys := argKeysOf(headArgsOf(head))
 	for len(keys) < p.K {
 		keys = append(keys, edb.WildKey())
 	}
-	if _, err := db.StoreClause(p, keys, loader.EncodeClause(cc)); err != nil {
+	if _, err := db.StoreClause(p, keys, blob); err != nil {
 		return err
 	}
 	if firstRule {
-		keys = nil // every call now loads the procedure whole
+		keys = nil
 	}
-	s.invalidateStored(cc.Pred, keys)
-	s.markExternal(cc.Pred)
+	s.invalidateStored(pi, keys)
 	return nil
-}
-
-// storeSourceClauses stores clause text (Educe baseline form). Facts-only
-// procedures keep the baseline's tuple-at-a-time access path; storing a
-// rule switches the procedure to assert-based loading. Caller holds the
-// KB write lock.
-func (s *Session) storeSourceClauses(terms []term.Term) error {
-	t0 := time.Now()
-	defer func() { s.q.Phases.Add(obs.PhaseStore, time.Since(t0)) }()
-	db := s.kb.db
-	touched := map[*edb.ProcInfo]bool{}
-	for _, tm := range terms {
-		head, body := splitClauseTerm(tm)
-		if err := s.checkTyped(head); err != nil {
-			return err
-		}
-		pi := head.Indicator()
-		p, err := db.EnsureProc(pi.Name, pi.Arity, edb.FormSource)
-		if err != nil {
-			return err
-		}
-		firstRule := body != term.TrueAtom && p.FactsOnly
-		if body != term.TrueAtom {
-			if err := db.MarkRule(p); err != nil {
-				return err
-			}
-		}
-		touched[p] = true
-		keys := argKeysOf(headArgsOf(head))
-		for len(keys) < p.K {
-			keys = append(keys, edb.WildKey())
-		}
-		if _, err := db.StoreClause(p, keys, []byte(tm.String()+".")); err != nil {
-			return err
-		}
-		if firstRule {
-			keys = nil // every call now loads the procedure whole
-		}
-		s.invalidateStored(pi, keys)
-		s.markExternal(pi)
-	}
-	for p := range touched {
-		if p.FactsOnly {
-			s.registerFactResolver(p)
-		}
-	}
-	return nil
-}
-
-func (s *Session) markExternal(pi term.Indicator) {
-	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
-	if p := s.m.Proc(fn); p == nil {
-		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: pi.Arity, External: true})
-	} else {
-		p.External = true
-	}
 }
 
 func splitClauseTerm(t term.Term) (head, body term.Term) {
@@ -781,27 +719,16 @@ func (s *Session) ConsultExternalTerms(terms []term.Term) error {
 	}
 	unlock := s.wlock()
 	defer unlock()
-	var src, code []term.Term
 	for _, tm := range terms {
-		head, _ := splitClauseTerm(tm)
-		pi := head.Indicator()
-		p := s.kb.db.Proc(pi.Name, pi.Arity)
-		if p == nil && s.opts.RuleStorage == RuleStorageSource || p != nil && p.Form == edb.FormSource {
-			src = append(src, tm)
-		} else {
-			code = append(code, tm)
-		}
-	}
-	if len(src) > 0 {
-		if err := s.storeSourceClauses(src); err != nil {
+		if err := s.storeClause(tm); err != nil {
 			return err
 		}
 	}
-	return s.storeCompiledClauses(code)
+	return nil
 }
 
 // AssertExternalTerm stores a single clause in the EDB, in the form
-// ConsultExternalTerms picks (the paper's assertion of externally
+// storeClause picks (the paper's assertion of externally
 // maintained code, one of the triggers of §3.3.2's garbage collection).
 func (s *Session) AssertExternalTerm(t term.Term) error {
 	return s.ConsultExternalTerms([]term.Term{t})
@@ -899,6 +826,5 @@ func (s *Session) DropExternal(name string, arity int) error {
 		return err
 	}
 	s.invalidateStored(term.Indicator{Name: name, Arity: arity}, nil)
-	s.m.RemoveProc(s.m.Dict.Intern(name, arity))
 	return nil
 }

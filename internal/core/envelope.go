@@ -92,7 +92,6 @@ func (s *Session) check() error {
 // budget and ctx's own, and ctx's cancellation is bound to Interrupt for
 // the whole iteration. ctx is nil for a plain Query.
 func (s *Session) arm(ctx context.Context) {
-	s.disarm() // an abandoned iterator may have left its envelope open
 	s.m.ClearInterrupt()
 	var deadline time.Time
 	if b := s.budget.Load(); b > 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -25,11 +24,10 @@ import (
 // Next returns false, Close does nothing, and Binding and Map give nil, as
 // they do before the first solution and after the last.
 //
-// Per-query state (baseline asserted rules and fact caches) is
-// released exactly once — on Close, on a Next error, or when the
-// iteration is exhausted — so abandoning an iterator early without
-// calling Close leaks nothing beyond the current query's footprint,
-// which the next Query on the session reclaims.
+// The query ends, traced and its per-query state released, exactly once:
+// on Close, on a Next error, when the iteration is exhausted, or, for an
+// iterator abandoned early without Close, at the next Query on the
+// session or its Close.
 type Solutions struct {
 	e     *Session
 	qid   uint64 // the session's query this handle iterates
@@ -65,7 +63,7 @@ func (s *Session) query(ctx context.Context, q string) (sol *Solutions, err erro
 			s.autoRollback()
 		}
 		if sol == nil {
-			s.disarm()
+			s.endQuery()
 		}
 	}()
 	s.endQuery()
@@ -281,16 +279,10 @@ func (s *Session) containPanic(r any) error {
 		term.Atom("educe"))}
 }
 
-// beginQuery rolls the previous query's (and any between-query consult
-// work's) cost stats into the session cumulative, then stamps the new
-// query's identity for tracing. Profiler counters left over from an
-// abandoned query are drained (attributed to that query) before the
-// per-query profile resets.
+// beginQuery opens a query, stamping its identity for tracing; endQuery
+// ends it.
 func (s *Session) beginQuery(goal string) {
-	s.drainProfile()
-	s.qProf = nil
-	s.cum.AddQuery(&s.q)
-	s.q.Reset()
+	s.qOpen, s.qProf = true, nil
 	s.qid = s.kb.nextQueryID()
 	s.qGoal = goal
 	s.qStart = time.Now()
@@ -344,8 +336,6 @@ func (s *Solutions) finish() {
 		return
 	}
 	s.done, s.on = true, false
-	s.e.disarm()
-	s.e.traceQuery()
 	s.e.endQuery()
 }
 
@@ -418,12 +408,6 @@ func newInterpGen(in *interp.Interp, goal term.Term, vars map[string]*term.Var, 
 			g.sols <- sol
 			return <-g.resume
 		})
-		var unk *interp.ErrUnknownProc
-		if errors.Is(g.err, interp.ErrDepth) {
-			g.err = wam.ResourceBall("depth")
-		} else if errors.As(g.err, &unk) {
-			g.err = wam.AsBall(&wam.ErrUnknownProc{Name: unk.PI.Name, Arity: unk.PI.Arity})
-		}
 	}()
 	return g
 }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/term"
 	"repro/internal/wam"
 )
@@ -164,5 +169,49 @@ func consult(t *testing.T, e *Session, src string) {
 	t.Helper()
 	if err := e.Consult(src); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEveryQueryTracedOnce: a query ends in one place, which writes its
+// trace record, whether it is exhausted, closed, abandoned for the next
+// query, left open at Session.Close or fails to start.
+func TestEveryQueryTracedOnce(t *testing.T) {
+	for _, rs := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {
+		e := newSession(t, Options{RuleStorage: rs})
+		consult(t, e, "p(1). p(2).")
+		var buf bytes.Buffer
+		e.SetTracer(obs.NewDeterministicTracer(&buf))
+		sol, err := e.Query("p(X)") // abandoned after one solution
+		if err != nil || !sol.Next() {
+			t.Fatalf("p(X): %v", err)
+		}
+		if _, err := e.QueryAll("p(Y)"); err != nil { // exhausted
+			t.Fatal(err)
+		}
+		if sol, err = e.Query("p(W)"); err != nil { // closed
+			t.Fatal(err)
+		}
+		sol.Close()
+		if _, err := e.Query("p(("); err == nil { // fails to parse
+			t.Fatal("p(( parsed")
+		}
+		if sol, err = e.Query("p(Z)"); err != nil || !sol.Next() { // open at Close
+			t.Fatalf("p(Z): %v", err)
+		}
+		e.Close()
+		got := map[string]int{}
+		for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec["msg"] == obs.EventQuery {
+				got[rec["goal"].(string)]++
+			}
+		}
+		want := map[string]int{"p(X)": 1, "p(Y)": 1, "p(W)": 1, "p((": 1, "p(Z)": 1}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("rule storage %d: query records %v, want %v", rs, got, want)
+		}
 	}
 }

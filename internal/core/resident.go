@@ -265,29 +265,29 @@ func (s *Session) catchUp(fn dict.ID, rp *residentProc, ver uint64) *residentPro
 
 // evict drops the variants of a procedure's resident code that the keys of
 // one of writes admit, or, with nil writes or a record holding a fixpoint,
-// all of it; a record left empty goes. The trap stub returns if the
-// installed code went, so the next call reloads from the EDB. It is safe
-// at any time, mid-query included: the machine only retires the blocks, so
-// a running iteration finishes over the clauses it started with (the
-// logical update view) and the slots are reclaimed once no frame addresses
-// them.
+// all of it; a record left empty goes. A dropped entry that is installed
+// is uninstalled, so the next call traps and reloads from the EDB; an
+// entry that is not the record's own (code consulted over it) stays. It is
+// safe at any time, mid-query included: the machine only retires the
+// blocks, so a running iteration finishes over the clauses it started with
+// (the logical update view) and the slots are reclaimed once no frame
+// addresses them.
 func (s *Session) evict(fn dict.ID, rp *residentProc, writes []filterKey) {
 	whole := writes == nil || rp.setops != nil
-	installed := s.m.Proc(fn)
-	restub := whole && installed != nil && installed.Transient
 	for ck, v := range rp.variants {
 		drop := whole
 		for _, w := range writes {
 			drop = drop || edb.Admits(v.fk[:], w[:])
 		}
 		if drop {
+			s.m.UndefineProc(&v.Proc)
 			s.m.RemoveBlock(v.Block)
 			delete(rp.variants, ck)
 			s.nresident--
-			restub = restub || &v.Proc == installed
 		}
 	}
 	if so := rp.setops; so != nil {
+		s.m.UndefineProc(so.proc)
 		s.m.RemoveBlock(so.proc.Block)
 		so.prog, so.totals = nil, nil // the cursor builtin outlives the result
 		s.nresident--
@@ -295,9 +295,6 @@ func (s *Session) evict(fn dict.ID, rp *residentProc, writes []filterKey) {
 	}
 	if len(rp.variants) == 0 {
 		delete(s.resident, fn)
-	}
-	if restub {
-		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: rp.pi.Arity, External: true})
 	}
 }
 
@@ -366,15 +363,11 @@ func (s *Session) linkGoal(q string) (*linkedQuery, error) {
 // query finishes on it, and $query/N is uninstalled only if it is this
 // text's; a direct call holds no code.
 func (s *Session) dropQuery(q string) {
-	p := s.queries[q].proc
-	delete(s.queries, q)
-	switch {
-	case p == nil:
-	case s.m.Proc(p.Fn) == p:
-		s.m.RemoveProc(p.Fn)
-	default:
+	if p := s.queries[q].proc; p != nil {
+		s.m.UndefineProc(p)
 		s.m.RemoveBlock(p.Block)
 	}
+	delete(s.queries, q)
 }
 
 // dropQueries empties the linked-query table: an op/3 directive, Close.
@@ -410,7 +403,8 @@ func (s *Session) reconcile() {
 // settle evicts a materialised fixpoint a rule procedure of which changed
 // (v is the KB invalidation version), and parks one only whose leaves did
 // (with rels, catalog cardinalities checked too) as the base its next call
-// maintains, the trap stub put back. Running cursors keep their tuples.
+// maintains: uninstalled, so that call traps, with its block kept for the
+// maintained result. Running cursors keep their tuples.
 func (s *Session) settle(fn dict.ID, rp *residentProc, v uint64, rels bool) {
 	so := rp.setops
 	if so == nil || so.stale {
@@ -440,8 +434,8 @@ func (s *Session) settle(fn dict.ID, rp *residentProc, v uint64, rels bool) {
 		}
 		so.builtAt = v
 	}
-	if so.stale = stale; stale && s.m.Proc(so.proc.Fn) == so.proc {
-		s.m.DefineProc(&wam.Proc{Fn: fn, Arity: rp.pi.Arity, External: true})
+	if so.stale = stale; stale {
+		s.m.UndefineProc(so.proc)
 	}
 }
 
@@ -469,7 +463,7 @@ func (s *Session) invalidateStored(pi term.Indicator, keys []edb.ArgKey) {
 
 // InvalidateLoaded drops cached (and installed) code for one external
 // procedure — in this session and in the shared knowledge-base table —
-// restoring the trap stub so the next call reloads from the EDB. Other
+// so the next call traps and reloads from the EDB. Other
 // sessions reload at their next query. The engine calls it automatically
 // when stored clauses change.
 func (s *Session) InvalidateLoaded(name string, arity int) {

@@ -216,7 +216,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 			{Op: wam.OpProceed},
 		},
 	})
-	info.proc = &wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}
+	info.proc = &wam.Proc{Fn: fn, Arity: arity, Block: blk, Transient: true}
 	s.residentFor(fn, target, info.deps[target]).setops = info
 	s.nresident++
 	s.nsetops++

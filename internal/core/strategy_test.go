@@ -809,3 +809,36 @@ func TestStrategyMaintainTablesStayFlat(t *testing.T) {
 		t.Errorf("heap grew from %d KiB at round %d to %d KiB at round %d", heap[0]>>10, rounds/2, heap[1]>>10, rounds)
 	}
 }
+
+// TestStrategyParkedBlockKept: a fixpoint parked by a leaf write is
+// uninstalled but keeps its block. A reclaim sweep frees only retired slots,
+// so the goal texts linked after it cannot take the parked block's slot,
+// and the next call maintains the result and runs it from that block.
+func TestStrategyParkedBlockKept(t *testing.T) {
+	auto, tuple := maintainFixture(t, 3, 6)
+	agree(t, auto, tuple, maintainQueries)
+	so := pathResult(auto)
+	if err := tuple.AssertExternalTerm(mustParseCore(t, "fwd(n0_5, y)")); err != nil {
+		t.Fatal(err)
+	}
+	// Each text parks nothing new, resets the machine (a sweep) and links
+	// its own $query block, into a freed slot while there is one.
+	for i := 0; i < 64; i++ {
+		if got := values(t, auto, fmt.Sprintf("X = %d, Y = X", i), "Y"); len(got) != 1 {
+			t.Fatalf("text %d: %v", i, got)
+		}
+	}
+	if !so.stale || auto.m.Proc(so.proc.Fn) != nil {
+		t.Fatalf("path/2 result not parked: stale=%v", so.stale)
+	}
+	for q, lq := range auto.queries {
+		if lq.proc != nil && lq.proc.Block.ID == so.proc.Block.ID {
+			t.Fatalf("%q linked into the parked fixpoint's slot %d", q, so.proc.Block.ID)
+		}
+	}
+	agree(t, auto, tuple, maintainQueries)
+	maintained(t, auto, so)
+	if p := auto.m.Proc(so.proc.Fn); p != so.proc {
+		t.Fatalf("path/2 installed as %p, want the maintained result %p", p, so.proc)
+	}
+}

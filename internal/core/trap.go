@@ -18,10 +18,12 @@ import (
 )
 
 // onUndefined is the interpreter trap of §3.2.1: a call to a procedure
-// with no installed code consults the procedures table and, for an external
-// procedure, invokes the dynamic loader. The loader pre-unifies in the EDB
-// using the call's bound arguments, decodes the candidate relocatable
-// clauses, resolves their associative addresses and splices control code.
+// with no installed code looks it up in the knowledge base's procedures
+// table at call time and, for a stored procedure, invokes the dynamic
+// loader; nothing about stored procedures is registered with a session
+// ahead of the call. The loader pre-unifies in the EDB using the call's
+// bound arguments, decodes the candidate relocatable clauses, resolves
+// their associative addresses and splices control code.
 //
 // A call whose variant is already resident is served first, from its
 // argument cells: under the KB read lock (as rlock takes it) and only while
@@ -112,16 +114,12 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	if form == edb.FormSource {
 		// A source-form procedure reached from compiled execution:
 		// parse and compile on the fly (the hybrid path).
-		var terms []term.Term
-		t1 := time.Now()
-		for _, sc := range scs {
-			tm, _, err := parser.ParseTermWithOps(strings.TrimSuffix(string(sc.Blob), "."), s.ops)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s/%d clause %d: %w", name, arity, sc.ClauseID, err)
+		terms := make([]term.Term, len(scs))
+		for i, sc := range scs {
+			if terms[i], err = s.parseStored(p, sc); err != nil {
+				return nil, err
 			}
-			terms = append(terms, tm)
 		}
-		s.q.Phases.Add(obs.PhaseParse, time.Since(t1))
 		units, _, err := s.compileProgram(terms)
 		if err != nil {
 			return nil, err
@@ -139,7 +137,7 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	}
 	blk.Owner, blk.HasOwner = fn, true // for the profiler; a keyed variant is not installed
 	m.AddBlock(blk)
-	v := &variant{Proc: wam.Proc{Fn: fn, Arity: arity, Block: blk, External: true, Transient: true}, fk: filterKeyOf(keys)}
+	v := &variant{Proc: wam.Proc{Fn: fn, Arity: arity, Block: blk, Transient: true}, fk: filterKeyOf(keys)}
 	proc := &v.Proc
 
 	rp := s.residentFor(fn, pi, ver)
@@ -151,8 +149,7 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 		// call — in this query and the following ones — skips the trap
 		// entirely. This is the paper's "freezing" of the procedure
 		// definition; the in-memory switch instructions now dispatch
-		// between its clauses. The stub returns when the definition
-		// is evicted.
+		// between its clauses. Eviction uninstalls it again.
 		m.DefineProc(proc)
 	}
 	return proc, nil
@@ -248,12 +245,47 @@ func (s *Session) cellArgKey(ck *callKey, i int) edb.ArgKey {
 	return edb.WildKey()
 }
 
-// endQuery tears down per-query transient state: in baseline mode the
-// query's interpreter worker, the rules asserted into the interpreter (the
-// paper's "erased to make room") and the parsed-tuple caches.
+// storedClause names a clause stored as text: its procedure and clause ID.
+type storedClause struct {
+	p  *edb.ProcInfo
+	id uint32
+}
+
+// parseStored returns the term of clause sc of p, stored as text. It is
+// parsed once per query: Educe pays for parsing the terms it retrieves on
+// each use (§2.3), and the cache goes with the rest of the query's state.
+func (s *Session) parseStored(p *edb.ProcInfo, sc edb.StoredClause) (term.Term, error) {
+	key := storedClause{p, sc.ClauseID}
+	if tm, ok := s.parsed[key]; ok {
+		return tm, nil
+	}
+	t0 := time.Now()
+	tm, _, err := parser.ParseTermWithOps(strings.TrimSuffix(string(sc.Blob), "."), s.ops)
+	s.q.Phases.Add(obs.PhaseParse, time.Since(t0))
+	if err != nil {
+		return nil, fmt.Errorf("core: %s/%d clause %d: %w", p.Name, p.Arity, sc.ClauseID, err)
+	}
+	s.parsed[key] = tm
+	return tm, nil
+}
+
+// endQuery is the one place a query ends: at exhaustion, Close or an error,
+// at the next query, and at Session.Close. A query still open has its
+// envelope closed, its profile drained and its trace written; then its
+// stats, with any work done since, roll into the session totals, and the
+// per-query transient state goes: in baseline mode the query's interpreter
+// worker, the rules asserted into the interpreter (the paper's "erased to
+// make room") and the parsed clause texts.
 func (s *Session) endQuery() {
 	s.gen.stop()
 	s.gen = nil
+	if s.qOpen {
+		s.qOpen = false
+		s.disarm()
+		s.traceQuery()
+	}
+	s.cum.AddQuery(&s.q)
+	s.q.Reset()
 	// Resident code survives across queries: the paper keeps dynamically
 	// loaded procedures in main memory until the code garbage collector
 	// reclaims them. A simple epoch clear bounds it.
@@ -264,110 +296,67 @@ func (s *Session) endQuery() {
 		s.in.RetractAll(pi)
 	}
 	s.interpLoaded = s.interpLoaded[:0]
-	for _, c := range s.factCaches {
-		clear(c)
-	}
+	clear(s.parsed)
 }
 
-// interpTrap serves the baseline interpreter: rules are fetched from the
-// EDB in source form, parsed and asserted — the per-use cost the paper's
-// §2 itemises. They are erased again at query end.
-func (s *Session) interpTrap(in *interp.Interp, pi term.Indicator) (bool, error) {
+// interpTrap answers the baseline interpreter's call of a procedure it
+// holds no clauses for, looking the procedure up in the knowledge base's
+// procedures table at call time. A facts-only procedure stored as text
+// takes Educe's tuple-at-a-time interface to the record manager (§3.2.1):
+// its tuples are pre-unified in the EDB, parsed and unified with the goal
+// one by one, each match passed to emit. Any other procedure is fetched
+// whole (the baseline's poor selectivity), parsed and asserted, the
+// per-use cost §2 itemises, and erased again at query end; the call then
+// resolves against the asserted clauses. It reports whether the
+// procedure is stored.
+func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) (bool, error) {
+	pi := goal.Indicator()
 	unlock := s.rlock()
 	p := s.kb.db.Proc(pi.Name, pi.Arity)
 	if p == nil {
 		unlock()
 		return false, nil
 	}
-	form := p.Form
-	// Poor selectivity: the baseline retrieves every clause of the
-	// procedure (paper §3.2.1).
-	scs, err := s.kb.db.RetrieveObs(p, nil, &s.q)
+	if p.Form == edb.FormCode {
+		unlock()
+		return false, fmt.Errorf("core: %s stored compiled; baseline engine cannot interpret it", pi)
+	}
+	tuples := p.FactsOnly
+	var keys []edb.ArgKey
+	if tuples {
+		keys = make([]edb.ArgKey, p.K)
+		for i, a := range headArgsOf(goal)[:p.K] {
+			keys[i] = argKeyOf(env.ResolveDeep(a))
+		}
+	}
+	// The read lock covers only the retrieval: the blobs are copies, and
+	// emit may call this procedure again (a join of a relation with
+	// itself), which must not recurse into the lock.
+	scs, err := s.kb.db.RetrieveObs(p, keys, &s.q)
 	unlock()
 	if err != nil {
 		return false, err
 	}
 	for _, sc := range scs {
-		var tm term.Term
-		switch form {
-		case edb.FormSource:
-			t1 := time.Now()
-			tm, _, err = parser.ParseTermWithOps(strings.TrimSuffix(string(sc.Blob), "."), s.ops)
-			s.q.Phases.Add(obs.PhaseParse, time.Since(t1))
-			if err != nil {
-				return false, err
-			}
-		case edb.FormCode:
-			return false, fmt.Errorf("core: %s stored compiled; baseline engine cannot interpret it", pi)
-		}
-		if err := in.Assert(tm); err != nil {
+		tm, err := s.parseStored(p, sc)
+		if err != nil {
 			return false, err
 		}
-		s.q.Asserts++
+		if !tuples {
+			if err := s.in.Assert(tm); err != nil {
+				return false, err
+			}
+			s.q.Asserts++
+			continue
+		}
+		mark := env.Mark()
+		if env.Unify(goal, term.Rename(tm)) && !emit() {
+			return true, nil
+		}
+		env.Undo(mark)
 	}
-	s.interpLoaded = append(s.interpLoaded, pi)
+	if !tuples {
+		s.interpLoaded = append(s.interpLoaded, pi)
+	}
 	return true, nil
-}
-
-// registerFactResolver gives the baseline interpreter tuple-at-a-time
-// access to a facts-only external procedure — Educe's deterministic
-// interface to the record manager (§3.2.1) — instead of assert-based
-// loading. Parsed tuples are cached per clause so repeated access models
-// cheap tuple interpretation rather than re-parsing.
-func (s *Session) registerFactResolver(p *edb.ProcInfo) {
-	pi := term.Indicator{Name: p.Name, Arity: p.Arity}
-	if s.resolvers[pi] {
-		return
-	}
-	s.resolvers[pi] = true
-	// Parsed tuples are cached only for the current query: Educe pays
-	// for parsing terms retrieved from the DBMS on each use (§2.3), and
-	// the cache is flushed with the rest of the per-query state.
-	cache := map[uint32]term.Term{}
-	s.factCaches = append(s.factCaches, cache)
-	s.in.RegisterExternal(pi, func(goal term.Term, env *interp.Env, emit func() bool) error {
-		keys := make([]edb.ArgKey, p.K)
-		gargs := goalTermArgs(goal)
-		for i := 0; i < p.K && i < len(gargs); i++ {
-			keys[i] = argKeyOf(env.ResolveDeep(gargs[i]))
-		}
-		// The read lock covers only the retrieval: the returned blobs
-		// are copies, and emit() may re-enter this resolver (a join of
-		// the relation with itself), which must not recurse into the
-		// lock.
-		unlock := s.rlock()
-		scs, err := s.kb.db.RetrieveObs(p, keys, &s.q)
-		unlock()
-		if err != nil {
-			return err
-		}
-		for _, sc := range scs {
-			tm, ok := cache[sc.ClauseID]
-			if !ok {
-				var perr error
-				t1 := time.Now()
-				tm, _, perr = parser.ParseTermWithOps(strings.TrimSuffix(string(sc.Blob), "."), s.ops)
-				s.q.Phases.Add(obs.PhaseParse, time.Since(t1))
-				if perr != nil {
-					return perr
-				}
-				cache[sc.ClauseID] = tm
-			}
-			mark := env.Mark()
-			if env.Unify(goal, term.Rename(tm)) {
-				if !emit() {
-					return nil
-				}
-			}
-			env.Undo(mark)
-		}
-		return nil
-	})
-}
-
-func goalTermArgs(goal term.Term) []term.Term {
-	if c, ok := goal.(*term.Compound); ok {
-		return c.Args
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/parser"
 	"repro/internal/term"
+	"repro/internal/wam"
 )
 
 func pi(name string, arity int) term.Indicator { return term.Indicator{Name: name, Arity: arity} }
@@ -249,6 +250,33 @@ func (in *Interp) registerBuiltins() {
 			return r
 		}
 	}
+
+	// catch(Goal, Catcher, Recovery) calls Goal. A ball raised while Goal
+	// runs, not once it has exited, undoes Goal's bindings and, if it
+	// unifies with Catcher, calls Recovery in Goal's place.
+	reg("catch", 3, func(in *Interp, a []term.Term, env *Env, k cont) result {
+		call, mark, exited := in.builtins[pi("call", 1)], env.Mark(), false
+		r := call(in, a[:1], env, func() result {
+			r := k()
+			exited = r.err != nil
+			return r
+		})
+		ball, ok := r.err.(*wam.ErrBall)
+		if !ok || exited {
+			return r
+		}
+		env.Undo(mark)
+		if !env.Unify(a[1], ball.Term) {
+			return r
+		}
+		return call(in, a[2:], env, k)
+	})
+	reg("throw", 1, func(in *Interp, a []term.Term, env *Env, k cont) result {
+		if _, ok := env.Resolve(a[0]).(*term.Var); ok {
+			return result{err: fmt.Errorf("interp: throw/1: unbound ball")}
+		}
+		return result{err: &wam.ErrBall{Term: term.Rename(env.ResolveDeep(a[0]))}}
+	})
 
 	reg("between", 3, func(in *Interp, a []term.Term, env *Env, k cont) result {
 		lo, ok1 := env.Resolve(a[0]).(term.Int)

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/parser"
 	"repro/internal/term"
+	"repro/internal/wam"
 )
 
 // expect1 asserts the goal has exactly one solution binding v to want.
@@ -170,19 +172,23 @@ func TestInterpPredicatesListing(t *testing.T) {
 
 func TestInterpExternalResolver(t *testing.T) {
 	in := New()
-	// An external generator producing ext(1), ext(2), ext(3).
-	in.RegisterExternal(pi("ext", 1), func(goal term.Term, env *Env, emit func() bool) error {
+	// The undefined-predicate hook answers ext/1 as a generator producing
+	// ext(1), ext(2), ext(3), and knows no other predicate.
+	in.OnUndefined = func(goal term.Term, env *Env, emit func() bool) (bool, error) {
+		if goal.Indicator() != pi("ext", 1) {
+			return false, nil
+		}
 		for i := 1; i <= 3; i++ {
 			mark := env.Mark()
 			if env.Unify(goal, term.Comp("ext", term.Int(i))) {
 				if !emit() {
-					return nil
+					return true, nil
 				}
 			}
 			env.Undo(mark)
 		}
-		return nil
-	})
+		return true, nil
+	}
 	got := solutions(t, in, "ext(X)", "X")
 	if !reflect.DeepEqual(got, []string{"1", "2", "3"}) {
 		t.Fatalf("external = %v", got)
@@ -192,4 +198,34 @@ func TestInterpExternalResolver(t *testing.T) {
 	expectNo(t, in, "ext(9)")
 	// Cut is absorbed at the external call boundary.
 	expect1(t, in, "ext(X), !", "X", "1")
+}
+
+// TestInterpCatchThrow: catch/3 catches a ball thrown, or an existence
+// error raised, while its goal runs, with the goal's bindings undone; a
+// ball raised once the goal has exited passes it by.
+func TestInterpCatchThrow(t *testing.T) {
+	in := New()
+	expect1(t, in, "catch(throw(x), E, true)", "E", "x")
+	expect1(t, in, "catch(nope(1), error(existence_error(procedure, P), _), true)", "P", "/(nope,1)")
+	expect1(t, in, "catch((X = 1, throw(e)), e, Y = X), var(X)", "Y", "X")
+	if got := solutions(t, in, "catch(member(X, [1, 2, 3]), _, true), X > 1", "X"); !reflect.DeepEqual(got, []string{"2", "3"}) {
+		t.Fatalf("backtracking into the caught goal = %v, want [2 3]", got)
+	}
+	// Uncaught: a catcher that does not unify, a goal that has exited.
+	for goal, want := range map[string]term.Atom{
+		"catch(throw(x), y, true)":                 "x",
+		"catch(true, _, assert(caught)), throw(y)": "y",
+	} {
+		g, _, err := parser.ParseTerm(goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = in.Solve(g, nil, func(*Env) bool { return true })
+		if ball, ok := err.(*wam.ErrBall); !ok || ball.Term != want {
+			t.Fatalf("%s: %v, want %s uncaught", goal, err, want)
+		}
+	}
+	if n := in.ClauseCount(pi("caught", 0)); n != 0 {
+		t.Fatalf("recovery ran %d times for a ball thrown after the goal exited", n)
+	}
 }

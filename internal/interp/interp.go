@@ -7,11 +7,11 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/term"
+	"repro/internal/wam"
 )
 
 // Clause is one asserted clause.
@@ -27,15 +27,14 @@ type Interp struct {
 	// predicate; invalidated on assert/retract.
 	builtins map[term.Indicator]builtinFn
 
-	// OnUndefined, if set, is consulted when a called predicate has no
-	// clauses; returning true means the hook asserted a definition and
-	// the call should be retried. This is how the Educe-baseline engine
-	// hooks EDB retrieval (fetch source, parse, assert).
-	OnUndefined func(in *Interp, pi term.Indicator) (bool, error)
-
-	// externals are predicates resolved by an engine-provided generator
-	// (the baseline's tuple-at-a-time interface to the record manager).
-	externals map[term.Indicator]ExternalFn
+	// OnUndefined, if set, answers a call of a predicate with no clauses,
+	// reporting whether it knows the predicate (false: the call raises an
+	// existence error). It may enumerate the solutions itself, calling
+	// emit once per instance it unified goal with in env and stopping
+	// when emit returns false; or assert a definition, which the call
+	// then resolves against. This is how the Educe-baseline engine hooks
+	// EDB retrieval: tuple by tuple, or fetch source, parse, assert.
+	OnUndefined func(goal term.Term, env *Env, emit func() bool) (bool, error)
 
 	// Check, if set, is polled every 256 inferences — the cadence of the
 	// WAM's dispatch loop — and at the start of every Solve; a non-nil
@@ -56,16 +55,9 @@ type Interp struct {
 // maxDepth caps the nesting of solve. Go ends the whole process when a
 // goroutine outgrows its maximum stack (1 GB), which a plain counting loop
 // of three million steps does; at about 400 bytes of stack per level the
-// cap keeps a resolution under a quarter of that.
+// cap keeps a resolution under a quarter of that. A resolution nested
+// deeper ends with resource_error(depth).
 const maxDepth = 600_000
-
-// ErrDepth ends a resolution nested deeper than the solver's stack allows.
-var ErrDepth = errors.New("interp: resolution depth limit exceeded")
-
-// ErrUnknownProc ends a resolution that calls a procedure with no clauses.
-type ErrUnknownProc struct{ PI term.Indicator }
-
-func (e *ErrUnknownProc) Error() string { return fmt.Sprintf("interp: unknown procedure %s", e.PI) }
 
 // New returns an interpreter with the builtin set registered.
 func New() *Interp {
@@ -137,6 +129,13 @@ func (in *Interp) Retract(t term.Term) bool {
 		}
 	}
 	return false
+}
+
+// Dynamic declares the predicate: called with no clauses, it fails.
+func (in *Interp) Dynamic(pi term.Indicator) {
+	if _, ok := in.clauses[pi]; !ok {
+		in.clauses[pi] = nil
+	}
 }
 
 // RetractAll removes every clause of the predicate.
@@ -223,7 +222,7 @@ func (in *Interp) solve(goal term.Term, env *Env, cb int, k cont) result {
 		}
 	}
 	if in.depth >= maxDepth {
-		return result{err: ErrDepth}
+		return result{err: wam.ResourceBall("depth")}
 	}
 	in.depth++
 	r := in.step(goal, env, cb, k)
@@ -318,19 +317,23 @@ func (in *Interp) call(goal term.Term, args []term.Term, env *Env, k cont) resul
 	if b, ok := in.builtins[pi]; ok {
 		return b(in, args, env, k)
 	}
-	if ext, ok := in.externals[pi]; ok {
-		return in.runExternal(ext, goal, env, k)
-	}
 	cs, ok := in.clauses[pi]
 	if !ok && in.OnUndefined != nil {
-		handled, err := in.OnUndefined(in, pi)
-		if err != nil {
-			return result{err: err}
+		var out result
+		known, err := in.OnUndefined(goal, env, func() bool {
+			out = k()
+			return !out.stop && out.cut == 0 && out.err == nil
+		})
+		if err != nil && out.err == nil {
+			out.err = err
 		}
-		cs, ok = in.clauses[pi], handled
+		if out.stop || out.cut != 0 || out.err != nil {
+			return out
+		}
+		cs, ok = in.clauses[pi], known
 	}
 	if !ok {
-		return result{err: &ErrUnknownProc{PI: pi}}
+		return result{err: wam.AsBall(&wam.ErrUnknownProc{Name: pi.Name, Arity: pi.Arity})}
 	}
 	barrier := in.depth
 	for _, c := range cs {
@@ -358,34 +361,4 @@ func (in *Interp) call(goal term.Term, args []term.Term, env *Env, k cont) resul
 		env.Undo(mark)
 	}
 	return proceed
-}
-
-// ExternalFn enumerates the solutions of an externally stored predicate.
-// It receives the (partially resolved) goal and must call emit for each
-// matching instance; emit returns false to stop enumerating.
-type ExternalFn func(goal term.Term, env *Env, emit func() bool) error
-
-// RegisterExternal installs an external resolver for pi.
-func (in *Interp) RegisterExternal(pi term.Indicator, fn ExternalFn) {
-	if in.externals == nil {
-		in.externals = map[term.Indicator]ExternalFn{}
-	}
-	in.externals[pi] = fn
-}
-
-// runExternal adapts an ExternalFn to the CPS solver.
-func (in *Interp) runExternal(ext ExternalFn, goal term.Term, env *Env, k cont) result {
-	var out result
-	err := ext(goal, env, func() bool {
-		r := k()
-		if r.stop || r.cut != 0 || r.err != nil {
-			out = r
-			return false
-		}
-		return true
-	})
-	if err != nil && out.err == nil {
-		out.err = err
-	}
-	return out
 }

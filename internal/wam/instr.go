@@ -227,17 +227,16 @@ type CodeBlock struct {
 	retired bool
 }
 
-// Proc is an entry in the machine's procedures table (paper §4 item 1).
+// Proc is an entry in the machine's procedures table (paper §4 item 1):
+// a procedure with code in main memory. A call of a functor with no entry
+// triggers the machine's OnUndefined hook (the paper's interpreter trap),
+// which finds a stored procedure in the knowledge base's procedures table.
 type Proc struct {
 	// Fn is the functor ID of the predicate (name via the dictionary).
 	Fn    dict.ID
 	Arity int
 	// Block holds the predicate's code; entry point is offset 0.
 	Block *CodeBlock
-	// External marks procedures whose clauses live in the EDB; calling
-	// one with Block == nil triggers the machine's OnUndefined hook
-	// (the paper's interpreter trap).
-	External bool
 	// Transient marks code loaded from the EDB for the current query,
 	// subject to eviction.
 	Transient bool

@@ -137,10 +137,11 @@ type Machine struct {
 	// collectors implements findall/3 accumulation.
 	collectors []collector
 
-	// OnUndefined, if set, is consulted when a called procedure has no
-	// code in main memory. It is Educe*'s interpreter trap (§3.2.1): the
-	// engine hooks the dynamic loader here. Returning (nil, nil) makes
-	// the call raise ErrUnknownProc.
+	// OnUndefined, if set, is consulted when a called functor has no entry
+	// in the procedures table. It is Educe*'s interpreter trap (§3.2.1):
+	// the engine looks the functor up in the knowledge base's procedures
+	// table there and invokes the dynamic loader. Returning (nil, nil)
+	// makes the call raise ErrUnknownProc.
 	OnUndefined func(m *Machine, fn dict.ID) (*Proc, error)
 
 	// GC policy.
@@ -464,9 +465,7 @@ func (m *Machine) reclaim() {
 // block is stamped with its owner so the profiler can attribute
 // exits/fails to the predicate whose code is executing.
 func (m *Machine) DefineProc(p *Proc) {
-	if p.Block != nil {
-		p.Block.Owner, p.Block.HasOwner = p.Fn, true
-	}
+	p.Block.Owner, p.Block.HasOwner = p.Fn, true
 	m.procs[p.Fn] = p
 }
 
@@ -482,12 +481,19 @@ func (m *Machine) Procs(f func(*Proc) bool) {
 	}
 }
 
+// UndefineProc removes p from the procedures table if p is what is
+// installed there. Its block stays: it can be installed again, or retired
+// with RemoveBlock.
+func (m *Machine) UndefineProc(p *Proc) {
+	if m.procs[p.Fn] == p {
+		delete(m.procs, p.Fn)
+	}
+}
+
 // RemoveProc deletes a procedure and unregisters its code block.
 func (m *Machine) RemoveProc(fn dict.ID) {
 	if p, ok := m.procs[fn]; ok {
-		if p.Block != nil {
-			m.RemoveBlock(p.Block)
-		}
+		m.RemoveBlock(p.Block)
 		delete(m.procs, fn)
 	}
 }
@@ -854,8 +860,7 @@ func (m *Machine) Reset() {
 // lookupProc resolves a call target, invoking the OnUndefined trap for
 // procedures that have no resident code (paper §3.2.1).
 func (m *Machine) lookupProc(fn dict.ID) (*Proc, error) {
-	p := m.procs[fn]
-	if p != nil && p.Block != nil {
+	if p := m.procs[fn]; p != nil {
 		return p, nil
 	}
 	if m.OnUndefined != nil {
