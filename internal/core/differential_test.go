@@ -140,7 +140,13 @@ var diffCorpus = []diffCase{
 	{"catch-existence-error", "", "catch(nope(1), error(existence_error(procedure, P), _), true)"},
 	// The inner catch has exited when y is thrown: the outer one catches it.
 	{"catch-after-exit", "", "catch((catch(true, y, R = in), throw(y)), y, R = out)"},
-	{"catch-undoes-bindings", "", "catch((X = 1, throw(e)), e, (var(X), Y = undone))"},
+	// X's binding is undone and X is shared with Y, one variable in both.
+	{"catch-undoes-bindings", "", "catch((X = 1, throw(e)), e, Y = X)"},
+	// The inner recovery must not run for a ball thrown after its goal exited.
+	{"catch-exited-recovery", "c :- fail.", "catch((catch(true, _, assert(c)), throw(y)), _, true), c"},
+	// Backtracking into an exited goal re-arms its catch, also after a ball
+	// delivered past it while it was exited.
+	{"catch-rearmed", "", "catch((member(X, [1, 2]), (X =:= 2 -> throw(b) ; true)), b, Y = got), catch(throw(a), a, true), (var(Y) -> Y = none ; true)"},
 	{"catch-in-rule", `
 		v(1). v(2).
 		safe(X, R) :- catch((v(X), X > 1, throw(big(X))), big(B), R = caught(B)).

@@ -240,14 +240,21 @@ func (s *Solutions) Binding(name string) term.Term {
 }
 
 // Map returns a fresh map of the current solution's bindings, which the
-// caller may keep; nil if no solution is current.
+// caller may keep; nil if no solution is current. A variable two bindings
+// share is one *term.Var in both.
 func (s *Solutions) Map() map[string]term.Term {
 	if !s.on || s.qid != s.e.qid {
 		return nil
 	}
+	var vals []term.Term
+	if s.gen != nil {
+		vals = s.gen.vals
+	} else {
+		vals = s.e.m.DecodeTerms(s.args)
+	}
 	m := make(map[string]term.Term, len(s.names))
-	for _, n := range s.names {
-		m[n] = s.Binding(n)
+	for i, n := range s.names {
+		m[n] = vals[i]
 	}
 	return m
 }

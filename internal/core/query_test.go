@@ -215,3 +215,21 @@ func TestEveryQueryTracedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestMapSharesVariables: a variable two answers share is one *term.Var in
+// the answer map, in both rule-storage modes.
+func TestMapSharesVariables(t *testing.T) {
+	for _, rs := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {
+		sols, err := newSession(t, Options{RuleStorage: rs}).QueryAll("catch((X = 1, throw(e)), e, Y = X)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sols) != 1 {
+			t.Fatalf("rule storage %d: %d solutions, want 1", rs, len(sols))
+		}
+		x, y := sols[0]["X"], sols[0]["Y"]
+		if _, ok := x.(*term.Var); !ok || x != y {
+			t.Errorf("rule storage %d: X = %v (%p), Y = %v (%p); want one unbound variable", rs, x, x, y, y)
+		}
+	}
+}

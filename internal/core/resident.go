@@ -46,6 +46,9 @@ type sharedProc struct {
 	ver      uint64 // bumped by every invalidation
 	variants map[filterKey][]compiler.ClauseCode
 	log      []filterKey // keys of the last writeLogLen writes; version v's at (v-1) % writeLogLen
+	// notDatalog is ver+1 when a clause of the procedure at version ver
+	// was found not to decompile to Datalog; any other value is no verdict.
+	notDatalog uint64
 }
 
 // writeLogLen is how many writes a procedure's log keeps; a session further
@@ -134,6 +137,26 @@ func (kb *KnowledgeBase) storedVersion(pi term.Indicator) uint64 {
 		return sp.ver
 	}
 	return 0
+}
+
+// knownNotDatalog reports whether pi's clauses at its current version
+// were found not to decompile to Datalog.
+func (kb *KnowledgeBase) knownNotDatalog(pi term.Indicator) bool {
+	kb.cacheMu.Lock()
+	defer kb.cacheMu.Unlock()
+	sp := kb.shared[pi]
+	return sp != nil && sp.notDatalog == sp.ver+1
+}
+
+// markNotDatalog records that pi's clauses at version ver do not decompile
+// to Datalog, unless a write has moved pi past ver since they were read.
+// Every write makes the verdict stale, as it bumps the version.
+func (kb *KnowledgeBase) markNotDatalog(pi term.Indicator, ver uint64) {
+	kb.cacheMu.Lock()
+	defer kb.cacheMu.Unlock()
+	if sp := kb.sharedFor(pi); sp.ver == ver {
+		sp.notDatalog = ver + 1
+	}
 }
 
 // lookupShared returns the decoded candidate set of one variant, if

@@ -102,6 +102,9 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 	if rp != nil && rp.setops != nil && !rp.setops.stale {
 		return rp.setops.proc, nil
 	}
+	if s.kb.knownNotDatalog(target) {
+		return nil, nil // known to fall back: no fetch, no decompile, no count
+	}
 	pages0 := s.q.PagesTouched
 	name, arity := target.Name, target.Arity
 
@@ -267,7 +270,8 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 			unlock()
 			return nil, nil, nil, nil // source form: baseline territory
 		}
-		info.deps[pi] = s.kb.storedVersion(pi)
+		ver := s.kb.storedVersion(pi)
+		info.deps[pi] = ver
 		if p.FactsOnly {
 			unlock()
 			leaves = append(leaves, pi)
@@ -282,7 +286,9 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 		for _, cc := range clauses {
 			r, ok := setops.DecompileClause(cc)
 			if !ok {
-				return nil, nil, nil, nil // cut/builtin/structure: not Datalog
+				// cut/builtin/structure: not Datalog, until pi is written
+				s.kb.markNotDatalog(pi, ver)
+				return nil, nil, nil, nil
 			}
 			rules = append(rules, r)
 		}

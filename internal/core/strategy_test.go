@@ -25,9 +25,18 @@ import (
 // contract is on the solution *set*.
 func solutionSet(t *testing.T, s *Session, q string) []string {
 	t.Helper()
-	sols, err := s.QueryAll(q)
+	out, err := answerSet(s, q)
 	if err != nil {
 		t.Fatalf("query %s: %v", q, err)
+	}
+	return out
+}
+
+// answerSet is solutionSet for a caller off the test's goroutine.
+func answerSet(s *Session, q string) ([]string, error) {
+	sols, err := s.QueryAll(q)
+	if err != nil {
+		return nil, err
 	}
 	seen := map[string]bool{}
 	out := make([]string, 0, len(sols))
@@ -48,7 +57,7 @@ func solutionSet(t *testing.T, s *Session, q string) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
 // strategySession opens a session over kb switched to strategy st.

@@ -8,15 +8,18 @@
 // compilation time goes to lexing/parsing/memory management and only ~10%
 // to code generation, and equates loader work to (less than) that 10%.
 // Linking here is a single pass over the instructions plus table
-// construction.
+// construction, into one array per link: BuildBlock sizes the block's
+// instructions before it copies the first clause in, and the shared,
+// decoded clause code it copies from is never written.
 package loader
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/compiler"
-	"repro/internal/dict"
 	"repro/internal/wam"
 )
 
@@ -50,93 +53,81 @@ func LinkPredicate(m *wam.Machine, name string, arity int, clauses []compiler.Cl
 	return proc, nil
 }
 
-// BuildBlock links clauses into a code block without installing it.
+// BuildBlock links clauses into a code block without installing it. The
+// block's instructions are one array, sized up front: each clause's code is
+// copied into it and resolved there, and the choice and switch code goes
+// after; the clauses' own code is only read.
 func BuildBlock(m *wam.Machine, name string, arity int, clauses []compiler.ClauseCode, opts Options) (*wam.CodeBlock, error) {
-	label := fmt.Sprintf("%s/%d", name, arity)
+	label := name + "/" + strconv.Itoa(arity)
 	if len(clauses) == 0 {
 		return &wam.CodeBlock{Name: label, Instrs: []wam.Instr{{Op: wam.OpFail}}}, nil
 	}
 	if len(clauses) == 1 {
-		ins, err := Resolve(m, clauses[0], 0)
+		code, err := resolveInto(m, make([]wam.Instr, 0, len(clauses[0].Instrs)), clauses[0])
 		if err != nil {
 			return nil, fmt.Errorf("loader: %s clause 0: %w", label, err)
 		}
-		return &wam.CodeBlock{Name: label, Instrs: ins}, nil
+		return &wam.CodeBlock{Name: label, Instrs: code}, nil
 	}
-
 	indexable := opts.Index && arity >= 1
+	size := 0
 	for _, cc := range clauses {
+		size += len(cc.Instrs) + 1 // its code and its try_me_else/retry_me_else/trust_me
 		if cc.Key.Kind == compiler.KeyVar || cc.Key.Kind == compiler.KeyFlt {
 			indexable = false
-			break
 		}
 	}
-
-	var code []wam.Instr
-	switchAt := -1
 	if indexable {
-		// Reserve slot 0 for switch_on_term; targets patched later.
-		switchAt = 0
+		// switch_on_term, switch_on_constant and switch_on_structure, and at
+		// most one try/retry/trust per clause in the chains they jump to.
+		size += 3 + len(clauses)
+	}
+	code := make([]wam.Instr, 0, size)
+	if indexable {
+		// Slot 0 is switch_on_term; its targets are patched last.
 		code = append(code, wam.Instr{Op: wam.OpSwitchOnTerm})
 	}
 
-	// Main try_me_else chain; entries[i] is the offset of clause i's code.
+	// Main try_me_else chain; entries[i] is the offset of clause i's code,
+	// which its choice instruction precedes.
+	chain := int32(len(code))
 	entries := make([]int32, len(clauses))
-	markers := make([]int, len(clauses))
 	for i, cc := range clauses {
-		markers[i] = len(code)
-		switch {
-		case i == 0:
-			code = append(code, wam.Instr{Op: wam.OpTryMeElse})
-		case i == len(clauses)-1:
-			code = append(code, wam.Instr{Op: wam.OpTrustMe})
-		default:
-			code = append(code, wam.Instr{Op: wam.OpRetryMeElse})
+		if i > 0 {
+			code[entries[i-1]-1].L = int32(len(code))
 		}
+		code = append(code, wam.Instr{Op: chainOp(i, len(clauses), wam.OpTryMeElse, wam.OpRetryMeElse, wam.OpTrustMe)})
 		entries[i] = int32(len(code))
-		ins, err := Resolve(m, cc, entries[i])
-		if err != nil {
+		var err error
+		if code, err = resolveInto(m, code, cc); err != nil {
 			return nil, fmt.Errorf("loader: %s clause %d: %w", label, i, err)
 		}
-		code = append(code, ins...)
-	}
-	// Patch marker targets to the next marker.
-	for i := 0; i < len(clauses)-1; i++ {
-		code[markers[i]].L = int32(markers[i+1])
 	}
 
 	if indexable {
-		conT, code2 := buildSwitch(m, code, clauses, entries, compiler.KeyCon, compiler.KeyInt)
-		code = code2
-		lisT, code3 := buildBucket(code, clauses, entries, compiler.KeyLis)
-		code = code3
-		strT, code4 := buildSwitch(m, code, clauses, entries, compiler.KeyStr, compiler.KeyStr)
-		code = code4
-		sw := &code[switchAt]
-		sw.L = int32(markers[0]) // unbound first arg: full chain
-		sw.A = conT
-		sw.B = lisT
-		sw.C = strT
+		sw := wam.Instr{Op: wam.OpSwitchOnTerm, L: chain} // unbound first arg: full chain
+		tbls := make([]wam.SwitchCase, 0, len(clauses))
+		sw.A, code, tbls = dispatch(m, code, tbls, clauses, entries, compiler.KeyCon, compiler.KeyInt)
+		sw.B, code, tbls = dispatch(m, code, tbls, clauses, entries, compiler.KeyLis)
+		sw.C, code, _ = dispatch(m, code, tbls, clauses, entries, compiler.KeyStr)
+		code[0] = sw
 	}
 	return &wam.CodeBlock{Name: label, Instrs: code}, nil
 }
 
-// buildSwitch creates a switch_on_constant/structure dispatch for the
-// clauses whose key kind is k1 or k2. It returns the offset to jump to for
-// that term type (-1 = fail) and the extended code.
-func buildSwitch(m *wam.Machine, code []wam.Instr, clauses []compiler.ClauseCode, entries []int32, k1, k2 compiler.KeyKind) (int32, []wam.Instr) {
-	type group struct {
-		key     wam.Cell
-		entries []int32
-	}
-	var order []wam.Cell
-	byKey := map[wam.Cell]*group{}
-	structure := k1 == compiler.KeyStr
+// dispatch builds the switch_on_term target for the clauses whose key kind
+// is one of kinds: a switch_on_constant (atoms, integers) or
+// switch_on_structure table, or for lists the one entry or chain. It
+// returns the target (-1 = fail), the extended code, and what is left of
+// tbls, the array every switch table of the block is cut from (a clause
+// has one key, so it holds one case per clause).
+func dispatch(m *wam.Machine, code []wam.Instr, tbls []wam.SwitchCase, clauses []compiler.ClauseCode, entries []int32, kinds ...compiler.KeyKind) (int32, []wam.Instr, []wam.SwitchCase) {
+	cases := tbls[:0] // one per clause, then one per key
 	for i, cc := range clauses {
-		if cc.Key.Kind != k1 && cc.Key.Kind != k2 {
+		if !slices.Contains(kinds, cc.Key.Kind) {
 			continue
 		}
-		var key wam.Cell
+		var key wam.Cell // a list's is the zero cell: all in one bucket
 		switch cc.Key.Kind {
 		case compiler.KeyCon:
 			key = wam.MakeCon(m.Dict.Intern(cc.Key.Name, 0))
@@ -145,123 +136,93 @@ func buildSwitch(m *wam.Machine, code []wam.Instr, clauses []compiler.ClauseCode
 		case compiler.KeyStr:
 			key = wam.MakeFun(m.Dict.Intern(cc.Key.Name, cc.Key.Arity), cc.Key.Arity)
 		}
-		g := byKey[key]
-		if g == nil {
-			g = &group{key: key}
-			byKey[key] = g
-			order = append(order, key)
-		}
-		g.entries = append(g.entries, entries[i])
+		cases = append(cases, wam.SwitchCase{Key: key, Off: entries[i]})
 	}
-	if len(order) == 0 {
-		return -1, code
+	rest := cases[len(cases):]
+	if len(cases) == 0 {
+		return -1, code, rest
 	}
+	// Sorted by key for the machine's binary search; stable, so each key's
+	// clauses stay in clause order.
+	slices.SortStableFunc(cases, func(a, b wam.SwitchCase) int { return cmp.Compare(a.Key, b.Key) })
 	swOff := int32(len(code))
-	op := wam.OpSwitchOnConstant
-	if structure {
-		op = wam.OpSwitchOnStructure
+	switch kinds[0] {
+	case compiler.KeyCon:
+		code = append(code, wam.Instr{Op: wam.OpSwitchOnConstant, L: -1})
+	case compiler.KeyStr:
+		code = append(code, wam.Instr{Op: wam.OpSwitchOnStructure, L: -1})
 	}
-	swIdx := len(code)
-	code = append(code, wam.Instr{Op: op, L: -1})
-	tbl := make([]wam.SwitchCase, 0, len(order))
-	for _, key := range order {
-		g := byKey[key]
-		var off int32
-		if len(g.entries) == 1 {
-			off = g.entries[0]
-		} else {
+	tbl := cases[:0]
+	for i := 0; i < len(cases); {
+		j := i + 1
+		for j < len(cases) && cases[j].Key == cases[i].Key {
+			j++
+		}
+		off := cases[i].Off
+		if j-i > 1 {
 			off = int32(len(code))
-			code = appendChain(code, g.entries)
+			for k := i; k < j; k++ {
+				code = append(code, wam.Instr{Op: chainOp(k-i, j-i, wam.OpTry, wam.OpRetry, wam.OpTrust), L: cases[k].Off})
+			}
 		}
-		tbl = append(tbl, wam.SwitchCase{Key: key, Off: off})
+		tbl = append(tbl, wam.SwitchCase{Key: cases[i].Key, Off: off})
+		i = j
 	}
-	sort.Slice(tbl, func(i, j int) bool { return tbl[i].Key < tbl[j].Key })
-	code[swIdx].Tbl = tbl
-	return swOff, code
+	if kinds[0] == compiler.KeyLis {
+		return tbl[0].Off, code, rest
+	}
+	code[swOff].Tbl = slices.Clip(tbl) // the next table starts where this one ends
+	return swOff, code, rest
 }
 
-// buildBucket creates a try/retry/trust sub-chain for clauses of kind k
-// (used for list-keyed clauses). It returns the jump target (-1 = fail).
-func buildBucket(code []wam.Instr, clauses []compiler.ClauseCode, entries []int32, k compiler.KeyKind) (int32, []wam.Instr) {
-	var es []int32
-	for i, cc := range clauses {
-		if cc.Key.Kind == k {
-			es = append(es, entries[i])
-		}
-	}
-	switch len(es) {
+// chainOp is the choice instruction of member i of an n-member chain: the
+// first tries, the last trusts, the others retry.
+func chainOp(i, n int, try, retry, trust wam.Op) wam.Op {
+	switch i {
 	case 0:
-		return -1, code
-	case 1:
-		return es[0], code
-	default:
-		off := int32(len(code))
-		return off, appendChain(code, es)
+		return try
+	case n - 1:
+		return trust
 	}
+	return retry
 }
 
-// appendChain emits try/retry/trust over the given clause entries.
-func appendChain(code []wam.Instr, entries []int32) []wam.Instr {
-	for i, e := range entries {
-		switch {
-		case i == 0:
-			code = append(code, wam.Instr{Op: wam.OpTry, L: e})
-		case i == len(entries)-1:
-			code = append(code, wam.Instr{Op: wam.OpTrust, L: e})
+// resolveInto appends one clause's relocatable code to code and resolves
+// the copy in place against m's dictionary. This is the loader's
+// address-resolution step (associative address -> internal dictionary
+// identifier; clause-relative code offset -> block offset); cc's own code
+// is shared and never written.
+func resolveInto(m *wam.Machine, code []wam.Instr, cc compiler.ClauseCode) ([]wam.Instr, error) {
+	base := len(code)
+	code = append(code, cc.Instrs...)
+	for i := base; i < len(code); i++ {
+		ins := &code[i]
+		switch ins.Op {
+		case wam.OpGetConstant, wam.OpPutConstant, wam.OpUnifyConstant,
+			wam.OpGetStructure, wam.OpPutStructure, wam.OpCall, wam.OpExecute, wam.OpBuiltin:
 		default:
-			code = append(code, wam.Instr{Op: wam.OpRetry, L: e})
-		}
-	}
-	return code
-}
-
-// Resolve rewrites one clause's relocatable code against m's dictionary,
-// returning linked instructions that will sit at offset base of their
-// block. This is the loader's address-resolution step (associative address
-// -> internal dictionary identifier; clause-relative code offset ->
-// block offset).
-func Resolve(m *wam.Machine, cc compiler.ClauseCode, base int32) ([]wam.Instr, error) {
-	out := make([]wam.Instr, len(cc.Instrs))
-	copy(out, cc.Instrs)
-	for i := range out {
-		ins := &out[i]
-		if jumps(ins.Op) {
-			ins.L += base
+			if jumps(ins.Op) {
+				ins.L += int32(base)
+			}
 			continue
 		}
-		switch ins.Op {
+		if int(ins.Fn) >= len(cc.Symbols) {
+			return nil, fmt.Errorf("symbol index %d out of range (have %d)", ins.Fn, len(cc.Symbols))
+		}
+		switch s := cc.Symbols[ins.Fn]; ins.Op {
 		case wam.OpGetConstant, wam.OpPutConstant, wam.OpUnifyConstant:
-			s, err := symbolAt(cc, ins.Fn)
-			if err != nil {
-				return nil, err
-			}
 			ins.Fn = m.Dict.Intern(s.Name, 0)
-		case wam.OpGetStructure, wam.OpPutStructure:
-			s, err := symbolAt(cc, ins.Fn)
-			if err != nil {
-				return nil, err
-			}
-			ins.Fn = m.Dict.Intern(s.Name, s.Arity)
-		case wam.OpCall, wam.OpExecute:
-			s, err := symbolAt(cc, ins.Fn)
-			if err != nil {
-				return nil, err
-			}
-			ins.Fn = m.Dict.Intern(s.Name, s.Arity)
 		case wam.OpBuiltin:
-			s, err := symbolAt(cc, ins.Fn)
-			if err != nil {
-				return nil, err
-			}
 			idx := m.BuiltinIndex(s.Name, s.Arity)
 			if idx < 0 {
 				return nil, fmt.Errorf("unknown builtin %s/%d", s.Name, s.Arity)
 			}
-			ins.N = int32(idx)
-			ins.Fn = 0
+			ins.N, ins.Fn = int32(idx), 0
+		default:
+			ins.Fn = m.Dict.Intern(s.Name, s.Arity)
 		}
 	}
-	return out, nil
+	return code, nil
 }
 
 // jumps reports whether op's L is a code offset: in relocatable code one
@@ -274,12 +235,4 @@ func jumps(op wam.Op) bool {
 		return true
 	}
 	return false
-}
-
-func symbolAt(cc compiler.ClauseCode, idx dict.ID) (compiler.Symbol, error) {
-	i := int(idx)
-	if i < 0 || i >= len(cc.Symbols) {
-		return compiler.Symbol{}, fmt.Errorf("symbol index %d out of range (have %d)", i, len(cc.Symbols))
-	}
-	return cc.Symbols[i], nil
 }

@@ -21,13 +21,20 @@ func (e *ErrBall) Error() string { return "wam: uncaught exception: " + e.Term.S
 // catch(Goal, Catcher, Recovery) pushes a catch-marker choice point whose
 // redo always fails (so ordinary backtracking passes through it
 // transparently) and records Catcher/Recovery as symbolic terms in the
-// marker's out-of-band state. throw(Ball) surfaces as an *ErrBall, which
-// the run loop hands to deliverBall.
-//
-// Deviation from ISO: a marker stays armed until it is backtracked over or
-// cut, so a ball thrown after Goal already succeeded (but before the
-// marker is discarded) is still caught here.
+// marker's out-of-band state. Goal returns through $catch_exit, which binds
+// the marker's exit cell: a marker whose goal has exited is passed over,
+// and backtracking into the goal undoes the binding and so re-arms it.
+// throw(Ball) surfaces as an *ErrBall, which the run loop hands to
+// deliverBall.
 func registerCatchBuiltins(m *Machine) {
+	// The frame catch/3 pushes holds the exit cell in Y0 and catch/3's own
+	// continuation.
+	m.catchExit = m.AddBlock(&CodeBlock{Name: "$catch_exit", Instrs: []Instr{
+		{Op: OpPutValueY, Reg: 0, Arg: 0},
+		{Op: OpGetConstant, Arg: 0, Fn: m.nilID()},
+		{Op: OpDeallocate},
+		{Op: OpProceed},
+	}})
 	m.RegisterBuiltin(Builtin{Name: "throw", Arity: 1, Fn: func(m *Machine, a []Cell) (bool, error) {
 		d := m.Deref(a[0])
 		if d.Tag() == TagRef {
@@ -44,6 +51,7 @@ func registerCatchBuiltins(m *Machine) {
 		pairT, varAddrs := m.DecodeTermVars(MakeStr(addr))
 		pair := pairT.(*term.Compound)
 
+		exit := m.NewVar() // older than the marker, so binding it is trailed
 		m.pushChoicePoint(m.numArgs, codePtr{blk: m.retryBlock, off: 0})
 		m.extras = append(m.extras, extra{
 			b:        m.b,
@@ -52,7 +60,13 @@ func registerCatchBuiltins(m *Machine) {
 			catcher:  pair.Args[0],
 			recovery: pair.Args[1],
 			varAddrs: varAddrs,
+			exit:     exit,
 		})
+		e := m.stackTop()
+		m.ensureStack(e + envHdr + 1)
+		m.stack[e], m.stack[e+1], m.stack[e+2] = MakeSmall(m.e), m.codeCell(m.cp), MakeSmall(1)
+		m.stack[e+envHdr] = MakeRef(exit)
+		m.e, m.cp = e, codePtr{blk: m.catchExit}
 		return m.metaCall(a[0], nil)
 	}})
 }
@@ -63,9 +77,15 @@ func registerCatchBuiltins(m *Machine) {
 // happened but the recovery call could not be established, so the caller
 // should backtrack.
 func (m *Machine) deliverBall(ball *ErrBall) (caught, failed bool) {
+	// Read which goals have exited before the unwind undoes the bindings
+	// that say so.
+	for i := range m.extras {
+		e := &m.extras[i]
+		e.exited = e.catch && m.Deref(MakeRef(e.exit)).Tag() != TagRef
+	}
 	for len(m.extras) > 0 {
 		e := m.extras[len(m.extras)-1]
-		if !e.catch {
+		if !e.catch || e.exited {
 			// Unwind past inner redo state: restore and discard its
 			// choice point.
 			m.b = e.b

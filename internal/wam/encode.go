@@ -70,6 +70,17 @@ func (m *Machine) DecodeTerm(c Cell) term.Term {
 	return d.decode(c)
 }
 
+// DecodeTerms decodes each cell of cs as DecodeTerm does, through one
+// decoder: a variable two of the cells share is one *term.Var in both.
+func (m *Machine) DecodeTerms(cs []Cell) []term.Term {
+	d := &decoder{m: m, vars: map[int]*term.Var{}, visiting: map[int]bool{}}
+	ts := make([]term.Term, len(cs))
+	for i, c := range cs {
+		ts[i] = d.decode(c)
+	}
+	return ts
+}
+
 type decoder struct {
 	m        *Machine
 	vars     map[int]*term.Var

@@ -122,6 +122,10 @@ func (m *Machine) Collect(nargs int) {
 			markAddr(a)
 			scan(m.heap[a])
 		}
+		if e.catch {
+			markAddr(e.exit)
+			scan(m.heap[e.exit])
+		}
 	}
 
 	// Compute forwarding addresses (prefix counts of marked cells).
@@ -198,9 +202,13 @@ func (m *Machine) Collect(nargs int) {
 	for i, a := range m.trail {
 		m.trail[i] = int(fwd[a])
 	}
-	for _, e := range m.extras {
+	for i := range m.extras {
+		e := &m.extras[i]
 		for v, a := range e.varAddrs {
 			e.varAddrs[v] = int(fwd[a])
+		}
+		if e.catch {
+			e.exit = int(fwd[e.exit])
 		}
 	}
 	m.hb = int(fwd[m.hb])

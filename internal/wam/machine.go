@@ -69,11 +69,14 @@ type extra struct {
 	resume codePtr
 	// catch markers carry the catcher/recovery terms of catch/3, with
 	// the heap addresses of their variables for identity-preserving
-	// re-encoding at delivery.
+	// re-encoding at delivery, and the heap address of the cell bound
+	// once the goal has exited (read into exited at delivery).
 	catch    bool
 	catcher  term.Term
 	recovery term.Term
 	varAddrs map[*term.Var]int
+	exit     int
+	exited   bool
 }
 
 // RedoFn produces the next solution of a nondeterministic builtin. It is
@@ -180,6 +183,7 @@ type Machine struct {
 	haltBlock  *CodeBlock
 	retryBlock *CodeBlock
 	failBlock  *CodeBlock
+	catchExit  *CodeBlock
 }
 
 // NewMachine returns a machine using the given dictionary (a fresh one is
