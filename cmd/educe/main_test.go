@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -246,6 +247,39 @@ func TestCheckRepairCLI(t *testing.T) {
 	}
 	if code, _ := run(true); code != 1 {
 		t.Fatalf("lost primary entry: -repair exit %d, want 1", code)
+	}
+}
+
+// TestBatchPrintsUnboundAnswers: an answer variable left unbound prints as
+// a fresh variable in both modes, one name for a variable two answers
+// share, never as the query's own variable (source mode printed X = X).
+func TestBatchPrintsUnboundAnswers(t *testing.T) {
+	for _, mode := range []educe.RuleStorage{educe.RuleStorageCompiled, educe.RuleStorageSource} {
+		kb, err := educe.OpenKB(educe.Options{RuleStorage: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kb.Close()
+		s, err := kb.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = w
+		err = runBatch(s, "catch((X = 1, throw(e)), e, Y = X)")
+		os.Stdout = stdout
+		w.Close()
+		out, _ := io.ReadAll(r)
+		var x, y string
+		if _, serr := fmt.Sscanf(string(out), "X = %s Y = %s", &x, &y); err != nil || serr != nil ||
+			!strings.HasPrefix(x, "_G") || x != y+"," {
+			t.Errorf("mode %d: printed %q (%v), want X = _G<n>, Y = _G<n>", mode, out, err)
+		}
 	}
 }
 

@@ -3,9 +3,12 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/dict"
 	"repro/internal/interp"
+	"repro/internal/loader"
 	"repro/internal/obs"
 	"repro/internal/term"
 	"repro/internal/wam"
@@ -167,129 +170,138 @@ func (s *Session) biAssert(front bool) wam.BuiltinFn {
 	}
 }
 
-// ensureDyn registers pi as a dynamic predicate (initially empty); in
-// source mode the interpreter gets it too.
-func (s *Session) ensureDyn(pi term.Indicator) *dynPred {
-	if dp, ok := s.dyn[pi]; ok {
-		return dp
+// compileClause compiles clause t, returning its predicate.
+func (s *Session) compileClause(t term.Term) (term.Indicator, compiledClause, error) {
+	ccs, err := s.comp.CompileClause(t)
+	if err != nil {
+		return term.Indicator{}, compiledClause{}, err
 	}
-	dp := &dynPred{}
-	s.dyn[pi] = dp
-	s.relinkDyn(pi, dp)
-	if s.opts.RuleStorage == RuleStorageSource {
-		s.in.Dynamic(pi)
-	}
-	return dp
+	head, body := interp.SplitClause(t)
+	return ccs[0].Pred, compiledClause{head, body, ccs[0]}, nil
 }
 
-// AssertTerm adds a clause to a dynamic in-memory predicate, compiling it
-// immediately (the incremental compiler at work); in source mode the
-// interpreter gets it too.
-func (s *Session) AssertTerm(t term.Term, front bool) error {
-	head, _ := splitClauseTerm(t)
-	pi := head.Indicator()
-	if pi.Name == "" {
-		return fmt.Errorf("core: cannot assert %s", t)
+// unlink uninstalls fn's code after a change to its own clauses, so the
+// next call traps and links them. A running call finishes on the old
+// code (the logical update view): it is retired, or, if it is a stored
+// procedure's resident code, left to the resident table.
+func (s *Session) unlink(fn dict.ID) {
+	if p := s.m.Proc(fn); p != nil && p.Transient {
+		s.m.UndefineProc(p)
+	} else {
+		s.m.RemoveProc(fn)
 	}
-	ccs, err := s.comp.CompileClause(t)
+}
+
+// link links clauses cs as fn's code and installs it: the session's own
+// code at its first call, the bootstrap library at session start.
+func (s *Session) link(fn dict.ID, cs []compiledClause) (*wam.Proc, error) {
+	t0 := time.Now()
+	defer func() { s.q.Phases.Add(obs.PhaseLink, time.Since(t0)) }()
+	return loader.LinkPredicate(s.m, s.m.Dict.Name(fn), s.m.Dict.Arity(fn), codes(cs), loader.Options{Index: !s.opts.DisableIndexing})
+}
+
+// codes returns the code units of clauses cs.
+func codes(cs []compiledClause) []compiler.ClauseCode {
+	out := make([]compiler.ClauseCode, len(cs))
+	for i, c := range cs {
+		out[i] = c.code
+	}
+	return out
+}
+
+// AssertTerm adds a clause to the session's own code, compiling it now
+// (the incremental compiler at work); its predicate is linked at its next
+// call. In source mode the interpreter gets the clause too.
+func (s *Session) AssertTerm(t term.Term, front bool) error {
+	pi, c, err := s.compileClause(t)
 	if err != nil {
 		return err
 	}
-	dp := s.ensureDyn(pi)
+	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
 	if front {
-		dp.terms = append([]term.Term{t}, dp.terms...)
-		dp.clauses = append([]compiler.ClauseCode{ccs[0]}, dp.clauses...)
+		s.own[fn] = append([]compiledClause{c}, s.own[fn]...)
 	} else {
-		dp.terms = append(dp.terms, t)
-		dp.clauses = append(dp.clauses, ccs[0])
+		s.own[fn] = append(s.own[fn], c)
 	}
-	if err := s.relinkDyn(pi, dp); err != nil || s.opts.RuleStorage != RuleStorageSource {
-		return err
-	}
-	if front {
+	s.unlink(fn)
+	switch {
+	case s.opts.RuleStorage != RuleStorageSource:
+		return nil
+	case front:
 		return s.in.AssertA(t)
 	}
 	return s.in.Assert(t)
 }
 
-// relinkDyn rebuilds a dynamic predicate's code from its clause list.
-func (s *Session) relinkDyn(pi term.Indicator, dp *dynPred) error {
-	return s.link(pi, dp.clauses)
+// ownCells reads clause term c on the heap, Head :- Body or a fact Head,
+// as its head's functor and its head and body cells; ok is false when the
+// head is not callable.
+func ownCells(m *wam.Machine, c wam.Cell) (fn dict.ID, head, body wam.Cell, ok bool) {
+	head, body = m.Deref(c), wam.MakeCon(m.Dict.Intern("true", 0))
+	if head.Tag() == wam.TagStr && m.Heap(head.Val()) == wam.MakeFun(m.Dict.Intern(":-", 2), 2) {
+		head, body = m.Deref(m.Heap(head.Val()+1)), m.Heap(head.Val()+2)
+	}
+	switch head.Tag() {
+	case wam.TagCon:
+		return head.AtomID(), head, body, true
+	case wam.TagStr:
+		return m.Heap(head.Val()).FunID(), head, body, true
+	case wam.TagLis:
+		return m.Dict.Intern(term.ConsName, 2), head, body, true
+	}
+	return 0, head, body, false
 }
 
+// matchClause unifies head and body with clause c renamed, keeping the
+// bindings only if both unify.
+func matchClause(m *wam.Machine, c compiledClause, head, body wam.Cell) bool {
+	vars := map[*term.Var]wam.Cell{}
+	hc, bc := m.EncodeTerm(c.head, vars), m.EncodeTerm(c.body, vars)
+	return m.TryUnify(func() bool { return m.Unify(head, hc) && m.Unify(body, bc) })
+}
+
+// biRetract removes the first clause of the session's own code that
+// unifies with its argument, keeping the bindings, and leaves no choice
+// point.
 func (s *Session) biRetract(m *wam.Machine, args []wam.Cell) (bool, error) {
-	t := m.DecodeTerm(args[0])
-	head, body := splitClauseTerm(t)
-	pi := head.Indicator()
-	dp, ok := s.dyn[pi]
+	fn, head, body, ok := ownCells(m, args[0])
 	if !ok {
 		return false, nil
 	}
-	env := interp.NewEnv()
-	for i, ct := range dp.terms {
-		mark := env.Mark()
-		r := term.Rename(ct)
-		rh, rb := splitClauseTerm(r)
-		if env.Unify(head, rh) && env.Unify(body, rb) {
-			dp.terms = append(append([]term.Term{}, dp.terms[:i]...), dp.terms[i+1:]...)
-			dp.clauses = append(append([]compiler.ClauseCode{}, dp.clauses[:i]...), dp.clauses[i+1:]...)
-			if err := s.relinkDyn(pi, dp); err != nil {
-				return false, err
-			}
-			// Transfer bindings to the WAM by unifying the caller's
-			// term with the matched (renamed) clause.
-			matched := term.Comp(":-", rh, rb)
-			var matchCell wam.Cell
-			if _, isRule := t.(*term.Compound); isRule && t.Indicator() == (term.Indicator{Name: ":-", Arity: 2}) {
-				matchCell = m.EncodeTerm(matched, map[*term.Var]wam.Cell{})
-			} else {
-				matchCell = m.EncodeTerm(rh, map[*term.Var]wam.Cell{})
-			}
-			return m.Unify(args[0], matchCell), nil
+	cs := s.own[fn]
+	for i, c := range cs {
+		if matchClause(m, c, head, body) {
+			s.own[fn] = append(cs[:i:i], cs[i+1:]...)
+			s.unlink(fn)
+			return true, nil
 		}
-		env.Undo(mark)
 	}
 	return false, nil
 }
 
 func (s *Session) biAbolish(m *wam.Machine, args []wam.Cell) (bool, error) {
-	t := m.DecodeTerm(args[0])
-	pi, err := parseIndicator(t)
+	pi, err := interp.ParseIndicator(m.DecodeTerm(args[0]))
 	if err != nil {
 		return false, err
 	}
-	delete(s.dyn, pi)
-	s.m.RemoveProc(s.m.Dict.Intern(pi.Name, pi.Arity))
+	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
+	delete(s.own, fn)
+	s.unlink(fn)
 	return true, nil
 }
 
-// biClause enumerates clauses of a dynamic predicate: clause(Head, Body).
+// biClause enumerates the clauses of a predicate of the session's own
+// code as they were at the call: clause(Head, Body).
 func (s *Session) biClause(m *wam.Machine, args []wam.Cell) (bool, error) {
-	headT := m.DecodeTerm(args[0])
-	pi := headT.Indicator()
-	if pi.Name == "" {
+	fn, _, _, ok := ownCells(m, args[0])
+	if !ok {
 		return false, fmt.Errorf("core: clause/2: head must be callable")
 	}
-	dp, ok := s.dyn[pi]
-	if !ok {
-		return false, nil
-	}
-	// Snapshot the clause list; enumeration is over this snapshot.
-	terms := append([]term.Term{}, dp.terms...)
-	i := 0
+	cs := s.own[fn]
 	redo := func(m *wam.Machine) (bool, error) {
-		for i < len(terms) {
-			ct := terms[i]
-			i++
-			r := term.Rename(ct)
-			rh, rb := splitClauseTerm(r)
-			env := map[*term.Var]wam.Cell{}
-			hc := m.EncodeTerm(rh, env)
-			bc := m.EncodeTerm(rb, env)
-			ok := m.TryUnify(func() bool {
-				return m.Unify(m.Reg(0), hc) && m.Unify(m.Reg(1), bc)
-			})
-			if ok {
+		for len(cs) > 0 {
+			c := cs[0]
+			if cs = cs[1:]; matchClause(m, c, m.Reg(0), m.Reg(1)) {
 				return true, nil
 			}
 		}

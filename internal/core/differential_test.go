@@ -151,6 +151,19 @@ var diffCorpus = []diffCase{
 		v(1). v(2).
 		safe(X, R) :- catch((v(X), X > 1, throw(big(X))), big(B), R = caught(B)).
 	`, "safe(X, R)"},
+	// Consulted clauses of a dynamic predicate are the ones assert, retract
+	// and clause/2 read, with the declaration before or after them.
+	{"dynamic-consulted-assert", ":- dynamic(c/1). c(1). c(2).", "assert(c(3)), findall(X, c(X), L)"},
+	{"dynamic-consulted-retract", ":- dynamic(c/1). c(1). c(2).", "retract(c(1)), findall(X, c(X), L)"},
+	{"dynamic-consulted-retract-binds", "c(1). c(2). :- dynamic(c/1).", "retract(c(X)), findall(Y, c(Y), L)"},
+	{"dynamic-consulted-clause", ":- dynamic(c/1). c(1). c(2).", "clause(c(X), true)"},
+	{"clause-rule", "r(X) :- c(X), X > 1. c(1).", "clause(r(Y), B)"},
+	{"dynamic-after-clauses", "c(1). c(2). :- dynamic(c/1).", "findall(X, c(X), L)"},
+	// The library both evaluators load.
+	{"nth1-enumerates", "", "nth1(N, [a,b,c], X)"},
+	{"maplist", "double(X, Y) :- Y is X * 2.", "maplist(integer, [1,2,3]), maplist(double, [1,2,3], L), nth0(1, L, Z)"},
+	{"include-exclude", "", "include(integer, [a,1,b,2], I), exclude(integer, [a,1,b,2], E)"},
+	{"bagof-setof", "", "bagof(X, member(X, [c,a,c]), B), setof(Y, Z^member(Y-Z, [b-1,a-2,b-3]), S)"},
 }
 
 // wamSolutions runs the query on the compiled engine.
@@ -173,17 +186,12 @@ func wamSolutions(t *testing.T, c diffCase) []string {
 func interpSolutions(t *testing.T, c diffCase) []string {
 	t.Helper()
 	in := interp.New()
-	if c.program != "" {
-		p := parser.New(c.program)
-		terms, err := p.ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tm := range terms {
-			if err := in.Assert(tm); err != nil {
-				t.Fatal(err)
-			}
-		}
+	terms, err := parser.New(c.program).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Consult(terms); err != nil {
+		t.Fatal(err)
 	}
 	goal, vars, err := parser.ParseTerm(c.query)
 	if err != nil {
@@ -328,6 +336,13 @@ func TestDifferentialSourceConsult(t *testing.T) {
 	}{
 		{"assert-term", func(s *Session) error { return s.AssertTerm(term.Comp("q", term.Int(1)), false) }, "q(X)", []string{"X=1;"}},
 		{"dynamic", func(s *Session) error { return s.Consult(":- dynamic(cnt/1).") }, "cnt(X)", []string{}},
+		// A declaration consulted after the clauses keeps them.
+		{"dynamic-after-consult", func(s *Session) error {
+			if err := s.Consult("c(1). c(2)."); err != nil {
+				return err
+			}
+			return s.Consult(":- dynamic(c/1).")
+		}, "findall(X, c(X), L)", []string{"L=[1,2];X=_V0;"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, rs := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {

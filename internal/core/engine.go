@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -114,7 +115,7 @@ type Options struct {
 
 // Session is one Educe* session over a shared KnowledgeBase: the WAM
 // machine with its internal dictionary, the incremental compiler, the
-// baseline interpreter, dynamic predicates and the per-query transient
+// baseline interpreter, the session's own code and the per-query transient
 // state. A Session must be used from a single goroutine at a time;
 // concurrency is obtained by running many sessions over one
 // KnowledgeBase.
@@ -128,8 +129,11 @@ type Session struct {
 
 	in *interp.Interp // baseline interpreter (source mode)
 
-	// dynamic (assert/retract) predicates: source terms + compiled code.
-	dyn map[term.Indicator]*dynPred
+	// own is the session's own code by functor: the clauses of every
+	// predicate it consulted, asserted or declared dynamic, each compiled
+	// once when it was added. A change uninstalls the predicate's code and
+	// its next call traps and links the list.
+	own map[dict.ID][]compiledClause
 
 	// typed holds declared type signatures (the typed sub-language).
 	typed map[term.Indicator][]ArgType
@@ -201,9 +205,12 @@ type Session struct {
 	qSolCount int
 }
 
-type dynPred struct {
-	terms   []term.Term
-	clauses []compiler.ClauseCode // one code unit per source clause
+// compiledClause is one clause with its code unit. A list of the session's
+// own clauses is only ever replaced or appended to, so a slice of it taken
+// earlier still reads the clauses it held.
+type compiledClause struct {
+	head, body term.Term
+	code       compiler.ClauseCode
 }
 
 // dictSegment is the size of a session's internal dictionary segments.
@@ -220,7 +227,7 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 		comp:     compiler.New(compiler.Options{Transparent: transparentFor(m)}),
 		ops:      parser.NewOpTable(),
 		in:       interp.New(),
-		dyn:      map[term.Indicator]*dynPred{},
+		own:      map[dict.ID][]compiledClause{},
 		resident: map[dict.ID]*residentProc{},
 		parsed:   map[storedClause]term.Term{},
 		queries:  map[string]*linkedQuery{},
@@ -467,8 +474,8 @@ func (s *Session) wlock() func() {
 
 // --- consulting -------------------------------------------------------------
 
-// Consult compiles src into main memory (rules resident, like a
-// conventional Prolog compiler). The code is private to this session.
+// Consult compiles src into the session's own code, private to it (rules
+// in main memory, like a conventional Prolog compiler).
 func (s *Session) Consult(src string) error {
 	terms, err := s.parseProgram(src)
 	if err != nil {
@@ -534,11 +541,17 @@ func (s *Session) directive(d term.Term) error {
 		s.dropQueries()
 		return s.ops.Define(int(p), typ, string(name))
 	case c.Functor == "dynamic" && len(c.Args) == 1:
-		pi, err := parseIndicator(c.Args[0])
+		pi, err := interp.ParseIndicator(c.Args[0])
 		if err != nil {
 			return err
 		}
-		s.ensureDyn(pi)
+		if fn := s.m.Dict.Intern(pi.Name, pi.Arity); s.own[fn] == nil { // declared, with no clauses yet
+			s.own[fn] = nil
+			s.unlink(fn)
+		}
+		if s.opts.RuleStorage == RuleStorageSource {
+			s.in.Dynamic(pi)
+		}
 		return nil
 	case c.Functor == "typed" && len(c.Args) == 1:
 		return s.typedDirective(c.Args[0])
@@ -546,51 +559,24 @@ func (s *Session) directive(d term.Term) error {
 	return fmt.Errorf("core: unsupported directive %s", d)
 }
 
-func parseIndicator(t term.Term) (term.Indicator, error) {
-	c, ok := t.(*term.Compound)
-	if !ok || c.Functor != "/" || len(c.Args) != 2 {
-		return term.Indicator{}, fmt.Errorf("core: expected Name/Arity, got %s", t)
-	}
-	name, ok1 := c.Args[0].(term.Atom)
-	arity, ok2 := c.Args[1].(term.Int)
-	if !ok1 || !ok2 {
-		return term.Indicator{}, fmt.Errorf("core: expected Name/Arity, got %s", t)
-	}
-	return term.Indicator{Name: string(name), Arity: int(arity)}, nil
-}
-
 // compileProgram compiles clauses grouped by predicate, preserving
 // first-definition order.
-func (s *Session) compileProgram(terms []term.Term) (map[term.Indicator][]compiler.ClauseCode, []term.Indicator, error) {
+func (s *Session) compileProgram(terms []term.Term) (map[term.Indicator][]compiledClause, []term.Indicator, error) {
 	t0 := time.Now()
 	defer func() { s.q.Phases.Add(obs.PhaseCompile, time.Since(t0)) }()
-	units := map[term.Indicator][]compiler.ClauseCode{}
+	units := map[term.Indicator][]compiledClause{}
 	var order []term.Indicator
 	for _, tm := range terms {
-		ccs, err := s.comp.CompileClause(tm)
+		pi, c, err := s.compileClause(tm)
 		if err != nil {
 			return nil, nil, err
 		}
-		pi := ccs[0].Pred
 		if _, ok := units[pi]; !ok {
 			order = append(order, pi)
 		}
-		units[pi] = append(units[pi], ccs[0])
+		units[pi] = append(units[pi], c)
 	}
 	return units, order, nil
-}
-
-// link installs a predicate's clauses on the machine. Code loaded from the
-// EDB that it replaces is only uninstalled: its block is the resident
-// table's, which may serve it again and retires it at eviction.
-func (s *Session) link(pi term.Indicator, ccs []compiler.ClauseCode) error {
-	t0 := time.Now()
-	defer func() { s.q.Phases.Add(obs.PhaseLink, time.Since(t0)) }()
-	if p := s.m.Proc(s.m.Dict.Intern(pi.Name, pi.Arity)); p != nil && p.Transient {
-		s.m.UndefineProc(p)
-	}
-	_, err := loader.LinkPredicate(s.m, pi.Name, pi.Arity, ccs, loader.Options{Index: !s.opts.DisableIndexing})
-	return err
 }
 
 // storeClause stores one clause in the EDB as one record: in its stored
@@ -599,7 +585,7 @@ func (s *Session) link(pi term.Indicator, ccs []compiler.ClauseCode) error {
 // rule in a facts-only procedure makes every later call load it whole.
 // Caller holds the KB write lock.
 func (s *Session) storeClause(tm term.Term) error {
-	head, body := splitClauseTerm(tm)
+	head, body := interp.SplitClause(tm)
 	if err := s.checkTyped(head); err != nil {
 		return err
 	}
@@ -649,13 +635,6 @@ func (s *Session) storeClause(tm term.Term) error {
 	return nil
 }
 
-func splitClauseTerm(t term.Term) (head, body term.Term) {
-	if c, ok := t.(*term.Compound); ok && c.Functor == ":-" && len(c.Args) == 2 {
-		return c.Args[0], c.Args[1]
-	}
-	return t, term.TrueAtom
-}
-
 func headArgsOf(head term.Term) []term.Term {
 	if c, ok := head.(*term.Compound); ok {
 		return c.Args
@@ -690,8 +669,9 @@ func argKeyOf(a term.Term) edb.ArgKey {
 	}
 }
 
-// ConsultTerms compiles pre-parsed clause terms into main memory (bulk
-// loading path for workload generators); in source mode the interpreter
+// ConsultTerms compiles pre-parsed clause terms into the session's own
+// code (bulk loading path for workload generators), in place of the old
+// clauses of every predicate they define; in source mode the interpreter
 // gets them too.
 func (s *Session) ConsultTerms(terms []term.Term) error {
 	units, order, err := s.compileProgram(terms)
@@ -699,9 +679,9 @@ func (s *Session) ConsultTerms(terms []term.Term) error {
 		return err
 	}
 	for _, pi := range order {
-		if err := s.link(pi, units[pi]); err != nil {
-			return err
-		}
+		fn := s.m.Dict.Intern(pi.Name, pi.Arity)
+		s.own[fn] = units[pi]
+		s.unlink(fn)
 	}
 	if s.opts.RuleStorage == RuleStorageSource {
 		return s.in.Consult(terms)
@@ -749,7 +729,7 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 	unlock := s.wlock()
 	defer unlock()
 	db := s.kb.db
-	head, body := splitClauseTerm(t)
+	head, body := interp.SplitClause(t)
 	pi := head.Indicator()
 	p := db.Proc(pi.Name, pi.Arity)
 	if p == nil {
@@ -763,50 +743,34 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	switch p.Form {
-	case edb.FormCode:
+	var want []byte
+	if p.Form == edb.FormCode {
 		ccs, err := compiler.New(compiler.Options{Transparent: transparentFor(s.m)}).CompileClause(t)
 		if err != nil {
 			return false, err
 		}
-		want := loader.EncodeClause(ccs[0])
-		for _, sc := range scs {
-			if string(sc.Blob) == string(want) {
-				if err := db.DeleteClause(p, sc); err != nil {
-					return false, err
-				}
-				s.invalidateStored(pi, sc.Keys())
-				return true, nil
-			}
-		}
-		return false, nil
-	default: // FormSource
-		env := interp.NewEnv()
-		for _, sc := range scs {
-			stored, _, perr := parser.ParseTermWithOps(trimDot(string(sc.Blob)), s.ops)
-			if perr != nil {
-				return false, perr
-			}
-			sh, sb := splitClauseTerm(term.Rename(stored))
-			mark := env.Mark()
-			if env.Unify(head, sh) && env.Unify(body, sb) {
-				if err := db.DeleteClause(p, sc); err != nil {
-					return false, err
-				}
-				s.invalidateStored(pi, sc.Keys())
-				return true, nil
-			}
-			env.Undo(mark)
-		}
-		return false, nil
+		want = loader.EncodeClause(ccs[0])
 	}
-}
-
-func trimDot(s string) string {
-	for len(s) > 0 && (s[len(s)-1] == '.' || s[len(s)-1] == ' ' || s[len(s)-1] == '\n') {
-		s = s[:len(s)-1]
+	for _, sc := range scs {
+		match := string(sc.Blob) == string(want)
+		if p.Form != edb.FormCode {
+			stored, _, err := parser.ParseTermWithOps(strings.TrimSuffix(string(sc.Blob), "."), s.ops)
+			if err != nil {
+				return false, err
+			}
+			sh, sb := interp.SplitClause(term.Rename(stored))
+			env := interp.NewEnv()
+			match = env.Unify(head, sh) && env.Unify(body, sb)
+		}
+		if match {
+			if err := db.DeleteClause(p, sc); err != nil {
+				return false, err
+			}
+			s.invalidateStored(pi, sc.Keys())
+			return true, nil
+		}
 	}
-	return s
+	return false, nil
 }
 
 // DropExternal removes an entire externally stored procedure, under the

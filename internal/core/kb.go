@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/compiler"
 	"repro/internal/edb"
 	"repro/internal/obs"
 	"repro/internal/rel"
@@ -60,7 +59,7 @@ type KnowledgeBase struct {
 
 	// Compiled bootstrap library, shared so sessions only pay linking.
 	bootMu    sync.Mutex
-	bootUnits map[term.Indicator][]compiler.ClauseCode
+	bootUnits map[term.Indicator][]compiledClause
 	bootOrder []term.Indicator
 
 	// Observability: the KB-wide metrics registry (owned by the store,
@@ -314,7 +313,7 @@ func (kb *KnowledgeBase) InsertTuples(name string, ts []rel.Tuple) error {
 // bootstrapUnits compiles the bootstrap library once per KB and hands the
 // relocatable units to every session for linking (sessions pay only the
 // ~10% loader share of §3.1's compile-cost split).
-func (kb *KnowledgeBase) bootstrapUnits(s *Session) (map[term.Indicator][]compiler.ClauseCode, []term.Indicator, error) {
+func (kb *KnowledgeBase) bootstrapUnits(s *Session) (map[term.Indicator][]compiledClause, []term.Indicator, error) {
 	kb.bootMu.Lock()
 	defer kb.bootMu.Unlock()
 	if kb.bootUnits == nil {

@@ -399,7 +399,8 @@ type interpGen struct {
 }
 
 // newInterpGen starts a worker enumerating goal's solutions, each the
-// values of vars in names order, parked until the first next.
+// values of vars in names order with fresh variables for the unbound
+// ones, parked until the first next.
 func newInterpGen(in *interp.Interp, goal term.Term, vars map[string]*term.Var, names []string) *interpGen {
 	g := &interpGen{sols: make(chan []term.Term), resume: make(chan bool)}
 	go func() {
@@ -412,7 +413,7 @@ func newInterpGen(in *interp.Interp, goal term.Term, vars map[string]*term.Var, 
 			for i, n := range names {
 				sol[i] = e.ResolveDeep(vars[n])
 			}
-			g.sols <- sol
+			g.sols <- term.Fresh(sol)
 			return <-g.resume
 		})
 	}()

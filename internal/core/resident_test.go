@@ -1086,3 +1086,32 @@ func TestAssertKeepsProcedureForm(t *testing.T) {
 		}
 	}
 }
+
+// TestAssertLinksAtCall: asserts only write the session's own clause list,
+// so 1000 of them spend no link time and leave the predicate uninstalled;
+// its first call links it once, as one block, and answers every clause.
+func TestAssertLinksAtCall(t *testing.T) {
+	const n = 1000
+	e := newSession(t, Options{})
+	fn := e.Machine().Dict.Intern("d", 1)
+	noLink(t, e, "the asserts", func() {
+		for i := 0; i < n; i++ {
+			if err := e.AssertTerm(term.Comp("d", term.Int(i)), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if p := e.Machine().Proc(fn); p != nil {
+		t.Fatalf("d/1 installed after the asserts: %s", p.Block.Name)
+	}
+	blocks := e.Machine().Stats().Blocks
+	if c, err := e.QueryCount("d(X)"); err != nil || c != n {
+		t.Fatalf("d(X): %d answers, %v; want %d", c, err, n)
+	}
+	if got := e.Machine().Stats().Blocks; got != blocks+1 {
+		t.Fatalf("block table %d -> %d at the first call, want one block more", blocks, got)
+	}
+	if e.Machine().Proc(fn) == nil {
+		t.Fatal("d/1 not installed by its first call")
+	}
+}

@@ -36,6 +36,9 @@ import (
 // against this session's machine is per-session. The KB read lock is held
 // across the storage access, never across linking or execution.
 func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
+	if cs, ok := s.own[fn]; ok {
+		return s.link(fn, cs)
+	}
 	if rp := s.resident[fn]; rp != nil && rp.keyed > 0 {
 		if proc := s.residentHit(rp, callKeyOf(m, rp.keyed)); proc != nil {
 			return proc, nil
@@ -124,7 +127,7 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 		if err != nil {
 			return nil, err
 		}
-		clauses = units[pi]
+		clauses = codes(units[pi])
 	}
 	t1 := time.Now()
 	blk, err := loader.BuildBlock(m, name, arity, clauses, loader.Options{

@@ -14,17 +14,7 @@ func pi(name string, arity int) term.Indicator { return term.Indicator{Name: nam
 func (in *Interp) registerBuiltins() {
 	reg := func(name string, arity int, fn builtinFn) { in.builtins[pi(name, arity)] = fn }
 
-	reg("=", 2, func(in *Interp, a []term.Term, env *Env, k cont) result {
-		mark := env.Mark()
-		if env.Unify(a[0], a[1]) {
-			r := k()
-			if r.stop || r.cut != 0 || r.err != nil {
-				return r
-			}
-		}
-		env.Undo(mark)
-		return proceed
-	})
+	reg("=", 2, func(in *Interp, a []term.Term, env *Env, k cont) result { return unifyThen(env, a[0], a[1], k) })
 	reg("\\=", 2, func(in *Interp, a []term.Term, env *Env, k cont) result {
 		mark := env.Mark()
 		ok := env.Unify(a[0], a[1])
@@ -43,8 +33,7 @@ func (in *Interp) registerBuiltins() {
 				return result{err: err}
 			}
 			if ok {
-				r := k()
-				if r.stop || r.cut != 0 || r.err != nil {
+				if r := k(); r.done() {
 					return r
 				}
 			}
@@ -291,14 +280,9 @@ func (in *Interp) registerBuiltins() {
 			return proceed
 		}
 		for v := lo; v <= hi; v++ {
-			mark := env.Mark()
-			if env.Unify(a[2], v) {
-				r := k()
-				if r.stop || r.cut != 0 || r.err != nil {
-					return r
-				}
+			if r := unifyThen(env, a[2], v, k); r.done() {
+				return r
 			}
-			env.Undo(mark)
 		}
 		return proceed
 	})
@@ -314,24 +298,31 @@ func (in *Interp) registerBuiltins() {
 			return r
 		}
 		env.Undo(mark)
-		if env.Unify(a[2], term.List(items...)) {
-			rr := k()
-			if rr.stop || rr.cut != 0 || rr.err != nil {
-				return rr
-			}
-		}
-		env.Undo(mark)
-		return proceed
+		return unifyThen(env, a[2], term.List(items...), k)
 	})
 
-	reg("assert", 1, det(biIAssert))
-	reg("assertz", 1, det(biIAssert))
-	reg("asserta", 1, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
-		return true, in.AssertA(env.ResolveDeep(a[0]))
-	}))
+	for name, front := range map[string]bool{"assert": false, "assertz": false, "asserta": true} {
+		reg(name, 1, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
+			return true, in.assert(env.ResolveDeep(a[0]), front)
+		}))
+	}
 	reg("retract", 1, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
-		return in.Retract(env.ResolveDeep(a[0])), nil
+		return in.retract(a[0], env), nil
 	}))
+	// clause(Head, Body) enumerates the clauses of Head's predicate.
+	reg("clause", 2, func(in *Interp, a []term.Term, env *Env, k cont) result {
+		pi := env.Resolve(a[0]).Indicator()
+		if pi.Name == "" {
+			return result{err: fmt.Errorf("interp: clause/2: head must be callable")}
+		}
+		for _, c := range in.clauses[pi] {
+			rh, rb := c.renamed()
+			if r := unifyThen(env, term.Comp(":-", a[0], a[1]), term.Comp(":-", rh, rb), k); r.done() {
+				return r
+			}
+		}
+		return proceed
+	})
 
 	reg("write", 1, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
 		return true, nil // output suppressed in benchmark interpreter
@@ -340,40 +331,9 @@ func (in *Interp) registerBuiltins() {
 		return true, nil
 	}))
 
-	// Small list library, asserted as ordinary clauses so they exercise
-	// the interpreter itself (as the Educe host Prolog would).
-	p := parser.New(`
-		append([], L, L).
-		append([H|T], L, [H|R]) :- append(T, L, R).
-		member(X, [X|_]).
-		member(X, [_|T]) :- member(X, T).
-		reverse(L, R) :- rev_(L, [], R).
-		rev_([], A, A).
-		rev_([H|T], A, R) :- rev_(T, [H|A], R).
-		nth1(1, [X|_], X) :- !.
-		nth1(N, [_|T], X) :- N > 1, N1 is N - 1, nth1(N1, T, X).
-		forall(C, A) :- \+ (C, \+ A).
-		memberchk(X, L) :- member(X, L), !.
-		numlist(L, H, []) :- L > H, !.
-		numlist(L, H, [L|T]) :- L1 is L + 1, numlist(L1, H, T).
-		select(X, [X|T], T).
-		select(X, [H|T], [H|R]) :- select(X, T, R).
-		delete([], _, []).
-		delete([X|T], X, R) :- !, delete(T, X, R).
-		delete([H|T], X, [H|R]) :- delete(T, X, R).
-		last([X], X) :- !.
-		last([_|T], X) :- last(T, X).
-		sum_list([], 0).
-		sum_list([H|T], S) :- sum_list(T, S1), S is S1 + H.
-		max_list([X], X) :- !.
-		max_list([H|T], M) :- max_list(T, M1), M is max(H, M1).
-		min_list([X], X) :- !.
-		min_list([H|T], M) :- min_list(T, M1), M is min(H, M1).
-		once(G) :- call(G), !.
-		ignore(G) :- call(G), !.
-		ignore(_).
-	`)
-	terms, err := p.ReadAll()
+	// The library, asserted as ordinary clauses so it exercises the
+	// interpreter itself (as the Educe host Prolog would).
+	terms, err := parser.New(Library).ReadAll()
 	if err != nil {
 		panic("interp: library parse error: " + err.Error())
 	}
@@ -385,8 +345,16 @@ func (in *Interp) registerBuiltins() {
 	in.asserts = 0
 }
 
-func biIAssert(in *Interp, a []term.Term, env *Env) (bool, error) {
-	return true, in.Assert(env.ResolveDeep(a[0]))
+// unifyThen calls k once a and b unify, undoing their bindings after.
+func unifyThen(env *Env, a, b term.Term, k cont) result {
+	mark := env.Mark()
+	if env.Unify(a, b) {
+		if r := k(); r.done() {
+			return r
+		}
+	}
+	env.Undo(mark)
+	return proceed
 }
 
 func biIFunctor(in *Interp, a []term.Term, env *Env) (bool, error) {

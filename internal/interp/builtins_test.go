@@ -140,6 +140,45 @@ func TestInterpAssertFamilies(t *testing.T) {
 	expectNo(t, in, "retract(zz(9))")
 }
 
+// TestInterpDirectivesAndClauses: Assert refuses a directive, Consult runs
+// dynamic/1 (before or after the clauses it declares) and refuses any other
+// directive, clause/2 enumerates a predicate's clauses and retract/1 keeps
+// the bindings of the clause it removes.
+func TestInterpDirectivesAndClauses(t *testing.T) {
+	consult := func(src string) (*Interp, error) {
+		terms, err := parser.New(src).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := New()
+		return in, in.Consult(terms)
+	}
+	if err := New().Assert(mustParseT(t, ":- dynamic(c/0)")); err == nil {
+		t.Fatal("Assert stored a directive")
+	}
+	if _, err := consult(":- initialization(main)."); err == nil {
+		t.Fatal("Consult ran a directive other than dynamic/1")
+	}
+	for _, src := range []string{":- dynamic(c/1). c(1). c(2). :- dynamic(e/0).", "c(1). c(2). :- dynamic(c/1). :- dynamic(e/0)."} {
+		in, err := consult(src + " r(X) :- c(X), X > 1.")
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := solutions(t, in, "c(X)", "X"); !reflect.DeepEqual(got, []string{"1", "2"}) {
+			t.Fatalf("%s: c(X) = %v", src, got)
+		}
+		expectNo(t, in, "e")
+		if got := solutions(t, in, "clause(c(X), true)", "X"); !reflect.DeepEqual(got, []string{"1", "2"}) {
+			t.Fatalf("%s: clause(c(X), true) = %v", src, got)
+		}
+		expectYes(t, in, "clause(r(Y), (c(Z), W > 1)), Y == Z, Z == W")
+		expect1(t, in, "retract(c(X))", "X", "1")
+		if got := solutions(t, in, "c(X)", "X"); !reflect.DeepEqual(got, []string{"2"}) {
+			t.Fatalf("%s: c(X) after retract = %v", src, got)
+		}
+	}
+}
+
 func TestInterpSolveOnce(t *testing.T) {
 	in := load(t, "p(1). p(2).")
 	g := mustParseT(t, "p(X)")

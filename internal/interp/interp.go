@@ -22,9 +22,7 @@ type Clause struct {
 
 // Interp is an interpreter instance holding an asserted program.
 type Interp struct {
-	clauses map[term.Indicator][]*Clause
-	// firstArgIndex caches constant-first-arg clause subsets per
-	// predicate; invalidated on assert/retract.
+	clauses  map[term.Indicator][]*Clause
 	builtins map[term.Indicator]builtinFn
 
 	// OnUndefined, if set, answers a call of a predicate with no clauses,
@@ -82,9 +80,9 @@ func (in *Interp) Assert(t term.Term) error { return in.assert(t, false) }
 func (in *Interp) AssertA(t term.Term) error { return in.assert(t, true) }
 
 func (in *Interp) assert(t term.Term, front bool) error {
-	head, body := splitClause(t)
+	head, body := SplitClause(t)
 	pi := head.Indicator()
-	if pi.Name == "" {
+	if pi.Name == "" || pi == (term.Indicator{Name: ":-", Arity: 1}) {
 		return fmt.Errorf("interp: cannot assert %s", t)
 	}
 	in.asserts++
@@ -98,11 +96,25 @@ func (in *Interp) assert(t term.Term, front bool) error {
 }
 
 // Consult adds the clauses terms, in order, in place of the old clauses of
-// every predicate they define: a predicate consulted again is redefined.
+// every predicate they define: a predicate consulted again is redefined. A
+// directive :- dynamic(Name/Arity) declares its predicate, as Dynamic does;
+// any other directive is refused.
 func (in *Interp) Consult(terms []term.Term) error {
 	fresh := map[term.Indicator]bool{}
 	for _, t := range terms {
-		head, _ := splitClause(t)
+		if d, ok := t.(*term.Compound); ok && d.Functor == ":-" && len(d.Args) == 1 {
+			dyn, ok := d.Args[0].(*term.Compound)
+			if !ok || dyn.Functor != "dynamic" || len(dyn.Args) != 1 {
+				return fmt.Errorf("interp: unsupported directive %s", d.Args[0])
+			}
+			pi, err := ParseIndicator(dyn.Args[0])
+			if err != nil {
+				return err
+			}
+			in.Dynamic(pi)
+			continue
+		}
+		head, _ := SplitClause(t)
 		if pi := head.Indicator(); !fresh[pi] {
 			fresh[pi] = true
 			in.RetractAll(pi)
@@ -114,19 +126,35 @@ func (in *Interp) Consult(terms []term.Term) error {
 	return nil
 }
 
+// ParseIndicator reads a predicate indicator Name/Arity.
+func ParseIndicator(t term.Term) (term.Indicator, error) {
+	if c, ok := t.(*term.Compound); ok && c.Functor == "/" && len(c.Args) == 2 {
+		name, ok1 := c.Args[0].(term.Atom)
+		arity, ok2 := c.Args[1].(term.Int)
+		if ok1 && ok2 {
+			return term.Indicator{Name: string(name), Arity: int(arity)}, nil
+		}
+	}
+	return term.Indicator{}, fmt.Errorf("interp: expected Name/Arity, got %s", t)
+}
+
 // Retract removes the first clause whose head and body unify with t,
 // reporting whether one was removed.
-func (in *Interp) Retract(t term.Term) bool {
-	head, body := splitClause(t)
-	pi := head.Indicator()
+func (in *Interp) Retract(t term.Term) bool { return in.retract(t, NewEnv()) }
+
+// retract is Retract with t's bindings in env, which keeps those of the
+// match.
+func (in *Interp) retract(t term.Term, env *Env) bool {
+	head, body := SplitClause(env.Resolve(t))
+	pi := env.Resolve(head).Indicator()
 	cs := in.clauses[pi]
 	for i, c := range cs {
-		env := NewEnv()
-		r := term.Rename(term.Comp(":-", c.Head, c.Body)).(*term.Compound)
-		if env.Unify(head, r.Args[0]) && env.Unify(body, r.Args[1]) {
-			in.clauses[pi] = append(append([]*Clause{}, cs[:i]...), cs[i+1:]...)
+		mark := env.Mark()
+		if rh, rb := c.renamed(); env.Unify(head, rh) && env.Unify(body, rb) {
+			in.clauses[pi] = append(cs[:i:i], cs[i+1:]...)
 			return true
 		}
+		env.Undo(mark)
 	}
 	return false
 }
@@ -159,7 +187,18 @@ func (in *Interp) Predicates() []term.Indicator {
 	return out
 }
 
-func splitClause(t term.Term) (head, body term.Term) {
+// renamed returns the clause's head and body with fresh variables.
+func (c *Clause) renamed() (head, body term.Term) {
+	if c.Body == term.TrueAtom {
+		return term.Rename(c.Head), term.TrueAtom
+	}
+	rc := term.Rename(term.Comp(":-", c.Head, c.Body)).(*term.Compound)
+	return rc.Args[0], rc.Args[1]
+}
+
+// SplitClause returns the head and body of clause t, Head :- Body or a
+// fact Head (body true).
+func SplitClause(t term.Term) (head, body term.Term) {
 	if c, ok := t.(*term.Compound); ok && c.Functor == ":-" && len(c.Args) == 2 {
 		return c.Args[0], c.Args[1]
 	}
@@ -174,6 +213,9 @@ type result struct {
 }
 
 var proceed = result{}
+
+// done reports whether r ends an enumeration: a stop, a cut or an error.
+func (r result) done() bool { return r.stop || r.cut != 0 || r.err != nil }
 
 // cont is a success continuation.
 type cont func() result
@@ -262,8 +304,7 @@ func (in *Interp) step(goal term.Term, env *Env, cb int, k cont) result {
 				return in.ifThenElse(ite.Args[0], ite.Args[1], g.Args[1], env, cb, k)
 			}
 			mark := env.Mark()
-			r := in.solve(g.Args[0], env, cb, k)
-			if r.stop || r.cut != 0 || r.err != nil {
+			if r := in.solve(g.Args[0], env, cb, k); r.done() {
 				return r
 			}
 			env.Undo(mark)
@@ -338,14 +379,7 @@ func (in *Interp) call(goal term.Term, args []term.Term, env *Env, k cont) resul
 	barrier := in.depth
 	for _, c := range cs {
 		mark := env.Mark()
-		var rh, rb term.Term
-		if c.Body == term.TrueAtom {
-			rh = term.Rename(c.Head)
-			rb = term.TrueAtom
-		} else {
-			rc := term.Rename(term.Comp(":-", c.Head, c.Body)).(*term.Compound)
-			rh, rb = rc.Args[0], rc.Args[1]
-		}
+		rh, rb := c.renamed()
 		if env.Unify(goal, rh) {
 			r := in.solve(rb, env, barrier, k)
 			if r.stop || r.err != nil || r.cut != 0 && r.cut != barrier {

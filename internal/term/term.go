@@ -298,31 +298,43 @@ func IsGround(t Term) bool {
 	return true
 }
 
-// Rename returns a copy of t with every variable replaced by a fresh one.
-// Sharing within t is preserved.
+// Rename returns a copy of t with every variable replaced by a fresh one
+// of the same name. Sharing within t is preserved.
 func Rename(t Term) Term {
+	return renameVars(t, map[*Var]*Var{}, func(v *Var) string { return v.Name })
+}
+
+// Fresh replaces each of ts by a copy whose variables are fresh ones named
+// _G0, _G1, ... in order of first occurrence, and returns ts. A variable
+// two of them share is one fresh variable in both.
+func Fresh(ts []Term) []Term {
 	m := map[*Var]*Var{}
-	var walk func(Term) Term
-	walk = func(t Term) Term {
-		switch x := t.(type) {
-		case *Var:
-			nv, ok := m[x]
-			if !ok {
-				nv = &Var{Name: x.Name}
-				m[x] = nv
-			}
-			return nv
-		case *Compound:
-			args := make([]Term, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = walk(a)
-			}
-			return &Compound{Functor: x.Functor, Args: args}
-		default:
-			return t
-		}
+	for i, t := range ts {
+		ts[i] = renameVars(t, m, func(*Var) string { return "_G" + strconv.Itoa(len(m)) })
 	}
-	return walk(t)
+	return ts
+}
+
+// renameVars copies t, replacing each variable by its fresh one in m, new
+// ones named by name.
+func renameVars(t Term, m map[*Var]*Var, name func(*Var) string) Term {
+	switch x := t.(type) {
+	case *Var:
+		nv, ok := m[x]
+		if !ok {
+			nv = &Var{Name: name(x)}
+			m[x] = nv
+		}
+		return nv
+	case *Compound:
+		args := make([]Term, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = renameVars(a, m, name)
+		}
+		return &Compound{Functor: x.Functor, Args: args}
+	default:
+		return t
+	}
 }
 
 // String renderings (canonical, quoted).
