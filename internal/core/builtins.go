@@ -170,21 +170,25 @@ func (s *Session) biAssert(front bool) wam.BuiltinFn {
 	}
 }
 
-// compileClause compiles clause t, returning its predicate.
-func (s *Session) compileClause(t term.Term) (term.Indicator, compiledClause, error) {
-	ccs, err := s.comp.CompileClause(t)
-	if err != nil {
-		return term.Indicator{}, compiledClause{}, err
+// newClause reads clause t for the session's own code, compiling it when
+// compile is set (the incremental compiler at work).
+func (s *Session) newClause(t term.Term, compile bool) (term.Indicator, interp.Clause, error) {
+	pi, c, err := interp.NewClause(t)
+	if err == nil && compile {
+		var ccs []compiler.ClauseCode
+		if ccs, err = s.comp.CompileClause(t); err == nil {
+			c.Code = &ccs[0]
+		}
 	}
-	head, body := interp.SplitClause(t)
-	return ccs[0].Pred, compiledClause{head, body, ccs[0]}, nil
+	return pi, c, err
 }
 
-// unlink uninstalls fn's code after a change to its own clauses, so the
-// next call traps and links them. A running call finishes on the old
-// code (the logical update view): it is retired, or, if it is a stored
-// procedure's resident code, left to the resident table.
-func (s *Session) unlink(fn dict.ID) {
+// setOwn makes cs fn's clauses in the session's own code and uninstalls
+// fn's code, so the next call traps and links them. A running call
+// finishes on the old code (the logical update view): it is retired, or,
+// if it is a stored procedure's resident code, left to the resident table.
+func (s *Session) setOwn(fn dict.ID, cs []interp.Clause) {
+	s.own[fn] = cs
 	if p := s.m.Proc(fn); p != nil && p.Transient {
 		s.m.UndefineProc(p)
 	} else {
@@ -192,45 +196,68 @@ func (s *Session) unlink(fn dict.ID) {
 	}
 }
 
+// ownStore is the session's own code as the source interpreter's clause
+// store, so the two modes read and edit one list.
+type ownStore struct{ s *Session }
+
+func (o ownStore) Clauses(pi term.Indicator) ([]interp.Clause, bool) {
+	fn, _ := o.s.m.Dict.Lookup(pi.Name, pi.Arity)
+	cs, ok := o.s.own[fn]
+	return cs, ok
+}
+
+func (o ownStore) Set(pi term.Indicator, cs []interp.Clause) {
+	o.s.setOwn(o.s.m.Dict.Intern(pi.Name, pi.Arity), cs)
+}
+
+func (o ownStore) Abolish(pi term.Indicator) {
+	fn := o.s.m.Dict.Intern(pi.Name, pi.Arity)
+	o.s.setOwn(fn, nil)
+	delete(o.s.own, fn)
+}
+
 // link links clauses cs as fn's code and installs it: the session's own
-// code at its first call, the bootstrap library at session start.
-func (s *Session) link(fn dict.ID, cs []compiledClause) (*wam.Proc, error) {
+// code at its first call, the bootstrap library at session start. A clause
+// added in source mode has no code until then.
+func (s *Session) link(fn dict.ID, cs []interp.Clause) (*wam.Proc, error) {
+	code, err := s.codes(cs)
+	if err != nil {
+		return nil, err
+	}
 	t0 := time.Now()
 	defer func() { s.q.Phases.Add(obs.PhaseLink, time.Since(t0)) }()
-	return loader.LinkPredicate(s.m, s.m.Dict.Name(fn), s.m.Dict.Arity(fn), codes(cs), loader.Options{Index: !s.opts.DisableIndexing})
+	return loader.LinkPredicate(s.m, s.m.Dict.Name(fn), s.m.Dict.Arity(fn), code, loader.Options{Index: !s.opts.DisableIndexing})
 }
 
-// codes returns the code units of clauses cs.
-func codes(cs []compiledClause) []compiler.ClauseCode {
+// codes returns the code units of clauses cs, compiling, once, each that
+// was added with none.
+func (s *Session) codes(cs []interp.Clause) ([]compiler.ClauseCode, error) {
+	t0, compiled := time.Now(), false
 	out := make([]compiler.ClauseCode, len(cs))
-	for i, c := range cs {
-		out[i] = c.code
+	for i := range cs {
+		if cs[i].Code == nil {
+			_, c, err := s.newClause(cs[i].Term, true)
+			if err != nil {
+				return nil, err
+			}
+			cs[i].Code, compiled = c.Code, true
+		}
+		out[i] = *cs[i].Code
 	}
-	return out
+	if compiled {
+		s.q.Phases.Add(obs.PhaseCompile, time.Since(t0))
+	}
+	return out, nil
 }
 
-// AssertTerm adds a clause to the session's own code, compiling it now
-// (the incremental compiler at work); its predicate is linked at its next
-// call. In source mode the interpreter gets the clause too.
+// AssertTerm adds a clause to the session's own code, compiled now in
+// compiled mode; its predicate is linked at its next call.
 func (s *Session) AssertTerm(t term.Term, front bool) error {
-	pi, c, err := s.compileClause(t)
-	if err != nil {
-		return err
+	pi, c, err := s.newClause(t, s.opts.RuleStorage != RuleStorageSource)
+	if err == nil {
+		interp.AddClause(ownStore{s}, pi, c, front)
 	}
-	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
-	if front {
-		s.own[fn] = append([]compiledClause{c}, s.own[fn]...)
-	} else {
-		s.own[fn] = append(s.own[fn], c)
-	}
-	s.unlink(fn)
-	switch {
-	case s.opts.RuleStorage != RuleStorageSource:
-		return nil
-	case front:
-		return s.in.AssertA(t)
-	}
-	return s.in.Assert(t)
+	return err
 }
 
 // ownCells reads clause term c on the heap, Head :- Body or a fact Head,
@@ -254,9 +281,10 @@ func ownCells(m *wam.Machine, c wam.Cell) (fn dict.ID, head, body wam.Cell, ok b
 
 // matchClause unifies head and body with clause c renamed, keeping the
 // bindings only if both unify.
-func matchClause(m *wam.Machine, c compiledClause, head, body wam.Cell) bool {
+func matchClause(m *wam.Machine, c interp.Clause, head, body wam.Cell) bool {
 	vars := map[*term.Var]wam.Cell{}
-	hc, bc := m.EncodeTerm(c.head, vars), m.EncodeTerm(c.body, vars)
+	ch, cb := interp.SplitClause(c.Term)
+	hc, bc := m.EncodeTerm(ch, vars), m.EncodeTerm(cb, vars)
 	return m.TryUnify(func() bool { return m.Unify(head, hc) && m.Unify(body, bc) })
 }
 
@@ -271,8 +299,7 @@ func (s *Session) biRetract(m *wam.Machine, args []wam.Cell) (bool, error) {
 	cs := s.own[fn]
 	for i, c := range cs {
 		if matchClause(m, c, head, body) {
-			s.own[fn] = append(cs[:i:i], cs[i+1:]...)
-			s.unlink(fn)
+			s.setOwn(fn, append(cs[:i:i], cs[i+1:]...))
 			return true, nil
 		}
 	}
@@ -284,9 +311,7 @@ func (s *Session) biAbolish(m *wam.Machine, args []wam.Cell) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	fn := s.m.Dict.Intern(pi.Name, pi.Arity)
-	delete(s.own, fn)
-	s.unlink(fn)
+	ownStore{s}.Abolish(pi)
 	return true, nil
 }
 

@@ -257,3 +257,45 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 		t.Errorf("final count %d, want %d", n, nWrites+1)
 	}
 }
+
+// TestConcurrentSourceSessionsShareLibrary: source-mode sessions resolve
+// library predicates against one table, read once per process, and their
+// own code against their own lists; several sessions running at once must
+// neither race on the table nor see each other's code.
+func TestConcurrentSourceSessionsShareLibrary(t *testing.T) {
+	kb, err := core.OpenKB(core.Options{RuleStorage: core.RuleStorageSource})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kb.Close()
+	const nSessions, rounds = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < nSessions; g++ {
+		s, err := kb.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Consult(fmt.Sprintf("p(%d). p(x).", g)); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer s.Close()
+			want := fmt.Sprintf("[%d]", g)
+			for i := 0; i < rounds; i++ {
+				n, err := s.QueryCount("append(X, Y, [1,2,3]), nth1(2, [a,b,c], b), msort([c,a,b], [a,b,c])")
+				if err != nil || n != 4 {
+					t.Errorf("session %d: append/nth1/msort: %d solutions, %v; want 4", g, n, err)
+					return
+				}
+				sol, ok, err := s.QueryOnce("findall(X, (p(X), integer(X)), L)")
+				if err != nil || !ok || sol["L"].String() != want {
+					t.Errorf("session %d: own code: %v %v %v; want L = %s", g, sol, ok, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

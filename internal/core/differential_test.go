@@ -159,6 +159,9 @@ var diffCorpus = []diffCase{
 	{"dynamic-consulted-clause", ":- dynamic(c/1). c(1). c(2).", "clause(c(X), true)"},
 	{"clause-rule", "r(X) :- c(X), X > 1. c(1).", "clause(r(Y), B)"},
 	{"dynamic-after-clauses", "c(1). c(2). :- dynamic(c/1).", "findall(X, c(X), L)"},
+	// abolish/1 takes the predicate away, so a later call raises an
+	// existence error.
+	{"dynamic-abolish", ":- dynamic(c/1). c(1). c(2).", "abolish(c/1), catch(findall(X, c(X), L), error(E, _), true)"},
 	// The library both evaluators load.
 	{"nth1-enumerates", "", "nth1(N, [a,b,c], X)"},
 	{"maplist", "double(X, Y) :- Y is X * 2.", "maplist(integer, [1,2,3]), maplist(double, [1,2,3], L), nth0(1, L, Z)"},
@@ -327,7 +330,14 @@ func TestDifferentialSourceConsult(t *testing.T) {
 		})
 	}
 	// Main memory written otherwise than by a consulted clause: a clause
-	// asserted through the API, a predicate declared dynamic.
+	// asserted through the API, a predicate declared dynamic; and session
+	// code written in one mode and read in the other after a switch.
+	flip := func(s *Session) error {
+		if s.RuleStorage() == RuleStorageSource {
+			return s.SetRuleStorage(RuleStorageCompiled)
+		}
+		return s.SetRuleStorage(RuleStorageSource)
+	}
 	for _, c := range []struct {
 		name  string
 		setup func(*Session) error
@@ -343,6 +353,38 @@ func TestDifferentialSourceConsult(t *testing.T) {
 			}
 			return s.Consult(":- dynamic(c/1).")
 		}, "findall(X, c(X), L)", []string{"L=[1,2];X=_V0;"}},
+		{"consult-switch", func(s *Session) error {
+			if err := s.Consult("p(1). p(2)."); err != nil {
+				return err
+			}
+			return flip(s)
+		}, "findall(X, p(X), L)", []string{"L=[1,2];X=_V0;"}},
+		{"query-assert-switch", func(s *Session) error {
+			if err := s.Consult("q(1)."); err != nil {
+				return err
+			}
+			if _, err := s.QueryAll("assert(q(2))"); err != nil {
+				return err
+			}
+			return flip(s)
+		}, "findall(X, q(X), L)", []string{"L=[1,2];X=_V0;"}},
+		{"query-retract-switch", func(s *Session) error {
+			if err := s.Consult(":- dynamic(c/1). c(1). c(2)."); err != nil {
+				return err
+			}
+			if _, err := s.QueryAll("retract(c(1))"); err != nil {
+				return err
+			}
+			return flip(s)
+		}, "findall(X, c(X), L)", []string{"L=[2];X=_V0;"}},
+		{"assert-term-switch", func(s *Session) error {
+			for i := 1; i <= 2; i++ {
+				if err := s.AssertTerm(term.Comp("q", term.Int(int64(i))), false); err != nil {
+					return err
+				}
+			}
+			return flip(s)
+		}, "findall(X, q(X), L)", []string{"L=[1,2];X=_V0;"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, rs := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {

@@ -24,8 +24,8 @@
 //     and executes them on the WAM (paper §3.1, §4).
 //   - RuleStorageSource (the Educe baseline): externally stored
 //     procedures hold source text; queries run on a resolution
-//     interpreter that parses and asserts the text on demand — the
-//     configuration whose costs §2 of the paper analyses.
+//     interpreter that fetches and parses the text on demand, once per
+//     query — the configuration whose costs §2 of the paper analyses.
 package core
 
 import (
@@ -127,21 +127,23 @@ type Session struct {
 	comp *compiler.Compiler
 	ops  *parser.OpTable
 
-	in *interp.Interp // baseline interpreter (source mode)
+	in *interp.Interp // baseline interpreter (source mode), over own
 
-	// own is the session's own code by functor: the clauses of every
-	// predicate it consulted, asserted or declared dynamic, each compiled
-	// once when it was added. A change uninstalls the predicate's code and
-	// its next call traps and links the list.
-	own map[dict.ID][]compiledClause
+	// own is the session's own code by functor, in both modes: the clauses
+	// of every predicate it consulted, asserted or declared dynamic, each
+	// its term and its code (see link). A change uninstalls the
+	// predicate's code, and its next call traps and links the list. A list
+	// is only replaced or appended to (link fills in missing code), so an
+	// earlier slice of it still reads the clauses it held.
+	own map[dict.ID][]interp.Clause
 
 	// typed holds declared type signatures (the typed sub-language).
 	typed map[term.Indicator][]ArgType
 
-	// per-query transient state: the stored procedures the baseline
-	// interpreter asserted, and the stored clause texts parsed.
-	interpLoaded []term.Indicator
-	parsed       map[storedClause]term.Term
+	// per-query transient state: the stored rule procedures the baseline
+	// interpreter fetched, parsed, and the stored clause texts parsed.
+	fetched map[term.Indicator][]interp.Clause
+	parsed  map[storedClause]term.Term
 
 	// resident is the code this session has linked from the EDB, by the
 	// stored procedure's functor, nresident the variants and materialised
@@ -205,14 +207,6 @@ type Session struct {
 	qSolCount int
 }
 
-// compiledClause is one clause with its code unit. A list of the session's
-// own clauses is only ever replaced or appended to, so a slice of it taken
-// earlier still reads the clauses it held.
-type compiledClause struct {
-	head, body term.Term
-	code       compiler.ClauseCode
-}
-
 // dictSegment is the size of a session's internal dictionary segments.
 const dictSegment = 4096
 
@@ -227,8 +221,9 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 		comp:     compiler.New(compiler.Options{Transparent: transparentFor(m)}),
 		ops:      parser.NewOpTable(),
 		in:       interp.New(),
-		own:      map[dict.ID][]compiledClause{},
+		own:      map[dict.ID][]interp.Clause{},
 		resident: map[dict.ID]*residentProc{},
+		fetched:  map[term.Indicator][]interp.Clause{},
 		parsed:   map[storedClause]term.Term{},
 		queries:  map[string]*linkedQuery{},
 		tally:    &store.Tally{},
@@ -240,6 +235,7 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 	m.SetPhaseSink(&s.q.Phases)
 	m.SetCheckHook(s.check)
 	s.in.Check = s.check
+	s.in.Store = ownStore{s}
 	m.OnUndefined = s.onUndefined
 	s.registerEngineBuiltins()
 	if err := s.loadBootstrap(); err != nil {
@@ -281,9 +277,9 @@ func (s *Session) RuleStorage() RuleStorage { return s.opts.RuleStorage }
 // is rejected with store.ErrTxnOpen while a transaction is open: the two
 // modes resolve clauses through different caches, so changing modes
 // mid-transaction would let one goal see pre-snapshot code the rollback
-// path cannot restore. On success any loaded compiled code and baseline
-// fact caches are dropped, so the next query resolves everything afresh
-// in the new mode.
+// path cannot restore. On success the code loaded from the knowledge base
+// is dropped, so the next query resolves stored procedures afresh in the
+// new mode; the session's own code, one list both modes read, survives.
 func (s *Session) SetRuleStorage(rs RuleStorage) error {
 	if rs == s.opts.RuleStorage {
 		return nil
@@ -546,11 +542,7 @@ func (s *Session) directive(d term.Term) error {
 			return err
 		}
 		if fn := s.m.Dict.Intern(pi.Name, pi.Arity); s.own[fn] == nil { // declared, with no clauses yet
-			s.own[fn] = nil
-			s.unlink(fn)
-		}
-		if s.opts.RuleStorage == RuleStorageSource {
-			s.in.Dynamic(pi)
+			s.setOwn(fn, nil)
 		}
 		return nil
 	case c.Functor == "typed" && len(c.Args) == 1:
@@ -559,15 +551,17 @@ func (s *Session) directive(d term.Term) error {
 	return fmt.Errorf("core: unsupported directive %s", d)
 }
 
-// compileProgram compiles clauses grouped by predicate, preserving
-// first-definition order.
-func (s *Session) compileProgram(terms []term.Term) (map[term.Indicator][]compiledClause, []term.Indicator, error) {
-	t0 := time.Now()
-	defer func() { s.q.Phases.Add(obs.PhaseCompile, time.Since(t0)) }()
-	units := map[term.Indicator][]compiledClause{}
+// program reads clauses grouped by predicate, preserving first-definition
+// order, and compiles them when compile is set.
+func (s *Session) program(terms []term.Term, compile bool) (map[term.Indicator][]interp.Clause, []term.Indicator, error) {
+	if compile {
+		t0 := time.Now()
+		defer func() { s.q.Phases.Add(obs.PhaseCompile, time.Since(t0)) }()
+	}
+	units := map[term.Indicator][]interp.Clause{}
 	var order []term.Indicator
 	for _, tm := range terms {
-		pi, c, err := s.compileClause(tm)
+		pi, c, err := s.newClause(tm, compile)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -669,22 +663,17 @@ func argKeyOf(a term.Term) edb.ArgKey {
 	}
 }
 
-// ConsultTerms compiles pre-parsed clause terms into the session's own
-// code (bulk loading path for workload generators), in place of the old
-// clauses of every predicate they define; in source mode the interpreter
-// gets them too.
+// ConsultTerms adds pre-parsed clause terms to the session's own code
+// (bulk loading path for workload generators), in place of the old
+// clauses of every predicate they define. Compiled mode compiles them now;
+// source mode compiles nothing, its interpreter reads the terms.
 func (s *Session) ConsultTerms(terms []term.Term) error {
-	units, order, err := s.compileProgram(terms)
+	units, order, err := s.program(terms, s.opts.RuleStorage != RuleStorageSource)
 	if err != nil {
 		return err
 	}
 	for _, pi := range order {
-		fn := s.m.Dict.Intern(pi.Name, pi.Arity)
-		s.own[fn] = units[pi]
-		s.unlink(fn)
-	}
-	if s.opts.RuleStorage == RuleStorageSource {
-		return s.in.Consult(terms)
+		s.setOwn(s.m.Dict.Intern(pi.Name, pi.Arity), units[pi])
 	}
 	return nil
 }

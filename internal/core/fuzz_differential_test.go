@@ -124,7 +124,7 @@ func TestFuzzDifferential(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(seed)))
 			program, queries := genProgram(r)
 
-			// Six configurations under test. The set strategy answers
+			// Seven configurations under test. The set strategy answers
 			// with sets and its bags may differ (DESIGN §14), so it is
 			// compared as a sorted, deduplicated set, and not on the
 			// findall query, whose answer holds a bag.
@@ -176,6 +176,20 @@ func TestFuzzDifferential(t *testing.T) {
 					return renderSolutions(sols), err
 				}
 			}
+			// Consulted in compiled mode, queried after a switch to source.
+			switched := func() func(q string) ([]string, error) {
+				e := newSession(t, Options{})
+				if err := e.Consult(program); err != nil {
+					t.Fatalf("consult: %v", err)
+				}
+				if err := e.SetRuleStorage(RuleStorageSource); err != nil {
+					t.Fatal(err)
+				}
+				return func(q string) ([]string, error) {
+					sols, err := e.QueryAll(q)
+					return renderSolutions(sols), err
+				}
+			}
 			configs := []config{
 				{name: "wam-internal", run: mkEngine(Options{}, false)},
 				{name: "educe*-external", run: mkEngine(Options{}, true)},
@@ -183,6 +197,7 @@ func TestFuzzDifferential(t *testing.T) {
 				{name: "interp", run: func(q string) ([]string, error) { return runOnInterp(t, program, q) }},
 				{name: "set-external", run: mkEngine(Options{Strategy: StrategySet}, true), set: true},
 				{name: "per-session-external", run: perSession()},
+				{name: "switched-internal", run: switched()},
 			}
 
 			for _, q := range queries {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/edb"
+	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/store"
@@ -59,7 +60,7 @@ type KnowledgeBase struct {
 
 	// Compiled bootstrap library, shared so sessions only pay linking.
 	bootMu    sync.Mutex
-	bootUnits map[term.Indicator][]compiledClause
+	bootUnits map[term.Indicator][]interp.Clause
 	bootOrder []term.Indicator
 
 	// Observability: the KB-wide metrics registry (owned by the store,
@@ -313,7 +314,7 @@ func (kb *KnowledgeBase) InsertTuples(name string, ts []rel.Tuple) error {
 // bootstrapUnits compiles the bootstrap library once per KB and hands the
 // relocatable units to every session for linking (sessions pay only the
 // ~10% loader share of §3.1's compile-cost split).
-func (kb *KnowledgeBase) bootstrapUnits(s *Session) (map[term.Indicator][]compiledClause, []term.Indicator, error) {
+func (kb *KnowledgeBase) bootstrapUnits(s *Session) (map[term.Indicator][]interp.Clause, []term.Indicator, error) {
 	kb.bootMu.Lock()
 	defer kb.bootMu.Unlock()
 	if kb.bootUnits == nil {
@@ -321,7 +322,7 @@ func (kb *KnowledgeBase) bootstrapUnits(s *Session) (map[term.Indicator][]compil
 		if err != nil {
 			return nil, nil, err
 		}
-		units, order, err := s.compileProgram(terms)
+		units, order, err := s.program(terms, true)
 		if err != nil {
 			return nil, nil, err
 		}

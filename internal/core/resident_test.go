@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/edb"
 	"repro/internal/obs"
@@ -589,8 +590,9 @@ func TestResidentCodeTablesStayFlat(t *testing.T) {
 // TestResidentAssertLoopsReclaim: every assert/1 relinks the whole dynamic
 // predicate and retires the definition it replaces. Those must be
 // reclaimed as the loop runs — inside one query, where no Reset happens,
-// and through the API with no query at all, in both rule-storage modes —
-// or N asserts hold N definitions of 1..N clauses. A choice point into
+// and through the API with no query at all, in both rule-storage modes
+// (a source-mode assert edits the same clause list and uninstalls the
+// same code) — or N asserts hold N definitions of 1..N clauses. A choice point into
 // the predicate pins the one definition it addresses, nothing more.
 func TestResidentAssertLoopsReclaim(t *testing.T) {
 	const n = 1000
@@ -637,9 +639,6 @@ func TestResidentAssertLoopsReclaim(t *testing.T) {
 	}
 	for name, loop := range loops {
 		for _, mode := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {
-			if mode == RuleStorageSource && name != "API" {
-				continue // the baseline interpreter asserts into its own store
-			}
 			t.Run(fmt.Sprintf("%s/storage%d", name, mode), func(t *testing.T) {
 				e := newSession(t, Options{RuleStorage: mode})
 				base := e.Machine().Stats().Blocks
@@ -1114,4 +1113,48 @@ func TestAssertLinksAtCall(t *testing.T) {
 	if e.Machine().Proc(fn) == nil {
 		t.Fatal("d/1 not installed by its first call")
 	}
+}
+
+// TestSourceConsultCompilesAtLink: a source-mode consult and its queries
+// compile nothing, as the interpreter reads the clause terms; after a
+// switch to compiled mode the first call compiles and links the clauses
+// once, as one block, and the next call compiles and links nothing.
+func TestSourceConsultCompilesAtLink(t *testing.T) {
+	const n = 1000
+	e := newSession(t, Options{RuleStorage: RuleStorageSource})
+	var src strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "d(%d).\n", i)
+	}
+	compile := func() time.Duration {
+		cost := e.Cost()
+		return cost.Phases.Get(obs.PhaseCompile)
+	}
+	if err := e.Consult(src.String()); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := e.QueryCount("d(X)"); err != nil || c != n {
+		t.Fatalf("source d(X): %d answers, %v; want %d", c, err, n)
+	}
+	if spent := compile(); spent != 0 {
+		t.Fatalf("source mode spent %v compiling", spent)
+	}
+	if err := e.SetRuleStorage(RuleStorageCompiled); err != nil {
+		t.Fatal(err)
+	}
+	blocks := e.Machine().Stats().Blocks
+	if c, err := e.QueryCount("d(X)"); err != nil || c != n {
+		t.Fatalf("compiled d(X): %d answers, %v; want %d", c, err, n)
+	}
+	if compile() == 0 {
+		t.Fatal("the first compiled-mode call compiled nothing")
+	}
+	if got := e.Machine().Stats().Blocks; got != blocks+1 {
+		t.Fatalf("block table %d -> %d at the first call, want one block more", blocks, got)
+	}
+	noLink(t, e, "the second call", func() {
+		if c, err := e.QueryCount("d(X)"); err != nil || c != n {
+			t.Fatalf("compiled d(X) again: %d answers, %v; want %d", c, err, n)
+		}
+	})
 }

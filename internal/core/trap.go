@@ -117,17 +117,15 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	if form == edb.FormSource {
 		// A source-form procedure reached from compiled execution:
 		// parse and compile on the fly (the hybrid path).
-		terms := make([]term.Term, len(scs))
+		cs := make([]interp.Clause, len(scs))
 		for i, sc := range scs {
-			if terms[i], err = s.parseStored(p, sc); err != nil {
+			if cs[i].Term, err = s.parseStored(p, sc); err != nil {
 				return nil, err
 			}
 		}
-		units, _, err := s.compileProgram(terms)
-		if err != nil {
+		if clauses, err = s.codes(cs); err != nil {
 			return nil, err
 		}
-		clauses = codes(units[pi])
 	}
 	t1 := time.Now()
 	blk, err := loader.BuildBlock(m, name, arity, clauses, loader.Options{
@@ -277,8 +275,8 @@ func (s *Session) parseStored(p *edb.ProcInfo, sc edb.StoredClause) (term.Term, 
 // envelope closed, its profile drained and its trace written; then its
 // stats, with any work done since, roll into the session totals, and the
 // per-query transient state goes: in baseline mode the query's interpreter
-// worker, the rules asserted into the interpreter (the paper's "erased to
-// make room") and the parsed clause texts.
+// worker, the stored rules fetched for it (the paper's "erased to make
+// room") and the parsed clause texts.
 func (s *Session) endQuery() {
 	s.gen.stop()
 	s.gen = nil
@@ -295,10 +293,7 @@ func (s *Session) endQuery() {
 	if s.nresident > loadedCacheLimit {
 		s.evictAll()
 	}
-	for _, pi := range s.interpLoaded {
-		s.in.RetractAll(pi)
-	}
-	s.interpLoaded = s.interpLoaded[:0]
+	clear(s.fetched)
 	clear(s.parsed)
 }
 
@@ -308,21 +303,24 @@ func (s *Session) endQuery() {
 // takes Educe's tuple-at-a-time interface to the record manager (§3.2.1):
 // its tuples are pre-unified in the EDB, parsed and unified with the goal
 // one by one, each match passed to emit. Any other procedure is fetched
-// whole (the baseline's poor selectivity), parsed and asserted, the
-// per-use cost §2 itemises, and erased again at query end; the call then
-// resolves against the asserted clauses. It reports whether the
-// procedure is stored.
-func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) (bool, error) {
+// whole (the baseline's poor selectivity) and parsed once per query, each
+// clause counted as the assert §2 itemises among the per-use costs, and
+// handed to the call, which resolves against the clauses; they are
+// dropped at query end. It reports whether the procedure is stored.
+func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) ([]interp.Clause, bool, error) {
 	pi := goal.Indicator()
+	if cs, ok := s.fetched[pi]; ok {
+		return cs, true, nil
+	}
 	unlock := s.rlock()
 	p := s.kb.db.Proc(pi.Name, pi.Arity)
 	if p == nil {
 		unlock()
-		return false, nil
+		return nil, false, nil
 	}
 	if p.Form == edb.FormCode {
 		unlock()
-		return false, fmt.Errorf("core: %s stored compiled; baseline engine cannot interpret it", pi)
+		return nil, false, fmt.Errorf("core: %s stored compiled; baseline engine cannot interpret it", pi)
 	}
 	tuples := p.FactsOnly
 	var keys []edb.ArgKey
@@ -338,28 +336,27 @@ func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) 
 	scs, err := s.kb.db.RetrieveObs(p, keys, &s.q)
 	unlock()
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
+	var cs []interp.Clause
 	for _, sc := range scs {
 		tm, err := s.parseStored(p, sc)
 		if err != nil {
-			return false, err
+			return nil, false, err
 		}
 		if !tuples {
-			if err := s.in.Assert(tm); err != nil {
-				return false, err
-			}
-			s.q.Asserts++
+			cs = append(cs, interp.Clause{Term: tm})
 			continue
 		}
 		mark := env.Mark()
 		if env.Unify(goal, term.Rename(tm)) && !emit() {
-			return true, nil
+			return nil, true, nil
 		}
 		env.Undo(mark)
 	}
 	if !tuples {
-		s.interpLoaded = append(s.interpLoaded, pi)
+		s.q.Asserts += uint64(len(cs))
+		s.fetched[pi] = cs
 	}
-	return true, nil
+	return cs, true, nil
 }

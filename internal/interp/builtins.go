@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/parser"
 	"repro/internal/term"
 	"repro/internal/wam"
 )
@@ -309,13 +308,21 @@ func (in *Interp) registerBuiltins() {
 	reg("retract", 1, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
 		return in.retract(a[0], env), nil
 	}))
+	reg("abolish", 1, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
+		pi, err := ParseIndicator(env.ResolveDeep(a[0]))
+		if err == nil {
+			in.Store.Abolish(pi)
+		}
+		return err == nil, err
+	}))
 	// clause(Head, Body) enumerates the clauses of Head's predicate.
 	reg("clause", 2, func(in *Interp, a []term.Term, env *Env, k cont) result {
 		pi := env.Resolve(a[0]).Indicator()
 		if pi.Name == "" {
 			return result{err: fmt.Errorf("interp: clause/2: head must be callable")}
 		}
-		for _, c := range in.clauses[pi] {
+		cs, _ := in.Store.Clauses(pi)
+		for _, c := range cs {
 			rh, rb := c.renamed()
 			if r := unifyThen(env, term.Comp(":-", a[0], a[1]), term.Comp(":-", rh, rb), k); r.done() {
 				return r
@@ -330,19 +337,6 @@ func (in *Interp) registerBuiltins() {
 	reg("nl", 0, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
 		return true, nil
 	}))
-
-	// The library, asserted as ordinary clauses so it exercises the
-	// interpreter itself (as the Educe host Prolog would).
-	terms, err := parser.New(Library).ReadAll()
-	if err != nil {
-		panic("interp: library parse error: " + err.Error())
-	}
-	for _, t := range terms {
-		if err := in.Assert(t); err != nil {
-			panic("interp: library assert error: " + err.Error())
-		}
-	}
-	in.asserts = 0
 }
 
 // unifyThen calls k once a and b unify, undoing their bindings after.

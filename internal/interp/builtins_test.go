@@ -193,19 +193,21 @@ func TestInterpSolveOnce(t *testing.T) {
 	}
 }
 
+// clauseCount returns the number of clauses the store holds for p.
+func clauseCount(in *Interp, p term.Indicator) int {
+	cs, _ := in.Store.Clauses(p)
+	return len(cs)
+}
+
 func TestInterpPredicatesListing(t *testing.T) {
 	in := load(t, "alpha(1). beta(2).")
-	pis := in.Predicates()
-	names := map[string]bool{}
-	for _, pi := range pis {
-		names[pi.Name] = true
+	if a, b := clauseCount(in, pi("alpha", 1)), clauseCount(in, pi("beta", 1)); a != 1 || b != 1 {
+		t.Fatalf("clauses of alpha/1, beta/1 = %d, %d", a, b)
 	}
-	if !names["alpha"] || !names["beta"] || !names["append"] {
-		t.Fatalf("predicates = %v", pis)
-	}
-	in.RetractAll(pi("alpha", 1))
-	if in.ClauseCount(pi("alpha", 1)) != 0 {
-		t.Fatal("RetractAll left clauses")
+	expectYes(t, in, "append([a], [b], [a, b])") // the library, beside the store
+	in.Store.Abolish(pi("alpha", 1))
+	if clauseCount(in, pi("alpha", 1)) != 0 {
+		t.Fatal("Abolish left clauses")
 	}
 }
 
@@ -213,20 +215,20 @@ func TestInterpExternalResolver(t *testing.T) {
 	in := New()
 	// The undefined-predicate hook answers ext/1 as a generator producing
 	// ext(1), ext(2), ext(3), and knows no other predicate.
-	in.OnUndefined = func(goal term.Term, env *Env, emit func() bool) (bool, error) {
+	in.OnUndefined = func(goal term.Term, env *Env, emit func() bool) ([]Clause, bool, error) {
 		if goal.Indicator() != pi("ext", 1) {
-			return false, nil
+			return nil, false, nil
 		}
 		for i := 1; i <= 3; i++ {
 			mark := env.Mark()
 			if env.Unify(goal, term.Comp("ext", term.Int(i))) {
 				if !emit() {
-					return true, nil
+					return nil, true, nil
 				}
 			}
 			env.Undo(mark)
 		}
-		return true, nil
+		return nil, true, nil
 	}
 	got := solutions(t, in, "ext(X)", "X")
 	if !reflect.DeepEqual(got, []string{"1", "2", "3"}) {
@@ -264,7 +266,7 @@ func TestInterpCatchThrow(t *testing.T) {
 			t.Fatalf("%s: %v, want %s uncaught", goal, err, want)
 		}
 	}
-	if n := in.ClauseCount(pi("caught", 0)); n != 0 {
+	if n := clauseCount(in, pi("caught", 0)); n != 0 {
 		t.Fatalf("recovery ran %d times for a ball thrown after the goal exited", n)
 	}
 }

@@ -1,38 +1,88 @@
 // Package interp is a classical resolution interpreter over source-form
 // clauses. It plays the role of the original Educe's rule evaluator in the
 // benchmarks (paper §2): rules fetched from the EDB as text are parsed,
-// asserted into this interpreter, executed by tree walking, and erased —
+// handed to this interpreter for the query, and executed by tree walking —
 // the exact cost profile the paper identifies as the motivation for
 // storing compiled code instead.
 package interp
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
+	"repro/internal/compiler"
+	"repro/internal/parser"
 	"repro/internal/term"
 	"repro/internal/wam"
 )
 
-// Clause is one asserted clause.
+// Clause is one clause of a store: its term, Head :- Body or a fact Head,
+// and, for the WAM, its code (nil until compiled; the interpreter never
+// reads it).
 type Clause struct {
-	Head term.Term
-	Body term.Term
+	Term term.Term
+	Code *compiler.ClauseCode
 }
 
-// Interp is an interpreter instance holding an asserted program.
+// NewClause reads clause t, refusing a head that is not callable and a
+// directive.
+func NewClause(t term.Term) (term.Indicator, Clause, error) {
+	head, _ := SplitClause(t)
+	pi := head.Indicator()
+	if pi.Name == "" || pi == (term.Indicator{Name: ":-", Arity: 1}) {
+		return pi, Clause{}, fmt.Errorf("interp: cannot assert %s", t)
+	}
+	return pi, Clause{Term: t}, nil
+}
+
+// Store is the clause database an interpreter resolves calls through and
+// its assert/1 family, retract/1, clause/2 and abolish/1 edit. A list it
+// returns keeps its clauses, as a change replaces or extends the list, so
+// a call enumerates the clauses as they were when it began.
+type Store interface {
+	// Clauses returns pi's clauses; known is false when pi is undefined.
+	Clauses(pi term.Indicator) (cs []Clause, known bool)
+	// Set makes cs the clauses of pi, which is then defined.
+	Set(pi term.Indicator, cs []Clause)
+	// Abolish makes pi undefined.
+	Abolish(pi term.Indicator)
+}
+
+// mapStore is the store of an interpreter New makes, and the library's.
+type mapStore map[term.Indicator][]Clause
+
+func (st mapStore) Clauses(pi term.Indicator) ([]Clause, bool) { cs, ok := st[pi]; return cs, ok }
+func (st mapStore) Set(pi term.Indicator, cs []Clause)         { st[pi] = cs }
+func (st mapStore) Abolish(pi term.Indicator)                  { delete(st, pi) }
+
+// library is Library, read once per process: the clauses a call resolves
+// against when the store does not define its predicate.
+var library = sync.OnceValue(func() mapStore {
+	terms, err := parser.New(Library).ReadAll()
+	lib := mapStore{}
+	if err == nil {
+		err = (&Interp{Store: lib}).Consult(terms)
+	}
+	if err != nil {
+		panic("interp: library: " + err.Error())
+	}
+	return lib
+})
+
+// Interp is an interpreter over a clause store.
 type Interp struct {
-	clauses  map[term.Indicator][]*Clause
+	Store    Store // the program: New's own, or an embedding engine's
 	builtins map[term.Indicator]builtinFn
 
-	// OnUndefined, if set, answers a call of a predicate with no clauses,
-	// reporting whether it knows the predicate (false: the call raises an
-	// existence error). It may enumerate the solutions itself, calling
-	// emit once per instance it unified goal with in env and stopping
-	// when emit returns false; or assert a definition, which the call
-	// then resolves against. This is how the Educe-baseline engine hooks
-	// EDB retrieval: tuple by tuple, or fetch source, parse, assert.
-	OnUndefined func(goal term.Term, env *Env, emit func() bool) (bool, error)
+	// OnUndefined, if set, answers a call of a predicate neither the store
+	// nor the library defines, reporting whether it knows the predicate
+	// (false: the call raises an existence error). It may enumerate the
+	// solutions itself, calling emit once per instance it unified goal
+	// with in env and stopping when emit returns false; or return the
+	// clauses the call then resolves against. This is how the
+	// Educe-baseline engine hooks EDB retrieval: tuple by tuple, or fetch
+	// source, parse and hand the clauses to the call.
+	OnUndefined func(goal term.Term, env *Env, emit func() bool) ([]Clause, bool, error)
 
 	// Check, if set, is polled every 256 inferences — the cadence of the
 	// WAM's dispatch loop — and at the start of every Solve; a non-nil
@@ -57,10 +107,11 @@ type Interp struct {
 // deeper ends with resource_error(depth).
 const maxDepth = 600_000
 
-// New returns an interpreter with the builtin set registered.
+// New returns an interpreter with the builtin set registered over an
+// empty store of its own.
 func New() *Interp {
 	in := &Interp{
-		clauses:  map[term.Indicator][]*Clause{},
+		Store:    mapStore{},
 		builtins: map[term.Indicator]builtinFn{},
 	}
 	in.registerBuiltins()
@@ -76,31 +127,33 @@ func (in *Interp) ResetStats() { in.inferences, in.asserts = 0, 0 }
 // Assert adds a clause (Head or Head :- Body) at the end of its predicate.
 func (in *Interp) Assert(t term.Term) error { return in.assert(t, false) }
 
-// AssertA adds a clause at the front of its predicate.
-func (in *Interp) AssertA(t term.Term) error { return in.assert(t, true) }
-
 func (in *Interp) assert(t term.Term, front bool) error {
-	head, body := SplitClause(t)
-	pi := head.Indicator()
-	if pi.Name == "" || pi == (term.Indicator{Name: ":-", Arity: 1}) {
-		return fmt.Errorf("interp: cannot assert %s", t)
+	pi, c, err := NewClause(t)
+	if err != nil {
+		return err
 	}
 	in.asserts++
-	c := &Clause{Head: head, Body: body}
-	if front {
-		in.clauses[pi] = append([]*Clause{c}, in.clauses[pi]...)
-	} else {
-		in.clauses[pi] = append(in.clauses[pi], c)
-	}
+	AddClause(in.Store, pi, c, front)
 	return nil
+}
+
+// AddClause adds clause c of pi to st, first or last.
+func AddClause(st Store, pi term.Indicator, c Clause, front bool) {
+	cs, _ := st.Clauses(pi)
+	if front {
+		cs = append([]Clause{c}, cs...)
+	} else {
+		cs = append(cs, c)
+	}
+	st.Set(pi, cs)
 }
 
 // Consult adds the clauses terms, in order, in place of the old clauses of
 // every predicate they define: a predicate consulted again is redefined. A
-// directive :- dynamic(Name/Arity) declares its predicate, as Dynamic does;
-// any other directive is refused.
+// directive :- dynamic(Name/Arity) defines its predicate, with no clauses
+// if it has none; any other directive is refused.
 func (in *Interp) Consult(terms []term.Term) error {
-	fresh := map[term.Indicator]bool{}
+	fresh := map[term.Indicator][]Clause{}
 	for _, t := range terms {
 		if d, ok := t.(*term.Compound); ok && d.Functor == ":-" && len(d.Args) == 1 {
 			dyn, ok := d.Args[0].(*term.Compound)
@@ -111,17 +164,17 @@ func (in *Interp) Consult(terms []term.Term) error {
 			if err != nil {
 				return err
 			}
-			in.Dynamic(pi)
+			if _, ok := in.Store.Clauses(pi); !ok {
+				in.Store.Set(pi, nil)
+			}
 			continue
 		}
-		head, _ := SplitClause(t)
-		if pi := head.Indicator(); !fresh[pi] {
-			fresh[pi] = true
-			in.RetractAll(pi)
-		}
-		if err := in.Assert(t); err != nil {
+		pi, c, err := NewClause(t)
+		if err != nil {
 			return err
 		}
+		fresh[pi] = append(fresh[pi], c)
+		in.Store.Set(pi, fresh[pi])
 	}
 	return nil
 }
@@ -147,11 +200,11 @@ func (in *Interp) Retract(t term.Term) bool { return in.retract(t, NewEnv()) }
 func (in *Interp) retract(t term.Term, env *Env) bool {
 	head, body := SplitClause(env.Resolve(t))
 	pi := env.Resolve(head).Indicator()
-	cs := in.clauses[pi]
+	cs, _ := in.Store.Clauses(pi)
 	for i, c := range cs {
 		mark := env.Mark()
 		if rh, rb := c.renamed(); env.Unify(head, rh) && env.Unify(body, rb) {
-			in.clauses[pi] = append(cs[:i:i], cs[i+1:]...)
+			in.Store.Set(pi, append(cs[:i:i], cs[i+1:]...))
 			return true
 		}
 		env.Undo(mark)
@@ -159,41 +212,9 @@ func (in *Interp) retract(t term.Term, env *Env) bool {
 	return false
 }
 
-// Dynamic declares the predicate: called with no clauses, it fails.
-func (in *Interp) Dynamic(pi term.Indicator) {
-	if _, ok := in.clauses[pi]; !ok {
-		in.clauses[pi] = nil
-	}
-}
-
-// RetractAll removes every clause of the predicate.
-func (in *Interp) RetractAll(pi term.Indicator) { delete(in.clauses, pi) }
-
-// ClauseCount returns the number of clauses for pi.
-func (in *Interp) ClauseCount(pi term.Indicator) int { return len(in.clauses[pi]) }
-
-// Predicates lists asserted predicates.
-func (in *Interp) Predicates() []term.Indicator {
-	out := make([]term.Indicator, 0, len(in.clauses))
-	for pi := range in.clauses {
-		out = append(out, pi)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Arity < out[j].Arity
-	})
-	return out
-}
-
 // renamed returns the clause's head and body with fresh variables.
-func (c *Clause) renamed() (head, body term.Term) {
-	if c.Body == term.TrueAtom {
-		return term.Rename(c.Head), term.TrueAtom
-	}
-	rc := term.Rename(term.Comp(":-", c.Head, c.Body)).(*term.Compound)
-	return rc.Args[0], rc.Args[1]
+func (c Clause) renamed() (head, body term.Term) {
+	return SplitClause(term.Rename(c.Term))
 }
 
 // SplitClause returns the head and body of clause t, Head :- Body or a
@@ -358,20 +379,23 @@ func (in *Interp) call(goal term.Term, args []term.Term, env *Env, k cont) resul
 	if b, ok := in.builtins[pi]; ok {
 		return b(in, args, env, k)
 	}
-	cs, ok := in.clauses[pi]
+	cs, ok := in.Store.Clauses(pi)
+	if !ok {
+		cs, ok = library()[pi]
+	}
 	if !ok && in.OnUndefined != nil {
 		var out result
-		known, err := in.OnUndefined(goal, env, func() bool {
+		var err error
+		cs, ok, err = in.OnUndefined(goal, env, func() bool {
 			out = k()
-			return !out.stop && out.cut == 0 && out.err == nil
+			return !out.done()
 		})
 		if err != nil && out.err == nil {
 			out.err = err
 		}
-		if out.stop || out.cut != 0 || out.err != nil {
+		if out.done() {
 			return out
 		}
-		cs, ok = in.clauses[pi], known
 	}
 	if !ok {
 		return result{err: wam.AsBall(&wam.ErrUnknownProc{Name: pi.Name, Arity: pi.Arity})}

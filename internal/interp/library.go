@@ -1,7 +1,8 @@
 package interp
 
 // Library is the Prolog library both evaluators load: the interpreter
-// asserts it into every instance, and the engine compiles it into every
+// reads it once per process and resolves a call against it when its store
+// does not define the predicate, and the engine compiles it into every
 // machine after the control constructs, findall/3 and transaction/1, which
 // it defines over WAM builtins of its own. It contains no directives.
 const Library = `
