@@ -88,34 +88,22 @@ type ClauseCode struct {
 	NVars int
 }
 
-// Options configures a Compiler.
-type Options struct {
-	// Transparent reports whether name/arity is a deterministic builtin
-	// that may be emitted inline (OpBuiltin) without ending a chunk.
-	// Nondeterministic or control builtins must return false so they are
-	// compiled as real calls. When nil, a conservative default set is
-	// used.
-	Transparent func(name string, arity int) bool
-}
+// Options configures a Compiler. It has no fields: a clause compiles to
+// the same code whatever machine will link it.
+type Options struct{}
 
 // Compiler compiles clauses. It keeps no state between clauses: the same
 // clause always compiles to the same code.
-type Compiler struct {
-	transparent func(string, int) bool
-}
+type Compiler struct{}
 
 // New returns a Compiler.
-func New(opts Options) *Compiler {
-	t := opts.Transparent
-	if t == nil {
-		t = DefaultTransparent
-	}
-	return &Compiler{transparent: t}
-}
+func New(Options) *Compiler { return &Compiler{} }
 
-// DefaultTransparent is the default inline-builtin set: deterministic
-// builtins that never create choice points and never truncate the heap,
-// so they are safe to execute mid-chunk.
+// DefaultTransparent is the inline-builtin set: deterministic builtins,
+// each a builtin of every machine, that never create choice points and
+// never truncate the heap, so they are safe to execute mid-chunk (OpBuiltin)
+// without ending a chunk. Nondeterministic and control builtins are not in
+// it: they compile to real calls.
 func DefaultTransparent(name string, arity int) bool {
 	switch name {
 	case "true", "fail", "false", "nl":
@@ -189,7 +177,6 @@ type bgoal struct {
 // symbol table. locals holds each local procedure's clauses (head, body)
 // until it is laid out.
 type unit struct {
-	c      *Compiler
 	symIdx map[Symbol]int
 	syms   []Symbol
 	code   []wam.Instr
@@ -202,7 +189,7 @@ func (c *Compiler) compile(head, body term.Term) ([]ClauseCode, error) {
 	if pred.Name == "" {
 		return nil, fmt.Errorf("compiler: clause head must be callable, got %s", head)
 	}
-	u := &unit{c: c, symIdx: map[Symbol]int{}}
+	u := &unit{symIdx: map[Symbol]int{}}
 	nvars, err := u.clause(head, body)
 	if err != nil {
 		return nil, err

@@ -290,8 +290,9 @@ func TestVoidVariablesCollapse(t *testing.T) {
 }
 
 // TestDefaultTransparentSet pins the inline-builtin set: every listed
-// name/arity is in it, the same names at other arities and the control
-// builtins are not, and a lookup allocates nothing.
+// name/arity is in it and is a builtin of every machine, the same names at
+// other arities and the control builtins are not, and a lookup allocates
+// nothing.
 func TestDefaultTransparentSet(t *testing.T) {
 	set := map[term.Indicator]bool{}
 	for _, pi := range []string{
@@ -311,6 +312,12 @@ func TestDefaultTransparentSet(t *testing.T) {
 	}
 	if len(set) != 52 {
 		t.Fatalf("pinned set has %d entries, want 52", len(set))
+	}
+	m := wam.NewMachine(nil)
+	for pi := range set {
+		if m.BuiltinIndex(pi.Name, pi.Arity) < 0 {
+			t.Errorf("%s is inline but not a builtin of wam.NewMachine", pi)
+		}
 	}
 	names := map[string]bool{"call": true, "findall": true, "catch": true, "!": true, "assert": true, "between": true}
 	for pi := range set {

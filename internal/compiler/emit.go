@@ -52,7 +52,7 @@ func (ctx *clauseCtx) isTransparent(g bgoal) bool {
 	if g.local > 0 || pi.Name == "call" {
 		return false // local procedures and call/N set the cut barrier via a real call
 	}
-	return ctx.u.c.transparent(pi.Name, pi.Arity)
+	return DefaultTransparent(pi.Name, pi.Arity)
 }
 
 // headArgs returns the argument list of a clause head.

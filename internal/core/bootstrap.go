@@ -1,12 +1,21 @@
 package core
 
-import "repro/internal/interp"
+import (
+	"sync"
 
-// bootstrapSrc is the Prolog-level standard library compiled into every
-// engine at start-up: the part that stands on WAM builtins, then the
-// library the interpreter shares. Control constructs appear here as
-// ordinary predicates so they remain callable through call/N (compiled
-// clause bodies get the faster translation into local procedures instead).
+	"repro/internal/compiler"
+	"repro/internal/interp"
+	"repro/internal/parser"
+	"repro/internal/term"
+)
+
+// bootstrapSrc is the Prolog-level standard library: the part that stands
+// on WAM builtins, then the library the interpreter shares. Control
+// constructs appear here as ordinary predicates so they remain callable
+// through call/N (compiled clause bodies get the faster translation into
+// local procedures instead). It is compiled once per process (library) and
+// a session links a predicate of it at its first call, as it links its own
+// code.
 const bootstrapSrc = `
 % --- control, callable via metacall -------------------------------------
 ','(A, B) :- call(A), call(B).
@@ -41,23 +50,22 @@ findall(T, G, L) :-
 '$findall_loop'(_, _, _).
 ` + interp.Library
 
-// loadBootstrap links the library into this session's machine. The
-// library is compiled once per knowledge base (it contains no
-// directives, so the relocatable units are session-independent);
-// sessions share the units and pay only the link step.
-func (s *Session) loadBootstrap() error {
-	units, order, err := s.kb.bootstrapUnits(s)
-	if err != nil {
-		return err
-	}
-	for _, pi := range order {
-		if _, err := s.link(s.m.Dict.Intern(pi.Name, pi.Arity), units[pi]); err != nil {
-			return err
+// library is bootstrapSrc compiled once per process: each predicate's
+// clauses, every one with its code, read by every session and written by
+// none. It contains no directives, and a clause compiles to the same code
+// whatever the session, so one table serves them all.
+var library = sync.OnceValue(func() map[term.Indicator][]interp.Clause {
+	terms, err := parser.New(bootstrapSrc).ReadAll()
+	lib := map[term.Indicator][]interp.Clause{}
+	comp := compiler.New(compiler.Options{})
+	for i := 0; i < len(terms) && err == nil; i++ {
+		var ccs []compiler.ClauseCode
+		if ccs, err = comp.CompileClause(terms[i]); err == nil {
+			lib[ccs[0].Pred] = append(lib[ccs[0].Pred], interp.Clause{Term: terms[i], Code: &ccs[0]})
 		}
 	}
-	// Bootstrap loading should not pollute the phase statistics that
-	// benchmarks read.
-	s.q.Reset()
-	s.cum.Reset()
-	return nil
-}
+	if err != nil {
+		panic("core: library: " + err.Error())
+	}
+	return lib
+})

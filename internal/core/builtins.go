@@ -170,15 +170,18 @@ func (s *Session) biAssert(front bool) wam.BuiltinFn {
 	}
 }
 
-// newClause reads clause t for the session's own code, compiling it when
-// compile is set (the incremental compiler at work).
+// newClause reads clause t, compiling it when compile is set: the one place
+// a session compiles a clause (the incremental compiler at work), and the
+// one that charges the compile phase.
 func (s *Session) newClause(t term.Term, compile bool) (term.Indicator, interp.Clause, error) {
 	pi, c, err := interp.NewClause(t)
 	if err == nil && compile {
+		t0 := time.Now()
 		var ccs []compiler.ClauseCode
 		if ccs, err = s.comp.CompileClause(t); err == nil {
 			c.Code = &ccs[0]
 		}
+		s.q.Phases.Add(obs.PhaseCompile, time.Since(t0))
 	}
 	return pi, c, err
 }
@@ -216,9 +219,10 @@ func (o ownStore) Abolish(pi term.Indicator) {
 	delete(o.s.own, fn)
 }
 
-// link links clauses cs as fn's code and installs it: the session's own
-// code at its first call, the bootstrap library at session start. A clause
-// added in source mode has no code until then.
+// link links clauses cs as fn's code and installs it, at fn's first call:
+// the session's own code or the library's. A clause added in source mode
+// has no code until then; a library clause always has its code, so the
+// shared table is only read.
 func (s *Session) link(fn dict.ID, cs []interp.Clause) (*wam.Proc, error) {
 	code, err := s.codes(cs)
 	if err != nil {
@@ -232,7 +236,6 @@ func (s *Session) link(fn dict.ID, cs []interp.Clause) (*wam.Proc, error) {
 // codes returns the code units of clauses cs, compiling, once, each that
 // was added with none.
 func (s *Session) codes(cs []interp.Clause) ([]compiler.ClauseCode, error) {
-	t0, compiled := time.Now(), false
 	out := make([]compiler.ClauseCode, len(cs))
 	for i := range cs {
 		if cs[i].Code == nil {
@@ -240,12 +243,9 @@ func (s *Session) codes(cs []interp.Clause) ([]compiler.ClauseCode, error) {
 			if err != nil {
 				return nil, err
 			}
-			cs[i].Code, compiled = c.Code, true
+			cs[i].Code = c.Code
 		}
 		out[i] = *cs[i].Code
-	}
-	if compiled {
-		s.q.Phases.Add(obs.PhaseCompile, time.Since(t0))
 	}
 	return out, nil
 }

@@ -258,12 +258,21 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	}
 }
 
-// TestConcurrentSourceSessionsShareLibrary: source-mode sessions resolve
-// library predicates against one table, read once per process, and their
-// own code against their own lists; several sessions running at once must
-// neither race on the table nor see each other's code.
+// TestConcurrentSourceSessionsShareLibrary: sessions resolve library
+// predicates against one table, compiled or read once per process (source
+// mode's interpreter reads its terms, compiled mode links its code), and
+// their own code against their own lists; several sessions running at once
+// must neither race on the table nor see each other's code.
 func TestConcurrentSourceSessionsShareLibrary(t *testing.T) {
-	kb, err := core.OpenKB(core.Options{RuleStorage: core.RuleStorageSource})
+	for _, rs := range []core.RuleStorage{core.RuleStorageSource, core.RuleStorageCompiled} {
+		t.Run(fmt.Sprintf("storage%d", rs), func(t *testing.T) {
+			concurrentSessionsShareLibrary(t, rs)
+		})
+	}
+}
+
+func concurrentSessionsShareLibrary(t *testing.T, rs core.RuleStorage) {
+	kb, err := core.OpenKB(core.Options{RuleStorage: rs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,6 +162,12 @@ var diffCorpus = []diffCase{
 	// abolish/1 takes the predicate away, so a later call raises an
 	// existence error.
 	{"dynamic-abolish", ":- dynamic(c/1). c(1). c(2).", "abolish(c/1), catch(findall(X, c(X), L), error(E, _), true)"},
+	// abolish/1 removes only session code: a library predicate, a control
+	// construct or a builtin is found again at its next call.
+	{"abolish-library", "", "abolish(append/3), append([a], [b], L)"},
+	{"abolish-control", "", "abolish(','/2), G = (true, true), call(G)"},
+	{"abolish-builtin", "", "abolish(atom/1), G = atom(a), call(G)"},
+	{"abolish-findall", "", "abolish(findall/3), findall(X, member(X, [1, 2]), L)"},
 	// The library both evaluators load.
 	{"nth1-enumerates", "", "nth1(N, [a,b,c], X)"},
 	{"maplist", "double(X, Y) :- Y is X * 2.", "maplist(integer, [1,2,3]), maplist(double, [1,2,3], L), nth0(1, L, Z)"},
@@ -377,6 +383,12 @@ func TestDifferentialSourceConsult(t *testing.T) {
 			}
 			return flip(s)
 		}, "findall(X, c(X), L)", []string{"L=[2];X=_V0;"}},
+		// abolish/1 of a library predicate, a control construct and a
+		// builtin leaves each to be found at its call in a later query.
+		{"abolish-then-call", func(s *Session) error {
+			_, err := s.QueryAll("abolish(append/3), abolish(','/2), abolish(atom/1)")
+			return err
+		}, "append([a], [b], L), G = (true, atom(a)), call(G)", []string{"G=','(true,atom(a));L=[a,b];"}},
 		{"assert-term-switch", func(s *Session) error {
 			for i := 1; i <= 2; i++ {
 				if err := s.AssertTerm(term.Comp("q", term.Int(int64(i))), false); err != nil {

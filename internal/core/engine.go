@@ -218,7 +218,7 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 		kb:       kb,
 		opts:     kb.opts,
 		m:        m,
-		comp:     compiler.New(compiler.Options{Transparent: transparentFor(m)}),
+		comp:     compiler.New(compiler.Options{}),
 		ops:      parser.NewOpTable(),
 		in:       interp.New(),
 		own:      map[dict.ID][]interp.Clause{},
@@ -238,18 +238,8 @@ func (kb *KnowledgeBase) NewSession() (*Session, error) {
 	s.in.Store = ownStore{s}
 	m.OnUndefined = s.onUndefined
 	s.registerEngineBuiltins()
-	if err := s.loadBootstrap(); err != nil {
-		return nil, err
-	}
 	s.in.OnUndefined = s.interpTrap
 	return s, nil
-}
-
-// transparentFor returns the inline-builtin test bound to machine m.
-func transparentFor(m *wam.Machine) func(string, int) bool {
-	return func(name string, arity int) bool {
-		return compiler.DefaultTransparent(name, arity) && m.BuiltinIndex(name, arity) >= 0
-	}
 }
 
 // Close releases the session's transient state, rolling back any
@@ -554,10 +544,6 @@ func (s *Session) directive(d term.Term) error {
 // program reads clauses grouped by predicate, preserving first-definition
 // order, and compiles them when compile is set.
 func (s *Session) program(terms []term.Term, compile bool) (map[term.Indicator][]interp.Clause, []term.Indicator, error) {
-	if compile {
-		t0 := time.Now()
-		defer func() { s.q.Phases.Add(obs.PhaseCompile, time.Since(t0)) }()
-	}
 	units := map[term.Indicator][]interp.Clause{}
 	var order []term.Indicator
 	for _, tm := range terms {
@@ -591,16 +577,18 @@ func (s *Session) storeClause(tm term.Term) error {
 	} else if s.opts.RuleStorage == RuleStorageSource {
 		form = edb.FormSource
 	}
-	var blob []byte
-	t0 := time.Now()
+	var code *compiler.ClauseCode
 	if form == edb.FormCode {
-		ccs, err := s.comp.CompileClause(tm)
-		s.q.Phases.Add(obs.PhaseCompile, time.Since(t0))
+		_, c, err := s.newClause(tm, true)
 		if err != nil {
 			return err
 		}
-		t0 = time.Now()
-		blob = loader.EncodeClause(ccs[0])
+		code = c.Code
+	}
+	t0 := time.Now()
+	var blob []byte
+	if code != nil {
+		blob = loader.EncodeClause(*code)
 	} else {
 		blob = []byte(tm.String() + ".")
 	}
@@ -734,11 +722,11 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 	}
 	var want []byte
 	if p.Form == edb.FormCode {
-		ccs, err := compiler.New(compiler.Options{Transparent: transparentFor(s.m)}).CompileClause(t)
+		_, c, err := s.newClause(t, true)
 		if err != nil {
 			return false, err
 		}
-		want = loader.EncodeClause(ccs[0])
+		want = loader.EncodeClause(*c.Code)
 	}
 	for _, sc := range scs {
 		match := string(sc.Blob) == string(want)

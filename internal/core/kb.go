@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/edb"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/rel"
 	"repro/internal/store"
@@ -57,11 +56,6 @@ type KnowledgeBase struct {
 	shared    map[term.Indicator]*sharedProc
 	nvariants int
 	version   atomic.Uint64 // bumped on every invalidation
-
-	// Compiled bootstrap library, shared so sessions only pay linking.
-	bootMu    sync.Mutex
-	bootUnits map[term.Indicator][]interp.Clause
-	bootOrder []term.Indicator
 
 	// Observability: the KB-wide metrics registry (owned by the store,
 	// shared by every layer) plus the shared decoded-code cache counters
@@ -309,24 +303,4 @@ func (kb *KnowledgeBase) InsertTuples(name string, ts []rel.Tuple) error {
 		return fmt.Errorf("core: no relation %s", name)
 	}
 	return r.InsertAll(ts)
-}
-
-// bootstrapUnits compiles the bootstrap library once per KB and hands the
-// relocatable units to every session for linking (sessions pay only the
-// ~10% loader share of §3.1's compile-cost split).
-func (kb *KnowledgeBase) bootstrapUnits(s *Session) (map[term.Indicator][]interp.Clause, []term.Indicator, error) {
-	kb.bootMu.Lock()
-	defer kb.bootMu.Unlock()
-	if kb.bootUnits == nil {
-		terms, err := s.parseProgram(bootstrapSrc)
-		if err != nil {
-			return nil, nil, err
-		}
-		units, order, err := s.program(terms, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		kb.bootUnits, kb.bootOrder = units, order
-	}
-	return kb.bootUnits, kb.bootOrder, nil
 }

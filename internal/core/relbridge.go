@@ -117,15 +117,7 @@ func (s *Session) BindRelation(name string) error {
 
 	idx := s.m.RegisterBuiltin(wam.Builtin{Name: "$rel_" + name, Arity: arity, Fn: cursor})
 	// Also install the relation under its own name.
-	blk := s.m.AddBlock(&wam.CodeBlock{
-		Name: fmt.Sprintf("$relation %s/%d", name, arity),
-		Instrs: []wam.Instr{
-			{Op: wam.OpBuiltin, N: int32(idx), Ar: int32(arity)},
-			{Op: wam.OpProceed},
-		},
-	})
-	fn := s.m.Dict.Intern(name, arity)
-	s.m.DefineProc(&wam.Proc{Fn: fn, Arity: arity, Block: blk})
+	s.m.DefineProc(s.m.BuiltinProc(s.m.Dict.Intern(name, arity), idx))
 	return nil
 }
 

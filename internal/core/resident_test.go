@@ -1087,19 +1087,28 @@ func TestAssertKeepsProcedureForm(t *testing.T) {
 }
 
 // TestAssertLinksAtCall: asserts only write the session's own clause list,
-// so 1000 of them spend no link time and leave the predicate uninstalled;
-// its first call links it once, as one block, and answers every clause.
+// so 1000 of them spend compile time, charged to the compile phase, but no
+// parse or link time, and leave the predicate uninstalled; its first call
+// links it once, as one block, and answers every clause.
 func TestAssertLinksAtCall(t *testing.T) {
 	const n = 1000
 	e := newSession(t, Options{})
 	fn := e.Machine().Dict.Intern("d", 1)
-	noLink(t, e, "the asserts", func() {
-		for i := 0; i < n; i++ {
-			if err := e.AssertTerm(term.Comp("d", term.Int(i)), false); err != nil {
-				t.Fatal(err)
-			}
+	before := e.Cost().Phases
+	for i := 0; i < n; i++ {
+		if err := e.AssertTerm(term.Comp("d", term.Int(i)), false); err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
+	after := e.Cost().Phases
+	if spent := after.Get(obs.PhaseCompile) - before.Get(obs.PhaseCompile); spent <= 0 {
+		t.Errorf("the asserts charged %v to compile, want more than 0", spent)
+	}
+	for _, p := range []obs.Phase{obs.PhaseParse, obs.PhaseLink} {
+		if spent := after.Get(p) - before.Get(p); spent != 0 {
+			t.Errorf("the asserts spent %v in %s", spent, p)
+		}
+	}
 	if p := e.Machine().Proc(fn); p != nil {
 		t.Fatalf("d/1 installed after the asserts: %s", p.Block.Name)
 	}

@@ -212,14 +212,8 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 		Arity: arity,
 		Fn:    cursor,
 	})
-	blk := s.m.AddBlock(&wam.CodeBlock{
-		Name: fmt.Sprintf("$setops %s/%d", name, arity),
-		Instrs: []wam.Instr{
-			{Op: wam.OpBuiltin, N: int32(idx), Ar: int32(arity)},
-			{Op: wam.OpProceed},
-		},
-	})
-	info.proc = &wam.Proc{Fn: fn, Arity: arity, Block: blk, Transient: true}
+	info.proc = s.m.BuiltinProc(fn, idx)
+	info.proc.Transient = true
 	s.residentFor(fn, target, info.deps[target]).setops = info
 	s.nresident++
 	s.nsetops++

@@ -17,19 +17,21 @@ import (
 	"repro/internal/wam"
 )
 
-// onUndefined is the interpreter trap of §3.2.1: a call to a procedure
-// with no installed code looks it up in the knowledge base's procedures
-// table at call time and, for a stored procedure, invokes the dynamic
-// loader; nothing about stored procedures is registered with a session
-// ahead of the call. The loader pre-unifies in the EDB using the call's
-// bound arguments, decodes the candidate relocatable clauses, resolves
-// their associative addresses and splices control code.
+// onUndefined is the interpreter trap of §3.2.1, the one way a session
+// installs a procedure: a call to a procedure with no installed code finds
+// it at call time, in the session's own code, then as a resident variant,
+// a builtin, a library predicate, and last in the knowledge base's
+// procedures table, where a stored procedure invokes the dynamic loader.
+// Nothing is registered with a session ahead of the call. The loader
+// pre-unifies in the EDB using the call's bound arguments, decodes the
+// candidate relocatable clauses, resolves their associative addresses and
+// splices control code.
 //
-// A call whose variant is already resident is served first, from its
-// argument cells: under the KB read lock (as rlock takes it) and only while
-// nothing was written since the session last reconciled, it touches no page,
-// so it neither tallies nor looks the procedure up. Every other call takes
-// the loader path below.
+// A call whose variant is already resident is served right after the own
+// lookup, from its argument cells: under the KB read lock (as rlock takes
+// it) and only while nothing was written since the session last
+// reconciled, it touches no page, so it neither tallies nor looks the
+// procedure up. Every other call takes the path below.
 //
 // The decoded (still relocatable) candidate sets are shared across
 // sessions through the knowledge base's code cache; only the final link
@@ -44,9 +46,18 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 			return proc, nil
 		}
 	}
+	// A builtin is left to the machine, which installs its wrapper; a
+	// library predicate is linked from the process-wide table. Both come
+	// before the knowledge base, so a stored procedure cannot shadow them.
 	name := m.Dict.Name(fn)
 	arity := m.Dict.Arity(fn)
+	if m.BuiltinIndex(name, arity) >= 0 {
+		return nil, nil
+	}
 	pi := term.Indicator{Name: name, Arity: arity}
+	if cs, ok := library()[pi]; ok {
+		return s.link(fn, cs)
+	}
 
 	unlock := s.rlock()
 	p := s.kb.db.Proc(name, arity)

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/wam"
 )
 
 // The trap finds a stored procedure in the knowledge base's procedures
@@ -90,6 +93,46 @@ func TestNewSessionRegistersNoStoredProcedure(t *testing.T) {
 	}
 	if empty, full := live(0), live(1000); full != empty {
 		t.Fatalf("new session's dictionary: %d entries over 1000 stored procedures, %d over none", full, empty)
+	}
+}
+
+// TestLibraryLinksAtCall: a new session links nothing, so its block table
+// holds only the machine's own blocks. A library predicate is linked from
+// the table compiled once per process at its first call, as one block and
+// with no compile time; a second call adds nothing, and a second session
+// compiles nothing either.
+func TestLibraryLinksAtCall(t *testing.T) {
+	kb, err := OpenKB(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kb.Close()
+	own := wam.NewMachine(nil).Stats().Blocks
+	for i := 0; i < 2; i++ {
+		s, err := kb.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got := s.Machine().Stats().Blocks; got != own {
+			t.Fatalf("session %d: a fresh block table holds %d blocks, want the machine's own %d", i, got, own)
+		}
+		call := func() {
+			if sol, ok, err := s.QueryOnce("append(X, Y, Z)"); err != nil || !ok || sol["X"].String() != "[]" {
+				t.Fatalf("session %d: append(X, Y, Z) = %v, %v, %v; want X = []", i, sol, ok, err)
+			}
+		}
+		call()
+		if got := s.Machine().Stats().Blocks; got != own+1 {
+			t.Fatalf("session %d: block table %d -> %d at the first call, want one block more", i, own, got)
+		}
+		if cost := s.Cost(); cost.Phases.Get(obs.PhaseCompile) != 0 {
+			t.Fatalf("session %d: the first call spent %v compiling", i, cost.Phases.Get(obs.PhaseCompile))
+		}
+		noLink(t, s, "the second call", call)
+		if got := s.Machine().Stats().Blocks; got != own+1 {
+			t.Fatalf("session %d: block table %d -> %d at the second call, want no block more", i, own+1, got)
+		}
 	}
 }
 

@@ -2,9 +2,10 @@ package interp
 
 // Library is the Prolog library both evaluators load: the interpreter
 // reads it once per process and resolves a call against it when its store
-// does not define the predicate, and the engine compiles it into every
-// machine after the control constructs, findall/3 and transaction/1, which
-// it defines over WAM builtins of its own. It contains no directives.
+// does not define the predicate, and the engine compiles it once per
+// process after the control constructs, findall/3 and transaction/1, which
+// it defines over WAM builtins of its own, and links a predicate of it into
+// a machine at its first call. It contains no directives.
 const Library = `
 once(G) :- call(G), !.
 ignore(G) :- call(G), !.

@@ -144,7 +144,8 @@ type Machine struct {
 	// in the procedures table. It is Educe*'s interpreter trap (§3.2.1):
 	// the engine looks the functor up in the knowledge base's procedures
 	// table there and invokes the dynamic loader. Returning (nil, nil)
-	// makes the call raise ErrUnknownProc.
+	// leaves the call to the machine: a builtin gets its wrapper
+	// installed, anything else raises ErrUnknownProc.
 	OnUndefined func(m *Machine, fn dict.ID) (*Proc, error)
 
 	// GC policy.
@@ -502,21 +503,28 @@ func (m *Machine) RemoveProc(fn dict.ID) {
 	}
 }
 
-// RegisterBuiltin adds a builtin predicate and returns its index. A wrapper
-// procedure is also installed so the builtin can be the target of ordinary
-// calls (in particular from call/N). Registering a name/arity again
-// replaces the function in the same slot, which the existing wrapper
-// already dispatches to; redo closures of the old function run on.
+// RegisterBuiltin adds a builtin predicate and returns its index. It only
+// fills the builtin table: a call of the builtin by name (in particular
+// from call/N) finds it at that call, where lookupProc installs its
+// wrapper. Registering a name/arity again replaces the function in the
+// same slot, which a wrapper already installed dispatches to; redo
+// closures of the old function run on.
 func (m *Machine) RegisterBuiltin(b Builtin) int {
 	key := term.Indicator{Name: b.Name, Arity: b.Arity}
 	if idx, ok := m.binIndex[key]; ok {
 		m.builtins[idx] = b
 		return idx
 	}
-	idx := len(m.builtins)
 	m.builtins = append(m.builtins, b)
-	m.binIndex[key] = idx
-	fn := m.Dict.Intern(b.Name, b.Arity)
+	m.binIndex[key] = len(m.builtins) - 1
+	return len(m.builtins) - 1
+}
+
+// BuiltinProc returns a procedure for fn whose code calls builtin idx and
+// returns: the wrapper that makes a builtin the target of ordinary calls.
+// Its block is added to the machine; the procedure is not installed.
+func (m *Machine) BuiltinProc(fn dict.ID, idx int) *Proc {
+	b := m.builtins[idx]
 	blk := m.AddBlock(&CodeBlock{
 		Name: fmt.Sprintf("$builtin %s/%d", b.Name, b.Arity),
 		Instrs: []Instr{
@@ -524,8 +532,7 @@ func (m *Machine) RegisterBuiltin(b Builtin) int {
 			{Op: OpProceed},
 		},
 	})
-	m.DefineProc(&Proc{Fn: fn, Arity: b.Arity, Block: blk})
-	return idx
+	return &Proc{Fn: fn, Arity: b.Arity, Block: blk}
 }
 
 // TailCall arranges for control to transfer to fn with the given argument
@@ -862,7 +869,8 @@ func (m *Machine) Reset() {
 }
 
 // lookupProc resolves a call target, invoking the OnUndefined trap for
-// procedures that have no resident code (paper §3.2.1).
+// procedures that have no resident code (paper §3.2.1). A builtin the trap
+// leaves to the machine gets its wrapper installed at this first call.
 func (m *Machine) lookupProc(fn dict.ID) (*Proc, error) {
 	if p := m.procs[fn]; p != nil {
 		return p, nil
@@ -874,5 +882,11 @@ func (m *Machine) lookupProc(fn dict.ID) (*Proc, error) {
 			return np, err
 		}
 	}
-	return nil, &ErrUnknownProc{Name: m.Dict.Name(fn), Arity: m.Dict.Arity(fn)}
+	name, arity := m.Dict.Name(fn), m.Dict.Arity(fn)
+	if idx := m.BuiltinIndex(name, arity); idx >= 0 {
+		p := m.BuiltinProc(fn, idx)
+		m.DefineProc(p)
+		return p, nil
+	}
+	return nil, &ErrUnknownProc{Name: name, Arity: arity}
 }
