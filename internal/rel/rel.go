@@ -115,12 +115,14 @@ func (v Value) Compare(o Value) int {
 }
 
 // Key renders the value as an order-preserving byte key for B-tree use.
-func (v Value) Key() []byte {
+// It is never nil, which a range bound would read as open.
+func (v Value) Key() []byte { return v.appendKey([]byte{}) }
+
+// appendKey appends the value's Key to b.
+func (v Value) appendKey(b []byte) []byte {
 	switch v.Type {
 	case Int:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v.I)^(1<<63))
-		return b[:]
+		return binary.BigEndian.AppendUint64(b, uint64(v.I)^(1<<63))
 	case Float:
 		bits := math.Float64bits(v.F)
 		if bits&(1<<63) != 0 {
@@ -128,11 +130,9 @@ func (v Value) Key() []byte {
 		} else {
 			bits |= 1 << 63
 		}
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], bits)
-		return b[:]
+		return binary.BigEndian.AppendUint64(b, bits)
 	default:
-		return []byte(v.S)
+		return append(b, v.S...)
 	}
 }
 
@@ -164,7 +164,12 @@ func encodeTuple(t Tuple) []byte {
 // cut short by the end of data, or a malformed varint, is an error,
 // never a zero-filled value.
 func decodeTuple(data []byte, schema *Schema) (Tuple, error) {
-	out := make(Tuple, 0, len(schema.Attrs))
+	return appendTuple(make(Tuple, 0, len(schema.Attrs)), data, schema)
+}
+
+// appendTuple is decodeTuple appending the values to out. data may alias
+// a pinned page: a string is copied out of it.
+func appendTuple(out Tuple, data []byte, schema *Schema) (Tuple, error) {
 	for range schema.Attrs {
 		if len(data) == 0 {
 			return nil, errTruncated
@@ -256,12 +261,21 @@ func (r *Relation) check(t Tuple) error {
 	return nil
 }
 
+// attr returns the position of the named attribute; an unknown name is
+// an error.
+func (r *Relation) attr(name string) (int, error) {
+	if a := r.Schema.AttrIndex(name); a >= 0 {
+		return a, nil
+	}
+	return -1, fmt.Errorf("rel: %s has no attribute %s", r.Schema.Name, name)
+}
+
 // CreateIndex builds a B-tree index on the attribute, indexing existing
 // tuples.
 func (r *Relation) CreateIndex(attrName string) error {
-	attr := r.Schema.AttrIndex(attrName)
-	if attr < 0 {
-		return fmt.Errorf("rel: %s has no attribute %s", r.Schema.Name, attrName)
+	attr, err := r.attr(attrName)
+	if err != nil {
+		return err
 	}
 	if _, ok := r.indexes[attr]; ok {
 		return nil
@@ -289,13 +303,4 @@ func (r *Relation) HasIndex(attrName string) bool {
 	attr := r.Schema.AttrIndex(attrName)
 	_, ok := r.indexes[attr]
 	return ok
-}
-
-// Get fetches the tuple at rid.
-func (r *Relation) Get(rid store.RID) (Tuple, error) {
-	data, err := r.heap.Get(rid)
-	if err != nil {
-		return nil, err
-	}
-	return decodeTuple(data, &r.Schema)
 }

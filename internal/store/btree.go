@@ -423,6 +423,111 @@ func (t *BTree) Range(lo, hi []byte, fn func(key []byte, val uint64) bool) error
 	return err
 }
 
+// Probe visits the pairs held under each of keys, which are distinct
+// and sorted ascending, calling fn(i, val) for each pair (keys[i], val)
+// in pair order. One leaf is pinned at a time and fn runs while it is.
+// A key is searched for in the leaf where the key before it stopped; the
+// leaf chain is followed while a key's pairs continue, and for one hop
+// past a leaf the key outruns; a key further on descends from the root.
+func (t *BTree) Probe(keys [][]byte, fn func(i int, val uint64)) error {
+	var l probeLeaf
+	defer l.release(t.pool)
+	at := 0 // the first entry of l not below the keys visited so far
+	for i, k := range keys {
+		descended, hopped, seen := false, false, false
+		for {
+			if l.f == nil {
+				f, _, err := t.descend(pair{k, 0}, LatchShared, nil)
+				if err != nil {
+					return err
+				}
+				if err := l.load(t, f); err != nil {
+					return err
+				}
+				at, descended = 0, true
+			}
+			// Binary search for k's first pair, then visit its pairs.
+			for hi := l.cnt; at < hi; {
+				if mid := int(uint(at+hi) >> 1); bytes.Compare(l.entry(mid).key, k) < 0 {
+					at = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			for ; at < l.cnt; at++ {
+				e := l.entry(at)
+				if !bytes.Equal(e.key, k) {
+					break
+				}
+				fn(i, e.val)
+				seen = true
+			}
+			if at < l.cnt {
+				break
+			}
+			// The leaf ran out at or below k. Its pairs go on in the next
+			// leaf, or start there after a descent or on a first hop;
+			// otherwise k lies further on than one hop reaches.
+			next := l.n.next()
+			l.release(t.pool)
+			if !seen && !descended && hopped {
+				continue
+			}
+			if next == invalidPage {
+				return nil // no pair lies past k: no later key is held
+			}
+			f, err := t.pool.Get(next)
+			if err != nil {
+				return err
+			}
+			if err := l.load(t, f); err != nil {
+				return err
+			}
+			at, hopped = 0, true
+		}
+	}
+	return nil
+}
+
+// probeLeaf is the leaf a Probe holds pinned, with the offsets of its
+// entries for a binary search.
+type probeLeaf struct {
+	f    *Frame
+	n    node
+	cnt  int
+	offs [(PageSize - nodeHdr) / 10]uint16 // a leaf entry is at least 10 bytes
+}
+
+// load takes over the pinned leaf f and walks its entries once.
+func (l *probeLeaf) load(t *BTree, f *Frame) error {
+	l.f, l.n, l.cnt = f, node(f.Data), 0
+	for i, off, cnt := 0, nodeHdr, l.n.count(); i < cnt; i++ {
+		_, end, err := l.n.entry(off)
+		if err == nil && i == len(l.offs) {
+			err = errNodeOverrun
+		}
+		if err != nil {
+			return t.bad(f.ID(), err)
+		}
+		l.offs[i], off = uint16(off), end
+	}
+	l.cnt = l.n.count()
+	return nil
+}
+
+// entry returns the leaf's i'th entry, which load has walked.
+func (l *probeLeaf) entry(i int) pair {
+	e, _, _ := l.n.entry(int(l.offs[i]))
+	return e
+}
+
+func (l *probeLeaf) release(pool *Pool) {
+	if l.f != nil {
+		pool.Unpin(l.f, false)
+		l.f = nil
+	}
+}
+
 // Delete removes the pair (key, val), reporting whether it was present.
 // The leaf the descent reaches is the only one that can hold it.
 func (t *BTree) Delete(key []byte, val uint64) (bool, error) {

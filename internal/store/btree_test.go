@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -94,10 +95,40 @@ func verifyModel(t *testing.T, bt *BTree, m btModel) {
 	}
 }
 
+// checkProbe requires Probe over keys, sorted and made distinct here, to
+// visit exactly the pairs that a Range over each key alone visits, in the
+// same order.
+func checkProbe(t *testing.T, bt *BTree, keys [][]byte) {
+	t.Helper()
+	slices.SortFunc(keys, bytes.Compare)
+	keys = slices.CompactFunc(keys, bytes.Equal)
+	type visit struct {
+		i   int
+		val uint64
+	}
+	var want, got []visit
+	for i, k := range keys {
+		if err := bt.Range(k, k, func(_ []byte, v uint64) bool {
+			want = append(want, visit{i, v})
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bt.Probe(keys, func(i int, v uint64) { got = append(got, visit{i, v}) }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Probe of %d keys visits %d pairs, per-key Range %d: %v, want %v", len(keys), len(got), len(want), got, want)
+	}
+}
+
 // TestBTreeMatchesModel drives random inserts and deletes — many pairs
 // per key, key lengths from 1 to MaxKeyLen — into a tree at least three
 // levels deep, checking it against a sorted model after each batch. An
-// insert of a pair already present must be refused.
+// insert of a pair already present must be refused. After each batch a
+// few probes of sorted keys, some absent and one holding pairs that span
+// leaves, must visit what per-key Ranges visit.
 func TestBTreeMatchesModel(t *testing.T) {
 	s := memStore(t)
 	bt, err := CreateBTree(s.Pool())
@@ -115,6 +146,13 @@ func TestBTreeMatchesModel(t *testing.T) {
 		pool[i][n-1] = byte(rng.Intn(256))
 	}
 	var m btModel
+	span := []byte("span")
+	for v := uint64(0); v < 600; v++ {
+		if err := bt.Insert(span, v); err != nil {
+			t.Fatal(err)
+		}
+		m, _ = m.insert(span, v)
+	}
 	for batch := 0; batch < 20; batch++ {
 		for op := 0; op < 200; op++ {
 			if rng.Intn(10) < 7 || len(m) == 0 {
@@ -140,6 +178,13 @@ func TestBTreeMatchesModel(t *testing.T) {
 			}
 		}
 		verifyModel(t, bt, m)
+		for probe := 0; probe < 5; probe++ {
+			keys := [][]byte{span, {byte(rng.Intn(256))}}
+			for n := rng.Intn(60); n > 0; n-- {
+				keys = append(keys, pool[rng.Intn(len(pool))])
+			}
+			checkProbe(t, bt, keys)
+		}
 	}
 	if h, err := bt.height(); err != nil || h < 3 {
 		t.Fatalf("tree has %d levels (%v), want at least 3", h, err)
@@ -282,8 +327,8 @@ func TestBTreeSplitPointsUnchanged(t *testing.T) {
 }
 
 // TestBTreeMalformedNodeIsAnError: a node whose count, key length or
-// payload runs past its page is reported by Check, Range, Insert and
-// Delete, never a panic.
+// payload runs past its page is reported by Check, Range, Insert, Delete
+// and Probe, never a panic.
 func TestBTreeMalformedNodeIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -341,13 +386,16 @@ func TestBTreeMalformedNodeIsAnError(t *testing.T) {
 			if _, err := bt.Delete(tc.key, 1); err == nil {
 				t.Error("Delete read through a malformed node")
 			}
+			if err := bt.Probe([][]byte{tc.key}, func(int, uint64) {}); err == nil {
+				t.Error("Probe read through a malformed node")
+			}
 		})
 	}
 }
 
 // FuzzBTreeOps decodes its input, four bytes an operation, into inserts
-// of pairs not yet present and deletes, checked against the model, then
-// checks the whole tree.
+// of pairs not yet present, deletes and probes, checked against the model
+// and per-key Ranges, then checks the whole tree.
 func FuzzBTreeOps(f *testing.F) {
 	f.Add([]byte{0, 255, 'a', 0, 1, 255, 'a', 1, 2, 255, 'b', 0, 3, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0, 200, 7, 1}, 64))
@@ -355,6 +403,11 @@ func FuzzBTreeOps(f *testing.F) {
 	var seq []byte
 	for i := 0; i < 300; i++ {
 		seq = append(seq, byte(i%4), byte(i*37), byte(i%5), byte(i/3))
+	}
+	f.Add(seq)
+	seq = nil
+	for i := 0; i < 400; i++ {
+		seq = append(seq, byte(i%8), byte(i*13), byte(i%7), byte(i/5))
 	}
 	f.Add(seq)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -369,6 +422,16 @@ func FuzzBTreeOps(f *testing.F) {
 		var m btModel
 		for ; len(data) >= 4; data = data[4:] {
 			op, a, b, c := data[0], data[1], data[2], data[3]
+			if op%8 == 7 && len(m) > 0 {
+				// Probe 1 to 8 keys held from the model's (a, b)th pair on,
+				// c apart, and one key of even length, which no insert makes.
+				keys := [][]byte{bytes.Repeat([]byte{b % 8}, 2+int(a)%64)}
+				for i, at := 0, int(a)<<8|int(b); i <= int(c%8); i++ {
+					keys = append(keys, m[(at+i*(1+int(c)/8))%len(m)].key)
+				}
+				checkProbe(t, bt, keys)
+				continue
+			}
 			if op%4 != 3 || len(m) == 0 {
 				key, val := bytes.Repeat([]byte{b % 8}, 1+int(a)*2), uint64(c%4)
 				var added bool

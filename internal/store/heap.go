@@ -232,29 +232,74 @@ func (h *Heap) writeOverflow(data []byte) (PageID, error) {
 	return head, nil
 }
 
-// Get returns the record at rid.
+// Get returns a private copy of the record at rid.
 func (h *Heap) Get(rid RID) ([]byte, error) {
 	f, err := h.pool.Get(rid.Page)
 	if err != nil {
 		return nil, err
 	}
-	defer h.pool.Unpin(f, false)
-	if int(rid.Slot) >= pageNSlots(f.Data) {
-		return nil, fmt.Errorf("store: no such slot %s", rid)
+	data, fresh, err := h.record(f.Data, rid)
+	if err == nil && !fresh {
+		data = clone(data)
 	}
-	off, ln := slotAt(f.Data, int(rid.Slot))
+	h.pool.Unpin(f, false)
+	return data, err
+}
+
+// ReadRuns calls fn(i, data) for each rids[i] in turn. A run of rids on
+// one page pins it once, so rids sorted by page pin each page once; data
+// aliases the pinned page and is valid only during the call, except for
+// an overflow record, which is read into a fresh slice. A missing or
+// deleted record, or an error from fn, ends the read with no page left
+// pinned.
+func (h *Heap) ReadRuns(rids []RID, fn func(i int, data []byte) error) error {
+	for i := 0; i < len(rids); {
+		pid := rids[i].Page
+		f, err := h.pool.Get(pid)
+		if err != nil {
+			return err
+		}
+		for ; i < len(rids) && rids[i].Page == pid; i++ {
+			data, _, err := h.record(f.Data, rids[i])
+			if err == nil {
+				err = fn(i, data)
+			}
+			if err != nil {
+				h.pool.Unpin(f, false)
+				return err
+			}
+		}
+		h.pool.Unpin(f, false)
+	}
+	return nil
+}
+
+// clone copies b; make and copy is faster than bytes.Clone's append.
+func clone(b []byte) []byte {
+	c := make([]byte, len(b))
+	copy(c, b)
+	return c
+}
+
+// record reads the record at rid off its pinned page d. An inline record
+// aliases d; an overflow record is read into a fresh slice while d stays
+// pinned, so no writer can free its chain meanwhile, and fresh says so.
+func (h *Heap) record(d []byte, rid RID) (data []byte, fresh bool, err error) {
+	if int(rid.Slot) >= pageNSlots(d) {
+		return nil, false, fmt.Errorf("store: no such slot %s", rid)
+	}
+	off, ln := slotAt(d, int(rid.Slot))
 	if off == 0 {
-		return nil, fmt.Errorf("store: record %s deleted", rid)
+		return nil, false, fmt.Errorf("store: record %s deleted", rid)
 	}
-	rec := f.Data[off : off+ln]
+	rec := d[off : off+ln]
 	if rec[0] == 0 {
-		out := make([]byte, ln-1)
-		copy(out, rec[1:])
-		return out, nil
+		return rec[1:], false, nil
 	}
 	head := PageID(binary.LittleEndian.Uint32(rec[1:5]))
 	total := int(binary.LittleEndian.Uint32(rec[5:9]))
-	return h.readOverflow(head, total)
+	data, err = h.readOverflow(head, total)
+	return data, true, err
 }
 
 func (h *Heap) readOverflow(head PageID, total int) ([]byte, error) {
@@ -404,25 +449,18 @@ func (sc *HeapScanner) loadPage() error {
 	sc.pos = 0
 	n := pageNSlots(f.Data)
 	for i := 0; i < n; i++ {
-		off, ln := slotAt(f.Data, i)
-		if off == 0 {
+		if off, _ := slotAt(f.Data, i); off == 0 {
 			continue
 		}
-		rec := f.Data[off : off+ln]
-		if rec[0] == 0 {
-			d := make([]byte, ln-1)
-			copy(d, rec[1:])
-			sc.items = append(sc.items, scanItem{slot: i, data: d})
-		} else {
-			head := PageID(binary.LittleEndian.Uint32(rec[1:5]))
-			tot := int(binary.LittleEndian.Uint32(rec[5:9]))
-			d, err := sc.h.readOverflow(head, tot)
-			if err != nil {
-				sc.h.pool.Unpin(f, false)
-				return err
-			}
-			sc.items = append(sc.items, scanItem{slot: i, data: d})
+		d, fresh, err := sc.h.record(f.Data, RID{Page: sc.page, Slot: uint16(i)})
+		if err != nil {
+			sc.h.pool.Unpin(f, false)
+			return err
 		}
+		if !fresh {
+			d = clone(d)
+		}
+		sc.items = append(sc.items, scanItem{slot: i, data: d})
 	}
 	sc.h.pool.Unpin(f, false)
 	return nil
