@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -90,10 +90,11 @@ const (
 var ErrChecksum = errors.New("store: page checksum mismatch")
 
 func frameCRC(id PageID, data []byte) uint32 {
-	var idb [4]byte
-	binary.LittleEndian.PutUint32(idb[:], uint32(id))
-	c := crc32.Update(0, crcTable, idb[:])
-	return crc32.Update(c, crcTable, data)
+	c := ^uint32(0) // the ID's 4 LE bytes by table: a byte buffer would escape to the heap
+	for i := 0; i < 32; i += 8 {
+		c = crcTable[byte(c)^byte(id>>i)] ^ c>>8
+	}
+	return crc32.Update(^c, crcTable, data)
 }
 
 // header page layout (page 0 data, stored with a frame trailer like any
@@ -131,6 +132,8 @@ type filePager struct {
 	// checkpoint, the header (page 0) included; reads try it next, then
 	// the page file. A checkpoint folds exactly tail.
 	tail map[PageID][]byte
+	// spare holds retired images for newImage, checkpointBytes/PageSize at most.
+	spare [][]byte
 	// txn, when non-nil, is the undo record of the open transaction
 	// (txn.go): commits are suspended until commitTxn.
 	txn *pagerTxn
@@ -150,8 +153,8 @@ type filePager struct {
 
 	checkpointBytes int64
 
-	// scratch receives every disk frame read from the page file (lock
-	// held), so a read allocates nothing.
+	// scratch holds every disk frame read from or written to the page
+	// file (lock held), so frame I/O allocates nothing.
 	scratch [diskFrameSize]byte
 
 	checksumErrors atomic.Uint64
@@ -294,10 +297,16 @@ func (p *filePager) checkpointLSN() uint64 {
 	return binary.LittleEndian.Uint64(f[12:20])
 }
 
-// encodeHeaderPage encodes the in-memory header stamped with lsn, the
-// LSN of the commit marker that will commit it.
+// encodeHeaderPage encodes the in-memory header, meta table in name order,
+// stamped with lsn, the LSN of the commit marker that commits it (lock held).
 func (p *filePager) encodeHeaderPage(lsn uint64) ([]byte, error) {
-	buf := make([]byte, PageSize)
+	names := make([]string, 0, len(p.meta))
+	for name := range p.meta {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	buf := p.newImage()
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(pagerMagic))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(p.numPages))
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(p.freeHead))
@@ -305,7 +314,7 @@ func (p *filePager) encodeHeaderPage(lsn uint64) ([]byte, error) {
 	off := 20
 	binary.LittleEndian.PutUint32(buf[off:off+4], uint32(len(p.meta)))
 	off += 4
-	for name, root := range p.meta {
+	for _, name := range names {
 		if off+4+len(name)+8 > PageSize {
 			return nil, errors.New("store: header meta table overflow")
 		}
@@ -313,7 +322,7 @@ func (p *filePager) encodeHeaderPage(lsn uint64) ([]byte, error) {
 		off += 4
 		copy(buf[off:], name)
 		off += len(name)
-		binary.LittleEndian.PutUint64(buf[off:off+8], root)
+		binary.LittleEndian.PutUint64(buf[off:off+8], p.meta[name])
 		off += 8
 	}
 	return buf, nil
@@ -350,9 +359,9 @@ func (p *filePager) readHeader() error {
 }
 
 // writeFrame writes data as page id's frame in the page file, trailer
-// included.
+// included, assembled in p.scratch (lock held): every File copies it.
 func (p *filePager) writeFrame(id PageID, data []byte) error {
-	frame := make([]byte, diskFrameSize)
+	frame := p.scratch[:]
 	copy(frame, data[:PageSize])
 	binary.LittleEndian.PutUint32(frame[PageSize:PageSize+4], uint32(p.wal.lsn))
 	binary.LittleEndian.PutUint32(frame[PageSize+4:], frameCRC(id, frame[:PageSize+4]))
@@ -395,7 +404,7 @@ func sortedPageIDs(m map[PageID][]byte) []PageID {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -445,16 +454,38 @@ func (p *filePager) image(id PageID) []byte {
 }
 
 // stash records buf as page id's pending image, overwriting any earlier
-// one in place (lock held). Nothing touches either file here: the image
-// is logged at the next commit and reaches its home frame at the
-// checkpoint after that.
-func (p *filePager) stash(id PageID, buf []byte) {
+// one in place, and returns the image (lock held). Nothing touches
+// either file here: the image is logged at the next commit and reaches
+// its home frame at the checkpoint after that.
+func (p *filePager) stash(id PageID, buf []byte) []byte {
 	img := p.pending[id]
 	if img == nil {
-		img = make([]byte, PageSize)
+		img = p.newImage()
 		p.pending[id] = img
 	}
 	copy(img, buf[:PageSize])
+	return img
+}
+
+var zeroPage [PageSize]byte // a reused or freed page's start; never written
+
+// newImage returns a page image to fill, a spare one if there is one
+// (lock held). Its contents are stale.
+func (p *filePager) newImage() []byte {
+	if n := len(p.spare); n > 0 {
+		img := p.spare[n-1]
+		p.spare = p.spare[:n-1]
+		return img
+	}
+	return make([]byte, PageSize)
+}
+
+// recycle keeps img, unless nil, for newImage (lock held); no map may
+// refer to it any more.
+func (p *filePager) recycle(img []byte) {
+	if img != nil && int64(len(p.spare)) < p.checkpointBytes/PageSize {
+		p.spare = append(p.spare, img)
+	}
 }
 
 func (p *filePager) Allocate() (PageID, error) {
@@ -469,7 +500,7 @@ func (p *filePager) Allocate() (PageID, error) {
 			return 0, err
 		}
 		p.freeHead = PageID(binary.LittleEndian.Uint32(link))
-		p.stash(id, make([]byte, PageSize)) // reused pages must read as zero
+		p.stash(id, zeroPage[:]) // reused pages must read as zero
 		p.hdrDirty = true
 		return id, nil
 	}
@@ -487,9 +518,8 @@ func (p *filePager) Free(id PageID) error {
 	if id == 0 || id >= p.numPages {
 		return fmt.Errorf("store: free of invalid page %d", id)
 	}
-	buf := make([]byte, PageSize)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(p.freeHead))
-	p.stash(id, buf)
+	img := p.stash(id, zeroPage[:])
+	binary.LittleEndian.PutUint32(img[:4], uint32(p.freeHead))
 	p.freeHead = id
 	p.hdrDirty = true
 	return nil
@@ -531,8 +561,9 @@ func (p *filePager) commit() error {
 
 // commitOnly logs every pending page once, in page order, then the
 // header and a commit marker, and moves the committed images into the
-// tail (no checkpoint). With nothing pending it is free. On failure the
-// images stay pending, so a retry logs a superset of the batch.
+// tail (no checkpoint), recycling those they supersede. With nothing
+// pending it is free. On failure the images stay pending, so a retry
+// logs a superset of the batch.
 func (p *filePager) commitOnly() error {
 	if !p.hdrDirty && len(p.pending) == 0 {
 		return nil
@@ -544,11 +575,14 @@ func (p *filePager) commitOnly() error {
 		return err
 	}
 	if err := p.wal.commit(ids, p.pending, hdr); err != nil {
+		p.recycle(hdr)
 		return err
 	}
 	for _, id := range ids {
+		p.recycle(p.tail[id])
 		p.tail[id] = p.pending[id]
 	}
+	p.recycle(p.tail[0])
 	p.tail[0] = hdr
 	clear(p.pending)
 	p.hdrDirty = false
@@ -616,7 +650,10 @@ func (p *filePager) checkpointLocked() error {
 		return err
 	}
 	p.wal.resetLog()
-	p.tail = map[PageID][]byte{}
+	for _, img := range p.tail {
+		p.recycle(img)
+	}
+	clear(p.tail)
 	p.checkpoints.Add(1)
 	return nil
 }

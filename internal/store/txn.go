@@ -134,7 +134,7 @@ func (p *filePager) rollbackTxn() error {
 
 // rollbackLocked restores the pre-transaction pager state (mu held,
 // p.txn non-nil). Nothing is logged while a transaction is open, so
-// clearing pending and restoring the header fields is the whole undo;
+// recycling pending and restoring the header fields is the whole undo;
 // only the commit-failure path in commitTxn touches the log afterwards.
 func (p *filePager) rollbackLocked() {
 	txn := p.txn
@@ -143,6 +143,9 @@ func (p *filePager) rollbackLocked() {
 	p.freeHead = txn.freeHead
 	p.meta = txn.meta
 	p.hdrDirty = txn.hdrDirty
+	for _, img := range p.pending {
+		p.recycle(img)
+	}
 	clear(p.pending)
 }
 

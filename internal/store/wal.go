@@ -73,14 +73,14 @@ func newWAL(f File) *wal { return &wal{f: f} }
 
 func (w *wal) appendRec(kind byte, id PageID, data []byte) {
 	w.lsn++
-	var hdr [walRecHdr]byte
+	w.buf = append(w.buf, make([]byte, walRecHdr)...) // a local header would escape into crc32
+	hdr := w.buf[len(w.buf)-walRecHdr:]
 	hdr[0] = kind
 	binary.LittleEndian.PutUint64(hdr[1:9], w.lsn)
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(id))
 	crc := crc32.Update(0, crcTable, hdr[:13])
 	crc = crc32.Update(crc, crcTable, data)
 	binary.LittleEndian.PutUint32(hdr[13:17], crc)
-	w.buf = append(w.buf, hdr[:]...)
 	w.buf = append(w.buf, data...)
 }
 
