@@ -289,15 +289,15 @@ func wiscKBSetup(b *testing.B) *core.KnowledgeBase {
 
 // BenchmarkWisconsinParallel drives the term-oriented one-row selection
 // from GOMAXPROCS concurrent sessions over one shared knowledge base
-// (each session has the relations bound as predicates; the buffer pool
-// and indices are shared).
+// (each session calls the relations as predicates, found at their first
+// call; the buffer pool and indices are shared).
 func BenchmarkWisconsinParallel(b *testing.B) {
 	kb := wiscKBSetup(b)
 	q := wisconsin.TermQueries("wisc_a", "wisc_b", "wisc_c", 10000)["selone"]
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		s, err := bench.NewWisconsinSession(kb)
+		s, err := kb.NewSession()
 		if err != nil {
 			b.Error(err)
 			return

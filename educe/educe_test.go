@@ -78,9 +78,6 @@ func TestFacadeRelations(t *testing.T) {
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("scan: %v %v", rows, err)
 	}
-	if err := eng.BindRelation("t"); err != nil {
-		t.Fatal(err)
-	}
 	sol, ok, err := eng.QueryOnce("t(1, V)")
 	if err != nil || !ok || sol["V"].String() != "one" {
 		t.Fatalf("bound relation query: %v %v %v", sol, ok, err)

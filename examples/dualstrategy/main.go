@@ -69,11 +69,9 @@ func main() {
 		fmt.Printf("  %s earns %s\n", t[0], t[1])
 	}
 
-	// Term-oriented: the same relation as a Prolog predicate, driven by
-	// rules with negation and aggregation.
-	if err := eng.BindRelation("employee"); err != nil {
-		log.Fatal(err)
-	}
+	// Term-oriented: the same relation as a Prolog predicate, found by
+	// name at its first call, driven by rules with negation and
+	// aggregation.
 	err = eng.Consult(`
 		dept_size(D, N) :- findall(x, employee(_, _, D, _), L), length(L, N).
 		top_earner(D, Name, S) :-

@@ -189,8 +189,8 @@ type WiscRow struct {
 	IO      store.IOStats
 }
 
-// WisconsinEnv holds the built benchmark relations and a session with
-// them bound as predicates.
+// WisconsinEnv holds the built benchmark relations and a session, which
+// calls each as a predicate of its name.
 type WisconsinEnv struct {
 	Session *core.Session
 	A, B, C *rel.Relation
@@ -198,13 +198,13 @@ type WisconsinEnv struct {
 }
 
 // SetupWisconsin builds relations a and b with n tuples and c with n/10,
-// indexed on unique1/unique2, and binds them as predicates.
+// indexed on unique1/unique2, and a session over them.
 func SetupWisconsin(n int) (*WisconsinEnv, error) {
 	kb, err := SetupWisconsinKB(n)
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewWisconsinSession(kb)
+	s, err := kb.NewSession()
 	if err != nil {
 		kb.Close()
 		return nil, err
@@ -217,8 +217,8 @@ func SetupWisconsin(n int) (*WisconsinEnv, error) {
 func (w *WisconsinEnv) Close() { closeAll(w.Session) }
 
 // SetupWisconsinKB builds the Wisconsin relations in a shared knowledge
-// base for concurrent multi-session benchmarks; bind them per worker
-// with NewWisconsinSession.
+// base for concurrent multi-session benchmarks: any session over it calls
+// them as predicates, with no setup.
 func SetupWisconsinKB(n int) (*core.KnowledgeBase, error) {
 	kb, err := core.OpenKB(core.Options{})
 	if err != nil {
@@ -236,22 +236,6 @@ func SetupWisconsinKB(n int) (*core.KnowledgeBase, error) {
 		}
 	}
 	return kb, nil
-}
-
-// NewWisconsinSession creates a session over a shared Wisconsin knowledge
-// base with the three relations bound as predicates.
-func NewWisconsinSession(kb *core.KnowledgeBase) (*core.Session, error) {
-	s, err := kb.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range []string{"wisc_a", "wisc_b", "wisc_c"} {
-		if err := s.BindRelation(name); err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // WisconsinTable regenerates Tables 2a/2b over the standard query classes,

@@ -376,29 +376,23 @@ func (s *Session) drainProfile() {
 	}
 	fresh := make(map[string]*obs.PredCounters, len(raw))
 	for fn, c := range raw {
-		pred := fmt.Sprintf("%s/%d", s.m.Dict.Name(fn), s.m.Dict.Arity(fn))
-		if f, ok := fresh[pred]; ok {
-			f.Add(c)
-		} else {
-			cp := *c
-			fresh[pred] = &cp
-		}
+		addCounters(fresh, fmt.Sprintf("%s/%d", s.m.Dict.Name(fn), s.m.Dict.Arity(fn)), c)
 	}
 	for pred, c := range fresh {
-		if qc, ok := s.qProf[pred]; ok {
-			qc.Add(c)
-		} else {
-			cp := *c
-			s.qProf[pred] = &cp
-		}
-		if sc, ok := s.profile[pred]; ok {
-			sc.Add(c)
-		} else {
-			cp := *c
-			s.profile[pred] = &cp
-		}
+		addCounters(s.qProf, pred, c)
+		addCounters(s.profile, pred, c)
 	}
 	s.kb.profile.MergeAll(fresh)
+}
+
+// addCounters adds c to pred's counters in m, or files a copy of c.
+func addCounters(m map[string]*obs.PredCounters, pred string, c *obs.PredCounters) {
+	if mc, ok := m[pred]; ok {
+		mc.Add(c)
+	} else {
+		cp := *c
+		m[pred] = &cp
+	}
 }
 
 // ResetStats zeroes this session's own counters: the WAM machine, the

@@ -358,9 +358,6 @@ func TestRelationBridge(t *testing.T) {
 	if err := r.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.BindRelation("emp"); err != nil {
-		t.Fatal(err)
-	}
 	got := values(t, e, "emp(7, N, _)", "N")
 	if !reflect.DeepEqual(got, []string{"e7"}) {
 		t.Fatalf("emp(7,N,_) = %v", got)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -23,8 +22,8 @@ import (
 // (§3.1, §3.3): externally stored code holds only associative addresses,
 // so the same stored (and the same decoded) clauses can be linked into
 // any session's machine. Readers proceed concurrently; writers
-// (ConsultExternal, InsertTuples, assert/retract on stored procedures)
-// take the KB write lock and invalidate affected cache entries.
+// (ConsultExternal, Session.InsertTuples, assert/retract on stored
+// procedures) take the KB write lock and invalidate affected cache entries.
 type KnowledgeBase struct {
 	opts Options // defaults for sessions created with NewSession
 
@@ -288,19 +287,3 @@ func (kb *KnowledgeBase) DB() *edb.DB { return kb.db }
 
 // Catalog returns the relational catalog.
 func (kb *KnowledgeBase) Catalog() *rel.Catalog { return kb.cat }
-
-// InsertTuples appends tuples to a stored relation under the KB write
-// lock, making the set-oriented write path safe against concurrent
-// readers.
-func (kb *KnowledgeBase) InsertTuples(name string, ts []rel.Tuple) error {
-	if kb.st.ReadOnly() {
-		return store.ErrReadOnly
-	}
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	r := kb.cat.Get(name)
-	if r == nil {
-		return fmt.Errorf("core: no relation %s", name)
-	}
-	return r.InsertAll(ts)
-}

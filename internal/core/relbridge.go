@@ -3,13 +3,15 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/dict"
+	"repro/internal/edb"
 	"repro/internal/rel"
 	"repro/internal/store"
+	"repro/internal/term"
 	"repro/internal/wam"
 )
 
-// CreateRelation registers a relation in the catalog, under the KB write
-// lock.
+// CreateRelation registers a relation in the catalog under the KB write lock.
 func (s *Session) CreateRelation(schema rel.Schema) (*rel.Relation, error) {
 	unlock := s.wlock()
 	defer unlock()
@@ -17,9 +19,7 @@ func (s *Session) CreateRelation(schema rel.Schema) (*rel.Relation, error) {
 }
 
 // InsertTuples appends tuples to a stored relation under the session's
-// write lock, so the write participates in the session's open
-// transaction (KnowledgeBase.InsertTuples would deadlock against the
-// transaction's own lock).
+// write lock, so the write joins the session's open transaction.
 func (s *Session) InsertTuples(name string, ts []rel.Tuple) error {
 	if s.kb.st.ReadOnly() {
 		return store.ErrReadOnly
@@ -33,138 +33,133 @@ func (s *Session) InsertTuples(name string, ts []rel.Tuple) error {
 	return r.InsertAll(ts)
 }
 
-// Relation fetches a relation by name. It goes through the session's
-// rlock so it stays safe inside an open transaction (which already
-// holds the KB lock exclusively).
+// Relation fetches a relation by name under the session's rlock, safe
+// inside an open transaction (which holds the KB lock exclusively).
 func (s *Session) Relation(name string) *rel.Relation {
 	unlock := s.rlock()
 	defer unlock()
 	return s.kb.cat.Get(name)
 }
 
-// BindRelation exposes a stored relation as a Prolog predicate of the same
-// name and arity, implemented as a nondeterministic cursor over the record
-// manager — the deterministic low-level interface of §3.2.1 wrapped in a
-// single choice point. When an argument with an index is bound, the cursor
-// uses an index scan (choice-point elision for selective access); otherwise
-// it scans sequentially, filtering on whatever arguments are bound.
-//
-// This is the term-oriented face of the dual evaluation strategy (§4); the
-// set-oriented face is the rel package's operator tree. The cursor takes
-// the KB read lock around each step, so concurrent sessions can drive
-// cursors over the same stored relation.
-func (s *Session) BindRelation(name string) error {
-	unlock := s.rlock()
-	r := s.kb.cat.Get(name)
-	unlock()
-	if r == nil {
-		return fmt.Errorf("core: no relation %s", name)
+// relationFor returns the catalog relation that answers calls of pi, or
+// nil. Caller holds the KB read lock.
+func (s *Session) relationFor(pi term.Indicator) *rel.Relation {
+	if r := s.kb.cat.Get(pi.Name); r != nil && len(r.Schema.Attrs) == pi.Arity {
+		return r
 	}
-	arity := len(r.Schema.Attrs)
-	cursor := func(m *wam.Machine, args []wam.Cell) (bool, error) {
-		// Snapshot bound argument values.
-		type boundArg struct {
-			pos int
-			val rel.Value
-		}
-		var bound []boundArg
-		for i := 0; i < arity; i++ {
-			if v, ok := s.cellToRelValue(m.Deref(m.Reg(i)), r.Schema.Attrs[i].Type); ok {
-				bound = append(bound, boundArg{pos: i, val: v})
-			}
-		}
-		// Pick an access path: an indexed bound attribute if available.
-		var it rel.Iterator
-		usedIndex := -1
-		unlock := s.rlock()
-		for _, ba := range bound {
-			if r.HasIndex(r.Schema.Attrs[ba.pos].Name) {
-				it = rel.IndexScan(r, r.Schema.Attrs[ba.pos].Name, ba.val, ba.val)
-				usedIndex = ba.pos
-				break
-			}
-		}
-		if it == nil {
-			it = rel.SeqScan(r)
-		}
-		unlock()
-		// Residual filter over the remaining bound attributes.
-		filter := make([]boundArg, 0, len(bound))
-		for _, ba := range bound {
-			if ba.pos != usedIndex {
-				filter = append(filter, ba)
-			}
-		}
-		return s.tupleCursor(m, arity, func() (rel.Tuple, error) {
-		scan:
-			for {
-				unlock := s.rlock()
-				t, err := it.Next()
-				unlock()
-				if err != nil || t == nil {
-					it.Close()
-					return nil, err
-				}
-				for _, ba := range filter {
-					if t[ba.pos].Compare(ba.val) != 0 {
-						continue scan
-					}
-				}
-				return t, nil
-			}
-		})
-	}
-
-	idx := s.m.RegisterBuiltin(wam.Builtin{Name: "$rel_" + name, Arity: arity, Fn: cursor})
-	// Also install the relation under its own name.
-	s.m.DefineProc(s.m.BuiltinProc(s.m.Dict.Intern(name, arity), idx))
 	return nil
 }
 
-// tupleCursor is the body of a nondeterministic builtin over a tuple
-// stream: next yields tuples until nil, each is unified with the call's
-// arity argument registers, and the first that unifies is the solution,
-// with a choice point left behind for the rest.
-func (s *Session) tupleCursor(m *wam.Machine, arity int, next func() (rel.Tuple, error)) (bool, error) {
-	redo := func(m *wam.Machine) (bool, error) {
-		for {
-			t, err := next()
-			if err != nil || t == nil {
-				return false, err
-			}
-			ok := m.TryUnify(func() bool {
-				for i := 0; i < arity; i++ {
-					if !m.Unify(m.Reg(i), s.relValueToCell(t[i])) {
-						return false
-					}
-				}
-				return true
-			})
-			if ok {
-				return true, nil
-			}
+// openRelation opens the tuple stream of a call of relation pi, looked up
+// afresh (nil: gone). arg(i) is argument i if bound and atomic; the path
+// scans the index of the first bound attribute that has one, else the
+// relation, filtered on the other bound attributes of their type. Each
+// step takes the KB read lock.
+func (s *Session) openRelation(pi term.Indicator, arg func(i int) (rel.Value, bool)) func() (rel.Tuple, error) {
+	unlock := s.rlock()
+	defer unlock()
+	r := s.relationFor(pi)
+	if r == nil {
+		return nil
+	}
+	var it rel.Iterator
+	filter := map[int]rel.Value{}
+	for i, a := range r.Schema.Attrs {
+		switch v, ok := arg(i); {
+		case !ok || v.Type != a.Type:
+		case it == nil && r.HasIndex(a.Name):
+			it = rel.IndexScan(r, a.Name, v, v)
+		default:
+			filter[i] = v
 		}
 	}
-	m.PushRedo(redo)
-	return redo(m)
+	if it == nil {
+		it = rel.SeqScan(r)
+	}
+	it = rel.Select(it, func(t rel.Tuple) bool {
+		for i, v := range filter {
+			if t[i].Compare(v) != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	return func() (rel.Tuple, error) {
+		unlock := s.rlock()
+		defer unlock()
+		return it.Next()
+	}
 }
 
-// cellToRelValue converts a bound cell to a relational value of the
-// attribute's type; ok is false for unbound or mismatched cells.
-func (s *Session) cellToRelValue(c wam.Cell, typ rel.Type) (rel.Value, bool) {
+// relationProc installs the WAM procedure of relation pi (functor fn),
+// filed as pi's all-wild variant at stored version ver, so a procedure
+// stored under pi replaces it; a call once the relation is gone raises
+// existence_error.
+func (s *Session) relationProc(fn dict.ID, pi term.Indicator, ver uint64) *wam.Proc {
+	if proc := s.catchUp(fn, s.resident[fn], ver).lookup(callKey{}); proc != nil {
+		s.m.DefineProc(proc)
+		return proc
+	}
+	v := &variant{Proc: *s.streamProc(fn, "rel", func(m *wam.Machine) (func() (rel.Tuple, error), error) {
+		if next := s.openRelation(pi, func(i int) (rel.Value, bool) { return s.cellValue(m.Deref(m.Reg(i))) }); next != nil {
+			return next, nil
+		}
+		return nil, &wam.ErrUnknownProc{Name: pi.Name, Arity: pi.Arity}
+	})}
+	for i := range v.fk {
+		v.fk[i] = edb.WildKey()
+	}
+	return s.file(fn, pi, ver, 0, callKey{}, v)
+}
+
+// streamProc returns an uninstalled procedure for fn, builtin $kind_fn,
+// whose call opens a tuple stream (nil fails it) and answers with each
+// tuple that unifies with its arguments: a relation, or a fixpoint.
+func (s *Session) streamProc(fn dict.ID, kind string, open func(m *wam.Machine) (func() (rel.Tuple, error), error)) *wam.Proc {
+	arity := s.m.Dict.Arity(fn)
+	idx := s.m.RegisterBuiltin(wam.Builtin{
+		Name:  fmt.Sprintf("$%s_%s_%d", kind, s.m.Dict.Name(fn), arity),
+		Arity: arity,
+		Fn: func(m *wam.Machine, _ []wam.Cell) (bool, error) {
+			next, err := open(m)
+			if next == nil {
+				return false, err
+			}
+			redo := func(m *wam.Machine) (bool, error) {
+				for {
+					t, err := next()
+					if err != nil || t == nil {
+						return false, err
+					}
+					if m.TryUnify(func() bool {
+						i := 0
+						for i < arity && m.Unify(m.Reg(i), s.relValueToCell(t[i])) {
+							i++
+						}
+						return i == arity
+					}) {
+						return true, nil
+					}
+				}
+			}
+			m.PushRedo(redo)
+			return redo(m)
+		},
+	})
+	p := s.m.BuiltinProc(fn, idx)
+	p.Transient = true
+	return p
+}
+
+// cellValue is a bound atomic cell as a relational value (atom: string).
+func (s *Session) cellValue(c wam.Cell) (rel.Value, bool) {
 	switch c.Tag() {
 	case wam.TagInt:
-		if typ == rel.Int {
-			return rel.IntV(c.IntVal()), true
-		}
+		return rel.IntV(c.IntVal()), true
 	case wam.TagFlt:
-		if typ == rel.Float {
-			return rel.FloatV(s.m.Float(c)), true
-		}
+		return rel.FloatV(s.m.Float(c)), true
 	case wam.TagCon:
-		if typ == rel.String {
-			return rel.StringV(s.m.Dict.Name(c.AtomID())), true
-		}
+		return rel.StringV(s.m.Dict.Name(c.AtomID())), true
 	}
 	return rel.Value{}, false
 }
@@ -179,4 +174,33 @@ func (s *Session) relValueToCell(v rel.Value) wam.Cell {
 	default:
 		return wam.MakeCon(s.m.Dict.Intern(v.S, 0))
 	}
+}
+
+// termValue is cellValue for a resolved term.
+func termValue(t term.Term) (rel.Value, bool) {
+	switch t := t.(type) {
+	case term.Int:
+		return rel.IntV(int64(t)), true
+	case term.Float:
+		return rel.FloatV(float64(t)), true
+	case term.Atom:
+		return rel.StringV(string(t)), true
+	}
+	return rel.Value{}, false
+}
+
+// tupleTerm is relValueToCell for a tuple of relation pi, as a term.
+func tupleTerm(pi term.Indicator, t rel.Tuple) term.Term {
+	args := make([]term.Term, len(t))
+	for i, v := range t {
+		switch v.Type {
+		case rel.Int:
+			args[i] = term.Int(v.I)
+		case rel.Float:
+			args[i] = term.Float(v.F)
+		default:
+			args[i] = term.Atom(v.S)
+		}
+	}
+	return term.Comp(pi.Name, args...)
 }

@@ -106,7 +106,6 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 		return nil, nil // known to fall back: no fetch, no decompile, no count
 	}
 	pages0 := s.q.PagesTouched
-	name, arity := target.Name, target.Arity
 
 	prog, info, leaves, err := s.buildSetopsRules(target)
 	if err != nil {
@@ -168,27 +167,19 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 		return base.proc, nil
 	}
 
-	// Feed the materialized result back into the WAM as a deterministic
-	// collect-all binding stream (the mixed-strategy boundary of §4):
-	// a nondeterministic builtin enumerating the tuples in derivation
-	// order, installed and frozen like any loaded definition. Each call
-	// enumerates the tuples the result held when the call started; one
-	// binding an atom or integer reads only the tuples its first such
-	// argument keys in the column index: the same solutions, in order.
+	// Feed the result back into the WAM as a tuple stream in derivation
+	// order (the mixed-strategy boundary of §4). A call streams the tuples
+	// the result held when it started; one binding an atom or integer only
+	// those its first such argument keys in the column index, in order.
 	info.prog = prog
-	cursor := func(m *wam.Machine, args []wam.Cell) (bool, error) {
+	info.proc = s.streamProc(fn, "setops", func(m *wam.Machine) (func() (rel.Tuple, error), error) {
 		res := info.totals[target]
 		if res == nil {
-			return false, nil
+			return nil, nil
 		}
 		tuples := res.Tuples()
-		for i := 0; i < arity; i++ {
-			c := m.Deref(m.Reg(i))
-			v, ok := s.cellToRelValue(c, rel.String)
-			if !ok {
-				v, ok = s.cellToRelValue(c, rel.Int)
-			}
-			if ok {
+		for i := range target.Arity {
+			if v, ok := s.cellValue(m.Deref(m.Reg(i))); ok && v.Type != rel.Float {
 				keyed := tuples[:0:0]
 				for _, pos := range res.Lookup(i, v) {
 					keyed = append(keyed, tuples[pos])
@@ -197,7 +188,7 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 				break
 			}
 		}
-		return s.tupleCursor(m, arity, func() (rel.Tuple, error) {
+		return func() (rel.Tuple, error) {
 			for len(tuples) > 0 {
 				t := tuples[0]
 				if tuples = tuples[1:]; t != nil {
@@ -205,15 +196,8 @@ func (s *Session) trySetops(fn dict.ID, target term.Indicator) (*wam.Proc, error
 				}
 			}
 			return nil, nil
-		})
-	}
-	idx := s.m.RegisterBuiltin(wam.Builtin{
-		Name:  fmt.Sprintf("$setops_%s_%d", name, arity),
-		Arity: arity,
-		Fn:    cursor,
+		}, nil
 	})
-	info.proc = s.m.BuiltinProc(fn, idx)
-	info.proc.Transient = true
 	s.residentFor(fn, target, info.deps[target]).setops = info
 	s.nresident++
 	s.nsetops++
@@ -248,13 +232,12 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 		unlock := s.rlock()
 		p := s.kb.db.Proc(pi.Name, pi.Arity)
 		if p == nil {
-			r := s.kb.cat.Get(pi.Name)
-			ok := r != nil && len(r.Schema.Attrs) == pi.Arity
-			if ok {
+			r := s.relationFor(pi)
+			if r != nil {
 				info.relDeps[pi.Name] = r.Count()
 			}
 			unlock()
-			if !ok {
+			if r == nil {
 				return nil, nil, nil, nil // unresolved: outside the EDB/rel reach
 			}
 			leaves = append(leaves, pi)
@@ -333,19 +316,15 @@ func (s *Session) readLeaf(pi term.Indicator) (*rel.MemRel, error) {
 		}
 		return leaf, nil
 	}
-	r := s.kb.cat.Get(pi.Name)
-	if r == nil || len(r.Schema.Attrs) != pi.Arity {
+	r := s.relationFor(pi)
+	if r == nil {
 		return nil, nil
 	}
-	it := rel.SeqScan(r)
-	defer it.Close()
-	for {
-		t, err := it.Next()
-		if t == nil || err != nil {
-			return leaf, err
-		}
+	ts, err := rel.Collect(rel.SeqScan(r))
+	for _, t := range ts {
 		leaf.Insert(t)
 	}
+	return leaf, err
 }
 
 // sameLeaf reports whether leaf pi, as info found it, is as it was when so

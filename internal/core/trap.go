@@ -13,6 +13,7 @@ import (
 	"repro/internal/loader"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/rel"
 	"repro/internal/term"
 	"repro/internal/wam"
 )
@@ -20,9 +21,9 @@ import (
 // onUndefined is the interpreter trap of §3.2.1, the one way a session
 // installs a procedure: a call to a procedure with no installed code finds
 // it at call time, in the session's own code, then as a resident variant,
-// a builtin, a library predicate, and last in the knowledge base's
-// procedures table, where a stored procedure invokes the dynamic loader.
-// Nothing is registered with a session ahead of the call. The loader
+// a builtin, a library predicate, in the knowledge base's procedures
+// table, where a stored procedure invokes the dynamic loader, and last in
+// the relational catalog. Nothing is registered ahead of the call. The loader
 // pre-unifies in the EDB using the call's bound arguments, decodes the
 // candidate relocatable clauses, resolves their associative addresses and
 // splices control code.
@@ -62,8 +63,11 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	unlock := s.rlock()
 	p := s.kb.db.Proc(name, arity)
 	if p == nil {
-		unlock()
-		return nil, nil // genuinely unknown
+		defer unlock()
+		if s.relationFor(pi) == nil {
+			return nil, nil // genuinely unknown
+		}
+		return s.relationProc(fn, pi, s.kb.storedVersion(pi)), nil
 	}
 
 	// Set-at-a-time attempt (§4's second evaluation strategy): an
@@ -150,21 +154,22 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	blk.Owner, blk.HasOwner = fn, true // for the profiler; a keyed variant is not installed
 	m.AddBlock(blk)
 	v := &variant{Proc: wam.Proc{Fn: fn, Arity: arity, Block: blk, Transient: true}, fk: filterKeyOf(keys)}
-	proc := &v.Proc
+	return s.file(fn, pi, ver, keyed, ck, v), nil
+}
 
+// file files variant v of pi (functor fn), read at stored version ver,
+// under call key ck (keyed: the registers a key reads). The whole
+// definition is also installed, frozen (§3.2.1) so every later call skips
+// the trap, until evict uninstalls it.
+func (s *Session) file(fn dict.ID, pi term.Indicator, ver uint64, keyed int, ck callKey, v *variant) *wam.Proc {
 	rp := s.residentFor(fn, pi, ver)
 	rp.keyed = keyed
 	rp.variants[ck] = v
 	s.nresident++
 	if ck == (callKey{}) {
-		// The whole definition was loaded: install it so every later
-		// call — in this query and the following ones — skips the trap
-		// entirely. This is the paper's "freezing" of the procedure
-		// definition; the in-memory switch instructions now dispatch
-		// between its clauses. Eviction uninstalls it again.
-		m.DefineProc(proc)
+		s.m.DefineProc(&v.Proc)
 	}
-	return proc, nil
+	return &v.Proc
 }
 
 // fetchClauses returns the decoded clauses of one variant of a
@@ -310,14 +315,16 @@ func (s *Session) endQuery() {
 
 // interpTrap answers the baseline interpreter's call of a procedure it
 // holds no clauses for, looking the procedure up in the knowledge base's
-// procedures table at call time. A facts-only procedure stored as text
+// procedures table at call time, then in the relational catalog (whose
+// tuples it passes to emit). A facts-only procedure stored as text
 // takes Educe's tuple-at-a-time interface to the record manager (§3.2.1):
 // its tuples are pre-unified in the EDB, parsed and unified with the goal
 // one by one, each match passed to emit. Any other procedure is fetched
 // whole (the baseline's poor selectivity) and parsed once per query, each
 // clause counted as the assert §2 itemises among the per-use costs, and
 // handed to the call, which resolves against the clauses; they are
-// dropped at query end. It reports whether the procedure is stored.
+// dropped at query end. It reports whether the procedure or relation
+// exists.
 func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) ([]interp.Clause, bool, error) {
 	pi := goal.Indicator()
 	if cs, ok := s.fetched[pi]; ok {
@@ -327,6 +334,19 @@ func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) 
 	p := s.kb.db.Proc(pi.Name, pi.Arity)
 	if p == nil {
 		unlock()
+		args := headArgsOf(goal)
+		next := s.openRelation(pi, func(i int) (rel.Value, bool) { return termValue(env.ResolveDeep(args[i])) })
+		for next != nil {
+			t, err := next()
+			if err != nil || t == nil {
+				return nil, true, err
+			}
+			mark := env.Mark()
+			if env.Unify(goal, tupleTerm(pi, t)) && !emit() {
+				return nil, true, nil
+			}
+			env.Undo(mark)
+		}
 		return nil, false, nil
 	}
 	if p.Form == edb.FormCode {
