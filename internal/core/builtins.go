@@ -192,10 +192,11 @@ func (s *Session) newClause(t term.Term, compile bool) (term.Indicator, interp.C
 // if it is a stored procedure's resident code, left to the resident table.
 func (s *Session) setOwn(fn dict.ID, cs []interp.Clause) {
 	s.own[fn] = cs
-	if p := s.m.Proc(fn); p != nil && p.Transient {
+	if p := s.m.Proc(fn); p != nil {
 		s.m.UndefineProc(p)
-	} else {
-		s.m.RemoveProc(fn)
+		if !p.Transient {
+			s.m.RemoveBlock(p.Block)
+		}
 	}
 }
 

@@ -173,6 +173,17 @@ var diffCorpus = []diffCase{
 	{"maplist", "double(X, Y) :- Y is X * 2.", "maplist(integer, [1,2,3]), maplist(double, [1,2,3], L), nth0(1, L, Z)"},
 	{"include-exclude", "", "include(integer, [a,1,b,2], I), exclude(integer, [a,1,b,2], E)"},
 	{"bagof-setof", "", "bagof(X, member(X, [c,a,c]), B), setof(Y, Z^member(Y-Z, [b-1,a-2,b-3]), S)"},
+	// Text, number and list builtins both evaluators have, each with the
+	// error it raises (unify_with_occurs_check/2 raises none).
+	{"atom_length", "", "atom_length(abc, N), atom_length(42, M), catch(atom_length(_, _), error(E, _), true), catch(atom_length(f(x), _), error(F, _), true)"},
+	{"atom_chars", "", "atom_chars(abc, L), atom_chars(A, [x, y]), atom_chars(12, D), catch(atom_chars(_, _), error(E, _), true), catch(atom_chars(_, [a, 1]), error(F, _), true)"},
+	{"atom_codes", "", "atom_codes(ab, L), atom_codes(A, [120, 121]), catch(atom_codes(_, [97, b]), error(E, _), true)"},
+	{"char_code", "", "char_code(a, C), char_code(X, 98), catch(char_code(ab, _), error(E, _), true), catch(char_code(_, _), error(F, _), true)"},
+	{"number_codes", "", "number_codes(42, L), number_codes(N, [51, 46, 53]), number_codes(M, [32, 55]), catch(number_codes(_, _), error(E, _), true), catch(number_codes(abc, _), error(F, _), true)"},
+	{"succ", "", "succ(3, X), succ(Y, 3), (succ(_, 0) -> Z = yes ; Z = no), catch(succ(_, _), error(E, _), true), catch(succ(a, _), error(F, _), true)"},
+	{"keysort", "", "keysort([b-1, a-2, b-0, a-1], L), catch(keysort([a-1, x], _), error(E, _), true), catch(keysort(_, _), error(F, _), true)"},
+	{"tab", "", "tab(0), tab(1 - 1), catch(tab(_), error(E, _), true)"},
+	{"unify_with_occurs_check", "", "unify_with_occurs_check(f(X, b), f(a, Y)), (unify_with_occurs_check(Z, f(Z)) -> R = cyclic ; R = refused), unify_with_occurs_check(W, W)"},
 }
 
 // wamSolutions runs the query on the compiled engine.

@@ -296,8 +296,11 @@ func (s *Session) Stats() Stats {
 }
 
 // Cost returns the session's accumulated cost-model counters: finished
-// queries plus the one in flight.
+// queries plus the one in flight, its exec charged up to now.
 func (s *Session) Cost() obs.QueryStats {
+	if s.qOpen {
+		s.chargeExec()
+	}
 	total := s.cum
 	total.AddQuery(&s.q)
 	return total

@@ -89,13 +89,14 @@ func (s *Session) check() error {
 
 // arm opens the envelope at query start: a pending interrupt aimed at the
 // previous query is dropped, the deadline becomes the earlier of the fresh
-// budget and ctx's own, and ctx's cancellation is bound to Interrupt for
-// the whole iteration. ctx is nil for a plain Query.
+// budget, counted from the query's start, and ctx's own, and ctx's
+// cancellation is bound to Interrupt for the whole iteration. ctx is nil
+// for a plain Query.
 func (s *Session) arm(ctx context.Context) {
 	s.m.ClearInterrupt()
 	var deadline time.Time
 	if b := s.budget.Load(); b > 0 {
-		deadline = time.Now().Add(time.Duration(b))
+		deadline = s.qStart.Add(time.Duration(b))
 	}
 	if ctx != nil {
 		if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/interp"
@@ -124,16 +123,16 @@ func (s *Session) parseQuery(q string) (term.Term, map[string]*term.Var, []strin
 // atom, an unsigned decimal integer in the WAM's range or a variable not
 // starting with '_' (see DESIGN §6, "Linked queries"), and nil otherwise.
 func (s *Session) directCall(q string) *linkedQuery {
-	i := span(q, 0, layout)
-	j := span(q, i, alnum)
+	i := skip(q, 0, layout)
+	j := skip(q, i, alnum)
 	if j == i || q[i] < 'a' || q[i] > 'z' || j == len(q) || q[j] != '(' {
 		return nil
 	}
 	name, lq := q[i:j], &linkedQuery{}
 	lq.names, lq.args = lq.nameBuf[:0], lq.argBuf[:0]
 	for i = j; q[i] != ')'; { // q[i] is the '(' or ',' before an argument
-		j = span(q, i+1, layout)
-		k := span(q, j, alnum)
+		j = skip(q, i+1, layout)
+		k := skip(q, j, alnum)
 		if k == j || q[j] == '_' {
 			return nil
 		}
@@ -158,11 +157,11 @@ func (s *Session) directCall(q string) *linkedQuery {
 			}
 			lq.args = append(lq.args, wam.MakeRef(n))
 		}
-		if i = span(q, k, layout); i == len(q) || q[i] != ',' && q[i] != ')' {
+		if i = skip(q, k, layout); i == len(q) || q[i] != ',' && q[i] != ')' {
 			return nil
 		}
 	}
-	if span(q, i+1, layout) != len(q) || s.m.BuiltinIndex(name, len(lq.args)) >= 0 || controlGoals[name] {
+	if skip(q, i+1, layout) != len(q) || s.m.BuiltinIndex(name, len(lq.args)) >= 0 || controlGoals[name] {
 		return nil
 	}
 	lq.fn = s.m.Dict.Intern(name, len(lq.args))
@@ -173,19 +172,30 @@ func (s *Session) directCall(q string) *linkedQuery {
 var controlGoals = map[string]bool{"call": true, "not": true, "once": true, "ignore": true,
 	"forall": true, "findall": true, "bagof": true, "setof": true, "aggregate_all": true, "transaction": true}
 
-const layout, alnum = " \t\n\r", "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
+const layout, alnum = 1, 2 // the byte classes of a goal text skip reads
 
-// span returns the end of the run of bytes of set that starts at q[i].
-func span(q string, i int, set string) int { return len(q) - len(strings.TrimLeft(q[i:], set)) }
+var goalBytes = func() (t [256]uint8) {
+	for _, c := range " \t\n\r" {
+		t[c] = layout
+	}
+	for _, c := range "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_" {
+		t[c] = alnum
+	}
+	return t
+}()
+
+// skip returns the end of the run of bytes of class class that starts at q[i].
+func skip(q string, i int, class uint8) int {
+	for i < len(q) && goalBytes[q[i]]&class != 0 {
+		i++
+	}
+	return i
+}
 
 // Next advances to the next solution, returning false when exhausted or
 // on error (check Err). Exhaustion and errors release per-query state.
-//
-// The time spent resolving is charged to the exec phase. Dynamic-loader
-// work triggered from inside execution (an undefined-procedure trap
-// fetching, decoding and linking stored code) is charged to its own
-// phases, so exec overlaps edb_fetch/preunify/link/gc; elapsed wall time
-// is reported separately in the query trace event.
+// It reads no clock: the query's exec phase is what its end leaves of its
+// elapsed time (see chargeExec).
 func (s *Solutions) Next() (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -197,13 +207,11 @@ func (s *Solutions) Next() (ok bool) {
 		return false
 	}
 	var err error
-	t0 := time.Now()
 	if s.gen != nil {
 		ok, err = s.gen.next()
 	} else {
 		ok, err = s.run.Next()
 	}
-	s.e.q.Phases.Add(obs.PhaseExec, time.Since(t0))
 	if err != nil {
 		return s.fail(err)
 	}
@@ -299,12 +307,24 @@ func (s *Session) beginQuery(goal string) {
 // slowQueryTopN bounds the per-predicate rows in a slow-query record.
 const slowQueryTopN = 5
 
+// chargeExec charges the open query's exec phase up to now and returns
+// the query's elapsed time: exec is what the other phases charged to the
+// query leave of it, so the phases partition elapsed. It is the one clock
+// read a query makes after it opens; Cost calls it too, and what it
+// charged is not charged again.
+func (s *Session) chargeExec() time.Duration {
+	elapsed := time.Since(s.qStart)
+	if d := elapsed - s.q.Phases.Total(); d > 0 {
+		s.q.Phases.Add(obs.PhaseExec, d)
+	}
+	return elapsed
+}
+
 // traceQuery drains the query's profile, emits the completed query's
 // span and summary events and, when the query's wall time reached the
 // armed slow threshold, one slow_query diagnostic record.
-func (s *Session) traceQuery() {
+func (s *Session) traceQuery(elapsed time.Duration) {
 	s.drainProfile()
-	elapsed := time.Since(s.qStart)
 	if !s.tracer.Enabled() {
 		return
 	}

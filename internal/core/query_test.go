@@ -233,3 +233,74 @@ func TestMapSharesVariables(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryPhasesPartitionElapsed: a query reads the clock when it opens
+// and when it ends, and its exec phase is what the other phases leave of
+// the elapsed time, so each traced query's seven spans sum to its elapsed
+// time exactly: a resident hit, a call that traps, a linked $query, a
+// source-mode query, one that fails to start, one that raises, and an
+// iterator abandoned for the next query, whose caller time is exec. Exec
+// read by educe_statistics/2 mid-query is not charged again at its end.
+func TestQueryPhasesPartitionElapsed(t *testing.T) {
+	var buf, srcBuf bytes.Buffer // query IDs are unique per knowledge base
+	e := newSession(t, Options{})
+	e.SetTracer(obs.NewTracer(&buf))
+	consultExternal("f(k1, a). f(k2, b).")(t, e)
+	for _, q := range []string{"f(k1, X)", "f(k1, X)", "findall(X, f(K, X), L)", "nope(1)", "f(("} {
+		e.QueryAll(q)
+	}
+	stats, err := e.QueryAll("educe_statistics(exec_ns, A), atom_length(abc, _), educe_statistics(exec_ns, B)")
+	if err != nil || len(stats) != 1 {
+		t.Fatalf("educe_statistics: %v %v", stats, err)
+	}
+	a, b := stats[0]["A"].(term.Int), stats[0]["B"].(term.Int)
+	cost := e.Cost()
+	if end := cost.Phases.Get(obs.PhaseExec); a > b || time.Duration(b) > end {
+		t.Errorf("exec read mid-query %d then %d, %v at the end", a, b, end)
+	}
+	sol, err := e.Query("f(K, X)")
+	if err != nil || !sol.Next() {
+		t.Fatalf("f(K, X): %v", err)
+	}
+	const caller = 2 * time.Millisecond
+	time.Sleep(caller) // the caller's time, then the iterator is abandoned
+	e.QueryAll("f(k2, X)")
+	src := newSession(t, Options{RuleStorage: RuleStorageSource})
+	src.SetTracer(obs.NewTracer(&srcBuf))
+	consultExternal("g(1). g(2). h(X) :- g(X).")(t, src)
+	src.QueryAll("h(X)")
+	src.QueryAll("g(X), nope(X)")
+
+	// A query's seven span records come right before its summary.
+	var sum, exec int64
+	var goals []string
+	for _, ln := range strings.Split(strings.TrimSpace(buf.String()+srcBuf.String()), "\n") {
+		var rec struct {
+			Msg, Phase, Goal string
+			NS               int64
+			ElapsedNS        int64 `json:"elapsed_ns"`
+		}
+		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Msg {
+		case obs.EventSpan:
+			sum += rec.NS
+			if rec.Phase == obs.PhaseExec.String() {
+				exec = rec.NS
+			}
+		case obs.EventQuery:
+			goals = append(goals, rec.Goal)
+			if sum != rec.ElapsedNS || exec < 0 {
+				t.Errorf("%s: spans sum to %d ns (exec %d), elapsed %d ns", rec.Goal, sum, exec, rec.ElapsedNS)
+			}
+			if rec.Goal == "f(K, X)" && exec < caller.Nanoseconds() {
+				t.Errorf("abandoned f(K, X): exec %d ns, less than the caller's %v", exec, caller)
+			}
+			sum, exec = 0, 0
+		}
+	}
+	if len(goals) != 10 {
+		t.Errorf("traced %d queries %q, want 10", len(goals), goals)
+	}
+}

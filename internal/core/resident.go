@@ -74,16 +74,17 @@ type variant struct {
 
 // residentProc is one session's linked code for one stored procedure:
 // tuple-at-a-time variants by call key (the all-wild one is also installed
-// in the machine's procedure table) or a materialised set-at-a-time
-// fixpoint, installed likewise. keyed is how many argument registers a call
-// key reads when the hit path may serve the procedure (a facts relation,
-// in a session with pre-unification on), else 0.
+// in the machine's procedure table, else the hit entry is) or a
+// materialised set-at-a-time fixpoint, installed likewise. keyed is how
+// many argument registers a call key reads (a facts relation, in a session
+// with pre-unification on), else 0.
 type residentProc struct {
 	pi       term.Indicator
 	ver      uint64 // stored-procedure version at link time
 	keyed    int
 	variants map[callKey]*variant
 	setops   *setopsInfo
+	entry    wam.Proc // the hit entry, once a keyed variant is filed
 }
 
 // sharedCacheLimit caps the number of shared decoded variants before an
@@ -317,6 +318,7 @@ func (s *Session) evict(fn dict.ID, rp *residentProc, writes []filterKey) {
 		s.nsetops--
 	}
 	if len(rp.variants) == 0 {
+		s.m.UndefineProc(&rp.entry)
 		delete(s.resident, fn)
 	}
 }

@@ -1167,3 +1167,136 @@ func TestSourceConsultCompilesAtLink(t *testing.T) {
 		}
 	})
 }
+
+// TestKeyedHitSkipsTrap: once a keyed variant of a stored facts procedure
+// is resident, a call of it goes through the record's hit entry in the
+// procedure table and never traps, until a write, session code over it or
+// abolish/1 takes the entry or the variant away.
+func TestKeyedHitSkipsTrap(t *testing.T) {
+	const facts = "f(k1, a). f(k2, b). f(k3, c)."
+	open := func(t *testing.T, opts Options) (*Session, *Session, *int) {
+		e := newSession(t, opts)
+		consultExternal(facts)(t, e)
+		w, err := e.KB().NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		return e, w, countTraps(e)
+	}
+	// calls runs goal n times, each answering want, and returns the traps
+	// it took.
+	calls := func(t *testing.T, e *Session, traps *int, goal, want string, n int) int {
+		t.Helper()
+		before := *traps
+		for range n {
+			if got := answers(t, e, goal); got != want {
+				t.Fatalf("%s = %s, want %s", goal, got, want)
+			}
+		}
+		return *traps - before
+	}
+	want := map[string]string{"k1": "[map[X:a]]", "k2": "[map[X:b]]", "k3": "[map[X:c]]"}
+	warm := func(t *testing.T, e *Session, traps *int) {
+		t.Helper()
+		for k, a := range want {
+			if n := calls(t, e, traps, "f("+k+", X)", a, 1); n != 1 {
+				t.Fatalf("first f(%s, X) trapped %d times, want 1", k, n)
+			}
+		}
+		for k, a := range want {
+			if n := calls(t, e, traps, "f("+k+", X)", a, 20); n != 0 {
+				t.Fatalf("20 repeat calls of f(%s, X) trapped %d times", k, n)
+			}
+		}
+		if !hitEntry(e, "f", 2) {
+			t.Fatal("f/2 has no hit entry")
+		}
+	}
+
+	t.Run("repeat", func(t *testing.T) {
+		e, _, traps := open(t, Options{})
+		warm(t, e, traps)
+	})
+	t.Run("write by another session", func(t *testing.T) {
+		e, w, traps := open(t, Options{})
+		warm(t, e, traps)
+		if _, err := w.QueryCount("assert_external(f(k1, z))"); err != nil {
+			t.Fatal(err)
+		}
+		if n := calls(t, e, traps, "f(k1, X)", "[map[X:a] map[X:z]]", 1); n != 1 {
+			t.Errorf("f(k1, X) after the write trapped %d times, want 1", n)
+		}
+		if n := calls(t, e, traps, "f(k2, X)", want["k2"], 1); n != 0 {
+			t.Errorf("f(k2, X), which the write does not admit, trapped %d times", n)
+		}
+		// Written mid-query, after the session reconciled: the next call
+		// of the same query cannot take the hit.
+		sol, err := e.Query("member(K, [k2, k2]), f(K, X)")
+		if err != nil || !sol.Next() {
+			t.Fatalf("first solution: %v", err)
+		}
+		if _, err := w.QueryCount("assert_external(f(k3, y))"); err != nil {
+			t.Fatal(err)
+		}
+		before := *traps
+		if !sol.Next() || sol.Binding("X") != term.Atom("b") {
+			t.Fatalf("second solution: X = %v, err %v", sol.Binding("X"), sol.Err())
+		}
+		sol.Close()
+		if n := *traps - before; n != 1 {
+			t.Errorf("a call after a write mid-query trapped %d times, want 1", n)
+		}
+	})
+	t.Run("transaction", func(t *testing.T) {
+		e, _, traps := open(t, Options{})
+		warm(t, e, traps)
+		calls(t, e, traps, "transaction(true)", "[map[]]", 1) // installs transaction/1
+		if n := calls(t, e, traps, "transaction(f(k2, X))", want["k2"], 5); n != 0 {
+			t.Errorf("f(k2, X) inside transaction/1 trapped %d times", n)
+		}
+		if got := values(t, e, "transaction((assert_external(f(k2, y)), findall(X, f(k2, X), L)))", "L"); !reflect.DeepEqual(got, []string{"[b,y]"}) {
+			t.Errorf("a read after the transaction's own write: L = %v", got)
+		}
+	})
+	t.Run("assert shadows", func(t *testing.T) {
+		e, _, traps := open(t, Options{})
+		warm(t, e, traps)
+		if _, err := e.QueryCount("assert(f(k1, own))"); err != nil {
+			t.Fatal(err)
+		}
+		if hitEntry(e, "f", 2) {
+			t.Error("assert left the hit entry installed")
+		}
+		calls(t, e, traps, "f(k1, X)", "[map[X:own]]", 3)
+		calls(t, e, traps, "f(k2, X)", "[]", 3)
+	})
+	t.Run("abolish", func(t *testing.T) {
+		e, _, traps := open(t, Options{})
+		warm(t, e, traps)
+		if _, err := e.QueryCount("abolish(f/2)"); err != nil {
+			t.Fatal(err)
+		}
+		if hitEntry(e, "f", 2) {
+			t.Error("abolish/1 left the hit entry installed")
+		}
+		if n := calls(t, e, traps, "f(k1, X)", want["k1"], 1); n != 1 {
+			t.Errorf("f(k1, X) after abolish/1 trapped %d times, want 1", n)
+		}
+		if n := calls(t, e, traps, "f(k1, X)", want["k1"], 5); n != 0 {
+			t.Errorf("repeat calls after abolish/1 trapped %d times", n)
+		}
+	})
+	t.Run("no pre-unification", func(t *testing.T) {
+		e, _, traps := open(t, Options{DisablePreUnification: true})
+		if n := calls(t, e, traps, "f(k1, X)", want["k1"], 1); n != 1 {
+			t.Errorf("first f(k1, X) trapped %d times, want 1", n)
+		}
+		if n := calls(t, e, traps, "f(k2, X)", want["k2"], 5); n != 0 {
+			t.Errorf("calls of the installed definition trapped %d times", n)
+		}
+		if hitEntry(e, "f", 2) {
+			t.Error("a session without pre-unification has a hit entry")
+		}
+	})
+}

@@ -28,11 +28,9 @@ import (
 // candidate relocatable clauses, resolves their associative addresses and
 // splices control code.
 //
-// A call whose variant is already resident is served right after the own
-// lookup, from its argument cells: under the KB read lock (as rlock takes
-// it) and only while nothing was written since the session last
-// reconciled, it touches no page, so it neither tallies nor looks the
-// procedure up. Every other call takes the path below.
+// A call whose keyed variant is already resident does not come here: the
+// machine's procedure table holds the record's hit entry (see install),
+// and only a call the entry cannot serve traps.
 //
 // The decoded (still relocatable) candidate sets are shared across
 // sessions through the knowledge base's code cache; only the final link
@@ -41,11 +39,6 @@ import (
 func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	if cs, ok := s.own[fn]; ok {
 		return s.link(fn, cs)
-	}
-	if rp := s.resident[fn]; rp != nil && rp.keyed > 0 {
-		if proc := s.residentHit(rp, callKeyOf(m, rp.keyed)); proc != nil {
-			return proc, nil
-		}
 	}
 	// A builtin is left to the machine, which installs its wrapper; a
 	// library predicate is linked from the process-wide table. Both come
@@ -99,9 +92,9 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 		keyed = p.K
 	}
 	ck := callKeyOf(m, keyed)
-	if proc := s.resident[fn].lookup(ck); proc != nil {
+	if rp := s.resident[fn]; rp.lookup(ck) != nil {
 		unlock()
-		return proc, nil
+		return s.install(fn, rp, ck), nil
 	}
 	// A miss: build the pre-unification filter from the call key. The proc
 	// version is stable while we hold the read lock (writers hold the write
@@ -158,18 +151,41 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 }
 
 // file files variant v of pi (functor fn), read at stored version ver,
-// under call key ck (keyed: the registers a key reads). The whole
-// definition is also installed, frozen (§3.2.1) so every later call skips
-// the trap, until evict uninstalls it.
+// under call key ck (keyed: the registers a key reads), and installs it.
 func (s *Session) file(fn dict.ID, pi term.Indicator, ver uint64, keyed int, ck callKey, v *variant) *wam.Proc {
 	rp := s.residentFor(fn, pi, ver)
 	rp.keyed = keyed
 	rp.variants[ck] = v
 	s.nresident++
+	return s.install(fn, rp, ck)
+}
+
+// install installs fn's resident code so that later calls skip the trap,
+// until evict uninstalls it, and returns variant ck. The whole definition
+// (the all-wild variant) is installed itself, frozen (§3.2.1); otherwise
+// the record's hit entry is, which serves each call the variant of its
+// key, under the KB read lock (as rlock takes it) and only while nothing
+// was written since the session last reconciled, touching no page.
+func (s *Session) install(fn dict.ID, rp *residentProc, ck callKey) *wam.Proc {
+	p := rp.lookup(ck)
 	if ck == (callKey{}) {
-		s.m.DefineProc(&v.Proc)
+		s.m.DefineProc(p)
+		return p
 	}
-	return &v.Proc
+	if rp.entry.Hit == nil {
+		rp.entry = wam.Proc{Fn: fn, Arity: rp.pi.Arity, Transient: true, Hit: func(m *wam.Machine) *wam.Proc {
+			if s.txn == nil {
+				s.kb.mu.RLock()
+				defer s.kb.mu.RUnlock()
+			}
+			if s.kb.version.Load() != s.synced {
+				return nil // a write may have changed it: the trap decides
+			}
+			return rp.lookup(callKeyOf(m, rp.keyed))
+		}}
+	}
+	s.m.DefineProc(&rp.entry)
+	return p
 }
 
 // fetchClauses returns the decoded clauses of one variant of a
@@ -196,21 +212,6 @@ func (s *Session) fetchClauses(p *edb.ProcInfo, keys []edb.ArgKey) ([]compiler.C
 	}
 	s.kb.storeShared(pi, fk, clauses)
 	return clauses, nil
-}
-
-// residentHit returns the resident variant for call key ck, or nil when
-// there is none or a write since the session last reconciled may have
-// changed it (the loader path then decides). It takes the KB read lock as
-// rlock does, outside the session's own transaction.
-func (s *Session) residentHit(rp *residentProc, ck callKey) *wam.Proc {
-	if s.txn == nil {
-		s.kb.mu.RLock()
-		defer s.kb.mu.RUnlock()
-	}
-	if s.kb.version.Load() != s.synced {
-		return nil
-	}
-	return rp.lookup(ck)
 }
 
 // lookup returns the resident variant for call key ck, or nil.
@@ -299,7 +300,7 @@ func (s *Session) endQuery() {
 	if s.qOpen {
 		s.qOpen = false
 		s.disarm()
-		s.traceQuery()
+		s.traceQuery(s.chargeExec())
 	}
 	s.cum.AddQuery(&s.q)
 	s.q.Reset()

@@ -2,7 +2,10 @@ package interp
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"repro/internal/term"
 	"repro/internal/wam"
@@ -172,29 +175,62 @@ func (in *Interp) registerBuiltins() {
 		}
 		return env.Unify(a[1], term.List(dedup...)), nil
 	}))
-	reg("atom_codes", 2, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
-		switch x := env.Resolve(a[0]).(type) {
-		case term.Atom:
-			var items []term.Term
-			for _, r := range string(x) {
-				items = append(items, term.Int(r))
-			}
-			return env.Unify(a[1], term.List(items...)), nil
-		default:
-			items, ok := term.UnpackList(env.ResolveDeep(a[1]))
-			if !ok {
-				return false, fmt.Errorf("interp: atom_codes/2: insufficiently instantiated")
-			}
-			s := make([]rune, len(items))
-			for i, it := range items {
-				c, ok := it.(term.Int)
-				if !ok {
-					return false, fmt.Errorf("interp: atom_codes/2: bad code list")
-				}
-				s[i] = rune(c)
-			}
-			return env.Unify(a[0], term.Atom(string(s))), nil
+	reg("atom_codes", 2, det(textList("atom_codes/2", "atom", "integer")))
+	reg("atom_chars", 2, det(textList("atom_chars/2", "atom", "character")))
+	reg("number_codes", 2, det(textList("number_codes/2", "number", "integer")))
+	reg("atom_length", 2, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
+		s, ok := textOf(env.Resolve(a[0]))
+		if !ok {
+			return false, argError(env, a[0], "atom", "atom_length/2")
 		}
+		return env.Unify(a[1], term.Int(utf8.RuneCountInString(s))), nil
+	}))
+	reg("char_code", 2, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
+		if at, ok := env.Resolve(a[0]).(term.Atom); ok {
+			r := []rune(string(at))
+			if len(r) != 1 {
+				return false, argError(env, at, "character", "char_code/2")
+			}
+			return env.Unify(a[1], term.Int(r[0])), nil
+		}
+		n, ok := env.Resolve(a[1]).(term.Int)
+		if !ok {
+			return false, argError(env, a[1], "integer", "char_code/2")
+		}
+		return env.Unify(a[0], term.Atom(string(rune(n)))), nil
+	}))
+	reg("succ", 2, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
+		x, y := env.Resolve(a[0]), env.Resolve(a[1])
+		if n, ok := x.(term.Int); ok {
+			if n < 0 {
+				return false, fmt.Errorf("interp: arithmetic: succ/2 needs a natural number")
+			}
+			return env.Unify(y, n+1), nil
+		}
+		if n, ok := y.(term.Int); ok {
+			return n > 0 && env.Unify(x, n-1), nil
+		}
+		if _, ok := x.(*term.Var); ok {
+			x = y
+		}
+		return false, argError(env, x, "integer", "succ/2")
+	}))
+	reg("keysort", 2, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
+		items, ok := term.UnpackList(env.ResolveDeep(a[0]))
+		if !ok {
+			return false, argError(env, a[0], "list", "keysort/2")
+		}
+		for _, it := range items {
+			if c, ok := it.(*term.Compound); !ok || c.Functor != "-" || len(c.Args) != 2 {
+				return false, argError(env, it, "pair", "keysort/2")
+			}
+		}
+		key := func(i int) term.Term { return items[i].(*term.Compound).Args[0] }
+		sort.SliceStable(items, func(i, j int) bool { return term.Compare(key(i), key(j)) < 0 })
+		return env.Unify(a[1], term.List(items...)), nil
+	}))
+	reg("unify_with_occurs_check", 2, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
+		return env.unifyOccurs(a[0], a[1]), nil
 	}))
 	reg("atom_number", 2, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
 		if at, ok := env.Resolve(a[0]).(term.Atom); ok {
@@ -337,6 +373,84 @@ func (in *Interp) registerBuiltins() {
 	reg("nl", 0, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
 		return true, nil
 	}))
+	reg("tab", 1, det(func(in *Interp, a []term.Term, env *Env) (bool, error) {
+		if _, ok := env.Resolve(a[0]).(*term.Var); ok {
+			return false, argError(env, a[0], "evaluable", "tab/1")
+		}
+		_, err := evalArith(env, a[0])
+		return err == nil, err
+	}))
+}
+
+// argError is builtin pi's error for argument t, which is not of type typ,
+// as the WAM raises it.
+func argError(env *Env, t term.Term, typ, pi string) error {
+	return wam.ArgError(env.ResolveDeep(t), typ, pi)
+}
+
+// textOf returns the text of atomic t.
+func textOf(t term.Term) (string, bool) {
+	switch x := t.(type) {
+	case term.Atom:
+		return string(x), true
+	case term.Int, term.Float:
+		return x.String(), true
+	}
+	return "", false
+}
+
+// textList is the builtin pi of atom_codes/2, atom_chars/2 and
+// number_codes/2, as the WAM's: the text of the first argument, of type of
+// (atom or number; an atom's text may be a number's), as the list of its
+// characters (elements of type typ, character or integer code), or the
+// text the list spells.
+func textList(pi, of, typ string) func(in *Interp, a []term.Term, env *Env) (bool, error) {
+	return func(in *Interp, a []term.Term, env *Env) (bool, error) {
+		t := env.Resolve(a[0])
+		_, atom := t.(term.Atom)
+		if s, ok := textOf(t); ok && (of == "atom" || !atom) {
+			var items []term.Term
+			for _, r := range s {
+				if typ == "character" {
+					items = append(items, term.Atom(string(r)))
+				} else {
+					items = append(items, term.Int(r))
+				}
+			}
+			return env.Unify(a[1], term.List(items...)), nil
+		}
+		items, ok := term.UnpackList(env.ResolveDeep(a[1]))
+		if !ok {
+			return false, argError(env, t, of, pi)
+		}
+		var b strings.Builder
+		for _, it := range items {
+			switch x := it.(type) {
+			case term.Atom:
+				if typ == "character" {
+					b.WriteString(string(x))
+					continue
+				}
+			case term.Int:
+				if typ == "integer" {
+					b.WriteRune(rune(x))
+					continue
+				}
+			}
+			return false, argError(env, it, typ, pi)
+		}
+		if of == "atom" {
+			return env.Unify(a[0], term.Atom(b.String())), nil
+		}
+		text := strings.TrimSpace(b.String())
+		if v, err := strconv.ParseInt(text, 10, 64); err == nil {
+			return env.Unify(a[0], term.Int(v)), nil
+		}
+		if f, err := strconv.ParseFloat(text, 64); err == nil {
+			return env.Unify(a[0], term.Float(f)), nil
+		}
+		return false, fmt.Errorf("interp: %q is not a number", text)
+	}
 }
 
 // unifyThen calls k once a and b unify, undoing their bindings after.

@@ -81,6 +81,51 @@ func (e *Env) Unify(a, b term.Term) bool {
 	return false
 }
 
+// unifyOccurs is Unify with the occurs check: no variable is bound to a
+// term that contains it.
+func (e *Env) unifyOccurs(a, b term.Term) bool {
+	a, b = e.Resolve(a), e.Resolve(b)
+	if _, ok := b.(*term.Var); ok {
+		a, b = b, a
+	}
+	if v, ok := a.(*term.Var); ok && v != b {
+		if e.occurs(v, b) {
+			return false
+		}
+		e.bindVar(v, b)
+		return true
+	}
+	x, ok1 := a.(*term.Compound)
+	y, ok2 := b.(*term.Compound)
+	if !ok1 || !ok2 {
+		return e.Unify(a, b)
+	}
+	if x.Functor != y.Functor || len(x.Args) != len(y.Args) {
+		return false
+	}
+	for i := range x.Args {
+		if !e.unifyOccurs(x.Args[i], y.Args[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// occurs reports whether variable v occurs in t.
+func (e *Env) occurs(v *term.Var, t term.Term) bool {
+	switch x := e.Resolve(t).(type) {
+	case *term.Var:
+		return x == v
+	case *term.Compound:
+		for _, a := range x.Args {
+			if e.occurs(v, a) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // ResolveDeep instantiates t fully under the environment (unbound
 // variables remain).
 func (e *Env) ResolveDeep(t term.Term) term.Term {

@@ -67,6 +67,15 @@ func (t *PhaseTimes) Get(p Phase) time.Duration {
 	return time.Duration(t[p])
 }
 
+// Total returns the time of every phase.
+func (t *PhaseTimes) Total() time.Duration {
+	var ns int64
+	for _, d := range t {
+		ns += d
+	}
+	return time.Duration(ns)
+}
+
 // AddTimes merges o into t (query roll-up into session cumulative).
 func (t *PhaseTimes) AddTimes(o *PhaseTimes) {
 	if t == nil || o == nil {

@@ -2,6 +2,7 @@ package wam
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,7 +144,10 @@ func registerCoreBuiltins(m *Machine) {
 			}
 			return m.Unify(x, MakeInt(y.IntVal()-1)), nil
 		}
-		return false, arithErrf("succ/2: insufficiently instantiated")
+		if x.Tag() == TagRef {
+			x = y
+		}
+		return false, m.argError(x, "integer", "succ/2")
 	})
 	reg("plus", 3, func(m *Machine, a []Cell) (bool, error) {
 		x, y, z := m.Deref(a[0]), m.Deref(a[1]), m.Deref(a[2])
@@ -194,18 +198,18 @@ func registerCoreBuiltins(m *Machine) {
 	})
 
 	// --- atoms and numbers ---------------------------------------------
-	reg("atom_codes", 2, biAtomCodes)
-	reg("atom_chars", 2, biAtomChars)
+	reg("atom_codes", 2, textList("atom_codes/2", "atom", "integer"))
+	reg("atom_chars", 2, textList("atom_chars/2", "atom", "character"))
 	reg("char_code", 2, biCharCode)
 	reg("atom_length", 2, biAtomLength)
 	reg("atom_concat", 3, biAtomConcat)
-	reg("number_codes", 2, biNumberCodes)
+	reg("number_codes", 2, textList("number_codes/2", "number", "integer"))
 	reg("atom_number", 2, biAtomNumber)
 
 	// --- lists -----------------------------------------------------------
 	reg("length", 2, biLength)
-	reg("sort", 2, biSort)
-	reg("msort", 2, biMsort)
+	reg("sort", 2, sortList("sort/2", true))
+	reg("msort", 2, sortList("msort/2", false))
 	reg("keysort", 2, biKeysort)
 
 	// --- call/N ------------------------------------------------------------
@@ -249,6 +253,9 @@ func registerCoreBuiltins(m *Machine) {
 		return true, err
 	})
 	reg("tab", 1, func(m *Machine, a []Cell) (bool, error) {
+		if m.Deref(a[0]).Tag() == TagRef {
+			return false, m.argError(a[0], "evaluable", "tab/1")
+		}
 		n, err := m.Eval(a[0])
 		if err != nil {
 			return false, err
@@ -658,50 +665,49 @@ func (m *Machine) textOf(c Cell) (string, bool) {
 	return "", false
 }
 
-func biAtomCodes(m *Machine, a []Cell) (bool, error) {
-	if s, ok := m.textOf(a[0]); ok {
-		var items []Cell
-		for _, r := range s {
-			items = append(items, MakeInt(int64(r)))
+// textList is the builtin pi of atom_codes/2, atom_chars/2 and
+// number_codes/2: the text of the first argument, of type of (atom or
+// number; an atom's text may be a number's), as the list of its characters
+// (elements of type typ, character or integer code), or the text the list
+// spells.
+func textList(pi, of, typ string) BuiltinFn {
+	return func(m *Machine, a []Cell) (bool, error) {
+		d := m.Deref(a[0])
+		if s, ok := m.textOf(d); ok && (of == "atom" || d.Tag() != TagCon) {
+			var items []Cell
+			for _, r := range s {
+				if typ == "character" {
+					items = append(items, MakeCon(m.Dict.Intern(string(r), 0)))
+				} else {
+					items = append(items, MakeInt(int64(r)))
+				}
+			}
+			return m.Unify(a[1], m.makeList(items)), nil
 		}
-		return m.Unify(a[1], m.makeList(items)), nil
-	}
-	items, ok := m.cellList(a[1])
-	if !ok {
-		return false, fmt.Errorf("wam: atom_codes/2: insufficiently instantiated")
-	}
-	var b strings.Builder
-	for _, it := range items {
-		d := m.Deref(it)
-		if d.Tag() != TagInt {
-			return false, fmt.Errorf("wam: atom_codes/2: code list must hold integers")
+		items, ok := m.cellList(a[1])
+		if !ok {
+			return false, m.argError(d, of, pi)
 		}
-		b.WriteRune(rune(d.IntVal()))
-	}
-	return m.Unify(a[0], MakeCon(m.Dict.Intern(b.String(), 0))), nil
-}
-
-func biAtomChars(m *Machine, a []Cell) (bool, error) {
-	if s, ok := m.textOf(a[0]); ok {
-		var items []Cell
-		for _, r := range s {
-			items = append(items, MakeCon(m.Dict.Intern(string(r), 0)))
+		var b strings.Builder
+		for _, it := range items {
+			switch it = m.Deref(it); {
+			case typ == "character" && it.Tag() == TagCon:
+				b.WriteString(m.Dict.Name(it.AtomID()))
+			case typ == "integer" && it.Tag() == TagInt:
+				b.WriteRune(rune(it.IntVal()))
+			default:
+				return false, m.argError(it, typ, pi)
+			}
 		}
-		return m.Unify(a[1], m.makeList(items)), nil
-	}
-	items, ok := m.cellList(a[1])
-	if !ok {
-		return false, fmt.Errorf("wam: atom_chars/2: insufficiently instantiated")
-	}
-	var b strings.Builder
-	for _, it := range items {
-		d := m.Deref(it)
-		if d.Tag() != TagCon {
-			return false, fmt.Errorf("wam: atom_chars/2: char list must hold atoms")
+		if of == "atom" {
+			return m.Unify(a[0], MakeCon(m.Dict.Intern(b.String(), 0))), nil
 		}
-		b.WriteString(m.Dict.Name(dict.ID(d.Val())))
+		cell, err := m.parseNumberText(b.String())
+		if err != nil {
+			return false, err
+		}
+		return m.Unify(a[0], cell), nil
 	}
-	return m.Unify(a[0], MakeCon(m.Dict.Intern(b.String(), 0))), nil
 }
 
 func biCharCode(m *Machine, a []Cell) (bool, error) {
@@ -709,13 +715,13 @@ func biCharCode(m *Machine, a []Cell) (bool, error) {
 	if c.Tag() == TagCon {
 		name := []rune(m.Dict.Name(dict.ID(c.Val())))
 		if len(name) != 1 {
-			return false, fmt.Errorf("wam: char_code/2: not a single character")
+			return false, m.argError(c, "character", "char_code/2")
 		}
 		return m.Unify(a[1], MakeInt(int64(name[0]))), nil
 	}
 	code := m.Deref(a[1])
 	if code.Tag() != TagInt {
-		return false, fmt.Errorf("wam: char_code/2: insufficiently instantiated")
+		return false, m.argError(code, "integer", "char_code/2")
 	}
 	return m.Unify(a[0], MakeCon(m.Dict.Intern(string(rune(code.IntVal())), 0))), nil
 }
@@ -723,7 +729,7 @@ func biCharCode(m *Machine, a []Cell) (bool, error) {
 func biAtomLength(m *Machine, a []Cell) (bool, error) {
 	s, ok := m.textOf(a[0])
 	if !ok {
-		return false, fmt.Errorf("wam: atom_length/2: first argument must be atomic")
+		return false, m.argError(a[0], "atom", "atom_length/2")
 	}
 	return m.Unify(a[1], MakeInt(int64(len([]rune(s))))), nil
 }
@@ -783,43 +789,7 @@ func (m *Machine) tentativelyCommit(f func() bool) bool {
 		m.floats = m.floats[:fl]
 	}
 	m.hb = oldHB
-	if ok {
-		// Re-trail kept bindings under the real HB discipline: entries
-		// recorded above tr that would not have been trailed are
-		// harmless (unwinding them later just resets cells that were
-		// already reset or rebound), so keep them.
-		_ = tr
-	}
 	return ok
-}
-
-func biNumberCodes(m *Machine, a []Cell) (bool, error) {
-	d := m.Deref(a[0])
-	if d.Tag() == TagInt || d.Tag() == TagFlt {
-		s, _ := m.textOf(d)
-		var items []Cell
-		for _, r := range s {
-			items = append(items, MakeInt(int64(r)))
-		}
-		return m.Unify(a[1], m.makeList(items)), nil
-	}
-	items, ok := m.cellList(a[1])
-	if !ok {
-		return false, fmt.Errorf("wam: number_codes/2: insufficiently instantiated")
-	}
-	var b strings.Builder
-	for _, it := range items {
-		c := m.Deref(it)
-		if c.Tag() != TagInt {
-			return false, fmt.Errorf("wam: number_codes/2: code list must hold integers")
-		}
-		b.WriteRune(rune(c.IntVal()))
-	}
-	cell, err := m.parseNumberText(b.String())
-	if err != nil {
-		return false, err
-	}
-	return m.Unify(a[0], cell), nil
 }
 
 func (m *Machine) parseNumberText(s string) (Cell, error) {
@@ -870,43 +840,30 @@ func biLength(m *Machine, a []Cell) (bool, error) {
 	return false, fmt.Errorf("wam: length/2: insufficiently instantiated")
 }
 
-func biSort(m *Machine, a []Cell) (bool, error) {
-	items, ok := m.cellList(a[0])
-	if !ok {
-		return false, fmt.Errorf("wam: sort/2: first argument must be a proper list")
-	}
-	sort.SliceStable(items, func(i, j int) bool { return m.CompareCells(items[i], items[j]) < 0 })
-	dedup := items[:0]
-	for i, it := range items {
-		if i == 0 || m.CompareCells(items[i-1], it) != 0 {
-			dedup = append(dedup, it)
+// sortList is sort/2, which drops duplicates (dedup), or msort/2.
+func sortList(pi string, dedup bool) BuiltinFn {
+	return func(m *Machine, a []Cell) (bool, error) {
+		items, ok := m.cellList(a[0])
+		if !ok {
+			return false, fmt.Errorf("wam: %s: first argument must be a proper list", pi)
 		}
+		sort.SliceStable(items, func(i, j int) bool { return m.CompareCells(items[i], items[j]) < 0 })
+		if dedup {
+			items = slices.CompactFunc(items, func(x, y Cell) bool { return m.CompareCells(x, y) == 0 })
+		}
+		return m.Unify(a[1], m.makeList(items)), nil
 	}
-	return m.Unify(a[1], m.makeList(dedup)), nil
-}
-
-func biMsort(m *Machine, a []Cell) (bool, error) {
-	items, ok := m.cellList(a[0])
-	if !ok {
-		return false, fmt.Errorf("wam: msort/2: first argument must be a proper list")
-	}
-	sort.SliceStable(items, func(i, j int) bool { return m.CompareCells(items[i], items[j]) < 0 })
-	return m.Unify(a[1], m.makeList(items)), nil
 }
 
 func biKeysort(m *Machine, a []Cell) (bool, error) {
 	items, ok := m.cellList(a[0])
 	if !ok {
-		return false, fmt.Errorf("wam: keysort/2: first argument must be a proper list")
+		return false, m.argError(a[0], "list", "keysort/2")
 	}
 	key := func(c Cell) (Cell, error) {
 		d := m.Deref(c)
-		if d.Tag() != TagStr {
-			return 0, fmt.Errorf("wam: keysort/2: elements must be Key-Value pairs")
-		}
-		f := m.heap[d.Val()]
-		if m.Dict.Name(f.FunID()) != "-" || f.FunArity() != 2 {
-			return 0, fmt.Errorf("wam: keysort/2: elements must be Key-Value pairs")
+		if d.Tag() != TagStr || m.Dict.Name(m.heap[d.Val()].FunID()) != "-" || m.heap[d.Val()].FunArity() != 2 {
+			return 0, m.argError(d, "pair", "keysort/2")
 		}
 		return m.heap[d.Val()+1], nil
 	}

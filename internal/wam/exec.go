@@ -71,7 +71,7 @@ func (m *Machine) runLoop() (bool, error) {
 		// --- put ---------------------------------------------------
 		case OpPutVariableX:
 			v := MakeRef(m.NewVar())
-			m.ensureRegs(maxInt(int(ins.Reg), int(ins.Arg)) + 1)
+			m.ensureRegs(max(int(ins.Reg), int(ins.Arg)) + 1)
 			m.x[ins.Reg] = v
 			m.x[ins.Arg] = v
 			m.p.off++
@@ -82,7 +82,7 @@ func (m *Machine) runLoop() (bool, error) {
 			m.x[ins.Arg] = v
 			m.p.off++
 		case OpPutValueX:
-			m.ensureRegs(maxInt(int(ins.Reg), int(ins.Arg)) + 1)
+			m.ensureRegs(max(int(ins.Reg), int(ins.Arg)) + 1)
 			m.x[ins.Arg] = m.x[ins.Reg]
 			m.p.off++
 		case OpPutValueY:
@@ -119,14 +119,14 @@ func (m *Machine) runLoop() (bool, error) {
 
 		// --- get ---------------------------------------------------
 		case OpGetVariableX:
-			m.ensureRegs(maxInt(int(ins.Reg), int(ins.Arg)) + 1)
+			m.ensureRegs(max(int(ins.Reg), int(ins.Arg)) + 1)
 			m.x[ins.Reg] = m.x[ins.Arg]
 			m.p.off++
 		case OpGetVariableY:
 			m.setY(int(ins.Reg), m.x[ins.Arg])
 			m.p.off++
 		case OpGetValueX:
-			m.ensureRegs(maxInt(int(ins.Reg), int(ins.Arg)) + 1)
+			m.ensureRegs(max(int(ins.Reg), int(ins.Arg)) + 1)
 			if !m.Unify(m.x[ins.Reg], m.x[ins.Arg]) {
 				if !m.backtrack() {
 					return false, nil
@@ -586,11 +586,4 @@ func switchLookup(tbl []SwitchCase, key Cell) int32 {
 		return tbl[i].Off
 	}
 	return -1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -240,4 +240,8 @@ type Proc struct {
 	// Transient marks code loaded from the EDB for the current query,
 	// subject to eviction.
 	Transient bool
+	// Hit, when set, makes the entry a route to resident code rather than
+	// code (Block is nil): a call runs what Hit returns for its argument
+	// registers, and traps when that is nil.
+	Hit func(m *Machine) *Proc
 }

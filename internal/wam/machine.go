@@ -330,6 +330,19 @@ func ResourceBall(kind string) *ErrBall {
 		term.Atom("educe"))}
 }
 
+// ArgError is the ball builtin pi raises for argument t, which is not of
+// type typ: error(instantiation_error, pi) if t is unbound, else
+// error(type_error(typ, t), pi).
+func ArgError(t term.Term, typ, pi string) *ErrBall {
+	e := term.Term(term.Atom("instantiation_error"))
+	if _, ok := t.(*term.Var); !ok {
+		e = term.Comp("type_error", term.Atom(typ), t)
+	}
+	return &ErrBall{Term: term.Comp("error", e, term.Atom(pi))}
+}
+
+func (m *Machine) argError(c Cell, typ, pi string) error { return ArgError(m.DecodeTerm(c), typ, pi) }
+
 // TransactionBall is the catchable transaction failure for one reason
 // ("no_transaction", "nested_transaction", "read_only", "commit_failed"):
 // error(transaction_error(Reason), educe).
@@ -470,7 +483,9 @@ func (m *Machine) reclaim() {
 // block is stamped with its owner so the profiler can attribute
 // exits/fails to the predicate whose code is executing.
 func (m *Machine) DefineProc(p *Proc) {
-	p.Block.Owner, p.Block.HasOwner = p.Fn, true
+	if p.Block != nil {
+		p.Block.Owner, p.Block.HasOwner = p.Fn, true
+	}
 	m.procs[p.Fn] = p
 }
 
@@ -492,14 +507,6 @@ func (m *Machine) Procs(f func(*Proc) bool) {
 func (m *Machine) UndefineProc(p *Proc) {
 	if m.procs[p.Fn] == p {
 		delete(m.procs, p.Fn)
-	}
-}
-
-// RemoveProc deletes a procedure and unregisters its code block.
-func (m *Machine) RemoveProc(fn dict.ID) {
-	if p, ok := m.procs[fn]; ok {
-		m.RemoveBlock(p.Block)
-		delete(m.procs, fn)
 	}
 }
 
@@ -865,15 +872,23 @@ func (m *Machine) Reset() {
 	m.numArgs = 0
 	m.p, m.cp = nilCode, nilCode
 	m.gcLastHeap = 0
-	m.reclaim()
+	if len(m.retired) > 0 {
+		m.reclaim()
+	}
 }
 
 // lookupProc resolves a call target, invoking the OnUndefined trap for
-// procedures that have no resident code (paper §3.2.1). A builtin the trap
-// leaves to the machine gets its wrapper installed at this first call.
+// procedures that have no resident code (paper §3.2.1), or none for this
+// call's arguments. A builtin the trap leaves to the machine gets its
+// wrapper installed at this first call.
 func (m *Machine) lookupProc(fn dict.ID) (*Proc, error) {
 	if p := m.procs[fn]; p != nil {
-		return p, nil
+		if p.Hit == nil {
+			return p, nil
+		}
+		if hp := p.Hit(m); hp != nil {
+			return hp, nil
+		}
 	}
 	if m.OnUndefined != nil {
 		// The trap may return code it does not install (a variant linked
