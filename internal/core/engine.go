@@ -664,15 +664,25 @@ func (s *Session) ConsultTerms(terms []term.Term) error {
 }
 
 // ConsultExternalTerms stores pre-parsed clause terms in the EDB, under
-// the KB write lock. A clause of a stored procedure takes that
-// procedure's form; one of a new procedure, the session's rule-storage
-// form.
-func (s *Session) ConsultExternalTerms(terms []term.Term) error {
+// the KB write lock, as one EDB batch: the clause records are written in
+// turn and their index entries filed in key order at the end, also when
+// a clause fails. A clause of a stored procedure takes that procedure's
+// form; one of a new procedure, the session's rule-storage form.
+func (s *Session) ConsultExternalTerms(terms []term.Term) (err error) {
 	if s.kb.st.ReadOnly() {
 		return store.ErrReadOnly
 	}
 	unlock := s.wlock()
 	defer unlock()
+	db := s.kb.db
+	db.BeginBatch()
+	defer func() {
+		t0 := time.Now()
+		if ferr := db.EndBatch(); err == nil {
+			err = ferr
+		}
+		s.q.Phases.Add(obs.PhaseStore, time.Since(t0))
+	}()
 	for _, tm := range terms {
 		if err := s.storeClause(tm); err != nil {
 			return err

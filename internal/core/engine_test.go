@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -863,6 +864,79 @@ func TestTypedSubLanguage(t *testing.T) {
 	if !reflect.DeepEqual(got, []string{"5"}) {
 		t.Fatalf("conn = %v", got)
 	}
+}
+
+// TestExternalConsultBatch: a consult files its clauses' index entries
+// at its end. One that fails at clause k still leaves clauses 1..k-1
+// retrievable by their first argument, their second and the wildcard
+// entry, and a consult into a populated procedure answers as asserting
+// its clauses one by one does.
+func TestExternalConsultBatch(t *testing.T) {
+	answers := func(t *testing.T, s *Session, goals ...string) []string {
+		t.Helper()
+		var out []string
+		for _, g := range goals {
+			sols, err := s.QueryAll(g)
+			if err != nil {
+				t.Fatalf("%s: %v", g, err)
+			}
+			out = append(out, fmt.Sprintf("%s: %v", g, sols))
+		}
+		return out
+	}
+	t.Run("failing at clause k", func(t *testing.T) {
+		e := newSession(t, Options{})
+		err := e.ConsultExternal(`
+			:- typed(conn(atom, atom, integer)).
+			conn(a, b, 1). conn(b, c, 2). conn(X, d, 3).
+			conn(c, d, not_an_integer).
+			conn(d, e, 5).
+		`)
+		if err == nil || !containsSub(err.Error(), "declared type integer") {
+			t.Fatalf("consult = %v, want the type violation of clause 4", err)
+		}
+		for _, c := range []struct{ goal, want string }{
+			{"findall(Y-N, conn(a, Y, N), L)", "[-(b,1),-(d,3)]"}, // first argument, and the wildcard
+			{"findall(X-N, conn(X, c, N), L)", "[-(b,2)]"},        // second argument
+			{"findall(N, conn(_, d, N), L)", "[3]"},               // the wildcard alone
+			{"findall(N, conn(d, e, N), L)", "[]"},                // after the failure: not stored
+		} {
+			if got := values(t, e, c.goal, "L"); len(got) != 1 || got[0] != c.want {
+				t.Errorf("%s: L = %v, want %s", c.goal, got, c.want)
+			}
+		}
+		if err := e.KB().Check(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("into a populated procedure", func(t *testing.T) {
+		const first = "e(a, b). e(b, c). e(X, X). e(c, a)."
+		second := []string{"e(b, a)", "e(a, a)", "e(X, z)", "e(d, e)", "e(a, c)"}
+		goals := []string{"e(X, Y)", "e(a, Y)", "e(X, a)", "e(z, Y)", "e(X, z)"}
+		consulted, asserted := newSession(t, Options{}), newSession(t, Options{})
+		for _, s := range []*Session{consulted, asserted} {
+			if err := s.ConsultExternal(first); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := consulted.ConsultExternal(strings.Join(second, ". ") + "."); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range second {
+			if err := asserted.AssertExternalTerm(mustParseCore(t, c)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := answers(t, consulted, goals...), answers(t, asserted, goals...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after a consult:\n%s\nafter asserts:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		for _, s := range []*Session{consulted, asserted} {
+			if err := s.KB().Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestStatisticsBuiltin(t *testing.T) {

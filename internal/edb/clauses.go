@@ -187,7 +187,7 @@ func decodeClauseRec(data []byte) (id uint32, keys []ArgKey, payload []byte, err
 
 // StoreClause stores one clause blob under the procedure with the given
 // head-argument keys (only the first p.K are consulted) and returns its
-// clause ID.
+// clause ID. Its index entries wait for the batch's end (BeginBatch).
 func (db *DB) StoreClause(p *ProcInfo, keys []ArgKey, blob []byte) (uint32, error) {
 	if len(keys) < p.K {
 		return 0, fmt.Errorf("edb: %s: got %d arg keys, need %d", p.Indicator(), len(keys), p.K)
@@ -200,16 +200,51 @@ func (db *DB) StoreClause(p *ProcInfo, keys []ArgKey, blob []byte) (uint32, erro
 		return 0, err
 	}
 	for _, k := range indexKeys(p.ProcID, id, keys) {
-		if err := db.index.Insert(k, rid.Pack()); err != nil {
-			return 0, err
-		}
+		db.pending = append(db.pending, store.Pair{Key: k, Val: rid.Pack()})
 	}
 	if filedWild(keys) {
 		p.wildCount++
 	}
 	p.ClauseCount++
 	db.stored.Add(1)
-	return id, db.saveProc(p)
+	return id, db.changed(p)
+}
+
+// BeginBatch opens a batch, which does not nest: StoreClause and MarkRule
+// leave their index entries and descriptors to EndBatch. The caller holds
+// the KB write lock across it, so no reader meets an unfiled clause.
+func (db *DB) BeginBatch() { db.inBatch = true }
+
+// EndBatch files the batch's index entries in key order and saves each
+// descriptor it changed once. A batch that failed part way is ended too,
+// so the clauses stored before the failure stay retrievable.
+func (db *DB) EndBatch() error {
+	db.inBatch = false
+	err := db.index.InsertBatch(db.pending)
+	for _, p := range db.touched {
+		if p.touched = false; err == nil {
+			err = db.saveProc(p)
+		}
+	}
+	// The next batch reuses the buffers, unless a bulk load grew them.
+	clear(db.pending)
+	db.pending, db.touched = db.pending[:0], db.touched[:0]
+	if cap(db.pending) > 1024 {
+		db.pending = nil
+	}
+	return err
+}
+
+// changed records that p's descriptor is to be saved; outside a batch it
+// ends a batch of its own.
+func (db *DB) changed(p *ProcInfo) error {
+	if !p.touched {
+		p.touched, db.touched = true, append(db.touched, p)
+	}
+	if !db.inBatch {
+		return db.EndBatch()
+	}
+	return nil
 }
 
 // Retrieve returns the candidate clauses for a call whose bound argument

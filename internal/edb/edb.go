@@ -74,6 +74,7 @@ type ProcInfo struct {
 	// tag; a retrieval reads those entries only when there are some.
 	wildCount int
 	rid       store.RID // descriptor record
+	touched   bool      // the open batch saves the descriptor
 }
 
 // Indicator renders name/arity.
@@ -87,6 +88,10 @@ type DB struct {
 	index    *store.BTree // the clause index (see the package comment)
 	procs    map[procKey]*ProcInfo
 	nextProc uint32
+	// The open batch's index entries and changed descriptors (EndBatch).
+	inBatch bool
+	pending []store.Pair
+	touched []*ProcInfo
 
 	// Counters live in the store's obs.Registry (one per knowledge
 	// base); retrievals run concurrently across sessions, so every
@@ -403,5 +408,5 @@ func (db *DB) MarkRule(p *ProcInfo) error {
 		return nil
 	}
 	p.FactsOnly = false
-	return db.saveProc(p)
+	return db.changed(p)
 }

@@ -148,9 +148,11 @@ func (c *Catalog) encodeRelation(r *Relation) []byte {
 	wu(uint64(r.heap.Root()))
 	wu(uint64(r.count))
 	wu(uint64(len(r.indexes)))
-	for attr, idx := range r.indexes {
-		wu(uint64(attr))
-		wu(uint64(idx.Anchor()))
+	for attr := range r.Schema.Attrs {
+		if idx, ok := r.indexes[attr]; ok {
+			wu(uint64(attr))
+			wu(uint64(idx.Anchor()))
+		}
 	}
 	return b.Bytes()
 }

@@ -220,24 +220,33 @@ func (r *Relation) Insert(t Tuple) error { return r.InsertAll([]Tuple{t}) }
 
 // InsertAll bulk-inserts tuples, deferring the catalog write to the end.
 // The whole batch is checked before the first heap write, so a tuple the
-// relation cannot hold leaves the relation as it was.
+// relation cannot hold leaves the relation as it was. Each index in turn
+// files the entries as one sorted batch, so equal loads write equal pages.
 func (r *Relation) InsertAll(ts []Tuple) error {
 	for _, t := range ts {
 		if err := r.check(t); err != nil {
 			return err
 		}
 	}
-	for _, t := range ts {
+	rids := make([]uint64, len(ts))
+	for i, t := range ts {
 		rid, err := r.heap.Insert(encodeTuple(t))
 		if err != nil {
 			return err
 		}
-		for attr, idx := range r.indexes {
-			if err := idx.Insert(t[attr].Key(), rid.Pack()); err != nil {
+		rids[i] = rid.Pack()
+		r.count++
+	}
+	pairs := make([]store.Pair, len(ts))
+	for attr := range r.Schema.Attrs {
+		if idx, ok := r.indexes[attr]; ok {
+			for i, t := range ts {
+				pairs[i] = store.Pair{Key: t[attr].Key(), Val: rids[i]}
+			}
+			if err := idx.InsertBatch(pairs); err != nil {
 				return err
 			}
 		}
-		r.count++
 	}
 	return r.cat.saveRelation(r)
 }
@@ -270,8 +279,8 @@ func (r *Relation) attr(name string) (int, error) {
 	return -1, fmt.Errorf("rel: %s has no attribute %s", r.Schema.Name, name)
 }
 
-// CreateIndex builds a B-tree index on the attribute, indexing existing
-// tuples.
+// CreateIndex builds a B-tree index on the attribute, filing the existing
+// tuples' entries as one sorted batch.
 func (r *Relation) CreateIndex(attrName string) error {
 	attr, err := r.attr(attrName)
 	if err != nil {
@@ -284,13 +293,18 @@ func (r *Relation) CreateIndex(attrName string) error {
 	if err != nil {
 		return err
 	}
+	pairs := make([]store.Pair, 0, r.count)
 	err = r.heap.Scan(func(rid store.RID, data []byte) (bool, error) {
 		t, err := decodeTuple(data, &r.Schema)
 		if err != nil {
 			return false, err
 		}
-		return true, bt.Insert(t[attr].Key(), rid.Pack())
+		pairs = append(pairs, store.Pair{Key: t[attr].Key(), Val: rid.Pack()})
+		return true, nil
 	})
+	if err == nil {
+		err = bt.InsertBatch(pairs)
+	}
 	if err != nil {
 		return err
 	}

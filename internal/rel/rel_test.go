@@ -1,8 +1,11 @@
 package rel
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -249,6 +252,57 @@ func TestCatalogPersistence(t *testing.T) {
 	ts, _ := Collect(IndexScan(r2, "k", IntV(50), IntV(50)))
 	if len(ts) != 1 || ts[0][1].F != 25 || ts[0][2].S != "s50" {
 		t.Fatalf("reopened tuple: %v", ts)
+	}
+}
+
+// TestInsertAllBuildsTheSamePages: loading the same tuples into a
+// relation with two indexes writes the same page file every time, since
+// the indexes file their entries one after the other, in attribute order.
+func TestInsertAllBuildsTheSamePages(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	perm := rng.Perm(5000)
+	var ts []Tuple
+	for i, p := range perm {
+		ts = append(ts, Tuple{IntV(int64(p)), IntV(int64(i)), StringV(fmt.Sprintf("row%d", i))})
+	}
+	load := func() []byte {
+		path := filepath.Join(t.TempDir(), "rel.db")
+		st, err := store.Open(store.OSFS{}, path, store.Options{PoolPages: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCatalog(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Create(Schema{Name: "w", Attrs: []Attr{
+			{Name: "unique1", Type: Int}, {Name: "unique2", Type: Int}, {Name: "s", Type: String},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []string{"unique2", "unique1"} {
+			if err := r.CreateIndex(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.InsertAll(ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first := load()
+	for run := 1; run < 4; run++ {
+		if !bytes.Equal(load(), first) {
+			t.Fatalf("load %d wrote a page file other than the first load's", run)
+		}
 	}
 }
 

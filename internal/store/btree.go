@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // BTree is a disk-backed B+tree holding a set of (key, value) pairs —
@@ -62,19 +63,20 @@ const nodeHdr = 7
 // node is a view of one node's page bytes.
 type node []byte
 
-// pair is one (key, value) entry of a tree.
-type pair struct {
-	key []byte
-	val uint64
+// Pair is one (key, value) entry of a tree, or of a batch for
+// InsertBatch.
+type Pair struct {
+	Key []byte
+	Val uint64
 }
 
 // compare orders p against q: by key, then by value. It does not inline,
 // so the walkers on every descent compare in place instead.
-func (p pair) compare(q pair) int {
-	if c := bytes.Compare(p.key, q.key); c != 0 {
+func (p Pair) compare(q Pair) int {
+	if c := bytes.Compare(p.Key, q.Key); c != 0 {
 		return c
 	}
-	return cmp.Compare(p.val, q.val)
+	return cmp.Compare(p.Val, q.Val)
 }
 
 var errNodeOverrun = errors.New("entry runs past the page")
@@ -101,25 +103,25 @@ func (n node) first() int {
 
 // entry reads the entry at off: its pair, the key aliasing the page, and
 // the offset just past it, where an internal entry's child ends.
-func (n node) entry(off int) (p pair, end int, err error) {
+func (n node) entry(off int) (p Pair, end int, err error) {
 	if uint(off)+2 <= uint(len(n)) {
 		kv := off + 2 + int(binary.LittleEndian.Uint16(n[off:]))
 		if end = kv + 8; !n.leaf() {
 			end += 4
 		}
 		if end <= len(n) {
-			return pair{n[off+2 : kv], binary.LittleEndian.Uint64(n[kv:])}, end, nil
+			return Pair{n[off+2 : kv], binary.LittleEndian.Uint64(n[kv:])}, end, nil
 		}
 	}
-	return pair{}, 0, errNodeOverrun
+	return Pair{}, 0, errNodeOverrun
 }
 
 // put writes the entry p — in an internal node followed by kid — at off
 // and returns the offset past it.
-func (n node) put(off int, p pair, kid PageID) int {
-	binary.LittleEndian.PutUint16(n[off:], uint16(len(p.key)))
-	k := off + 2 + copy(n[off+2:], p.key)
-	binary.LittleEndian.PutUint64(n[k:], p.val)
+func (n node) put(off int, p Pair, kid PageID) int {
+	binary.LittleEndian.PutUint16(n[off:], uint16(len(p.Key)))
+	k := off + 2 + copy(n[off+2:], p.Key)
+	binary.LittleEndian.PutUint64(n[k:], p.Val)
 	if n.leaf() {
 		return k + 8
 	}
@@ -129,14 +131,14 @@ func (n node) put(off int, p pair, kid PageID) int {
 
 // child returns the child a descent for p takes: the one right of the
 // last separator at most p.
-func (n node) child(p pair) (PageID, error) {
+func (n node) child(p Pair) (PageID, error) {
 	kid := n.child0()
 	for i, off, cnt := 0, nodeHdr+4, n.count(); i < cnt; i++ {
 		e, end, err := n.entry(off)
 		if err != nil {
 			return 0, err
 		}
-		if c := bytes.Compare(e.key, p.key); c > 0 || c == 0 && e.val > p.val {
+		if c := bytes.Compare(e.Key, p.Key); c > 0 || c == 0 && e.Val > p.Val {
 			break
 		}
 		off, kid = end, n.kid(end)
@@ -147,7 +149,7 @@ func (n node) child(p pair) (PageID, error) {
 // seek walks n once and returns the offset of its first pair at least p
 // (the end of its entries when there is none), the end of its entries,
 // and whether that pair is p.
-func (n node) seek(p pair) (at, end int, found bool, err error) {
+func (n node) seek(p Pair) (at, end int, found bool, err error) {
 	at, end = -1, n.first()
 	for i, cnt := 0, n.count(); i < cnt; i++ {
 		e, next, err := n.entry(end)
@@ -155,8 +157,8 @@ func (n node) seek(p pair) (at, end int, found bool, err error) {
 			return 0, 0, false, err
 		}
 		if at < 0 {
-			if c := bytes.Compare(e.key, p.key); c > 0 || c == 0 && e.val >= p.val {
-				at, found = end, c == 0 && e.val == p.val
+			if c := bytes.Compare(e.Key, p.Key); c > 0 || c == 0 && e.Val >= p.Val {
+				at, found = end, c == 0 && e.Val == p.Val
 			}
 		}
 		end = next
@@ -232,7 +234,7 @@ func (t *BTree) bad(id PageID, err error) error {
 // node.child, and returns the leaf pinned in mode, with its depth; path,
 // when not nil, records the internal nodes passed. Every node is latched
 // in mode, so a writer gets its leaf ready to edit.
-func (t *BTree) descend(p pair, mode LatchMode, path *[maxDepth]PageID) (*Frame, int, error) {
+func (t *BTree) descend(p Pair, mode LatchMode, path *[maxDepth]PageID) (*Frame, int, error) {
 	id, err := t.rootID()
 	if err != nil {
 		return nil, 0, err
@@ -268,7 +270,7 @@ func (t *BTree) Insert(key []byte, val uint64) error {
 		return fmt.Errorf("store: btree key of %d bytes exceeds limit %d", len(key), MaxKeyLen)
 	}
 	var path [maxDepth]PageID
-	p, kid := pair{key, val}, invalidPage
+	p, kid := Pair{key, val}, invalidPage
 	f, depth, err := t.descend(p, LatchExclusive, &path)
 	if err != nil {
 		return err
@@ -276,9 +278,12 @@ func (t *BTree) Insert(key []byte, val uint64) error {
 	// A split copies its separator into sep only after laying out the
 	// entry it was given, so p may alias sep on the way up.
 	var sep [MaxKeyLen]byte
+	// Only the last leaf has no next one, and only the last node of each
+	// level leads there: an insert starting there climbs the right edge.
+	tail := node(f.Data).next() == invalidPage
 	for {
 		id := f.ID()
-		right, s, err := t.place(f, p, kid, &sep)
+		right, s, err := t.place(f, p, kid, &tail, &sep)
 		if err != nil || right == invalidPage {
 			return err
 		}
@@ -296,8 +301,9 @@ func (t *BTree) Insert(key []byte, val uint64) error {
 // place writes p — in an internal node with kid, the child to its right
 // — into the exclusively pinned node f at its place in pair order, and
 // unpins f. A full node splits; the new right sibling is returned with
-// its separator, whose key is copied into sep.
-func (t *BTree) place(f *Frame, p pair, kid PageID, sep *[MaxKeyLen]byte) (PageID, pair, error) {
+// its separator, whose key is copied into sep. *tail, set when f ends its
+// level and every level below appended, stays set if p goes last in f.
+func (t *BTree) place(f *Frame, p Pair, kid PageID, tail *bool, sep *[MaxKeyLen]byte) (PageID, Pair, error) {
 	n := node(f.Data)
 	at, end, found, err := n.seek(p)
 	if err == nil && found {
@@ -305,9 +311,10 @@ func (t *BTree) place(f *Frame, p pair, kid PageID, sep *[MaxKeyLen]byte) (PageI
 	}
 	if err != nil {
 		t.pool.Unpin(f, false)
-		return 0, pair{}, t.bad(f.ID(), err)
+		return 0, Pair{}, t.bad(f.ID(), err)
 	}
-	size := 2 + len(p.key) + 12
+	*tail = *tail && at == end
+	size := 2 + len(p.Key) + 12
 	if n.leaf() {
 		size -= 4
 	}
@@ -316,24 +323,25 @@ func (t *BTree) place(f *Frame, p pair, kid PageID, sep *[MaxKeyLen]byte) (PageI
 		n.put(at, p, kid)
 		n.setCount(n.count() + 1)
 		t.pool.Unpin(f, true)
-		return invalidPage, pair{}, nil
+		return invalidPage, Pair{}, nil
 	}
-	right, s, err := t.split(n, at, end, p, kid, sep)
+	right, s, err := t.split(n, at, end, p, kid, *tail, sep)
 	t.pool.Unpin(f, err == nil)
 	return right, s, err
 }
 
 // split makes room for p (and kid) at offset at of the full node n, whose
 // entries end at end. It lays the n+1 entries out in a scratch buffer and
-// cuts them at entry count/2 — at the middle byte instead if keys of very
-// unequal length would overflow a half there — keeping the left half in n
-// and moving the right half to a new page. The separator is the right
-// half's first pair: a leaf keeps it as its first entry; an internal node
-// moves it up and its child becomes the right half's child0.
-func (t *BTree) split(n node, at, end int, p pair, kid PageID, sep *[MaxKeyLen]byte) (PageID, pair, error) {
+// cuts them at entry count/2 (at the middle byte if keys of very unequal
+// length would overflow a half there; at p if tail, so that ascending
+// inserts leave full nodes), keeping the left part in n and moving the
+// right one to a new page. The separator is the right part's first pair:
+// a leaf keeps it as its first entry; an internal node moves it up and
+// its child becomes the right part's child0.
+func (t *BTree) split(n node, at, end int, p Pair, kid PageID, tail bool, sep *[MaxKeyLen]byte) (PageID, Pair, error) {
 	rf, err := t.pool.Alloc()
 	if err != nil {
-		return 0, pair{}, err
+		return 0, Pair{}, err
 	}
 	var buf [PageSize + 2 + MaxKeyLen + 12]byte
 	s := node(buf[:])
@@ -344,6 +352,9 @@ func (t *BTree) split(n node, at, end int, p pair, kid PageID, sep *[MaxKeyLen]b
 	// seek has walked n's entries, so the scratch copy walks cleanly.
 	cnt, first := n.count()+1, n.first()
 	mid, off := cnt/2, first
+	if tail {
+		mid = cnt - 1 // both halves fit: n's entries did, and p alone does
+	}
 	for i := 0; i < mid; i++ {
 		_, off, _ = s.entry(off)
 	}
@@ -352,8 +363,9 @@ func (t *BTree) split(n node, at, end int, p pair, kid PageID, sep *[MaxKeyLen]b
 			_, off, _ = s.entry(off)
 		}
 	}
-	m, after, _ := s.entry(off)
-	m.key = sep[:copy(sep[:], m.key)]
+	// Built from sep, not read out of buf, so that buf does not escape.
+	e, after, _ := s.entry(off)
+	m := Pair{sep[:copy(sep[:], e.Key)], e.Val}
 
 	r := node(rf.Data)
 	if n.leaf() {
@@ -374,9 +386,21 @@ func (t *BTree) split(n node, at, end int, p pair, kid PageID, sep *[MaxKeyLen]b
 	return id, m, nil
 }
 
+// InsertBatch sorts pairs, none in the tree yet, and Inserts each in pair
+// order, so that a run past the tree's last pair appends to full leaves.
+func (t *BTree) InsertBatch(pairs []Pair) error {
+	slices.SortFunc(pairs, Pair.compare)
+	for _, p := range pairs {
+		if err := t.Insert(p.Key, p.Val); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // newRoot puts a root above the split root old: child0 old, one entry
 // (sep, right).
-func (t *BTree) newRoot(old PageID, sep pair, right PageID) error {
+func (t *BTree) newRoot(old PageID, sep Pair, right PageID) error {
 	f, err := t.pool.Alloc()
 	if err != nil {
 		return err
@@ -395,7 +419,7 @@ func (t *BTree) newRoot(old PageID, sep pair, right PageID) error {
 // returns false to stop. The key slice passed to fn is only valid during
 // the call.
 func (t *BTree) Range(lo, hi []byte, fn func(key []byte, val uint64) bool) error {
-	f, _, err := t.descend(pair{lo, 0}, LatchShared, nil)
+	f, _, err := t.descend(Pair{lo, 0}, LatchShared, nil)
 	for err == nil {
 		n := node(f.Data)
 		for i, off := 0, nodeHdr; i < n.count(); i++ {
@@ -405,10 +429,10 @@ func (t *BTree) Range(lo, hi []byte, fn func(key []byte, val uint64) bool) error
 				return t.bad(f.ID(), err)
 			}
 			off = end
-			if lo != nil && bytes.Compare(e.key, lo) < 0 {
+			if lo != nil && bytes.Compare(e.Key, lo) < 0 {
 				continue
 			}
-			if hi != nil && bytes.Compare(e.key, hi) > 0 || !fn(e.key, e.val) {
+			if hi != nil && bytes.Compare(e.Key, hi) > 0 || !fn(e.Key, e.Val) {
 				t.pool.Unpin(f, false)
 				return nil
 			}
@@ -437,7 +461,7 @@ func (t *BTree) Probe(keys [][]byte, fn func(i int, val uint64)) error {
 		descended, hopped, seen := false, false, false
 		for {
 			if l.f == nil {
-				f, _, err := t.descend(pair{k, 0}, LatchShared, nil)
+				f, _, err := t.descend(Pair{k, 0}, LatchShared, nil)
 				if err != nil {
 					return err
 				}
@@ -448,7 +472,7 @@ func (t *BTree) Probe(keys [][]byte, fn func(i int, val uint64)) error {
 			}
 			// Binary search for k's first pair, then visit its pairs.
 			for hi := l.cnt; at < hi; {
-				if mid := int(uint(at+hi) >> 1); bytes.Compare(l.entry(mid).key, k) < 0 {
+				if mid := int(uint(at+hi) >> 1); bytes.Compare(l.entry(mid).Key, k) < 0 {
 					at = mid + 1
 				} else {
 					hi = mid
@@ -456,10 +480,10 @@ func (t *BTree) Probe(keys [][]byte, fn func(i int, val uint64)) error {
 			}
 			for ; at < l.cnt; at++ {
 				e := l.entry(at)
-				if !bytes.Equal(e.key, k) {
+				if !bytes.Equal(e.Key, k) {
 					break
 				}
-				fn(i, e.val)
+				fn(i, e.Val)
 				seen = true
 			}
 			if at < l.cnt {
@@ -516,7 +540,7 @@ func (l *probeLeaf) load(t *BTree, f *Frame) error {
 }
 
 // entry returns the leaf's i'th entry, which load has walked.
-func (l *probeLeaf) entry(i int) pair {
+func (l *probeLeaf) entry(i int) Pair {
 	e, _, _ := l.n.entry(int(l.offs[i]))
 	return e
 }
@@ -531,12 +555,12 @@ func (l *probeLeaf) release(pool *Pool) {
 // Delete removes the pair (key, val), reporting whether it was present.
 // The leaf the descent reaches is the only one that can hold it.
 func (t *BTree) Delete(key []byte, val uint64) (bool, error) {
-	f, _, err := t.descend(pair{key, val}, LatchExclusive, nil)
+	f, _, err := t.descend(Pair{key, val}, LatchExclusive, nil)
 	if err != nil {
 		return false, err
 	}
 	n := node(f.Data)
-	at, end, found, err := n.seek(pair{key, val})
+	at, end, found, err := n.seek(Pair{key, val})
 	if err != nil {
 		t.pool.Unpin(f, false)
 		return false, t.bad(f.ID(), err)

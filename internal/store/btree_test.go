@@ -32,7 +32,7 @@ func (t *BTree) Len() (int, error) {
 
 // height counts the tree's levels, root to leaf.
 func (t *BTree) height() (int, error) {
-	f, depth, err := t.descend(pair{}, LatchShared, nil)
+	f, depth, err := t.descend(Pair{}, LatchShared, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -41,11 +41,11 @@ func (t *BTree) height() (int, error) {
 }
 
 // btModel is the set of pairs a tree must hold, in pair order.
-type btModel []pair
+type btModel []Pair
 
 // find returns where (key, val) is or would go, and whether it is there.
 func (m btModel) find(key []byte, val uint64) (int, bool) {
-	p := pair{key, val}
+	p := Pair{key, val}
 	i := sort.Search(len(m), func(i int) bool { return m[i].compare(p) >= 0 })
 	return i, i < len(m) && m[i].compare(p) == 0
 }
@@ -56,9 +56,9 @@ func (m btModel) insert(key []byte, val uint64) (btModel, bool) {
 	if found {
 		return m, false
 	}
-	m = append(m, pair{})
+	m = append(m, Pair{})
 	copy(m[i+1:], m[i:])
-	m[i] = pair{bytes.Clone(key), val}
+	m[i] = Pair{bytes.Clone(key), val}
 	return m, true
 }
 
@@ -80,7 +80,7 @@ func verifyModel(t *testing.T, bt *BTree, m btModel) {
 	}
 	var got btModel
 	if err := bt.Range(nil, nil, func(k []byte, v uint64) bool {
-		got = append(got, pair{bytes.Clone(k), v})
+		got = append(got, Pair{bytes.Clone(k), v})
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -89,8 +89,8 @@ func verifyModel(t *testing.T, bt *BTree, m btModel) {
 		t.Fatalf("tree holds %d pairs, model %d", len(got), len(m))
 	}
 	for i := range got {
-		if !bytes.Equal(got[i].key, m[i].key) || got[i].val != m[i].val {
-			t.Fatalf("pair %d: tree (%q, %d), model (%q, %d)", i, got[i].key, got[i].val, m[i].key, m[i].val)
+		if !bytes.Equal(got[i].Key, m[i].Key) || got[i].Val != m[i].Val {
+			t.Fatalf("pair %d: tree (%q, %d), model (%q, %d)", i, got[i].Key, got[i].Val, m[i].Key, m[i].Val)
 		}
 	}
 }
@@ -166,15 +166,15 @@ func TestBTreeMatchesModel(t *testing.T) {
 			}
 			p := m[rng.Intn(len(m))]
 			if rng.Intn(4) == 0 { // often absent
-				p = pair{pool[rng.Intn(len(pool))], uint64(rng.Intn(4))}
+				p = Pair{pool[rng.Intn(len(pool))], uint64(rng.Intn(4))}
 			}
-			ok, err := bt.Delete(p.key, p.val)
+			ok, err := bt.Delete(p.Key, p.Val)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var want bool
-			if m, want = m.delete(p.key, p.val); ok != want {
-				t.Fatalf("Delete(%q, %d) = %v, model says %v", p.key, p.val, ok, want)
+			if m, want = m.delete(p.Key, p.Val); ok != want {
+				t.Fatalf("Delete(%q, %d) = %v, model says %v", p.Key, p.Val, ok, want)
 			}
 		}
 		verifyModel(t, bt, m)
@@ -279,50 +279,98 @@ func TestBTreeInPlaceWritesAllocateNothing(t *testing.T) {
 	if n, err := bt.Len(); err != nil || n != 2000 {
 		t.Fatalf("Len = %d, %v", n, err)
 	}
-}
 
-// TestBTreeSplitPointsUnchanged pins the shape a fixed insert sequence
-// builds, read off the page bytes alone: the numbers are those of the
-// decoding implementation this one replaced, so splits cut where they
-// always did.
-func TestBTreeSplitPointsUnchanged(t *testing.T) {
-	s := memStore(t)
-	bt, err := CreateBTree(s.Pool())
+	// A splitting insert allocates what Pool.Alloc does for the new page
+	// and nothing more. Pairs in order under one key append, so each run
+	// of a leaf's worth of inserts splits the full rightmost leaf once.
+	sp, err := CreateBTree(s.Pool())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(27))
-	for i := 0; i < 20000; i++ {
-		key := fmt.Sprintf("%d-%s", rng.Intn(3000), strings.Repeat("x", rng.Intn(60)))
-		if err := bt.Insert([]byte(key), uint64(i)); err != nil {
-			t.Fatal(err)
+	key, val := []byte("k"), uint64(0)
+	fill := func() {
+		for range (PageSize - nodeHdr) / (2 + len(key) + 8) {
+			if err := sp.Insert(key, val); err != nil {
+				t.Fatal(err)
+			}
+			val++
 		}
 	}
-	page := func(id PageID) []byte {
-		f, err := s.Pool().Get(id)
+	fill()
+	pages := testing.AllocsPerRun(100, func() {
+		f, err := s.Pool().Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Pool().Unpin(f, false)
-		return bytes.Clone(f.Data)
+		s.Pool().Unpin(f, true)
+	})
+	if splits := testing.AllocsPerRun(100, fill); splits > pages {
+		t.Fatalf("a splitting insert allocates %.1f times, Pool.Alloc %.1f", splits, pages)
 	}
-	id := PageID(binary.LittleEndian.Uint32(page(bt.Anchor())[0:4]))
-	levels := 1
-	for d := page(id); d[0] != 1; d = page(id) {
-		id = PageID(binary.LittleEndian.Uint32(d[7:11]))
-		levels++
+	if h, err := sp.height(); err != nil || h != 2 {
+		t.Fatalf("the split tree has %d levels (%v), want 2", h, err)
 	}
-	var counts []byte
-	leaves, total := 0, 0
-	for ; id != invalidPage; leaves++ {
-		d := page(id)
-		counts = append(counts, d[1:3]...)
-		total += int(binary.LittleEndian.Uint16(d[1:3]))
-		id = PageID(binary.LittleEndian.Uint32(d[3:7]))
-	}
-	sum := crc32.ChecksumIEEE(counts)
-	if levels != 3 || leaves != 304 || total != 20000 || sum != 0x9f192f99 {
-		t.Fatalf("%d levels, %d leaves, %d entries, per-leaf counts crc %#x; want 3, 304, 20000, 0x9f192f99", levels, leaves, total, sum)
+}
+
+// TestBTreeSplitPointsUnchanged pins the shape a fixed insert sequence
+// builds, read off the page bytes alone. The random row's numbers are
+// those of the decoding implementation this one replaced, so a split
+// that does not append cuts where it always did. The ascending row's
+// splits append, each leaving a full leaf behind it.
+func TestBTreeSplitPointsUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		key            func(rng *rand.Rand, i int) string
+		levels, leaves int
+		sum            uint32
+	}{
+		{"random", func(rng *rand.Rand, _ int) string {
+			return fmt.Sprintf("%d-%s", rng.Intn(3000), strings.Repeat("x", rng.Intn(60)))
+		}, 3, 304, 0x9f192f99},
+		{"ascending", func(rng *rand.Rand, i int) string {
+			return fmt.Sprintf("%05d-%s", i, strings.Repeat("x", rng.Intn(60)))
+		}, 3, 225, 0x67dd3342},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := memStore(t)
+			bt, err := CreateBTree(s.Pool())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(27))
+			for i := 0; i < 20000; i++ {
+				if err := bt.Insert([]byte(tc.key(rng, i)), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			page := func(id PageID) []byte {
+				f, err := s.Pool().Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Pool().Unpin(f, false)
+				return bytes.Clone(f.Data)
+			}
+			id := PageID(binary.LittleEndian.Uint32(page(bt.Anchor())[0:4]))
+			levels := 1
+			for d := page(id); d[0] != 1; d = page(id) {
+				id = PageID(binary.LittleEndian.Uint32(d[7:11]))
+				levels++
+			}
+			var counts []byte
+			leaves, total := 0, 0
+			for ; id != invalidPage; leaves++ {
+				d := page(id)
+				counts = append(counts, d[1:3]...)
+				total += int(binary.LittleEndian.Uint16(d[1:3]))
+				id = PageID(binary.LittleEndian.Uint32(d[3:7]))
+			}
+			sum := crc32.ChecksumIEEE(counts)
+			if levels != tc.levels || leaves != tc.leaves || total != 20000 || sum != tc.sum {
+				t.Fatalf("%d levels, %d leaves, %d entries, per-leaf counts crc %#x; want %d, %d, 20000, %#x",
+					levels, leaves, total, sum, tc.levels, tc.leaves, tc.sum)
+			}
+		})
 	}
 }
 
@@ -394,8 +442,9 @@ func TestBTreeMalformedNodeIsAnError(t *testing.T) {
 }
 
 // FuzzBTreeOps decodes its input, four bytes an operation, into inserts
-// of pairs not yet present, deletes and probes, checked against the model
-// and per-key Ranges, then checks the whole tree.
+// of pairs not yet present, one at a time or as a batch, deletes and
+// probes, checked against the model and per-key Ranges, then checks the
+// whole tree.
 func FuzzBTreeOps(f *testing.F) {
 	f.Add([]byte{0, 255, 'a', 0, 1, 255, 'a', 1, 2, 255, 'b', 0, 3, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0, 200, 7, 1}, 64))
@@ -408,6 +457,22 @@ func FuzzBTreeOps(f *testing.F) {
 	seq = nil
 	for i := 0; i < 400; i++ {
 		seq = append(seq, byte(i%8), byte(i*13), byte(i%7), byte(i/5))
+	}
+	f.Add(seq)
+	// A run in ascending pair order, which appends, then one in descending
+	// order between its pairs.
+	seq = nil
+	for i := 0; i < 256; i++ {
+		seq = append(seq, 0, byte(i), 5, 0)
+	}
+	for i := 255; i >= 0; i-- {
+		seq = append(seq, 0, byte(i), 5, 1)
+	}
+	f.Add(seq)
+	// Batches, some of them in order and some not.
+	seq = nil
+	for i := 0; i < 64; i++ {
+		seq = append(seq, 6, byte(i*16), byte(i%3), byte(15+16*(i%16)))
 	}
 	f.Add(seq)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -427,9 +492,25 @@ func FuzzBTreeOps(f *testing.F) {
 				// c apart, and one key of even length, which no insert makes.
 				keys := [][]byte{bytes.Repeat([]byte{b % 8}, 2+int(a)%64)}
 				for i, at := 0, int(a)<<8|int(b); i <= int(c%8); i++ {
-					keys = append(keys, m[(at+i*(1+int(c)/8))%len(m)].key)
+					keys = append(keys, m[(at+i*(1+int(c)/8))%len(m)].Key)
 				}
 				checkProbe(t, bt, keys)
+				continue
+			}
+			if op%8 == 6 {
+				// Up to 16 pairs through InsertBatch, their key lengths from
+				// a's on, an odd step apart, so that they wrap out of order.
+				var batch []Pair
+				for i := 0; i <= int(c%16); i++ {
+					key := bytes.Repeat([]byte{b % 8}, 1+2*((int(a)+i*(1+2*int(c/16)))%256))
+					var added bool
+					if m, added = m.insert(key, uint64(c%4)); added {
+						batch = append(batch, Pair{key, uint64(c % 4)})
+					}
+				}
+				if err := bt.InsertBatch(batch); err != nil {
+					t.Fatal(err)
+				}
 				continue
 			}
 			if op%4 != 3 || len(m) == 0 {
@@ -445,15 +526,15 @@ func FuzzBTreeOps(f *testing.F) {
 			}
 			p := m[(int(a)<<8|int(b))%len(m)]
 			if c%4 == 0 { // absent
-				p.val += 4
+				p.Val += 4
 			}
-			ok, err := bt.Delete(p.key, p.val)
+			ok, err := bt.Delete(p.Key, p.Val)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var want bool
-			if m, want = m.delete(p.key, p.val); ok != want {
-				t.Fatalf("Delete(%d-byte key, %d) = %v, model says %v", len(p.key), p.val, ok, want)
+			if m, want = m.delete(p.Key, p.Val); ok != want {
+				t.Fatalf("Delete(%d-byte key, %d) = %v, model says %v", len(p.Key), p.Val, ok, want)
 			}
 		}
 		verifyModel(t, bt, m)

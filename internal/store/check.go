@@ -139,7 +139,7 @@ type btCheck struct {
 	last, lastNext PageID
 }
 
-func (c *btCheck) visit(id PageID, lo, hi *pair, depth int) error {
+func (c *btCheck) visit(id PageID, lo, hi *Pair, depth int) error {
 	f, err := c.t.pool.Get(id)
 	if err != nil {
 		return c.t.bad(id, err)
@@ -147,7 +147,7 @@ func (c *btCheck) visit(id PageID, lo, hi *pair, depth int) error {
 	// Walk a copy: the children below pin pages of their own.
 	n := node(bytes.Clone(f.Data))
 	c.t.pool.Unpin(f, false)
-	seps, kids := []pair{}, []PageID{n.child0()} // kids: an internal node's only
+	seps, kids := []Pair{}, []PageID{n.child0()} // kids: an internal node's only
 	off := n.first()
 	for i := 0; i < n.count(); i++ {
 		p, end, err := n.entry(off)
@@ -156,8 +156,8 @@ func (c *btCheck) visit(id PageID, lo, hi *pair, depth int) error {
 		}
 		off = end
 		switch {
-		case len(p.key) > MaxKeyLen:
-			return fmt.Errorf("store: btree %d: node %d: key %d of %d bytes", c.t.anchor, id, i, len(p.key))
+		case len(p.Key) > MaxKeyLen:
+			return fmt.Errorf("store: btree %d: node %d: key %d of %d bytes", c.t.anchor, id, i, len(p.Key))
 		case i > 0 && seps[i-1].compare(p) >= 0:
 			return fmt.Errorf("store: btree %d: node %d: pairs out of order at %d", c.t.anchor, id, i)
 		case lo != nil && p.compare(*lo) < 0:

@@ -219,7 +219,7 @@ func walkNode(t *testing.T, pool *Pool, id PageID) (keys [][]byte, kids []PageID
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys = append(keys, bytes.Clone(p.key))
+		keys = append(keys, bytes.Clone(p.Key))
 		if !n.leaf() {
 			kids = append(kids, n.kid(end))
 		}
