@@ -7,6 +7,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/bench/icheck"
@@ -280,8 +281,16 @@ func WisconsinTable(n int) ([]WiscRow, error) {
 		return nil, err
 	}
 
-	// Term-oriented formats of the same queries.
-	for name, q := range wisconsin.TermQueries("wisc_a", "wisc_b", "wisc_c", n) {
+	// Term-oriented formats of the same queries, in name order, so each
+	// run's cold page reads land on the same row.
+	terms := wisconsin.TermQueries("wisc_a", "wisc_b", "wisc_c", n)
+	names := make([]string, 0, len(terms))
+	for name := range terms {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		q := terms[name]
 		st.ResetStats()
 		t0 := time.Now()
 		cnt, err := env.Session.QueryCount(q)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"testing"
+
 	"repro/internal/dict"
 	"repro/internal/wam"
 )
@@ -20,4 +22,16 @@ func countTraps(s *Session) *int {
 func hitEntry(s *Session, name string, arity int) bool {
 	p := s.m.Proc(s.m.Dict.Intern(name, arity))
 	return p != nil && p.Hit != nil
+}
+
+// countAdmits counts, until t ends, the variants eviction tests against a
+// write key.
+func countAdmits(t *testing.T) *int {
+	n, scan := new(int), admits
+	admits = func(fk, w filterKey) bool {
+		*n++
+		return scan(fk, w)
+	}
+	t.Cleanup(func() { admits = scan })
+	return n
 }

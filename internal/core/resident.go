@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/compiler"
@@ -23,7 +24,9 @@ import (
 // with its filter and tagged with the version it saw, so a call that finds
 // its variant resident hashes no name. A write changes only the variants
 // whose filter admits the written clause (edb.Admits): the knowledge base
-// drops those at once, a session when it catches up through the log.
+// drops those at once, a session when it catches up through the log. A
+// table that the first write finds holding variants counts them by key from
+// then on, until they go, and a write the counts show none admits visits none.
 // Resident code leaves a session through evict and nowhere else, and
 // reconcile decides when.
 //
@@ -41,10 +44,44 @@ func filterKeyOf(keys []edb.ArgKey) (fk filterKey) {
 	return fk
 }
 
+// keyCounts counts a table's variants by position and key (wild: WildKey());
+// a write bound at a position to a key none has and none is wild at admits none.
+type keyCounts map[keyAt]int32
+
+type keyAt struct {
+	j int
+	k edb.ArgKey
+}
+
+// add counts a variant with filter fk d more times, unless kc is nil.
+func (kc keyCounts) add(fk *filterKey, d int32) {
+	for j := 0; kc != nil && j < len(fk); j++ {
+		if kc[keyAt{j, fk[j]}] += d; kc[keyAt{j, fk[j]}] == 0 {
+			delete(kc, keyAt{j, fk[j]})
+		}
+	}
+}
+
+// mayAdmit reports whether some counted variant may admit a key of writes.
+func (kc keyCounts) mayAdmit(writes ...filterKey) bool {
+	return slices.ContainsFunc(writes, func(w filterKey) bool {
+		for j, k := range w {
+			if !k.Wild && kc[keyAt{j, k}] == 0 && kc[keyAt{j, edb.WildKey()}] == 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// admits is the eviction scan's test (by value: a test counts its calls).
+var admits = func(fk, w filterKey) bool { return edb.Admits(fk[:], w[:]) }
+
 // sharedProc is the knowledge base's record of one stored procedure.
 type sharedProc struct {
 	ver      uint64 // bumped by every invalidation
 	variants map[filterKey][]compiler.ClauseCode
+	counts   keyCounts   // of variants, once a write found some
 	log      []filterKey // keys of the last writeLogLen writes; version v's at (v-1) % writeLogLen
 	// notDatalog is ver+1 when a clause of the procedure at version ver
 	// was found not to decompile to Datalog; any other value is no verdict.
@@ -83,6 +120,7 @@ type residentProc struct {
 	ver      uint64 // stored-procedure version at link time
 	keyed    int
 	variants map[callKey]*variant
+	counts   keyCounts // of variants' filters, once a write found some
 	setops   *setopsInfo
 	entry    wam.Proc // the hit entry, once a keyed variant is filed
 }
@@ -134,10 +172,7 @@ func (kb *KnowledgeBase) sharedFor(pi term.Indicator) *sharedProc {
 func (kb *KnowledgeBase) storedVersion(pi term.Indicator) uint64 {
 	kb.cacheMu.Lock()
 	defer kb.cacheMu.Unlock()
-	if sp := kb.shared[pi]; sp != nil {
-		return sp.ver
-	}
-	return 0
+	return kb.sharedFor(pi).ver
 }
 
 // knownNotDatalog reports whether pi's clauses at its current version
@@ -165,11 +200,7 @@ func (kb *KnowledgeBase) markNotDatalog(pi term.Indicator, ver uint64) {
 // cannot be invalidated between lookup and use.
 func (kb *KnowledgeBase) lookupShared(pi term.Indicator, fk filterKey) ([]compiler.ClauseCode, bool) {
 	kb.cacheMu.Lock()
-	var ccs []compiler.ClauseCode
-	ok := false
-	if sp := kb.shared[pi]; sp != nil {
-		ccs, ok = sp.variants[fk]
-	}
+	ccs, ok := kb.sharedFor(pi).variants[fk]
 	kb.cacheMu.Unlock()
 	if ok {
 		kb.cacheHits.Inc()
@@ -189,7 +220,7 @@ func (kb *KnowledgeBase) storeShared(pi term.Indicator, fk filterKey, ccs []comp
 	defer kb.cacheMu.Unlock()
 	if kb.nvariants >= sharedCacheLimit {
 		for _, sp := range kb.shared {
-			sp.variants = nil
+			sp.variants, sp.counts = nil, nil
 		}
 		kb.nvariants = 0
 	}
@@ -199,6 +230,7 @@ func (kb *KnowledgeBase) storeShared(pi term.Indicator, fk filterKey, ccs []comp
 			sp.variants = map[filterKey][]compiler.ClauseCode{}
 		}
 		sp.variants[fk] = ccs
+		sp.counts.add(&fk, 1)
 		kb.nvariants++
 	}
 	kb.cacheEntries.Set(int64(kb.nvariants))
@@ -218,11 +250,20 @@ func (kb *KnowledgeBase) invalidateProc(pi term.Indicator, keys []edb.ArgKey) {
 	for i := range w {
 		w[i].Wild = w[i].Wild || keys == nil
 	}
-	for fk := range sp.variants {
-		if edb.Admits(fk[:], w[:]) {
-			delete(sp.variants, fk)
-			kb.nvariants--
-			kb.cacheInvals.Inc()
+	if sp.counts == nil && len(sp.variants) > 0 {
+		sp.counts = keyCounts{}
+		for fk := range sp.variants {
+			sp.counts.add(&fk, 1)
+		}
+	}
+	if sp.counts.mayAdmit(w) {
+		for fk := range sp.variants {
+			if admits(fk, w) {
+				delete(sp.variants, fk)
+				sp.counts.add(&fk, -1)
+				kb.nvariants--
+				kb.cacheInvals.Inc()
+			}
 		}
 	}
 	sp.ver++
@@ -298,15 +339,25 @@ func (s *Session) catchUp(fn dict.ID, rp *residentProc, ver uint64) *residentPro
 // addresses them.
 func (s *Session) evict(fn dict.ID, rp *residentProc, writes []filterKey) {
 	whole := writes == nil || rp.setops != nil
+	if !whole && rp.counts == nil {
+		rp.counts = keyCounts{}
+		for _, v := range rp.variants {
+			rp.counts.add(&v.fk, 1)
+		}
+	}
+	if !whole && !rp.counts.mayAdmit(writes...) {
+		return
+	}
 	for ck, v := range rp.variants {
 		drop := whole
 		for _, w := range writes {
-			drop = drop || edb.Admits(v.fk[:], w[:])
+			drop = drop || admits(v.fk, w)
 		}
 		if drop {
 			s.m.UndefineProc(&v.Proc)
 			s.m.RemoveBlock(v.Block)
 			delete(rp.variants, ck)
+			rp.counts.add(&v.fk, -1)
 			s.nresident--
 		}
 	}

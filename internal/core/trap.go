@@ -91,20 +91,18 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	if p.FactsOnly && !s.opts.DisablePreUnification {
 		keyed = p.K
 	}
+	// A resident variant is served caught up, as a load would answer; ver
+	// is stable under the read lock (writers lock across store + invalidate).
 	ck := callKeyOf(m, keyed)
-	if rp := s.resident[fn]; rp.lookup(ck) != nil {
+	ver := s.kb.storedVersion(pi)
+	if rp := s.catchUp(fn, s.resident[fn], ver); rp.lookup(ck) != nil {
 		unlock()
 		return s.install(fn, rp, ck), nil
 	}
-	// A miss: build the pre-unification filter from the call key. The proc
-	// version is stable while we hold the read lock (writers hold the write
-	// lock across store + invalidate), so code fetched below is
-	// consistently tagged.
 	keys := make([]edb.ArgKey, p.K)
 	for i := range keys {
 		keys[i] = s.cellArgKey(&ck, i)
 	}
-	ver := s.kb.storedVersion(pi)
 	form := p.Form
 
 	var clauses []compiler.ClauseCode // FormCode path
@@ -156,6 +154,7 @@ func (s *Session) file(fn dict.ID, pi term.Indicator, ver uint64, keyed int, ck 
 	rp := s.residentFor(fn, pi, ver)
 	rp.keyed = keyed
 	rp.variants[ck] = v
+	rp.counts.add(&v.fk, 1)
 	s.nresident++
 	return s.install(fn, rp, ck)
 }
