@@ -9,13 +9,13 @@ import (
 	"repro/internal/term"
 )
 
-// bootstrapSrc is the Prolog-level standard library: the part that stands
-// on WAM builtins, then the library the interpreter shares. Control
-// constructs appear here as ordinary predicates so they remain callable
-// through call/N (compiled clause bodies get the faster translation into
-// local procedures instead). It is compiled once per process (library) and
-// a session links a predicate of it at its first call, as it links its own
-// code.
+// bootstrapSrc is the Prolog-level standard library: the control constructs
+// and findall/3 over WAM builtins, then the library both evaluators load.
+// Control constructs appear here as ordinary predicates so they remain
+// callable through call/N (compiled clause bodies get the faster
+// translation into local procedures instead). It is compiled once per
+// process (library) and a session links a predicate of it at its first
+// call, as it links its own code.
 const bootstrapSrc = `
 % --- control, callable via metacall -------------------------------------
 ','(A, B) :- call(A), call(B).
@@ -28,18 +28,6 @@ const bootstrapSrc = `
 '\\+'(G) :- call(G), !, fail.
 '\\+'(_).
 not(G) :- \+ G.
-
-% --- transactions ----------------------------------------------------------
-% transaction(G) runs G once inside a KB transaction: commit on success,
-% rollback on failure or on any error (the error is rethrown). commit
-% itself may throw error(transaction_error(commit_failed), educe); the
-% handler's rollback is then a no-op (the engine already rolled back).
-transaction(G) :-
-	begin,
-	catch((call(G) -> commit ; ('$txn_abort', fail)),
-	      B,
-	      ('$txn_abort', throw(B))).
-'$txn_abort' :- catch(rollback, _, true).
 
 % --- findall over the WAM's collector ----------------------------------------
 findall(T, G, L) :-

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -10,14 +11,15 @@ import (
 	"repro/internal/interp"
 	"repro/internal/loader"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/term"
 	"repro/internal/wam"
 )
 
-// registerEngineBuiltins adds builtins that need the compiler: the dynamic
-// database (assert/retract — §2 item 3 of the paper stresses how expensive
-// these are, and here assert really does run the incremental compiler) and
-// clause inspection.
+// registerEngineBuiltins adds the session builtins and the builtins that
+// need the compiler: the dynamic database (assert/retract — §2 item 3 of the
+// paper stresses how expensive these are, and here assert really does run
+// the incremental compiler) and clause inspection.
 func (s *Session) registerEngineBuiltins() {
 	m := s.m
 
@@ -27,29 +29,95 @@ func (s *Session) registerEngineBuiltins() {
 	m.RegisterBuiltin(wam.Builtin{Name: "retract", Arity: 1, Fn: s.biRetract})
 	m.RegisterBuiltin(wam.Builtin{Name: "abolish", Arity: 1, Fn: s.biAbolish})
 	m.RegisterBuiltin(wam.Builtin{Name: "clause", Arity: 2, Fn: s.biClause})
-	m.RegisterBuiltin(wam.Builtin{Name: "educe_statistics", Arity: 2, Fn: s.biStatistics})
-	m.RegisterBuiltin(wam.Builtin{Name: "educe_profile", Arity: 2, Fn: s.biProfile})
-	m.RegisterBuiltin(wam.Builtin{Name: "begin", Arity: 0, Fn: s.biBegin})
-	m.RegisterBuiltin(wam.Builtin{Name: "commit", Arity: 0, Fn: s.biCommit})
-	m.RegisterBuiltin(wam.Builtin{Name: "rollback", Arity: 0, Fn: s.biRollback})
-	m.RegisterBuiltin(wam.Builtin{Name: "assert_external", Arity: 1, Fn: s.biAssertExternal})
-	m.RegisterBuiltin(wam.Builtin{Name: "retract_external", Arity: 1, Fn: s.biRetractExternal})
-	m.RegisterBuiltin(wam.Builtin{Name: "educe_strategy", Arity: 1, Fn: s.biStrategy})
+	for pi, f := range sessionBuiltins {
+		m.RegisterBuiltin(wam.Builtin{Name: pi.Name, Arity: pi.Arity, Fn: s.wamBuiltin(f)})
+	}
 }
 
-// biStatistics exposes engine counters to Prolog:
-// educe_statistics(Key, Value) with keys instructions, calls,
-// choice_points, choice_points_elided, gc_runs, gc_pause_ns, heap_peak,
-// edb_retrievals, edb_candidates, io_accesses, io_hits, io_reads,
-// io_writes, io_evictions, io_latch_waits, io_latch_wait_ns,
-// pool_shards, session_io_accesses, session_io_reads, session_io_writes,
-// dict_entries, dict_hits, dict_misses, code_cache_hits,
-// code_cache_misses, preunify_scanned, preunify_passed, pages_touched,
-// asserts, txn_commits, txn_rollbacks, txn_auto_rollbacks,
-// store_read_only, and the per-phase nanosecond totals parse_ns, compile_ns,
-// edb_fetch_ns, preunify_ns, link_ns, exec_ns, gc_ns, store_ns — the
-// statistics/1-style view of the paper's §3.1/§5 cost breakdowns.
-func (s *Session) biStatistics(m *wam.Machine, args []wam.Cell) (bool, error) {
+// A sessionBuiltin is a builtin over the session or its knowledge base,
+// which both evaluators answer from (the WAM through wamBuiltin, the
+// interpreter through interpTrap): over the call's resolved arguments it
+// returns the call's answers, each the ground values of the arguments in
+// order or empty (binding nothing), or an error ball.
+type sessionBuiltin func(s *Session, args []term.Term) ([][]term.Term, error)
+
+// sessionBuiltins is every session builtin: the steps of transaction/1, the
+// EDB write path (a transaction groups stored-clause writes without leaving
+// the language), the statistics and profile views and the strategy.
+var sessionBuiltins = map[term.Indicator]sessionBuiltin{
+	{Name: "begin"}:                      func(s *Session, _ []term.Term) ([][]term.Term, error) { return once(true, txnBall(s.Begin())) },
+	{Name: "commit"}:                     func(s *Session, _ []term.Term) ([][]term.Term, error) { return once(true, txnBall(s.Commit())) },
+	{Name: "rollback"}:                   func(s *Session, _ []term.Term) ([][]term.Term, error) { return once(true, txnBall(s.Rollback())) },
+	{Name: "assert_external", Arity: 1}:  func(s *Session, a []term.Term) ([][]term.Term, error) { return once(true, s.AssertExternalTerm(a[0])) },
+	{Name: "retract_external", Arity: 1}: func(s *Session, a []term.Term) ([][]term.Term, error) { return once(s.RetractExternal(a[0])) },
+	{Name: "educe_statistics", Arity: 2}: func(s *Session, a []term.Term) ([][]term.Term, error) { return pairs(a[0], s.statistics()), nil },
+	{Name: "educe_profile", Arity: 2}:    func(s *Session, a []term.Term) ([][]term.Term, error) { return pairs(a[0], s.profileStats()), nil },
+	{Name: "educe_strategy", Arity: 1}:   (*Session).strategyBuiltin,
+}
+
+// yes answers a call that succeeds once, binding nothing.
+var yes = [][]term.Term{{}}
+
+// once answers a call that succeeds once if ok and err is nil; a read-only
+// store's refusal of a write is its catchable ball.
+func once(ok bool, err error) ([][]term.Term, error) {
+	if errors.Is(err, store.ErrReadOnly) {
+		err = wam.TransactionBall("read_only")
+	}
+	if !ok || err != nil {
+		return nil, err
+	}
+	return yes, nil
+}
+
+// wamBuiltin is session builtin f as a WAM builtin: it decodes the argument
+// registers and unifies them with f's first answer, and with each later one
+// on redo.
+func (s *Session) wamBuiltin(f sessionBuiltin) wam.BuiltinFn {
+	return func(m *wam.Machine, args []wam.Cell) (bool, error) {
+		as, err := f(s, m.DecodeTerms(args))
+		if len(as) > 1 {
+			rest := as[1:]
+			m.PushRedo(func(m *wam.Machine) (bool, error) {
+				for len(rest) > 0 {
+					a := rest[0]
+					if rest = rest[1:]; m.TryUnify(func() bool { return unifyRegs(m, a) }) {
+						return true, nil
+					}
+				}
+				return false, nil
+			})
+		}
+		return len(as) > 0 && unifyRegs(m, as[0]), err
+	}
+}
+
+// unifyRegs unifies the argument registers with answer a's values.
+func unifyRegs(m *wam.Machine, a []term.Term) bool {
+	i := 0
+	for i < len(a) && m.Unify(m.Reg(i), m.EncodeTerm(a[i], nil)) {
+		i++
+	}
+	return i == len(a)
+}
+
+// pairs answers a Key-Value call over stats in key order: the pair of a
+// bound key, or every pair.
+func pairs(key term.Term, stats map[string]int64) (as [][]term.Term) {
+	for k, v := range stats {
+		if a, ok := key.(term.Atom); !ok || string(a) == k {
+			as = append(as, []term.Term{term.Atom(k), term.Int(v)})
+		}
+	}
+	sort.Slice(as, func(i, j int) bool { return as[i][0].(term.Atom) < as[j][0].(term.Atom) })
+	return as
+}
+
+// statistics is the view educe_statistics/2 reads, the statistics/1-style
+// view of the paper's §3.1/§5 cost breakdowns: the counters below and the
+// per-phase nanosecond totals parse_ns, compile_ns, edb_fetch_ns,
+// preunify_ns, link_ns, exec_ns, gc_ns and store_ns.
+func (s *Session) statistics() map[string]int64 {
 	st := s.Stats()
 	stats := map[string]int64{
 		"instructions":         int64(st.Machine.Instructions),
@@ -93,54 +161,17 @@ func (s *Session) biStatistics(m *wam.Machine, args []wam.Cell) (bool, error) {
 		stats[p.String()+"_ns"] = st.Cost.Phases[p]
 	}
 	stats["store_ns"] = st.Cost.Phases[obs.PhaseStore]
-	return keyValue(m, args, stats)
+	return stats
 }
 
-// keyValue is the body of a Key-Value statistics builtin over stats: a
-// bound key looks its value up, an unbound one enumerates the pairs in key
-// order on backtracking.
-func keyValue(m *wam.Machine, args []wam.Cell, stats map[string]int64) (bool, error) {
-	key := m.Deref(args[0])
-	if key.Tag() == wam.TagCon {
-		v, ok := stats[m.Dict.Name(key.AtomID())]
-		if !ok {
-			return false, nil
-		}
-		return m.Unify(args[1], wam.MakeInt(v)), nil
-	}
-	// Unbound key: enumerate.
-	names := make([]string, 0, len(stats))
-	for k := range stats {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	i := 0
-	redo := func(m *wam.Machine) (bool, error) {
-		for i < len(names) {
-			k := names[i]
-			i++
-			ok := m.TryUnify(func() bool {
-				return m.Unify(m.Reg(0), wam.MakeCon(m.Dict.Intern(k, 0))) &&
-					m.Unify(m.Reg(1), wam.MakeInt(stats[k]))
-			})
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	m.PushRedo(redo)
-	return redo(m)
-}
-
-// biProfile exposes the knowledge base's per-predicate profile to
-// Prolog: educe_profile(Key, Value) with one key per counter of each
-// profiled predicate — '<name>/<arity>.calls', '.exits', '.redos',
-// '.fails', '.self_ns', '.edb_fetches', '.pages' — plus the aggregate
-// 'total.*' keys. It reads the same KB-wide table as /debug/profile
-// (queries completed by any profiled session; the in-flight query's
-// counters are merged at its end), so the two views always agree.
-func (s *Session) biProfile(m *wam.Machine, args []wam.Cell) (bool, error) {
+// profileStats is the view educe_profile/2 reads, the knowledge base's
+// per-predicate profile: a key per counter of each profiled predicate —
+// '<name>/<arity>.calls', '.exits', '.redos', '.fails', '.self_ns',
+// '.edb_fetches', '.pages' — and the aggregate 'total.*' keys. It reads
+// the same KB-wide table as /debug/profile (queries completed by any
+// profiled session; the in-flight query's counters are merged at its
+// end), so the two views always agree.
+func (s *Session) profileStats() map[string]int64 {
 	rows := s.kb.profile.Snapshot()
 	stats := make(map[string]int64, len(rows)*7+7)
 	add := func(prefix string, c *obs.PredCounters) {
@@ -157,7 +188,7 @@ func (s *Session) biProfile(m *wam.Machine, args []wam.Cell) (bool, error) {
 	}
 	totals := s.kb.profile.Totals()
 	add("total", &totals)
-	return keyValue(m, args, stats)
+	return stats
 }
 
 func (s *Session) biAssert(front bool) wam.BuiltinFn {

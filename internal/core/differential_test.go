@@ -326,6 +326,21 @@ func TestDifferentialExternalStorage(t *testing.T) {
 	}
 }
 
+// stored returns a setup that stores src in the knowledge base, in the
+// session's rule-storage form.
+func stored(src string) func(*Session) error {
+	return func(s *Session) error { return s.ConsultExternal(src) }
+}
+
+// statisticsKeys is every key of educe_statistics/2, in the order an
+// unbound key enumerates them.
+const statisticsKeys = "asserts,calls,choice_points,choice_points_elided,code_cache_hits,code_cache_misses," +
+	"compile_ns,dict_entries,dict_hits,dict_misses,edb_candidates,edb_fetch_ns,edb_retrievals,exec_ns," +
+	"gc_ns,gc_pause_ns,gc_runs,heap_peak,instructions,io_accesses,io_evictions,io_hits,io_latch_wait_ns," +
+	"io_latch_waits,io_reads,io_writes,link_ns,pages_touched,parse_ns,pool_shards,preunify_ns," +
+	"preunify_passed,preunify_scanned,session_io_accesses,session_io_reads,session_io_writes,store_ns," +
+	"store_read_only,txn_auto_rollbacks,txn_commits,txn_rollbacks"
+
 // TestDifferentialSourceConsult: the corpus consulted into main memory
 // answers the same in both rule-storage modes; the source-mode session's
 // interpreter reads the consulted clauses.
@@ -408,6 +423,17 @@ func TestDifferentialSourceConsult(t *testing.T) {
 			}
 			return flip(s)
 		}, "findall(X, q(X), L)", []string{"L=[1,2];X=_V0;"}},
+		// Session builtins: one table answers them in both evaluators.
+		{"transaction-commits", stored("e(0)."), "transaction(assert_external(e(1))), findall(X, e(X), L)", []string{"L=[0,1];X=_V0;"}},
+		{"transaction-rolls-back", stored("e(0)."), "\\+ transaction((assert_external(e(1)), fail)), findall(X, e(X), L)", []string{"L=[0];X=_V0;"}},
+		{"begin-rollback", stored("e(0)."), "begin, assert_external(e(1)), findall(X, e(X), L1), rollback, findall(Y, e(Y), L2)", []string{"L1=[0,1];L2=[0];X=_V0;Y=_V1;"}},
+		{"retract-external", stored("e(0). e(1)."), "retract_external(e(0)), findall(X, e(X), L)", []string{"L=[1];X=_V0;"}},
+		{"strategy-read-set", stored(""), "educe_strategy(S), educe_strategy(tuple), educe_strategy(T)", []string{"S=auto;T=tuple;"}},
+		{"statistics-bound-key", stored(""), "educe_statistics(store_read_only, V)", []string{"V=0;"}},
+		{"statistics-keys", stored(""), "findall(K, educe_statistics(K, _), Ks)", []string{"K=_V0;Ks=[" + statisticsKeys + "];"}},
+		{"profile-total-calls", stored(""), "educe_profile('total.calls', V)", []string{"V=0;"}},
+		{"write-then-call", stored("r(1) :- true."), "findall(X, r(X), L0), assert_external((r(2) :- true)), findall(Y, r(Y), L1)", []string{"L0=[1];L1=[1,2];X=_V0;Y=_V1;"}},
+		{"write-then-call-rule", stored("r(X) :- X = 1."), "findall(X, r(X), L0), assert_external((r(2) :- true)), findall(Y, r(Y), L1)", []string{"L0=[1];L1=[1,2];X=_V0;Y=_V1;"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, rs := range []RuleStorage{RuleStorageCompiled, RuleStorageSource} {

@@ -422,35 +422,37 @@ func (s *Session) ResetStats() {
 
 // --- shared-state access helpers --------------------------------------------
 
-// rlock takes the KB read lock and attaches the session's I/O tally,
-// returning the matching release. Hold it across one storage access
-// (a retrieval, a cursor step), never across WAM execution. A session
-// with an open transaction already owns the lock exclusively and only
-// attaches the tally.
-func (s *Session) rlock() func() {
-	if s.txn != nil {
-		s.kb.st.Pool().Attach(s.tally)
-		return func() { s.kb.st.Pool().Detach(s.tally) }
+// rlock and wlock take the KB read or write lock and attach the session's
+// I/O tally for one storage access (a retrieval, a cursor step, a write),
+// never across WAM execution, and report whether they took the lock: a
+// session with an open transaction already owns it exclusively. runlock
+// and wunlock give back what they took: defer s.runlock(s.rlock()).
+func (s *Session) rlock() (took bool) {
+	if took = s.txn == nil; took {
+		s.kb.mu.RLock()
 	}
-	s.kb.mu.RLock()
 	s.kb.st.Pool().Attach(s.tally)
-	return func() {
-		s.kb.st.Pool().Detach(s.tally)
+	return took
+}
+
+func (s *Session) runlock(took bool) {
+	s.kb.st.Pool().Detach(s.tally)
+	if took {
 		s.kb.mu.RUnlock()
 	}
 }
 
-// wlock takes the KB write lock (and the tally) for a mutation of shared
-// state. Inside a transaction the lock is already held.
-func (s *Session) wlock() func() {
-	if s.txn != nil {
-		s.kb.st.Pool().Attach(s.tally)
-		return func() { s.kb.st.Pool().Detach(s.tally) }
+func (s *Session) wlock() (took bool) {
+	if took = s.txn == nil; took {
+		s.kb.mu.Lock()
 	}
-	s.kb.mu.Lock()
 	s.kb.st.Pool().Attach(s.tally)
-	return func() {
-		s.kb.st.Pool().Detach(s.tally)
+	return took
+}
+
+func (s *Session) wunlock(took bool) {
+	s.kb.st.Pool().Detach(s.tally)
+	if took {
 		s.kb.mu.Unlock()
 	}
 }
@@ -672,8 +674,7 @@ func (s *Session) ConsultExternalTerms(terms []term.Term) (err error) {
 	if s.kb.st.ReadOnly() {
 		return store.ErrReadOnly
 	}
-	unlock := s.wlock()
-	defer unlock()
+	defer s.wunlock(s.wlock())
 	db := s.kb.db
 	db.BeginBatch()
 	defer func() {
@@ -710,8 +711,7 @@ func (s *Session) RetractExternal(t term.Term) (bool, error) {
 	if s.kb.st.ReadOnly() {
 		return false, store.ErrReadOnly
 	}
-	unlock := s.wlock()
-	defer unlock()
+	defer s.wunlock(s.wlock())
 	db := s.kb.db
 	head, body := interp.SplitClause(t)
 	pi := head.Indicator()
@@ -763,8 +763,7 @@ func (s *Session) DropExternal(name string, arity int) error {
 	if s.kb.st.ReadOnly() {
 		return store.ErrReadOnly
 	}
-	unlock := s.wlock()
-	defer unlock()
+	defer s.wunlock(s.wlock())
 	db := s.kb.db
 	p := db.Proc(name, arity)
 	if p == nil {

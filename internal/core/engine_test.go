@@ -1015,8 +1015,8 @@ func TestSessionPageAccounting(t *testing.T) {
 	if _, err := s.kb.db.Retrieve(p, nil); err != nil {
 		t.Fatal(err)
 	}
-	inner()
-	outer()
+	s.runlock(inner)
+	s.runlock(outer)
 	if got, want := s.tally.Stats().Accesses-before, s.kb.st.Stats().Accesses-pool0; got != want || got == 0 {
 		t.Errorf("nested window charged %d accesses, the pool made %d", got, want)
 	}
@@ -1024,12 +1024,12 @@ func TestSessionPageAccounting(t *testing.T) {
 	// A reset of the shared counters inside a window charges nothing
 	// rather than wrapping around.
 	before = s.tally.Stats().Accesses
-	unlock := s.rlock()
+	took := s.rlock()
 	if _, err := s.kb.db.Retrieve(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.KB().ResetStats()
-	unlock()
+	s.runlock(took)
 	if got := s.tally.Stats().Accesses - before; got != 0 {
 		t.Errorf("window across KnowledgeBase.ResetStats charged %d accesses", got)
 	}

@@ -50,7 +50,7 @@ type Quota struct {
 	// TrailEntries bounds the WAM trail length.
 	TrailEntries int
 	// PagesTouched bounds the buffer-pool accesses one query's EDB
-	// retrievals may make (the paper's unit of I/O cost).
+	// retrievals and relation reads may make (the paper's unit of I/O).
 	PagesTouched int
 	// Solutions bounds the number of solutions a query may deliver.
 	Solutions int

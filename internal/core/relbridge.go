@@ -13,8 +13,7 @@ import (
 
 // CreateRelation registers a relation in the catalog under the KB write lock.
 func (s *Session) CreateRelation(schema rel.Schema) (*rel.Relation, error) {
-	unlock := s.wlock()
-	defer unlock()
+	defer s.wunlock(s.wlock())
 	return s.kb.cat.Create(schema)
 }
 
@@ -24,8 +23,7 @@ func (s *Session) InsertTuples(name string, ts []rel.Tuple) error {
 	if s.kb.st.ReadOnly() {
 		return store.ErrReadOnly
 	}
-	unlock := s.wlock()
-	defer unlock()
+	defer s.wunlock(s.wlock())
 	r := s.kb.cat.Get(name)
 	if r == nil {
 		return fmt.Errorf("core: no relation %s", name)
@@ -36,8 +34,7 @@ func (s *Session) InsertTuples(name string, ts []rel.Tuple) error {
 // Relation fetches a relation by name under the session's rlock, safe
 // inside an open transaction (which holds the KB lock exclusively).
 func (s *Session) Relation(name string) *rel.Relation {
-	unlock := s.rlock()
-	defer unlock()
+	defer s.runlock(s.rlock())
 	return s.kb.cat.Get(name)
 }
 
@@ -53,11 +50,12 @@ func (s *Session) relationFor(pi term.Indicator) *rel.Relation {
 // openRelation opens the tuple stream of a call of relation pi, looked up
 // afresh (nil: gone). arg(i) is argument i if bound and atomic; the path
 // scans the index of the first bound attribute that has one, else the
-// relation, filtered on the other bound attributes of their type. Each
-// step takes the KB read lock.
+// relation, filtered on the other bound attributes of their type. The
+// opening and each step take the KB read lock and charge the query the
+// pages they touch.
 func (s *Session) openRelation(pi term.Indicator, arg func(i int) (rel.Value, bool)) func() (rel.Tuple, error) {
-	unlock := s.rlock()
-	defer unlock()
+	defer s.runlock(s.rlock())
+	defer s.chargePages(s.kb.st.Pool().Accesses())
 	r := s.relationFor(pi)
 	if r == nil {
 		return nil
@@ -85,9 +83,17 @@ func (s *Session) openRelation(pi term.Indicator, arg func(i int) (rel.Value, bo
 		return true
 	})
 	return func() (rel.Tuple, error) {
-		unlock := s.rlock()
-		defer unlock()
+		defer s.runlock(s.rlock())
+		defer s.chargePages(s.kb.st.Pool().Accesses())
 		return it.Next()
+	}
+}
+
+// chargePages charges the query the pool's access growth since it counted
+// acc0, the delta RetrieveObs takes (a ResetStats between charges nothing).
+func (s *Session) chargePages(acc0 uint64) {
+	if now := s.kb.st.Pool().Accesses(); now > acc0 {
+		s.q.PagesTouched += now - acc0
 	}
 }
 

@@ -490,12 +490,12 @@ func (s *Session) settle(fn dict.ID, rp *residentProc, v uint64, rels bool) {
 	if rels && len(so.relDeps) > 0 {
 		// Relation inserts do not bump the KB invalidation version, so the
 		// cardinalities are compared every time, under the KB read lock.
-		unlock := s.rlock()
+		took := s.rlock()
 		for name, n := range so.relDeps {
 			r := s.kb.cat.Get(name)
 			stale = stale || r == nil || r.Count() != n
 		}
-		unlock()
+		s.runlock(took)
 	}
 	if so.builtAt != v {
 		for dep, ver := range so.deps {
@@ -520,10 +520,12 @@ func (s *Session) settle(fn dict.ID, rp *residentProc, v uint64, rels bool) {
 // record drops the variants the keys admit, other sessions drop theirs at
 // their next query, and this session's own copy catches up now; the
 // fixpoints computed from it are settled (a stored-clause write leaves the
-// catalog relations alone). An open transaction notes the procedure for its
+// catalog relations alone), and the interpreter fetches pi afresh at its
+// next call in this query. An open transaction notes the procedure for its
 // rollback. Caller holds the KB write lock.
 func (s *Session) invalidateStored(pi term.Indicator, keys []edb.ArgKey) {
 	s.kb.invalidateProc(pi, keys)
+	delete(s.fetched, pi)
 	if s.txn != nil {
 		s.txn.touched[pi] = true
 	}
@@ -543,7 +545,6 @@ func (s *Session) invalidateStored(pi term.Indicator, keys []edb.ArgKey) {
 // sessions reload at their next query. The engine calls it automatically
 // when stored clauses change.
 func (s *Session) InvalidateLoaded(name string, arity int) {
-	unlock := s.wlock()
-	defer unlock()
+	defer s.wunlock(s.wlock())
 	s.invalidateStored(term.Indicator{Name: name, Arity: arity}, nil)
 }

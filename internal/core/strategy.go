@@ -229,14 +229,14 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 		}
 		visited[pi] = true
 
-		unlock := s.rlock()
+		took := s.rlock()
 		p := s.kb.db.Proc(pi.Name, pi.Arity)
 		if p == nil {
 			r := s.relationFor(pi)
 			if r != nil {
 				info.relDeps[pi.Name] = r.Count()
 			}
-			unlock()
+			s.runlock(took)
 			if r == nil {
 				return nil, nil, nil, nil // unresolved: outside the EDB/rel reach
 			}
@@ -244,18 +244,18 @@ func (s *Session) buildSetopsRules(target term.Indicator) (*setops.Program, *set
 			continue
 		}
 		if p.Form != edb.FormCode {
-			unlock()
+			s.runlock(took)
 			return nil, nil, nil, nil // source form: baseline territory
 		}
 		ver := s.kb.storedVersion(pi)
 		info.deps[pi] = ver
 		if p.FactsOnly {
-			unlock()
+			s.runlock(took)
 			leaves = append(leaves, pi)
 			continue
 		}
 		clauses, err := s.fetchAllClauses(p)
-		unlock()
+		s.runlock(took)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -295,8 +295,7 @@ func (s *Session) fetchAllClauses(p *edb.ProcInfo) ([]compiler.ClauseCode, error
 // relation is scanned sequentially. A nil relation (with nil error) means
 // the leaf holds non-atomic facts or is gone, and the build falls back.
 func (s *Session) readLeaf(pi term.Indicator) (*rel.MemRel, error) {
-	unlock := s.rlock()
-	defer unlock()
+	defer s.runlock(s.rlock())
 	leaf := rel.NewMemRel(pi.Arity)
 	if p := s.kb.db.Proc(pi.Name, pi.Arity); p != nil {
 		clauses, err := s.fetchAllClauses(p)
@@ -320,6 +319,7 @@ func (s *Session) readLeaf(pi term.Indicator) (*rel.MemRel, error) {
 	if r == nil {
 		return nil, nil
 	}
+	defer s.chargePages(s.kb.st.Pool().Accesses())
 	ts, err := rel.Collect(rel.SeqScan(r))
 	for _, t := range ts {
 		leaf.Insert(t)
@@ -359,20 +359,19 @@ func (so *setopsInfo) sameShape(prog *setops.Program, info *setopsInfo) bool {
 	return true
 }
 
-// biStrategy implements educe_strategy/1: with an atom argument (auto,
+// strategyBuiltin is educe_strategy/1: with an atom argument (auto,
 // tuple, set) it switches the session's evaluation strategy, from the
-// next call on; with an unbound argument it reports the current one.
-func (s *Session) biStrategy(m *wam.Machine, args []wam.Cell) (bool, error) {
-	c := m.Deref(m.Reg(0))
-	if c.Tag() == wam.TagCon {
-		st, err := ParseStrategy(m.Dict.Name(c.AtomID()))
-		if err != nil {
-			return false, &wam.ErrBall{Term: term.Comp("error",
-				term.Comp("domain_error", term.Atom("strategy"), term.Atom(m.Dict.Name(c.AtomID()))),
-				term.Atom("educe_strategy/1"))}
-		}
-		s.SetStrategy(st)
-		return true, nil
+// next call on; with any other it answers the current one.
+func (s *Session) strategyBuiltin(a []term.Term) ([][]term.Term, error) {
+	name, ok := a[0].(term.Atom)
+	if !ok {
+		return [][]term.Term{{term.Atom(s.opts.Strategy.String())}}, nil
 	}
-	return m.Unify(m.Reg(0), wam.MakeCon(m.Dict.Intern(s.opts.Strategy.String(), 0))), nil
+	st, err := ParseStrategy(string(name))
+	if err != nil {
+		return nil, &wam.ErrBall{Term: term.Comp("error",
+			term.Comp("domain_error", term.Atom("strategy"), name), term.Atom("educe_strategy/1"))}
+	}
+	s.SetStrategy(st)
+	return yes, nil
 }

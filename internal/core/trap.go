@@ -53,10 +53,10 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 		return s.link(fn, cs)
 	}
 
-	unlock := s.rlock()
+	took := s.rlock()
 	p := s.kb.db.Proc(name, arity)
 	if p == nil {
-		defer unlock()
+		defer s.runlock(took)
 		if s.relationFor(pi) == nil {
 			return nil, nil // genuinely unknown
 		}
@@ -70,14 +70,14 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	// predicates (and StrategyTuple sessions) continue below on the
 	// tuple-at-a-time loader path.
 	if s.opts.Strategy != StrategyTuple && p.Form == edb.FormCode && !p.FactsOnly {
-		unlock()
+		s.runlock(took)
 		proc, err := s.trySetops(fn, pi)
 		if err != nil || proc != nil {
 			return proc, err
 		}
-		unlock = s.rlock()
+		took = s.rlock()
 		if p = s.kb.db.Proc(name, arity); p == nil {
-			unlock()
+			s.runlock(took)
 			return nil, nil
 		}
 	}
@@ -96,7 +96,7 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	ck := callKeyOf(m, keyed)
 	ver := s.kb.storedVersion(pi)
 	if rp := s.catchUp(fn, s.resident[fn], ver); rp.lookup(ck) != nil {
-		unlock()
+		s.runlock(took)
 		return s.install(fn, rp, ck), nil
 	}
 	keys := make([]edb.ArgKey, p.K)
@@ -114,7 +114,7 @@ func (s *Session) onUndefined(m *wam.Machine, fn dict.ID) (*wam.Proc, error) {
 	} else {
 		scs, err = s.kb.db.RetrieveObs(p, keys, &s.q)
 	}
-	unlock()
+	s.runlock(took)
 	if err != nil {
 		return nil, err
 	}
@@ -314,26 +314,37 @@ func (s *Session) endQuery() {
 }
 
 // interpTrap answers the baseline interpreter's call of a procedure it
-// holds no clauses for, looking the procedure up in the knowledge base's
-// procedures table at call time, then in the relational catalog (whose
-// tuples it passes to emit). A facts-only procedure stored as text
+// holds no clauses for: a session builtin with its answers as the facts
+// the call resolves against, then a procedure looked up in the knowledge
+// base's procedures table at call time, then a relation of the catalog,
+// whose tuples it passes to emit. A facts-only procedure stored as text
 // takes Educe's tuple-at-a-time interface to the record manager (§3.2.1):
 // its tuples are pre-unified in the EDB, parsed and unified with the goal
 // one by one, each match passed to emit. Any other procedure is fetched
 // whole (the baseline's poor selectivity) and parsed once per query, each
 // clause counted as the assert §2 itemises among the per-use costs, and
 // handed to the call, which resolves against the clauses; they are
-// dropped at query end. It reports whether the procedure or relation
-// exists.
+// dropped at query end or at a write of the procedure. It reports whether
+// the builtin, procedure or relation exists.
 func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) ([]interp.Clause, bool, error) {
 	pi := goal.Indicator()
+	if f, ok := sessionBuiltins[pi]; ok {
+		as, err := f(s, headArgsOf(env.ResolveDeep(goal)))
+		cs := make([]interp.Clause, len(as))
+		for i, a := range as {
+			if cs[i].Term = goal; len(a) > 0 {
+				cs[i].Term = term.Comp(pi.Name, a...)
+			}
+		}
+		return cs, true, err
+	}
 	if cs, ok := s.fetched[pi]; ok {
 		return cs, true, nil
 	}
-	unlock := s.rlock()
+	took := s.rlock()
 	p := s.kb.db.Proc(pi.Name, pi.Arity)
 	if p == nil {
-		unlock()
+		s.runlock(took)
 		args := headArgsOf(goal)
 		next := s.openRelation(pi, func(i int) (rel.Value, bool) { return termValue(env.ResolveDeep(args[i])) })
 		for next != nil {
@@ -350,7 +361,7 @@ func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) 
 		return nil, false, nil
 	}
 	if p.Form == edb.FormCode {
-		unlock()
+		s.runlock(took)
 		return nil, false, fmt.Errorf("core: %s stored compiled; baseline engine cannot interpret it", pi)
 	}
 	tuples := p.FactsOnly
@@ -365,7 +376,7 @@ func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) 
 	// emit may call this procedure again (a join of a relation with
 	// itself), which must not recurse into the lock.
 	scs, err := s.kb.db.RetrieveObs(p, keys, &s.q)
-	unlock()
+	s.runlock(took)
 	if err != nil {
 		return nil, false, err
 	}
@@ -380,7 +391,7 @@ func (s *Session) interpTrap(goal term.Term, env *interp.Env, emit func() bool) 
 			continue
 		}
 		mark := env.Mark()
-		if env.Unify(goal, term.Rename(tm)) && !emit() {
+		if h, _ := interp.SplitClause(term.Rename(tm)); env.Unify(goal, h) && !emit() {
 			return nil, true, nil
 		}
 		env.Undo(mark)

@@ -118,6 +118,9 @@ func (s *Session) restoreLogical(txn *sessionTxn) {
 	s.kb.txnRollbacks.Inc()
 	s.kb.mu.Unlock()
 	s.reconcile()
+	// The restored EDB reuses the rolled-back clause IDs: drop what they keyed.
+	clear(s.parsed)
+	clear(s.fetched)
 }
 
 // autoRollback aborts the open transaction, if any, after a query died
@@ -135,6 +138,8 @@ func (s *Session) autoRollback() {
 // error(transaction_error(Reason), educe).
 func txnBall(err error) error {
 	switch {
+	case err == nil:
+		return nil
 	case errors.Is(err, store.ErrTxnOpen):
 		return wam.TransactionBall("nested_transaction")
 	case errors.Is(err, store.ErrNoTxn):
@@ -144,50 +149,4 @@ func txnBall(err error) error {
 	default:
 		return wam.TransactionBall("commit_failed")
 	}
-}
-
-// biBegin, biCommit, biRollback are the begin/0, commit/0, rollback/0
-// builtins behind transaction/1.
-func (s *Session) biBegin(m *wam.Machine, args []wam.Cell) (bool, error) {
-	if err := s.Begin(); err != nil {
-		return false, txnBall(err)
-	}
-	return true, nil
-}
-
-func (s *Session) biCommit(m *wam.Machine, args []wam.Cell) (bool, error) {
-	if err := s.Commit(); err != nil {
-		return false, txnBall(err)
-	}
-	return true, nil
-}
-
-func (s *Session) biRollback(m *wam.Machine, args []wam.Cell) (bool, error) {
-	if err := s.Rollback(); err != nil {
-		return false, txnBall(err)
-	}
-	return true, nil
-}
-
-// biAssertExternal / biRetractExternal expose the EDB write path to
-// Prolog (assert_external/1, retract_external/1) so transaction/1 can
-// group stored-clause writes without leaving the language. The clause
-// must be ground; retract_external does not bind caller variables.
-func (s *Session) biAssertExternal(m *wam.Machine, args []wam.Cell) (bool, error) {
-	err := s.AssertExternalTerm(m.DecodeTerm(args[0]))
-	return err == nil, readOnlyBall(err)
-}
-
-func (s *Session) biRetractExternal(m *wam.Machine, args []wam.Cell) (bool, error) {
-	ok, err := s.RetractExternal(m.DecodeTerm(args[0]))
-	return ok && err == nil, readOnlyBall(err)
-}
-
-// readOnlyBall maps a read-only store's refusal of a write to its
-// catchable ball; any other error passes through.
-func readOnlyBall(err error) error {
-	if errors.Is(err, store.ErrReadOnly) {
-		return wam.TransactionBall("read_only")
-	}
-	return err
 }

@@ -11,8 +11,12 @@ import "repro/internal/store"
 // rolled-back transaction is invisible at every layer.
 //
 // Restore rewrites the fields of the *existing* ProcInfo values rather
-// than replacing them: the engine's trap resolvers capture *ProcInfo
-// pointers in closures, so pointer identity must survive rollback.
+// than replacing them, so a pointer taken before the transaction stays
+// valid. Nothing outside the EDB holds one across a rollback: a session
+// looks a procedure up at each call and keeps it for that call only, and
+// its per-query parse cache, keyed by (*ProcInfo, clause ID), is cleared
+// by the rollback, since the restored clause-ID counter hands the
+// rolled-back IDs out again.
 
 // Snapshot is the EDB state captured at transaction begin.
 type Snapshot struct {

@@ -386,8 +386,8 @@ func (in *Interp) call(goal term.Term, args []term.Term, env *Env, k cont) resul
 	if !ok && in.OnUndefined != nil {
 		var out result
 		var err error
-		cs, ok, err = in.OnUndefined(goal, env, func() bool {
-			out = k()
+		cs, ok, err = in.OnUndefined(goal, env, func() bool { // each answer an inference
+			out = in.solve(term.TrueAtom, env, in.depth, k)
 			return !out.done()
 		})
 		if err != nil && out.err == nil {

@@ -1,16 +1,22 @@
 package interp
 
-// Library is the Prolog library both evaluators load: the interpreter
-// reads it once per process and resolves a call against it when its store
-// does not define the predicate, and the engine compiles it once per
-// process after the control constructs, findall/3 and transaction/1, which
-// it defines over WAM builtins of its own, and links a predicate of it into
-// a machine at its first call. It contains no directives.
+// Library is the Prolog library both evaluators load, transaction/1 over
+// the engine's session builtins among it: the interpreter reads it once per
+// process and resolves a call against it when its store does not define
+// the predicate, and the engine compiles it once per process after the
+// control constructs and findall/3, which it defines over WAM builtins of
+// its own, and links a predicate of it into a machine at its first call.
+// It contains no directives.
 const Library = `
 once(G) :- call(G), !.
 ignore(G) :- call(G), !.
 ignore(_).
 forall(C, A) :- \+ (C, \+ A).
+
+% transaction(G) runs G once in a transaction: commit on success, rollback
+% on failure or error, which it rethrows (a failed commit rolled back itself).
+transaction(G) :- begin, catch((call(G) -> commit ; '$txn_abort', fail), B, ('$txn_abort', throw(B))).
+'$txn_abort' :- catch(rollback, _, true).
 
 % --- all-solutions --------------------------------------------------------
 bagof(T, G, L) :- '$ex_strip'(G, G1), findall(T, G1, L), L \= [].

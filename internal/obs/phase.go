@@ -167,7 +167,8 @@ type QueryStats struct {
 	// ClausesPassed counts clauses that survived pre-unification and
 	// were fetched (the paper's candidate clauses).
 	ClausesPassed uint64
-	// PagesTouched counts buffer-pool accesses made by the retrievals.
+	// PagesTouched counts buffer-pool accesses made by the retrievals and
+	// the relation reads.
 	PagesTouched uint64
 	// CacheHits/CacheMisses count shared decoded-code cache outcomes.
 	CacheHits, CacheMisses uint64
